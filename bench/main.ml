@@ -1,9 +1,9 @@
-(* Benchmark harness: regenerates every table and figure of the paper
-   (DATE 2005, "Optimized Generation of Data-path from C Codes for FPGAs"),
-   runs the ablation studies listed in DESIGN.md, and finishes with
-   Bechamel micro-benchmarks of the compiler itself.
+(* Paper reproduction: regenerates every table and figure of the paper
+   (DATE 2005, "Optimized Generation of Data-path from C Codes for FPGAs")
+   and runs the ablation studies listed in DESIGN.md. It prints to stdout
+   and writes no files; the compiler's speed is measured by perfbench/.
 
-   Sections:
+   Sections (select with --only table1,figures,claims,ablations):
      Table 1   - IP vs ROCCC clock/area for the nine kernels
      Figure 1  - the executed pass pipeline
      Figure 2  - execution-model cycle trace (FIR)
@@ -13,22 +13,18 @@
      Figure 7  - accumulator data path with the feedback latch
      §5 claims - DCT throughput, smart-buffer reuse
      ref [13]  - compile-time area estimation speed
-     Ablations - stage budget, bit widths, mul_acc rewrite, DCT unrolling
-     Bechamel  - compile/estimate/simulate timings *)
+     Ablations - stage budget, bit widths, mul_acc rewrite, DCT unrolling *)
 
 module Driver = Roccc_core.Driver
 module Kernels = Roccc_core.Kernels
-module Pass = Roccc_core.Pass
-module Cfg = Roccc_analysis.Cfg
-module Dataflow = Roccc_analysis.Dataflow
-module Proc = Roccc_vm.Proc
 module Baselines = Roccc_ip.Baselines
 module Engine = Roccc_hw.Engine
 module Graph = Roccc_datapath.Graph
 module Pipeline = Roccc_datapath.Pipeline
 module Area = Roccc_fpga.Area
 module Kernel = Roccc_hir.Kernel
-module Net = Roccc_net.Net
+module Table1 = Perfbench.Table1
+module Stats = Perfbench.Stats
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -39,59 +35,21 @@ let hr () = print_endline (String.make 118 '-')
 (* Table 1                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type t1_row = {
-  t1_name : string;
-  ip_paper : Baselines.perf;
-  roccc_paper : Baselines.perf;
-  ip_model : Baselines.perf;
-  roccc_ours : Baselines.perf;
-  verified : bool;
-}
-
-(* Operator-style rows compare against bare IP operators (no memory-side
-   wrapper); the windowed kernels include their buffers and controllers,
-   like the paper's FIR/DCT/wavelet engines. *)
-let operator_rows =
-  [ "bit_correlator"; "mul_acc"; "udiv"; "square_root"; "cos";
-    "arbitrary_lut" ]
-
-let compile_row name : Baselines.perf * bool =
-  match name with
-  | "wavelet" ->
-    (* the engine is the row pass plus the column pass *)
-    let c1, _, d1 = Kernels.run Kernels.wavelet in
-    let c2, _, d2 = Kernels.run Kernels.wavelet_cols in
-    let slices = c1.Driver.area.Area.slices + c2.Driver.area.Area.slices in
-    let clock =
-      Float.min c1.Driver.area.Area.clock_mhz c2.Driver.area.Area.clock_mhz
-    in
-    { Baselines.slices; clock_mhz = clock }, d1 = [] && d2 = []
-  | _ ->
-    let b = Option.get (Kernels.find name) in
-    let c, _, diffs = Kernels.run b in
-    let slices =
-      if List.mem name operator_rows then c.Driver.area.Area.operator_slices
-      else c.Driver.area.Area.slices
-    in
-    ( { Baselines.slices; clock_mhz = c.Driver.area.Area.clock_mhz },
-      diffs = [] )
-
-let table1_rows () : t1_row list =
-  List.map
-    (fun (r : Baselines.row) ->
-      let ours, verified = compile_row r.Baselines.name in
-      { t1_name = r.Baselines.name;
-        ip_paper = r.Baselines.paper_ip;
-        roccc_paper = r.Baselines.paper_roccc;
-        ip_model =
-          Option.value
-            (Baselines.model r.Baselines.name)
-            ~default:{ Baselines.slices = 0; clock_mhz = 0.0 };
-        roccc_ours = ours;
-        verified })
-    Baselines.paper_table1
-
-let print_table1 rows =
+(* Compiles and co-simulates every kernel a Table 1 row needs, then prints
+   the rows ({!Table1.row}) beside the paper's and the IP model's numbers. *)
+let table1 () =
+  let runs =
+    List.map
+      (fun (b : Kernels.benchmark) ->
+        let c, _, diffs = Kernels.run b in
+        b.Kernels.bench_name, (c, diffs = []))
+      (Kernels.table1 @ [ Kernels.wavelet_cols ])
+  in
+  let compiled name = fst (List.assoc name runs) in
+  let verified name =
+    snd (List.assoc name runs)
+    && (name <> "wavelet" || snd (List.assoc "wavelet_cols" runs))
+  in
   section "Table 1 - hardware performance: Xilinx IP vs ROCCC-generated";
   Printf.printf "%-15s | %-17s | %-17s | %-17s | %-17s | %-7s %-8s | %-7s %-8s | %s\n"
     "" "paper IP" "paper ROCCC" "model IP" "our ROCCC" "%Clk(p)" "%Area(p)"
@@ -99,66 +57,53 @@ let print_table1 rows =
   Printf.printf "%-15s | %8s %8s | %8s %8s | %8s %8s | %8s %8s |\n" "example"
     "MHz" "slices" "MHz" "slices" "MHz" "slices" "MHz" "slices";
   hr ();
+  let paper_area (r : Baselines.row) =
+    float_of_int r.Baselines.paper_roccc.Baselines.slices
+    /. float_of_int r.Baselines.paper_ip.Baselines.slices
+  in
+  let paper_clock (r : Baselines.row) =
+    r.Baselines.paper_roccc.Baselines.clock_mhz
+    /. r.Baselines.paper_ip.Baselines.clock_mhz
+  in
   List.iter
-    (fun r ->
-      let pclk =
-        r.roccc_paper.Baselines.clock_mhz /. r.ip_paper.Baselines.clock_mhz
+    (fun (r : Baselines.row) ->
+      let name = r.Baselines.name in
+      let ip =
+        Option.value (Baselines.model name)
+          ~default:{ Baselines.slices = 0; clock_mhz = 0.0 }
       in
-      let parea =
-        float_of_int r.roccc_paper.Baselines.slices
-        /. float_of_int r.ip_paper.Baselines.slices
-      in
-      let oclk =
-        r.roccc_ours.Baselines.clock_mhz /. r.ip_model.Baselines.clock_mhz
-      in
-      let oarea =
-        float_of_int r.roccc_ours.Baselines.slices
-        /. float_of_int (max 1 r.ip_model.Baselines.slices)
-      in
+      let ours = Table1.row compiled name in
       Printf.printf
         "%-15s | %8.0f %8d | %8.0f %8d | %8.0f %8d | %8.0f %8d | %7.3f \
          %8.2f | %7.3f %8.2f | %s\n"
-        r.t1_name r.ip_paper.Baselines.clock_mhz r.ip_paper.Baselines.slices
-        r.roccc_paper.Baselines.clock_mhz r.roccc_paper.Baselines.slices
-        r.ip_model.Baselines.clock_mhz r.ip_model.Baselines.slices
-        r.roccc_ours.Baselines.clock_mhz r.roccc_ours.Baselines.slices pclk
-        parea oclk oarea
-        (if r.verified then "yes" else "NO"))
-    rows;
+        name r.Baselines.paper_ip.Baselines.clock_mhz
+        r.Baselines.paper_ip.Baselines.slices
+        r.Baselines.paper_roccc.Baselines.clock_mhz
+        r.Baselines.paper_roccc.Baselines.slices ip.Baselines.clock_mhz
+        ip.Baselines.slices ours.Baselines.clock_mhz ours.Baselines.slices
+        (paper_clock r) (paper_area r)
+        (ours.Baselines.clock_mhz /. ip.Baselines.clock_mhz)
+        (float_of_int ours.Baselines.slices
+        /. float_of_int (max 1 ip.Baselines.slices))
+        (if verified name then "yes" else "NO"))
+    Baselines.paper_table1;
   hr ();
-  let geo f rows =
-    let logs = List.map (fun r -> Float.log (f r)) rows in
-    Float.exp
-      (List.fold_left ( +. ) 0.0 logs /. float_of_int (List.length logs))
-  in
   (* aggregate over the rows where the compiler does real work (the LUT rows
      are by construction identical on both sides, as in the paper) *)
   let active =
     List.filter
-      (fun r -> r.t1_name <> "cos" && r.t1_name <> "arbitrary_lut")
-      rows
+      (fun (r : Baselines.row) ->
+        r.Baselines.name <> "cos" && r.Baselines.name <> "arbitrary_lut")
+      Baselines.paper_table1
   in
+  let area, clock = Table1.ratios compiled in
   Printf.printf
     "geomean (non-LUT rows): paper area ratio %.2fx, ours %.2fx; paper \
      clock ratio %.2fx, ours %.2fx\n"
-    (geo
-       (fun r ->
-         float_of_int r.roccc_paper.Baselines.slices
-         /. float_of_int r.ip_paper.Baselines.slices)
-       active)
-    (geo
-       (fun r ->
-         float_of_int r.roccc_ours.Baselines.slices
-         /. float_of_int (max 1 r.ip_model.Baselines.slices))
-       active)
-    (geo
-       (fun r ->
-         r.roccc_paper.Baselines.clock_mhz /. r.ip_paper.Baselines.clock_mhz)
-       active)
-    (geo
-       (fun r ->
-         r.roccc_ours.Baselines.clock_mhz /. r.ip_model.Baselines.clock_mhz)
-       active);
+    (Stats.geomean (List.map paper_area active))
+    area
+    (Stats.geomean (List.map paper_clock active))
+    clock;
   print_endline
     "paper's conclusion: ROCCC-generated circuits take ~2-3x the area of \
      hand IP at comparable clock rates."
@@ -271,12 +216,11 @@ let throughput_section () =
     (List.length c.Driver.kernel.Kernel.outputs);
   Printf.printf "simulated: %d outputs in %d cycles (latency %d)\n"
     r.Engine.memory_writes r.Engine.cycles r.Engine.pipeline_latency;
-  let ours, _ = compile_row "dct" in
   Printf.printf
     "IP comparator: 1 output/cycle => ROCCC throughput advantage %dx at \
      %.0f%% of the IP clock (paper: 73.5%%)\n"
     (List.length c.Driver.kernel.Kernel.outputs)
-    (100.0 *. ours.Baselines.clock_mhz
+    (100.0 *. c.Driver.area.Area.clock_mhz
     /. (Option.get (Baselines.model "dct")).Baselines.clock_mhz)
 
 let smart_buffer_section () =
@@ -538,1246 +482,11 @@ let ablation_smart_buffer () =
     [ "fir", Kernels.fir; "wavelet_rows", Kernels.wavelet ]
 
 (* ------------------------------------------------------------------ *)
-(* Data-flow engine - packed bitsets vs the set-based reference        *)
-(* ------------------------------------------------------------------ *)
 
-let df_fir_src n =
-  Printf.sprintf
-    "void fir(int8 A[%d], int16 C[%d]) {\n\
-    \  int i;\n\
-    \  for (i = 0; i < %d; i++) {\n\
-    \    C[i] = 3*A[i] + 5*A[i+1] + 7*A[i+2] + 9*A[i+3] - A[i+4];\n\
-    \  }\n\
-     }\n"
-    (n + 4) n n
-
-let df_dct_row_src n =
-  let row = Kernels.dct8_coeff.(1) in
-  let terms =
-    Array.to_list row
-    |> List.mapi (fun t c ->
-           if c >= 0 then Printf.sprintf "+ %d*X[i+%d]" c t
-           else Printf.sprintf "- %d*X[i+%d]" (-c) t)
-    |> String.concat " "
-  in
-  Printf.sprintf
-    "void dct_row(int8 X[%d], int19 Y[%d]) {\n\
-    \  int i;\n\
-    \  for (i = 0; i < %d; i++) {\n\
-    \    Y[i] = %s;\n\
-    \  }\n\
-     }\n"
-    (n + 7) n n
-    (String.sub terms 2 (String.length terms - 2))
-
-(* run the pipeline up to (and including) SSA construction: the unrolled
-   procedure these analyses see is exactly what the optimizer sees *)
-let proc_after_ssa ~entry ~options src =
-  let upto = ref [] in
-  let rec take = function
-    | [] -> ()
-    | (p : Pass.pass) :: rest ->
-      upto := p :: !upto;
-      if p.Pass.name <> "ssa-and-cfg" then take rest
-  in
-  take (Pass.front_passes @ Pass.kernel_passes @ Pass.back_passes);
-  let st =
-    List.fold_left
-      (fun st p -> Pass.step p st)
-      (Pass.initial ~options ~entry src)
-      (List.rev !upto)
-  in
-  Option.get st.Pass.st_proc
-
-(* one timed run; sub-50ms measurements are repeated and the best kept *)
-let df_time f =
-  let once () =
-    let t0 = Unix.gettimeofday () in
-    ignore (Sys.opaque_identity (f ()));
-    Unix.gettimeofday () -. t0
-  in
-  let first = once () in
-  if first >= 0.05 then first
-  else begin
-    let reps = min 200 (max 3 (int_of_float (0.05 /. Float.max 1e-6 first))) in
-    let best = ref first in
-    for _ = 1 to reps do
-      let t = once () in
-      if t < !best then best := t
-    done;
-    !best
-  end
-
-type df_row = {
-  df_kernel : string;
-  df_unroll : int;
-  df_blocks : int;
-  df_instrs : int;
-  df_regs : int;
-  df_times : (string * float * float) list;  (* analysis, reference s, dense s *)
-}
-
-let dataflow_section () =
-  section
-    "Data-flow engine - packed-bitset worklist solver vs set-based reference";
-  let workloads =
-    [ "fir", df_fir_src 256, [ 16; 64; 256 ];
-      "dct_row", df_dct_row_src 256, [ 16; 64; 256 ] ]
-  in
-  Printf.printf "%-8s %6s %7s %7s %6s | %10s %10s %8s\n" "kernel" "unroll"
-    "blocks" "instrs" "regs" "analysis" "ref ms" "speedup";
-  hr ();
-  let rows =
-    List.concat_map
-      (fun (name, src, factors) ->
-        List.map
-          (fun factor ->
-            let options =
-              { Driver.default_options with
-                Driver.unroll_outer_factor = factor;
-                bus_elements = factor }
-            in
-            let proc = proc_after_ssa ~entry:name ~options src in
-            let g = Cfg.build proc in
-            let times =
-              [ ( "liveness",
-                  df_time (fun () -> Dataflow.Reference.liveness g),
-                  df_time (fun () -> Dataflow.liveness_dense g) );
-                ( "reaching",
-                  df_time (fun () -> Dataflow.Reference.reaching_definitions g),
-                  df_time (fun () -> Dataflow.reaching_dense g) );
-                ( "available",
-                  df_time (fun () -> Dataflow.Reference.available_expressions g),
-                  df_time (fun () -> Dataflow.available_dense g) ) ]
-            in
-            let row =
-              { df_kernel = name;
-                df_unroll = factor;
-                df_blocks = List.length proc.Proc.blocks;
-                df_instrs = List.length (Proc.all_instrs proc);
-                df_regs = Hashtbl.length proc.Proc.reg_kinds;
-                df_times = times }
-            in
-            List.iteri
-              (fun i (analysis, ref_s, dense_s) ->
-                if i = 0 then
-                  Printf.printf "%-8s %6d %7d %7d %6d" name factor
-                    row.df_blocks row.df_instrs row.df_regs
-                else Printf.printf "%-8s %6s %7s %7s %6s" "" "" "" "" "";
-                Printf.printf " | %10s %10.3f %7.1fx\n" analysis
-                  (1e3 *. ref_s)
-                  (ref_s /. Float.max 1e-9 dense_s))
-              times;
-            row)
-          factors)
-      workloads
-  in
-  hr ();
-  (* the acceptance gate: liveness and reaching at the deepest unroll *)
-  let x256_min =
-    rows
-    |> List.filter (fun r -> r.df_unroll = 256)
-    |> List.concat_map (fun r ->
-           List.filter_map
-             (fun (a, ref_s, dense_s) ->
-               if a = "available" then None
-               else Some (ref_s /. Float.max 1e-9 dense_s))
-             r.df_times)
-    |> List.fold_left Float.min infinity
-  in
-  Printf.printf
-    "minimum x256 liveness/reaching speedup: %.1fx (target >= 5x) -> %s\n"
-    x256_min
-    (if x256_min >= 5.0 then "ok" else "BELOW TARGET");
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"workloads\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"kernel\": \"%s\", \"unroll\": %d, \"blocks\": %d, \
-            \"instrs\": %d, \"regs\": %d, \"analyses\": ["
-           r.df_kernel r.df_unroll r.df_blocks r.df_instrs r.df_regs);
-      List.iteri
-        (fun j (a, ref_s, dense_s) ->
-          if j > 0 then Buffer.add_string buf ", ";
-          Buffer.add_string buf
-            (Printf.sprintf
-               "{ \"name\": \"%s\", \"reference_s\": %.6f, \"dense_s\": \
-                %.6f, \"speedup\": %.2f }"
-               a ref_s dense_s
-               (ref_s /. Float.max 1e-9 dense_s)))
-        r.df_times;
-      Buffer.add_string buf
-        (Printf.sprintf "] }%s\n" (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"x256_live_reach_speedup_min\": %.2f,\n" x256_min);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"speedup_ok\": %b\n}\n" (x256_min >= 5.0));
-  let oc = open_out "BENCH_dataflow.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote BENCH_dataflow.json\n"
-
-(* ------------------------------------------------------------------ *)
-(* Pipelining - latch-bit / clock Pareto across clock targets          *)
-(* ------------------------------------------------------------------ *)
-
-type pl_row = {
-  pl_kernel : string;
-  pl_target_ns : float;
-  pl_stages : int;
-  pl_clock_mhz : float;
-  pl_greedy_bits : int;
-  pl_retimed_bits : int;
-  pl_moves : int;
-}
-
-let pipeline_section () =
-  section
-    "Pipelining - slack-based retiming vs greedy latch placement \
-     (latch-bit / clock Pareto)";
-  let kernels =
-    [ "fir", Kernels.fir.Kernels.source, "fir",
-      Kernels.fir.Kernels.tune Driver.default_options,
-      Kernels.fir.Kernels.luts;
-      "dct", Kernels.dct.Kernels.source, "dct",
-      Kernels.dct.Kernels.tune Driver.default_options, Kernels.dct.Kernels.luts;
-      "acc", Kernels.paper_acc_source, "acc", Driver.default_options, [] ]
-  in
-  Printf.printf "%-8s %9s %7s %10s | %11s %12s %6s\n" "kernel" "target"
-    "stages" "clock" "greedy bits" "retimed bits" "moves";
-  hr ();
-  let rows =
-    List.concat_map
-      (fun (name, source, entry, options, luts) ->
-        List.map
-          (fun tns ->
-            let c =
-              Driver.compile
-                ~options:{ options with Driver.target_ns = tns }
-                ~luts ~entry source
-            in
-            let p = c.Driver.pipeline in
-            let row =
-              { pl_kernel = name;
-                pl_target_ns = tns;
-                pl_stages = p.Pipeline.stage_count;
-                pl_clock_mhz = p.Pipeline.clock_mhz;
-                pl_greedy_bits = p.Pipeline.greedy_latch_bits;
-                pl_retimed_bits = p.Pipeline.latch_bits;
-                pl_moves = p.Pipeline.retime_moves }
-            in
-            Printf.printf "%-8s %6.0f ns %7d %6.1f MHz | %11d %12d %6d\n"
-              row.pl_kernel row.pl_target_ns row.pl_stages row.pl_clock_mhz
-              row.pl_greedy_bits row.pl_retimed_bits row.pl_moves;
-            row)
-          [ 3.0; 5.0; 8.0 ])
-      kernels
-  in
-  hr ();
-  (* the acceptance gates: retiming never spends more latch bits than
-     greedy anywhere on the grid, and buys a strict reduction somewhere
-     at the default 5 ns target *)
-  let never_worse =
-    List.for_all (fun r -> r.pl_retimed_bits <= r.pl_greedy_bits) rows
-  in
-  let strict_at_default =
-    List.exists
-      (fun r -> r.pl_target_ns = 5.0 && r.pl_retimed_bits < r.pl_greedy_bits)
-      rows
-  in
-  Printf.printf "retimed <= greedy on every (kernel, target): %s\n"
-    (if never_worse then "ok" else "VIOLATED");
-  Printf.printf "strict reduction at the 5 ns default: %s\n"
-    (if strict_at_default then "ok" else "NONE FOUND");
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"kernel\": \"%s\", \"target_ns\": %g, \"stages\": %d, \
-            \"clock_mhz\": %.2f, \"greedy_latch_bits\": %d, \
-            \"retimed_latch_bits\": %d, \"retime_moves\": %d }%s\n"
-           r.pl_kernel r.pl_target_ns r.pl_stages r.pl_clock_mhz
-           r.pl_greedy_bits r.pl_retimed_bits r.pl_moves
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"retiming_ok\": %b,\n" never_worse);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"strict_reduction_at_default\": %b\n}\n"
-       strict_at_default);
-  let oc = open_out "BENCH_pipeline.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote BENCH_pipeline.json\n"
-
-(* ------------------------------------------------------------------ *)
-(* Batch service - cache and scheduler throughput                      *)
-(* ------------------------------------------------------------------ *)
-
-module Service = Roccc_service.Service
-module Svc_cache = Roccc_service.Cache
-module Scheduler = Roccc_service.Scheduler
-
-let service_section () =
-  section "Batch service - pass cache and parallel scheduler (Table 1 jobs)";
-  let jobs = Service.table1_jobs () in
-  let n_jobs = List.length jobs in
-  let time_batch ?cache ~num_domains () =
-    let t0 = Unix.gettimeofday () in
-    let report = Service.run_batch ?cache ~num_domains jobs in
-    let wall = Unix.gettimeofday () -. t0 in
-    report, wall
-  in
-  (* cold vs warm: the same cache serves two consecutive batches *)
-  let cache = Svc_cache.create () in
-  let cold_report, cold_s = time_batch ~cache ~num_domains:1 () in
-  let warm_report, warm_s = time_batch ~cache ~num_domains:1 () in
-  let stats = Svc_cache.stats cache in
-  Printf.printf
-    "cold batch : %2d jobs in %7.1f ms (%d ok, %d failed)\n" n_jobs
-    (1e3 *. cold_s)
-    (List.length (Service.successes cold_report))
-    (List.length (Service.failures cold_report));
-  Printf.printf
-    "warm batch : %2d jobs in %7.1f ms - %.1fx faster, %d cache hits\n"
-    n_jobs (1e3 *. warm_s)
-    (cold_s /. Float.max 1e-9 warm_s)
-    stats.Svc_cache.hits;
-  (* 1 vs N domains, uncached, so every job does full compiles. The
-     scheduler clamps the request to the hardware parallelism; rows that
-     resolve to the same effective worker count run the same configuration
-     and share one measurement instead of re-timing identical work. *)
-  let domain_counts = [ 1; 2; 4 ] in
-  let measured : (int, float) Hashtbl.t = Hashtbl.create 4 in
-  let domain_walls =
-    List.map
-      (fun d ->
-        let workers = Scheduler.effective_workers ~num_domains:d n_jobs in
-        let wall =
-          match Hashtbl.find_opt measured workers with
-          | Some wall -> wall
-          | None ->
-            let _, wall = time_batch ~num_domains:d () in
-            Hashtbl.add measured workers wall;
-            wall
-        in
-        Printf.printf
-          "%d domain(s) -> %d worker(s): %2d jobs in %7.1f ms (%.1f jobs/s)\n"
-          d workers n_jobs (1e3 *. wall)
-          (float_of_int n_jobs /. wall);
-        d, workers, wall)
-      domain_counts
-  in
-  let jobs_per_s wall = float_of_int n_jobs /. wall in
-  (* The gate is vacuous when every row resolved to one effective worker
-     (a single-core host): all three rows then time the same sequential
-     run, and "non-decreasing" passes no matter how the scheduler
-     behaves. Say so explicitly instead of reporting a hollow pass. *)
-  let multi_worker = List.exists (fun (_, w, _) -> w > 1) domain_walls in
-  let scaling_ok =
-    let rec non_decreasing = function
-      | (_, _, w1) :: ((_, _, w2) :: _ as rest) ->
-        jobs_per_s w2 >= jobs_per_s w1 && non_decreasing rest
-      | _ -> true
-    in
-    non_decreasing domain_walls
-  in
-  Printf.printf "throughput non-decreasing with domains: %s\n"
-    (if not multi_worker then
-       "skipped (single-core host: every row ran 1 worker)"
-     else if scaling_ok then "yes"
-     else "NO");
-  (* machine-readable summary alongside the human-readable table *)
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" n_jobs);
-  Buffer.add_string buf (Printf.sprintf "  \"cold_s\": %.6f,\n" cold_s);
-  Buffer.add_string buf (Printf.sprintf "  \"warm_s\": %.6f,\n" warm_s);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"warm_speedup\": %.3f,\n"
-       (cold_s /. Float.max 1e-9 warm_s));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"cache\": { \"hits\": %d, \"disk_hits\": %d, \"misses\": %d, \
-        \"stores\": %d },\n"
-       stats.Svc_cache.hits stats.Svc_cache.disk_hits stats.Svc_cache.misses
-       stats.Svc_cache.stores);
-  Buffer.add_string buf "  \"domains\": [\n";
-  List.iteri
-    (fun i (d, workers, wall) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"domains\": %d, \"workers\": %d, \"wall_s\": %.6f, \
-            \"jobs_per_s\": %.3f }%s\n"
-           d workers wall
-           (float_of_int n_jobs /. wall)
-           (if i = List.length domain_walls - 1 then "" else ",")))
-    domain_walls;
-  Buffer.add_string buf
-    (Printf.sprintf "  ],\n  \"scaling_ok\": %s\n}\n"
-       (if not multi_worker then "\"skipped: single-core host\""
-        else string_of_bool scaling_ok));
-  let oc = open_out "BENCH_service.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote BENCH_service.json\n";
-  ignore warm_report
-
-(* ------------------------------------------------------------------ *)
-(* Pareto autotuner - search quality and pruning gates                 *)
-(* ------------------------------------------------------------------ *)
-
-module Tune_objective = Roccc_tune.Objective
-module Tune_search = Roccc_tune.Search
-module Svc_trace = Roccc_service.Trace
-
-(* trip count 16 so every unroll factor in the default grid divides it *)
-let tune_fir_source =
-  "void fir(int A[20], int C[16]) {\n\
-  \  int i;\n\
-  \  for (i = 0; i < 16; i = i + 1) {\n\
-  \    C[i] = 3*A[i] + 5*A[i+1] + 7*A[i+2] + 9*A[i+3] - A[i+4];\n\
-  \  }\n\
-   }\n"
-
-let tune_section () =
-  section "Pareto autotuner - FIR unroll x bus x clock-target search";
-  let obj = Tune_objective.Max_mhz { slice_budget = 4000 } in
-  let settings = Tune_search.default_settings obj in
-  let trace = Svc_trace.create () in
-  let r = Tune_search.run ~trace settings ~source:tune_fir_source ~entry:"fir" in
-  print_string (Tune_search.table r);
-  let front_size = List.length r.Tune_search.res_front in
-  (* gates: a real search explored a non-trivial grid, produced a
-     non-degenerate front, paid for strictly fewer full compiles than
-     the exhaustive grid, and visibly reused cached mid-end passes *)
-  let front_ok = front_size >= 3 && r.Tune_search.res_explored >= 20 in
-  let pruning_ok = r.Tune_search.res_full_evals < r.Tune_search.res_explored in
-  let cached_spans =
-    List.length
-      (List.filter
-         (fun (s : Svc_trace.span) ->
-           List.mem_assoc "cached" s.Svc_trace.sp_args)
-         (Svc_trace.spans trace))
-  in
-  let cached_ok = cached_spans > 0 in
-  Printf.printf
-    "front %d/%d candidates (full compiles %d, cached pass reuses %d)\n"
-    front_size r.Tune_search.res_explored r.Tune_search.res_full_evals
-    cached_spans;
-  Printf.printf "front_ok: %s | pruning_ok: %s | cached_ok: %s\n"
-    (if front_ok then "yes" else "NO")
-    (if pruning_ok then "yes" else "NO")
-    (if cached_ok then "yes" else "NO");
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"objective\": \"%s\",\n"
-       (Tune_objective.name r.Tune_search.res_objective));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"explored\": %d,\n" r.Tune_search.res_explored);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"quick_evals\": %d,\n" r.Tune_search.res_quick_evals);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"estimate_evals\": %d,\n"
-       r.Tune_search.res_estimate_evals);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"full_evals\": %d,\n" r.Tune_search.res_full_evals);
-  Buffer.add_string buf (Printf.sprintf "  \"front_size\": %d,\n" front_size);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"cached_pass_reuses\": %d,\n" cached_spans);
-  Buffer.add_string buf (Printf.sprintf "  \"wall_s\": %.6f,\n" r.Tune_search.res_wall_s);
-  Buffer.add_string buf (Printf.sprintf "  \"front_ok\": %b,\n" front_ok);
-  Buffer.add_string buf (Printf.sprintf "  \"pruning_ok\": %b,\n" pruning_ok);
-  Buffer.add_string buf (Printf.sprintf "  \"cached_ok\": %b\n}\n" cached_ok);
-  let oc = open_out "BENCH_tune.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote BENCH_tune.json\n"
-
-(* ------------------------------------------------------------------ *)
-(* Wide arithmetic - pinned multi-stage operator regions               *)
-(* ------------------------------------------------------------------ *)
-
-(* Three gates: the modular-square gallery kernel compiles end-to-end
-   with at least one multi-stage operator and hardware = software; the
-   pinned region starts survive retiming untouched (and the pipeline
-   invariant checker agrees); and the single-cycle path is bit-for-bit
-   what it was before the staged-operator refactor (the FIR golden
-   dumps). *)
-let wide_section () =
-  section
-    "Wide arithmetic - multi-stage operator regions (modular square over \
-     2^31-1)";
-  let b = Kernels.modsq in
-  let c = Kernels.compile b in
-  let p = c.Driver.pipeline in
-  let arrays = b.Kernels.arrays () in
-  let diffs = Driver.verify ~scalars:b.Kernels.scalars ~arrays c in
-  let regions = Pipeline.staged_regions p in
-  let region_key (i, s, k) =
-    ( (match i.Roccc_vm.Instr.dst with Some d -> d | None -> -1),
-      Roccc_vm.Instr.opcode_name i.Roccc_vm.Instr.op, s, k )
-  in
-  let modsq_compiles_ok = diffs = [] && regions <> [] in
-  Printf.printf
-    "modsq: %d stages, %.1f MHz, %d latch bits, %d pinned region(s), \
-     hardware %s software\n"
-    p.Pipeline.stage_count p.Pipeline.clock_mhz p.Pipeline.latch_bits
-    (List.length regions)
-    (if diffs = [] then "=" else "<>");
-  List.iter
-    (fun (i, s, k) ->
-      Printf.printf "  pinned: %-4s stages %d..%d (%d stages)\n"
-        (Roccc_vm.Instr.opcode_name i.Roccc_vm.Instr.op)
-        s (s + k - 1) k)
-    regions;
-  (* the same staging without the retiming pass: region starts must agree,
-     i.e. retiming moved nothing into or across a pinned region *)
-  let greedy =
-    Pipeline.build
-      ~target_ns:c.Driver.options.Driver.target_ns
-      ~stage_budget:c.Driver.options.Driver.stage_budget
-      ~decomp:c.Driver.options.Driver.decomp ~retime:false p.Pipeline.dp
-      p.Pipeline.widths
-  in
-  let sorted_regions q =
-    List.sort compare (List.map region_key (Pipeline.staged_regions q))
-  in
-  let verify_ok =
-    match Pipeline.verify p with
-    | () -> true
-    | exception Pipeline.Error msg ->
-      Printf.printf "pipeline verify FAILED: %s\n" msg;
-      false
-  in
-  let in_schedule =
-    List.for_all (fun (_, s, k) -> s + k <= p.Pipeline.stage_count) regions
-  in
-  let pinned_stages_ok =
-    sorted_regions p = sorted_regions greedy && verify_ok && in_schedule
-  in
-  Printf.printf
-    "pinned regions: retimed = greedy %b, inside schedule %b, verify %s \
-     (%d retime moves elsewhere)\n"
-    (sorted_regions p = sorted_regions greedy)
-    in_schedule
-    (if verify_ok then "ok" else "FAILED")
-    p.Pipeline.retime_moves;
-  (* single-cycle path unchanged: the FIR golden dumps are byte-identical *)
-  let golden_passes =
-    [ "parse"; "constant-fold"; "lower-to-suifvm"; "datapath-build";
-      "pipelining"; "retiming" ]
-  in
-  let golden_dir = "test/golden" in
-  let golden_unchanged =
-    if not (Sys.file_exists golden_dir) then `Skipped
-    else begin
-      let dumps = ref [] in
-      let config =
-        { (Pass.default_config ()) with
-          Pass.dump_after = golden_passes;
-          on_dump = (fun name text -> dumps := !dumps @ [ name, text ]) }
-      in
-      let fir = Kernels.fir in
-      let (_ : Driver.compiled) =
-        Driver.compile ~config
-          ~options:(fir.Kernels.tune Driver.default_options)
-          ~luts:fir.Kernels.luts ~entry:fir.Kernels.entry fir.Kernels.source
-      in
-      let last name =
-        match List.rev (List.filter (fun (n, _) -> n = name) !dumps) with
-        | (_, text) :: _ -> Some text
-        | [] -> None
-      in
-      let ok =
-        List.for_all
-          (fun name ->
-            let path = Printf.sprintf "%s/fir.%s.txt" golden_dir name in
-            match last name with
-            | Some text when Sys.file_exists path ->
-              let ic = open_in_bin path in
-              let n = in_channel_length ic in
-              let expected = really_input_string ic n in
-              close_in ic;
-              let same = String.equal expected text in
-              if not same then
-                Printf.printf "golden dump DIVERGED: %s\n" path;
-              same
-            | _ ->
-              Printf.printf "golden dump missing: %s\n" path;
-              false)
-          golden_passes
-      in
-      if ok then `Ok else `Failed
-    end
-  in
-  Printf.printf "golden fir dumps: %s\n"
-    (match golden_unchanged with
-    | `Ok -> "byte-identical"
-    | `Failed -> "DIVERGED"
-    | `Skipped -> "skipped (no test/golden directory)");
-  (* VDF-contest replay: the stage-budget x decomposition trade-off on
-     the modular-square kernel, searched by the autotuner at tight clock
-     targets. Staged wide operators (budget 0 = natural depth, or >= 2)
-     must dominate the unstaged points (budget 1: the whole wide region
-     in one combinational stage) on achieved clock. *)
-  let vdf_source =
-    if Sys.file_exists "examples/modsq.c" then begin
-      let ic = open_in_bin "examples/modsq.c" in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    end
-    else b.Kernels.source
-  in
-  let vdf_obj = Tune_objective.Max_mhz { slice_budget = 100_000 } in
-  let vdf_settings =
-    { (Tune_search.default_settings vdf_obj) with
-      Tune_search.st_margin = 0.0;
-      st_space =
-        { Tune_search.sp_unroll = [ 1 ];
-          sp_bus = [ 1 ];
-          sp_target_ns = [ 2.0; 3.0 ];
-          sp_stage_budget = [ 0; 1; 2; 4 ];
-          sp_decomp = Roccc_datapath.Delay.all_decomps } }
-  in
-  let vr = Tune_search.run vdf_settings ~source:vdf_source ~entry:"modsq" in
-  print_string (Tune_search.table vr);
-  let vdf_measured =
-    List.filter_map
-      (fun (r : Tune_search.row) ->
-        match r.Tune_search.rw_measure with
-        | Some m -> Some (r.Tune_search.rw_cand, m)
-        | None -> None)
-      vr.Tune_search.res_rows
-  in
-  let best pred =
-    List.fold_left
-      (fun acc ((cd : Tune_search.candidate), (m : Driver.measurement)) ->
-        if pred cd then Float.max acc m.Driver.ms_clock_mhz else acc)
-      0.0 vdf_measured
-  in
-  let staged (cd : Tune_search.candidate) =
-    cd.Tune_search.cd_stage_budget <> 1
-  in
-  let staged_best = best staged in
-  let unstaged_best = best (fun c -> not (staged c)) in
-  let vdf_front_ok = vr.Tune_search.res_front <> [] in
-  let vdf_staged_dominates = unstaged_best > 0. && staged_best > unstaged_best in
-  Printf.printf
-    "vdf stage-budget study: front %d/%d, staged best %.1f MHz vs unstaged \
-     %.1f MHz -> staged %s\n"
-    (List.length vr.Tune_search.res_front)
-    vr.Tune_search.res_explored staged_best unstaged_best
-    (if vdf_staged_dominates then "dominates" else "DOES NOT dominate");
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"modsq\": { \"stages\": %d, \"clock_mhz\": %.2f, \"latch_bits\": \
-        %d, \"slices\": %d, \"multi_stage_ops\": %d },\n"
-       p.Pipeline.stage_count p.Pipeline.clock_mhz p.Pipeline.latch_bits
-       c.Driver.area.Area.slices (List.length regions));
-  Buffer.add_string buf "  \"regions\": [\n";
-  List.iteri
-    (fun i (instr, s, k) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"op\": \"%s\", \"start_stage\": %d, \"stages\": %d }%s\n"
-           (Roccc_vm.Instr.opcode_name instr.Roccc_vm.Instr.op)
-           s k
-           (if i = List.length regions - 1 then "" else ",")))
-    regions;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"vdf\": { \"explored\": %d, \"front_size\": %d, \
-        \"staged_best_mhz\": %.2f, \"unstaged_best_mhz\": %.2f },\n"
-       vr.Tune_search.res_explored
-       (List.length vr.Tune_search.res_front)
-       staged_best unstaged_best);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"vdf_front_ok\": %b,\n" vdf_front_ok);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"vdf_staged_dominates_ok\": %b,\n" vdf_staged_dominates);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"modsq_compiles_ok\": %b,\n" modsq_compiles_ok);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"pinned_stages_ok\": %b,\n" pinned_stages_ok);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"golden_unchanged_ok\": %s\n}\n"
-       (match golden_unchanged with
-       | `Ok -> "true"
-       | `Failed -> "false"
-       | `Skipped -> "\"skipped: no test/golden directory\""));
-  let oc = open_out "BENCH_wide.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote BENCH_wide.json\n"
-
-(* ------------------------------------------------------------------ *)
-(* Process networks - two-kernel streaming pipeline with sized FIFOs   *)
-(* ------------------------------------------------------------------ *)
-
-(* Gates: the gallery network's co-simulation output is byte-identical
-   to the sequential composition of the per-kernel software models
-   (sized depths AND a depth-1 stress run), every channel depth meets
-   the rate-analysis minimum, and at least one sized FIFO is smaller
-   than the full inter-kernel buffer. *)
-let net_section () =
-  section "Process network - fir -> smooth through a sized FIFO channel";
-  let quiet =
-    { (Pass.default_config ()) with Pass.on_dump = (fun _ _ -> ()) }
-  in
-  let net =
-    Net.plan ~config:quiet ~name:Net.gallery_pipeline Net.gallery_source
-  in
-  print_string (Net.describe net);
-  let arrays = Net.gallery_arrays () in
-  let sized_diffs = Net.verify ~arrays net in
-  let stress_diffs = Net.verify ~arrays ~depths:[ 1 ] net in
-  let byte_identical = sized_diffs = [] && stress_diffs = [] in
-  let sim = Net.simulate ~arrays net in
-  let stress = Net.simulate ~arrays ~depths:[ 1 ] net in
-  let depths_ok =
-    List.for_all
-      (fun (ch : Net.channel) -> ch.Net.ch_depth >= ch.Net.ch_min_depth)
-      net.Net.net_channels
-  in
-  let fifo_smaller =
-    List.exists
-      (fun (ch : Net.channel) -> ch.Net.ch_depth < ch.Net.ch_elements)
-      net.Net.net_channels
-  in
-  Printf.printf
-    "co-sim %d cycles (depth-1 stress %d cycles, %d full-stalls); network \
-     output %s sequential composition\n"
-    sim.Net.nr_cycles stress.Net.nr_cycles
-    (List.fold_left
-       (fun acc (cs : Net.channel_stats) -> acc + cs.Net.cs_full_stalls)
-       0 stress.Net.nr_channels)
-    (if byte_identical then "=" else "<>");
-  List.iter
-    (fun (cs : Net.channel_stats) ->
-      Printf.printf
-        "  channel %-16s depth %d (min %d), high water %d, %d pushed, \
-         stalls full/empty %d/%d\n"
-        cs.Net.cs_name cs.Net.cs_depth cs.Net.cs_min_depth
-        cs.Net.cs_high_water cs.Net.cs_pushed cs.Net.cs_full_stalls
-        cs.Net.cs_empty_stalls)
-    sim.Net.nr_channels;
-  Printf.printf
-    "net_byte_identical: %s | depths_ok: %s | fifo_smaller_than_buffer: %s\n"
-    (if byte_identical then "yes" else "NO")
-    (if depths_ok then "yes" else "NO")
-    (if fifo_smaller then "yes" else "NO");
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"pipeline\": \"%s\",\n" net.Net.net_name);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"stages\": %d,\n" (List.length net.Net.net_stages));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"cycles\": %d,\n" sim.Net.nr_cycles);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"stress_cycles\": %d,\n" stress.Net.nr_cycles);
-  Buffer.add_string buf "  \"channels\": [\n";
-  let n_ch = List.length sim.Net.nr_channels in
-  List.iteri
-    (fun i (cs : Net.channel_stats) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"name\": \"%s\", \"depth\": %d, \"min_depth\": %d, \
-            \"high_water\": %d, \"pushed\": %d, \"full_stalls\": %d, \
-            \"empty_stalls\": %d }%s\n"
-           cs.Net.cs_name cs.Net.cs_depth cs.Net.cs_min_depth
-           cs.Net.cs_high_water cs.Net.cs_pushed cs.Net.cs_full_stalls
-           cs.Net.cs_empty_stalls
-           (if i = n_ch - 1 then "" else ",")))
-    sim.Net.nr_channels;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"net_byte_identical\": %b,\n" byte_identical);
-  Buffer.add_string buf (Printf.sprintf "  \"depths_ok\": %b,\n" depths_ok);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"fifo_smaller_than_buffer\": %b\n}\n" fifo_smaller);
-  let oc = open_out "BENCH_net.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote BENCH_net.json\n"
-
-(* ------------------------------------------------------------------ *)
-(* Serve soak - mixed load through the Unix socket at 1/2/4 workers    *)
-(* ------------------------------------------------------------------ *)
-
-module Server = Roccc_service.Server
-module Svc_json = Roccc_service.Json
-module Svc_faults = Roccc_service.Faults
-module Svc_metrics = Roccc_service.Metrics
-
-let soak_kernel c =
-  Printf.sprintf
-    "void k(int A[16], int B[16]) { int i; for (i = 0; i < 16; i = i + 1) { \
-     B[i] = A[i] * %d + %d; } }"
-    c (c + 1)
-
-(* The mixed load: compile requests cycling over 26 distinct
-   (source x options) keys — so each run pays a batch of cold compiles up
-   front and mostly-warm cache traffic after — with a health probe every
-   40th line. Two of the keys are the stage kernels of the two-kernel
-   gallery network (examples/stream.c), so the soak also covers sources
-   carrying a [pipeline] declaration through the protocol. Generated
-   once and replayed identically at every worker count, so responses are
-   comparable across runs. *)
-let soak_lines n =
-  List.init n (fun i ->
-      if i mod 40 = 39 then Printf.sprintf {|{"id":"h%04d","type":"health"}|} i
-      else
-        let key = i mod 26 in
-        if key >= 24 then
-          let entry = if key = 24 then "fir" else "smooth" in
-          Printf.sprintf {|{"id":"r%04d","source":%S,"entry":%S}|} i
-            Net.gallery_source entry
-        else
-          let source = soak_kernel (key mod 6) in
-          let bus = if key / 6 mod 2 = 0 then 1 else 2 in
-          let unroll = if key / 12 = 0 then 0 else 2 in
-          Printf.sprintf
-            {|{"id":"r%04d","source":%S,"entry":"k","options":{"bus_elements":%d,"unroll_inner_max":%d}}|}
-            i source bus unroll)
-
-(* Push one request stream through a real Unix socket: a spawned domain
-   accepts and serves, a writer domain feeds the lines, and the calling
-   domain drains responses. The queue is sized to the stream so nothing
-   is shed (shedding is timing-dependent and would break the
-   byte-identical comparison). *)
-let soak_run ?trace ~workers (lines : string list) =
-  let cache = Svc_cache.create () in
-  let limits =
-    { Server.default_limits with
-      Server.workers;
-      queue_depth = List.length lines + 1 }
-  in
-  let srv = Server.create ~cache ?trace ~limits () in
-  let path =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "roccc-soak-%d-%d.sock" (Unix.getpid ()) workers)
-  in
-  if Sys.file_exists path then (try Sys.remove path with Sys_error _ -> ());
-  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind sock (Unix.ADDR_UNIX path);
-  Unix.listen sock 1;
-  let server_domain =
-    Domain.spawn (fun () ->
-        let fd, _ = Unix.accept sock in
-        let ic = Unix.in_channel_of_descr fd in
-        let oc = Unix.out_channel_of_descr fd in
-        let snap = Server.serve srv ic oc in
-        (try flush oc with Sys_error _ -> ());
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        snap)
-  in
-  let client = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect client (Unix.ADDR_UNIX path);
-  let t0 = Unix.gettimeofday () in
-  let writer =
-    Domain.spawn (fun () ->
-        let wc = Unix.out_channel_of_descr client in
-        List.iter
-          (fun l ->
-            output_string wc l;
-            output_char wc '\n')
-          lines;
-        flush wc;
-        (* half-close: the server sees EOF and drains; responses still
-           flow back on the other direction *)
-        try Unix.shutdown client Unix.SHUTDOWN_SEND
-        with Unix.Unix_error _ -> ())
-  in
-  let rc = Unix.in_channel_of_descr client in
-  let rec read_all acc =
-    match input_line rc with
-    | line -> read_all (line :: acc)
-    | exception End_of_file -> List.rev acc
-  in
-  let responses = read_all [] in
-  let wall = Unix.gettimeofday () -. t0 in
-  Domain.join writer;
-  let snap = Domain.join server_domain in
-  (try Unix.close client with Unix.Unix_error _ -> ());
-  (try Unix.close sock with Unix.Unix_error _ -> ());
-  (try Sys.remove path with Sys_error _ -> ());
-  responses, wall, snap
-
-(* Push the same request stream through [conns] SIMULTANEOUS socket
-   connections into one {!Server.serve_socket} accept loop: the lines
-   are dealt round-robin across the connections, each connection
-   streams its share from a writer domain while a reader domain drains
-   its responses. Duplicated keys land on different connections at the
-   same time, which is exactly the load single-flight deduplication
-   exists for; the returned cache stats expose [flights] (executions)
-   and [coalesced]. *)
-let soak_run_concurrent ?(workers = 4) ~conns (lines : string list) =
-  let cache = Svc_cache.create () in
-  let limits =
-    { Server.default_limits with
-      Server.workers;
-      queue_depth = List.length lines + 1 }
-  in
-  let srv = Server.create ~cache ~limits () in
-  let path =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "roccc-csoak-%d-%d.sock" (Unix.getpid ()) conns)
-  in
-  if Sys.file_exists path then (try Sys.remove path with Sys_error _ -> ());
-  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind sock (Unix.ADDR_UNIX path);
-  Unix.listen sock (max 8 conns);
-  let server_domain =
-    Domain.spawn (fun () -> Server.serve_socket ~poll_interval_s:0.01 srv sock)
-  in
-  let shares = Array.make conns [] in
-  List.iteri (fun i l -> shares.(i mod conns) <- l :: shares.(i mod conns))
-    lines;
-  let shares = Array.map List.rev shares in
-  let t0 = Unix.gettimeofday () in
-  let clients =
-    Array.map
-      (fun share ->
-        Domain.spawn (fun () ->
-            let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-            Unix.connect fd (Unix.ADDR_UNIX path);
-            let writer =
-              Domain.spawn (fun () ->
-                  let wc = Unix.out_channel_of_descr fd in
-                  List.iter
-                    (fun l ->
-                      output_string wc l;
-                      output_char wc '\n')
-                    share;
-                  flush wc;
-                  try Unix.shutdown fd Unix.SHUTDOWN_SEND
-                  with Unix.Unix_error _ -> ())
-            in
-            let rc = Unix.in_channel_of_descr fd in
-            let rec read_all acc =
-              match input_line rc with
-              | line -> read_all (line :: acc)
-              | exception End_of_file -> List.rev acc
-            in
-            let responses = read_all [] in
-            Domain.join writer;
-            (try Unix.close fd with Unix.Unix_error _ -> ());
-            responses))
-      shares
-  in
-  let responses = List.concat_map Domain.join (Array.to_list clients) in
-  let wall = Unix.gettimeofday () -. t0 in
-  Server.request_stop srv;
-  let snap = Domain.join server_domain in
-  (try Unix.close sock with Unix.Unix_error _ -> ());
-  (try Sys.remove path with Sys_error _ -> ());
-  responses, wall, snap, Svc_cache.stats cache
-
-(* Compile responses only (ids r....), sorted by id, with the two fields
-   that legitimately vary across runs stripped: elapsed_ms (timing) and
-   origin (whether a repeated key raced its first compile is
-   scheduling-dependent; the payload bytes are not). *)
-let soak_canonical (responses : string list) : string list =
-  List.filter_map
-    (fun line ->
-      match Svc_json.parse line with
-      | Error msg -> failwith ("unparseable soak response: " ^ msg)
-      | Ok j -> (
-        match Svc_json.member "id" j with
-        | Some (Svc_json.Str id)
-          when String.length id > 0 && id.[0] = 'r' -> (
-          match j with
-          | Svc_json.Obj fields ->
-            Some
-              ( id,
-                Svc_json.to_string
-                  (Svc_json.Obj
-                     (List.filter
-                        (fun (k, _) -> k <> "elapsed_ms" && k <> "origin")
-                        fields)) )
-          | _ -> Some (id, line))
-        | _ -> None))
-    responses
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.map snd
-
-let structured_status line =
-  match Svc_json.parse line with
-  | Error _ -> false
-  | Ok j -> (
-    match
-      Option.bind (Svc_json.member "status" j) Svc_json.to_string_opt
-    with
-    | Some ("ok" | "error" | "overloaded" | "deadline_exceeded") -> true
-    | _ -> false)
-
-let serve_soak_section () =
-  section "Serve soak - mixed load through the Unix socket at 1/2/4 workers";
-  let n = 1200 in
-  let lines = soak_lines n in
-  let worker_counts = [ 1; 2; 4 ] in
-  let trace = Svc_trace.create () in
-  let runs =
-    List.map
-      (fun w ->
-        (* trace only the widest run: its per-shard counter tracks show
-           the striped cache under the most concurrency *)
-        let trace = if w = 4 then Some trace else None in
-        let responses, wall, snap = soak_run ?trace ~workers:w lines in
-        let rps = float_of_int (List.length responses) /. wall in
-        Printf.printf
-          "%d worker(s): %4d responses in %7.1f ms (%7.1f req/s, p50 %.2f \
-           ms, p95 %.2f ms)\n%!"
-          w (List.length responses) (1e3 *. wall) rps
-          snap.Svc_metrics.s_p50_ms snap.Svc_metrics.s_p95_ms;
-        w, responses, wall, snap)
-      worker_counts
-  in
-  (* gate 1: every run answered every line, and the compile responses are
-     byte-identical across worker counts (after stripping timing/origin) *)
-  let all_answered =
-    List.for_all (fun (_, rs, _, _) -> List.length rs = n) runs
-  in
-  let canonicals = List.map (fun (_, rs, _, _) -> soak_canonical rs) runs in
-  let byte_identical =
-    all_answered
-    && (match canonicals with
-       | first :: rest -> List.for_all (fun c -> c = first) rest
-       | [] -> false)
-  in
-  (* gate 2: throughput must not collapse as workers grow. On a
-     single-core host extra domains cannot run in parallel (serve
-     deliberately does not clamp --jobs, for IO-bound streams), so the
-     gate is skipped there — explicitly, not vacuously. *)
-  let multi_core = Scheduler.default_domains () > 1 in
-  let tolerance = 0.9 in
-  let rps_of (_, rs, wall, _) = float_of_int (List.length rs) /. wall in
-  let throughput_ok =
-    let rec non_decreasing = function
-      | a :: (b :: _ as rest) ->
-        rps_of b >= tolerance *. rps_of a && non_decreasing rest
-      | _ -> true
-    in
-    non_decreasing runs
-  in
-  Printf.printf "responses byte-identical across worker counts: %s\n"
-    (if byte_identical then "yes" else "NO");
-  Printf.printf "throughput non-decreasing with workers: %s\n"
-    (if not multi_core then "skipped (single-core host)"
-     else if throughput_ok then "yes"
-     else "NO");
-  (* gate 3: a faulted burst stays structured — every line is answered
-     with a known status, nothing crashes or hangs *)
-  let fault_n = 160 in
-  let fault_lines = soak_lines fault_n in
-  let faults_structured =
-    match Svc_faults.parse "scheduler_claim:0.2,driver_pass:0.05,cache_read:0.25"
-    with
-    | Error msg -> failwith ("bad fault spec: " ^ msg)
-    | Ok plan ->
-      Svc_faults.install plan;
-      Fun.protect ~finally:Svc_faults.clear (fun () ->
-          let responses, _, _ = soak_run ~workers:2 fault_lines in
-          List.length responses = fault_n
-          && List.for_all structured_status responses)
-  in
-  Printf.printf "faulted burst structured: %s\n"
-    (if faults_structured then "yes" else "NO");
-  (* gates 4-6: the same stream through 1 vs 4 SIMULTANEOUS connections
-     into one serve_socket accept loop. Responses must stay correctly
-     routed and byte-identical to the sequential runs, concurrent
-     duplicate keys must coalesce onto single-flight leaders
-     (executions <= distinct keys), and fanning the stream out across
-     connections must not cost throughput. *)
-  let conn_counts = [ 1; 4 ] in
-  let conc_runs =
-    List.map
-      (fun conns ->
-        let responses, wall, snap, cstats =
-          soak_run_concurrent ~workers:4 ~conns lines
-        in
-        Printf.printf
-          "%d connection(s): %4d responses in %7.1f ms (%7.1f req/s, %d \
-           executions, %d coalesced)\n%!"
-          conns (List.length responses) (1e3 *. wall)
-          (float_of_int (List.length responses) /. wall)
-          cstats.Svc_cache.flights cstats.Svc_cache.coalesced;
-        conns, responses, wall, snap, cstats)
-      conn_counts
-  in
-  let conc_all_answered =
-    List.for_all (fun (_, rs, _, _, _) -> List.length rs = n) conc_runs
-  in
-  let concurrent_byte_identical =
-    (* vs the sequential-connection runs above AND across each other *)
-    conc_all_answered
-    && (match canonicals with
-       | first :: _ ->
-         List.for_all
-           (fun (_, rs, _, _, _) -> soak_canonical rs = first)
-           conc_runs
-       | [] -> false)
-  in
-  let distinct_keys = 26 in
-  let coalesce_ok =
-    List.for_all
-      (fun (_, _, _, _, (st : Svc_cache.stats)) ->
-        st.Svc_cache.flights >= 1 && st.Svc_cache.flights <= distinct_keys)
-      conc_runs
-  in
-  let conc_rps_of (_, rs, wall, _, _) =
-    float_of_int (List.length rs) /. wall
-  in
-  let concurrent_throughput_ok =
-    let rec non_decreasing = function
-      | a :: (b :: _ as rest) ->
-        conc_rps_of b >= tolerance *. conc_rps_of a && non_decreasing rest
-      | _ -> true
-    in
-    non_decreasing conc_runs
-  in
-  Printf.printf "concurrent responses byte-identical to sequential: %s\n"
-    (if concurrent_byte_identical then "yes" else "NO");
-  Printf.printf "duplicate keys coalesce (executions <= %d): %s\n"
-    distinct_keys
-    (if coalesce_ok then "yes" else "NO");
-  Printf.printf "throughput non-decreasing 1 -> 4 connections: %s\n"
-    (if not multi_core then "skipped (single-core host)"
-     else if concurrent_throughput_ok then "yes"
-     else "NO");
-  let oc = open_out "serve_soak_trace.json" in
-  output_string oc (Svc_trace.to_chrome_json trace);
-  close_out oc;
-  Printf.printf "wrote serve_soak_trace.json\n";
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"requests_per_run\": %d,\n" n);
-  Buffer.add_string buf "  \"distinct_compile_keys\": 24,\n";
-  Buffer.add_string buf "  \"runs\": [\n";
-  List.iteri
-    (fun i (w, rs, wall, (snap : Svc_metrics.snapshot)) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"workers\": %d, \"responses\": %d, \"wall_s\": %.6f, \
-            \"throughput_rps\": %.3f, \"p50_ms\": %.4f, \"p95_ms\": %.4f, \
-            \"ok\": %d, \"health\": %d }%s\n"
-           w (List.length rs) wall
-           (float_of_int (List.length rs) /. wall)
-           snap.Svc_metrics.s_p50_ms snap.Svc_metrics.s_p95_ms
-           snap.Svc_metrics.s_ok snap.Svc_metrics.s_health
-           (if i = List.length runs - 1 then "" else ",")))
-    runs;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"byte_identical\": %b,\n" byte_identical);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"throughput_tolerance\": %.2f,\n" tolerance);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"throughput_ok\": %s,\n"
-       (if not multi_core then "\"skipped: single-core host\""
-        else string_of_bool throughput_ok));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"faulted_requests\": %d,\n" fault_n);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"faults_structured\": %b,\n" faults_structured);
-  Buffer.add_string buf "  \"concurrent_runs\": [\n";
-  List.iteri
-    (fun i (conns, rs, wall, (snap : Svc_metrics.snapshot),
-            (cstats : Svc_cache.stats)) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"connections\": %d, \"responses\": %d, \"wall_s\": %.6f, \
-            \"throughput_rps\": %.3f, \"ok\": %d, \"executions\": %d, \
-            \"coalesced\": %d, \"conns_accepted\": %d }%s\n"
-           conns (List.length rs) wall
-           (float_of_int (List.length rs) /. wall)
-           snap.Svc_metrics.s_ok cstats.Svc_cache.flights
-           cstats.Svc_cache.coalesced snap.Svc_metrics.s_conns
-           (if i = List.length conc_runs - 1 then "" else ",")))
-    conc_runs;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"concurrent_byte_identical\": %b,\n"
-       concurrent_byte_identical);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"coalesce_ok\": %b,\n" coalesce_ok);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"concurrent_throughput_ok\": %s\n}\n"
-       (if not multi_core then "\"skipped: single-core host\""
-        else string_of_bool concurrent_throughput_ok));
-  let oc = open_out "BENCH_serve_soak.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote BENCH_serve_soak.json\n"
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_section () =
-  section "Bechamel micro-benchmarks";
-  let open Bechamel in
-  let compile_test name b =
-    Test.make ~name (Staged.stage (fun () -> ignore (Kernels.compile b)))
-  in
-  let fir_c = Kernels.compile Kernels.fir in
-  let estimate_test =
-    Test.make ~name:"area-estimation:fir"
-      (Staged.stage (fun () -> ignore (Area.quick_estimate fir_c.Driver.dp)))
-  in
-  let simulate_test =
-    let arrays = Kernels.fir.Kernels.arrays () in
-    Test.make ~name:"simulate:fir"
-      (Staged.stage (fun () -> ignore (Driver.simulate ~arrays fir_c)))
-  in
-  let tests =
-    [ compile_test "compile:fir" Kernels.fir;
-      compile_test "compile:dct" Kernels.dct;
-      compile_test "compile:udiv" Kernels.udiv;
-      estimate_test;
-      simulate_test ]
-  in
-  List.iter
-    (fun t ->
-      let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-      let instances = Toolkit.Instance.[ monotonic_clock ] in
-      let results = Benchmark.all cfg instances t in
-      let a =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false
-             ~predictors:[| Measure.run |])
-          Toolkit.Instance.monotonic_clock results
-      in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Printf.printf "%-24s %12.1f ns/run\n" name est
-          | Some _ | None -> Printf.printf "%-24s (no estimate)\n" name)
-        a)
-    tests
-
-(* ------------------------------------------------------------------ *)
-
-(* `bench --only dataflow,service` (or --only=...) runs just those
-   sections — the CI smoke step uses it to regenerate the two machine-
-   readable JSONs without replaying the full paper reproduction. *)
+(* `bench --only table1,claims` (or --only=...) runs just those
+   sections. *)
 let sections : (string * (unit -> unit)) list =
-  [ "table1", (fun () -> print_table1 (table1_rows ()));
+  [ "table1", table1;
     ( "figures",
       fun () ->
         figure1 ();
@@ -1802,15 +511,7 @@ let sections : (string * (unit -> unit)) list =
         ablation_partial_unroll ();
         ablation_backend_optimize ();
         ablation_loop_fusion ();
-        ablation_smart_buffer () );
-    "dataflow", dataflow_section;
-    "pipeline", pipeline_section;
-    "service", service_section;
-    "tune", tune_section;
-    "wide", wide_section;
-    "net", net_section;
-    "serve-soak", serve_soak_section;
-    "bechamel", bechamel_section ]
+        ablation_smart_buffer () ) ]
 
 let selected_sections () : string list option =
   let argv = Sys.argv in

@@ -67,11 +67,12 @@ let instr_luts (consts : (Instr.vreg, int64) Hashtbl.t) (i : Instr.instr)
       let rows = max 0 (popcount64 c - 1) in
       rows * (w 0 + w 1)
     | None, None ->
-      if w 0 + w 1 > 32 then
-        (* wide multiply is the decomposed partial-product / compression
-           tree, far below the naive w0*w1 LUT array *)
-        Roccc_ip_wide.Wide.mul_luts ~width:(min 64 (w 0 + w 1))
-      else w 0 * w 1)
+      (* the cheaper of the naive w0*w1 LUT array and the decomposed
+         partial-product / compression tree: both grow with the operand
+         widths, so their minimum does too, and a wider port never costs
+         fewer LUTs *)
+      min (w 0 * w 1)
+        (Roccc_ip_wide.Wide.mul_luts ~width:(min 64 (w 0 + w 1))))
   | Instr.Div | Instr.Rem -> (
     let power_of_two c =
       Int64.compare c 0L > 0

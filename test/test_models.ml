@@ -13,24 +13,31 @@ let qcheck_case = QCheck_alcotest.to_alcotest
 (* Area model                                                          *)
 (* ------------------------------------------------------------------ *)
 
+let area_monotone (w, extra) =
+  let kernel bits =
+    Printf.sprintf
+      "void k(int%d A[16], int32 C[12]) {\n\
+      \  int i;\n\
+      \  for (i = 0; i < 12; i++) {\n\
+      \    C[i] = 3*A[i] + 5*A[i+1] - A[i+4] * A[i+2];\n\
+      \  }\n\
+       }"
+      bits
+  in
+  let narrow = Driver.compile ~entry:"k" (kernel w) in
+  let wide = Driver.compile ~entry:"k" (kernel (w + extra)) in
+  wide.Driver.area.Area.slices >= narrow.Driver.area.Area.slices
+
+(* 16 -> 17 bits takes the product past 32 bits, the pair a multiplier
+   model that picks its cost by a width threshold gets wrong; checked on
+   every run, not only when the random draw lands on it *)
+let area_monotone_at_switch = lazy (area_monotone (16, 1))
+
 let prop_area_monotone_in_width =
   (* widening the input ports never shrinks the estimated area *)
   QCheck.Test.make ~count:20 ~name:"area monotone in port width"
     QCheck.(pair (int_range 4 16) (int_range 1 15))
-    (fun (w, extra) ->
-      let kernel bits =
-        Printf.sprintf
-          "void k(int%d A[16], int32 C[12]) {\n\
-          \  int i;\n\
-          \  for (i = 0; i < 12; i++) {\n\
-          \    C[i] = 3*A[i] + 5*A[i+1] - A[i+4] * A[i+2];\n\
-          \  }\n\
-           }"
-          bits
-      in
-      let narrow = Driver.compile ~entry:"k" (kernel w) in
-      let wide = Driver.compile ~entry:"k" (kernel (w + extra)) in
-      wide.Driver.area.Area.slices >= narrow.Driver.area.Area.slices)
+    (fun p -> Lazy.force area_monotone_at_switch && area_monotone p)
 
 let prop_slices_of_monotone =
   QCheck.Test.make ~count:200 ~name:"slices_of monotone"

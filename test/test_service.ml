@@ -935,7 +935,30 @@ let test_serve_protocol_roundtrip () =
   Alcotest.(check int) "snapshot received" (List.length lines)
     snapshot.Metrics.s_received;
   Alcotest.(check int) "snapshot ok" 2 snapshot.Metrics.s_ok;
-  Alcotest.(check int) "snapshot bad_request" 2 snapshot.Metrics.s_bad_request
+  Alcotest.(check int) "snapshot bad_request" 2 snapshot.Metrics.s_bad_request;
+  (* the answers do not depend on the worker count once timings and cache
+     origins are stripped; the health answer reports the server's own
+     state, so it is left out *)
+  let canonical workers =
+    let responses, _, _ =
+      run_serve_session
+        ~limits:{ Server.default_limits with Server.workers }
+        lines
+    in
+    parsed_responses responses
+    |> List.filter (fun j -> id_of j <> Json.Str "h1")
+    |> List.map (function
+         | Json.Obj fields ->
+           Json.to_string
+             (Json.Obj
+                (List.filter
+                   (fun (k, _) -> k <> "elapsed_ms" && k <> "origin")
+                   fields))
+         | j -> Json.to_string j)
+    |> List.sort String.compare
+  in
+  Alcotest.(check (list string)) "same answers at 1 and 4 workers"
+    (canonical 1) (canonical 4)
 
 let test_serve_oversized_request () =
   let limits = { Server.default_limits with Server.max_request_bytes = 64 } in

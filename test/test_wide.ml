@@ -13,6 +13,8 @@ module Pipeline = Roccc_datapath.Pipeline
 module Wide = Roccc_ip_wide.Wide
 module Driver = Roccc_core.Driver
 module Kernels = Roccc_core.Kernels
+module Objective = Roccc_tune.Objective
+module Search = Roccc_tune.Search
 
 let kind ?(signed = true) bits = Ast.make_ikind ~signed bits
 
@@ -226,6 +228,45 @@ let test_addtree_decomp_compiles () =
   Alcotest.(check (list string)) "addtree modsq hw = sw" []
     (Driver.verify ~arrays c)
 
+(* The stage-budget x decomposition trade-off, searched by the autotuner
+   at tight clock targets: staged wide operators (budget 0 = natural
+   depth, or >= 2) beat the unstaged points (budget 1: the whole wide
+   region in one combinational stage) on achieved clock. *)
+let test_staged_beats_unstaged_in_search () =
+  let settings =
+    { (Search.default_settings
+         (Objective.Max_mhz { slice_budget = 100_000 })) with
+      Search.st_margin = 0.0;
+      st_space =
+        { Search.sp_unroll = [ 1 ];
+          sp_bus = [ 1 ];
+          sp_target_ns = [ 2.0; 3.0 ];
+          sp_stage_budget = [ 0; 1; 2; 4 ];
+          sp_decomp = Delay.all_decomps } }
+  in
+  let r =
+    Search.run settings ~source:Kernels.modsq_source
+      ~entry:Kernels.modsq.Kernels.entry
+  in
+  Alcotest.(check bool) "non-empty front" true (r.Search.res_front <> []);
+  let best staged =
+    List.fold_left
+      (fun acc (row : Search.row) ->
+        match row.Search.rw_measure with
+        | Some m when (row.Search.rw_cand.Search.cd_stage_budget <> 1) = staged
+          ->
+          Float.max acc m.Driver.ms_clock_mhz
+        | _ -> acc)
+      0.0 r.Search.res_rows
+  in
+  let unstaged = best false in
+  Alcotest.(check bool) "an unstaged point was measured" true (unstaged > 0.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "staged best %.1f MHz > unstaged best %.1f MHz"
+       (best true) unstaged)
+    true
+    (best true > unstaged)
+
 (* ---- front-end regressions (satellite: the dead Const conditional) ---- *)
 
 let empty_env () : Semant.env =
@@ -298,7 +339,9 @@ let suites =
         Alcotest.test_case "stage budget caps regions" `Quick
           test_stage_budget_caps_pipeline;
         Alcotest.test_case "addtree decomposition compiles" `Quick
-          test_addtree_decomp_compiles ] );
+          test_addtree_decomp_compiles;
+        Alcotest.test_case "staged beats unstaged in the search" `Quick
+          test_staged_beats_unstaged_in_search ] );
     ( "wide.front",
       [ Alcotest.test_case "const literal typing" `Quick test_const_typing;
         Alcotest.test_case "wide kinds accepted end-to-end" `Quick
