@@ -17,7 +17,6 @@ module Svc_cache = Roccc_service.Cache
 module Svc_trace = Roccc_service.Trace
 module Server = Roccc_service.Server
 module Net = Roccc_net.Net
-module Farm = Roccc_service.Farm
 module Faults = Roccc_service.Faults
 
 (* Flag misuse is a usage error: explain and exit 2, the Cmdliner
@@ -1048,7 +1047,7 @@ let tune_cmd =
           costing before paying for full compiles.")
     term
 
-(* ---- serve / farm shared plumbing ---- *)
+(* ---- serve ---- *)
 
 let resolve_serve_limits ~jobs ~queue_depth ~deadline_ms ~max_request_bytes =
   checked
@@ -1074,16 +1073,13 @@ let install_fault_plan (inject : string option) : unit =
     | Error msg -> usage_error (Faults.env_var ^ ": " ^ msg))
 
 (* Bind a fresh listening Unix socket, replacing any stale file a dead
-   server left behind. The farm binds BEFORE forking so every child
-   accepts on the inherited descriptor. *)
+   server left behind. *)
 let bind_unix_socket (path : string) : Unix.file_descr =
   if Sys.file_exists path then (try Sys.remove path with Sys_error _ -> ());
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind sock (Unix.ADDR_UNIX path);
   Unix.listen sock 64;
   sock
-
-(* ---- serve ---- *)
 
 let serve_cmd =
   let jobs_arg =
@@ -1170,11 +1166,14 @@ let serve_cmd =
         let trace = Option.map (fun _ -> Svc_trace.create ()) trace_out in
         let srv = Server.create ?cache ~config ?trace ~limits () in
         (* SIGTERM / SIGINT only flag the server; admission stops at the
-           next line and queued requests drain before exit. *)
+           next line and queued requests drain before exit. A write to a
+           client that hung up must fail with EPIPE (counted as a write
+           error), not kill the process with SIGPIPE. *)
         let on_signal = Sys.Signal_handle (fun _ -> Server.request_stop srv) in
         (try
            Sys.set_signal Sys.sigterm on_signal;
-           Sys.set_signal Sys.sigint on_signal
+           Sys.set_signal Sys.sigint on_signal;
+           Sys.set_signal Sys.sigpipe Sys.Signal_ignore
          with Invalid_argument _ | Sys_error _ -> ());
         let summarize (s : Roccc_service.Metrics.snapshot) =
           Printf.eprintf
@@ -1219,173 +1218,10 @@ let serve_cmd =
           EOF/SIGTERM.")
     term
 
-(* ---- farm ---- *)
-
-let farm_cmd =
-  let procs_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "procs" ] ~docv:"N"
-          ~doc:
-            "Serve processes to fork. All accept on the same listening \
-             socket (bound before the fork) and share the disk cache tier.")
-  in
-  let socket_arg =
-    Arg.(
-      required & opt (some string) None
-      & info [ "socket" ] ~docv:"PATH" ~doc:"Unix socket to listen on.")
-  in
-  let state_dir_arg =
-    Arg.(
-      value & opt string "_roccc_farm"
-      & info [ "state-dir" ] ~docv:"DIR"
-          ~doc:
-            "Farm state directory: the supervisor's pid table \
-             ($(i,farm.json)) and each child's health snapshot \
-             ($(i,child-N.json)).")
-  in
-  let max_restarts_arg =
-    Arg.(
-      value & opt int 16
-      & info [ "max-restarts" ] ~docv:"N"
-          ~doc:
-            "Restart budget for crashed children; once exhausted the \
-             farm shuts down instead of flapping.")
-  in
-  let jobs_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker domains per child; 0 or omitted means auto.")
-  in
-  let queue_depth_arg =
-    Arg.(
-      value & opt int Server.default_limits.Server.queue_depth
-      & info [ "queue-depth" ] ~docv:"N"
-          ~doc:"Per-child admission queue bound.")
-  in
-  let deadline_arg =
-    Arg.(
-      value & opt (some float) None
-      & info [ "deadline-ms" ] ~docv:"MS"
-          ~doc:"Default per-request deadline in each child.")
-  in
-  let max_bytes_arg =
-    Arg.(
-      value & opt int Server.default_limits.Server.max_request_bytes
-      & info [ "max-request-bytes" ] ~docv:"N"
-          ~doc:"Reject request lines longer than N bytes.")
-  in
-  let cache_arg =
-    Arg.(
-      value & flag
-      & info [ "cache" ]
-          ~doc:
-            "Memoize stage outputs per child and share persisted \
-             artifacts across children through the disk tier.")
-  in
-  let cache_dir_arg =
-    Arg.(
-      value & opt string Svc_cache.default_disk_dir
-      & info [ "cache-dir" ] ~docv:"DIR"
-          ~doc:"Disk cache location shared by every child (with $(b,--cache)).")
-  in
-  let inject_fault_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "inject-fault" ] ~docv:"SPEC"
-          ~doc:"Deterministic fault injection, inherited by every child.")
-  in
-  let run procs socket state_dir max_restarts jobs queue_depth deadline_ms
-      max_request_bytes use_cache cache_dir inject config =
-    with_errors (fun () ->
-        let procs =
-          checked (Server.check_positive_int ~flag:"--procs" procs)
-        in
-        let max_restarts =
-          if max_restarts < 0 then
-            usage_error "--max-restarts expects a non-negative integer"
-          else max_restarts
-        in
-        let limits =
-          resolve_serve_limits ~jobs ~queue_depth ~deadline_ms
-            ~max_request_bytes
-        in
-        install_fault_plan inject;
-        (* stale snapshots from a previous farm would pollute this run's
-           aggregate *)
-        (match Sys.readdir state_dir with
-        | exception Sys_error _ -> ()
-        | names ->
-          Array.iter
-            (fun n ->
-              if
-                String.length n > 6
-                && String.sub n 0 6 = "child-"
-                && Filename.check_suffix n ".json"
-              then
-                try Sys.remove (Filename.concat state_dir n)
-                with Sys_error _ -> ())
-            names);
-        let sock = bind_unix_socket socket in
-        Printf.eprintf "roccc farm: %d processes listening on %s\n%!" procs
-          socket;
-        let outcome =
-          Farm.run ~max_restarts ~procs ~state_dir
-            ~child:(fun ~index ->
-              (* each child builds its own server over its own cache
-                 handle; the handles share the disk directory, and the
-                 pid-aware tmp sweep keeps siblings' in-flight writes
-                 safe *)
-              let cache =
-                if use_cache then
-                  Some (Svc_cache.create ~disk_dir:cache_dir ())
-                else None
-              in
-              let srv =
-                Server.create ?cache ~config ~limits
-                  ~status_path:(Farm.status_file state_dir index) ()
-              in
-              let on_signal =
-                Sys.Signal_handle (fun _ -> Server.request_stop srv)
-              in
-              (try
-                 Sys.set_signal Sys.sigterm on_signal;
-                 Sys.set_signal Sys.sigint on_signal
-               with Invalid_argument _ | Sys_error _ -> ());
-              ignore (Server.serve_socket srv sock))
-            ()
-        in
-        (try Unix.close sock with Unix.Unix_error _ -> ());
-        (try Sys.remove socket with Sys_error _ -> ());
-        Printf.eprintf
-          "roccc farm: shut down (%s, %d restarts, %d spawns)\n%!"
-          (if outcome.Farm.farm_clean then "clean" else "signalled")
-          outcome.Farm.farm_restarts outcome.Farm.farm_spawns;
-        (* the aggregated cross-child health view goes to stdout so
-           scripts can capture it without parsing the progress chatter *)
-        print_endline
-          (Roccc_service.Json.to_string
-             (Farm.aggregate_health ~state_dir)))
-  in
-  let term =
-    Term.(
-      const run $ procs_arg $ socket_arg $ state_dir_arg $ max_restarts_arg
-      $ jobs_arg $ queue_depth_arg $ deadline_arg $ max_bytes_arg $ cache_arg
-      $ cache_dir_arg $ inject_fault_arg $ config_term)
-  in
-  Cmd.v
-    (Cmd.info "farm"
-       ~doc:
-         "Multi-process compile farm: fork N serve processes accepting on \
-          one shared Unix socket and sharing one disk cache, with crash \
-          restarts and aggregated health.")
-    term
-
 let main_cmd =
   let doc = "ROCCC-style C-to-VHDL compiler (DATE 2005 reproduction)" in
   Cmd.group (Cmd.info "roccc" ~doc)
     [ compile_cmd; compile_all_cmd; simulate_cmd; profile_cmd; bench_cmd;
-      batch_cmd; tune_cmd; serve_cmd; farm_cmd ]
+      batch_cmd; tune_cmd; serve_cmd ]
 
 let () = exit (Cmd.eval main_cmd)

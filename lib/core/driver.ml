@@ -249,15 +249,6 @@ let measurement_of_state (st : Pass.state) : measurement =
     ms_greedy_latch_bits = pipeline.Pipeline.greedy_latch_bits;
     ms_outputs_per_cycle = Pipeline.outputs_per_cycle pipeline }
 
-let measurement_of_compiled (c : compiled) : measurement =
-  { ms_slices = c.area.Area.slices;
-    ms_operator_slices = c.area.Area.operator_slices;
-    ms_clock_mhz = c.area.Area.clock_mhz;
-    ms_latency = Pipeline.latency c.pipeline;
-    ms_latch_bits = c.pipeline.Pipeline.latch_bits;
-    ms_greedy_latch_bits = c.pipeline.Pipeline.greedy_latch_bits;
-    ms_outputs_per_cycle = Pipeline.outputs_per_cycle c.pipeline }
-
 let estimate_back_end ?instrument ?config ?(options = default_options)
     (sk : staged_kernel) : measurement =
   let config = resolve_config ?instrument ?config () in

@@ -170,8 +170,6 @@ type quick_measurement = {
   qk_clock_mhz : float;
 }
 
-val measurement_of_compiled : compiled -> measurement
-
 val estimate_back_end :
   ?instrument:instrument ->
   ?config:Pass.config ->

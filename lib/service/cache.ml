@@ -8,14 +8,12 @@
    process, whereas the in-memory IR values are not worth the versioning
    hazard.
 
-   The memory tier is lock-striped: the table is split across N shards
-   (N a power of two, default the hardware parallelism), each with its
-   own mutex and hashtable, selected by the fingerprint's leading hex
-   digits. Worker domains touching different shards never contend, and
-   stat counters live in [Atomic.int]s outside the locks entirely, so a
-   counter bump never contends with a lookup. The disk tier stays a
-   single shared directory — fingerprinted filenames already give
-   per-artifact isolation there.
+   The memory tier is one hashtable under one mutex: at the worker
+   counts the service runs (<= nproc), lookups almost never find the
+   lock held, and [contended] counts the ones that do. Stat counters
+   live in [Atomic.int]s outside the lock, so a counter bump never
+   contends with a lookup. The disk tier is a single shared directory —
+   fingerprinted filenames already give per-artifact isolation there.
 
    All operations are thread-safe; the cache is shared by the pool's
    worker domains. *)
@@ -41,41 +39,25 @@ type value =
   | Artifact of artifact
 
 type stats = {
-  hits : int;       (* in-memory fingerprint hits, all shards *)
+  hits : int;       (* in-memory fingerprint hits *)
   disk_hits : int;  (* artifact loaded from _roccc_cache/ *)
   misses : int;
   stores : int;
   retries : int;    (* disk I/O attempts retried after a transient error *)
   io_errors : int;  (* disk operations degraded after exhausting retries *)
   tmp_swept : int;  (* stale *.art.tmp.<pid> files removed at open *)
-  contended : int;  (* shard-lock acquisitions that found the lock held *)
-  shards : int;     (* stripe count (a power of two) *)
+  contended : int;  (* lock acquisitions that found the lock held *)
   flights : int;    (* single-flight leaders: compile executions started *)
   coalesced : int;  (* followers that waited on a leader instead of compiling *)
 }
 
-type shard_stats = {
-  shard_hits : int;
-  shard_misses : int;
-  shard_stores : int;
-  shard_contended : int;
-  shard_entries : int;  (* live table size at snapshot time *)
-}
-
-(* One stripe: its own lock and table, plus its own atomic counters so
-   two shards' stats never share a cache line through a common record. *)
-type shard = {
-  sh_lock : Mutex.t;
-  sh_table : (string, value) Hashtbl.t;
-  sh_hits : int Atomic.t;
-  sh_misses : int Atomic.t;
-  sh_stores : int Atomic.t;
-  sh_contended : int Atomic.t;
-}
-
 type t = {
-  shards : shard array;  (* length is a power of two, <= 256 *)
-  mask : int;            (* Array.length shards - 1 *)
+  lock : Mutex.t;
+  table : (string, value) Hashtbl.t;
+  hits : int Atomic.t;
+  misses : int Atomic.t;
+  stores : int Atomic.t;
+  contended : int Atomic.t;
   disk_dir : string option;
   disk_hits : int Atomic.t;
   retries : int Atomic.t;
@@ -99,11 +81,12 @@ let disk_magic = "ROCCC-ART2"
 (* [save_artifact] writes <key>.art.tmp.<pid> then renames; a process
    that dies between the two strands the tmp file forever (the pid in the
    name means no later process ever reuses it). Sweep the debris when the
-   cache opens — but only debris: in a multi-process farm a sibling serve
-   process may be mid-write at that very moment, so a tmp file is removed
-   only when its owning pid is dead, or (when the pid cannot be read or
-   is recycled) its mtime is older than a generous threshold. A live
-   sibling's in-flight write is never deleted. *)
+   cache opens — but only debris: another process sharing the directory
+   (a [batch --cache] beside a [serve --cache]) may be mid-write at that
+   very moment, so a tmp file is removed only when its owning pid is
+   dead, or (when the pid cannot be read or is recycled) its mtime is
+   older than a generous threshold. A live sibling's in-flight write is
+   never deleted. *)
 let tmp_marker = ".art.tmp."
 
 let is_tmp_name (name : string) : bool =
@@ -170,25 +153,7 @@ let sweep_stale_tmp ?(max_age_s = tmp_max_age_s)
           else n)
       0 files
 
-(* Shard selection reads the first two hex digits of the key — a uniform
-   digest prefix — which caps the useful stripe count at 256. *)
-let max_shards = 256
-
-let next_pow2 n =
-  let rec go p = if p >= n then p else go (p * 2) in
-  go 1
-
-let default_shards () = min max_shards (next_pow2 (Pool.recommended ()))
-
-let make_shard () =
-  { sh_lock = Mutex.create ();
-    sh_table = Hashtbl.create 64;
-    sh_hits = Atomic.make 0;
-    sh_misses = Atomic.make 0;
-    sh_stores = Atomic.make 0;
-    sh_contended = Atomic.make 0 }
-
-let create ?shards ?disk_dir () =
+let create ?disk_dir () =
   (match disk_dir with
   | Some dir when not (Sys.file_exists dir) -> (
     try Sys.mkdir dir 0o755 with Sys_error _ -> ())
@@ -196,13 +161,12 @@ let create ?shards ?disk_dir () =
   let tmp_swept =
     match disk_dir with Some dir -> sweep_stale_tmp dir | None -> 0
   in
-  let n =
-    match shards with
-    | None -> default_shards ()
-    | Some s -> min max_shards (next_pow2 (max 1 s))
-  in
-  { shards = Array.init n (fun _ -> make_shard ());
-    mask = n - 1;
+  { lock = Mutex.create ();
+    table = Hashtbl.create 256;
+    hits = Atomic.make 0;
+    misses = Atomic.make 0;
+    stores = Atomic.make 0;
+    contended = Atomic.make 0;
     disk_dir;
     disk_hits = Atomic.make 0;
     retries = Atomic.make 0;
@@ -214,32 +178,13 @@ let create ?shards ?disk_dir () =
     fl_flights = Atomic.make 0;
     fl_coalesced = Atomic.make 0 }
 
-let shard_count (t : t) : int = Array.length t.shards
-
-let hex_val c =
-  match c with
-  | '0' .. '9' -> Char.code c - Char.code '0'
-  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-  | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-  | _ -> 0
-
-let shard_of (t : t) (hex : string) : shard =
-  let prefix =
-    match String.length hex with
-    | 0 -> 0
-    | 1 -> hex_val hex.[0]
-    | _ -> (hex_val hex.[0] * 16) + hex_val hex.[1]
-  in
-  t.shards.(prefix land t.mask)
-
-(* Take a shard's lock, counting the acquisitions that had to wait — the
-   contention signal the striping exists to drive down. *)
-let locked_shard (sh : shard) f =
-  if not (Mutex.try_lock sh.sh_lock) then begin
-    Atomic.incr sh.sh_contended;
-    Mutex.lock sh.sh_lock
+(* Take the table lock, counting the acquisitions that had to wait. *)
+let locked (t : t) f =
+  if not (Mutex.try_lock t.lock) then begin
+    Atomic.incr t.contended;
+    Mutex.lock t.lock
   end;
-  Fun.protect ~finally:(fun () -> Mutex.unlock sh.sh_lock) f
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 (* Transient disk I/O — including faults injected at the cache_read /
    cache_write points — is retried a few times with jittered exponential
@@ -314,11 +259,10 @@ type origin = Memory | Disk
 
 let find_raw (t : t) (key : Fingerprint.t) : (value * origin) option =
   let hex = Fingerprint.to_hex key in
-  let sh = shard_of t hex in
-  let mem_hit = locked_shard sh (fun () -> Hashtbl.find_opt sh.sh_table hex) in
+  let mem_hit = locked t (fun () -> Hashtbl.find_opt t.table hex) in
   match mem_hit with
   | Some v ->
-    Atomic.incr sh.sh_hits;
+    Atomic.incr t.hits;
     Some (v, Memory)
   | None -> (
     match disk_path t key with
@@ -326,14 +270,13 @@ let find_raw (t : t) (key : Fingerprint.t) : (value * origin) option =
       match load_artifact path with
       | Some a ->
         Atomic.incr t.disk_hits;
-        locked_shard sh (fun () ->
-            Hashtbl.replace sh.sh_table hex (Artifact a));
+        locked t (fun () -> Hashtbl.replace t.table hex (Artifact a));
         Some (Artifact a, Disk)
       | None ->
-        Atomic.incr sh.sh_misses;
+        Atomic.incr t.misses;
         None)
     | _ ->
-      Atomic.incr sh.sh_misses;
+      Atomic.incr t.misses;
       None)
 
 let find (t : t) (key : Fingerprint.t) : (value * origin) option =
@@ -346,15 +289,13 @@ let find (t : t) (key : Fingerprint.t) : (value * origin) option =
   | Error _ ->
     (* degrade: a read that keeps failing is a miss, never a crash *)
     count_io_error t;
-    let sh = shard_of t (Fingerprint.to_hex key) in
-    Atomic.incr sh.sh_misses;
+    Atomic.incr t.misses;
     None
 
 let store (t : t) (key : Fingerprint.t) (v : value) : unit =
   let hex = Fingerprint.to_hex key in
-  let sh = shard_of t hex in
-  Atomic.incr sh.sh_stores;
-  locked_shard sh (fun () -> Hashtbl.replace sh.sh_table hex v);
+  Atomic.incr t.stores;
+  locked t (fun () -> Hashtbl.replace t.table hex v);
   match v, disk_path t key with
   | Artifact a, Some path -> save_artifact t path a
   | _ -> ()
@@ -368,8 +309,9 @@ let store (t : t) (key : Fingerprint.t) (v : value) : unit =
    when done, success or failure); every concurrent caller of the same
    key blocks until the leader exits and is told it was coalesced — it
    then finds the leader's artifact in the cache instead of recompiling.
-   The registry spans only this process; across farm processes the
-   shared disk tier deduplicates at artifact granularity instead. *)
+   The registry spans only this process; across processes sharing a
+   cache directory the disk tier deduplicates at artifact granularity
+   instead. *)
 let enter_flight (t : t) (key : Fingerprint.t) : [ `Leader | `Coalesced ] =
   let hex = Fingerprint.to_hex key in
   Mutex.lock t.fl_lock;
@@ -407,28 +349,15 @@ let abort_flight (t : t) (key : Fingerprint.t) : unit =
    is consistent whenever the cache is quiescent — the accounting the
    tests and the health endpoint rely on, taken after a drain. *)
 let stats (t : t) : stats =
-  let sum f = Array.fold_left (fun n sh -> n + Atomic.get (f sh)) 0 t.shards in
-  { hits = sum (fun sh -> sh.sh_hits);
+  { hits = Atomic.get t.hits;
     disk_hits = Atomic.get t.disk_hits;
-    misses = sum (fun sh -> sh.sh_misses);
-    stores = sum (fun sh -> sh.sh_stores);
+    misses = Atomic.get t.misses;
+    stores = Atomic.get t.stores;
     retries = Atomic.get t.retries;
     io_errors = Atomic.get t.io_errors;
     tmp_swept = t.tmp_swept;
-    contended = sum (fun sh -> sh.sh_contended);
-    shards = Array.length t.shards;
+    contended = Atomic.get t.contended;
     flights = Atomic.get t.fl_flights;
     coalesced = Atomic.get t.fl_coalesced }
-
-let shard_stats (t : t) : shard_stats array =
-  Array.map
-    (fun sh ->
-      { shard_hits = Atomic.get sh.sh_hits;
-        shard_misses = Atomic.get sh.sh_misses;
-        shard_stores = Atomic.get sh.sh_stores;
-        shard_contended = Atomic.get sh.sh_contended;
-        shard_entries =
-          locked_shard sh (fun () -> Hashtbl.length sh.sh_table) })
-    t.shards
 
 let default_disk_dir = "_roccc_cache"

@@ -2,12 +2,9 @@
     artifacts, shared by the pool's worker domains (all operations are
     thread-safe).
 
-    The memory tier is lock-striped: entries are spread over N shards (a
-    power of two, default the hardware parallelism) selected by the
-    fingerprint's leading hex digits, each shard with its own mutex and
-    table, so workers touching different shards never contend. Stat
-    counters are [Atomic.int]s outside the locks — a counter bump never
-    contends with a lookup. The disk tier is a single shared directory.
+    The memory tier is one table under one mutex. Stat counters are
+    [Atomic.int]s outside the lock — a counter bump never contends with
+    a lookup. The disk tier is a single shared directory.
 
     Mid-end pipeline states (one per executed pass, keyed by chained
     per-pass fingerprints) are memoized in memory only — they hold
@@ -33,7 +30,7 @@ type value =
   | Artifact of artifact
 
 type stats = {
-  hits : int;  (** in-memory fingerprint hits, summed over all shards *)
+  hits : int;  (** in-memory fingerprint hits *)
   disk_hits : int;  (** artifacts reloaded from the disk directory *)
   misses : int;
   stores : int;
@@ -46,10 +43,7 @@ type stats = {
   tmp_swept : int;
       (** stale [*.art.tmp.<pid>] files (stranded by a process that died
           mid-write) removed when the cache opened *)
-  contended : int;
-      (** shard-lock acquisitions that found the lock held — the
-          contention the striping exists to drive down *)
-  shards : int;  (** stripe count (a power of two) *)
+  contended : int;  (** table-lock acquisitions that found the lock held *)
   flights : int;
       (** single-flight leaders — compile executions actually started
           (see {!enter_flight}) *)
@@ -59,30 +53,18 @@ type stats = {
           executing *)
 }
 
-(** One stripe's view of the same counters, for per-shard observability
-    (the serve [health] endpoint and the Chrome-trace counter tracks). *)
-type shard_stats = {
-  shard_hits : int;
-  shard_misses : int;
-  shard_stores : int;
-  shard_contended : int;
-  shard_entries : int;  (** live table size at snapshot time *)
-}
-
 type t
 
-val create : ?shards:int -> ?disk_dir:string -> unit -> t
+val create : ?disk_dir:string -> unit -> t
 (** [create ()] is an in-memory cache; [create ~disk_dir ()] additionally
     persists artifacts under [disk_dir] (created if missing), first
-    sweeping any stale write-temporary files a dead process stranded.
-    [shards] is rounded up to the next power of two and capped at 256;
-    it defaults to the hardware parallelism (likewise rounded up). *)
+    sweeping any stale write-temporary files a dead process stranded. *)
 
 val sweep_stale_tmp :
   ?max_age_s:float -> ?pid_alive:(int -> bool) -> string -> int
 (** Remove stranded [*.art.tmp.<pid>] write-temporaries from a cache
-    directory, returning how many were removed. Safe for multi-process
-    farms sharing the directory: a tmp file is removed only when its
+    directory, returning how many were removed. Safe for several
+    processes sharing the directory: a tmp file is removed only when its
     owning pid is dead ([kill pid 0] raises [ESRCH]) or its mtime is
     older than [max_age_s] (default 600 s) — a live sibling's in-flight
     write is never deleted. [pid_alive] is injectable for tests.
@@ -95,8 +77,9 @@ val enter_flight : t -> Fingerprint.t -> [ `Leader | `Coalesced ]
     means a concurrent leader for the same key was already executing —
     the call blocked until that leader exited, and the caller should
     re-probe {!find} for the leader's artifact instead of compiling.
-    The registry spans one process; across farm processes the shared
-    disk tier deduplicates at artifact granularity instead. *)
+    The registry spans one process; across processes sharing a cache
+    directory the disk tier deduplicates at artifact granularity
+    instead. *)
 
 val exit_flight : t -> Fingerprint.t -> unit
 (** End the caller's leadership of [key], waking every coalesced
@@ -113,21 +96,16 @@ val abort_flight : t -> Fingerprint.t -> unit
 type origin = Memory | Disk
 
 val find : t -> Fingerprint.t -> (value * origin) option
-(** Memory first, then disk (artifacts only); counts a hit or miss on
-    the key's shard. Carries the ["cache_read"] fault point; transient
-    failures are retried, then degrade to a miss. *)
+(** Memory first, then disk (artifacts only); counts a hit or miss.
+    Carries the ["cache_read"] fault point; transient failures are
+    retried, then degrade to a miss. *)
 
 val store : t -> Fingerprint.t -> value -> unit
 
 val stats : t -> stats
-(** Aggregate counters over all shards. Each counter is individually
-    exact; the snapshot as a whole is consistent whenever the cache is
-    quiescent (e.g. after a batch or a drain). *)
-
-val shard_count : t -> int
-
-val shard_stats : t -> shard_stats array
-(** Per-shard counters, index [i] for shard [i] of {!shard_count}. *)
+(** Each counter is individually exact; the snapshot as a whole is
+    consistent whenever the cache is quiescent (e.g. after a batch or a
+    drain). *)
 
 val default_disk_dir : string
 (** ["_roccc_cache"] — the conventional disk cache location. *)

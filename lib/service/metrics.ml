@@ -16,6 +16,7 @@ type t = {
   mutable bad_request : int;
   mutable health : int;
   mutable conns : int;        (* connections accepted (socket mode) *)
+  mutable refused : int;      (* connections refused: no reader domain *)
   mutable read_errors : int;  (* request-stream reads that failed *)
   mutable write_errors : int; (* responses lost to a dead connection *)
   samples : float array;   (* latency ring, milliseconds *)
@@ -36,6 +37,7 @@ let create ?(worker_slots = 0) () =
     bad_request = 0;
     health = 0;
     conns = 0;
+    refused = 0;
     read_errors = 0;
     write_errors = 0;
     samples = Array.make ring_capacity 0.0;
@@ -54,6 +56,7 @@ let incr_deadline t = locked t (fun () -> t.deadline <- t.deadline + 1)
 let incr_bad_request t = locked t (fun () -> t.bad_request <- t.bad_request + 1)
 let incr_health t = locked t (fun () -> t.health <- t.health + 1)
 let incr_conn t = locked t (fun () -> t.conns <- t.conns + 1)
+let incr_refused t = locked t (fun () -> t.refused <- t.refused + 1)
 let incr_read_error t = locked t (fun () -> t.read_errors <- t.read_errors + 1)
 
 let incr_write_error t =
@@ -68,8 +71,6 @@ let incr_worker t ~tid =
   if tid >= 0 && tid < Array.length t.by_worker then
     Atomic.incr t.by_worker.(tid)
 
-let worker_counts t = Array.map Atomic.get t.by_worker
-
 type snapshot = {
   s_uptime_s : float;
   s_received : int;
@@ -80,6 +81,7 @@ type snapshot = {
   s_bad_request : int;
   s_health : int;
   s_conns : int;
+  s_refused : int;
   s_read_errors : int;
   s_write_errors : int;
   s_latency_count : int;  (** samples ever observed (ring keeps the last 4096) *)
@@ -111,6 +113,7 @@ let snapshot (t : t) : snapshot =
         s_bad_request = t.bad_request;
         s_health = t.health;
         s_conns = t.conns;
+        s_refused = t.refused;
         s_read_errors = t.read_errors;
         s_write_errors = t.write_errors;
         s_latency_count = t.n_samples;

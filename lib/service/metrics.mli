@@ -22,6 +22,10 @@ val incr_health : t -> unit
 val incr_conn : t -> unit
 (** One accepted socket connection. *)
 
+val incr_refused : t -> unit
+(** One socket connection refused because no reader domain could be
+    spawned for it. *)
+
 val incr_read_error : t -> unit
 (** One failed request-stream read (a [Sys_error] that was not a
     requested stop). *)
@@ -37,9 +41,6 @@ val incr_worker : t -> tid:int -> unit
 (** Count one response against worker slot [tid] (atomic, lock-free; a
     no-op for tids outside the slot array). *)
 
-val worker_counts : t -> int array
-(** Current per-worker response counts, indexed by tid. *)
-
 type snapshot = {
   s_uptime_s : float;
   s_received : int;
@@ -50,6 +51,7 @@ type snapshot = {
   s_bad_request : int;
   s_health : int;
   s_conns : int;  (** connections accepted (socket mode) *)
+  s_refused : int;  (** connections refused for want of a reader domain *)
   s_read_errors : int;  (** failed request-stream reads *)
   s_write_errors : int;  (** responses lost to dead connections *)
   s_latency_count : int;

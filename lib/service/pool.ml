@@ -60,24 +60,15 @@ let spawn ~(workers : int) (body : tid:int -> unit) : t =
 type dynamic = {
   dyn_lock : Mutex.t;
   mutable dyn_domains : unit Domain.t list;
-  mutable dyn_spawned : int;
 }
 
-let dynamic () =
-  { dyn_lock = Mutex.create (); dyn_domains = []; dyn_spawned = 0 }
+let dynamic () = { dyn_lock = Mutex.create (); dyn_domains = [] }
 
 let add (d : dynamic) (body : unit -> unit) : unit =
   let dom = Domain.spawn body in
   Mutex.lock d.dyn_lock;
   d.dyn_domains <- dom :: d.dyn_domains;
-  d.dyn_spawned <- d.dyn_spawned + 1;
   Mutex.unlock d.dyn_lock
-
-let spawned (d : dynamic) : int =
-  Mutex.lock d.dyn_lock;
-  let n = d.dyn_spawned in
-  Mutex.unlock d.dyn_lock;
-  n
 
 let join_all (d : dynamic) : unit =
   let doms =

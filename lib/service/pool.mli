@@ -39,10 +39,9 @@ type dynamic
 val dynamic : unit -> dynamic
 
 val add : dynamic -> (unit -> unit) -> unit
-(** Spawn one more domain into the set. *)
-
-val spawned : dynamic -> int
-(** Domains spawned into the set so far (joined or not). *)
+(** Spawn one more domain into the set. Raises [Failure] (from
+    [Domain.spawn]) when the runtime's domain limit is reached; the set
+    is then unchanged. *)
 
 val join_all : dynamic -> unit
 (** Join every domain added so far. If any body raised, the first

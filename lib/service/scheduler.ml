@@ -17,22 +17,19 @@
    (Domain.recommended_domain_count): spawning more domains than cores
    cannot run anything in parallel but still pays domain startup and
    stop-the-world GC synchronisation per extra domain, which is exactly
-   the negative scaling the service bench used to show. Pass
-   [~clamp:false] to force true oversubscription (e.g. for jobs that
-   block on IO). *)
+   the negative scaling the service bench used to show. *)
 
 let default_domains () = Pool.recommended ()
 
-let effective_workers ?(clamp = true) ?(num_domains = 0) (n : int) : int =
+let effective_workers ?(num_domains = 0) (n : int) : int =
   let requested = if num_domains <= 0 then default_domains () else num_domains in
-  let hw = if clamp then default_domains () else requested in
-  max 1 (min requested (min hw (max 1 n)))
+  max 1 (min requested (min (default_domains ()) (max 1 n)))
 
-let parallel_map ?(clamp = true) ?(num_domains = 0) ?(chunk = 0)
+let parallel_map ?(num_domains = 0) ?(chunk = 0)
     ?(describe_error = fun _ -> None) ~(f : tid:int -> 'a -> 'b)
     (jobs : 'a array) : ('b, string) result array =
   let n = Array.length jobs in
-  let workers = effective_workers ~clamp ~num_domains n in
+  let workers = effective_workers ~num_domains n in
   let chunk =
     if chunk > 0 then chunk
     else if workers = 1 then n

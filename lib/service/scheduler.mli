@@ -7,16 +7,14 @@
 val default_domains : unit -> int
 (** [Domain.recommended_domain_count], floored at 1. *)
 
-val effective_workers : ?clamp:bool -> ?num_domains:int -> int -> int
+val effective_workers : ?num_domains:int -> int -> int
 (** [effective_workers ~num_domains n] is the worker count
     {!parallel_map} would actually use for [n] jobs: the requested count
     ([<= 0] means {!default_domains}), clamped to the hardware
-    parallelism (unless [clamp] is [false]) and to the job count, floored
-    at 1. Two requests with the same effective worker count run the same
-    configuration. *)
+    parallelism and to the job count, floored at 1. Two requests with
+    the same effective worker count run the same configuration. *)
 
 val parallel_map :
-  ?clamp:bool ->
   ?num_domains:int ->
   ?chunk:int ->
   ?describe_error:(exn -> string option) ->
@@ -34,7 +32,4 @@ val parallel_map :
     Result [i] always corresponds to job [i]. A job that raises yields
     [Error msg] in its slot — [describe_error] may translate known
     exceptions into clean messages (return [None] to fall back to
-    [Printexc.to_string]) — and the remaining jobs still run.
-
-    [clamp:false] allows more workers than cores (useful only when jobs
-    block outside the runtime). *)
+    [Printexc.to_string]) — and the remaining jobs still run. *)

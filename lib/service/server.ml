@@ -302,7 +302,6 @@ type t = {
   base_config : Pass.config;
   cache : Cache.t option;
   trace : Trace.t option;
-  status_path : string option;  (* farm children publish health here *)
   metrics : Metrics.t;
   queue : pending Queue.t;
   lock : Mutex.t;
@@ -316,8 +315,7 @@ type t = {
   stop_flag : bool Atomic.t; (* SIGTERM / shutdown request *)
 }
 
-let create ?cache ?config ?trace ?(limits = default_limits) ?status_path ()
-    : t =
+let create ?cache ?config ?trace ?(limits = default_limits) () : t =
   let base =
     match config with Some c -> c | None -> Pass.default_config ()
   in
@@ -338,7 +336,6 @@ let create ?cache ?config ?trace ?(limits = default_limits) ?status_path ()
     base_config;
     cache;
     trace;
-    status_path;
     (* one response-count slot per worker tid, plus slot 0 for the
        reader threads' own answers (health, rejects, sheds) *)
     metrics = Metrics.create ~worker_slots:(workers + 1) ();
@@ -410,20 +407,7 @@ let queue_depth_sample (srv : t) : unit =
   Option.iter
     (fun tr ->
       let d = locked srv (fun () -> Queue.length srv.queue) in
-      Trace.add_counter tr ~name:"queue_depth" ~value:(float_of_int d) ();
-      (* one counter track per cache shard, so the viewer shows how the
-         striped load spreads (and where it piles up) over time *)
-      Option.iter
-        (fun c ->
-          Array.iteri
-            (fun i (ss : Cache.shard_stats) ->
-              Trace.add_counter tr
-                ~name:(Printf.sprintf "cache_shard%d_lookups" i)
-                ~value:
-                  (float_of_int (ss.Cache.shard_hits + ss.Cache.shard_misses))
-                ())
-            (Cache.shard_stats c))
-        srv.cache)
+      Trace.add_counter tr ~name:"queue_depth" ~value:(float_of_int d) ())
     srv.trace
 
 (* ------------------------------------------------------------------ *)
@@ -455,20 +439,7 @@ let health_json (srv : t) : Json.t =
             else
               Json.Num
                 (float_of_int (st.Cache.hits + st.Cache.disk_hits)
-                /. float_of_int looked_up) );
-          "shard_count", Json.int st.Cache.shards;
-          ( "shards",
-            Json.Arr
-              (Array.to_list
-                 (Array.map
-                    (fun (ss : Cache.shard_stats) ->
-                      Json.Obj
-                        [ "hits", Json.int ss.Cache.shard_hits;
-                          "misses", Json.int ss.Cache.shard_misses;
-                          "stores", Json.int ss.Cache.shard_stores;
-                          "contended", Json.int ss.Cache.shard_contended;
-                          "entries", Json.int ss.Cache.shard_entries ])
-                    (Cache.shard_stats c))) ) ]
+                /. float_of_int looked_up) ) ]
   in
   let faults_json =
     match Faults.counts () with
@@ -500,6 +471,7 @@ let health_json (srv : t) : Json.t =
           [ "accepted", Json.int s.Metrics.s_conns;
             ( "active",
               Json.int (locked srv (fun () -> Hashtbl.length srv.conns)) );
+            "refused", Json.int s.Metrics.s_refused;
             "read_errors", Json.int s.Metrics.s_read_errors;
             "write_errors", Json.int s.Metrics.s_write_errors ] );
       ( "queue",
@@ -529,25 +501,6 @@ let wait_idle (srv : t) : unit =
       while not (Queue.is_empty srv.queue && srv.inflight = 0) do
         Condition.wait srv.idle srv.lock
       done)
-
-(* Publish the health snapshot to the status file (atomically, via the
-   pid-suffixed tmp + rename dance the disk cache uses) so a farm
-   supervisor can aggregate across children it cannot query directly.
-   Written after each drain and each health request. *)
-let write_status (srv : t) : unit =
-  Option.iter
-    (fun path ->
-      let tmp = path ^ ".tmp." ^ string_of_int (Unix.getpid ()) in
-      match open_out tmp with
-      | exception Sys_error _ -> ()
-      | oc ->
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () ->
-            output_string oc (Json.to_string (health_json srv));
-            output_char oc '\n');
-        (try Sys.rename tmp path with Sys_error _ -> ()))
-    srv.status_path
 
 (* ------------------------------------------------------------------ *)
 (* Workers                                                             *)
@@ -711,7 +664,6 @@ let admit (srv : t) (conn : conn) (line : string) : bool =
           [ "id", rq_id;
             "status", Json.Str "ok";
             "health", health_json srv ];
-        write_status srv;
         true
       | Ok { rq_id; rq_kind = Shutdown } ->
         Metrics.incr_health srv.metrics;
@@ -802,7 +754,6 @@ let serve (srv : t) (ic : in_channel) (oc : out_channel) : Metrics.snapshot =
       Condition.broadcast srv.work_ready);
   Pool.join pool;
   forget_conn srv conn;
-  write_status srv;
   Metrics.snapshot srv.metrics
 
 (* ------------------------------------------------------------------ *)
@@ -848,6 +799,25 @@ let serve_conn (srv : t) (fd : Unix.file_descr) : unit =
   (try flush oc with Sys_error _ -> Metrics.incr_write_error srv.metrics);
   (try Unix.close fd with Unix.Unix_error _ -> ())
 
+(* The runtime caps live domains (128 in OCaml 5.1), so past roughly
+   that many simultaneous connections [Domain.spawn] fails. The
+   connection that found no reader is answered with one "overloaded"
+   line and closed; the server keeps serving everyone else. *)
+let refuse (srv : t) (fd : Unix.file_descr) (reason : string) : unit =
+  Metrics.incr_refused srv.metrics;
+  let line =
+    Json.to_string
+      (Json.Obj
+         [ "id", Json.Null;
+           "status", Json.Str "overloaded";
+           "message",
+           Json.Str ("connection refused: no reader domain (" ^ reason ^ ")") ])
+    ^ "\n"
+  in
+  (try ignore (Unix.write_substring fd line 0 (String.length line))
+   with Unix.Unix_error _ -> Metrics.incr_write_error srv.metrics);
+  try Unix.close fd with Unix.Unix_error _ -> ()
+
 (** Serve a listening Unix-domain (or TCP) socket concurrently: ONE
     shared worker pool drains ONE shared admission queue fed by a reader
     domain per accepted connection. EOF on one connection closes only
@@ -872,7 +842,10 @@ let serve_socket ?(poll_interval_s = 0.05) (srv : t)
       | _ :: _, _, _ ->
         (match Unix.accept sock with
         | exception Unix.Unix_error _ -> ()
-        | fd, _ -> Pool.add readers (fun () -> serve_conn srv fd));
+        | fd, _ -> (
+          match Pool.add readers (fun () -> serve_conn srv fd) with
+          | () -> ()
+          | exception Failure msg -> refuse srv fd msg));
         accept_loop ()
   in
   accept_loop ();
@@ -884,5 +857,4 @@ let serve_socket ?(poll_interval_s = 0.05) (srv : t)
       srv.draining <- true;
       Condition.broadcast srv.work_ready);
   Pool.join pool;
-  write_status srv;
   Metrics.snapshot srv.metrics

@@ -68,15 +68,10 @@ val create :
   ?config:Roccc_core.Pass.config ->
   ?trace:Trace.t ->
   ?limits:limits ->
-  ?status_path:string ->
   unit ->
   t
 (** The server value owns the metrics and may serve several request
-    streams in sequence; metrics and cache persist across streams.
-    [status_path], when given, is a file the server atomically rewrites
-    with its {!health_json} after each drain and each health request —
-    the farm supervisor aggregates these across children it cannot query
-    directly. *)
+    streams in sequence; metrics and cache persist across streams. *)
 
 val serve : t -> in_channel -> out_channel -> Metrics.snapshot
 (** Serve one stream: spawn the workers, admit until EOF / a shutdown
@@ -92,7 +87,10 @@ val serve_socket :
     reads, answer everything already admitted from every connection,
     join workers, and return the final snapshot. [poll_interval_s]
     (default 0.05) bounds how long a stop request can go unnoticed while
-    no client is connecting. *)
+    no client is connecting. A connection for which no reader domain can
+    be spawned (the runtime's domain limit) gets one ["overloaded"] line
+    with a null [id] and is closed, counted as [connections.refused] in
+    health; the server keeps serving. *)
 
 val request_stop : t -> unit
 (** Ask the serve loop to stop admitting (async-signal-safe: sets an
@@ -106,5 +104,5 @@ val health_json : t -> Json.t
 (** The metrics snapshot a ["health"] request returns: request counters,
     latency percentiles, live queue depth/capacity, the worker pool
     (configured and effective counts plus per-worker response counts),
-    cache statistics with a per-shard breakdown, and fault-injection
+    connection counters, cache statistics, and fault-injection
     counters. *)

@@ -208,6 +208,29 @@ let run_mid_end ?cache ~(base_config : Pass.config) ~(config : Pass.config)
   done;
   !st, start_idx, n
 
+(* The preamble the three costing tiers share: default and validate the
+   pass selection, install the tracing instrument, and hand back a thunk
+   that resumes the cached mid-end — [compile_cached] forces it only when
+   the finished artifact is not cached. The thunk also reports where the
+   mid-end came from. *)
+let prepare ?cache ?config ?trace ~tid (job : job) :
+    Pass.config * Pass.config * (unit -> Driver.staged_kernel * origin) =
+  let base_config =
+    match config with Some c -> c | None -> Pass.default_config ()
+  in
+  Pass.validate_selection base_config;
+  let config = traced_config ?trace ~tid job base_config in
+  let mid_end () =
+    let st, start_idx, n =
+      run_mid_end ?cache ~base_config ~config ?trace ~tid job
+    in
+    ( Driver.staged_of_state st,
+      if start_idx = 0 then Cold
+      else if start_idx < n then Warm_partial
+      else Warm_stage )
+  in
+  base_config, config, mid_end
+
 (** Compile one job, consulting [cache] deepest-first — the full artifact,
     then the chained per-pass states of the mid-end pipeline — resuming
     from the deepest cached state and reporting per-pass spans to [trace]
@@ -221,11 +244,7 @@ let run_mid_end ?cache ~(base_config : Pass.config) ~(config : Pass.config)
     compiling again. Raises {!Driver.Error} on failure. *)
 let compile_cached ?cache ?config ?trace ?(tid = 0) (job : job) : success =
   let t0 = now () in
-  let base_config =
-    match config with Some c -> c | None -> Pass.default_config ()
-  in
-  Pass.validate_selection base_config;
-  let config = traced_config ?trace ~tid job base_config in
+  let base_config, config, mid_end = prepare ?cache ?config ?trace ~tid job in
   let full_key = full_key ~config:base_config job in
   let finish origin (c : Driver.compiled) =
     let art = artifact_of c in
@@ -236,16 +255,8 @@ let compile_cached ?cache ?config ?trace ?(tid = 0) (job : job) : success =
     success_of_artifact ~label:job.label ~elapsed:(now () -. t0) ~origin a
   in
   let execute () =
-    let st, start_idx, n =
-      run_mid_end ?cache ~base_config ~config ?trace ~tid job
-    in
-    let c = Driver.back_end ~config ~options:job.options (Driver.staged_of_state st) in
-    let origin =
-      if start_idx = 0 then Cold
-      else if start_idx < n then Warm_partial
-      else Warm_stage
-    in
-    finish origin c
+    let staged, origin = mid_end () in
+    finish origin (Driver.back_end ~config ~options:job.options staged)
   in
   match Option.bind cache (fun c -> Cache.find c full_key) with
   | Some (Cache.Artifact a, where) ->
@@ -302,51 +313,21 @@ let compile_cached ?cache ?config ?trace ?(tid = 0) (job : job) : success =
              own execution — its warm per-pass states still help *)
           execute ())))
 
-type measured = {
-  m_label : string;
-  m_measure : Driver.measurement;
-  m_elapsed_s : float;
-  m_origin : origin;
-}
-
 (** Measure one job without generating VHDL: the mid-end resumes from the
     same chained per-pass cache entries {!compile_cached} uses (so an
     estimate run warms the cache for a later full run and vice versa),
     then the estimate-only back end prices it. Raises {!Driver.Error}. *)
-let measure_cached ?cache ?config ?trace ?(tid = 0) (job : job) : measured =
-  let t0 = now () in
-  let base_config =
-    match config with Some c -> c | None -> Pass.default_config ()
-  in
-  Pass.validate_selection base_config;
-  let config = traced_config ?trace ~tid job base_config in
-  let st, start_idx, n =
-    run_mid_end ?cache ~base_config ~config ?trace ~tid job
-  in
-  let m =
-    Driver.estimate_back_end ~config ~options:job.options
-      (Driver.staged_of_state st)
-  in
-  { m_label = job.label;
-    m_measure = m;
-    m_elapsed_s = now () -. t0;
-    m_origin =
-      (if start_idx = 0 then Cold
-       else if start_idx < n then Warm_partial
-       else Warm_stage) }
+let measure_cached ?cache ?config ?trace ?(tid = 0) (job : job) :
+    Driver.measurement =
+  let _, config, mid_end = prepare ?cache ?config ?trace ~tid job in
+  Driver.estimate_back_end ~config ~options:job.options (fst (mid_end ()))
 
 (** Quick-cost one job: cached mid-end, then the O(instructions) costing
     tier (no pipelining). Raises {!Driver.Error}. *)
 let quick_cached ?cache ?config ?trace ?(tid = 0) (job : job) :
     Driver.quick_measurement =
-  let base_config =
-    match config with Some c -> c | None -> Pass.default_config ()
-  in
-  Pass.validate_selection base_config;
-  let config = traced_config ?trace ~tid job base_config in
-  let st, _, _ = run_mid_end ?cache ~base_config ~config ?trace ~tid job in
-  Driver.quick_back_end ~config ~options:job.options
-    (Driver.staged_of_state st)
+  let _, config, mid_end = prepare ?cache ?config ?trace ~tid job in
+  Driver.quick_back_end ~config ~options:job.options (fst (mid_end ()))
 
 (* ------------------------------------------------------------------ *)
 (* Batches                                                             *)

@@ -90,21 +90,13 @@ val compile_cached :
     trace span ({!Cache.stats} counts [flights] and [coalesced]).
     Raises {!Roccc_core.Driver.Error} on failure. *)
 
-(** An estimate-only evaluation of one job (no VHDL). *)
-type measured = {
-  m_label : string;
-  m_measure : Roccc_core.Driver.measurement;
-  m_elapsed_s : float;
-  m_origin : origin;
-}
-
 val measure_cached :
   ?cache:Cache.t ->
   ?config:Roccc_core.Pass.config ->
   ?trace:Trace.t ->
   ?tid:int ->
   job ->
-  measured
+  Roccc_core.Driver.measurement
 (** Like {!compile_cached} but running the estimate-only back end (no
     VHDL generation or linting): the mid-end resumes from the same
     chained per-pass cache entries, so estimate runs and full runs warm

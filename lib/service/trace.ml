@@ -29,7 +29,7 @@ type counter = {
 }
 
 (* Instant ("i") events: a point in time worth a tick mark in the viewer
-   — a connection opening or closing, a farm child restarting. *)
+   — a connection opening or closing. *)
 type instant = {
   i_name : string;
   i_tid : int;

@@ -45,7 +45,7 @@ val counters : t -> counter list
 (** All counter samples, in chronological order. *)
 
 (** A point in time worth a tick mark (Chrome ["i"] events) — a
-    connection opening or closing, a farm child restarting. *)
+    connection opening or closing. *)
 type instant = {
   i_name : string;
   i_tid : int;

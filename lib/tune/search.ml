@@ -285,9 +285,9 @@ let run ?cache ?trace ?config ?(luts = []) (st : settings) ~(source : string)
     List.filter_map
       (fun (i, r) ->
         match r with
-        | Ok (md : Service.measured) ->
-            meas.(i) <- Some md.Service.m_measure;
-            Some (i, Pareto.of_measurement md.Service.m_measure)
+        | Ok m ->
+            meas.(i) <- Some m;
+            Some (i, Pareto.of_measurement m)
         | Error msg ->
             status.(i) <- Failed msg;
             None)
@@ -447,9 +447,8 @@ let table (r : result) : string =
   (match r.res_cache with
   | Some c ->
       Printf.bprintf b
-        "cache: %d hits, %d misses, %d stores (%d shards, %d contended)\n"
-        c.Cache.hits c.Cache.misses c.Cache.stores c.Cache.shards
-        c.Cache.contended
+        "cache: %d hits, %d misses, %d stores (%d contended)\n"
+        c.Cache.hits c.Cache.misses c.Cache.stores c.Cache.contended
   | None -> ());
   Printf.bprintf b "wall %.3f s on %d worker%s\n" r.res_wall_s r.res_workers
     (if r.res_workers = 1 then "" else "s");
@@ -499,9 +498,9 @@ let to_json (r : result) : string =
   | Some c ->
       Printf.bprintf b
         "  \"cache\": { \"hits\": %d, \"disk_hits\": %d, \"misses\": %d, \
-         \"stores\": %d, \"shards\": %d, \"contended\": %d },\n"
+         \"stores\": %d, \"contended\": %d },\n"
         c.Cache.hits c.Cache.disk_hits c.Cache.misses c.Cache.stores
-        c.Cache.shards c.Cache.contended
+        c.Cache.contended
   | None -> Printf.bprintf b "  \"cache\": null,\n");
   let front_items =
     List.map

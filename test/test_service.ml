@@ -291,8 +291,6 @@ let test_effective_workers () =
     (Scheduler.effective_workers ~num_domains:(hw * 4) 64);
   Alcotest.(check int) "zero request means the default" (min hw 64)
     (Scheduler.effective_workers ~num_domains:0 64);
-  Alcotest.(check int) "clamp:false honors oversubscription" (hw * 2)
-    (Scheduler.effective_workers ~clamp:false ~num_domains:(hw * 2) 64);
   Alcotest.(check int) "empty batch still gets one worker" 1
     (Scheduler.effective_workers ~num_domains:4 0)
 
@@ -697,49 +695,11 @@ let hammer_artifact i =
     art_latch_bits = 0;
     art_pass_trace = [ "pass" ] }
 
-let test_shard_rounding_and_sums () =
-  Alcotest.(check int) "3 rounds up to 4" 4
-    (Cache.shard_count (Cache.create ~shards:3 ()));
-  Alcotest.(check int) "1 stays 1" 1
-    (Cache.shard_count (Cache.create ~shards:1 ()));
-  Alcotest.(check int) "capped at 256" 256
-    (Cache.shard_count (Cache.create ~shards:1000 ()));
-  let auto = Cache.shard_count (Cache.create ()) in
-  Alcotest.(check bool) "default is a power of two" true
-    (auto > 0 && auto land (auto - 1) = 0);
-  (* the per-shard view and the aggregate view agree *)
-  let cache = Cache.create ~shards:4 () in
-  let n = 32 in
-  for i = 0 to n - 1 do
-    let k = hammer_key i in
-    (match Cache.find cache k with
-    | None -> Cache.store cache k (Cache.Artifact (hammer_artifact i))
-    | Some _ -> Alcotest.fail "hit before store");
-    match Cache.find cache k with
-    | Some (Cache.Artifact _, Cache.Memory) -> ()
-    | _ -> Alcotest.fail "stored artifact not found"
-  done;
-  let s = Cache.stats cache in
-  let per = Cache.shard_stats cache in
-  Alcotest.(check int) "stats and shard_count agree" s.Cache.shards
-    (Array.length per);
-  let sum f = Array.fold_left (fun acc ss -> acc + f ss) 0 per in
-  Alcotest.(check int) "shard hits sum to aggregate" s.Cache.hits
-    (sum (fun ss -> ss.Cache.shard_hits));
-  Alcotest.(check int) "shard misses sum to aggregate" s.Cache.misses
-    (sum (fun ss -> ss.Cache.shard_misses));
-  Alcotest.(check int) "shard stores sum to aggregate" s.Cache.stores
-    (sum (fun ss -> ss.Cache.shard_stores));
-  Alcotest.(check int) "entries sum to key count" n
-    (sum (fun ss -> ss.Cache.shard_entries));
-  Alcotest.(check int) "lookup accounting is exact" (2 * n)
-    (s.Cache.hits + s.Cache.misses)
-
 (* Mixed get/put traffic on overlapping keys from N domains: nothing is
    lost or torn, the hit+miss accounting is exact, and the surviving
    contents match a single-domain run byte for byte. *)
 let hammer_run ~domains ~rounds ~nkeys =
-  let cache = Cache.create ~shards:8 () in
+  let cache = Cache.create () in
   let finds = Atomic.make 0 in
   Pool.run ~workers:domains (fun ~tid:_ ->
       for _r = 1 to rounds do
@@ -1101,9 +1061,9 @@ let test_serve_fault_soak () =
             (Some snapshot.Metrics.s_ok)
             (Option.bind (Json.member "ok" requests) Json.to_int_opt)))
 
-let test_health_reports_farm () =
+let test_health_reports_workers_and_cache () =
   let limits = { Server.default_limits with Server.workers = 2 } in
-  let cache = Cache.create ~shards:4 () in
+  let cache = Cache.create () in
   let lines =
     [ compile_request ~id:"c1" 3; {|{"id":"h1","type":"health"}|} ]
   in
@@ -1122,12 +1082,13 @@ let test_health_reports_farm () =
       (List.length l)
   | _ -> Alcotest.fail "workers.requests missing");
   let cache_j = Option.get (Json.member "cache" health) in
-  Alcotest.(check (option int)) "shard_count" (Some 4)
-    (Option.bind (Json.member "shard_count" cache_j) Json.to_int_opt);
-  match Json.member "shards" cache_j with
-  | Some (Json.Arr l) ->
-    Alcotest.(check int) "one stats object per shard" 4 (List.length l)
-  | _ -> Alcotest.fail "cache.shards missing"
+  List.iter
+    (fun key ->
+      Alcotest.(check bool) ("cache." ^ key ^ " reported") true
+        (Option.bind (Json.member key cache_j) Json.to_int_opt <> None))
+    [ "hits"; "misses"; "stores"; "contended"; "flights"; "coalesced" ];
+  Alcotest.(check bool) "one table: no per-shard breakdown" true
+    (Json.member "shards" cache_j = None)
 
 let test_pass_cancellation_hook () =
   (* the cooperative cancel hook fires at a pass boundary, and an
@@ -1151,8 +1112,6 @@ let test_pass_cancellation_hook () =
   match Driver.compile ~config:benign ~entry:"fir" fir_source with
   | _ -> ()
   | exception _ -> Alcotest.fail "benign cancel hook broke compilation"
-
-module Farm = Roccc_service.Farm
 
 (* ------------------------------------------------------------------ *)
 (* Single-flight deduplication                                         *)
@@ -1424,180 +1383,87 @@ let test_serve_socket_eof_isolated () =
       | Error msg -> Alcotest.fail ("bad response: " ^ msg))
     [ before_eof, "b0"; after_eof, "b1" ]
 
-(* ------------------------------------------------------------------ *)
-(* The farm supervisor                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let test_farm_restarts_killed_child () =
-  (* The supervisor must be exercised as a real process: OCaml 5 forbids
-     Unix.fork in any process that ever created a domain, and the test
-     binary spawns domains freely — so drive the installed `roccc farm`
-     binary end-to-end instead. *)
-  let roccc =
-    Filename.concat
-      (Filename.concat
-         (Filename.dirname (Filename.dirname Sys.executable_name))
-         "bin")
-      "roccc.exe"
-  in
-  Alcotest.(check bool) "roccc binary built" true (Sys.file_exists roccc);
-  let dir = fresh_tmp_dir "roccc_farm" in
+let test_serve_socket_refuses_past_domain_limit () =
+  (* Every accepted connection gets its own reader domain and the runtime
+     caps live domains, so 140 simultaneous connections cannot all be
+     read. The ones left over must get one "overloaded" line each, and the
+     server must keep serving. A refused socket may already be closed
+     when the client writes to it, so SIGPIPE is ignored here and the
+     write's EPIPE is ignored: the answer is already waiting to be read. *)
+  let n = 140 in
+  let previous = Sys.signal Sys.sigpipe Sys.Signal_ignore in
   Fun.protect
-    ~finally:(fun () -> rm_rf dir)
+    ~finally:(fun () -> Sys.set_signal Sys.sigpipe previous)
     (fun () ->
-      let sock_path = Filename.concat dir "fm.sock" in
-      let state_dir = Filename.concat dir "st" in
-      let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-      let log =
-        Unix.openfile
-          (Filename.concat dir "farm.log")
-          [ Unix.O_WRONLY; Unix.O_CREAT ]
-          0o644
+      let limits = { Server.default_limits with Server.workers = 2 } in
+      let ask (_, ic, oc) =
+        (try
+           output_string oc {|{"id":"h","type":"health"}|};
+           output_char oc '\n';
+           flush oc
+         with Sys_error _ -> ());
+        match input_line ic with
+        | line -> Json.parse line
+        | exception End_of_file -> Error "connection closed without an answer"
+        | exception Sys_error msg -> Error ("no answer: " ^ msg)
       in
-      let sup =
-        Unix.create_process roccc
-          [| "roccc"; "farm"; "--socket"; sock_path; "--procs"; "2";
-             "--state-dir"; state_dir; "-j"; "1" |]
-          null null log
-      in
-      Unix.close null;
-      Unix.close log;
-      let sup_done = ref None in
-      let finally () =
-        if !sup_done = None then begin
-          (try Unix.kill sup Sys.sigkill with Unix.Unix_error _ -> ());
-          ignore (Unix.waitpid [] sup)
-        end
-      in
-      Fun.protect ~finally (fun () ->
-          let farm_json () =
-            match open_in (Farm.farm_file state_dir) with
-            | exception Sys_error _ -> None
-            | ic ->
-              Fun.protect
-                ~finally:(fun () -> close_in_noerr ic)
-                (fun () ->
-                  match input_line ic with
-                  | line -> Result.to_option (Json.parse line)
-                  | exception End_of_file -> None)
-          in
-          let child_pid index =
-            Option.bind (farm_json ()) (fun j ->
-                match Json.member "children" j with
-                | Some (Json.Arr kids) ->
-                  Option.bind (List.nth_opt kids index) (fun kid ->
-                      Option.bind (Json.member "pid" kid) Json.to_int_opt)
-                | _ -> None)
-          in
-          let await ?(timeout_s = 30.0) what cond =
-            let deadline = Unix.gettimeofday () +. timeout_s in
-            let rec poll () =
-              match cond () with
-              | Some v -> v
-              | None ->
-                if Unix.gettimeofday () > deadline then
-                  Alcotest.fail ("timed out waiting for " ^ what)
-                else begin
-                  Unix.sleepf 0.02;
-                  poll ()
-                end
+      let (statuses, later), snapshot =
+        with_serve_socket ~limits (fun path _srv ->
+            let clients =
+              List.init n (fun _ ->
+                  let ((fd, _, _) as c) = connect_client path in
+                  (* a connection nobody reads fails the test, not hangs it *)
+                  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
+                  c)
             in
-            poll ()
-          in
-          let pid0 =
-            await "farm to come up" (fun () ->
-                if Sys.file_exists sock_path then child_pid 0 else None)
-          in
-          (* hard-kill child 0; the supervisor must fork a replacement *)
-          Unix.kill pid0 Sys.sigkill;
-          let pid0' =
-            await "restart" (fun () ->
-                match child_pid 0 with
-                | Some p when p <> pid0 && p <> 0 -> Some p
-                | _ -> None)
-          in
-          Alcotest.(check bool) "replacement is a new pid" true
-            (pid0' <> pid0);
-          (* the restarted farm still serves: compile, then shut down
-             through the protocol; a clean child exit must bring the
-             whole farm down *)
-          let fd, ic, oc = connect_client sock_path in
-          let compiled = rpc oc ic (compile_request ~id:"after" 5) in
-          (match Json.parse compiled with
-          | Ok j -> Alcotest.(check string) "farm serves after restart" "ok"
-              (status_of j)
-          | Error msg -> Alcotest.fail ("bad response: " ^ msg));
-          let shutdown = rpc oc ic {|{"id":"s","type":"shutdown"}|} in
-          (match Json.parse shutdown with
-          | Ok j -> Alcotest.(check string) "shutdown ok" "ok" (status_of j)
-          | Error msg -> Alcotest.fail ("bad response: " ^ msg));
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          let status =
-            await "supervisor exit" (fun () ->
-                match Unix.waitpid [ Unix.WNOHANG ] sup with
-                | 0, _ -> None
-                | _, st -> Some st
-                | exception Unix.Unix_error (Unix.EINTR, _, _) -> None)
-          in
-          sup_done := Some status;
-          (match status with
-          | Unix.WEXITED 0 -> ()
-          | st ->
-            Alcotest.fail
-              (Printf.sprintf "supervisor did not exit cleanly: %s"
-                 (match st with
-                 | Unix.WEXITED n -> Printf.sprintf "exit %d" n
-                 | Unix.WSIGNALED n -> Printf.sprintf "signal %d" n
-                 | Unix.WSTOPPED n -> Printf.sprintf "stopped %d" n)));
-          (* the final pid table records the restart *)
-          match farm_json () with
-          | None -> Alcotest.fail "farm.json missing after shutdown"
-          | Some j -> (
-            match Json.member "children" j with
-            | Some (Json.Arr kids) ->
-              let restarts =
-                List.fold_left
-                  (fun acc kid ->
-                    acc
-                    + Option.value ~default:0
-                        (Option.bind (Json.member "restarts" kid)
-                           Json.to_int_opt))
-                  0 kids
-              in
-              Alcotest.(check int) "one restart recorded" 1 restarts
-            | _ -> Alcotest.fail "farm.json has no children")))
-
-let test_farm_aggregate_health () =
-  let dir = fresh_tmp_dir "roccc_agg" in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
-      let write name contents =
-        let oc = open_out (Filename.concat dir name) in
-        output_string oc (contents ^ "\n");
-        close_out oc
+            let statuses =
+              List.map
+                (fun c ->
+                  match ask c with
+                  | Ok j when status_of j = "ok" ->
+                    Alcotest.(check bool) "ok answer carries health" true
+                      (Json.member "health" j <> None);
+                    "ok"
+                  | Ok j when status_of j = "overloaded" ->
+                    Alcotest.(check bool) "refusal has a null id" true
+                      (id_of j = Json.Null);
+                    "overloaded"
+                  | Ok j -> Alcotest.fail ("unexpected answer " ^ Json.to_string j)
+                  | Error msg -> Alcotest.fail msg)
+                clients
+            in
+            List.iter
+              (fun (fd, _, _) -> try Unix.close fd with Unix.Unix_error _ -> ())
+              clients;
+            (* the closed connections' readers exit and free their
+               domains; a new connection is then served again. Until
+               they have, a retry may itself be refused: count those. *)
+            let rec later ~refused tries =
+              let ((fd, _, _) as c) = connect_client path in
+              let answer = ask c in
+              (try Unix.close fd with Unix.Unix_error _ -> ());
+              match answer with
+              | Ok j when status_of j = "ok" -> "ok", refused
+              | Ok j when status_of j = "overloaded" && tries > 0 ->
+                Unix.sleepf 0.02;
+                later ~refused:(refused + 1) (tries - 1)
+              | Ok j -> status_of j, refused
+              | Error msg -> msg, refused
+            in
+            statuses, later ~refused:0 250)
       in
-      write "child-0.json"
-        {|{"pid":10,"requests":{"ok":3,"failed":1},"workers":[1,2]}|};
-      write "child-1.json"
-        {|{"pid":20,"requests":{"ok":4,"failed":0},"workers":[3,4]}|};
-      write "not-a-child.txt" "ignored";
-      let agg = Farm.aggregate_health ~state_dir:dir in
-      Alcotest.(check (option int)) "both snapshots found" (Some 2)
-        (Option.bind (Json.member "children_reporting" agg) Json.to_int_opt);
-      let a = Option.get (Json.member "aggregate" agg) in
-      let reqs = Option.get (Json.member "requests" a) in
-      Alcotest.(check (option int)) "ok summed" (Some 7)
-        (Option.bind (Json.member "ok" reqs) Json.to_int_opt);
-      Alcotest.(check (option int)) "failed summed" (Some 1)
-        (Option.bind (Json.member "failed" reqs) Json.to_int_opt);
-      match Json.member "workers" a with
-      | Some (Json.Arr [ x; y ]) ->
-        Alcotest.(check (option int)) "arrays merge element-wise" (Some 4)
-          (Json.to_int_opt x);
-        Alcotest.(check (option int)) "second element" (Some 6)
-          (Json.to_int_opt y)
-      | _ -> Alcotest.fail "aggregate workers not a 2-array")
+      let count s = List.length (List.filter (String.equal s) statuses) in
+      Alcotest.(check int) "every connection answered" n
+        (count "ok" + count "overloaded");
+      Alcotest.(check bool) "some connections were refused" true
+        (count "overloaded" > 0);
+      Alcotest.(check bool) "most connections were served" true
+        (count "ok" > n / 2);
+      let later_status, later_refused = later in
+      Alcotest.(check string) "a later connection is served" "ok" later_status;
+      Alcotest.(check int) "every refusal counted"
+        (count "overloaded" + later_refused)
+        snapshot.Metrics.s_refused)
 
 let suites =
   [ "service",
@@ -1661,20 +1527,14 @@ let suites =
         test_pool_spawn_join_tids;
       Alcotest.test_case "pool joins all workers on failure" `Quick
         test_pool_exception_joins_all;
-      Alcotest.test_case "shard rounding and per-shard sums" `Quick
-        test_shard_rounding_and_sums;
       Alcotest.test_case "N-domain cache hammer" `Slow
         test_cache_hammer_across_domains;
-      Alcotest.test_case "health reports the farm" `Quick
-        test_health_reports_farm;
+      Alcotest.test_case "health reports workers and cache" `Quick
+        test_health_reports_workers_and_cache;
       Alcotest.test_case "single-flight dedup executes once" `Quick
         test_single_flight_dedup;
       Alcotest.test_case "tmp sweep respects live pids" `Quick
-        test_tmp_sweep_respects_live_pids;
-      Alcotest.test_case "supervisor restarts a killed child" `Quick
-        test_farm_restarts_killed_child;
-      Alcotest.test_case "aggregate health sums children" `Quick
-        test_farm_aggregate_health ];
+        test_tmp_sweep_respects_live_pids ];
     "service.serve",
     [ Alcotest.test_case "protocol round-trip" `Quick
         test_serve_protocol_roundtrip;
@@ -1689,4 +1549,6 @@ let suites =
       Alcotest.test_case "concurrent socket clients" `Quick
         test_serve_socket_concurrent_clients;
       Alcotest.test_case "EOF on one connection spares the rest" `Quick
-        test_serve_socket_eof_isolated ] ]
+        test_serve_socket_eof_isolated;
+      Alcotest.test_case "140 connections: refuse the excess, keep serving"
+        `Quick test_serve_socket_refuses_past_domain_limit ] ]
