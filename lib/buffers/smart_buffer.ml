@@ -33,6 +33,8 @@ type t = {
   data : int64 array;             (** arrival store, flat row-major *)
   mutable arrived : int;          (** elements received so far (in order) *)
   mutable window_index : int;     (** next window number to export *)
+  mutable reach_window : int;     (** window whose reach is cached, or -1 *)
+  mutable reach : int;            (** highest flat index it touches *)
   stats : stats;
 }
 
@@ -73,6 +75,8 @@ let create (cfg : config) : t =
     data = Array.make (total_elements cfg) 0L;
     arrived = 0;
     window_index = 0;
+    reach_window = -1;
+    reach = 0;
     stats = { fetched_elements = 0; exported_windows = 0 } }
 
 (** Elements still expected from memory. *)
@@ -127,12 +131,18 @@ let window_reach (b : t) (origin : int list) : int =
     (fun acc pos -> max acc (flat_index b.cfg.array_dims pos))
     0 positions
 
+(* Reach of the next window, computed once per window: the simulator asks
+   whether it is ready several times a cycle. *)
+let next_reach (b : t) : int =
+  if b.reach_window <> b.window_index then begin
+    b.reach <- window_reach b (window_origin b b.window_index);
+    b.reach_window <- b.window_index
+  end;
+  b.reach
+
 (** Is the next window fully buffered? *)
 let window_ready (b : t) : bool =
-  b.window_index < total_windows b.cfg
-  &&
-  let origin = window_origin b b.window_index in
-  window_reach b origin < b.arrived
+  b.window_index < total_windows b.cfg && next_reach b < b.arrived
 
 (** Export the next window's values (in offset order) to the data path and
     advance; [None] when data is still missing or iteration is complete. *)

@@ -29,6 +29,8 @@ type t = {
   data : int64 array;
   mutable arrived : int;
   mutable window_index : int;
+  mutable reach_window : int;  (** window whose reach is cached, or -1 *)
+  mutable reach : int;  (** highest flat index that window touches *)
   stats : stats;
 }
 

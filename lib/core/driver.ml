@@ -348,7 +348,9 @@ let interpret ?(scalars = []) ?(arrays = []) (c : compiled) : Interp.outcome =
 let verify ?(scalars = []) ?(arrays = []) (c : compiled) : string list =
   let hw = simulate ~scalars ~arrays c in
   let sw = interpret ~scalars ~arrays c in
+  (* newest first, reversed once at the end *)
   let diffs = ref [] in
+  let diff fmt = Printf.ksprintf (fun d -> diffs := d :: !diffs) fmt in
   (* array outputs *)
   List.iter
     (fun (name, hw_data) ->
@@ -357,20 +359,17 @@ let verify ?(scalars = []) ?(arrays = []) (c : compiled) : string list =
         Array.iteri
           (fun i v ->
             if not (Int64.equal v sw_data.(i)) then
-              diffs :=
-                !diffs
-                @ [ Printf.sprintf "%s[%d]: hw=%Ld sw=%Ld" name i v sw_data.(i) ])
+              diff "%s[%d]: hw=%Ld sw=%Ld" name i v sw_data.(i))
           hw_data
-      | None -> diffs := !diffs @ [ Printf.sprintf "missing sw array %s" name ])
+      | None -> diff "missing sw array %s" name)
     hw.Engine.output_arrays;
   (* scalar outputs *)
   List.iter
     (fun (name, v) ->
       match List.assoc_opt name sw.Interp.pointer_outputs with
       | Some sv when Int64.equal v sv -> ()
-      | Some sv ->
-        diffs := !diffs @ [ Printf.sprintf "%s: hw=%Ld sw=%Ld" name v sv ]
-      | None -> diffs := !diffs @ [ Printf.sprintf "missing sw scalar %s" name ])
+      | Some sv -> diff "%s: hw=%Ld sw=%Ld" name v sv
+      | None -> diff "missing sw scalar %s" name)
     hw.Engine.scalar_outputs;
   (* software-side outputs the hardware never produced: a non-input array
      written by the C code, or a pointer output, must appear on the
@@ -381,14 +380,14 @@ let verify ?(scalars = []) ?(arrays = []) (c : compiled) : string list =
       if
         (not (List.mem_assoc name hw.Engine.output_arrays))
         && not (List.mem name input_names)
-      then diffs := !diffs @ [ Printf.sprintf "hw never wrote array %s" name ])
+      then diff "hw never wrote array %s" name)
     sw.Interp.arrays;
   List.iter
     (fun (name, _) ->
       if not (List.mem_assoc name hw.Engine.scalar_outputs) then
-        diffs := !diffs @ [ Printf.sprintf "hw never wrote scalar %s" name ])
+        diff "hw never wrote scalar %s" name)
     sw.Interp.pointer_outputs;
-  !diffs
+  List.rev !diffs
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)

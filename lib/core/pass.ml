@@ -494,14 +494,16 @@ let differential_widths (st : state) : unit =
   let widths = widths_of st in
   let vecs = port_vectors dp.Graph.input_ports in
   let luts = lut_bindings st.st_luts in
+  let p = Dp_eval.prepare dp in
   let rec go it fb_full fb_narrow = function
     | [] -> ()
     | vec :: rest ->
       let full =
-        Dp_eval.run ~luts ?feedback_prev:fb_full dp ~inputs:vec
+        Dp_eval.run_prepared ~luts ?feedback_prev:fb_full p ~inputs:vec
       in
       let narrow =
-        Dp_eval.run ~luts ?feedback_prev:fb_narrow ~widths dp ~inputs:vec
+        Dp_eval.run_prepared ~luts ?feedback_prev:fb_narrow ~widths p
+          ~inputs:vec
       in
       compare_values ~check:"bit-width-inference" ~iter:it ~a_name:"full"
         ~b_name:"narrowed" full.Dp_eval.outputs narrow.Dp_eval.outputs;

@@ -47,9 +47,9 @@ type result = {
   wall_time_us : float;         (** cycles at the estimated clock *)
   controller_trace : (int * string) list;  (** state transitions (cycle, state) *)
   launch_trace : (int * (string * int64) list) list;
-      (** (cycle, window+scalar inputs) per launch, in order *)
+      (** (cycle, window+scalar inputs) per launch, in cycle order *)
   retire_trace : (int * (string * int64) list) list;
-      (** (cycle, data-path outputs) per retirement, in order *)
+      (** (cycle, data-path outputs) per retirement, in cycle order *)
 }
 
 (** Where a window input's elements come from. *)
@@ -80,7 +80,7 @@ type output_lane = {
 
 type t = {
   kernel : K.t;
-  dp : Graph.t;
+  eval : Dp_eval.prepared;  (** the data path, prepared once *)
   pipeline : Pipeline.t;
   luts : (string * (int64 -> int64)) list;
   latency : int;
@@ -98,6 +98,7 @@ type t = {
       (** (retire_cycle, dp outputs) in launch order *)
   mutable cycle : int;
   mutable launches : int;
+  (* the three traces are newest-first; [result] reverses them *)
   mutable trace : (int * string) list;
   mutable launch_trace : (int * (string * int64) list) list;
   mutable retire_trace : (int * (string * int64) list) list;
@@ -253,7 +254,7 @@ let create ?(luts = []) ?(scalars = []) ?(arrays = []) ?(bus_elements = 1)
       k.K.scalar_inputs
   in
   { kernel = k;
-    dp;
+    eval = Dp_eval.prepare dp;
     pipeline;
     luts;
     latency;
@@ -357,20 +358,14 @@ let step (e : t) : unit =
               | None -> errf "engine: ready buffer refused to pop")
             e.lanes
         in
+        let inputs = window_inputs @ e.scalar_inputs in
         let r =
-          Dp_eval.run ~luts:e.luts ~feedback_prev:e.feedback_prev e.dp
-            ~inputs:(window_inputs @ e.scalar_inputs)
+          Dp_eval.run_prepared ~luts:e.luts ~feedback_prev:e.feedback_prev
+            e.eval ~inputs
         in
-        let merged =
-          r.Dp_eval.feedback_next
-          @ List.filter
-              (fun (n, _) -> not (List.mem_assoc n r.Dp_eval.feedback_next))
-              e.feedback_prev
-        in
-        e.feedback_prev <- merged;
+        e.feedback_prev <- Dp_eval.thread_feedback e.feedback_prev r;
         e.launches <- e.launches + 1;
-        e.launch_trace <-
-          e.launch_trace @ [ e.cycle, window_inputs @ e.scalar_inputs ];
+        e.launch_trace <- (e.cycle, inputs) :: e.launch_trace;
         Controller.note_launch e.controller;
         Queue.add (e.cycle + e.latency, r.Dp_eval.outputs) e.in_flight
       end
@@ -381,7 +376,7 @@ let step (e : t) : unit =
       && fst (Queue.peek e.in_flight) <= e.cycle
     do
       let _, outputs = Queue.pop e.in_flight in
-      e.retire_trace <- e.retire_trace @ [ e.cycle, outputs ];
+      e.retire_trace <- (e.cycle, outputs) :: e.retire_trace;
       List.iter
         (fun ol ->
           let value =
@@ -417,8 +412,8 @@ let step (e : t) : unit =
       ~input_done:(List.for_all lane_input_done e.lanes);
     if e.controller.Controller.state <> prev_state then
       e.trace <-
-        e.trace
-        @ [ e.cycle, Controller.state_name e.controller.Controller.state ]
+        (e.cycle, Controller.state_name e.controller.Controller.state)
+        :: e.trace
   end
 
 (** Collect the run's results. Call after [is_done] (or after giving up:
@@ -467,9 +462,9 @@ let result (e : t) : result =
       (if e.pipeline.Pipeline.clock_mhz > 0.0 then
          float_of_int e.cycle /. e.pipeline.Pipeline.clock_mhz
        else 0.0);
-    controller_trace = e.trace;
-    launch_trace = e.launch_trace;
-    retire_trace = e.retire_trace }
+    controller_trace = List.rev e.trace;
+    launch_trace = List.rev e.launch_trace;
+    retire_trace = List.rev e.retire_trace }
 
 (** Iterations retired so far (progress indicator for stall diagnostics). *)
 let retired (e : t) : int = e.controller.Controller.retired

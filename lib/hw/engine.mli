@@ -20,11 +20,13 @@ type result = {
   latch_bits : int;  (** pipeline-register bits *)
   wall_time_us : float;  (** cycles at the estimated clock *)
   controller_trace : (int * string) list;
-      (** controller state transitions as (cycle, state-name) *)
+      (** controller state transitions as (cycle, state-name), in cycle
+          order *)
   launch_trace : (int * (string * int64) list) list;
-      (** (cycle, window+scalar inputs) per launch, in order *)
+      (** (cycle, window+scalar inputs) per launch, in cycle order (one
+          launch per cycle at most, so the cycles strictly increase) *)
   retire_trace : (int * (string * int64) list) list;
-      (** (cycle, data-path outputs) per retirement, in order *)
+      (** (cycle, data-path outputs) per retirement, in cycle order *)
 }
 
 (** Where a window input's elements come from. *)

@@ -66,7 +66,7 @@ let render (t : t) : string =
         (Printf.sprintf "$var wire %d %s %s $end\n" s.sig_bits id s.sig_name))
     idents;
   Buffer.add_string buf "$upscope $end\n$enddefinitions $end\n";
-  (* group changes by cycle *)
+  (* group changes by cycle, newest first within a cycle *)
   let by_cycle : (int, (string * signal * int64) list) Hashtbl.t =
     Hashtbl.create 64
   in
@@ -75,7 +75,7 @@ let render (t : t) : string =
       List.iter
         (fun (cycle, v) ->
           let cur = Option.value (Hashtbl.find_opt by_cycle cycle) ~default:[] in
-          Hashtbl.replace by_cycle cycle (cur @ [ id, s, v ]))
+          Hashtbl.replace by_cycle cycle ((id, s, v) :: cur))
         s.changes)
     idents;
   let cycles =
@@ -93,7 +93,7 @@ let render (t : t) : string =
           else
             Buffer.add_string buf
               (Printf.sprintf "b%s %s\n" (binary ~bits:s.sig_bits v) id))
-        (Hashtbl.find by_cycle cycle))
+        (List.rev (Hashtbl.find by_cycle cycle)))
     cycles;
   Buffer.add_string buf (Printf.sprintf "#%d\n" t.end_cycle);
   Buffer.contents buf

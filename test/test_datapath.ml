@@ -566,6 +566,102 @@ let prop_accumulator_stream_matches =
         (List.assoc "Tmp0" last.Dp_eval.outputs)
         (Int64.of_int want))
 
+(* Prepared evaluator                                                  *)
+(* ------------------------------------------------------------------ *)
+
+module Kernels = Roccc_core.Kernels
+module Driver = Roccc_core.Driver
+
+(* Kernels with feedback (accumulator, mul_acc) and lookup tables (cos,
+   arbitrary ROM), compiled once, with their own input arrays. *)
+let prepared_cases =
+  lazy
+    (let of_bench (b : Kernels.benchmark) =
+       Kernels.compile b, b.Kernels.arrays (), b.Kernels.scalars
+     in
+     [ ( Driver.compile ~entry:"acc" acc_source,
+         [ ( "A",
+             Array.init 32 (fun i -> Int64.of_int ((i * 7919 mod 2001) - 1000))
+           ) ],
+         [] );
+       of_bench Kernels.mul_acc;
+       of_bench Kernels.cos_kernel;
+       of_bench Kernels.arbitrary_lut ])
+
+(* Shuffle every input array, so the values stay in the kernel's range. *)
+let shuffle seed arrays =
+  let st = Random.State.make [| seed |] in
+  List.map
+    (fun (name, a) ->
+      let a = Array.copy a in
+      for i = Array.length a - 1 downto 1 do
+        let j = Random.State.int st (i + 1) in
+        let t = a.(i) in
+        a.(i) <- a.(j);
+        a.(j) <- t
+      done;
+      name, a)
+    arrays
+
+let prop_prepared_matches_fresh_runs =
+  QCheck.Test.make ~count:40
+    ~name:"one prepared evaluator over a stream equals a fresh run per element"
+    QCheck.(pair (int_range 0 3) small_nat)
+    (fun (k, seed) ->
+      let c, arrays, scalars = List.nth (Lazy.force prepared_cases) k in
+      let stream =
+        Roccc_core.Testbench.iteration_inputs c ~arrays:(shuffle seed arrays)
+          ~scalars
+      in
+      let luts = List.map Lut_conv.interp_binding c.Driver.luts in
+      let dp = c.Driver.dp in
+      let p = Dp_eval.prepare dp in
+      let rec go fresh_fb prepared_fb = function
+        | [] -> true
+        | inputs :: rest ->
+          let a = Dp_eval.run ~luts ~feedback_prev:fresh_fb dp ~inputs in
+          let b =
+            Dp_eval.run_prepared ~luts ~feedback_prev:prepared_fb p ~inputs
+          in
+          a = b
+          && go
+               (Dp_eval.thread_feedback fresh_fb a)
+               (Dp_eval.thread_feedback prepared_fb b)
+               rest
+      in
+      go [] [] stream)
+
+let test_prepared_keeps_undefined_read_error () =
+  (* a use placed before its definition fails on every launch: the
+     register file reused between launches must not make it defined *)
+  let dp = datapath_of if_else_source "if_else" in
+  let regs =
+    List.concat_map
+      (fun (n : Graph.node) ->
+        List.concat_map
+          (fun (i : Instr.instr) -> Option.to_list i.Instr.dst @ i.Instr.srcs)
+          n.Graph.instrs)
+      dp.Graph.nodes
+  in
+  let late = 1 + List.fold_left max 0 regs in
+  let kind = Ast.make_ikind ~signed:true 32 in
+  let first = List.hd dp.Graph.nodes in
+  let last = List.nth dp.Graph.nodes (List.length dp.Graph.nodes - 1) in
+  first.Graph.instrs <-
+    Instr.make ~dst:(late + 1) Instr.Mov [ late ] kind :: first.Graph.instrs;
+  last.Graph.instrs <-
+    last.Graph.instrs @ [ Instr.make ~dst:late (Instr.Ldc 1L) [] kind ];
+  let p = Dp_eval.prepare dp in
+  for launch = 1 to 2 do
+    match Dp_eval.run_prepared p ~inputs:[ "x1", 3L; "x2", 4L ] with
+    | _ -> Alcotest.failf "launch %d read an undefined register" launch
+    | exception Dp_eval.Error msg ->
+      Alcotest.(check string)
+        (Printf.sprintf "launch %d error" launch)
+        (Printf.sprintf "dp_eval: register v%d read before definition" late)
+        msg
+  done
+
 (* ------------------------------------------------------------------ *)
 
 let suites =
@@ -587,7 +683,9 @@ let suites =
         test_dp_eval_accumulator_stream;
       Alcotest.test_case "conditional accumulation (mul_acc nd)" `Quick
         test_dp_conditional_accumulator;
-      Alcotest.test_case "matches VM evaluation" `Quick test_dp_matches_vm ];
+      Alcotest.test_case "matches VM evaluation" `Quick test_dp_matches_vm;
+      Alcotest.test_case "prepared: undefined read fails every launch" `Quick
+        test_prepared_keeps_undefined_read_error ];
     "datapath.widths",
     [ Alcotest.test_case "comparison is 1 bit" `Quick
         test_widths_comparison_is_one_bit;
@@ -627,4 +725,5 @@ let suites =
         test_timing_mobility ];
     "datapath.properties",
     [ qcheck_case prop_dp_matches_interp;
-      qcheck_case prop_accumulator_stream_matches ] ]
+      qcheck_case prop_accumulator_stream_matches;
+      qcheck_case prop_prepared_matches_fresh_runs ] ]

@@ -358,6 +358,51 @@ let test_engine_bus_width_speeds_fill () =
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* The FIR of the cosim-stream benchmark, with [n] outputs. *)
+let stream_fir_source n =
+  Printf.sprintf
+    "void fir(int8 A[%d], int16 C[%d]) {\n\
+    \  int i;\n\
+    \  for (i = 0; i < %d; i = i + 1) {\n\
+    \    C[i] = 3*A[i] + 5*A[i+1] + 7*A[i+2] + 9*A[i+3] - A[i+4];\n\
+    \  }\n\
+     }\n"
+    (n + 4) n n
+
+(* Minor-heap words the simulator allocates per simulated cycle. One
+   domain allocates deterministically, so this is a count, not a timing. *)
+let sim_words_per_cycle n =
+  let c = Roccc_core.Driver.compile ~entry:"fir" (stream_fir_source n) in
+  let arrays =
+    [ ( "A",
+        Array.init (n + 4) (fun i -> Int64.of_int (((i * 37) mod 256) - 128)) )
+    ]
+  in
+  let before = Gc.minor_words () in
+  let r = Roccc_core.Driver.simulate ~arrays c in
+  let words = Gc.minor_words () -. before in
+  r, words /. float_of_int r.Engine.cycles
+
+let test_engine_cost_linear_in_cycles () =
+  let _, small = sim_words_per_cycle 512 in
+  let r, large = sim_words_per_cycle 4096 in
+  if large > 1.25 *. small then
+    Alcotest.failf
+      "%.0f words per cycle at 4096 outputs vs %.0f at 512: the simulator \
+       is not linear"
+      large small;
+  Alcotest.(check int) "one launch_trace entry per launch" r.Engine.launches
+    (List.length r.Engine.launch_trace);
+  let rec increasing ~strict = function
+    | (a, _) :: ((b, _) :: _ as rest) ->
+      (if strict then a < b else a <= b) && increasing ~strict rest
+    | _ -> true
+  in
+  Alcotest.(check bool) "launch cycles strictly increase" true
+    (increasing ~strict:true r.Engine.launch_trace);
+  Alcotest.(check bool) "retire cycles never decrease" true
+    (increasing ~strict:false r.Engine.retire_trace)
+
 let qcheck_case = QCheck_alcotest.to_alcotest
 
 let prop_engine_fir_random =
@@ -450,7 +495,9 @@ let suites =
         test_engine_block_kernel_dct_style;
       Alcotest.test_case "controller trace" `Quick
         test_engine_controller_trace;
-      Alcotest.test_case "bus width" `Quick test_engine_bus_width_speeds_fill ];
+      Alcotest.test_case "bus width" `Quick test_engine_bus_width_speeds_fill;
+      Alcotest.test_case "cost linear in cycles" `Quick
+        test_engine_cost_linear_in_cycles ];
     "hw.properties",
     [ qcheck_case prop_engine_fir_random;
       qcheck_case prop_buffer_windows_match_direct_indexing ] ]

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI smoke test for `roccc serve`: drive a scripted session — a compile,
-# a cache-warm repeat, a health probe, a malformed line, a deadline miss
-# and a request that hits an injected fault — and assert every line got a
-# structured response and the server drained cleanly.
+# a draining health probe, a cache-warm repeat, a malformed line, a
+# deadline miss, a final health probe and a request that hits an injected
+# fault — and assert every line got a structured response and the server
+# drained cleanly.
 set -euo pipefail
 
 ROCCC=${ROCCC:-_build/default/bin/roccc.exe}
@@ -13,12 +14,15 @@ KERNEL='void k(int A[8], int B[8]) { int i; for (i = 0; i < 8; i = i + 1) { B[i]
 
 cat > "$WORK/session.jsonl" <<EOF
 {"id":"c1","source":"$KERNEL","entry":"k"}
+{"id":"h0","type":"health","drain":true}
 {"id":"c2","source":"$KERNEL","entry":"k"}
 {"id":"bad","source":"void k(int A[4]) { A[0] = }","entry":"k"}
 {this is not json
 {"id":"dl","source":"$KERNEL","entry":"k","deadline_ms":0.0001}
 {"id":"h","type":"health","drain":true}
 EOF
+# h0 waits until c1 has finished, so c2 reads c1's cached result instead
+# of racing it (a racing c2 is coalesced onto c1's flight, not "warm")
 
 # scheduler_claim at rate 1.0 fires on every worker claim: every compile
 # comes back as a structured injected_fault error, never a crash.
@@ -34,7 +38,7 @@ fail() { echo "serve_smoke: FAIL: $1" >&2; cat "$WORK"/*.jsonl >&2; exit 1; }
 
 for out in faulted clean; do
   n=$(wc -l < "$WORK/$out.jsonl")
-  [ "$n" -eq 6 ] || fail "$out: expected 6 responses, got $n"
+  [ "$n" -eq 7 ] || fail "$out: expected 7 responses, got $n"
   grep -q '"kind":"bad_request".*malformed JSON' "$WORK/$out.jsonl" \
     || fail "$out: malformed line not answered"
   grep -q '"id":"h","status":"ok","health"' "$WORK/$out.jsonl" \
@@ -43,8 +47,8 @@ for out in faulted clean; do
 done
 
 # rate-1.0 claim faults hit every worker-handled request — all four come
-# back as structured injected_fault errors, and the health snapshot
-# records the firings
+# back as structured injected_fault errors (health probes are not
+# claimed), and the last health snapshot records the firings
 for id in c1 c2 bad dl; do
   grep -q "\"id\":\"$id\",\"status\":\"error\",\"kind\":\"injected_fault\"" \
     "$WORK/faulted.jsonl" || fail "$id: injected fault not structured"
