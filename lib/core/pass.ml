@@ -963,7 +963,39 @@ let pipelining_pass =
         Printf.sprintf "tns=%h;sb=%d;dc=%s" o.target_ns o.stage_budget
           (Roccc_datapath.Delay.decomp_name o.decomp)) }
 
-(* Slack-based retiming over the greedy staging. Disabling it
+(* Retiming boundary: rebuild the greedy staging from the state's data path
+   and widths, and check the exact retimer against it — the same stage
+   count, no more latch bits, a worst stage delay within the greedy
+   budget, and every pinned instruction (LPR/SNX, feedback paths,
+   multi-stage regions) where greedy placement put it. *)
+let differential_retiming (st : state) : unit =
+  let o = st.st_options in
+  let greedy =
+    Pipeline.build ~target_ns:o.target_ns ~stage_budget:o.stage_budget
+      ~decomp:o.decomp ~retime:false (dp_of st) (widths_of st)
+  in
+  let p = pipeline_of st in
+  let check = "retiming" in
+  if p.Pipeline.stage_count <> greedy.Pipeline.stage_count then
+    diff_errf check "%d stage(s), greedy placement has %d"
+      p.Pipeline.stage_count greedy.Pipeline.stage_count;
+  if p.Pipeline.latch_bits > greedy.Pipeline.latch_bits then
+    diff_errf check "%d latch bits, greedy placement has %d"
+      p.Pipeline.latch_bits greedy.Pipeline.latch_bits;
+  let worst q = Array.fold_left Float.max 0.0 q.Pipeline.stage_delays in
+  if worst p > worst greedy +. 1e-9 then
+    diff_errf check "worst stage delay %.3f ns over the greedy budget %.3f ns"
+      (worst p) (worst greedy);
+  let pin = Pipeline.pinned greedy.Pipeline.timing in
+  List.iteri
+    (fun i ((a : Pipeline.staged_instr), (g : Pipeline.staged_instr)) ->
+      if pin.(i) && a.Pipeline.stage <> g.Pipeline.stage then
+        diff_errf check "pinned %s moved from stage %d to %d"
+          (Roccc_vm.Instr.to_string g.Pipeline.si) g.Pipeline.stage
+          a.Pipeline.stage)
+    (List.combine p.Pipeline.instrs greedy.Pipeline.instrs)
+
+(* Exact min-area retiming over the greedy staging. Disabling it
    (--disable-pass retiming) is the greedy-placement ablation. *)
 let retiming_pass =
   { name = "retiming";
@@ -975,7 +1007,7 @@ let retiming_pass =
       (fun st -> { st with st_pipeline = Some (Pipeline.retime (pipeline_of st)) });
     ir_size = (fun st -> (pipeline_of st).Pipeline.latch_bits);
     verifier = Some (fun st -> Pipeline.verify (pipeline_of st));
-    differential = None;
+    differential = Some differential_retiming;
     dump = (fun st -> Pipeline.describe (pipeline_of st));
     fingerprint =
       (fun o ->

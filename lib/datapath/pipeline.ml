@@ -1,7 +1,8 @@
 (** Data-path pipelining (paper §4.2.3): latch placement driven by the
-    {!Timing} netlist's per-instruction delay estimation, followed by a
-    slack-based retiming pass that slides low-fanout instructions across
-    stage boundaries to minimize latch bits at the same clock target.
+    {!Timing} netlist's per-instruction delay estimation, followed by exact
+    min-area retiming: a min-cost flow ({!Flow}) that re-stages the
+    instructions with the fewest latch bits at the same stage count, clock
+    and pins.
 
     Two invariants are preserved throughout: every SNX gets a latch feeding
     its LPR, and each LPR-to-SNX feedback path stays within a single stage
@@ -36,7 +37,7 @@ type t = {
   clock_mhz : float;
   latch_bits : int;                (** total pipeline-register bits *)
   greedy_latch_bits : int;         (** latch bits before retiming *)
-  retime_moves : int;              (** accepted retiming moves *)
+  retime_moves : int;              (** instructions retiming re-staged *)
   feedback_bits : int;             (** SNX register bits *)
   target_ns : float;
   def_stage : (Instr.vreg, int) Hashtbl.t;
@@ -131,103 +132,6 @@ let check_feedback_stages (tm : Timing.t) (stages : int array) : unit =
           ls)
     tm.Timing.dp.Graph.proc.Proc.feedbacks
 
-(* ---- slack-based retiming ----
-   Slide unpinned instructions across one stage boundary at a time (later
-   first — that is where dangling zero-delay producers accumulate latches —
-   then earlier), accepting a move only when the total latch bits strictly
-   decrease and the worst per-stage delay stays within [budget]. Pinned:
-   LPR/SNX instructions and everything on a feedback path. Terminates
-   because every accepted move strictly decreases an integer. *)
-let retime_stages (tm : Timing.t) (stages : int array) ~(stage_count : int)
-    ~(budget : float) : int =
-  let pinned = Array.make (Array.length stages) false in
-  List.iter
-    (fun (ti : Timing.tinstr) ->
-      (* multi-stage regions are pinned: retiming must never move into or
-         split them *)
-      if ti.Timing.ti_stages > 1 then pinned.(ti.Timing.ti_index) <- true;
-      match ti.Timing.ti.Instr.op with
-      | Instr.Lpr _ | Instr.Snx _ -> pinned.(ti.Timing.ti_index) <- true
-      | _ -> ())
-    tm.Timing.instrs;
-  List.iter
-    (fun (_, members) ->
-      List.iter
-        (fun (ti : Timing.tinstr) -> pinned.(ti.Timing.ti_index) <- true)
-        members)
-    (Timing.feedback_paths tm);
-  let stage_of (ti : Timing.tinstr) = stages.(ti.Timing.ti_index) in
-  let current = ref (Timing.latch_bits tm ~stage_of ~stage_count) in
-  let moves = ref 0 in
-  let try_move (ti : Timing.tinstr) (delta : int) : bool =
-    let idx = ti.Timing.ti_index in
-    if pinned.(idx) then false
-    else begin
-      let s = stages.(idx) in
-      let s' = s + delta in
-      if s' < 0 || s' >= stage_count then false
-      else begin
-        let valid =
-          if delta > 0 then
-            (* push later: every consumer must still be reachable — at s'
-               or later, strictly later for staged consumers (their
-               operands are latched at the region entry boundary) *)
-            (match ti.Timing.ti.Instr.dst with
-            | Some d ->
-              List.for_all
-                (fun (c : Timing.tinstr) ->
-                  stage_of c
-                  >= s' + if c.Timing.ti_stages > 1 then 1 else 0)
-                (Option.value
-                   (Hashtbl.find_opt tm.Timing.consumers d)
-                   ~default:[])
-            | None -> true)
-          else
-            (* pull earlier: every producer's value must be available at
-               s' — single-cycle producers at s' or earlier, multi-stage
-               regions fully retired (external operands are available from
-               stage 0) *)
-            List.for_all
-              (fun r ->
-                match Hashtbl.find_opt tm.Timing.producer r with
-                | Some p -> stage_of p + Timing.region_span p <= s'
-                | None -> true)
-              ti.Timing.ti.Instr.srcs
-        in
-        if not valid then false
-        else begin
-          stages.(idx) <- s';
-          let bits = Timing.latch_bits tm ~stage_of ~stage_count in
-          let worst =
-            Array.fold_left Float.max 0.0
-              (Timing.stage_delays tm ~stage_of ~stage_count)
-          in
-          if bits < !current && worst <= budget +. 1e-9 then begin
-            current := bits;
-            incr moves;
-            true
-          end
-          else begin
-            stages.(idx) <- s;
-            false
-          end
-        end
-      end
-    end
-  in
-  let improved = ref true in
-  let rounds = ref 0 in
-  while !improved && !rounds < 64 do
-    improved := false;
-    incr rounds;
-    List.iter
-      (fun ti -> if try_move ti 1 then improved := true)
-      (List.rev tm.Timing.instrs);
-    List.iter (fun ti -> if try_move ti (-1) then improved := true)
-      tm.Timing.instrs
-  done;
-  !moves
-
 let finalize (tm : Timing.t) (stages : int array) ~(stage_count : int)
     ~(greedy_latch_bits : int) ~(retime_moves : int) : t =
   let stage_of (ti : Timing.tinstr) = stages.(ti.Timing.ti_index) in
@@ -270,8 +174,291 @@ let finalize (tm : Timing.t) (stages : int array) ~(stage_count : int)
     def_stage;
     instr_stage }
 
+(* ---- exact min-area retiming ----
+   With the stage count, the clock budget and the pins held fixed, the
+   stage assignment that minimises {!Timing.latch_bits} (Leiserson–Saxe's
+   fanout-sharing register count) is a linear program over difference
+   constraints, solved exactly by {!Flow}. Variables: a stage r per
+   instruction, a furthest-use stage m per register with a latch chain, and
+   a zero node for stage 0. The objective is
+   sum width(reg) * (m_reg - r_producer), with external inputs defined at
+   stage 0. Constraints:
+   - dependence: r_c - r_p >= region_span p, or >= 1 when c is a
+     multi-stage consumer (its operands are latched at its entry);
+   - uses: m_reg >= r_c for every reader c; output-port registers carry to
+     the final boundary, m_reg >= stages;
+   - bounds: 0 <= r <= stages - ti_stages;
+   - pins: LPR/SNX instructions, feedback-path members and multi-stage
+     regions keep their stage;
+   - clock: r_v - r_u >= 1 for the first violators of the budget (see
+     {!clock_pairs}). *)
+
+(* Instructions retiming never moves: LPR/SNX, every member of a feedback
+   path (the LPR-to-SNX loop must fit one stage) and every multi-stage
+   region. Indexed by [ti_index]. *)
+let pinned (tm : Timing.t) : bool array =
+  let pin = Array.make (List.length tm.Timing.instrs) false in
+  List.iter
+    (fun (ti : Timing.tinstr) ->
+      match ti.Timing.ti.Instr.op with
+      | Instr.Lpr _ | Instr.Snx _ -> pin.(ti.Timing.ti_index) <- true
+      | _ -> if ti.Timing.ti_stages > 1 then pin.(ti.Timing.ti_index) <- true)
+    tm.Timing.instrs;
+  List.iter
+    (fun (_, members) ->
+      List.iter
+        (fun (ti : Timing.tinstr) -> pin.(ti.Timing.ti_index) <- true)
+        members)
+    (Timing.feedback_paths tm);
+  pin
+
+(* The clock as difference constraints. Stages are monotone along every
+   dependence path, so a stage's delay is the longest chain of single-cycle
+   instructions that all sit in it. With D(u,v) the delay of the longest
+   single-cycle chain from u to v (both ends counted, summed in the order
+   {!Timing.stage_delays} sums them), the worst stage delay stays within
+   [budget] exactly when r_v - r_u >= 1 for every pair with
+   D(u,v) > budget. Two kinds of pair are implied by others and dropped:
+   - v is not the first violator: some single-cycle predecessor p of v has
+     D(u,p) > budget, so r_p - r_u >= 1 and r_v >= r_p;
+   - u has zero delay: D(u,v) = D(s,v) exactly for the successor s on the
+     longest chain, so r_v - r_s >= 1 and r_s >= r_u.
+   [preds] lists each single-cycle instruction's single-cycle producers. *)
+let clock_pairs (tis : Timing.tinstr array) (preds : int array array)
+    ~(budget : float) : (int * int) list =
+  let n = Array.length tis in
+  (* successors of each instruction in compressed rows, ascending *)
+  let first = Array.make (n + 1) 0 in
+  Array.iter (Array.iter (fun p -> first.(p + 1) <- first.(p + 1) + 1)) preds;
+  for v = 0 to n - 1 do
+    first.(v + 1) <- first.(v + 1) + first.(v)
+  done;
+  let succ = Array.make first.(n) 0 in
+  let fill = Array.sub first 0 n in
+  Array.iteri
+    (fun v ps ->
+      Array.iter
+        (fun p ->
+          succ.(fill.(p)) <- v;
+          fill.(p) <- fill.(p) + 1)
+        ps)
+    preds;
+  (* per source u, pushed forward in index (topological) order:
+     [reached.(v) = u] once a chain from u reaches v, [arrive.(v)] the
+     longest within-budget chain into it, [over.(v)] when some chain into
+     it has already run past the budget *)
+  let reached = Array.make n (-1) in
+  let arrive = Array.make n 0.0 in
+  let over = Array.make n false in
+  let reach u p d =
+    for i = first.(p) to first.(p + 1) - 1 do
+      let v = succ.(i) in
+      if reached.(v) <> u then begin
+        reached.(v) <- u;
+        arrive.(v) <- d;
+        over.(v) <- false
+      end
+      else if d > arrive.(v) then arrive.(v) <- d
+    done
+  in
+  let spoil u p =
+    for i = first.(p) to first.(p + 1) - 1 do
+      let v = succ.(i) in
+      reached.(v) <- u;
+      over.(v) <- true
+    done
+  in
+  (* the scan from u stops past the last successor of a within-budget
+     node: later instructions are out of reach, or reached only through
+     chains already over the budget *)
+  let last_succ p h =
+    if first.(p + 1) > first.(p) then max h succ.(first.(p + 1) - 1) else h
+  in
+  let pairs = ref [] in
+  for u = 0 to n - 1 do
+    if tis.(u).Timing.ti_stages = 1 && tis.(u).Timing.ti_delay > 0.0 then begin
+      reach u u tis.(u).Timing.ti_delay;
+      let last = ref (last_succ u (-1)) and v = ref (u + 1) in
+      while !v <= !last do
+        let w = !v in
+        if reached.(w) = u then
+          if over.(w) then spoil u w
+          else begin
+            let d = arrive.(w) +. tis.(w).Timing.ti_delay in
+            if d > budget +. 1e-9 then begin
+              pairs := (u, w) :: !pairs;
+              spoil u w
+            end
+            else begin
+              reach u w d;
+              last := last_succ w !last
+            end
+          end;
+        incr v
+      done
+    end
+  done;
+  List.rev !pairs
+
+(* The latch-minimal stage assignment at [stage_count] stages and worst
+   stage delay [budget], pins read from the feasible [stages]. Returns the
+   new stages and the optimal latch bits.
+
+   Two reductions keep the flow network small. A register with a single
+   reader c that is not an output port needs no furthest-use variable:
+   its chain is r_c - r_producer, charged straight onto the two stages.
+   And a stage bound is only stated for an instruction with no dependence
+   arc on that side, since the arcs carry the bound on from the neighbour
+   (likewise m_reg >= r_producer is implied by any reader). *)
+let exact_stages (tm : Timing.t) (stages : int array) ~(stage_count : int)
+    ~(budget : float) : int array * int =
+  let tis = Array.of_list tm.Timing.instrs in
+  let n = Array.length tis in
+  let pin = pinned tm in
+  let zero = n in
+  let ports = tm.Timing.dp.Graph.output_ports in
+  (* registers are small integers: per-register facts live in arrays *)
+  let regs = ref (-1) in
+  Array.iter
+    (fun (ti : Timing.tinstr) ->
+      Option.iter (fun d -> regs := max !regs d) ti.Timing.ti.Instr.dst;
+      List.iter (fun r -> regs := max !regs r) ti.Timing.ti.Instr.srcs)
+    tis;
+  List.iter (fun (p : Proc.port) -> regs := max !regs p.Proc.port_reg) ports;
+  let regs = !regs + 1 in
+  let def = Array.make regs zero in
+  Array.iter
+    (fun (ti : Timing.tinstr) ->
+      Option.iter (fun d -> def.(d) <- ti.Timing.ti_index) ti.Timing.ti.Instr.dst)
+    tis;
+  let output = Array.make regs false in
+  List.iter (fun (p : Proc.port) -> output.(p.Proc.port_reg) <- true) ports;
+  (* distinct readers per register: how many, and the last one *)
+  let readers = Array.make regs 0 and reader = Array.make regs (-1) in
+  Array.iter
+    (fun (ti : Timing.tinstr) ->
+      List.iter
+        (fun r ->
+          if reader.(r) <> ti.Timing.ti_index then begin
+            reader.(r) <- ti.Timing.ti_index;
+            readers.(r) <- readers.(r) + 1
+          end)
+        ti.Timing.ti.Instr.srcs)
+    tis;
+  (* furthest-use variables after the instructions and the zero node *)
+  let var = Array.make regs (-1) in
+  let nvars = ref (n + 1) in
+  for r = 0 to regs - 1 do
+    if readers.(r) >= 2 || output.(r) then begin
+      var.(r) <- !nvars;
+      incr nvars
+    end
+  done;
+  let weight = Array.make !nvars 0 in
+  for r = 0 to regs - 1 do
+    if readers.(r) > 0 || output.(r) then begin
+      let w = Timing.reg_width tm r in
+      weight.(def.(r)) <- weight.(def.(r)) - w;
+      let m = if var.(r) >= 0 then var.(r) else reader.(r) in
+      weight.(m) <- weight.(m) + w
+    end
+  done;
+  let cons = ref [] in
+  let add tail head lower = cons := (tail, head, lower) :: !cons in
+  (* uses and dependences; [seen] drops repeated operands *)
+  let seen = Array.make regs (-1) in
+  let has_pred = Array.make n false and has_succ = Array.make n false in
+  let preds = Array.make n [||] in
+  Array.iter
+    (fun (c : Timing.tinstr) ->
+      let ci = c.Timing.ti_index in
+      let entry = if c.Timing.ti_stages > 1 then 1 else 0 in
+      let chained = ref [] in
+      List.iter
+        (fun r ->
+          if seen.(r) <> ci then begin
+            seen.(r) <- ci;
+            if var.(r) >= 0 then add ci var.(r) 0;
+            let pi = def.(r) in
+            match c.Timing.ti.Instr.op with
+            | Instr.Lpr _ -> ()  (* reads the feedback register, not a wire *)
+            | _ when pi = zero -> ()
+            | _ ->
+              let p = tis.(pi) in
+              if not (pin.(pi) && pin.(ci)) then begin
+                add pi ci (max (Timing.region_span p) entry);
+                has_succ.(pi) <- true;
+                has_pred.(ci) <- true
+              end;
+              if p.Timing.ti_stages = 1 then chained := pi :: !chained
+          end)
+        c.Timing.ti.Instr.srcs;
+      if c.Timing.ti_stages = 1 then preds.(ci) <- Array.of_list !chained)
+    tis;
+  List.iter
+    (fun (p : Proc.port) -> add zero var.(p.Proc.port_reg) stage_count)
+    ports;
+  Array.iter
+    (fun (ti : Timing.tinstr) ->
+      let i = ti.Timing.ti_index in
+      if pin.(i) then begin
+        add zero i stages.(i);
+        add i zero (-stages.(i))
+      end
+      else begin
+        if not has_pred.(i) then add zero i 0;
+        if not has_succ.(i) then
+          add i zero (-(stage_count - ti.Timing.ti_stages))
+      end)
+    tis;
+  List.iter
+    (fun (u, v) -> if not (pin.(u) && pin.(v)) then add u v 1)
+    (clock_pairs tis preds ~budget);
+  let cons = Array.of_list !cons in
+  let sol =
+    try
+      Flow.solve ~weight
+        ~tail:(Array.map (fun (t, _, _) -> t) cons)
+        ~head:(Array.map (fun (_, h, _) -> h) cons)
+        ~lower:(Array.map (fun (_, _, l) -> l) cons)
+    with Flow.Error msg -> errf "retiming: %s" msg
+  in
+  Array.init n (fun i -> sol.Flow.x.(i) - sol.Flow.x.(zero)), sol.Flow.objective
+
+(** Exact min-area retiming of a staged pipeline: the stage assignment with
+    the fewest latch bits at the same stage count, worst stage delay and
+    pins. A pipeline that is already optimal comes back unchanged. *)
+let retime (p : t) : t =
+  if p.stage_count <= 1 then p  (* one stage: nothing can move *)
+  else begin
+    let stages = Array.of_list (List.map (fun si -> si.stage) p.instrs) in
+    let budget = Array.fold_left Float.max 0.0 p.stage_delays in
+    let out, optimum =
+      exact_stages p.timing stages ~stage_count:p.stage_count ~budget
+    in
+    if optimum > p.latch_bits then
+      errf "retiming: optimum %d latch bits exceeds the feasible start's %d"
+        optimum p.latch_bits;
+    if optimum = p.latch_bits then p
+    else begin
+      let moves = ref 0 in
+      Array.iteri (fun i s -> if s <> stages.(i) then incr moves) out;
+      let q =
+        finalize p.timing out ~stage_count:p.stage_count
+          ~greedy_latch_bits:p.greedy_latch_bits
+          ~retime_moves:(p.retime_moves + !moves)
+      in
+      (* the recovered stages must realise the flow's optimum *)
+      if q.latch_bits <> optimum then
+        errf "retiming: recovered stages imply %d latch bits, the optimum \
+              is %d"
+          q.latch_bits optimum;
+      q
+    end
+  end
+
 let build ?(target_ns = default_target_ns) ?stage_budget ?decomp
-    ?(retime = true) (dp : Graph.t) (widths : Widths.t) : t =
+    ?retime:(exact = true) (dp : Graph.t) (widths : Widths.t) : t =
   let tm = Timing.build ~target_ns ?stage_budget ?decomp dp widths in
   let n = List.length tm.Timing.instrs in
   let stages = Array.make (max 1 n) 0 in
@@ -322,35 +509,11 @@ let build ?(target_ns = default_target_ns) ?stage_budget ?decomp
     tm.Timing.instrs;
   check_feedback_stages tm stages;
   let stage_count = stage_count_of tm stages in
-  let greedy_latch_bits = Timing.latch_bits tm ~stage_of ~stage_count in
-  let retime_moves =
-    if retime then
-      let budget =
-        Array.fold_left Float.max 0.0
-          (Timing.stage_delays tm ~stage_of ~stage_count)
-      in
-      retime_stages tm stages ~stage_count ~budget
-    else 0
+  let greedy =
+    finalize tm stages ~stage_count ~greedy_latch_bits:0 ~retime_moves:0
   in
-  finalize tm stages ~stage_count ~greedy_latch_bits ~retime_moves
-
-(** Retime an already-staged pipeline in place of its stage assignment:
-    slide latches across low-fanout instructions until latch bits reach a
-    local minimum, never exceeding the pipeline's current worst stage
-    delay. Idempotent once a fixpoint is reached. *)
-let retime (p : t) : t =
-  let tm = p.timing in
-  let stages = Array.make (max 1 (List.length p.instrs)) 0 in
-  List.iteri (fun idx si -> stages.(idx) <- si.stage) p.instrs;
-  let stage_of (ti : Timing.tinstr) = stages.(ti.Timing.ti_index) in
-  let budget =
-    Array.fold_left Float.max 0.0
-      (Timing.stage_delays tm ~stage_of ~stage_count:p.stage_count)
-  in
-  let moves = retime_stages tm stages ~stage_count:p.stage_count ~budget in
-  finalize tm stages ~stage_count:p.stage_count
-    ~greedy_latch_bits:p.greedy_latch_bits
-    ~retime_moves:(p.retime_moves + moves)
+  let greedy = { greedy with greedy_latch_bits = greedy.latch_bits } in
+  if exact then retime greedy else greedy
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)
@@ -505,7 +668,7 @@ let verify (p : t) : unit =
           | None -> 0
         in
         let crossings = max 0 (use_stage - def_stage) in
-        acc + (crossings * (try Widths.width p.widths r with _ -> 32)))
+        acc + (crossings * Timing.reg_width p.timing r))
       last_use 0
   in
   if latch_bits <> p.latch_bits then

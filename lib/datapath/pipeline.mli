@@ -1,9 +1,9 @@
 (** Data-path pipelining (paper §4.2.3): latch placement over the {!Timing}
-    netlist, followed by slack-based retiming that slides low-fanout
-    instructions across stage boundaries to minimize latch bits at the same
-    clock target. Every SNX gets a latch feeding its LPR, and each
-    LPR-to-SNX feedback path is constrained to a single stage so the
-    pipeline accepts one iteration per cycle. *)
+    netlist, followed by exact min-area retiming, which re-stages the
+    instructions with the fewest latch bits at the same stage count and
+    clock. Every SNX gets a latch feeding its LPR, and each LPR-to-SNX
+    feedback path is constrained to a single stage so the pipeline accepts
+    one iteration per cycle. *)
 
 module Instr = Roccc_vm.Instr
 
@@ -30,7 +30,9 @@ type t = {
   clock_mhz : float;
   latch_bits : int;  (** total pipeline-register bits *)
   greedy_latch_bits : int;  (** latch bits before retiming *)
-  retime_moves : int;  (** accepted retiming moves *)
+  retime_moves : int;
+      (** instructions whose stage retiming changed (from the greedy
+          placement, for a pipeline built by {!build}) *)
   feedback_bits : int;  (** SNX register bits *)
   target_ns : float;
   def_stage : (Instr.vreg, int) Hashtbl.t;
@@ -74,11 +76,25 @@ val build :
     feedback path cannot fit a single stage. *)
 
 val retime : t -> t
-(** Slack-based retiming: slide unpinned instructions across one stage
-    boundary at a time, accepting only moves that strictly decrease total
-    latch bits while keeping the worst per-stage delay within the current
-    schedule's. LPR/SNX instructions and feedback paths are pinned.
-    Idempotent at a fixpoint; never increases latch bits or stage count. *)
+(** Exact min-area retiming: the stage assignment with the fewest latch
+    bits at the same stage count and a worst stage delay no larger than the
+    current one, with the {!pinned} instructions kept where they are. Solved
+    as a min-cost flow ({!Flow}); the recovered stages are checked to
+    realise the flow's optimum (raises {!Error} otherwise). A pipeline that
+    is already optimal comes back unchanged, so [retime] is idempotent. *)
+
+val pinned : Timing.t -> bool array
+(** The instructions retiming never moves, indexed by [ti_index]: LPR/SNX
+    instructions, every member of a feedback path and every multi-stage
+    region. *)
+
+val exact_stages :
+  Timing.t -> int array -> stage_count:int -> budget:float -> int array * int
+(** [exact_stages tm stages ~stage_count ~budget] is the latch-minimal
+    stage assignment (indexed by [ti_index]) over [stage_count] stages with
+    every stage delay within [budget], and its latch bits as the flow's
+    objective. [stages] must be feasible; the pins keep their stage from
+    it. The building block of {!retime}, exposed for testing. *)
 
 val describe : t -> string
 

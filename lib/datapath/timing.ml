@@ -105,6 +105,8 @@ let build ?(target_ns = 5.0) ?stage_budget ?decomp (dp : Graph.t)
   in
   let producer : (Instr.vreg, tinstr) Hashtbl.t = Hashtbl.create 64 in
   let consumers : (Instr.vreg, tinstr list) Hashtbl.t = Hashtbl.create 64 in
+  (* consumers are consed newest-first, then each list is reversed once
+     into topological order *)
   List.iter
     (fun ti ->
       (match ti.ti.Instr.dst with
@@ -113,9 +115,10 @@ let build ?(target_ns = 5.0) ?stage_budget ?decomp (dp : Graph.t)
       List.iter
         (fun r ->
           let cur = Option.value (Hashtbl.find_opt consumers r) ~default:[] in
-          Hashtbl.replace consumers r (cur @ [ ti ]))
+          Hashtbl.replace consumers r (ti :: cur))
         ti.ti.Instr.srcs)
     instrs;
+  Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) consumers;
   (* ---- ASAP: greedy delay-chunked levels, forward ----
      An instruction starts when its latest same-stage operand finishes; when
      the chain would exceed [target_ns] (and the operands arrive mid-stage,
@@ -338,17 +341,6 @@ let stage_delays (t : t) ~(stage_of : tinstr -> int) ~(stage_count : int) :
       end)
     t.instrs;
   delays
-
-(* Slack of the edge producer(r) -> [consumer] under a stage assignment:
-   the number of latch boundaries the value crosses to reach this use. *)
-let edge_slack (t : t) ~(stage_of : tinstr -> int) (consumer : tinstr)
-    (r : Instr.vreg) : int =
-  let def_stage =
-    match Hashtbl.find_opt t.producer r with
-    | Some p -> stage_of p
-    | None -> 0
-  in
-  max 0 (stage_of consumer - def_stage)
 
 (* ------------------------------------------------------------------ *)
 (* Feedback structure                                                  *)

@@ -28,11 +28,17 @@ let lut_part (t : Lut_conv.table) : string =
     t.Lut_conv.contents;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
+(* The cache format and compiler version. It must move whenever a pass's
+   output changes under an unchanged option fingerprint (as when exact
+   retiming replaced the hill-climb: same options, fewer latch bits, other
+   VHDL), or an existing cache directory would keep serving old designs. *)
+let version = "roccc-cache-v4"
+
 let make ~(selection : string) ~(stage : string) ~(source : string)
     ~(entry : string) ~(options_fp : string) ~(luts : Lut_conv.table list) :
     t =
   let parts =
-    [ "roccc-cache-v3"; stage; entry; options_fp; selection;
+    [ version; stage; entry; options_fp; selection;
       Digest.to_hex (Digest.string source) ]
     @ List.map lut_part luts
   in
@@ -46,7 +52,7 @@ let make ~(selection : string) ~(stage : string) ~(source : string)
 let seed ~(source : string) ~(entry : string)
     ~(luts : Lut_conv.table list) : t =
   let parts =
-    [ "roccc-cache-v3"; "seed"; entry;
+    [ version; "seed"; entry;
       Digest.to_hex (Digest.string source) ]
     @ List.map lut_part luts
   in

@@ -426,7 +426,7 @@ let test_retiming_never_worse () =
         [ 3.0; 5.0; 8.0 ])
     [ fir_source, "fir"; acc_source, "acc"; if_else_source, "if_else" ];
   (* and the full compile at the default 5 ns target saves latch bits
-     strictly on a gallery kernel (fir 89 -> 83, dct 726 -> 596) *)
+     strictly on a gallery kernel (fir 89 -> 83, dct 726 -> 469) *)
   let module Driver = Roccc_core.Driver in
   let module Kernels = Roccc_core.Kernels in
   let saves (b : Kernels.benchmark) =
@@ -444,12 +444,276 @@ let test_retiming_never_worse () =
     (saves Kernels.fir || saves Kernels.dct)
 
 let test_retiming_fixpoint () =
-  let _, _, p = pipeline_of fir_source "fir" in
-  let again = Pipeline.retime p in
-  Alcotest.(check int) "no further moves" p.Pipeline.retime_moves
-    again.Pipeline.retime_moves;
-  Alcotest.(check int) "latch bits stable" p.Pipeline.latch_bits
-    again.Pipeline.latch_bits
+  (* retiming an exact pipeline again changes no stage *)
+  List.iter
+    (fun (b : Roccc_core.Kernels.benchmark) ->
+      let p = (Roccc_core.Kernels.compile b).Roccc_core.Driver.pipeline in
+      let again = Pipeline.retime p in
+      let name = b.Roccc_core.Kernels.bench_name in
+      Alcotest.(check int) (name ^ ": no further moves")
+        p.Pipeline.retime_moves again.Pipeline.retime_moves;
+      Alcotest.(check int) (name ^ ": latch bits stable") p.Pipeline.latch_bits
+        again.Pipeline.latch_bits;
+      Alcotest.(check (list int)) (name ^ ": same stages")
+        (List.map (fun (si : Pipeline.staged_instr) -> si.Pipeline.stage)
+           p.Pipeline.instrs)
+        (List.map (fun (si : Pipeline.staged_instr) -> si.Pipeline.stage)
+           again.Pipeline.instrs))
+    Roccc_core.Kernels.[ fir; udiv; dct; wavelet ]
+
+let greedy_of (b : Roccc_core.Kernels.benchmark) =
+  let c = Roccc_core.Kernels.compile b in
+  let o = b.Roccc_core.Kernels.tune Roccc_core.Driver.default_options in
+  Pipeline.build ~target_ns:o.Roccc_core.Driver.target_ns
+    ~stage_budget:o.Roccc_core.Driver.stage_budget
+    ~decomp:o.Roccc_core.Driver.decomp ~retime:false c.Roccc_core.Driver.dp
+    c.Roccc_core.Driver.widths
+
+let stages_of (p : Pipeline.t) =
+  Array.of_list
+    (List.map (fun (si : Pipeline.staged_instr) -> si.Pipeline.stage)
+       p.Pipeline.instrs)
+
+let test_retiming_no_recovery_gap () =
+  (* the stages read back from the flow's potentials realise the flow's
+     optimum exactly, and retiming reaches it, on every paper kernel *)
+  List.iter
+    (fun (b : Roccc_core.Kernels.benchmark) ->
+      let g = greedy_of b in
+      let tm = g.Pipeline.timing in
+      let budget = Array.fold_left Float.max 0.0 g.Pipeline.stage_delays in
+      let out, optimum =
+        Pipeline.exact_stages tm (stages_of g) ~stage_count:g.Pipeline.stage_count
+          ~budget
+      in
+      let name = b.Roccc_core.Kernels.bench_name in
+      Alcotest.(check int) (name ^ ": recovered = flow objective") optimum
+        (Timing.latch_bits tm
+           ~stage_of:(fun ti -> out.(ti.Timing.ti_index))
+           ~stage_count:g.Pipeline.stage_count);
+      let p = Pipeline.retime g in
+      Pipeline.verify p;
+      Alcotest.(check int) (name ^ ": retime reaches the optimum") optimum
+        p.Pipeline.latch_bits)
+    (Roccc_core.Kernels.gallery @ [ Roccc_core.Kernels.wavelet_cols ])
+
+(* ---- exact retiming against brute force on random small netlists ----
+   A netlist of at most 8 instructions in topological order over two
+   external inputs, with random widths and delays, one pinned instruction
+   (an LPR producer or an SNX consumer) and one two-stage operator; its
+   greedy-like start staging has at most 3 stages and sets the budget. *)
+
+type small_net = {
+  sn_tm : Timing.t;
+  sn_start : int array;
+  sn_stages : int;
+  sn_budget : float;
+}
+
+let ikind bits = { Ast.signed = false; bits }
+
+let small_net_gen : small_net option QCheck.Gen.t =
+  let open QCheck.Gen in
+  let* n = int_range 3 8 in
+  let* pinned_at = int_range 0 (n - 1) in
+  let* lpr = bool in
+  let* offset = int_range 1 (n - 1) in
+  let staged_at = (pinned_at + offset) mod n in
+  let* picks = list_repeat n (pair (int_range 0 64) (int_range 0 64)) in
+  let* two = list_repeat n bool in
+  let* widths = list_repeat (n + 2) (int_range 1 16) in
+  let* delays = list_repeat n (oneofl [ 0.0; 0.5; 1.0; 2.0; 3.0 ]) in
+  let* bumps = list_repeat n (int_range 0 1) in
+  let* outs = list_repeat n (int_range 0 3) in
+  return
+    (let widths = Array.of_list widths in
+     let proc = Proc.create "small" in
+     let ext =
+       List.init 2 (fun j -> Proc.fresh_reg proc (ikind widths.(n + j)))
+     in
+     let input_ports =
+       List.mapi
+         (fun j r ->
+           { Proc.port_name = Printf.sprintf "x%d" j; port_reg = r;
+             port_kind = ikind widths.(n + j) })
+         ext
+     in
+     let dsts = ref [] and tis = ref [] in
+     List.iteri
+       (fun i ((a, b), (two, (d, _))) ->
+         let pool = Array.of_list (ext @ List.rev !dsts) in
+         let pick k = pool.(k mod Array.length pool) in
+         let srcs = if two then [ pick a; pick b ] else [ pick a ] in
+         let kind = ikind widths.(i) in
+         let op, srcs, dst =
+           if i = pinned_at && lpr then Instr.Lpr "f", [], true
+           else if i = pinned_at then Instr.Snx "f", srcs, false
+           else if i = staged_at then Instr.Mul, srcs, true
+           else Instr.Add, srcs, true
+         in
+         let dst =
+           if dst then begin
+             let r = Proc.fresh_reg proc kind in
+             dsts := r :: !dsts;
+             Some r
+           end
+           else None
+         in
+         tis :=
+           { Timing.ti = { Instr.op; dst; srcs; kind };
+             ti_node = 0;
+             ti_index = i;
+             ti_delay = d;
+             ti_stages = (if i = staged_at then 2 else 1);
+             asap = 0;
+             alap = 0 }
+           :: !tis)
+       (List.combine picks (List.combine two (List.combine delays bumps)));
+     let tis = List.rev !tis in
+     let producer = Hashtbl.create 16 and consumers = Hashtbl.create 16 in
+     List.iter
+       (fun (ti : Timing.tinstr) ->
+         Option.iter (fun d -> Hashtbl.replace producer d ti) ti.Timing.ti.Instr.dst;
+         List.iter
+           (fun r ->
+             let cur = Option.value (Hashtbl.find_opt consumers r) ~default:[] in
+             if not (List.memq ti cur) then
+               Hashtbl.replace consumers r (cur @ [ ti ]))
+           ti.Timing.ti.Instr.srcs)
+       tis;
+     let output_ports =
+       List.sort_uniq compare
+         (List.filteri (fun i _ -> List.nth outs i = 0) (List.rev !dsts))
+       |> List.mapi (fun j r ->
+              { Proc.port_name = Printf.sprintf "y%d" j; port_reg = r;
+                port_kind = Proc.reg_kind proc r })
+     in
+     let node =
+       { Graph.id = 0; node_kind = Graph.Soft 0;
+         instrs = List.map (fun (ti : Timing.tinstr) -> ti.Timing.ti) tis;
+         level = 0 }
+     in
+     let dp =
+       { Graph.proc; nodes = [ node ]; levels = [| [ node ] |]; input_ports;
+         output_ports }
+     in
+     let tm =
+       { Timing.dp; widths = Widths.declared dp; target_ns = 5.0;
+         instrs = tis; producer; consumers; asap_stage_count = 1 }
+     in
+     (* a feasible start: each instruction just past its producers, plus
+        a random bump *)
+     let start = Array.make n 0 in
+     List.iter
+       (fun (ti : Timing.tinstr) ->
+         let entry = if ti.Timing.ti_stages > 1 then 1 else 0 in
+         let s =
+           List.fold_left
+             (fun acc r ->
+               match Hashtbl.find_opt producer r with
+               | Some p ->
+                 max acc
+                   (start.(p.Timing.ti_index)
+                   + max (Timing.region_span p) entry)
+               | None -> acc)
+             0 ti.Timing.ti.Instr.srcs
+         in
+         start.(ti.Timing.ti_index) <- s + List.nth bumps ti.Timing.ti_index)
+       tis;
+     let stages =
+       List.fold_left
+         (fun acc (ti : Timing.tinstr) ->
+           max acc (start.(ti.Timing.ti_index) + ti.Timing.ti_stages))
+         1 tis
+     in
+     if stages > 3 then None
+     else
+       let budget =
+         Array.fold_left Float.max 0.0
+           (Timing.stage_delays tm
+              ~stage_of:(fun ti -> start.(ti.Timing.ti_index))
+              ~stage_count:stages)
+       in
+       Some { sn_tm = tm; sn_start = start; sn_stages = stages;
+              sn_budget = budget })
+
+(* Every constraint the retimer must keep, checked directly. *)
+let feasible (sn : small_net) (pin : bool array) (st : int array) : bool =
+  let tm = sn.sn_tm in
+  List.for_all
+    (fun (ti : Timing.tinstr) ->
+      let i = ti.Timing.ti_index in
+      let entry = if ti.Timing.ti_stages > 1 then 1 else 0 in
+      st.(i) >= 0
+      && st.(i) + ti.Timing.ti_stages <= sn.sn_stages
+      && ((not pin.(i)) || st.(i) = sn.sn_start.(i))
+      &&
+      match ti.Timing.ti.Instr.op with
+      | Instr.Lpr _ -> true
+      | _ ->
+        List.for_all
+          (fun r ->
+            match Hashtbl.find_opt tm.Timing.producer r with
+            | Some p ->
+              st.(i)
+              >= st.(p.Timing.ti_index) + max (Timing.region_span p) entry
+            | None -> true)
+          ti.Timing.ti.Instr.srcs)
+    tm.Timing.instrs
+  && Array.for_all
+       (fun d -> d <= sn.sn_budget +. 1e-9)
+       (Timing.stage_delays tm
+          ~stage_of:(fun ti -> st.(ti.Timing.ti_index))
+          ~stage_count:sn.sn_stages)
+
+let bits_of (sn : small_net) (st : int array) =
+  Timing.latch_bits sn.sn_tm
+    ~stage_of:(fun ti -> st.(ti.Timing.ti_index))
+    ~stage_count:sn.sn_stages
+
+let brute_force (sn : small_net) (pin : bool array) : int =
+  let n = Array.length sn.sn_start in
+  let st = Array.copy sn.sn_start in
+  let best = ref max_int in
+  let rec go i =
+    if i = n then begin
+      if feasible sn pin st then best := min !best (bits_of sn st)
+    end
+    else if pin.(i) then go (i + 1)
+    else
+      for s = 0 to sn.sn_stages - 1 do
+        st.(i) <- s;
+        go (i + 1)
+      done
+  in
+  go 0;
+  !best
+
+let prop_exact_matches_brute_force =
+  QCheck.Test.make ~count:300
+    ~name:"exact retiming = brute force on random small netlists"
+    (QCheck.make small_net_gen ~print:(function
+       | None -> "(discarded)"
+       | Some sn ->
+         String.concat "\n"
+           (List.map
+              (fun (ti : Timing.tinstr) ->
+                Printf.sprintf "%d: %s  delay %.1f  stages %d  start %d"
+                  ti.Timing.ti_index (Instr.to_string ti.Timing.ti)
+                  ti.Timing.ti_delay ti.Timing.ti_stages
+                  sn.sn_start.(ti.Timing.ti_index))
+              sn.sn_tm.Timing.instrs)))
+    (function
+      | None -> QCheck.assume_fail ()
+      | Some sn ->
+        let pin = Pipeline.pinned sn.sn_tm in
+        let out, optimum =
+          Pipeline.exact_stages sn.sn_tm sn.sn_start ~stage_count:sn.sn_stages
+            ~budget:sn.sn_budget
+        in
+        feasible sn pin out
+        && bits_of sn out = optimum
+        && optimum = brute_force sn pin)
 
 (* ------------------------------------------------------------------ *)
 (* Verify rejects corrupted stagings                                   *)
@@ -707,6 +971,9 @@ let suites =
         test_retiming_never_worse;
       Alcotest.test_case "retiming reaches a fixpoint" `Quick
         test_retiming_fixpoint;
+      Alcotest.test_case "retiming has no recovery gap" `Quick
+        test_retiming_no_recovery_gap;
+      qcheck_case prop_exact_matches_brute_force;
       Alcotest.test_case "verify rejects a backward dataflow edge" `Quick
         test_verify_backward_edge;
       Alcotest.test_case "verify rejects a split feedback latch" `Quick

@@ -4,8 +4,26 @@
    hardware simulation against the C interpreter. *)
 
 module Driver = Roccc_core.Driver
+module Pipeline = Roccc_datapath.Pipeline
 
 let qcheck_case = QCheck_alcotest.to_alcotest
+
+(* Every fuzzed design also checks the exact retimer against greedy
+   placement: a well-formed staging, no more latch bits, and the stage
+   count and clock of greedy placement. *)
+let retiming_ok (c : Driver.compiled) : bool =
+  let p = c.Driver.pipeline in
+  let o = c.Driver.options in
+  let greedy =
+    Pipeline.build ~target_ns:o.Driver.target_ns
+      ~stage_budget:o.Driver.stage_budget ~decomp:o.Driver.decomp
+      ~retime:false c.Driver.dp c.Driver.widths
+  in
+  Pipeline.verify p;
+  p.Pipeline.latch_bits <= p.Pipeline.greedy_latch_bits
+  && p.Pipeline.greedy_latch_bits = greedy.Pipeline.latch_bits
+  && p.Pipeline.stage_count = greedy.Pipeline.stage_count
+  && p.Pipeline.clock_mhz >= greedy.Pipeline.clock_mhz -. 1e-9
 
 (* ------------------------------------------------------------------ *)
 (* Feedback kernels                                                    *)
@@ -52,7 +70,7 @@ let prop_feedback_kernels_verify =
       in
       match Driver.compile ~entry:"k" source with
       | exception Driver.Error _ -> QCheck.assume_fail ()
-      | c -> Driver.verify ~arrays c = [])
+      | c -> Driver.verify ~arrays c = [] && retiming_ok c)
 
 (* ------------------------------------------------------------------ *)
 (* 2-D window kernels                                                  *)
@@ -94,7 +112,7 @@ let prop_2d_kernels_verify =
       in
       match Driver.compile ~entry:"k" source with
       | exception Driver.Error _ -> QCheck.assume_fail ()
-      | c -> Driver.verify ~arrays c = [])
+      | c -> Driver.verify ~arrays c = [] && retiming_ok c)
 
 (* ------------------------------------------------------------------ *)
 (* Mixed input geometries                                              *)
@@ -148,6 +166,8 @@ let prop_feedback_width_soundness =
       match Driver.compile ~entry:"k" source with
       | exception Driver.Error _ -> QCheck.assume_fail ()
       | c ->
+        retiming_ok c
+        &&
         let dp = c.Driver.dp in
         let inputs =
           List.concat_map
