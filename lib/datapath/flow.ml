@@ -30,7 +30,6 @@ let errf fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 type result = {
   x : int array;   (** optimal values, in the caller's variable order *)
   objective : int; (** sum_v weight.(v) * x.(v) at the optimum *)
-  pivots : int;    (** simplex pivots the solve took *)
 }
 
 let solve ~(weight : int array) ~(tail : int array) ~(head : int array)
@@ -213,7 +212,6 @@ let solve ~(weight : int array) ~(tail : int array) ~(head : int array)
       done
     done
   in
-  let pivots = ref 0 in
   (* crash start: pivot in each demand node's cheapest incoming arc first
      (LEMON's initial pivots), then price as usual *)
   let cheapest = Array.make n (-1) in
@@ -224,14 +222,10 @@ let solve ~(weight : int array) ~(tail : int array) ~(head : int array)
   done;
   Array.iter
     (fun k ->
-      if k >= 0 && (not in_tree.(k)) && reduced k < 0 then begin
-        incr pivots;
-        pivot k
-      end)
+      if k >= 0 && (not in_tree.(k)) && reduced k < 0 then pivot k)
     cheapest;
   let e = ref (entering ()) in
   while !e >= 0 do
-    incr pivots;
     pivot !e;
     e := entering ()
   done;
@@ -253,4 +247,4 @@ let solve ~(weight : int array) ~(tail : int array) ~(head : int array)
   done;
   if !dual <> !objective then
     errf "flow: primal objective %d but dual %d" !objective !dual;
-  { x; objective = !objective; pivots = !pivots }
+  { x; objective = !objective }

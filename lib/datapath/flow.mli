@@ -15,7 +15,6 @@ exception Error of string
 type result = {
   x : int array;   (** an optimal point, in the caller's variable order *)
   objective : int; (** [sum_v weight.(v) * x.(v)] at that point *)
-  pivots : int;    (** simplex pivots the solve took *)
 }
 
 val solve :

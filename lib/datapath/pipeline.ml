@@ -429,32 +429,28 @@ let exact_stages (tm : Timing.t) (stages : int array) ~(stage_count : int)
     the fewest latch bits at the same stage count, worst stage delay and
     pins. A pipeline that is already optimal comes back unchanged. *)
 let retime (p : t) : t =
-  if p.stage_count <= 1 then p  (* one stage: nothing can move *)
+  let stages = Array.of_list (List.map (fun si -> si.stage) p.instrs) in
+  let budget = Array.fold_left Float.max 0.0 p.stage_delays in
+  let out, optimum =
+    exact_stages p.timing stages ~stage_count:p.stage_count ~budget
+  in
+  if optimum > p.latch_bits then
+    errf "retiming: optimum %d latch bits exceeds the feasible start's %d"
+      optimum p.latch_bits;
+  if optimum = p.latch_bits then p
   else begin
-    let stages = Array.of_list (List.map (fun si -> si.stage) p.instrs) in
-    let budget = Array.fold_left Float.max 0.0 p.stage_delays in
-    let out, optimum =
-      exact_stages p.timing stages ~stage_count:p.stage_count ~budget
+    let moves = ref 0 in
+    Array.iteri (fun i s -> if s <> stages.(i) then incr moves) out;
+    let q =
+      finalize p.timing out ~stage_count:p.stage_count
+        ~greedy_latch_bits:p.greedy_latch_bits
+        ~retime_moves:(p.retime_moves + !moves)
     in
-    if optimum > p.latch_bits then
-      errf "retiming: optimum %d latch bits exceeds the feasible start's %d"
-        optimum p.latch_bits;
-    if optimum = p.latch_bits then p
-    else begin
-      let moves = ref 0 in
-      Array.iteri (fun i s -> if s <> stages.(i) then incr moves) out;
-      let q =
-        finalize p.timing out ~stage_count:p.stage_count
-          ~greedy_latch_bits:p.greedy_latch_bits
-          ~retime_moves:(p.retime_moves + !moves)
-      in
-      (* the recovered stages must realise the flow's optimum *)
-      if q.latch_bits <> optimum then
-        errf "retiming: recovered stages imply %d latch bits, the optimum \
-              is %d"
-          q.latch_bits optimum;
-      q
-    end
+    (* the recovered stages must realise the flow's optimum *)
+    if q.latch_bits <> optimum then
+      errf "retiming: recovered stages imply %d latch bits, the optimum is %d"
+        q.latch_bits optimum;
+    q
   end
 
 let build ?(target_ns = default_target_ns) ?stage_budget ?decomp

@@ -342,6 +342,17 @@ let stage_delays (t : t) ~(stage_of : tinstr -> int) ~(stage_count : int) :
     t.instrs;
   delays
 
+(* Slack of the edge producer(r) -> [consumer] under a stage assignment:
+   the number of latch boundaries the value crosses to reach this use. *)
+let edge_slack (t : t) ~(stage_of : tinstr -> int) (consumer : tinstr)
+    (r : Instr.vreg) : int =
+  let def_stage =
+    match Hashtbl.find_opt t.producer r with
+    | Some p -> stage_of p
+    | None -> 0
+  in
+  max 0 (stage_of consumer - def_stage)
+
 (* ------------------------------------------------------------------ *)
 (* Feedback structure                                                  *)
 (* ------------------------------------------------------------------ *)

@@ -79,6 +79,11 @@ val stage_delays :
     earlier or external operands at the stage boundary. A multi-stage
     region charges its per-stage delay to every stage it occupies. *)
 
+val edge_slack :
+  t -> stage_of:(tinstr -> int) -> tinstr -> Roccc_vm.Instr.vreg -> int
+(** Latch boundaries the value [r] crosses to reach this consumer — the
+    per-edge register cost behind {!latch_bits}. *)
+
 val feedback_paths : t -> (string * tinstr list) list
 (** Per feedback signal, the instructions on its LPR-to-SNX path (forward
     reachability from the LPRs ∩ backward reachability from the SNXs, plus
