@@ -29,9 +29,8 @@ let lut_part (t : Lut_conv.table) : string =
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 (* The cache format and compiler version. It must move whenever a pass's
-   output changes under an unchanged option fingerprint (as when exact
-   retiming replaced the hill-climb: same options, fewer latch bits, other
-   VHDL), or an existing cache directory would keep serving old designs. *)
+   output changes under an unchanged option fingerprint, or an existing
+   cache directory would keep serving stale designs. *)
 let version = "roccc-cache-v4"
 
 let make ~(selection : string) ~(stage : string) ~(source : string)
