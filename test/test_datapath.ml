@@ -443,6 +443,11 @@ let test_retiming_never_worse () =
   Alcotest.(check bool) "strict reduction at 5 ns on fir or dct" true
     (saves Kernels.fir || saves Kernels.dct)
 
+let stages_of (p : Pipeline.t) =
+  Array.of_list
+    (List.map (fun (si : Pipeline.staged_instr) -> si.Pipeline.stage)
+       p.Pipeline.instrs)
+
 let test_retiming_fixpoint () =
   (* retiming an exact pipeline again changes no stage *)
   List.iter
@@ -454,11 +459,8 @@ let test_retiming_fixpoint () =
         p.Pipeline.retime_moves again.Pipeline.retime_moves;
       Alcotest.(check int) (name ^ ": latch bits stable") p.Pipeline.latch_bits
         again.Pipeline.latch_bits;
-      Alcotest.(check (list int)) (name ^ ": same stages")
-        (List.map (fun (si : Pipeline.staged_instr) -> si.Pipeline.stage)
-           p.Pipeline.instrs)
-        (List.map (fun (si : Pipeline.staged_instr) -> si.Pipeline.stage)
-           again.Pipeline.instrs))
+      Alcotest.(check (array int)) (name ^ ": same stages") (stages_of p)
+        (stages_of again))
     Roccc_core.Kernels.[ fir; udiv; dct; wavelet ]
 
 let greedy_of (b : Roccc_core.Kernels.benchmark) =
@@ -468,11 +470,6 @@ let greedy_of (b : Roccc_core.Kernels.benchmark) =
     ~stage_budget:o.Roccc_core.Driver.stage_budget
     ~decomp:o.Roccc_core.Driver.decomp ~retime:false c.Roccc_core.Driver.dp
     c.Roccc_core.Driver.widths
-
-let stages_of (p : Pipeline.t) =
-  Array.of_list
-    (List.map (fun (si : Pipeline.staged_instr) -> si.Pipeline.stage)
-       p.Pipeline.instrs)
 
 let test_retiming_no_recovery_gap () =
   (* the stages read back from the flow's potentials realise the flow's
