@@ -233,7 +233,7 @@ let test_error_names_pass () =
 
 let dump_passes =
   [ "parse"; "constant-fold"; "lower-to-suifvm"; "datapath-build";
-    "pipelining"; "retiming" ]
+    "pipelining"; "retiming"; "vhdl-generation" ]
 
 let collect_dumps (b : Kernels.benchmark) : (string * string) list =
   let dumps = ref [] in

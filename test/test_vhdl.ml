@@ -153,6 +153,119 @@ let test_lint_catches_multiple_drivers () =
   | exception Lint.Error _ -> ()
   | _ -> Alcotest.fail "lint must reject multiple drivers"
 
+(* One negative case per rule, each with its exact message. [unit_of]
+   builds a unit from port (name, dir) pairs, signal names, component
+   declarations and a body; every type is 8-bit signed. *)
+let unit_of ?(signals = []) ?(components = []) name ports body =
+  let port (n, dir) = { V.port_name = n; port_dir = dir; port_type = V.Signed 8 } in
+  { V.unit_entity = { V.entity_name = name; entity_ports = List.map port ports };
+    unit_arch =
+      { V.arch_name = "rtl";
+        of_entity = name;
+        signals =
+          List.map (fun s -> { V.sig_name = s; sig_type = V.Signed 8 }) signals;
+        components =
+          List.map (fun (c, ps) -> c, List.map port ps) components;
+        body } }
+
+let design_of_units units = { V.design_name = "t"; units; rom_inits = [] }
+
+let lint_error units =
+  match Lint.check (design_of_units units) with
+  | exception Lint.Error msg -> msg
+  | _ -> Alcotest.fail "lint accepted a bad design"
+
+(* a leaf entity [leaf] with ports x : in, y : out *)
+let leaf = unit_of "leaf" [ "x", V.Dir_in; "y", V.Dir_out ] [ V.Assign ("y", "x") ]
+
+let leaf_component = [ "leaf", [ "x", V.Dir_in; "y", V.Dir_out ] ]
+
+let instance ?(component = "leaf") port_map =
+  V.Instance { inst_label = "u0"; component; port_map }
+
+let lint_cases =
+  [ ( "duplicate declaration",
+      [ unit_of ~signals:[ "s"; "a" ] "top" [ "a", V.Dir_in ] [] ],
+      "top: a declared more than once" );
+    ( "undeclared name",
+      [ unit_of "top" [ "o", V.Dir_out ] [ V.Assign ("o", "missing + 1") ] ],
+      "top: undeclared name missing in assignment rhs" );
+    ( "output port read",
+      [ unit_of ~signals:[ "s" ] "top" [ "o", V.Dir_out ]
+          [ V.Assign ("o", "to_signed(1, 8)"); V.Assign ("s", "o") ] ],
+      "top: output port o read in assignment rhs" );
+    ( "multiple drivers (assignment)",
+      [ unit_of "top" [ "a", V.Dir_in; "o", V.Dir_out ]
+          [ V.Assign ("o", "a"); V.Assign ("o", "a") ] ],
+      "top: signal o has multiple drivers" );
+    ( "multiple drivers (instance output)",
+      [ leaf;
+        unit_of ~components:leaf_component ~signals:[ "s" ] "top"
+          [ "a", V.Dir_in ]
+          [ V.Assign ("s", "a"); instance [ "x", "a"; "y", "s" ] ] ],
+      "top: signal s has multiple drivers" );
+    ( "undeclared component",
+      [ leaf;
+        unit_of ~signals:[ "s" ] "top" [ "a", V.Dir_in ]
+          [ instance [ "x", "a"; "y", "s" ] ] ],
+      "top: instance u0 uses undeclared component leaf" );
+    ( "no generated entity",
+      [ unit_of ~components:[ "ghost", [] ] "top" [] [ instance ~component:"ghost" [] ] ],
+      "top: component ghost has no generated entity" );
+    ( "unknown formal",
+      [ leaf;
+        unit_of ~components:leaf_component ~signals:[ "s" ] "top"
+          [ "a", V.Dir_in ]
+          [ instance [ "x", "a"; "y", "s"; "z", "a" ] ] ],
+      "top: instance u0 maps unknown formal z" );
+    ( "unmapped formal",
+      [ leaf;
+        unit_of ~components:leaf_component "top" [ "a", V.Dir_in ]
+          [ instance [ "x", "a" ] ] ],
+      "top: instance u0 leaves formal y unmapped" );
+    ( "duplicate entity",
+      [ leaf; leaf ],
+      "duplicate entity leaf" );
+    (* two violations: the first in check order is reported *)
+    ( "duplicate declaration before body errors",
+      [ unit_of ~signals:[ "b"; "a"; "b"; "a" ] "top" [] [ V.Assign ("c", "d") ] ],
+      "top: b declared more than once" );
+    ( "statement order decides",
+      [ unit_of "top" [ "a", V.Dir_in; "o", V.Dir_out ]
+          [ V.Assign ("o", "missing"); V.Assign ("o", "a"); V.Assign ("o", "a") ] ],
+      "top: undeclared name missing in assignment rhs" );
+    ( "target checked before rhs",
+      [ unit_of "top" [ "a", V.Dir_in; "o", V.Dir_out ]
+          [ V.Assign ("o", "a"); V.Assign ("o", "missing") ] ],
+      "top: signal o has multiple drivers" );
+    ( "unknown formal before unmapped formal",
+      [ leaf;
+        unit_of ~components:leaf_component "top" [ "a", V.Dir_in ]
+          [ instance [ "z", "a" ] ] ],
+      "top: instance u0 maps unknown formal z" );
+    ( "duplicate entity before unit errors",
+      [ unit_of "bad" [] [ V.Assign ("c", "d") ]; leaf; leaf ],
+      "duplicate entity leaf" );
+    ( "first unit's violation wins",
+      [ unit_of "first" [] [ V.Assign ("c", "d") ];
+        unit_of ~signals:[ "s"; "s" ] "second" [] [] ],
+      "first: undeclared name c in assignment" ) ]
+
+let test_lint_messages () =
+  List.iter
+    (fun (name, units, msg) ->
+      Alcotest.(check string) name msg (lint_error units))
+    lint_cases
+
+let test_identifiers_of () =
+  List.iter
+    (fun (text, ids) ->
+      Alcotest.(check (list string)) text ids (Lint.identifiers_of text))
+    [ "x\"0F\"", [ "x"; "F" ];
+      "12abc", [ "abc" ];
+      "RESIZE(v3_d1, 8)", [ "v3_d1" ];
+      "v1_i0/=0", [ "v1_i0" ] ]
+
 (* ------------------------------------------------------------------ *)
 (* LUT / ROM                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -179,6 +292,35 @@ let test_rom_generation () =
     (List.exists (fun (name, _) -> name = "cos.init") files)
 
 (* ------------------------------------------------------------------ *)
+(* Gallery VHDL golden                                                 *)
+(* ------------------------------------------------------------------ *)
+
+module Kernels = Roccc_core.Kernels
+
+let gallery_designs () =
+  List.map
+    (fun (b : Kernels.benchmark) -> b, Kernels.compile b)
+    (Kernels.gallery @ [ Kernels.wavelet_cols ])
+
+(* The line tools/gen_golden.ml writes for a kernel: digests of its VHDL
+   text and of its ROM init files. *)
+let digest_line (b : Kernels.benchmark) (d : V.design) =
+  let hex s = Digest.to_hex (Digest.string s) in
+  Printf.sprintf "%s vhdl=%s rom=%s\n" b.Kernels.bench_name
+    (hex (V.to_string d))
+    (hex (String.concat "" (List.map (fun (n, t) -> n ^ "\n" ^ t) d.V.rom_inits)))
+
+let test_gallery_golden () =
+  let ic = open_in_bin "golden/gallery.vhdl.txt" in
+  let expected = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let actual =
+    String.concat ""
+      (List.map
+         (fun (b, c) -> digest_line b c.Roccc_core.Driver.design)
+         (gallery_designs ()))
+  in
+  Alcotest.(check string) "gallery VHDL digests" expected actual
 
 (* ------------------------------------------------------------------ *)
 (* Component library (paper §4.1)                                      *)
@@ -287,10 +429,16 @@ let suites =
       Alcotest.test_case "rejects undeclared names" `Quick
         test_lint_catches_undeclared;
       Alcotest.test_case "rejects multiple drivers" `Quick
-        test_lint_catches_multiple_drivers ];
+        test_lint_catches_multiple_drivers;
+      Alcotest.test_case "one exact message per rule" `Quick test_lint_messages;
+      Alcotest.test_case "identifiers of expression texts" `Quick
+        test_identifiers_of ];
     "vhdl.rom",
     [ Alcotest.test_case "ROM component + init file" `Quick
         test_rom_generation ];
+    "vhdl.golden",
+    [ Alcotest.test_case "gallery VHDL matches golden digests" `Quick
+        test_gallery_golden ];
     "vhdl.library",
     [ Alcotest.test_case "address generator FSM" `Quick
         test_library_address_generator;

@@ -1,4 +1,4 @@
-(* Regenerate the test/golden IR dump files:
+(* Regenerate the test/golden IR dump and VHDL digest files:
      dune exec tools/gen_golden.exe -- test/golden
    Run from the repository root after an intentional IR or printer change,
    then review the diff. *)
@@ -9,7 +9,7 @@ module Kernels = Roccc_core.Kernels
 
 let dump_passes =
   [ "parse"; "constant-fold"; "lower-to-suifvm"; "datapath-build";
-    "pipelining"; "retiming" ]
+    "pipelining"; "retiming"; "vhdl-generation" ]
 
 let () =
   let dir = if Array.length Sys.argv > 1 then Sys.argv.(1) else "test/golden" in
@@ -46,6 +46,28 @@ let () =
   in
   let text = Net.describe net in
   let path = Filename.concat dir "stream.net.txt" in
+  let oc = open_out_bin path in
+  output_string oc text;
+  close_out oc;
+  Printf.printf "wrote %s (%d bytes)\n" path (String.length text)
+
+(* one digest line per gallery kernel (plus the column pass of the wavelet
+   engine) over its generated VHDL and ROM init files, at tuned options *)
+let () =
+  let dir = if Array.length Sys.argv > 1 then Sys.argv.(1) else "test/golden" in
+  let hex s = Digest.to_hex (Digest.string s) in
+  let line (b : Kernels.benchmark) =
+    let d = (Kernels.compile b).Driver.design in
+    Printf.sprintf "%s vhdl=%s rom=%s\n" b.Kernels.bench_name
+      (hex (Roccc_vhdl.Ast.to_string d))
+      (hex
+         (String.concat ""
+            (List.map (fun (n, t) -> n ^ "\n" ^ t) d.Roccc_vhdl.Ast.rom_inits)))
+  in
+  let text =
+    String.concat "" (List.map line (Kernels.gallery @ [ Kernels.wavelet_cols ]))
+  in
+  let path = Filename.concat dir "gallery.vhdl.txt" in
   let oc = open_out_bin path in
   output_string oc text;
   close_out oc;
