@@ -89,7 +89,11 @@ let to_init_text (t : table) : string =
     (Printf.sprintf "# %s: %d entries, %d-bit %s output\n" t.lut_name (size t)
        t.out_kind.bits
        (if t.out_kind.signed then "signed" else "unsigned"));
-  Array.iter (fun v -> Buffer.add_string buf (Printf.sprintf "%Ld\n" v)) t.contents;
+  Array.iter
+    (fun v ->
+      Buffer.add_string buf (Int64.to_string v);
+      Buffer.add_char buf '\n')
+    t.contents;
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
