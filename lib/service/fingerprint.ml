@@ -31,7 +31,7 @@ let lut_part (t : Lut_conv.table) : string =
 (* The cache format and compiler version. It must move whenever a pass's
    output changes under an unchanged option fingerprint, or an existing
    cache directory would keep serving stale designs. *)
-let version = "roccc-cache-v4"
+let version = "roccc-cache-v5"
 
 let make ~(selection : string) ~(stage : string) ~(source : string)
     ~(entry : string) ~(options_fp : string) ~(luts : Lut_conv.table list) :

@@ -178,10 +178,16 @@ let gen_node (proc : Proc.t) (widths : Widths.t) (p : Pipeline.t)
         i, List.map (fun r -> r, Pipeline.use_delay p i r) i.Instr.srcs)
       n.Graph.instrs
   in
-  (* inputs: (reg, delay) pairs needed by the node's instructions; the
-     deepest local use of each local def *)
+  (* inputs: (reg, delay) pairs needed by the node's instructions. Each
+     local def gets a delay chain as deep as its deepest use, local or
+     exported. *)
   let in_seen = Hashtbl.create 16 and in_pairs = ref [] in
-  let local_max = Hashtbl.create 16 in
+  let chain_depth = Hashtbl.create 16 in
+  let deepen d k =
+    match Hashtbl.find_opt chain_depth d with
+    | Some m when m >= k -> ()
+    | _ -> Hashtbl.replace chain_depth d k
+  in
   let lpr_seen = Hashtbl.create 1 and lpr_names = ref [] in
   let snx_seen = Hashtbl.create 1 and snx_names = ref [] in
   List.iter
@@ -192,11 +198,7 @@ let gen_node (proc : Proc.t) (widths : Widths.t) (p : Pipeline.t)
       | _ -> ());
       List.iter
         (fun ((r, k) as use) ->
-          if is_local r then
-            match Hashtbl.find_opt local_max r with
-            | Some m when m >= k -> ()
-            | _ -> Hashtbl.replace local_max r k
-          else add_new in_seen in_pairs use)
+          if is_local r then deepen r k else add_new in_seen in_pairs use)
         rs)
     uses;
   let in_pairs = List.rev !in_pairs in
@@ -207,12 +209,8 @@ let gen_node (proc : Proc.t) (widths : Widths.t) (p : Pipeline.t)
       (fun d -> List.map (fun k -> d, k) (consumed_delays d))
       defs
   in
-  (* internal delay chains needed: for each local def d, the max delay used
-     locally or exported *)
-  let out_max = List.fold_left (fun m (_, k) -> max m k) 0 out_pairs in
-  let max_delay d =
-    max out_max (Option.value (Hashtbl.find_opt local_max d) ~default:0)
-  in
+  List.iter (fun (d, k) -> deepen d k) out_pairs;
+  let max_delay d = Option.value (Hashtbl.find_opt chain_depth d) ~default:0 in
   let needs_clock = snx_names <> [] || List.exists (fun d -> max_delay d > 0) defs in
   let feedback_type fb =
     match List.find_opt (fun (nm, _, _) -> String.equal nm fb) proc.Proc.feedbacks with

@@ -10,7 +10,8 @@ let qcheck_case = QCheck_alcotest.to_alcotest
 
 (* Every fuzzed design also checks the exact retimer against greedy
    placement: a well-formed staging, no more latch bits, and the stage
-   count and clock of greedy placement. *)
+   count and clock of greedy placement; and its VHDL has exactly the
+   pipeline register bits the area model charges. *)
 let retiming_ok (c : Driver.compiled) : bool =
   let p = c.Driver.pipeline in
   let o = c.Driver.options in
@@ -24,6 +25,7 @@ let retiming_ok (c : Driver.compiled) : bool =
   && p.Pipeline.greedy_latch_bits = greedy.Pipeline.latch_bits
   && p.Pipeline.stage_count = greedy.Pipeline.stage_count
   && p.Pipeline.clock_mhz >= greedy.Pipeline.clock_mhz -. 1e-9
+  && Test_vhdl.pipeline_register_bits c.Driver.design = p.Pipeline.latch_bits
 
 (* ------------------------------------------------------------------ *)
 (* Feedback kernels                                                    *)

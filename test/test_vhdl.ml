@@ -310,6 +310,39 @@ let digest_line (b : Kernels.benchmark) (d : V.design) =
     (hex (V.to_string d))
     (hex (String.concat "" (List.map (fun (n, t) -> n ^ "\n" ^ t) d.V.rom_inits)))
 
+(* Flip-flop bits of a generated design's pipeline registers: the targets
+   of the node latches, the top-level input alignment and the output
+   registers. The feedback registers are not counted: the area model
+   charges them apart, as Pipeline.feedback_bits. *)
+let pipeline_register_bits (d : V.design) : int =
+  List.fold_left
+    (fun acc (u : V.design_unit) ->
+      let width = Hashtbl.create 64 in
+      List.iter
+        (fun p -> Hashtbl.replace width p.V.port_name (V.vtype_width p.V.port_type))
+        u.V.unit_entity.V.entity_ports;
+      List.iter
+        (fun s -> Hashtbl.replace width s.V.sig_name (V.vtype_width s.V.sig_type))
+        u.V.unit_arch.V.signals;
+      List.fold_left
+        (fun acc c ->
+          match c with
+          | V.Clocked_process
+              { label = "latches" | "input_align" | "output_regs"; assignments; _ } ->
+            List.fold_left (fun acc (t, _) -> acc + Hashtbl.find width t) acc assignments
+          | _ -> acc)
+        acc u.V.unit_arch.V.body)
+    0 d.V.units
+
+(* The VHDL has exactly the register bits the area model charges. *)
+let test_register_bits_match_latch_bits () =
+  List.iter
+    (fun ((b : Kernels.benchmark), (c : Roccc_core.Driver.compiled)) ->
+      Alcotest.(check int) b.Kernels.bench_name
+        c.Roccc_core.Driver.pipeline.Pipeline.latch_bits
+        (pipeline_register_bits c.Roccc_core.Driver.design))
+    (gallery_designs ())
+
 let test_gallery_golden () =
   let ic = open_in_bin "golden/gallery.vhdl.txt" in
   let expected = really_input_string ic (in_channel_length ic) in
@@ -438,7 +471,9 @@ let suites =
         test_rom_generation ];
     "vhdl.golden",
     [ Alcotest.test_case "gallery VHDL matches golden digests" `Quick
-        test_gallery_golden ];
+        test_gallery_golden;
+      Alcotest.test_case "register bits = latch bits over the gallery" `Quick
+        test_register_bits_match_latch_bits ];
     "vhdl.library",
     [ Alcotest.test_case "address generator FSM" `Quick
         test_library_address_generator;
