@@ -64,17 +64,22 @@ type design = {
 
 let vtype_to_string = function
   | Std_logic -> "std_logic"
-  | Signed w -> Printf.sprintf "signed(%d downto 0)" (w - 1)
-  | Unsigned w -> Printf.sprintf "unsigned(%d downto 0)" (w - 1)
+  | Signed w -> String.concat "" [ "signed("; Roccc_util.Bits.decimal (w - 1); " downto 0)" ]
+  | Unsigned w ->
+    String.concat "" [ "unsigned("; Roccc_util.Bits.decimal (w - 1); " downto 0)" ]
 
 let vtype_width = function Std_logic -> 1 | Signed w | Unsigned w -> w
 
 let direction_to_string = function Dir_in -> "in" | Dir_out -> "out"
 
 let port_to_string (p : port) =
-  Printf.sprintf "%s : %s %s" p.port_name
-    (direction_to_string p.port_dir)
-    (vtype_to_string p.port_type)
+  String.concat ""
+    [ p.port_name; " : "; direction_to_string p.port_dir; " ";
+      vtype_to_string p.port_type ]
+
+(* The renderer appends pieces to one buffer; no line goes through a
+   format string. *)
+let add buf pieces = List.iter (Buffer.add_string buf) pieces
 
 let render_ports buf ports =
   match ports with
@@ -84,90 +89,69 @@ let render_ports buf ports =
     let n = List.length ports in
     List.iteri
       (fun i p ->
-        Buffer.add_string buf ("    " ^ port_to_string p);
-        Buffer.add_string buf (if i = n - 1 then "\n" else ";\n"))
+        add buf [ "    "; port_to_string p; (if i = n - 1 then "\n" else ";\n") ])
       ports;
     Buffer.add_string buf "  );\n"
 
+let render_assignments buf indent assignments =
+  List.iter (fun (t, v) -> add buf [ indent; t; " <= "; v; ";\n" ]) assignments
+
 let render_concurrent buf = function
-  | Assign (target, rhs) ->
-    Buffer.add_string buf (Printf.sprintf "  %s <= %s;\n" target rhs)
+  | Assign (target, rhs) -> add buf [ "  "; target; " <= "; rhs; ";\n" ]
   | Selected { target; selector; cases; default } ->
-    Buffer.add_string buf (Printf.sprintf "  with %s select\n" selector);
-    Buffer.add_string buf (Printf.sprintf "    %s <=\n" target);
+    add buf [ "  with "; selector; " select\n"; "    "; target; " <=\n" ];
     List.iter
-      (fun (value, choice) ->
-        Buffer.add_string buf
-          (Printf.sprintf "      %s when %s,\n" value choice))
+      (fun (value, choice) -> add buf [ "      "; value; " when "; choice; ",\n" ])
       cases;
-    Buffer.add_string buf (Printf.sprintf "      %s when others;\n" default)
-  | Comment text -> Buffer.add_string buf (Printf.sprintf "  -- %s\n" text)
+    add buf [ "      "; default; " when others;\n" ]
+  | Comment text -> add buf [ "  -- "; text; "\n" ]
   | Instance { inst_label; component; port_map } ->
-    Buffer.add_string buf
-      (Printf.sprintf "  %s : %s port map (\n" inst_label component);
+    add buf [ "  "; inst_label; " : "; component; " port map (\n" ];
     let n = List.length port_map in
     List.iteri
       (fun i (formal, actual) ->
-        Buffer.add_string buf (Printf.sprintf "    %s => %s" formal actual);
-        Buffer.add_string buf (if i = n - 1 then "\n" else ",\n"))
+        add buf [ "    "; formal; " => "; actual; (if i = n - 1 then "\n" else ",\n") ])
       port_map;
     Buffer.add_string buf "  );\n"
   | Clocked_process { label; clock; reset; assignments; reset_assignments } ->
-    Buffer.add_string buf (Printf.sprintf "  %s : process(%s)\n" label clock);
+    add buf [ "  "; label; " : process("; clock; ")\n" ];
     Buffer.add_string buf "  begin\n";
-    Buffer.add_string buf
-      (Printf.sprintf "    if rising_edge(%s) then\n" clock);
+    add buf [ "    if rising_edge("; clock; ") then\n" ];
     (match reset with
     | Some r when reset_assignments <> [] ->
-      Buffer.add_string buf (Printf.sprintf "      if %s = '1' then\n" r);
-      List.iter
-        (fun (t, v) ->
-          Buffer.add_string buf (Printf.sprintf "        %s <= %s;\n" t v))
-        reset_assignments;
+      add buf [ "      if "; r; " = '1' then\n" ];
+      render_assignments buf "        " reset_assignments;
       Buffer.add_string buf "      else\n";
-      List.iter
-        (fun (t, v) ->
-          Buffer.add_string buf (Printf.sprintf "        %s <= %s;\n" t v))
-        assignments;
+      render_assignments buf "        " assignments;
       Buffer.add_string buf "      end if;\n"
-    | Some _ | None ->
-      List.iter
-        (fun (t, v) ->
-          Buffer.add_string buf (Printf.sprintf "      %s <= %s;\n" t v))
-        assignments);
+    | Some _ | None -> render_assignments buf "      " assignments);
     Buffer.add_string buf "    end if;\n";
     Buffer.add_string buf "  end process;\n"
 
 let render_unit buf (u : design_unit) =
   let e = u.unit_entity and a = u.unit_arch in
   Buffer.add_string buf "library ieee;\nuse ieee.std_logic_1164.all;\nuse ieee.numeric_std.all;\n\n";
-  Buffer.add_string buf (Printf.sprintf "entity %s is\n" e.entity_name);
+  add buf [ "entity "; e.entity_name; " is\n" ];
   render_ports buf e.entity_ports;
-  Buffer.add_string buf (Printf.sprintf "end entity %s;\n\n" e.entity_name);
-  Buffer.add_string buf
-    (Printf.sprintf "architecture %s of %s is\n" a.arch_name a.of_entity);
+  add buf [ "end entity "; e.entity_name; ";\n\n" ];
+  add buf [ "architecture "; a.arch_name; " of "; a.of_entity; " is\n" ];
   List.iter
     (fun (cname, ports) ->
-      Buffer.add_string buf (Printf.sprintf "  component %s\n" cname);
+      add buf [ "  component "; cname; "\n" ];
       render_ports buf ports;
       Buffer.add_string buf "  end component;\n")
     a.components;
   List.iter
-    (fun s ->
-      Buffer.add_string buf
-        (Printf.sprintf "  signal %s : %s;\n" s.sig_name
-           (vtype_to_string s.sig_type)))
+    (fun s -> add buf [ "  signal "; s.sig_name; " : "; vtype_to_string s.sig_type; ";\n" ])
     a.signals;
   Buffer.add_string buf "begin\n";
   List.iter (render_concurrent buf) a.body;
-  Buffer.add_string buf
-    (Printf.sprintf "end architecture %s;\n\n" a.arch_name)
+  add buf [ "end architecture "; a.arch_name; ";\n\n" ]
 
 (** Render the whole design as one VHDL source text. *)
 let to_string (d : design) : string =
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf "-- %s : generated by ROCCC-reproduction\n\n" d.design_name);
+  add buf [ "-- "; d.design_name; " : generated by ROCCC-reproduction\n\n" ];
   List.iter (render_unit buf) d.units;
   Buffer.contents buf
 

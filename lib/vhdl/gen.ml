@@ -16,12 +16,14 @@ exception Error of string
 let errf fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 
 let cat = String.concat ""
+let decimal = Roccc_util.Bits.decimal
+let decimal64 = Roccc_util.Bits.decimal64
 
-let reg_name r = "v" ^ string_of_int r
+let reg_name r = "v" ^ decimal r
 
 (* Signal name of register [r] delayed by [k] pipeline stages. *)
 let delayed_name r k =
-  if k = 0 then reg_name r else cat [ "v"; string_of_int r; "_d"; string_of_int k ]
+  if k = 0 then reg_name r else cat [ "v"; decimal r; "_d"; decimal k ]
 
 let vtype_of_kind (kind : Instr.ikind) : Ast.vtype =
   if kind.Roccc_cfront.Ast.signed then Ast.Signed kind.Roccc_cfront.Ast.bits
@@ -39,13 +41,13 @@ let vtype_of (proc : Proc.t) (widths : Widths.t) (r : Instr.vreg) : Ast.vtype =
 (* [to_signed(v, w)] or [to_unsigned(v, w)] for a [w]-bit value of [kind]. *)
 let numeric_literal (kind : Instr.ikind) (w : int) (v : int64) : string =
   if kind.Roccc_cfront.Ast.signed then
-    cat [ "to_signed("; Int64.to_string v; ", "; string_of_int w; ")" ]
+    cat [ "to_signed("; decimal64 v; ", "; decimal w; ")" ]
   else
     cat
       [ "to_unsigned(";
-        Int64.to_string (Roccc_util.Bits.truncate_unsigned w v);
+        decimal64 (Roccc_util.Bits.truncate_unsigned w v);
         ", ";
-        string_of_int w;
+        decimal w;
         ")" ]
 
 (* Literal rendering for numeric_std. Wide literals use bit-string form:
@@ -53,24 +55,15 @@ let numeric_literal (kind : Instr.ikind) (w : int) (v : int64) : string =
    a >32-bit constant. *)
 let literal (kind : Instr.ikind) (w : int) (v : int64) : string =
   if w > 32 then
-    let bits =
-      String.init w (fun i ->
-          if
-            Int64.equal
-              (Int64.logand (Int64.shift_right_logical v (w - 1 - i)) 1L)
-              1L
-          then '1'
-          else '0')
-    in
     cat
       [ (if kind.Roccc_cfront.Ast.signed then "signed" else "unsigned");
         "'(\"";
-        bits;
+        Roccc_util.Bits.to_binary_string ~width:w v;
         "\")" ]
   else numeric_literal kind w v
 
 (* resize helper text *)
-let resized name w = cat [ "resize("; name; ", "; string_of_int w; ")" ]
+let resized name w = cat [ "resize("; name; ", "; decimal w; ")" ]
 
 (* ------------------------------------------------------------------ *)
 (* Per-instruction RHS                                                 *)
@@ -80,7 +73,7 @@ let resized name w = cat [ "resize("; name; ", "; string_of_int w; ")" ]
    as signal texts [ops]. The result is resized to the destination width by
    the caller when needed. *)
 let instr_rhs (i : Instr.instr) ~(dst_width : int) ~(ops : string list) : string =
-  let w = string_of_int dst_width in
+  let w = decimal dst_width in
   let op1 () = List.nth ops 0 in
   let op2 () = List.nth ops 1 in
   let bin symbol =
@@ -164,7 +157,7 @@ let gen_node (proc : Proc.t) (widths : Widths.t) (p : Pipeline.t)
     ~(consumed_delays : Instr.vreg -> int list) : Ast.design_unit * node_iface
     =
   let vtype r = vtype_of proc widths r in
-  let name = cat [ proc.Proc.pname; "_node"; string_of_int n.Graph.id ] in
+  let name = cat [ proc.Proc.pname; "_node"; decimal n.Graph.id ] in
   let defs = Graph.node_defs n in
   let local = Hashtbl.create 16 in
   List.iter (fun d -> Hashtbl.replace local d ()) defs;
@@ -231,7 +224,7 @@ let gen_node (proc : Proc.t) (widths : Widths.t) (p : Pipeline.t)
      Discipline: every locally computed value lives in an internal signal
      v<r>_i<k> (k = pipeline delay); out ports are driven by one final
      assignment each. Out ports are therefore never read internally. *)
-  let internal_name r k = cat [ "v"; string_of_int r; "_i"; string_of_int k ] in
+  let internal_name r k = cat [ "v"; decimal r; "_i"; decimal k ] in
   (* reversed accumulators *)
   let signals = ref [] and body = ref [] and clocked = ref [] in
   let emit c = body := c :: !body in
@@ -277,7 +270,7 @@ let gen_node (proc : Proc.t) (widths : Widths.t) (p : Pipeline.t)
             :: !lut_components
         end;
         let src = operand (List.hd rs) in
-        let label = "lut_inst" ^ string_of_int !lut_count in
+        let label = "lut_inst" ^ decimal !lut_count in
         incr lut_count;
         emit
           (Ast.Instance
@@ -345,7 +338,7 @@ let gen_rom (t : Lut_conv.table) : Ast.design_unit =
      alongside, paper §4.2.4). *)
   let n = Array.length t.Lut_conv.contents in
   let value i = numeric_literal out_kind out_bits t.Lut_conv.contents.(i) in
-  let cases = List.init (max 0 (n - 1)) (fun i -> value i, string_of_int i) in
+  let cases = List.init (max 0 (n - 1)) (fun i -> value i, decimal i) in
   let default = if n > 0 then value (n - 1) else "(others => '0')" in
   let arch =
     { Ast.arch_name = "rtl";
@@ -509,7 +502,7 @@ let generate ?(luts = []) (p : Pipeline.t) : Ast.design =
           component_decls := (ni.ni_name, ports) :: !component_decls
         end;
         Ast.Instance
-          { inst_label = "u_node" ^ string_of_int ni.ni_id;
+          { inst_label = "u_node" ^ decimal ni.ni_id;
             component = ni.ni_name;
             port_map =
               List.map

@@ -78,34 +78,35 @@ let formals_of (ports : Ast.port list) : formals =
     f_ports;
   { f_ports; f_index; f_mapped = Array.make (Array.length f_ports) (-1) }
 
-(* Occurrence count of each name. *)
-let counts (names : string list) : (string, int) Hashtbl.t =
-  let t = Hashtbl.create 64 in
-  List.iter
-    (fun n -> Hashtbl.replace t n (1 + Option.value ~default:0 (Hashtbl.find_opt t n)))
-    names;
-  t
-
-(* The first name, in list order, that occurs more than once. *)
-let first_repeated counts names = List.find_opt (fun n -> Hashtbl.find counts n > 1) names
+(* A declared name: how often it is declared, and whether its first
+   declaration is an out port. *)
+type decl = { mutable count : int; out : bool }
 
 let check_unit (entities : (string, formals) Hashtbl.t) (instance_id : int ref)
     (u : Ast.design_unit) : int * int =
   let e = u.Ast.unit_entity and a = u.Ast.unit_arch in
   let ename = e.Ast.entity_name in
-  let names =
-    List.map (fun p -> p.Ast.port_name) e.Ast.entity_ports
-    @ List.map (fun s -> s.Ast.sig_name) a.Ast.signals
+  let declared = Hashtbl.create 64 in
+  let declare out name =
+    match Hashtbl.find_opt declared name with
+    | Some d -> d.count <- d.count + 1
+    | None -> Hashtbl.add declared name { count = 1; out }
   in
-  let declared = counts names in
-  (match first_repeated declared names with
-  | Some x -> errf "%s: %s declared more than once" ename x
-  | None -> ());
-  let out_ports = Hashtbl.create 16 in
   List.iter
-    (fun p ->
-      if p.Ast.port_dir = Ast.Dir_out then Hashtbl.replace out_ports p.Ast.port_name ())
+    (fun p -> declare (p.Ast.port_dir = Ast.Dir_out) p.Ast.port_name)
     e.Ast.entity_ports;
+  List.iter (fun s -> declare false s.Ast.sig_name) a.Ast.signals;
+  let n_declared = List.length e.Ast.entity_ports + List.length a.Ast.signals in
+  (* duplicate declarations: the first name in declaration order that is
+     declared again *)
+  if Hashtbl.length declared < n_declared then begin
+    let dup name =
+      if (Hashtbl.find declared name).count > 1 then
+        errf "%s: %s declared more than once" ename name
+    in
+    List.iter (fun p -> dup p.Ast.port_name) e.Ast.entity_ports;
+    List.iter (fun s -> dup s.Ast.sig_name) a.Ast.signals
+  end;
   let components = Hashtbl.create 16 in
   List.iter (fun (c, _) -> Hashtbl.replace components c ()) a.Ast.components;
   let check_ref where name =
@@ -113,16 +114,17 @@ let check_unit (entities : (string, formals) Hashtbl.t) (instance_id : int ref)
       errf "%s: undeclared name %s in %s" ename name where
   in
   let check_read where name =
-    check_ref where name;
-    if Hashtbl.mem out_ports name then
-      errf "%s: output port %s read in %s" ename name where
+    match Hashtbl.find_opt declared name with
+    | None -> errf "%s: undeclared name %s in %s" ename name where
+    | Some d ->
+      if d.out then errf "%s: output port %s read in %s" ename name where
   in
   let drivers = Hashtbl.create 64 in
   let drive where name =
     check_ref where name;
     if Hashtbl.mem drivers name then
       errf "%s: signal %s has multiple drivers" ename name
-    else Hashtbl.replace drivers name where
+    else Hashtbl.add drivers name ()
   in
   let reads where text = iter_identifiers (check_read where) text in
   let instances = ref 0 in
@@ -185,21 +187,26 @@ let check_unit (entities : (string, formals) Hashtbl.t) (instance_id : int ref)
                   inst_label fname)
             f.f_ports))
     a.Ast.body;
-  !instances, List.length names
+  !instances, n_declared
 
 (** Lint a whole design. Raises {!Error} on the first violation; returns a
     summary report on success. *)
 let check (d : Ast.design) : report =
-  let names = List.map (fun u -> u.Ast.unit_entity.Ast.entity_name) d.Ast.units in
-  (match first_repeated (counts names) names with
-  | Some x -> errf "duplicate entity %s" x
-  | None -> ());
-  let entities = Hashtbl.create 16 in
+  let entities = Hashtbl.create 16 and duplicates = ref false in
   List.iter
     (fun u ->
       let e = u.Ast.unit_entity in
-      Hashtbl.replace entities e.Ast.entity_name (formals_of e.Ast.entity_ports))
+      if Hashtbl.mem entities e.Ast.entity_name then duplicates := true;
+      Hashtbl.add entities e.Ast.entity_name (formals_of e.Ast.entity_ports))
     d.Ast.units;
+  (* duplicate entity names: the first in unit order that occurs again *)
+  if !duplicates then
+    List.iter
+      (fun u ->
+        let name = u.Ast.unit_entity.Ast.entity_name in
+        if List.compare_length_with (Hashtbl.find_all entities name) 1 > 0 then
+          errf "duplicate entity %s" name)
+      d.Ast.units;
   let instance_id = ref 0 in
   let instances, signals =
     List.fold_left
