@@ -62,11 +62,12 @@ type design = {
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)
 
+let decimal = Roccc_util.Bits.decimal
+
 let vtype_to_string = function
   | Std_logic -> "std_logic"
-  | Signed w -> String.concat "" [ "signed("; Roccc_util.Bits.decimal (w - 1); " downto 0)" ]
-  | Unsigned w ->
-    String.concat "" [ "unsigned("; Roccc_util.Bits.decimal (w - 1); " downto 0)" ]
+  | Signed w -> String.concat "" [ "signed("; decimal (w - 1); " downto 0)" ]
+  | Unsigned w -> String.concat "" [ "unsigned("; decimal (w - 1); " downto 0)" ]
 
 let vtype_width = function Std_logic -> 1 | Signed w | Unsigned w -> w
 
@@ -110,7 +111,8 @@ let render_concurrent buf = function
     let n = List.length port_map in
     List.iteri
       (fun i (formal, actual) ->
-        add buf [ "    "; formal; " => "; actual; (if i = n - 1 then "\n" else ",\n") ])
+        add buf
+          [ "    "; formal; " => "; actual; (if i = n - 1 then "\n" else ",\n") ])
       port_map;
     Buffer.add_string buf "  );\n"
   | Clocked_process { label; clock; reset; assignments; reset_assignments } ->
@@ -142,7 +144,8 @@ let render_unit buf (u : design_unit) =
       Buffer.add_string buf "  end component;\n")
     a.components;
   List.iter
-    (fun s -> add buf [ "  signal "; s.sig_name; " : "; vtype_to_string s.sig_type; ";\n" ])
+    (fun s ->
+      add buf [ "  signal "; s.sig_name; " : "; vtype_to_string s.sig_type; ";\n" ])
     a.signals;
   Buffer.add_string buf "begin\n";
   List.iter (render_concurrent buf) a.body;

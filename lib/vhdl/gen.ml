@@ -204,18 +204,30 @@ let gen_node (proc : Proc.t) (widths : Widths.t) (p : Pipeline.t)
   in
   List.iter (fun (d, k) -> deepen d k) out_pairs;
   let max_delay d = Option.value (Hashtbl.find_opt chain_depth d) ~default:0 in
-  let needs_clock = snx_names <> [] || List.exists (fun d -> max_delay d > 0) defs in
+  let needs_clock =
+    snx_names <> [] || List.exists (fun d -> max_delay d > 0) defs
+  in
   let feedback_type fb =
-    match List.find_opt (fun (nm, _, _) -> String.equal nm fb) proc.Proc.feedbacks with
+    match
+      List.find_opt (fun (nm, _, _) -> String.equal nm fb) proc.Proc.feedbacks
+    with
     | Some (_, k, _) -> vtype_of_kind k
     | None -> vtype_of_kind Roccc_cfront.Ast.int32_kind
   in
-  let port port_name port_dir port_type = { Ast.port_name; port_dir; port_type } in
+  let port port_name port_dir port_type =
+    { Ast.port_name; port_dir; port_type }
+  in
   let ports =
     (if needs_clock then [ port "clk" Ast.Dir_in Ast.Std_logic ] else [])
-    @ List.map (fun (r, k) -> port (delayed_name r k) Ast.Dir_in (vtype r)) in_pairs
-    @ List.map (fun fb -> port (feedback_port fb) Ast.Dir_in (feedback_type fb)) lpr_names
-    @ List.map (fun (r, k) -> port (delayed_name r k) Ast.Dir_out (vtype r)) out_pairs
+    @ List.map
+        (fun (r, k) -> port (delayed_name r k) Ast.Dir_in (vtype r))
+        in_pairs
+    @ List.map
+        (fun fb -> port (feedback_port fb) Ast.Dir_in (feedback_type fb))
+        lpr_names
+    @ List.map
+        (fun (r, k) -> port (delayed_name r k) Ast.Dir_out (vtype r))
+        out_pairs
     @ List.map
         (fun fb -> port (feedback_next_port fb) Ast.Dir_out (feedback_type fb))
         snx_names
@@ -225,19 +237,16 @@ let gen_node (proc : Proc.t) (widths : Widths.t) (p : Pipeline.t)
      v<r>_i<k> (k = pipeline delay); out ports are driven by one final
      assignment each. Out ports are therefore never read internally. *)
   let internal_name r k = cat [ "v"; decimal r; "_i"; decimal k ] in
-  (* reversed accumulators *)
-  let signals = ref [] and body = ref [] and clocked = ref [] in
+  (* reversed accumulators; [declared] holds (reg, delay) pairs *)
+  let declared = ref [] and body = ref [] and clocked = ref [] in
   let emit c = body := c :: !body in
-  let declared = Hashtbl.create 64 in
-  let declare r k =
-    if not (Hashtbl.mem declared (r, k)) then begin
-      Hashtbl.add declared (r, k) ();
-      signals := { Ast.sig_name = internal_name r k; sig_type = vtype r } :: !signals
-    end
-  in
+  let declared_seen = Hashtbl.create 64 in
+  let declare r k = add_new declared_seen declared (r, k) in
   let lut_seen = Hashtbl.create 1 and lut_components = ref [] in
   let lut_count = ref 0 in
-  let operand (r, k) = if is_local r then internal_name r k else delayed_name r k in
+  let operand (r, k) =
+    if is_local r then internal_name r k else delayed_name r k
+  in
   List.iter
     (fun ((i : Instr.instr), rs) ->
       match i.Instr.op, i.Instr.dst with
@@ -246,7 +255,8 @@ let gen_node (proc : Proc.t) (widths : Widths.t) (p : Pipeline.t)
         emit (Ast.Comment (cat [ "snx["; fb; "]" ]));
         emit
           (Ast.Assign
-             (feedback_next_port fb, resized src i.Instr.kind.Roccc_cfront.Ast.bits))
+             ( feedback_next_port fb,
+               resized src i.Instr.kind.Roccc_cfront.Ast.bits ))
       | Instr.Lpr fb, Some d ->
         declare d 0;
         emit (Ast.Assign (internal_name d 0, feedback_port fb))
@@ -306,13 +316,18 @@ let gen_node (proc : Proc.t) (widths : Widths.t) (p : Pipeline.t)
   in
   (* drive each out port from its internal signal *)
   let port_assigns =
-    List.map (fun (r, k) -> Ast.Assign (delayed_name r k, internal_name r k)) out_pairs
+    List.map
+      (fun (r, k) -> Ast.Assign (delayed_name r k, internal_name r k))
+      out_pairs
   in
   let entity = { Ast.entity_name = name; entity_ports = ports } in
   let arch =
     { Ast.arch_name = "rtl";
       of_entity = name;
-      signals = List.rev !signals;
+      signals =
+        List.rev_map
+          (fun (r, k) -> { Ast.sig_name = internal_name r k; sig_type = vtype r })
+          !declared;
       components = List.rev !lut_components;
       body = List.rev_append !body (latches @ port_assigns) }
   in
@@ -375,7 +390,9 @@ let generate ?(luts = []) (p : Pipeline.t) : Ast.design =
   let producer_node = Hashtbl.create 64 in
   List.iter
     (fun (n : Graph.node) ->
-      List.iter (fun d -> Hashtbl.replace producer_node d n.Graph.id) (Graph.node_defs n))
+      List.iter
+        (fun d -> Hashtbl.replace producer_node d n.Graph.id)
+        (Graph.node_defs n))
     dp.Graph.nodes;
   let consumed_seen = Hashtbl.create 64 in
   let external_delays : (Instr.vreg, int list) Hashtbl.t = Hashtbl.create 64 in
@@ -391,8 +408,9 @@ let generate ?(luts = []) (p : Pipeline.t) : Ast.design =
                 if not (Hashtbl.mem consumed_seen (r, k)) then begin
                   Hashtbl.add consumed_seen (r, k) ();
                   (* reversed: the first consumer's delay last *)
+                  let cur = Hashtbl.find_opt external_delays r in
                   Hashtbl.replace external_delays r
-                    (k :: Option.value (Hashtbl.find_opt external_delays r) ~default:[])
+                    (k :: Option.value cur ~default:[])
                 end
               | Some _ | None -> ())
             i.Instr.srcs)
@@ -404,8 +422,11 @@ let generate ?(luts = []) (p : Pipeline.t) : Ast.design =
     (fun (op : Proc.port) -> Hashtbl.replace output_regs op.Proc.port_reg ())
     dp.Graph.output_ports;
   let consumed_delays r =
-    let l = List.rev (Option.value (Hashtbl.find_opt external_delays r) ~default:[]) in
-    if Hashtbl.mem output_regs r && not (Hashtbl.mem consumed_seen (r, 0)) then 0 :: l
+    let l =
+      List.rev (Option.value (Hashtbl.find_opt external_delays r) ~default:[])
+    in
+    if Hashtbl.mem output_regs r && not (Hashtbl.mem consumed_seen (r, 0)) then
+      0 :: l
     else l
   in
   let units_ifaces =
@@ -446,10 +467,13 @@ let generate ?(luts = []) (p : Pipeline.t) : Ast.design =
   in
   (* input port registers feeding node inputs: input port name maps to the
      port reg signal *)
-  List.iter (fun (pt : Proc.port) -> declare pt.Proc.port_reg 0) dp.Graph.input_ports;
+  List.iter
+    (fun (pt : Proc.port) -> declare pt.Proc.port_reg 0)
+    dp.Graph.input_ports;
   let input_assigns =
     List.map
-      (fun (pt : Proc.port) -> Ast.Assign (reg_name pt.Proc.port_reg, pt.Proc.port_name))
+      (fun (pt : Proc.port) ->
+        Ast.Assign (reg_name pt.Proc.port_reg, pt.Proc.port_name))
       dp.Graph.input_ports
   in
   (* external input delay chains (inputs consumed at later stages): each
@@ -473,7 +497,8 @@ let generate ?(luts = []) (p : Pipeline.t) : Ast.design =
       [] !declared
   in
   let clocked label reset assignments reset_assignments =
-    Ast.Clocked_process { label; clock = "clk"; reset; assignments; reset_assignments }
+    Ast.Clocked_process
+      { label; clock = "clk"; reset; assignments; reset_assignments }
   in
   let input_align_process =
     if input_align = [] then [] else [ clocked "input_align" None input_align [] ]
@@ -511,7 +536,9 @@ let generate ?(luts = []) (p : Pipeline.t) : Ast.design =
       units_ifaces
   in
   (* outputs: registered once at the boundary *)
-  List.iter (fun (pt : Proc.port) -> declare pt.Proc.port_reg 0) dp.Graph.output_ports;
+  List.iter
+    (fun (pt : Proc.port) -> declare pt.Proc.port_reg 0)
+    dp.Graph.output_ports;
   let output_process =
     clocked "output_regs" None
       (List.map
@@ -527,7 +554,8 @@ let generate ?(luts = []) (p : Pipeline.t) : Ast.design =
           of_entity = proc.Proc.pname;
           signals =
             List.rev_map
-              (fun (r, k) -> { Ast.sig_name = delayed_name r k; sig_type = vtype r })
+              (fun (r, k) ->
+                { Ast.sig_name = delayed_name r k; sig_type = vtype r })
               !declared
             @ fb_signals;
           components = List.rev !component_decls;
