@@ -18,36 +18,37 @@ let builtin_names =
     "shift_right"; "signed"; "unsigned"; "when"; "else"; "and"; "or"; "xor";
     "not"; "rem"; "others"; "rising_edge"; "std_logic"; "std_logic_vector" ]
 
+(* Does [text.[start + i ..]] equal [b.[i ..]], ignoring the case of [text]? *)
+let rec equal_lower text start b i =
+  i = String.length b
+  || Char.lowercase_ascii text.[start + i] = b.[i] && equal_lower text start b (i + 1)
+
 (* Is [text.[start .. start+len-1]] a builtin name, ignoring case? *)
-let is_builtin text start len =
-  List.exists
-    (fun b ->
-      String.length b = len
-      &&
-      let rec eq i =
-        i = len || (Char.lowercase_ascii text.[start + i] = b.[i] && eq (i + 1))
-      in
-      eq 0)
-    builtin_names
+let rec is_builtin names text start len =
+  match names with
+  | [] -> false
+  | b :: rest ->
+    (String.length b = len && equal_lower text start b 0)
+    || is_builtin rest text start len
 
 let is_ident_start c = (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') || c = '_'
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
 
-(* Calls [f] on each maximal match of [A-Za-z_][A-Za-z0-9_]* in [text], left
-   to right, skipping builtin names. *)
-let iter_identifiers (f : string -> unit) (text : string) : unit =
-  let n = String.length text in
-  let rec skip i =
-    if i < n then if is_ident_start text.[i] then word i (i + 1) else skip (i + 1)
-  and word start i =
-    if i < n && is_ident_char text.[i] then word start (i + 1)
-    else begin
-      let len = i - start in
-      if not (is_builtin text start len) then f (String.sub text start len);
-      skip i
-    end
-  in
-  skip 0
+(* Calls [f] on each maximal match of [A-Za-z_][A-Za-z0-9_]* in [text] from
+   [i] on, left to right, skipping builtin names. *)
+let rec scan f text i =
+  if i < String.length text then
+    if is_ident_start text.[i] then word f text i (i + 1) else scan f text (i + 1)
+
+and word f text start i =
+  if i < String.length text && is_ident_char text.[i] then word f text start (i + 1)
+  else begin
+    let len = i - start in
+    if not (is_builtin builtin_names text start len) then f (String.sub text start len);
+    scan f text i
+  end
+
+let iter_identifiers (f : string -> unit) (text : string) : unit = scan f text 0
 
 let identifiers_of (text : string) : string list =
   let acc = ref [] in
@@ -86,7 +87,8 @@ let check_unit (entities : (string, formals) Hashtbl.t) (instance_id : int ref)
     (u : Ast.design_unit) : int * int =
   let e = u.Ast.unit_entity and a = u.Ast.unit_arch in
   let ename = e.Ast.entity_name in
-  let declared = Hashtbl.create 64 in
+  let n_declared = List.length e.Ast.entity_ports + List.length a.Ast.signals in
+  let declared = Hashtbl.create n_declared in
   let declare out name =
     match Hashtbl.find_opt declared name with
     | Some d -> d.count <- d.count + 1
@@ -96,7 +98,6 @@ let check_unit (entities : (string, formals) Hashtbl.t) (instance_id : int ref)
     (fun p -> declare (p.Ast.port_dir = Ast.Dir_out) p.Ast.port_name)
     e.Ast.entity_ports;
   List.iter (fun s -> declare false s.Ast.sig_name) a.Ast.signals;
-  let n_declared = List.length e.Ast.entity_ports + List.length a.Ast.signals in
   (* duplicate declarations: the first name in declaration order that is
      declared again *)
   if Hashtbl.length declared < n_declared then begin
@@ -107,7 +108,7 @@ let check_unit (entities : (string, formals) Hashtbl.t) (instance_id : int ref)
     List.iter (fun p -> dup p.Ast.port_name) e.Ast.entity_ports;
     List.iter (fun s -> dup s.Ast.sig_name) a.Ast.signals
   end;
-  let components = Hashtbl.create 16 in
+  let components = Hashtbl.create (List.length a.Ast.components) in
   List.iter (fun (c, _) -> Hashtbl.replace components c ()) a.Ast.components;
   let check_ref where name =
     if not (Hashtbl.mem declared name) then
@@ -119,7 +120,7 @@ let check_unit (entities : (string, formals) Hashtbl.t) (instance_id : int ref)
     | Some d ->
       if d.out then errf "%s: output port %s read in %s" ename name where
   in
-  let drivers = Hashtbl.create 64 in
+  let drivers = Hashtbl.create n_declared in
   let drive where name =
     check_ref where name;
     if Hashtbl.mem drivers name then
