@@ -21,7 +21,8 @@ let builtin_names =
 (* Does [text.[start + i ..]] equal [b.[i ..]], ignoring the case of [text]? *)
 let rec equal_lower text start b i =
   i = String.length b
-  || Char.lowercase_ascii text.[start + i] = b.[i] && equal_lower text start b (i + 1)
+  || Char.lowercase_ascii text.[start + i] = b.[i]
+     && equal_lower text start b (i + 1)
 
 (* Is [text.[start .. start+len-1]] a builtin name, ignoring case? *)
 let rec is_builtin names text start len =
@@ -31,20 +32,25 @@ let rec is_builtin names text start len =
     (String.length b = len && equal_lower text start b 0)
     || is_builtin rest text start len
 
-let is_ident_start c = (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') || c = '_'
+let is_ident_start c =
+  (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') || c = '_'
+
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
 
 (* Calls [f] on each maximal match of [A-Za-z_][A-Za-z0-9_]* in [text] from
    [i] on, left to right, skipping builtin names. *)
 let rec scan f text i =
   if i < String.length text then
-    if is_ident_start text.[i] then word f text i (i + 1) else scan f text (i + 1)
+    if is_ident_start text.[i] then word f text i (i + 1)
+    else scan f text (i + 1)
 
 and word f text start i =
-  if i < String.length text && is_ident_char text.[i] then word f text start (i + 1)
+  if i < String.length text && is_ident_char text.[i] then
+    word f text start (i + 1)
   else begin
     let len = i - start in
-    if not (is_builtin builtin_names text start len) then f (String.sub text start len);
+    if not (is_builtin builtin_names text start len) then
+      f (String.sub text start len);
     scan f text i
   end
 
@@ -87,7 +93,9 @@ let check_unit (entities : (string, formals) Hashtbl.t) (instance_id : int ref)
     (u : Ast.design_unit) : int * int =
   let e = u.Ast.unit_entity and a = u.Ast.unit_arch in
   let ename = e.Ast.entity_name in
-  let n_declared = List.length e.Ast.entity_ports + List.length a.Ast.signals in
+  let n_declared =
+    List.length e.Ast.entity_ports + List.length a.Ast.signals
+  in
   let declared = Hashtbl.create n_declared in
   let declare out name =
     match Hashtbl.find_opt declared name with
@@ -161,7 +169,8 @@ let check_unit (entities : (string, formals) Hashtbl.t) (instance_id : int ref)
           errf "%s: instance %s uses undeclared component %s" ename inst_label
             component;
         match Hashtbl.find_opt entities component with
-        | None -> errf "%s: component %s has no generated entity" ename component
+        | None ->
+          errf "%s: component %s has no generated entity" ename component
         | Some f ->
           List.iter
             (fun (formal, actual) ->

@@ -42,7 +42,8 @@ type row = {
 
 let cells line = String.split_on_char '|' line |> List.map String.trim
 
-(* "bit_correlator  |      212        9 | ... |   0.679     2.11 |   0.539     1.88 | yes" *)
+(* "bit_correlator  |      212        9 | ... |   0.679     2.11 |
+   0.539     1.88 | yes" (one line) *)
 let bench_rows () : row list =
   lines "golden/bench.txt"
   |> section ~first:"Table 1 - hardware performance" ~stop:"geomean"

@@ -210,7 +210,8 @@ let lint_cases =
           [ instance [ "x", "a"; "y", "s" ] ] ],
       "top: instance u0 uses undeclared component leaf" );
     ( "no generated entity",
-      [ unit_of ~components:[ "ghost", [] ] "top" [] [ instance ~component:"ghost" [] ] ],
+      [ unit_of ~components:[ "ghost", [] ] "top" []
+          [ instance ~component:"ghost" [] ] ],
       "top: component ghost has no generated entity" );
     ( "unknown formal",
       [ leaf;
@@ -328,8 +329,12 @@ let pipeline_register_bits (d : V.design) : int =
         (fun acc c ->
           match c with
           | V.Clocked_process
-              { label = "latches" | "input_align" | "output_regs"; assignments; _ } ->
-            List.fold_left (fun acc (t, _) -> acc + Hashtbl.find width t) acc assignments
+              { label = "latches" | "input_align" | "output_regs";
+                assignments;
+                _ } ->
+            List.fold_left
+              (fun acc (t, _) -> acc + Hashtbl.find width t)
+              acc assignments
           | _ -> acc)
         acc u.V.unit_arch.V.body)
     0 d.V.units
