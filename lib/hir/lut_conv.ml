@@ -91,7 +91,7 @@ let to_init_text (t : table) : string =
        (if t.out_kind.signed then "signed" else "unsigned"));
   Array.iter
     (fun v ->
-      Buffer.add_string buf (Roccc_util.Bits.decimal64 v);
+      Buffer.add_string buf (Int64.to_string v);
       Buffer.add_char buf '\n')
     t.contents;
   Buffer.contents buf

@@ -66,27 +66,3 @@ let to_binary_string ~width (v : int64) : string =
     Bytes.set b i (if Int64.equal bit 1L then '1' else '0')
   done;
   Bytes.to_string b
-
-(* Digits of the non-positive [-|n|], so that min_int needs no special
-   case. *)
-let decimal (n : int) : string =
-  if n = 0 then "0"
-  else begin
-    let m = if n < 0 then n else -n in
-    let rec count m acc = if m = 0 then acc else count (m / 10) (acc + 1) in
-    let len = count m (if n < 0 then 1 else 0) in
-    let b = Bytes.create len in
-    let rec fill m i =
-      if m <> 0 then begin
-        Bytes.unsafe_set b i (Char.unsafe_chr (48 - (m mod 10)));
-        fill (m / 10) (i - 1)
-      end
-    in
-    fill m (len - 1);
-    if n < 0 then Bytes.unsafe_set b 0 '-';
-    Bytes.unsafe_to_string b
-  end
-
-let decimal64 (v : int64) : string =
-  let n = Int64.to_int v in
-  if Int64.equal (Int64.of_int n) v then decimal n else Int64.to_string v

@@ -28,10 +28,3 @@ val clog2 : int -> int
 
 val to_binary_string : width:int -> int64 -> string
 (** Little-endian-free binary rendering, MSB first, used by ROM init files. *)
-
-val decimal : int -> string
-(** [string_of_int n], built directly rather than through the C formatter
-    (about twice as fast); the generated VHDL is full of such numbers. *)
-
-val decimal64 : int64 -> string
-(** [Int64.to_string v], likewise. *)

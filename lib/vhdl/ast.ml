@@ -62,25 +62,19 @@ type design = {
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let decimal = Roccc_util.Bits.decimal
-
 let vtype_to_string = function
   | Std_logic -> "std_logic"
-  | Signed w -> String.concat "" [ "signed("; decimal (w - 1); " downto 0)" ]
-  | Unsigned w -> String.concat "" [ "unsigned("; decimal (w - 1); " downto 0)" ]
+  | Signed w -> Printf.sprintf "signed(%d downto 0)" (w - 1)
+  | Unsigned w -> Printf.sprintf "unsigned(%d downto 0)" (w - 1)
 
 let vtype_width = function Std_logic -> 1 | Signed w | Unsigned w -> w
 
 let direction_to_string = function Dir_in -> "in" | Dir_out -> "out"
 
 let port_to_string (p : port) =
-  String.concat ""
-    [ p.port_name; " : "; direction_to_string p.port_dir; " ";
-      vtype_to_string p.port_type ]
-
-(* The renderer appends pieces to one buffer; no line goes through a
-   format string. *)
-let add buf pieces = List.iter (Buffer.add_string buf) pieces
+  Printf.sprintf "%s : %s %s" p.port_name
+    (direction_to_string p.port_dir)
+    (vtype_to_string p.port_type)
 
 let render_ports buf ports =
   match ports with
@@ -90,71 +84,90 @@ let render_ports buf ports =
     let n = List.length ports in
     List.iteri
       (fun i p ->
-        add buf [ "    "; port_to_string p; (if i = n - 1 then "\n" else ";\n") ])
+        Buffer.add_string buf ("    " ^ port_to_string p);
+        Buffer.add_string buf (if i = n - 1 then "\n" else ";\n"))
       ports;
     Buffer.add_string buf "  );\n"
 
-let render_assignments buf indent assignments =
-  List.iter (fun (t, v) -> add buf [ indent; t; " <= "; v; ";\n" ]) assignments
-
 let render_concurrent buf = function
-  | Assign (target, rhs) -> add buf [ "  "; target; " <= "; rhs; ";\n" ]
+  | Assign (target, rhs) ->
+    Buffer.add_string buf (Printf.sprintf "  %s <= %s;\n" target rhs)
   | Selected { target; selector; cases; default } ->
-    add buf [ "  with "; selector; " select\n"; "    "; target; " <=\n" ];
+    Buffer.add_string buf (Printf.sprintf "  with %s select\n" selector);
+    Buffer.add_string buf (Printf.sprintf "    %s <=\n" target);
     List.iter
-      (fun (value, choice) -> add buf [ "      "; value; " when "; choice; ",\n" ])
+      (fun (value, choice) ->
+        Buffer.add_string buf
+          (Printf.sprintf "      %s when %s,\n" value choice))
       cases;
-    add buf [ "      "; default; " when others;\n" ]
-  | Comment text -> add buf [ "  -- "; text; "\n" ]
+    Buffer.add_string buf (Printf.sprintf "      %s when others;\n" default)
+  | Comment text -> Buffer.add_string buf (Printf.sprintf "  -- %s\n" text)
   | Instance { inst_label; component; port_map } ->
-    add buf [ "  "; inst_label; " : "; component; " port map (\n" ];
+    Buffer.add_string buf
+      (Printf.sprintf "  %s : %s port map (\n" inst_label component);
     let n = List.length port_map in
     List.iteri
       (fun i (formal, actual) ->
-        add buf
-          [ "    "; formal; " => "; actual; (if i = n - 1 then "\n" else ",\n") ])
+        Buffer.add_string buf (Printf.sprintf "    %s => %s" formal actual);
+        Buffer.add_string buf (if i = n - 1 then "\n" else ",\n"))
       port_map;
     Buffer.add_string buf "  );\n"
   | Clocked_process { label; clock; reset; assignments; reset_assignments } ->
-    add buf [ "  "; label; " : process("; clock; ")\n" ];
+    Buffer.add_string buf (Printf.sprintf "  %s : process(%s)\n" label clock);
     Buffer.add_string buf "  begin\n";
-    add buf [ "    if rising_edge("; clock; ") then\n" ];
+    Buffer.add_string buf
+      (Printf.sprintf "    if rising_edge(%s) then\n" clock);
     (match reset with
     | Some r when reset_assignments <> [] ->
-      add buf [ "      if "; r; " = '1' then\n" ];
-      render_assignments buf "        " reset_assignments;
+      Buffer.add_string buf (Printf.sprintf "      if %s = '1' then\n" r);
+      List.iter
+        (fun (t, v) ->
+          Buffer.add_string buf (Printf.sprintf "        %s <= %s;\n" t v))
+        reset_assignments;
       Buffer.add_string buf "      else\n";
-      render_assignments buf "        " assignments;
+      List.iter
+        (fun (t, v) ->
+          Buffer.add_string buf (Printf.sprintf "        %s <= %s;\n" t v))
+        assignments;
       Buffer.add_string buf "      end if;\n"
-    | Some _ | None -> render_assignments buf "      " assignments);
+    | Some _ | None ->
+      List.iter
+        (fun (t, v) ->
+          Buffer.add_string buf (Printf.sprintf "      %s <= %s;\n" t v))
+        assignments);
     Buffer.add_string buf "    end if;\n";
     Buffer.add_string buf "  end process;\n"
 
 let render_unit buf (u : design_unit) =
   let e = u.unit_entity and a = u.unit_arch in
   Buffer.add_string buf "library ieee;\nuse ieee.std_logic_1164.all;\nuse ieee.numeric_std.all;\n\n";
-  add buf [ "entity "; e.entity_name; " is\n" ];
+  Buffer.add_string buf (Printf.sprintf "entity %s is\n" e.entity_name);
   render_ports buf e.entity_ports;
-  add buf [ "end entity "; e.entity_name; ";\n\n" ];
-  add buf [ "architecture "; a.arch_name; " of "; a.of_entity; " is\n" ];
+  Buffer.add_string buf (Printf.sprintf "end entity %s;\n\n" e.entity_name);
+  Buffer.add_string buf
+    (Printf.sprintf "architecture %s of %s is\n" a.arch_name a.of_entity);
   List.iter
     (fun (cname, ports) ->
-      add buf [ "  component "; cname; "\n" ];
+      Buffer.add_string buf (Printf.sprintf "  component %s\n" cname);
       render_ports buf ports;
       Buffer.add_string buf "  end component;\n")
     a.components;
   List.iter
     (fun s ->
-      add buf [ "  signal "; s.sig_name; " : "; vtype_to_string s.sig_type; ";\n" ])
+      Buffer.add_string buf
+        (Printf.sprintf "  signal %s : %s;\n" s.sig_name
+           (vtype_to_string s.sig_type)))
     a.signals;
   Buffer.add_string buf "begin\n";
   List.iter (render_concurrent buf) a.body;
-  add buf [ "end architecture "; a.arch_name; ";\n\n" ]
+  Buffer.add_string buf
+    (Printf.sprintf "end architecture %s;\n\n" a.arch_name)
 
 (** Render the whole design as one VHDL source text. *)
 let to_string (d : design) : string =
   let buf = Buffer.create 4096 in
-  add buf [ "-- "; d.design_name; " : generated by ROCCC-reproduction\n\n" ];
+  Buffer.add_string buf
+    (Printf.sprintf "-- %s : generated by ROCCC-reproduction\n\n" d.design_name);
   List.iter (render_unit buf) d.units;
   Buffer.contents buf
 

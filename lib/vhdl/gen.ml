@@ -16,14 +16,13 @@ exception Error of string
 let errf fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 
 let cat = String.concat ""
-let decimal = Roccc_util.Bits.decimal
-let decimal64 = Roccc_util.Bits.decimal64
 
-let reg_name r = "v" ^ decimal r
+let reg_name r = "v" ^ string_of_int r
 
 (* Signal name of register [r] delayed by [k] pipeline stages. *)
 let delayed_name r k =
-  if k = 0 then reg_name r else cat [ "v"; decimal r; "_d"; decimal k ]
+  if k = 0 then reg_name r
+  else cat [ "v"; string_of_int r; "_d"; string_of_int k ]
 
 let vtype_of_kind (kind : Instr.ikind) : Ast.vtype =
   if kind.Roccc_cfront.Ast.signed then Ast.Signed kind.Roccc_cfront.Ast.bits
@@ -41,13 +40,13 @@ let vtype_of (proc : Proc.t) (widths : Widths.t) (r : Instr.vreg) : Ast.vtype =
 (* [to_signed(v, w)] or [to_unsigned(v, w)] for a [w]-bit value of [kind]. *)
 let numeric_literal (kind : Instr.ikind) (w : int) (v : int64) : string =
   if kind.Roccc_cfront.Ast.signed then
-    cat [ "to_signed("; decimal64 v; ", "; decimal w; ")" ]
+    cat [ "to_signed("; Int64.to_string v; ", "; string_of_int w; ")" ]
   else
     cat
       [ "to_unsigned(";
-        decimal64 (Roccc_util.Bits.truncate_unsigned w v);
+        Int64.to_string (Roccc_util.Bits.truncate_unsigned w v);
         ", ";
-        decimal w;
+        string_of_int w;
         ")" ]
 
 (* Literal rendering for numeric_std. Wide literals use bit-string form:
@@ -63,7 +62,7 @@ let literal (kind : Instr.ikind) (w : int) (v : int64) : string =
   else numeric_literal kind w v
 
 (* resize helper text *)
-let resized name w = cat [ "resize("; name; ", "; decimal w; ")" ]
+let resized name w = cat [ "resize("; name; ", "; string_of_int w; ")" ]
 
 (* ------------------------------------------------------------------ *)
 (* Per-instruction RHS                                                 *)
@@ -73,7 +72,7 @@ let resized name w = cat [ "resize("; name; ", "; decimal w; ")" ]
    as signal texts [ops]. The result is resized to the destination width by
    the caller when needed. *)
 let instr_rhs (i : Instr.instr) ~(dst_width : int) ~(ops : string list) : string =
-  let w = decimal dst_width in
+  let w = string_of_int dst_width in
   let op1 () = List.nth ops 0 in
   let op2 () = List.nth ops 1 in
   let bin symbol =
@@ -157,7 +156,7 @@ let gen_node (proc : Proc.t) (widths : Widths.t) (p : Pipeline.t)
     ~(consumed_delays : Instr.vreg -> int list) : Ast.design_unit * node_iface
     =
   let vtype r = vtype_of proc widths r in
-  let name = cat [ proc.Proc.pname; "_node"; decimal n.Graph.id ] in
+  let name = cat [ proc.Proc.pname; "_node"; string_of_int n.Graph.id ] in
   let defs = Graph.node_defs n in
   let local = Hashtbl.create 16 in
   List.iter (fun d -> Hashtbl.replace local d ()) defs;
@@ -236,7 +235,7 @@ let gen_node (proc : Proc.t) (widths : Widths.t) (p : Pipeline.t)
      Discipline: every locally computed value lives in an internal signal
      v<r>_i<k> (k = pipeline delay); out ports are driven by one final
      assignment each. Out ports are therefore never read internally. *)
-  let internal_name r k = cat [ "v"; decimal r; "_i"; decimal k ] in
+  let internal_name r k = cat [ "v"; string_of_int r; "_i"; string_of_int k ] in
   (* reversed accumulators; [declared] holds (reg, delay) pairs *)
   let declared = ref [] and body = ref [] and clocked = ref [] in
   let emit c = body := c :: !body in
@@ -280,7 +279,7 @@ let gen_node (proc : Proc.t) (widths : Widths.t) (p : Pipeline.t)
             :: !lut_components
         end;
         let src = operand (List.hd rs) in
-        let label = "lut_inst" ^ decimal !lut_count in
+        let label = "lut_inst" ^ string_of_int !lut_count in
         incr lut_count;
         emit
           (Ast.Instance
@@ -353,7 +352,7 @@ let gen_rom (t : Lut_conv.table) : Ast.design_unit =
      alongside, paper §4.2.4). *)
   let n = Array.length t.Lut_conv.contents in
   let value i = numeric_literal out_kind out_bits t.Lut_conv.contents.(i) in
-  let cases = List.init (max 0 (n - 1)) (fun i -> value i, decimal i) in
+  let cases = List.init (max 0 (n - 1)) (fun i -> value i, string_of_int i) in
   let default = if n > 0 then value (n - 1) else "(others => '0')" in
   let arch =
     { Ast.arch_name = "rtl";
@@ -527,7 +526,7 @@ let generate ?(luts = []) (p : Pipeline.t) : Ast.design =
           component_decls := (ni.ni_name, ports) :: !component_decls
         end;
         Ast.Instance
-          { inst_label = "u_node" ^ decimal ni.ni_id;
+          { inst_label = "u_node" ^ string_of_int ni.ni_id;
             component = ni.ni_name;
             port_map =
               List.map

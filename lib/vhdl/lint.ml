@@ -18,43 +18,36 @@ let builtin_names =
     "shift_right"; "signed"; "unsigned"; "when"; "else"; "and"; "or"; "xor";
     "not"; "rem"; "others"; "rising_edge"; "std_logic"; "std_logic_vector" ]
 
-(* Does [text.[start + i ..]] equal [b.[i ..]], ignoring the case of [text]? *)
-let rec equal_lower text start b i =
-  i = String.length b
-  || Char.lowercase_ascii text.[start + i] = b.[i]
-     && equal_lower text start b (i + 1)
-
 (* Is [text.[start .. start+len-1]] a builtin name, ignoring case? *)
-let rec is_builtin names text start len =
-  match names with
-  | [] -> false
-  | b :: rest ->
-    (String.length b = len && equal_lower text start b 0)
-    || is_builtin rest text start len
+let is_builtin text start len =
+  List.exists
+    (fun b ->
+      String.length b = len
+      &&
+      let rec eq i =
+        i = len || (Char.lowercase_ascii text.[start + i] = b.[i] && eq (i + 1))
+      in
+      eq 0)
+    builtin_names
 
-let is_ident_start c =
-  (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') || c = '_'
-
+let is_ident_start c = (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') || c = '_'
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
 
-(* Calls [f] on each maximal match of [A-Za-z_][A-Za-z0-9_]* in [text] from
-   [i] on, left to right, skipping builtin names. *)
-let rec scan f text i =
-  if i < String.length text then
-    if is_ident_start text.[i] then word f text i (i + 1)
-    else scan f text (i + 1)
-
-and word f text start i =
-  if i < String.length text && is_ident_char text.[i] then
-    word f text start (i + 1)
-  else begin
-    let len = i - start in
-    if not (is_builtin builtin_names text start len) then
-      f (String.sub text start len);
-    scan f text i
-  end
-
-let iter_identifiers (f : string -> unit) (text : string) : unit = scan f text 0
+(* Calls [f] on each maximal match of [A-Za-z_][A-Za-z0-9_]* in [text], left
+   to right, skipping builtin names. *)
+let iter_identifiers (f : string -> unit) (text : string) : unit =
+  let n = String.length text in
+  let rec skip i =
+    if i < n then if is_ident_start text.[i] then word i (i + 1) else skip (i + 1)
+  and word start i =
+    if i < n && is_ident_char text.[i] then word start (i + 1)
+    else begin
+      let len = i - start in
+      if not (is_builtin text start len) then f (String.sub text start len);
+      skip i
+    end
+  in
+  skip 0
 
 let identifiers_of (text : string) : string list =
   let acc = ref [] in
@@ -85,55 +78,54 @@ let formals_of (ports : Ast.port list) : formals =
     f_ports;
   { f_ports; f_index; f_mapped = Array.make (Array.length f_ports) (-1) }
 
-(* A declared name: how often it is declared, and whether its first
-   declaration is an out port. *)
-type decl = { mutable count : int; out : bool }
+(* Occurrence count of each name. *)
+let counts (names : string list) : (string, int) Hashtbl.t =
+  let t = Hashtbl.create 64 in
+  List.iter
+    (fun n ->
+      Hashtbl.replace t n (1 + Option.value ~default:0 (Hashtbl.find_opt t n)))
+    names;
+  t
+
+(* The first name, in list order, that occurs more than once. *)
+let first_repeated counts names =
+  List.find_opt (fun n -> Hashtbl.find counts n > 1) names
 
 let check_unit (entities : (string, formals) Hashtbl.t) (instance_id : int ref)
     (u : Ast.design_unit) : int * int =
   let e = u.Ast.unit_entity and a = u.Ast.unit_arch in
   let ename = e.Ast.entity_name in
-  let n_declared =
-    List.length e.Ast.entity_ports + List.length a.Ast.signals
+  let names =
+    List.map (fun p -> p.Ast.port_name) e.Ast.entity_ports
+    @ List.map (fun s -> s.Ast.sig_name) a.Ast.signals
   in
-  let declared = Hashtbl.create n_declared in
-  let declare out name =
-    match Hashtbl.find_opt declared name with
-    | Some d -> d.count <- d.count + 1
-    | None -> Hashtbl.add declared name { count = 1; out }
-  in
+  let declared = counts names in
+  (match first_repeated declared names with
+  | Some x -> errf "%s: %s declared more than once" ename x
+  | None -> ());
+  let out_ports = Hashtbl.create 16 in
   List.iter
-    (fun p -> declare (p.Ast.port_dir = Ast.Dir_out) p.Ast.port_name)
+    (fun p ->
+      if p.Ast.port_dir = Ast.Dir_out then
+        Hashtbl.replace out_ports p.Ast.port_name ())
     e.Ast.entity_ports;
-  List.iter (fun s -> declare false s.Ast.sig_name) a.Ast.signals;
-  (* duplicate declarations: the first name in declaration order that is
-     declared again *)
-  if Hashtbl.length declared < n_declared then begin
-    let dup name =
-      if (Hashtbl.find declared name).count > 1 then
-        errf "%s: %s declared more than once" ename name
-    in
-    List.iter (fun p -> dup p.Ast.port_name) e.Ast.entity_ports;
-    List.iter (fun s -> dup s.Ast.sig_name) a.Ast.signals
-  end;
-  let components = Hashtbl.create (List.length a.Ast.components) in
+  let components = Hashtbl.create 16 in
   List.iter (fun (c, _) -> Hashtbl.replace components c ()) a.Ast.components;
   let check_ref where name =
     if not (Hashtbl.mem declared name) then
       errf "%s: undeclared name %s in %s" ename name where
   in
   let check_read where name =
-    match Hashtbl.find_opt declared name with
-    | None -> errf "%s: undeclared name %s in %s" ename name where
-    | Some d ->
-      if d.out then errf "%s: output port %s read in %s" ename name where
+    check_ref where name;
+    if Hashtbl.mem out_ports name then
+      errf "%s: output port %s read in %s" ename name where
   in
-  let drivers = Hashtbl.create n_declared in
+  let drivers = Hashtbl.create 64 in
   let drive where name =
     check_ref where name;
     if Hashtbl.mem drivers name then
       errf "%s: signal %s has multiple drivers" ename name
-    else Hashtbl.add drivers name ()
+    else Hashtbl.replace drivers name where
   in
   let reads where text = iter_identifiers (check_read where) text in
   let instances = ref 0 in
@@ -169,8 +161,7 @@ let check_unit (entities : (string, formals) Hashtbl.t) (instance_id : int ref)
           errf "%s: instance %s uses undeclared component %s" ename inst_label
             component;
         match Hashtbl.find_opt entities component with
-        | None ->
-          errf "%s: component %s has no generated entity" ename component
+        | None -> errf "%s: component %s has no generated entity" ename component
         | Some f ->
           List.iter
             (fun (formal, actual) ->
@@ -197,26 +188,21 @@ let check_unit (entities : (string, formals) Hashtbl.t) (instance_id : int ref)
                   inst_label fname)
             f.f_ports))
     a.Ast.body;
-  !instances, n_declared
+  !instances, List.length names
 
 (** Lint a whole design. Raises {!Error} on the first violation; returns a
     summary report on success. *)
 let check (d : Ast.design) : report =
-  let entities = Hashtbl.create 16 and duplicates = ref false in
+  let names = List.map (fun u -> u.Ast.unit_entity.Ast.entity_name) d.Ast.units in
+  (match first_repeated (counts names) names with
+  | Some x -> errf "duplicate entity %s" x
+  | None -> ());
+  let entities = Hashtbl.create 16 in
   List.iter
     (fun u ->
       let e = u.Ast.unit_entity in
-      if Hashtbl.mem entities e.Ast.entity_name then duplicates := true;
-      Hashtbl.add entities e.Ast.entity_name (formals_of e.Ast.entity_ports))
+      Hashtbl.replace entities e.Ast.entity_name (formals_of e.Ast.entity_ports))
     d.Ast.units;
-  (* duplicate entity names: the first in unit order that occurs again *)
-  if !duplicates then
-    List.iter
-      (fun u ->
-        let name = u.Ast.unit_entity.Ast.entity_name in
-        if List.compare_length_with (Hashtbl.find_all entities name) 1 > 0 then
-          errf "duplicate entity %s" name)
-      d.Ast.units;
   let instance_id = ref 0 in
   let instances, signals =
     List.fold_left

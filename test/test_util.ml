@@ -152,25 +152,12 @@ let test_instr_printing () =
   let snx = { Instr.op = Instr.Snx "sum"; dst = None; srcs = [ 7 ]; kind = k } in
   Alcotest.(check string) "snx text" "snx[sum] v7 :s32" (Instr.to_string snx)
 
-let test_bits_decimal () =
-  List.iter
-    (fun n -> Alcotest.(check string) (string_of_int n) (string_of_int n) (Bits.decimal n))
-    ([ 0; 1; -1; 9; 10; -10; 99; 100; 1023; -1024; max_int; min_int; max_int - 1;
-       min_int + 1 ]
-    @ List.init 200 (fun i -> (i * 7919 * 104729) - 50_000_000));
-  List.iter
-    (fun v -> Alcotest.(check string) (Int64.to_string v) (Int64.to_string v) (Bits.decimal64 v))
-    [ 0L; -1L; 42L; Int64.max_int; Int64.min_int; Int64.of_int max_int;
-      Int64.of_int min_int; Int64.succ (Int64.of_int max_int);
-      Int64.pred (Int64.of_int min_int) ]
-
 let suites =
   [ "util",
     [ Alcotest.test_case "id generator" `Quick test_id_gen;
       Alcotest.test_case "64-bit boundary" `Quick test_bits_64_boundary;
       Alcotest.test_case "1-bit kinds" `Quick test_bits_one_bit;
       Alcotest.test_case "binary rendering" `Quick test_bits_binary_string;
-      Alcotest.test_case "decimal rendering" `Quick test_bits_decimal;
       Alcotest.test_case "bitset basics" `Quick test_bitset_basics;
       Alcotest.test_case "bitset in-place operators" `Quick
         test_bitset_inplace_ops;
