@@ -877,24 +877,6 @@ let tune_cmd =
              (partial products + carry-save 3:2 compression tree) or \
              $(b,addtree) (binary adder tree).")
   in
-  let margin_arg =
-    Arg.(
-      value & opt float Search.default_margin
-      & info [ "prune-margin" ] ~docv:"M"
-          ~doc:
-            "Quick-rung pruning margin: a candidate is discarded before \
-             exact costing only when another beats it by a factor of 1+M \
-             on every axis (and the constraint is relaxed by 1+M). 0 \
-             disables quick-rung pruning.")
-  in
-  let no_quick_arg =
-    Arg.(
-      value & flag
-      & info [ "no-quick" ]
-          ~doc:
-            "Skip the quick analytic rung entirely; every candidate gets \
-             exact estimate-tier costing.")
-  in
   let jobs_arg =
     Arg.(
       value & opt (some int) None
@@ -919,7 +901,7 @@ let tune_cmd =
              appear as zero-duration $(i,cached) spans.")
   in
   let run target entry objective slice_budget target_mhz unroll bus target_ns
-      stage_budget decomp margin no_quick jobs pareto trace_out config =
+      stage_budget decomp jobs pareto trace_out config =
     with_errors (fun () ->
         let objective =
           checked (Objective.parse ~name:objective ~slice_budget ~target_mhz)
@@ -951,10 +933,6 @@ let tune_cmd =
                            Roccc_datapath.Delay.all_decomps))))
             decomp
         in
-        if not (Float.is_finite margin) || margin < 0.0 then
-          usage_error
-            (Printf.sprintf "--prune-margin expects a non-negative number, got %g"
-               margin);
         let jobs =
           match jobs with
           | None -> 0
@@ -1003,8 +981,6 @@ let tune_cmd =
                 sp_target_ns = target_ns;
                 sp_stage_budget = stage_budget;
                 sp_decomp = decomp };
-            st_margin = margin;
-            st_use_quick = not no_quick;
             st_domains = jobs;
             st_base = base }
         in
@@ -1036,15 +1012,15 @@ let tune_cmd =
       const run $ target_arg $ entry_arg $ objective_arg $ slice_budget_arg
       $ target_mhz_arg $ unroll_range_arg $ bus_range_arg
       $ target_ns_range_arg $ stage_budget_range_arg $ decomp_range_arg
-      $ margin_arg $ no_quick_arg $ jobs_arg
-      $ pareto_arg $ trace_arg $ config_term)
+      $ jobs_arg $ pareto_arg $ trace_arg $ config_term)
   in
   Cmd.v
     (Cmd.info "tune"
        ~doc:
          "Pareto autotuner: search the unroll x bus x clock-target space \
-          for one kernel under an objective, pruning with cheap analytic \
-          costing before paying for full compiles.")
+          for one kernel under an objective, costing every point with the \
+          exact estimate-only back end and paying for full compiles only \
+          on the Pareto front.")
     term
 
 (* ---- serve ---- *)

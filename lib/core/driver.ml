@@ -210,7 +210,7 @@ let back_end ?instrument ?config ?(options = default_options)
   compiled_of_state (Pass.run ~config Pass.back_passes st)
 
 (* ------------------------------------------------------------------ *)
-(* Estimate-only back ends (the autotuner's costing tiers)             *)
+(* Estimate-only back end (the autotuner's costing)                    *)
 (* ------------------------------------------------------------------ *)
 
 type measurement = {
@@ -221,11 +221,6 @@ type measurement = {
   ms_latch_bits : int;
   ms_greedy_latch_bits : int;
   ms_outputs_per_cycle : int;
-}
-
-type quick_measurement = {
-  qk_slices : int;
-  qk_clock_mhz : float;
 }
 
 (* The full back end minus VHDL generation and linting. Neither skipped
@@ -254,30 +249,6 @@ let estimate_back_end ?instrument ?config ?(options = default_options)
   let config = resolve_config ?instrument ?config () in
   let st = state_of_staged ~options sk in
   measurement_of_state (Pass.run ~config estimate_passes st)
-
-(* Everything through bit-width inference, then O(instructions) costing:
-   slices from the paper's ref [13] quick estimator, clock bounded by the
-   worst single-operator delay against the stage budget. *)
-let quick_passes : Pass.pass list =
-  let rec upto acc = function
-    | [] -> List.rev acc
-    | (p : Pass.pass) :: rest ->
-      if p.Pass.name = "bit-width-inference" then List.rev (p :: acc)
-      else upto (p :: acc) rest
-  in
-  upto [] Pass.back_passes
-
-let quick_back_end ?instrument ?config ?(options = default_options)
-    (sk : staged_kernel) : quick_measurement =
-  let config = resolve_config ?instrument ?config () in
-  let st = state_of_staged ~options sk in
-  let st = Pass.run ~config quick_passes st in
-  let dp = need "data path" st.Pass.st_dp in
-  let widths = need "signal widths" st.Pass.st_widths in
-  { qk_slices = Area.quick_estimate dp;
-    qk_clock_mhz =
-      Area.quick_clock_mhz ~stage_budget:options.stage_budget
-        ~decomp:options.decomp ~target_ns:options.target_ns dp widths }
 
 (** Compile one kernel function from C source to VHDL + estimates. *)
 let compile ?instrument ?config ?(options = default_options) ?(luts = [])

@@ -142,9 +142,9 @@ val back_end :
 (** SUIFvm lowering, SSA, data-path construction, pipelining, VHDL
     generation and estimation. Raises {!Error}. *)
 
-(** {1 Estimate-only back ends}
+(** {1 Estimate-only back end}
 
-    The autotuner's costing tiers: same mid-end, cheaper back half. *)
+    The autotuner's costing: same mid-end, cheaper back half. *)
 
 (** Exact design metrics without generating VHDL: the result of running
     the back end minus [vhdl-generation] and [vhdl-lint]. Neither skipped
@@ -161,15 +161,6 @@ type measurement = {
   ms_outputs_per_cycle : int;
 }
 
-(** O(instructions) costing after bit-width inference, before pipelining:
-    slices from {!Roccc_fpga.Area.quick_estimate} (the paper's ref [13]),
-    clock from {!Roccc_fpga.Area.quick_clock_mhz}. Approximate — the
-    autotuner prunes on it only with a safety margin. *)
-type quick_measurement = {
-  qk_slices : int;
-  qk_clock_mhz : float;
-}
-
 val estimate_back_end :
   ?instrument:instrument ->
   ?config:Pass.config ->
@@ -178,15 +169,6 @@ val estimate_back_end :
   measurement
 (** Run the back end through area estimation, skipping VHDL generation
     and linting. Raises {!Error}. *)
-
-val quick_back_end :
-  ?instrument:instrument ->
-  ?config:Pass.config ->
-  ?options:options ->
-  staged_kernel ->
-  quick_measurement
-(** Run the back end through bit-width inference only, then the
-    O(instructions) quick costing. Raises {!Error}. *)
 
 val compile :
   ?instrument:instrument ->

@@ -55,27 +55,6 @@ let reg_width (t : t) (r : Instr.vreg) : int =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The largest single-instruction combinational delay — a lower bound on
-   any achievable stage delay, computable without building the netlist.
-   The autotuner's cheap costing tier prices clock from it. *)
-let worst_instr_delay_ns ?stage_budget ?decomp (dp : Graph.t)
-    (widths : Widths.t) : float =
-  let consts = Graph.constant_values dp in
-  List.fold_left
-    (fun acc (_, (i : Instr.instr)) ->
-      let sw =
-        List.map
-          (fun r -> Option.value (Widths.width_opt widths r) ~default:32)
-          i.Instr.srcs
-      in
-      let const_operands =
-        List.map (fun r -> Hashtbl.find_opt consts r) i.Instr.srcs
-      in
-      Float.max acc
-        (Delay.instr_delay_ns ?stage_budget ?decomp ~const_operands i.Instr.op
-           i.Instr.kind sw))
-    0.0 (Graph.flatten dp)
-
 let build ?(target_ns = 5.0) ?stage_budget ?decomp (dp : Graph.t)
     (widths : Widths.t) : t =
   let consts = Graph.constant_values dp in

@@ -37,15 +37,6 @@ type t = {
   asap_stage_count : int; (** stages the ASAP schedule occupies *)
 }
 
-val worst_instr_delay_ns :
-  ?stage_budget:int -> ?decomp:Delay.decomp -> Graph.t -> Widths.t -> float
-(** The largest single-instruction *per-stage* combinational delay in the
-    data path — a lower bound on any achievable stage delay under greedy
-    chunking, computed in O(instructions) without building the netlist.
-    The autotuner's cheap costing tier
-    ({!Roccc_fpga.Area.quick_clock_mhz}) prices a candidate's clock from
-    it. *)
-
 val build :
   ?target_ns:float -> ?stage_budget:int -> ?decomp:Delay.decomp ->
   Graph.t -> Widths.t -> t

@@ -180,10 +180,11 @@ let estimate ?(luts = []) ?(buffers = []) (p : Pipeline.t) : estimate =
 (* Fast compile-time estimator (paper reference [13])                  *)
 (* ------------------------------------------------------------------ *)
 
-(** O(#instructions) area estimate used during loop-unrolling decisions —
-    one width-inference pass plus per-instruction LUT costs, without the
-    pipeline construction the full flow performs. The bench verifies it
-    runs in well under a millisecond and tracks {!estimate} closely. *)
+(** O(#instructions) area estimate — one width-inference pass plus
+    per-instruction LUT costs, without the pipeline construction the full
+    flow performs. The bench's compile-time area-estimation claim uses
+    it and verifies it runs in well under a millisecond and tracks
+    {!estimate} closely. *)
 let quick_estimate (dp : Graph.t) : int =
   let consts = constant_sources dp in
   let widths = Widths.infer dp in
@@ -210,18 +211,6 @@ let quick_estimate (dp : Graph.t) : int =
       0 dp.Graph.nodes
   in
   slices_of ~luts ~flip_flops:(level_bits / 2)
-
-(* Estimate-only clock costing for the autotuner's pruning tier: the
-   stage delay of a greedy chunking is bounded by the target unless a
-   single operator is slower than the whole budget, so the achievable
-   clock is priced from max(target, worst single-instruction delay)
-   without running pipelining at all. *)
-let quick_clock_mhz ?stage_budget ?decomp ~(target_ns : float) (dp : Graph.t)
-    (widths : Widths.t) : float =
-  let worst =
-    Roccc_datapath.Timing.worst_instr_delay_ns ?stage_budget ?decomp dp widths
-  in
-  Roccc_datapath.Delay.clock_mhz_of_stage_delay (Float.max target_ns worst)
 
 (** The paper's target device: Xilinx Virtex-II xc2v2000-5. *)
 let xc2v2000_slices = 10752

@@ -30,21 +30,9 @@ val estimate :
 
 val quick_estimate : Roccc_datapath.Graph.t -> int
 (** The fast compile-time estimator of the paper's reference [13]: an
-    O(#instructions) slice count used during unrolling decisions; the bench
-    verifies it runs in well under a millisecond and tracks [estimate]. *)
-
-val quick_clock_mhz :
-  ?stage_budget:int ->
-  ?decomp:Roccc_datapath.Delay.decomp ->
-  target_ns:float ->
-  Roccc_datapath.Graph.t ->
-  Roccc_datapath.Widths.t ->
-  float
-(** Estimate-only clock costing for the autotuner's pruning tier: the
-    clock achievable at a stage budget of [target_ns], priced from the
-    worst single-instruction delay without running pipelining. Greedy
-    chunking never builds a stage slower than max(target, worst single
-    operator), so this is a conservative (pessimistic) clock bound. *)
+    O(#instructions) slice count taken before pipelining. The bench's
+    compile-time area-estimation claim uses it; the bench verifies it runs
+    in well under a millisecond and tracks [estimate]. *)
 
 val xc2v2000_slices : int
 (** Slice capacity of the paper's target device. *)

@@ -46,6 +46,8 @@ let rec split_body (stmts : stmt list) : stmt list * (nest * stmt list) option
 
 (* Constant-normalize a loop header into a Kernel.loop_dim. *)
 let normalize_header (h : for_header) : K.loop_dim =
+  if h.step = Const 0L then
+    errf "loop %s has a zero step, so it never advances" h.index;
   match Loop_opt.iteration_values h with
   | Some values ->
     let lower = match values with v :: _ -> v | [] -> 0 in
@@ -276,6 +278,41 @@ let rewrite_body ~indices ~(env : fenv) (body : stmt list) =
   let body' = rw body in
   body', acc, !outputs
 
+(* Every access must stay inside its array's declared dimensions over the
+   whole iteration space: the smart buffer and the output address
+   generator would walk off the array at run time otherwise. With no
+   loops (a block kernel) an offset is the accessed position itself. *)
+let check_bounds ~(env : fenv) ~(loops : K.loop_dim list) ~(what : string)
+    (accesses : (string * int list) list) : unit =
+  let index_range d =
+    match List.nth_opt loops d with
+    | Some (l : K.loop_dim) ->
+      let last = l.K.lower + ((l.K.count - 1) * l.K.step) in
+      (min l.K.lower last, max l.K.lower last)
+    | None -> (0, 0)
+  in
+  if List.for_all (fun (l : K.loop_dim) -> l.K.count > 0) loops then
+    List.iter
+      (fun (arr, offset) ->
+        let _, dims = M.find arr env.arrays in
+        List.iteri
+          (fun d c ->
+            let lo, hi = index_range d in
+            match List.nth_opt dims d with
+            | Some n when lo + c < 0 || hi + c >= n ->
+              errf "array %s: %s at offset %+d%s reaches index %d, outside \
+                    its declared bound %s%s"
+                arr what c
+                (if List.length dims > 1 then
+                   Printf.sprintf " in dimension %d" d
+                 else "")
+                (if lo + c < 0 then lo + c else hi + c)
+                arr
+                (String.concat "" (List.map (Printf.sprintf "[%d]") dims))
+            | Some _ | None -> ())
+          offset)
+      accesses
+
 (* Insert the load statements (A0 = A[i]; ...) at the top of the body. *)
 let load_stmts ~indices ~(env : fenv) reads =
   List.map
@@ -338,6 +375,8 @@ let block_kernel (env : fenv) (f : func) : K.t =
     List.filter (function Sreturn None -> false | _ -> true) f.body
   in
   let body', acc, write_ports = rewrite_body ~indices:[] ~env body_no_ret in
+  check_bounds ~env ~loops:[] ~what:"read" acc.reads;
+  check_bounds ~env ~loops:[] ~what:"write" acc.writes;
   let loads = load_stmts ~indices:[] ~env acc.reads in
   let transformed = { f with body = loads @ body' } in
   let exposed = upward_exposed_reads body' in
@@ -476,6 +515,8 @@ let run (prog : program) (f : func) : K.t =
     let indices = List.map (fun h -> h.index) nest.dims in
     let loop_dims = List.map normalize_header nest.dims in
     let body', acc, write_ports = rewrite_body ~indices ~env nest.body in
+    check_bounds ~env ~loops:loop_dims ~what:"read" acc.reads;
+    check_bounds ~env ~loops:loop_dims ~what:"write" acc.writes;
     let loads = load_stmts ~indices ~env acc.reads in
     let new_body = loads @ body' in
     (* ---- transformed whole function (Figure 3b) ---- *)

@@ -322,13 +322,6 @@ let measure_cached ?cache ?config ?trace ?(tid = 0) (job : job) :
   let _, config, mid_end = prepare ?cache ?config ?trace ~tid job in
   Driver.estimate_back_end ~config ~options:job.options (fst (mid_end ()))
 
-(** Quick-cost one job: cached mid-end, then the O(instructions) costing
-    tier (no pipelining). Raises {!Driver.Error}. *)
-let quick_cached ?cache ?config ?trace ?(tid = 0) (job : job) :
-    Driver.quick_measurement =
-  let _, config, mid_end = prepare ?cache ?config ?trace ~tid job in
-  Driver.quick_back_end ~config ~options:job.options (fst (mid_end ()))
-
 (* ------------------------------------------------------------------ *)
 (* Batches                                                             *)
 (* ------------------------------------------------------------------ *)

@@ -103,16 +103,6 @@ val measure_cached :
     each other's prefixes. The measurement's slices/clock/latch numbers
     are identical to a full compile's. Raises {!Roccc_core.Driver.Error}. *)
 
-val quick_cached :
-  ?cache:Cache.t ->
-  ?config:Roccc_core.Pass.config ->
-  ?trace:Trace.t ->
-  ?tid:int ->
-  job ->
-  Roccc_core.Driver.quick_measurement
-(** Cached mid-end plus the O(instructions) quick costing tier (stops
-    before pipelining). Approximate; raises {!Roccc_core.Driver.Error}. *)
-
 val run_batch :
   ?cache:Cache.t ->
   ?config:Roccc_core.Pass.config ->

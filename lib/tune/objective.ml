@@ -68,17 +68,6 @@ let feasible (obj : t) (m : Pareto.metrics) : bool =
   | Min_slices { target_mhz } -> m.Pareto.p_clock_mhz >= target_mhz
   | Min_latch_bits -> true
 
-(* Constraint check relaxed by the quick tier's error margin: only
-   candidates that miss the budget/target by more than [margin]
-   (relative) are discarded before exact costing. *)
-let quick_feasible ~(margin : float) (obj : t) (m : Pareto.metrics) : bool =
-  let f = 1.0 +. margin in
-  match obj with
-  | Max_mhz { slice_budget } ->
-      float_of_int m.Pareto.p_slices <= float_of_int slice_budget *. f
-  | Min_slices { target_mhz } -> m.Pareto.p_clock_mhz *. f >= target_mhz
-  | Min_latch_bits -> true
-
 let fitness (obj : t) (m : Pareto.metrics) : float =
   match obj with
   | Max_mhz _ -> m.Pareto.p_clock_mhz

@@ -26,11 +26,6 @@ val describe : t -> string
 
 val feasible : t -> Pareto.metrics -> bool
 
-val quick_feasible : margin:float -> t -> Pareto.metrics -> bool
-(** Feasibility with the constraint relaxed by a factor of [1 + margin],
-    so the approximate quick tier only discards candidates that miss the
-    constraint by more than its own error bound. *)
-
 val fitness : t -> Pareto.metrics -> float
 (** Scalar score, higher is better; used only to order the front for
     display, never to prune. *)

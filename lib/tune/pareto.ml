@@ -13,11 +13,6 @@ let of_measurement (m : Driver.measurement) : metrics =
     p_clock_mhz = m.Driver.ms_clock_mhz;
     p_latch_bits = m.Driver.ms_latch_bits }
 
-let of_quick (q : Driver.quick_measurement) : metrics =
-  { p_slices = q.Driver.qk_slices;
-    p_clock_mhz = q.Driver.qk_clock_mhz;
-    p_latch_bits = 0 }
-
 let dominates (a : metrics) (b : metrics) : bool =
   a.p_slices <= b.p_slices
   && a.p_clock_mhz >= b.p_clock_mhz
@@ -25,14 +20,6 @@ let dominates (a : metrics) (b : metrics) : bool =
   && (a.p_slices < b.p_slices
      || a.p_clock_mhz > b.p_clock_mhz
      || a.p_latch_bits < b.p_latch_bits)
-
-(* [a] beats [b] by a factor of (1 + margin) on every axis — the only
-   relation the approximate quick tier is allowed to prune on. *)
-let margin_dominates ~(margin : float) (a : metrics) (b : metrics) : bool =
-  let f = 1.0 +. margin in
-  a.p_clock_mhz >= b.p_clock_mhz *. f
-  && float_of_int a.p_slices *. f <= float_of_int b.p_slices
-  && float_of_int a.p_latch_bits *. f <= float_of_int b.p_latch_bits
 
 let front (points : ('a * metrics) list) : ('a * metrics) list =
   List.filter

@@ -1,7 +1,6 @@
 (** Pareto dominance over the design-space metrics the paper trades:
     clock rate (maximize) against slice area and pipeline-register bits
-    (minimize). The autotuner's pruning and front extraction are both
-    built on these two relations. *)
+    (minimize). The autotuner's front extraction is built on them. *)
 
 (** One candidate's position in objective space. *)
 type metrics = {
@@ -12,22 +11,10 @@ type metrics = {
 
 val of_measurement : Roccc_core.Driver.measurement -> metrics
 
-val of_quick : Roccc_core.Driver.quick_measurement -> metrics
-(** Quick-tier metrics carry no latch count; the latch axis is set to 0
-    for every candidate, collapsing dominance to the slices/clock plane. *)
-
 val dominates : metrics -> metrics -> bool
 (** [dominates a b]: [a] is no worse than [b] on every axis and strictly
     better on at least one. Irreflexive — equal points never dominate
     each other, so duplicated metrics can coexist on a front. *)
-
-val margin_dominates : margin:float -> metrics -> metrics -> bool
-(** [margin_dominates ~margin a b]: [a] beats [b] by at least a factor of
-    [1 + margin] on {e every} axis. The quick tier prunes only on this
-    relation: it stays correct as long as the quick estimates are within
-    [margin] (relative) of the exact metrics. [margin = 0.] degenerates
-    to weak dominance (equality included) — only use positive margins
-    for pruning. *)
 
 val front : ('a * metrics) list -> ('a * metrics) list
 (** The non-dominated subset, preserving input order (deterministic for

@@ -1,9 +1,8 @@
-(* The successive-halving search over the unroll x bus x target-ns grid:
-   quick analytic costing on everything, exact estimate-only costing on
-   the survivors, full VHDL generation on the Pareto front only. All
-   three rungs share one content-addressed pass cache, so a mid-end
-   prefix compiles once per search no matter how many candidates (or
-   rungs) revisit it. *)
+(* The search over the unroll x bus x target-ns grid: exact
+   estimate-only costing on every point, full VHDL generation on the
+   Pareto front only. Both share one content-addressed pass cache, so a
+   mid-end prefix compiles once per search no matter how many candidates
+   revisit it. *)
 
 module Driver = Roccc_core.Driver
 module Service = Roccc_service.Service
@@ -50,33 +49,25 @@ type status =
   | On_front
   | Dominated
   | Infeasible
-  | Pruned_quick of string
   | Failed of string
 
 type row = {
   rw_cand : candidate;
   rw_label : string;
   rw_status : status;
-  rw_quick : Driver.quick_measurement option;
   rw_measure : Driver.measurement option;
 }
 
 type settings = {
   st_objective : Objective.t;
   st_space : space;
-  st_margin : float;
-  st_use_quick : bool;
   st_domains : int;
   st_base : Driver.options;
 }
 
-let default_margin = 0.5
-
 let default_settings (obj : Objective.t) : settings =
   { st_objective = obj;
     st_space = default_space;
-    st_margin = default_margin;
-    st_use_quick = true;
     st_domains = 0;
     st_base = Driver.default_options }
 
@@ -206,71 +197,10 @@ let run ?cache ?trace ?config ?(luts = []) (st : settings) ~(source : string)
           ()
   in
   let status = Array.make n (Failed "not evaluated") in
-  let quick : Driver.quick_measurement option array = Array.make n None in
   let meas : Driver.measurement option array = Array.make n None in
-  let all_idxs = List.init n Fun.id in
 
-  (* Rung 1: quick analytic costing over the whole grid. *)
-  let quick_evals = ref 0 in
-  let survivors =
-    if not st.st_use_quick then all_idxs
-    else begin
-      let results =
-        eval_waves ~num_domains:st.st_domains ~fp
-          ~f:(fun ~tid i ->
-            let t0 = Unix.gettimeofday () in
-            let q = Service.quick_cached ~cache ?config ?trace ~tid jobs.(i) in
-            span ~tid ~t0 ("quick:" ^ labels.(i)) "quick";
-            q)
-          all_idxs
-      in
-      quick_evals := List.length results;
-      List.iter
-        (fun (i, r) ->
-          match r with
-          | Ok q -> quick.(i) <- Some q
-          | Error msg -> status.(i) <- Failed msg)
-        results;
-      let metrics =
-        List.filter_map
-          (fun (i, r) ->
-            match r with
-            | Ok q -> Some (i, Pareto.of_quick q)
-            | Error _ -> None)
-          results
-      in
-      if st.st_margin <= 0.0 then List.map fst metrics
-      else
-        List.filter_map
-          (fun (i, m) ->
-            if not (Objective.quick_feasible ~margin:st.st_margin st.st_objective m)
-            then begin
-              status.(i) <-
-                Pruned_quick
-                  (Printf.sprintf "misses %s by > %g%% at the quick tier"
-                     (Objective.describe st.st_objective)
-                     (st.st_margin *. 100.0));
-              None
-            end
-            else
-              match
-                List.find_opt
-                  (fun (j, m') ->
-                    j <> i && Pareto.margin_dominates ~margin:st.st_margin m' m)
-                  metrics
-              with
-              | Some (j, _) ->
-                  status.(i) <-
-                    Pruned_quick
-                      (Printf.sprintf "margin-dominated by %s" labels.(j));
-                  None
-              | None -> Some i)
-          metrics
-    end
-  in
-
-  (* Rung 2: exact estimate-only costing (identical metrics to a full
-     compile, minus the VHDL) on the survivors. *)
+  (* Exact estimate-only costing (identical metrics to a full compile,
+     minus the VHDL) on every grid point. *)
   let est_results =
     eval_waves ~num_domains:st.st_domains ~fp
       ~f:(fun ~tid i ->
@@ -278,7 +208,7 @@ let run ?cache ?trace ?config ?(luts = []) (st : settings) ~(source : string)
         let m = Service.measure_cached ~cache ?config ?trace ~tid jobs.(i) in
         span ~tid ~t0 ("estimate:" ^ labels.(i)) "estimate";
         m)
-      survivors
+      (List.init n Fun.id)
   in
   let estimate_evals = List.length est_results in
   let exact =
@@ -311,7 +241,7 @@ let run ?cache ?trace ?config ?(luts = []) (st : settings) ~(source : string)
       status.(i) <- (if List.mem i front_idx then On_front else Dominated))
     feasible;
 
-  (* Rung 3: full compiles (VHDL generation + lint) on the front only. *)
+  (* Full compiles (VHDL generation + lint) on the front only. *)
   let full_results =
     eval_waves ~num_domains:st.st_domains ~fp
       ~f:(fun ~tid i ->
@@ -338,7 +268,6 @@ let run ?cache ?trace ?config ?(luts = []) (st : settings) ~(source : string)
         { rw_cand = cands.(i);
           rw_label = labels.(i);
           rw_status = status.(i);
-          rw_quick = quick.(i);
           rw_measure = meas.(i) })
   in
   let fitness_of i =
@@ -367,7 +296,7 @@ let run ?cache ?trace ?config ?(luts = []) (st : settings) ~(source : string)
     res_rows = Array.to_list rows_arr;
     res_front = front;
     res_explored = n;
-    res_quick_evals = !quick_evals;
+    res_quick_evals = 0;
     res_estimate_evals = estimate_evals;
     res_full_evals = full_evals;
     res_workers = Scheduler.effective_workers ~num_domains:st.st_domains n;
@@ -378,11 +307,10 @@ let status_name = function
   | On_front -> "front"
   | Dominated -> "dominated"
   | Infeasible -> "infeasible"
-  | Pruned_quick _ -> "pruned-quick"
   | Failed _ -> "failed"
 
 let status_detail = function
-  | Pruned_quick r | Failed r -> Some r
+  | Failed r -> Some r
   | On_front | Dominated | Infeasible -> None
 
 let count_status (r : result) (name : string) : int =
@@ -419,31 +347,19 @@ let table (r : result) : string =
   Printf.bprintf b "  %-3s %-20s %6s %4s %6s %10s %8s %10s %8s\n" "#" "label"
     "unroll" "bus" "t_ns" "clock MHz" "slices" "latch bits" "out/cyc";
   List.iteri
-    (fun k ((rw : row), (s : Service.success)) ->
-      let m =
-        match rw.rw_measure with
-        | Some m -> m
-        | None ->
-            (* shouldn't happen — the front is drawn from measured rows *)
-            { Driver.ms_slices = s.Service.r_slices;
-              ms_operator_slices = s.Service.r_operator_slices;
-              ms_clock_mhz = s.Service.r_clock_mhz;
-              ms_latency = s.Service.r_latency;
-              ms_latch_bits = s.Service.r_latch_bits;
-              ms_greedy_latch_bits = s.Service.r_latch_bits;
-              ms_outputs_per_cycle = 1 }
-      in
+    (fun k ((rw : row), (_ : Service.success)) ->
+      let m = Option.get rw.rw_measure in
       Printf.bprintf b "  %-3d %-20s %6d %4d %6g %10.2f %8d %10d %8d\n" (k + 1)
         rw.rw_label rw.rw_cand.cd_unroll rw.rw_cand.cd_bus
         rw.rw_cand.cd_target_ns m.Driver.ms_clock_mhz m.Driver.ms_slices
         m.Driver.ms_latch_bits m.Driver.ms_outputs_per_cycle)
     r.res_front;
   Printf.bprintf b
-    "\nexplored %d | quick %d | estimate %d | full %d (exhaustive: %d) | \
-     pruned %d | dominated %d | infeasible %d | failed %d\n"
-    r.res_explored r.res_quick_evals r.res_estimate_evals r.res_full_evals
-    r.res_explored (count_status r "pruned-quick") (count_status r "dominated")
-    (count_status r "infeasible") (count_status r "failed");
+    "\nexplored %d | estimate %d | full %d (exhaustive: %d) | dominated %d \
+     | infeasible %d | failed %d\n"
+    r.res_explored r.res_estimate_evals r.res_full_evals r.res_explored
+    (count_status r "dominated") (count_status r "infeasible")
+    (count_status r "failed");
   (match r.res_cache with
   | Some c ->
       Printf.bprintf b
@@ -479,18 +395,15 @@ let to_json (r : result) : string =
           (fun d -> str (Delay.decomp_name d))
           (dedupe r.res_space.sp_decomp)));
   Printf.bprintf b "  \"explored\": %d,\n" r.res_explored;
-  Printf.bprintf b "  \"quick_evals\": %d,\n" r.res_quick_evals;
   Printf.bprintf b "  \"estimate_evals\": %d,\n" r.res_estimate_evals;
   Printf.bprintf b "  \"full_evals\": %d,\n" r.res_full_evals;
   Printf.bprintf b "  \"exhaustive_full_evals\": %d,\n" r.res_explored;
   Printf.bprintf b "  \"pruning_ok\": %b,\n" (r.res_full_evals < r.res_explored);
   Printf.bprintf b
     "  \"counts\": { \"front\": %d, \"dominated\": %d, \"infeasible\": %d, \
-     \"pruned_quick\": %d, \"failed\": %d },\n"
+     \"failed\": %d },\n"
     (count_status r "front") (count_status r "dominated")
-    (count_status r "infeasible")
-    (count_status r "pruned-quick")
-    (count_status r "failed");
+    (count_status r "infeasible") (count_status r "failed");
   Printf.bprintf b "  \"front_size\": %d,\n" (List.length r.res_front);
   Printf.bprintf b "  \"workers\": %d,\n" r.res_workers;
   Printf.bprintf b "  \"wall_s\": %.6f,\n" r.res_wall_s;
@@ -528,15 +441,12 @@ let to_json (r : result) : string =
     List.map
       (fun (rw : row) ->
         let extra =
-          match (rw.rw_measure, rw.rw_quick) with
-          | Some m, _ ->
+          match rw.rw_measure with
+          | Some m ->
               Printf.sprintf
                 ", \"slices\": %d, \"clock_mhz\": %g, \"latch_bits\": %d"
                 m.Driver.ms_slices m.Driver.ms_clock_mhz m.Driver.ms_latch_bits
-          | None, Some q ->
-              Printf.sprintf ", \"quick_slices\": %d, \"quick_clock_mhz\": %g"
-                q.Driver.qk_slices q.Driver.qk_clock_mhz
-          | None, None -> ""
+          | None -> ""
         in
         let detail =
           match status_detail rw.rw_status with

@@ -1,23 +1,16 @@
 (** The autotuner's search driver: enumerate the unroll x bus x
-    clock-target grid and climb a successive-halving ladder of ever more
-    expensive costing tiers, pruning between rungs, so only the surviving
-    Pareto front pays for full VHDL generation.
+    clock-target grid, cost every point exactly, and pay for full VHDL
+    generation on the Pareto front only.
 
     {ul
-    {- {b quick} rung — cached mid-end plus the O(instructions) analytic
-       costing ({!Roccc_core.Driver.quick_back_end}). Approximate, so it
-       prunes only candidates beaten by a factor of [1 + margin] on every
-       axis ({!Pareto.margin_dominates}) or missing the objective's
-       constraint by more than [margin].}
-    {- {b estimate} rung — the real back end minus VHDL generation and
-       linting ({!Roccc_core.Driver.estimate_back_end}). Its
-       slices/clock/latch numbers are {e identical} to a full compile's,
-       so exact feasibility filtering and Pareto-front extraction here
-       cannot drop a true front point.}
-    {- {b full} rung — {!Roccc_service.Service.compile_cached} on the
-       front only, producing the VHDL. The cached mid-end prefix is
-       shared across all three rungs, so each distinct mid-end compiles
-       once per search.}}
+    {- {b estimate} — the real back end minus VHDL generation and
+       linting ({!Roccc_core.Driver.estimate_back_end}) on every grid
+       point. Its slices/clock/latch numbers are {e identical} to a full
+       compile's, so exact feasibility filtering and Pareto-front
+       extraction here cannot drop a true front point.}
+    {- {b full} — {!Roccc_service.Service.compile_cached} on the front
+       only, producing the VHDL. The cached mid-end prefix is shared by
+       both, so each distinct mid-end compiles once per search.}}
 
     Candidates sharing a front-end options fingerprint are seeded one
     representative first, then fanned across the domain scheduler, so a
@@ -54,30 +47,23 @@ type status =
   | On_front
   | Dominated  (** exact metrics, beaten by a front point *)
   | Infeasible  (** exact metrics violate the objective's constraint *)
-  | Pruned_quick of string
-      (** discarded at the quick rung; the string names the reason
-          (the margin-dominating candidate, or the missed constraint) *)
   | Failed of string
 
 type row = {
   rw_cand : candidate;
   rw_label : string;
   rw_status : status;
-  rw_quick : Roccc_core.Driver.quick_measurement option;
   rw_measure : Roccc_core.Driver.measurement option;
+      (** [None] only for a candidate whose estimate run failed *)
 }
 
 type settings = {
   st_objective : Objective.t;
   st_space : space;
-  st_margin : float;  (** quick-rung pruning margin; [<= 0.] disables
-                          quick-rung pruning (the rung still runs) *)
-  st_use_quick : bool;  (** [false]: skip the quick rung entirely *)
   st_domains : int;  (** worker domains; [<= 0] = hardware default *)
   st_base : Roccc_core.Driver.options;  (** every other option field *)
 }
 
-val default_margin : float
 val default_settings : Objective.t -> settings
 
 type result = {
@@ -90,6 +76,9 @@ type result = {
   res_explored : int;  (** grid size — full compiles an exhaustive
                            search would have paid for *)
   res_quick_evals : int;
+      (** always 0: there is no quick costing rung. Kept because the
+          benchmark's tune-front workload ([perfbench/workloads.ml])
+          reads it. *)
   res_estimate_evals : int;
   res_full_evals : int;
   res_workers : int;
@@ -113,15 +102,15 @@ val run :
     recorded as {!Failed} rows. *)
 
 val status_name : status -> string
-(** ["front"], ["dominated"], ["infeasible"], ["pruned-quick"], ["failed"]. *)
+(** ["front"], ["dominated"], ["infeasible"], ["failed"]. *)
 
 val status_detail : status -> string option
-(** The reason string of {!Pruned_quick} / {!Failed}. *)
+(** The reason string of {!Failed}. *)
 
 val table : result -> string
 (** The rendered front (best first) plus a search summary. *)
 
 val to_json : result -> string
-(** The [pareto.json] document: settings, per-rung evaluation counts
-    (the pruning evidence), the front with full metrics, and every
+(** The [pareto.json] document: settings, estimate and full evaluation
+    counts (the pruning evidence), the front with full metrics, and every
     explored row with its status. *)

@@ -127,6 +127,44 @@ let test_error_pre_loop_compute_rejected () =
   Alcotest.(check bool) ("mentions the restriction: " ^ msg) true
     (contains "before the kernel loop" msg)
 
+(* Accesses past the declared bounds used to compile and then spin or
+   crash the simulator; they are compile errors naming the array, the
+   offset and the bound. *)
+let test_error_out_of_bounds () =
+  let kernel body =
+    "void k(int A[8], int B[8]) { int i; for (i = 0; i < 8; i = i + 1) { "
+    ^ body ^ " } }"
+  in
+  List.iter
+    (fun (body, needles) ->
+      let msg = error_of (kernel body) in
+      List.iter
+        (fun needle ->
+          Alcotest.(check bool) (Printf.sprintf "%S in: %s" needle msg) true
+            (contains needle msg))
+        needles)
+    [ ("B[i] = A[i+9];", [ "array A"; "offset +9"; "index 16"; "A[8]" ]);
+      ("B[i] = A[i] + A[i-1];", [ "array A"; "offset -1"; "index -1"; "A[8]" ]);
+      ("B[i+3] = A[i];", [ "array B"; "write"; "offset +3"; "B[8]" ]) ];
+  (* the last in-bounds offsets still compile *)
+  ignore
+    (Driver.compile ~entry:"k"
+       "void k(int A[8], int B[8]) { int i; for (i = 1; i < 8; i = i + 1) \
+        { B[i] = A[i] + A[i-1]; } }");
+  ignore
+    (Driver.compile ~entry:"k"
+       "void k(int A[12], int B[8]) { int i; for (i = 0; i < 8; i = i + 1) \
+        { B[i] = A[i+4]; } }")
+
+let test_error_zero_step () =
+  let msg =
+    error_of
+      "void k(int A[8], int B[8]) { int i; for (i = 0; i < 8; i = i + 0) { \
+       B[i] = A[i]; } }"
+  in
+  Alcotest.(check bool) ("names the zero step: " ^ msg) true
+    (contains "loop i has a zero step" msg)
+
 let test_driver_fuses_two_filter_loops () =
   (* with fusion on (the default), the pair compiles and verifies *)
   let src =
@@ -266,6 +304,10 @@ let suites =
         test_error_trailing_loop_rejected;
       Alcotest.test_case "pre-loop compute rejected" `Quick
         test_error_pre_loop_compute_rejected;
+      Alcotest.test_case "out-of-bounds accesses rejected" `Quick
+        test_error_out_of_bounds;
+      Alcotest.test_case "zero loop step rejected" `Quick
+        test_error_zero_step;
       Alcotest.test_case "fusion merges filter pair" `Quick
         test_driver_fuses_two_filter_loops;
       Alcotest.test_case "loop-carried parameter rejected" `Quick

@@ -1,7 +1,8 @@
-(* Tests for the Pareto autotuner (lib/tune): the dominance relations,
-   front extraction, objective parsing, pruning correctness against an
-   exhaustive search, determinism across worker counts, mid-end cache
-   reuse across candidates, and the CLI's sweep-axis validators. *)
+(* Tests for the Pareto autotuner (lib/tune): the dominance relation,
+   front extraction, objective parsing, the search's front against one
+   built by compiling every candidate, determinism across worker counts,
+   mid-end cache reuse across candidates, and the CLI's sweep-axis
+   validators. *)
 
 module Driver = Roccc_core.Driver
 module Service = Roccc_service.Service
@@ -36,19 +37,6 @@ let test_dominates () =
     (Pareto.dominates (m 100 50.0 9) (m 100 50.0 10));
   Alcotest.(check bool) "trade-off is incomparable" false
     (Pareto.dominates (m 100 40.0 10) (m 200 50.0 20))
-
-let test_margin_dominates () =
-  let margin = 0.5 in
-  Alcotest.(check bool) "beats by 1.5x on every axis" true
-    (Pareto.margin_dominates ~margin (m 100 90.0 10) (m 200 50.0 20));
-  Alcotest.(check bool) "clock margin too thin" false
-    (Pareto.margin_dominates ~margin (m 100 70.0 10) (m 200 50.0 20));
-  Alcotest.(check bool) "slice margin too thin" false
-    (Pareto.margin_dominates ~margin (m 150 90.0 10) (m 200 50.0 20));
-  Alcotest.(check bool) "zero latch bits on both sides is fine" true
-    (Pareto.margin_dominates ~margin (m 100 90.0 0) (m 200 50.0 0));
-  Alcotest.(check bool) "plain dominance is not enough" false
-    (Pareto.margin_dominates ~margin (m 199 51.0 19) (m 200 50.0 20))
 
 let test_front () =
   let pts =
@@ -118,31 +106,65 @@ let small_space =
     sp_stage_budget = [ 0 ];
     sp_decomp = [ Roccc_datapath.Delay.Csa ] }
 
-let settings ?(use_quick = true) ?(margin = Search.default_margin)
-    ?(domains = 1) obj =
+let settings ?(domains = 1) obj =
   { (Search.default_settings obj) with
     Search.st_space = small_space;
-    st_margin = margin;
-    st_use_quick = use_quick;
     st_domains = domains }
 
 let front_labels (r : Search.result) : string list =
   List.map (fun ((rw : Search.row), _) -> rw.Search.rw_label) r.Search.res_front
 
-let test_pruning_matches_exhaustive () =
-  (* the quick rung's margin pruning must never change the front an
-     exhaustive (no-quick) search over the same grid produces *)
-  let obj = Objective.Max_mhz { slice_budget = Roccc_fpga.Area.xc2v2000_slices } in
-  let pruned =
-    Search.run (settings ~use_quick:true obj) ~source:fir16_source ~entry:"fir"
+(* The reference front, built without the search: compile every grid
+   point in full, keep the feasible ones and take their Pareto front. *)
+let reference_front obj : string list =
+  let points =
+    List.concat_map
+      (fun u ->
+        List.concat_map
+          (fun b ->
+            List.map
+              (fun t ->
+                let options =
+                  { Driver.default_options with
+                    Driver.unroll_outer_factor = u;
+                    bus_elements = b;
+                    target_ns = t }
+                in
+                let c = Driver.compile ~options ~entry:"fir" fir16_source in
+                ( Printf.sprintf "fir.u%d.b%d.t%g" u b t,
+                  { Pareto.p_slices = c.Driver.area.Roccc_fpga.Area.slices;
+                    p_clock_mhz = c.Driver.area.Roccc_fpga.Area.clock_mhz;
+                    p_latch_bits =
+                      c.Driver.pipeline.Roccc_datapath.Pipeline.latch_bits } ))
+              small_space.Search.sp_target_ns)
+          small_space.Search.sp_bus)
+      small_space.Search.sp_unroll
   in
-  let exhaustive =
-    Search.run (settings ~use_quick:false obj) ~source:fir16_source ~entry:"fir"
-  in
-  Alcotest.(check (list string)) "same front as exhaustive"
-    (front_labels exhaustive) (front_labels pruned);
-  Alcotest.(check int) "exhaustive estimates the whole grid"
-    exhaustive.Search.res_explored exhaustive.Search.res_estimate_evals
+  List.map fst
+    (Pareto.front (List.filter (fun (_, p) -> Objective.feasible obj p) points))
+
+let test_front_matches_reference () =
+  List.iter
+    (fun obj ->
+      let name = Objective.describe obj in
+      let r = Search.run (settings obj) ~source:fir16_source ~entry:"fir" in
+      Alcotest.(check (list string))
+        (name ^ ": same front as compiling every candidate")
+        (List.sort compare (reference_front obj))
+        (List.sort compare (front_labels r));
+      List.iter
+        (fun (rw : Search.row) ->
+          match rw.Search.rw_status with
+          | Search.Failed _ -> ()
+          | _ ->
+            Alcotest.(check bool)
+              (name ^ ": " ^ rw.Search.rw_label ^ " is measured")
+              true
+              (rw.Search.rw_measure <> None))
+        r.Search.res_rows)
+    [ Objective.Max_mhz { slice_budget = 400 };
+      Objective.Min_slices { target_mhz = 100.0 };
+      Objective.Min_latch_bits ]
 
 let test_front_is_nondominated_and_feasible () =
   let budget = 400 in
@@ -289,15 +311,14 @@ let test_json_and_table () =
 let suites =
   [ ( "tune.pareto",
       [ Alcotest.test_case "dominates" `Quick test_dominates;
-        Alcotest.test_case "margin dominates" `Quick test_margin_dominates;
         Alcotest.test_case "front extraction" `Quick test_front ] );
     ( "tune.objective",
       [ Alcotest.test_case "parse" `Quick test_objective_parse;
         Alcotest.test_case "feasibility and fitness" `Quick
           test_objective_feasible_fitness ] );
     ( "tune.search",
-      [ Alcotest.test_case "pruned front matches exhaustive" `Quick
-          test_pruning_matches_exhaustive;
+      [ Alcotest.test_case "front matches compiling every point" `Quick
+          test_front_matches_reference;
         Alcotest.test_case "front is feasible and non-dominated" `Quick
           test_front_is_nondominated_and_feasible;
         Alcotest.test_case "fewer full compiles than the grid" `Quick

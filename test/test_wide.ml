@@ -236,8 +236,7 @@ let test_staged_beats_unstaged_in_search () =
   let settings =
     { (Search.default_settings
          (Objective.Max_mhz { slice_budget = 100_000 })) with
-      Search.st_margin = 0.0;
-      st_space =
+      Search.st_space =
         { Search.sp_unroll = [ 1 ];
           sp_bus = [ 1 ];
           sp_target_ns = [ 2.0; 3.0 ];
