@@ -315,7 +315,7 @@ let ablation_bit_widths () =
           Driver.compile
             ~options:
               { (b.Kernels.tune Driver.default_options) with
-                Driver.infer_widths = false }
+                Driver.disabled_passes = [ "bit-width-inference" ] }
             ~luts:b.Kernels.luts ~entry:b.Kernels.entry b.Kernels.source
         in
         let s_on = on.Driver.area.Area.slices in
@@ -431,7 +431,7 @@ let ablation_backend_optimize () =
           Driver.compile
             ~options:
               { (b.Kernels.tune Driver.default_options) with
-                Driver.optimize_vm = false }
+                Driver.disabled_passes = [ "vm-optimize" ] }
             ~luts:b.Kernels.luts ~entry:b.Kernels.entry b.Kernels.source
         in
         let s_on = on.Driver.area.Area.slices in
@@ -452,7 +452,9 @@ let ablation_loop_fusion () =
   let fused = Driver.compile ~entry:"pair" two_loops in
   (match
      Driver.compile
-       ~options:{ Driver.default_options with Driver.fuse_loops = false }
+       ~options:
+         { Driver.default_options with
+           Driver.disabled_passes = [ "loop-fusion" ] }
        ~entry:"pair" two_loops
    with
   | _ -> Printf.printf "unfused: unexpectedly compiled as one kernel\n"

@@ -79,12 +79,6 @@ let bus_arg =
     value & opt int 1
     & info [ "bus" ] ~doc:"Memory bus width in elements per access.")
 
-let no_widths_arg =
-  Arg.(
-    value & flag
-    & info [ "no-width-inference" ]
-        ~doc:"Disable bit-width inference (keep declared C widths).")
-
 let unroll_inner_arg =
   Arg.(
     value & opt int 0
@@ -121,7 +115,17 @@ let decomp_of_flag (name : string) : Roccc_datapath.Delay.decomp =
             (List.map Roccc_datapath.Delay.decomp_name
                Roccc_datapath.Delay.all_decomps)))
 
-let options_of target_ns bus no_widths unroll_inner stage_budget decomp =
+let disable_pass_arg =
+  Arg.(
+    value & opt_all string []
+    & info [ "disable-pass" ] ~docv:"PASS"
+        ~doc:
+          "Skip an optional pass (repeatable); e.g. \
+           $(b,bit-width-inference) keeps the declared C widths. See the \
+           pass names in $(b,--dump passes).")
+
+let options_of target_ns bus unroll_inner stage_budget decomp disabled_passes
+    =
   let target_ns =
     checked (Server.check_positive_float ~flag:"--target-ns" target_ns)
   in
@@ -137,10 +141,20 @@ let options_of target_ns bus no_widths unroll_inner stage_budget decomp =
   { Driver.default_options with
     Driver.target_ns;
     bus_elements = bus;
-    infer_widths = not no_widths;
     unroll_inner_max = unroll_inner;
     stage_budget;
-    decomp = decomp_of_flag decomp }
+    decomp = decomp_of_flag decomp;
+    disabled_passes }
+
+let options_term =
+  Term.(
+    const options_of $ target_ns_arg $ bus_arg $ unroll_inner_arg
+    $ stage_budget_arg $ decomp_arg $ disable_pass_arg)
+
+(* Unknown or required pass names, and a dump after a pass these options
+   skip, are usage errors caught before any compile. *)
+let check_passes ?(dump_after = []) options =
+  checked (Roccc_core.Pass.validate ~dump_after options)
 
 (* ---- pass-manager configuration ---- *)
 
@@ -161,39 +175,21 @@ let differential_arg =
            on deterministic vectors after layer boundaries, reporting the \
            first diverging pass (also ROCCC_DIFFERENTIAL=1).")
 
-let passes_arg =
-  Arg.(
-    value & opt (some (list string)) None
-    & info [ "passes" ] ~docv:"PASS,..."
-        ~doc:
-          "Run only these optional passes (required passes always run). \
-           See the pass names in $(b,--dump passes).")
-
-let disable_pass_arg =
-  Arg.(
-    value & opt_all string []
-    & info [ "disable-pass" ] ~docv:"PASS"
-        ~doc:"Skip an optional pass (repeatable).")
-
 let dump_after_arg =
   Arg.(
     value & opt_all string []
     & info [ "dump-after" ] ~docv:"PASS"
         ~doc:"Print the active IR after PASS runs (repeatable).")
 
-let config_of verify_ir differential passes disable dump_after =
+let config_of verify_ir differential dump_after =
   let base = Roccc_core.Pass.default_config () in
   { base with
     Roccc_core.Pass.verify_ir = verify_ir || base.Roccc_core.Pass.verify_ir;
     differential = differential || base.Roccc_core.Pass.differential;
-    only_passes = passes;
-    disabled_passes = disable;
     dump_after }
 
 let config_term =
-  Term.(
-    const config_of $ verify_ir_arg $ differential_arg $ passes_arg
-    $ disable_pass_arg $ dump_after_arg)
+  Term.(const config_of $ verify_ir_arg $ differential_arg $ dump_after_arg)
 
 let kv_list_conv =
   let parse s =
@@ -279,13 +275,10 @@ let compile_cmd =
           Printf.printf "wrote %s\n" path)
         files
   in
-  let run file entry target_ns bus no_widths unroll_inner stage_budget decomp
-      out dumps testbench config =
+  let run file entry options out dumps testbench config =
+    check_passes ~dump_after:config.Roccc_core.Pass.dump_after options;
     with_errors (fun () ->
         let source = read_file file in
-        let options =
-          options_of target_ns bus no_widths unroll_inner stage_budget decomp
-        in
         let is_network =
           List.exists
             (fun (pl : Roccc_cfront.Ast.pipeline_decl) ->
@@ -353,19 +346,16 @@ let compile_cmd =
             "Also emit a self-checking testbench (<entry>_tb.vhd) driving \
              the data path with this input array (repeatable).")
   in
-  let run' file entry target_ns bus no_widths unroll_inner stage_budget decomp
-      out dumps tb_arrays config =
+  let run' file entry options out dumps tb_arrays config =
     let testbench =
       if tb_arrays = [] then None else Some (tb_arrays, [])
     in
-    run file entry target_ns bus no_widths unroll_inner stage_budget decomp
-      out dumps testbench config
+    run file entry options out dumps testbench config
   in
   let term =
     Term.(
-      const run' $ file_arg $ entry_arg $ target_ns_arg $ bus_arg
-      $ no_widths_arg $ unroll_inner_arg $ stage_budget_arg $ decomp_arg
-      $ out_arg $ dump_arg $ testbench_arg $ config_term)
+      const run' $ file_arg $ entry_arg $ options_term $ out_arg $ dump_arg
+      $ testbench_arg $ config_term)
   in
   Cmd.v (Cmd.info "compile" ~doc:"Compile a C kernel to VHDL.") term
 
@@ -390,13 +380,10 @@ let simulate_cmd =
       & info [ "vcd" ] ~docv:"FILE"
           ~doc:"Write a VCD waveform of the run to FILE (view in GTKWave).")
   in
-  let run file entry target_ns bus no_widths unroll_inner stage_budget decomp
-      arrays scalars vcd =
+  let run file entry options arrays scalars vcd =
+    check_passes options;
     with_errors (fun () ->
         let source = read_file file in
-        let options =
-          options_of target_ns bus no_widths unroll_inner stage_budget decomp
-        in
         let c = Driver.compile ~options ~entry source in
         let scalars =
           List.map
@@ -441,9 +428,8 @@ let simulate_cmd =
   in
   let term =
     Term.(
-      const run $ file_arg $ entry_arg $ target_ns_arg $ bus_arg
-      $ no_widths_arg $ unroll_inner_arg $ stage_budget_arg $ decomp_arg
-      $ array_arg $ scalar_arg $ vcd_arg)
+      const run $ file_arg $ entry_arg $ options_term $ array_arg $ scalar_arg
+      $ vcd_arg)
   in
   Cmd.v
     (Cmd.info "simulate"
@@ -673,17 +659,14 @@ let batch_cmd =
     | exception Driver.Error _ ->
       [ { Service.label = base; source; entry = "?"; options; luts = [] } ]
   in
-  let run paths table1 target_ns bus no_widths unroll_inner stage_budget
-      decomp jobs use_cache cache_dir trace_out out sweep sweep_entry
-      sweep_unroll sweep_bus sweep_target config =
+  let run paths table1 options jobs use_cache cache_dir trace_out out sweep
+      sweep_entry sweep_unroll sweep_bus sweep_target config =
+    check_passes ~dump_after:config.Roccc_core.Pass.dump_after options;
     with_errors (fun () ->
         let jobs =
           match jobs with
           | None -> 0 (* auto: the machine's recommended domain count *)
           | Some n -> checked (Server.check_jobs ~flag:"--jobs" n)
-        in
-        let options =
-          options_of target_ns bus no_widths unroll_inner stage_budget decomp
         in
         (* Sweep axes: bogus values die here with a friendly message;
            repeated points are compiled once, not twice. *)
@@ -727,7 +710,10 @@ let batch_cmd =
               ~bus_widths:sweep_bus ()
           end
           else
-            (if table1 then Service.table1_jobs () else [])
+            (if table1 then
+               Service.table1_jobs
+                 ~disabled_passes:options.Driver.disabled_passes ()
+             else [])
             @ List.concat_map (jobs_of_file options) files
         in
         if batch_jobs = [] then begin
@@ -777,9 +763,7 @@ let batch_cmd =
   in
   let term =
     Term.(
-      const run $ paths_arg $ table1_arg $ target_ns_arg $ bus_arg
-      $ no_widths_arg $ unroll_inner_arg $ stage_budget_arg $ decomp_arg
-      $ jobs_arg $ cache_arg
+      const run $ paths_arg $ table1_arg $ options_term $ jobs_arg $ cache_arg
       $ cache_dir_arg $ trace_arg $ out_arg $ sweep_arg $ sweep_entry_arg
       $ sweep_unroll_arg $ sweep_bus_arg $ sweep_target_ns_arg $ config_term)
   in
@@ -901,7 +885,7 @@ let tune_cmd =
              appear as zero-duration $(i,cached) spans.")
   in
   let run target entry objective slice_budget target_mhz unroll bus target_ns
-      stage_budget decomp jobs pareto trace_out config =
+      stage_budget decomp disabled_passes jobs pareto trace_out config =
     with_errors (fun () ->
         let objective =
           checked (Objective.parse ~name:objective ~slice_budget ~target_mhz)
@@ -973,6 +957,8 @@ let tune_cmd =
               usage_error
                 (Printf.sprintf "no such file or built-in kernel: %s" target)
         in
+        let base = { base with Driver.disabled_passes } in
+        check_passes ~dump_after:config.Roccc_core.Pass.dump_after base;
         let settings =
           { Search.st_objective = objective;
             st_space =
@@ -1012,7 +998,7 @@ let tune_cmd =
       const run $ target_arg $ entry_arg $ objective_arg $ slice_budget_arg
       $ target_mhz_arg $ unroll_range_arg $ bus_range_arg
       $ target_ns_range_arg $ stage_budget_range_arg $ decomp_range_arg
-      $ jobs_arg $ pareto_arg $ trace_arg $ config_term)
+      $ disable_pass_arg $ jobs_arg $ pareto_arg $ trace_arg $ config_term)
   in
   Cmd.v
     (Cmd.info "tune"
@@ -1129,6 +1115,9 @@ let serve_cmd =
   in
   let run jobs queue_depth deadline_ms max_request_bytes socket use_cache
       cache_dir trace_out inject config =
+    checked
+      (Roccc_core.Pass.check_names ~dump_after:config.Roccc_core.Pass.dump_after
+         Driver.default_options);
     with_errors (fun () ->
         let limits =
           resolve_serve_limits ~jobs ~queue_depth ~deadline_ms

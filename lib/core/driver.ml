@@ -32,21 +32,16 @@ let errf fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 type options = Pass.options = {
   unroll_inner_max : int;
   unroll_all_max : int;
-  fuse_loops : bool;
   target_ns : float;
   stage_budget : int;
   decomp : Roccc_datapath.Delay.decomp;
-  infer_widths : bool;
-  optimize_vm : bool;
   unroll_outer_factor : int;
   lut_convert_max_bits : int;
   bus_elements : int;
-  check_vhdl : bool;
+  disabled_passes : string list;
 }
 
 let default_options = Pass.default_options
-let front_options_fingerprint = Pass.front_options_fingerprint
-let options_fingerprint = Pass.options_fingerprint
 
 type pass_stats = Pass.pass_stats = {
   pass_name : string;

@@ -23,17 +23,12 @@ type options = Pass.options = {
   unroll_all_max : int;
       (** fully unroll any constant loop with at most this trip count,
           turning small kernels into block data paths; 0 = off *)
-  fuse_loops : bool;  (** fuse adjacent independent loops *)
   target_ns : float;  (** combinational budget per pipeline stage *)
   stage_budget : int;
       (** cap on the stage count of a multi-stage (wide) operator region
           (0 = the decomposition's natural depth) *)
   decomp : Roccc_datapath.Delay.decomp;
       (** wide-multiplier decomposition choice *)
-  infer_widths : bool;  (** bit-width inference (§4.2.4); ablation switch *)
-  optimize_vm : bool;
-      (** back-end value numbering / copy propagation / dead-code
-          elimination; ablation switch *)
   unroll_outer_factor : int;
       (** partial unrolling of the streaming loop: the data path consumes
           [factor] windows and produces [factor] results per cycle *)
@@ -41,20 +36,14 @@ type options = Pass.options = {
       (** convert pure called functions with one scalar input of at most
           this width into ROM lookup tables instead of inlining; 0 = off *)
   bus_elements : int;  (** memory elements delivered per access *)
-  check_vhdl : bool;  (** run the structural VHDL linter after generation *)
+  disabled_passes : string list;
+      (** optional passes to skip, by name: e.g. [loop-fusion],
+          [vm-optimize] (back-end value numbering / copy propagation /
+          dead-code elimination), [bit-width-inference] (§4.2.4; the
+          declared C widths are kept), [retiming], [vhdl-lint] *)
 }
 
 val default_options : options
-
-val front_options_fingerprint : options -> string
-(** Canonical rendering of exactly the option fields the front end
-    ({!front_end} and {!lower_to_kernel}) reads — two option records with
-    equal front fingerprints produce identical front-end results for the
-    same source and entry, which is what lets a cache share front-end work
-    across a back-end option sweep. *)
-
-val options_fingerprint : options -> string
-(** Canonical rendering of every option field (the full cache key). *)
 
 (** {1 Pass instrumentation} *)
 
@@ -125,8 +114,9 @@ val front_end :
   entry:string ->
   string ->
   front
-(** Parse and optimize down to the loop level. Only the option fields in
-    {!front_options_fingerprint} are read. Raises {!Error}. *)
+(** Parse and optimize down to the loop level. Reads only
+    [disabled_passes] and the option fields the front passes'
+    [fingerprint]s render. Raises {!Error}. *)
 
 val lower_to_kernel :
   ?instrument:instrument -> ?config:Pass.config -> front -> staged_kernel
@@ -156,7 +146,7 @@ type measurement = {
   ms_operator_slices : int;
   ms_clock_mhz : float;
   ms_latency : int;  (** pipeline stages *)
-  ms_latch_bits : int;  (** after retiming (when the pass is selected) *)
+  ms_latch_bits : int;  (** after retiming (when the pass runs) *)
   ms_greedy_latch_bits : int;
   ms_outputs_per_cycle : int;
 }

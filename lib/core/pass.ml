@@ -13,8 +13,8 @@
     - co-runs the C interpreter, the VM evaluator and the data-path
       evaluator on deterministic vectors after each layer boundary under
       [differential], reporting the first diverging pass;
-    - supports pass selection ([only_passes] / [disabled_passes]) for the
-      optional (optimization) passes and IR printing ([dump_after]);
+    - skips the optional passes named in the options' [disabled_passes]
+      and prints IR after the passes named in [dump_after];
     - reports one {!pass_stats} record per executed pass to [instrument];
     - prefixes every error with the failing pass's name. *)
 
@@ -95,53 +95,31 @@ type options = {
   unroll_all_max : int;
       (** fully unroll any constant loop with at most this trip count
           (turns small kernels into block kernels, as for the DCT) *)
-  fuse_loops : bool;
   target_ns : float;             (** pipeline stage budget *)
   stage_budget : int;
       (** cap on the stage count of a multi-stage (wide) operator region
           (0 = the decomposition's natural depth) *)
   decomp : Roccc_datapath.Delay.decomp;
       (** wide-multiplier decomposition choice *)
-  infer_widths : bool;           (** bit-width inference (ablation switch) *)
-  optimize_vm : bool;            (** back-end CSE/copy-prop/DCE (ablation) *)
   unroll_outer_factor : int;     (** partial unrolling of the outer loop *)
   lut_convert_max_bits : int;
       (** convert pure called functions with inputs up to this width into
           ROM lookup tables instead of inlining (0 = always inline) *)
   bus_elements : int;            (** memory bus width, in elements *)
-  check_vhdl : bool;             (** run the structural linter *)
+  disabled_passes : string list;
+      (** optional passes to skip, by name — the CLI's [--disable-pass] *)
 }
 
 let default_options =
   { unroll_inner_max = 0;
     unroll_all_max = 0;
-    fuse_loops = true;
     target_ns = Pipeline.default_target_ns;
     stage_budget = Roccc_datapath.Delay.default_stage_budget;
     decomp = Roccc_datapath.Delay.default_decomp;
-    infer_widths = true;
-    optimize_vm = true;
     unroll_outer_factor = 1;
     lut_convert_max_bits = 0;
     bus_elements = 1;
-    check_vhdl = true }
-
-(* Option fingerprints: a canonical rendering of exactly the fields each
-   group of passes reads, so a content-addressed cache can share front-end
-   work between jobs that differ only in back-end options. The per-pass
-   [fingerprint] fields below refine this to single-pass granularity. *)
-
-let front_options_fingerprint (o : options) : string =
-  Printf.sprintf "ui=%d;ua=%d;fuse=%b;uo=%d;lut=%d" o.unroll_inner_max
-    o.unroll_all_max o.fuse_loops o.unroll_outer_factor
-    o.lut_convert_max_bits
-
-let options_fingerprint (o : options) : string =
-  Printf.sprintf "%s;tns=%h;sb=%d;dc=%s;w=%b;ovm=%b;bus=%d;lint=%b"
-    (front_options_fingerprint o)
-    o.target_ns o.stage_budget
-    (Roccc_datapath.Delay.decomp_name o.decomp)
-    o.infer_widths o.optimize_vm o.bus_elements o.check_vhdl
+    disabled_passes = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Instrumentation                                                     *)
@@ -251,7 +229,7 @@ type pass = {
   name : string;         (** the Figure 1 pass name, e.g. ["datapath-build"] *)
   layer : layer;
   optional : bool;
-      (** optimization passes may be disabled by selection; required
+      (** optimization passes may be named in [disabled_passes]; required
           structural passes may not *)
   enabled : options -> bool;   (** static option gate *)
   applicable : state -> bool;  (** dynamic gate (e.g. nothing to convert) *)
@@ -262,7 +240,7 @@ type pass = {
   dump : state -> string;                 (** IR printer for [dump_after] *)
   fingerprint : options -> string;
       (** canonical rendering of exactly the option fields the pass reads
-          — the per-pass refinement of {!options_fingerprint} *)
+          — chained into the cache keys of pipeline states and artifacts *)
 }
 
 let always _ = true
@@ -275,10 +253,6 @@ let no_fp (_ : options) = ""
 type config = {
   verify_ir : bool;           (** run each pass's verifier after it *)
   differential : bool;        (** run the differential semantics checks *)
-  only_passes : string list option;
-      (** when set, only these optional passes run (required passes always
-          run) — the CLI's [--passes] *)
-  disabled_passes : string list;  (** the CLI's [--disable-pass] *)
   dump_after : string list;       (** pass names to print IR after *)
   on_dump : string -> string -> unit;  (** receives (pass name, dump text) *)
   instrument : instrument option;
@@ -296,8 +270,6 @@ let env_flag name =
 let default_config () =
   { verify_ir = env_flag "ROCCC_VERIFY_IR";
     differential = env_flag "ROCCC_DIFFERENTIAL";
-    only_passes = None;
-    disabled_passes = [];
     dump_after = [];
     on_dump =
       (fun name text ->
@@ -765,7 +737,7 @@ let loop_fusion_pass =
   { name = "loop-fusion";
     layer = Hir;
     optional = true;
-    enabled = (fun o -> o.fuse_loops);
+    enabled = always;
     applicable = always;
     transform =
       (fun st ->
@@ -775,7 +747,7 @@ let loop_fusion_pass =
     verifier = None;
     differential = None;
     dump = dump_func;
-    fingerprint = (fun o -> Printf.sprintf "fuse=%b" o.fuse_loops) }
+    fingerprint = no_fp }
 
 let scalar_replacement_pass =
   { name = "scalar-replacement";
@@ -864,7 +836,7 @@ let vm_optimize_pass =
   { name = "vm-optimize";
     layer = Vm;
     optional = true;
-    enabled = (fun o -> o.optimize_vm);
+    enabled = always;
     applicable = always;
     transform =
       (fun st ->
@@ -876,7 +848,7 @@ let vm_optimize_pass =
     verifier = Some vm_verifier;
     differential = Some (differential_vm "vm-optimize");
     dump = dump_proc;
-    fingerprint = (fun o -> Printf.sprintf "ovm=%b" o.optimize_vm) }
+    fingerprint = no_fp }
 
 let datapath_build_pass =
   { name = "datapath-build";
@@ -919,17 +891,11 @@ let widths_verifier st =
 let width_inference_pass =
   { name = "bit-width-inference";
     layer = Datapath;
-    optional = false;  (* always produces widths; ablate via infer_widths *)
+    optional = true;  (* disabled, pipelining keeps the declared widths *)
     enabled = always;
     applicable = always;
     transform =
-      (fun st ->
-        let dp = dp_of st in
-        let widths =
-          if st.st_options.infer_widths then Widths.infer dp
-          else Widths.declared dp
-        in
-        { st with st_widths = Some widths });
+      (fun st -> { st with st_widths = Some (Widths.infer (dp_of st)) });
     ir_size = (fun st -> Graph.instr_count (dp_of st));
     verifier = Some widths_verifier;
     differential = Some differential_widths;
@@ -937,7 +903,7 @@ let width_inference_pass =
       (fun st ->
         Printf.sprintf "total inferred bits: %d\n"
           (Widths.total_bits (widths_of st)));
-    fingerprint = (fun o -> Printf.sprintf "w=%b" o.infer_widths) }
+    fingerprint = no_fp }
 
 let pipelining_pass =
   { name = "pipelining";
@@ -947,13 +913,18 @@ let pipelining_pass =
     applicable = always;
     transform =
       (fun st ->
+        let dp = dp_of st in
+        let widths =
+          match st.st_widths with
+          | Some w -> w
+          | None -> Widths.declared dp  (* bit-width-inference disabled *)
+        in
         let p =
           Pipeline.build ~target_ns:st.st_options.target_ns
             ~stage_budget:st.st_options.stage_budget
-            ~decomp:st.st_options.decomp ~retime:false (dp_of st)
-            (widths_of st)
+            ~decomp:st.st_options.decomp ~retime:false dp widths
         in
-        { st with st_pipeline = Some p });
+        { st with st_widths = Some widths; st_pipeline = Some p });
     ir_size = (fun st -> Pipeline.latency (pipeline_of st));
     verifier = Some (fun st -> Pipeline.verify (pipeline_of st));
     differential = None;
@@ -1009,10 +980,7 @@ let retiming_pass =
     verifier = Some (fun st -> Pipeline.verify (pipeline_of st));
     differential = Some differential_retiming;
     dump = (fun st -> Pipeline.describe (pipeline_of st));
-    fingerprint =
-      (fun o ->
-        Printf.sprintf "tns=%h;sb=%d;dc=%s" o.target_ns o.stage_budget
-          (Roccc_datapath.Delay.decomp_name o.decomp)) }
+    fingerprint = no_fp }
 
 let vhdl_generation_pass =
   { name = "vhdl-generation";
@@ -1042,7 +1010,7 @@ let vhdl_lint_pass =
   { name = "vhdl-lint";
     layer = Vhdl;
     optional = true;
-    enabled = (fun o -> o.check_vhdl);
+    enabled = always;
     applicable = always;
     transform =
       (fun st ->
@@ -1180,58 +1148,55 @@ let with_pass_name (name : string) (f : unit -> 'a) : 'a =
     | Some m -> raise (Error (prefix_pass name m))
     | None -> raise e)
 
-let selected_in (config : config) (p : pass) : bool =
-  (not p.optional)
-  || ((not (List.mem p.name config.disabled_passes))
-     &&
-     match config.only_passes with
-     | None -> true
-     | Some names -> List.mem p.name names)
+(* Whether [p] runs under [options]: its option gate is open and, when it
+   is optional, [disabled_passes] does not name it. *)
+let runs (options : options) (p : pass) : bool =
+  p.enabled options
+  && not (p.optional && List.mem p.name options.disabled_passes)
 
-(** The passes of [passes] that would execute under [config] and
-    [options], in order — the basis for the service's chained per-pass
-    cache fingerprints. (A pass whose dynamic [applicable] gate skips is
-    still listed: the skip is a deterministic function of the inputs, so
-    the chained key remains sound.) *)
-let executed ?config (options : options) (passes : pass list) : pass list =
-  let config =
-    match config with Some c -> c | None -> default_config ()
+(** The passes of [passes] that would execute under [options], in order —
+    the basis for the service's cache keys. (A pass whose dynamic
+    [applicable] gate skips is still listed: the skip is a deterministic
+    function of the inputs, so the keys remain sound.) *)
+let executed (options : options) (passes : pass list) : pass list =
+  List.filter (runs options) passes
+
+let check_names ?(dump_after = []) (options : options) : (unit, string) result
+    =
+  let problem (flag, n) =
+    match find n with
+    | None ->
+      Some
+        (Printf.sprintf "%s: unknown pass %s (known: %s)" flag n
+           (String.concat ", " (pass_names ())))
+    | Some p when flag = "--disable-pass" && not p.optional ->
+      Some (Printf.sprintf "pass %s is required and cannot be disabled" n)
+    | Some _ -> None
   in
-  List.filter (fun p -> p.enabled options && selected_in config p) passes
+  match
+    List.find_map problem
+      (List.map (fun n -> "--disable-pass", n) options.disabled_passes
+      @ List.map (fun n -> "--dump-after", n) dump_after)
+  with
+  | Some msg -> Error msg
+  | None -> Ok ()
 
-(** Canonical rendering of the config's pass selection — the part of a
-    finished artifact's cache identity that [options_fingerprint] cannot
-    see (disabling [vm-optimize] changes the generated VHDL without
-    changing any option field). Order-insensitive: selections that execute
-    the same passes render identically. *)
-let selection_fingerprint (config : config) : string =
-  let canon names = String.concat "," (List.sort_uniq String.compare names) in
-  let only =
-    match config.only_passes with None -> "*" | Some names -> canon names
-  in
-  Printf.sprintf "only=%s;disabled=%s" only (canon config.disabled_passes)
+let validate ?(dump_after = []) (options : options) : (unit, string) result =
+  Result.bind (check_names ~dump_after options) (fun () ->
+      let skipped n =
+        not
+          (List.exists
+             (fun p -> String.equal p.name n && runs options p)
+             all_passes)
+      in
+      match List.find_opt skipped dump_after with
+      | Some n ->
+        Error
+          (Printf.sprintf
+             "--dump-after: pass %s is skipped under these options \
+              (disabled or gated off)" n)
+      | None -> Ok ())
 
-let validate_selection (config : config) : unit =
-  let known = pass_names () in
-  let check_known what n =
-    if not (List.mem n known) then
-      errf "%s: unknown pass %s (known: %s)" what n (String.concat ", " known)
-  in
-  List.iter (check_known "--disable-pass") config.disabled_passes;
-  List.iter (check_known "--dump-after") config.dump_after;
-  Option.iter (List.iter (check_known "--passes")) config.only_passes;
-  List.iter
-    (fun n ->
-      match find n with
-      | Some p when not p.optional ->
-        errf "pass %s is required and cannot be disabled" n
-      | Some _ | None -> ())
-    config.disabled_passes
-
-(** Run one pass on the state: skipped (returning the state unchanged)
-    when its option gate, selection or dynamic applicability says so;
-    otherwise transformed, traced, instrumented, verified and dumped
-    according to [config]. *)
 let check_cancel (config : config) : unit =
   match config.cancel with
   | None -> ()
@@ -1240,12 +1205,16 @@ let check_cancel (config : config) : unit =
     | Some reason -> raise (Cancelled reason)
     | None -> ())
 
+(** Run one pass on the state: skipped (returning the state unchanged)
+    when {!runs} or its dynamic applicability says so;
+    otherwise transformed, traced, instrumented, verified and dumped
+    according to [config]. *)
 let step ?config (p : pass) (st : state) : state =
   let config =
     match config with Some c -> c | None -> default_config ()
   in
   check_cancel config;
-  if not (p.enabled st.st_options && selected_in config p) then st
+  if not (runs st.st_options p) then st
   else if not (with_pass_name p.name (fun () -> p.applicable st)) then st
   else begin
     let t0 = Unix.gettimeofday () in
@@ -1287,5 +1256,7 @@ let run ?config (passes : pass list) (st : state) : state =
   let config =
     match config with Some c -> c | None -> default_config ()
   in
-  validate_selection config;
+  Result.iter_error
+    (fun msg -> raise (Error msg))
+    (check_names ~dump_after:config.dump_after st.st_options);
   List.fold_left (fun st p -> step ~config p st) st passes

@@ -32,30 +32,22 @@ type options = {
       (** fully unroll inner loops with at most this trip count *)
   unroll_all_max : int;
       (** fully unroll any constant loop with at most this trip count *)
-  fuse_loops : bool;
   target_ns : float;             (** pipeline stage budget *)
   stage_budget : int;
       (** cap on the stage count of a multi-stage (wide) operator region
           (0 = the decomposition's natural depth) *)
   decomp : Roccc_datapath.Delay.decomp;
       (** wide-multiplier decomposition choice *)
-  infer_widths : bool;           (** bit-width inference (ablation switch) *)
-  optimize_vm : bool;            (** back-end CSE/copy-prop/DCE (ablation) *)
   unroll_outer_factor : int;     (** partial unrolling of the outer loop *)
   lut_convert_max_bits : int;
       (** convert pure called functions with inputs up to this width into
           ROM lookup tables instead of inlining (0 = always inline) *)
   bus_elements : int;            (** memory bus width, in elements *)
-  check_vhdl : bool;             (** run the structural linter *)
+  disabled_passes : string list;
+      (** optional passes to skip, by name — the CLI's [--disable-pass] *)
 }
 
 val default_options : options
-
-val front_options_fingerprint : options -> string
-(** Canonical rendering of the option fields the front end reads. *)
-
-val options_fingerprint : options -> string
-(** Canonical rendering of every option field (cache key component). *)
 
 (** {1 Instrumentation} *)
 
@@ -124,7 +116,7 @@ val layer_name : layer -> string
 type pass = {
   name : string;          (** the Figure 1 pass name *)
   layer : layer;
-  optional : bool;        (** may be disabled by selection *)
+  optional : bool;        (** may be named in [disabled_passes] *)
   enabled : options -> bool;   (** static option gate *)
   applicable : state -> bool;  (** dynamic gate (e.g. nothing to convert) *)
   transform : state -> state;
@@ -157,10 +149,6 @@ val find : string -> pass option
 type config = {
   verify_ir : bool;          (** run each pass's verifier after it *)
   differential : bool;       (** run the differential semantics checks *)
-  only_passes : string list option;
-      (** when set, only these optional passes run (required passes always
-          run) — the CLI's [--passes] *)
-  disabled_passes : string list;   (** the CLI's [--disable-pass] *)
   dump_after : string list;        (** pass names to print IR after *)
   on_dump : string -> string -> unit;  (** receives (pass name, dump) *)
   instrument : instrument option;
@@ -174,21 +162,22 @@ val default_config : unit -> config
 (** [verify_ir] / [differential] default from the [ROCCC_VERIFY_IR] /
     [ROCCC_DIFFERENTIAL] environment variables; dumps go to stdout. *)
 
-val selection_fingerprint : config -> string
-(** Canonical, order-insensitive rendering of the config's pass selection
-    ([only_passes] / [disabled_passes]) — a cache-key component alongside
-    {!options_fingerprint}, since selection changes the generated artifact
-    without changing any option field. *)
+val check_names :
+  ?dump_after:string list -> options -> (unit, string) result
+(** [Error] names an unknown pass in [disabled_passes] or [dump_after], or
+    a required pass in [disabled_passes]. *)
 
-val validate_selection : config -> unit
-(** Reject unknown pass names and attempts to disable required passes. *)
+val validate : ?dump_after:string list -> options -> (unit, string) result
+(** {!check_names}, then [Error] for a [dump_after] pass that does not run
+    under [options] (disabled, or its option gate is off). *)
 
-val executed : ?config:config -> options -> pass list -> pass list
-(** The passes that would execute under the config and options, in order —
-    the basis for chained per-pass cache fingerprints. (A pass whose
-    dynamic [applicable] gate later skips is still listed; the skip is a
-    deterministic function of the pass inputs, so chained keys stay
-    sound.) *)
+val executed : options -> pass list -> pass list
+(** The passes that would execute under the options, in order: a pass
+    runs when its option gate is open and, if it is optional,
+    [disabled_passes] does not name it. The basis for the service's
+    cache keys. (A pass whose dynamic [applicable] gate later skips is
+    still listed; the skip is a deterministic function of the pass
+    inputs, so the keys stay sound.) *)
 
 val step : ?config:config -> pass -> state -> state
 (** Run one pass (or skip it, returning the state unchanged, when its
@@ -196,4 +185,5 @@ val step : ?config:config -> pass -> state -> state
     dump according to [config]. Raises {!Error} with the pass name. *)
 
 val run : ?config:config -> pass list -> state -> state
-(** {!validate_selection} then fold {!step} over the pipeline. *)
+(** {!check_names} on the state's options and [config]'s [dump_after],
+    then fold {!step} over the pipeline. *)

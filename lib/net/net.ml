@@ -207,14 +207,12 @@ let compile_stage ?cache ?config ~options ~luts ~source ~tid entry :
   match cache with
   | None -> Driver.compile ?config ~options ~luts ~entry source
   | Some _ ->
-    let base_config =
+    let config =
       match config with Some c -> c | None -> Pass.default_config ()
     in
     let job = { Service.label = entry; source; entry; options; luts } in
-    let st, _, _ =
-      Service.run_mid_end ?cache ~base_config ~config:base_config ~tid job
-    in
-    Driver.back_end ~config:base_config ~options (Driver.staged_of_state st)
+    let st, _, _ = Service.run_mid_end ?cache ~config ~tid job in
+    Driver.back_end ~config ~options (Driver.staged_of_state st)
 
 (** Build a network plan for pipeline [name] of [source]: compile every
     stage (fanned out over the domain scheduler, per-pass cached when

@@ -1,8 +1,8 @@
 (* Content-addressed cache keys: a stage output is identified by a digest
    of everything that determines it — the C source, the entry function,
-   the (stage-relevant) compile options, the registered lookup tables and
-   the stage name. Two jobs with equal fingerprints may share one cached
-   result; any changed input changes the digest. *)
+   the registered lookup tables and the passes that produced it, each
+   with the option fields it reads. Two jobs with equal fingerprints may
+   share one cached result; any changed input changes the digest. *)
 
 module Lut_conv = Roccc_hir.Lut_conv
 module Ast = Roccc_cfront.Ast
@@ -33,15 +33,22 @@ let lut_part (t : Lut_conv.table) : string =
    cache directory would keep serving stale designs. *)
 let version = "roccc-cache-v5"
 
-let make ~(selection : string) ~(stage : string) ~(source : string)
-    ~(entry : string) ~(options_fp : string) ~(luts : Lut_conv.table list) :
-    t =
-  let parts =
-    [ version; stage; entry; options_fp; selection;
-      Digest.to_hex (Digest.string source) ]
-    @ List.map lut_part luts
-  in
-  Digest.to_hex (Digest.string (String.concat "\x00" parts))
+let digest parts = Digest.to_hex (Digest.string (String.concat "\x00" parts))
+
+let inputs ~(tag : string) ~(source : string) ~(entry : string)
+    ~(luts : Lut_conv.table list) : string list =
+  [ version; tag; entry; Digest.to_hex (Digest.string source) ]
+  @ List.map lut_part luts
+
+(* A finished artifact is determined by its inputs and, in order, the
+   name and option fingerprint of every pass that runs — equal lists mean
+   equal artifacts whatever option record or pass selection produced
+   them. *)
+let make ~(source : string) ~(entry : string) ~(luts : Lut_conv.table list)
+    ~(passes : (string * string) list) : t =
+  digest
+    (inputs ~tag:"full" ~source ~entry ~luts
+    @ List.concat_map (fun (name, fp) -> [ name; fp ]) passes)
 
 (* Per-pass chained keys: the key after pass N is a digest of the key
    after pass N-1, the pass name and that pass's own option fingerprint.
@@ -50,15 +57,9 @@ let make ~(selection : string) ~(stage : string) ~(source : string)
 
 let seed ~(source : string) ~(entry : string)
     ~(luts : Lut_conv.table list) : t =
-  let parts =
-    [ version; "seed"; entry;
-      Digest.to_hex (Digest.string source) ]
-    @ List.map lut_part luts
-  in
-  Digest.to_hex (Digest.string (String.concat "\x00" parts))
+  digest (inputs ~tag:"seed" ~source ~entry ~luts)
 
 let chain (prev : t) ~(pass : string) ~(options_fp : string) : t =
-  Digest.to_hex
-    (Digest.string (String.concat "\x00" [ prev; pass; options_fp ]))
+  digest [ prev; pass; options_fp ]
 
 let to_hex (t : t) : string = t

@@ -4,21 +4,15 @@ type t = private string
 (** A hex digest; equal fingerprints mean "same stage output". *)
 
 val make :
-  selection:string ->
-  stage:string ->
   source:string ->
   entry:string ->
-  options_fp:string ->
   luts:Roccc_hir.Lut_conv.table list ->
+  passes:(string * string) list ->
   t
-(** Digest of everything that determines a stage's output. [options_fp]
-    should be {!Roccc_core.Driver.front_options_fingerprint} for front-end
-    stages and {!Roccc_core.Driver.options_fingerprint} for full results,
-    so that back-end-only option changes still share front-end work.
-    [selection] is the normalized pass selection
-    ({!Roccc_core.Pass.selection_fingerprint}) — selection changes the
-    generated artifact without changing any option field, so it must be
-    part of a finished artifact's identity. *)
+(** A finished artifact's key: a digest of the inputs and, in order, the
+    (name, option fingerprint) of every pass that runs — see
+    {!Roccc_core.Pass.executed}. Option records or pass selections that
+    run the same passes with the same fingerprints share one artifact. *)
 
 val seed :
   source:string -> entry:string -> luts:Roccc_hir.Lut_conv.table list -> t

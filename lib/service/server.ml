@@ -142,8 +142,7 @@ type request = { rq_id : Json.t; rq_kind : kind }
 
 let known_option_keys =
   [ "target_ns"; "bus_elements"; "unroll_inner_max"; "unroll_all_max";
-    "unroll_outer_factor"; "fuse_loops"; "infer_widths"; "optimize_vm";
-    "check_vhdl"; "lut_convert_max_bits" ]
+    "unroll_outer_factor"; "lut_convert_max_bits"; "disable_passes" ]
 
 let options_of_json (j : Json.t) : (Driver.options, string) result =
   match j with
@@ -159,11 +158,6 @@ let options_of_json (j : Json.t) : (Driver.options, string) result =
           match Json.to_int_opt v with
           | Some n when n >= 0 -> apply (f n) rest
           | Some _ | None -> bad "a non-negative integer"
-        in
-        let with_bool f =
-          match Json.to_bool_opt v with
-          | Some b -> apply (f b) rest
-          | None -> bad "a boolean"
         in
         match key with
         | "target_ns" -> (
@@ -186,13 +180,15 @@ let options_of_json (j : Json.t) : (Driver.options, string) result =
           | Some _ | None -> bad "a positive integer")
         | "lut_convert_max_bits" ->
           with_int (fun n -> { o with Driver.lut_convert_max_bits = n })
-        | "fuse_loops" -> with_bool (fun b -> { o with Driver.fuse_loops = b })
-        | "infer_widths" ->
-          with_bool (fun b -> { o with Driver.infer_widths = b })
-        | "optimize_vm" ->
-          with_bool (fun b -> { o with Driver.optimize_vm = b })
-        | "check_vhdl" ->
-          with_bool (fun b -> { o with Driver.check_vhdl = b })
+        | "disable_passes" -> (
+          match v with
+          | Json.Arr items
+            when List.for_all (fun i -> Json.to_string_opt i <> None) items
+            ->
+            let disabled_passes = List.filter_map Json.to_string_opt items in
+            let o = { o with Driver.disabled_passes } in
+            Result.bind (Pass.check_names o) (fun () -> apply o rest)
+          | _ -> bad "a list of pass names")
         | _ ->
           Error
             (Printf.sprintf "unknown option %S (known: %s)" key

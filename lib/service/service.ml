@@ -4,15 +4,16 @@
    A job is (source, entry, options, luts). Compilation consults the cache
    deepest-first at per-pass granularity:
 
-     full artifact (all options)          -> memory or disk
+     full artifact (every pass that runs) -> memory or disk
      one chained key per mid-end pass     -> pipeline state, memory only
 
    The chained keys cover the front + kernel pipelines (parse through
    feedback-detection); each link digests the previous link, the pass name
    and that pass's own option fingerprint, so a warm rerun costs one
    lookup, a front option change re-runs only from the first affected
-   pass, and a back-end option sweep (bus width, stage budget, width
-   inference) reuses every mid-end pass and re-runs only the back end. *)
+   pass, and a back-end sweep (bus width, stage budget, disabling
+   bit-width inference) reuses every mid-end pass and re-runs only the
+   back end. *)
 
 module Driver = Roccc_core.Driver
 module Pass = Roccc_core.Pass
@@ -109,24 +110,22 @@ let success_of_artifact ~label ~elapsed ~origin (a : Cache.artifact) : success
    its procedure in place, so its states are never shared. *)
 let mid_passes = Pass.front_passes @ Pass.kernel_passes
 
-(* The finished artifact's identity includes the pass selection: disabling
-   an optional pass changes the generated VHDL without changing any option
-   field, and artifacts persist in the disk cache across processes. *)
-let full_key ?config (job : job) : Fingerprint.t =
-  let config =
-    match config with Some c -> c | None -> Pass.default_config ()
-  in
-  Fingerprint.make ~stage:"full"
-    ~selection:(Pass.selection_fingerprint config)
-    ~source:job.source ~entry:job.entry
-    ~options_fp:(Driver.options_fingerprint job.options)
-    ~luts:job.luts
+(* The finished artifact's identity: the inputs plus every pass that runs
+   with the option fields it reads. Disabling a pass changes the list; an
+   option no running pass reads, or a disabled pass that was gated off
+   anyway, does not. *)
+let full_key (job : job) : Fingerprint.t =
+  Fingerprint.make ~source:job.source ~entry:job.entry ~luts:job.luts
+    ~passes:
+      (List.map
+         (fun (p : Pass.pass) -> p.Pass.name, p.Pass.fingerprint job.options)
+         (Pass.executed job.options Pass.all_passes))
 
 (** The chained per-pass fingerprints of the job's mid-end pipeline, in
-    execution order: one (pass, key-of-state-after-it) per statically
-    selected pass. *)
-let pass_keys ?config (job : job) : (Pass.pass * Fingerprint.t) list =
-  let selected = Pass.executed ?config job.options mid_passes in
+    execution order: one (pass, key-of-state-after-it) per pass that
+    runs. *)
+let pass_keys (job : job) : (Pass.pass * Fingerprint.t) list =
+  let selected = Pass.executed job.options mid_passes in
   let seed =
     Fingerprint.seed ~source:job.source ~entry:job.entry ~luts:job.luts
   in
@@ -165,9 +164,9 @@ let traced_config ?trace ~tid (job : job) (base_config : Pass.config) :
    (storing each newly computed state back), returning the completed
    mid-end state and how many passes were reused. Reused passes appear in
    [trace] with a [cached] argument and zero duration. *)
-let run_mid_end ?cache ~(base_config : Pass.config) ~(config : Pass.config)
-    ?trace ~tid (job : job) : Pass.state * int * int =
-  let keyed = Array.of_list (pass_keys ~config:base_config job) in
+let run_mid_end ?cache ~(config : Pass.config) ?trace ~tid (job : job) :
+    Pass.state * int * int =
+  let keyed = Array.of_list (pass_keys job) in
   let n = Array.length keyed in
   (* deepest cached state first *)
   let rec probe i =
@@ -208,8 +207,8 @@ let run_mid_end ?cache ~(base_config : Pass.config) ~(config : Pass.config)
   done;
   !st, start_idx, n
 
-(* The preamble the three costing tiers share: default and validate the
-   pass selection, install the tracing instrument, and hand back a thunk
+(* The preamble the costing tiers share: default the config, validate the
+   pass names, install the tracing instrument, and hand back a thunk
    that resumes the cached mid-end — [compile_cached] forces it only when
    the finished artifact is not cached. The thunk also reports where the
    mid-end came from. *)
@@ -218,12 +217,12 @@ let prepare ?cache ?config ?trace ~tid (job : job) :
   let base_config =
     match config with Some c -> c | None -> Pass.default_config ()
   in
-  Pass.validate_selection base_config;
+  Result.iter_error
+    (fun msg -> raise (Driver.Error msg))
+    (Pass.check_names ~dump_after:base_config.Pass.dump_after job.options);
   let config = traced_config ?trace ~tid job base_config in
   let mid_end () =
-    let st, start_idx, n =
-      run_mid_end ?cache ~base_config ~config ?trace ~tid job
-    in
+    let st, start_idx, n = run_mid_end ?cache ~config ?trace ~tid job in
     ( Driver.staged_of_state st,
       if start_idx = 0 then Cold
       else if start_idx < n then Warm_partial
@@ -245,7 +244,7 @@ let prepare ?cache ?config ?trace ~tid (job : job) :
 let compile_cached ?cache ?config ?trace ?(tid = 0) (job : job) : success =
   let t0 = now () in
   let base_config, config, mid_end = prepare ?cache ?config ?trace ~tid job in
-  let full_key = full_key ~config:base_config job in
+  let full_key = full_key job in
   let finish origin (c : Driver.compiled) =
     let art = artifact_of c in
     Option.iter (fun cache -> Cache.store cache full_key (Cache.Artifact art)) cache;
@@ -388,13 +387,15 @@ let run_batch ?cache ?config ?trace ?(num_domains = 0) (jobs : job list) :
 (* Job builders                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let table1_jobs () : job list =
+let table1_jobs ?(disabled_passes = []) () : job list =
   List.map
     (fun (b : Kernels.benchmark) ->
       { label = b.Kernels.bench_name;
         source = b.Kernels.source;
         entry = b.Kernels.entry;
-        options = b.Kernels.tune Driver.default_options;
+        options =
+          { (b.Kernels.tune Driver.default_options) with
+            Driver.disabled_passes };
         luts = b.Kernels.luts })
     Kernels.table1
 

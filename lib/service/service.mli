@@ -54,9 +54,18 @@ type report = {
   rp_cache : Cache.stats option;
 }
 
+val full_key : job -> Fingerprint.t
+(** The finished artifact's cache key: the job's inputs plus the name and
+    option fingerprint of every pass {!Roccc_core.Pass.executed} runs. *)
+
+val pass_keys : job -> (Roccc_core.Pass.pass * Fingerprint.t) list
+(** The chained per-pass keys of the job's mid-end pipeline (parse
+    through feedback-detection), in execution order: one (pass, key of
+    the state after it) per pass that runs. The last key names the
+    completed mid-end state. *)
+
 val run_mid_end :
   ?cache:Cache.t ->
-  base_config:Roccc_core.Pass.config ->
   config:Roccc_core.Pass.config ->
   ?trace:Trace.t ->
   tid:int ->
@@ -65,7 +74,7 @@ val run_mid_end :
 (** Resume the mid-end pipeline (parse through the kernel passes) from
     the deepest cached per-pass state, storing each newly computed
     state back. Returns the completed mid-end state, the index of the
-    first pass that actually ran, and the number of selected passes.
+    first pass that actually ran, and the number of passes that run.
     The process-network planner uses this to share per-kernel mid-end
     work between network and single-kernel compiles. *)
 
@@ -80,8 +89,9 @@ val compile_cached :
     artifact, then one chained fingerprint per mid-end pass (parse through
     feedback-detection) — resuming compilation from the deepest cached
     pipeline state and tracing each pass (reused passes appear with a
-    [cached] argument and zero duration). [config] selects passes and
-    enables IR verification / differential checks.
+    [cached] argument and zero duration). [config] enables IR
+    verification / differential checks and dumps; the job's options say
+    which passes run.
 
     Executions are single-flight per full fingerprint: with a cache,
     concurrent requests for the same key collapse to one execution — the
@@ -117,8 +127,9 @@ val run_batch :
 val describe_error : exn -> string option
 (** User-facing message for the compiler's known exceptions. *)
 
-val table1_jobs : unit -> job list
-(** The paper's nine Table 1 kernels, with their per-kernel tuned options. *)
+val table1_jobs : ?disabled_passes:string list -> unit -> job list
+(** The paper's nine Table 1 kernels, with their per-kernel tuned options
+    and [disabled_passes]. *)
 
 val sweep_jobs :
   ?base:Roccc_core.Driver.options ->

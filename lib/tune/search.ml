@@ -137,7 +137,7 @@ let options_of (st : settings) (c : candidate) : Driver.options =
     decomp = c.cd_decomp }
 
 (* Evaluate [f] on candidate indices in two waves: one representative per
-   distinct front-end options fingerprint first, then everyone else — so
+   distinct mid-end state key first, then everyone else — so
    the wide wave finds every distinct mid-end prefix already cached
    instead of racing to compile it on several workers at once. *)
 let eval_waves ~(num_domains : int) ~(fp : int -> string)
@@ -185,7 +185,9 @@ let run ?cache ?trace ?config ?(luts = []) (st : settings) ~(source : string)
           luts })
       cands
   in
-  let fp i = Driver.front_options_fingerprint jobs.(i).Service.options in
+  let fp i =
+    (snd (List.hd (List.rev (Service.pass_keys jobs.(i)))) :> string)
+  in
   let span ~tid ~t0 name tier =
     match trace with
     | None -> ()

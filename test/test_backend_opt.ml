@@ -131,7 +131,7 @@ let test_optimize_ablation_smaller_area () =
     Driver.compile
       ~options:
         { (b.Roccc_core.Kernels.tune Driver.default_options) with
-          Driver.optimize_vm = false }
+          Driver.disabled_passes = [ "vm-optimize" ] }
       ~entry:b.Roccc_core.Kernels.entry b.Roccc_core.Kernels.source
   in
   Alcotest.(check bool)
@@ -329,7 +329,9 @@ let prop_random_kernels_unoptimized_equal =
       match
         ( Driver.compile ~entry:"k" source,
           Driver.compile
-            ~options:{ Driver.default_options with Driver.optimize_vm = false }
+            ~options:
+              { Driver.default_options with
+                Driver.disabled_passes = [ "vm-optimize" ] }
             ~entry:"k" source )
       with
       | exception Driver.Error _ -> QCheck.assume_fail ()

@@ -145,7 +145,7 @@ let test_width_ablation_reduces_area () =
     Driver.compile
       ~options:
         { (b.Kernels.tune Driver.default_options) with
-          Driver.infer_widths = false }
+          Driver.disabled_passes = [ "bit-width-inference" ] }
       ~luts:b.Kernels.luts ~entry:b.Kernels.entry b.Kernels.source
   in
   Alcotest.(check bool)

@@ -10,9 +10,11 @@ module Instr = Roccc_vm.Instr
 let quiet_config () =
   { (Pass.default_config ()) with Pass.on_dump = (fun _ _ -> ()) }
 
-let compile_with config (b : Kernels.benchmark) : Driver.compiled =
+let compile_with ?(disabled_passes = []) config (b : Kernels.benchmark) :
+    Driver.compiled =
   Driver.compile ~config
-    ~options:(b.Kernels.tune Driver.default_options)
+    ~options:
+      { (b.Kernels.tune Driver.default_options) with Driver.disabled_passes }
     ~luts:b.Kernels.luts ~entry:b.Kernels.entry b.Kernels.source
 
 (* Acceptance criterion: every Table 1 kernel compiles with every IR
@@ -157,10 +159,9 @@ let test_pipeline_verify () =
 
 let test_disable_pass () =
   let b = Kernels.fir in
-  let config =
-    { (quiet_config ()) with Pass.disabled_passes = [ "vm-optimize" ] }
+  let c =
+    compile_with ~disabled_passes:[ "vm-optimize" ] (quiet_config ()) b
   in
-  let c = compile_with config b in
   Alcotest.(check bool)
     "vm-optimize skipped" false
     (List.mem "vm-optimize" c.Driver.pass_trace);
@@ -169,29 +170,43 @@ let test_disable_pass () =
     "vm-optimize runs by default" true
     (List.mem "vm-optimize" full.Driver.pass_trace)
 
-let test_only_passes () =
+(* Disabling bit-width inference keeps the declared C widths: the pass is
+   absent from the trace and the pipeline sees [Widths.declared]. *)
+let test_disable_width_inference () =
   let b = Kernels.fir in
-  let config =
-    { (quiet_config ()) with Pass.only_passes = Some [ "constant-fold" ] }
+  let c =
+    compile_with ~disabled_passes:[ "bit-width-inference" ] (quiet_config ()) b
   in
-  let c = compile_with config b in
-  (* required passes still run; the other optional ones don't *)
   Alcotest.(check bool)
-    "constant-fold kept" true
-    (List.mem "constant-fold" c.Driver.pass_trace);
-  Alcotest.(check bool)
-    "vm-optimize dropped" false
-    (List.mem "vm-optimize" c.Driver.pass_trace);
-  Alcotest.(check bool)
-    "required lowering kept" true
-    (List.mem "lower-to-suifvm" c.Driver.pass_trace)
+    "bit-width-inference skipped" false
+    (List.mem "bit-width-inference" c.Driver.pass_trace);
+  let module Widths = Roccc_datapath.Widths in
+  Alcotest.(check int) "declared widths"
+    (Widths.total_bits (Widths.declared c.Driver.dp))
+    (Widths.total_bits c.Driver.widths)
+
+(* A dump after a pass the options skip — disabled, or gated off — is
+   rejected up front, as is an unknown name; a dump after a pass that runs
+   is accepted. *)
+let test_validate_dump_after () =
+  let rejects what ~dump_after options =
+    match Pass.validate ~dump_after options with
+    | Ok () -> Alcotest.failf "%s accepted" what
+    | Error _ -> ()
+  in
+  let base = Driver.default_options in
+  rejects "dump after a disabled pass" ~dump_after:[ "vm-optimize" ]
+    { base with Driver.disabled_passes = [ "vm-optimize" ] };
+  rejects "dump after a gated-off pass" ~dump_after:[ "lut-conversion" ] base;
+  rejects "dump after an unknown pass" ~dump_after:[ "nosuch" ] base;
+  Alcotest.(check bool) "dump after a running pass" true
+    (Pass.validate ~dump_after:[ "vm-optimize" ] base = Ok ())
 
 let test_disable_required_pass_rejected () =
   let b = Kernels.fir in
-  let config =
-    { (quiet_config ()) with Pass.disabled_passes = [ "scalar-replacement" ] }
-  in
-  (match compile_with config b with
+  (match
+     compile_with ~disabled_passes:[ "scalar-replacement" ] (quiet_config ()) b
+   with
   | (_ : Driver.compiled) -> Alcotest.fail "expected rejection"
   | exception Pass.Error msg ->
     Alcotest.(check bool)
@@ -312,8 +327,10 @@ let suites =
           test_pipeline_verify;
         Alcotest.test_case "disable-pass drops an optional pass" `Quick
           test_disable_pass;
-        Alcotest.test_case "only-passes keeps required passes" `Quick
-          test_only_passes;
+        Alcotest.test_case "disabling width inference keeps declared widths"
+          `Quick test_disable_width_inference;
+        Alcotest.test_case "dump-after of a skipped pass is rejected" `Quick
+          test_validate_dump_after;
         Alcotest.test_case "disabling a required pass is rejected" `Quick
           test_disable_required_pass_rejected;
         Alcotest.test_case "unknown pass name is rejected" `Quick

@@ -107,7 +107,9 @@ let test_error_trailing_loop_rejected () =
   let msg =
     match
       Driver.compile
-        ~options:{ Driver.default_options with Driver.fuse_loops = false }
+        ~options:
+          { Driver.default_options with
+            Driver.disabled_passes = [ "loop-fusion" ] }
         ~entry:"k"
         "void k(int A[8], int B[8], int C[8]) { int i; for (i=0;i<8;i++) \
          B[i] = A[i]; for (i=0;i<8;i++) C[i] = B[i]; }"

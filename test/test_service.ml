@@ -21,6 +21,11 @@ let bad_source = "void broken(int A[8], int* out) {\n  int i\n  *out = 1;\n}\n"
 let fir_job ?(label = "fir") ?(options = Driver.default_options) () =
   { Service.label; source = fir_source; entry = "fir"; options; luts = [] }
 
+let contains needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
 let origin = Alcotest.testable
     (fun ppf o -> Format.pp_print_string ppf (Service.origin_name o))
     (fun a b -> a = b)
@@ -70,45 +75,77 @@ let test_cache_miss_on_option_change () =
   Alcotest.check origin "source change is cold" Service.Cold
     r4.Service.r_origin
 
-let test_option_fingerprints () =
-  let base = Driver.default_options in
-  let bus2 = { base with Driver.bus_elements = 2 } in
-  let unroll2 = { base with Driver.unroll_outer_factor = 2 } in
-  Alcotest.(check string) "bus width is not a front-end option"
-    (Driver.front_options_fingerprint base)
-    (Driver.front_options_fingerprint bus2);
-  Alcotest.(check bool) "unroll factor is a front-end option" false
-    (String.equal
-       (Driver.front_options_fingerprint base)
-       (Driver.front_options_fingerprint unroll2));
-  Alcotest.(check bool) "full fingerprint sees the bus width" false
-    (String.equal (Driver.options_fingerprint base)
-       (Driver.options_fingerprint bus2))
+let mid_keys job = List.map snd (Service.pass_keys job)
 
-(* Regression: the finished artifact's key includes the pass selection — a
-   run disabling an optional pass must not be served the default run's
+let test_option_fingerprints () =
+  let base = fir_job () in
+  let bus2 =
+    fir_job ~options:{ Driver.default_options with Driver.bus_elements = 2 } ()
+  in
+  let unroll2 =
+    fir_job
+      ~options:{ Driver.default_options with Driver.unroll_outer_factor = 2 }
+      ()
+  in
+  Alcotest.(check bool) "full key sees the bus width" false
+    (Service.full_key base = Service.full_key bus2);
+  Alcotest.(check bool) "bus width moves no mid-end key" true
+    (mid_keys base = mid_keys bus2);
+  let last_key job = List.hd (List.rev (mid_keys job)) in
+  Alcotest.(check bool) "unroll factor moves the mid-end state key" false
+    (last_key base = last_key unroll2)
+
+(* Regression: the finished artifact's key includes the passes that run —
+   a job disabling an optional pass must not be served the default job's
    artifact, and vice versa. *)
 let test_artifact_key_sees_pass_selection () =
   let cache = Cache.create () in
   let r1 = Service.compile_cached ~cache (fir_job ()) in
   Alcotest.check origin "default compile is cold" Service.Cold
     r1.Service.r_origin;
-  let no_opt =
-    { (Pass.default_config ()) with Pass.disabled_passes = [ "vm-optimize" ] }
+  let no_opt () =
+    fir_job
+      ~options:
+        { Driver.default_options with
+          Driver.disabled_passes = [ "vm-optimize" ] }
+      ()
   in
-  let r2 = Service.compile_cached ~cache ~config:no_opt (fir_job ()) in
+  let r2 = Service.compile_cached ~cache (no_opt ()) in
   (match r2.Service.r_origin with
   | Service.Warm_memory | Service.Warm_disk | Service.Coalesced ->
     Alcotest.fail "selection change was served the default artifact"
   | Service.Cold | Service.Warm_partial | Service.Warm_stage -> ());
   Alcotest.(check bool) "disabled pass absent from the trace" false
     (List.mem "vm-optimize" r2.Service.r_pass_trace);
-  let r3 = Service.compile_cached ~cache ~config:no_opt (fir_job ()) in
+  let r3 = Service.compile_cached ~cache (no_opt ()) in
   Alcotest.check origin "identical selection hits the artifact"
     Service.Warm_memory r3.Service.r_origin;
   let r4 = Service.compile_cached ~cache (fir_job ()) in
   Alcotest.check origin "default selection still has its own artifact"
     Service.Warm_memory r4.Service.r_origin
+
+(* Pass lists that run the same passes name the same artifact: disabling
+   a pass already gated off, or reordering and repeating the list, hits
+   the default compile's artifact instead of compiling cold. *)
+let test_equivalent_selections_share_artifact () =
+  let cache = Cache.create () in
+  let _ = Service.compile_cached ~cache (fir_job ()) in
+  let with_disabled disabled_passes =
+    fir_job ~options:{ Driver.default_options with Driver.disabled_passes } ()
+  in
+  let r = Service.compile_cached ~cache (with_disabled [ "lut-conversion" ]) in
+  Alcotest.check origin "gated-off pass disabled hits the default artifact"
+    Service.Warm_memory r.Service.r_origin;
+  let _ =
+    Service.compile_cached ~cache
+      (with_disabled [ "retiming"; "vm-optimize" ])
+  in
+  let r =
+    Service.compile_cached ~cache
+      (with_disabled [ "vm-optimize"; "retiming"; "vm-optimize" ])
+  in
+  Alcotest.check origin "reordered, repeated list hits the same artifact"
+    Service.Warm_memory r.Service.r_origin
 
 let test_disk_cache_survives_process () =
   let dir =
@@ -347,11 +384,6 @@ let test_run_batch_reports_workers () =
   Alcotest.(check int) "requested domains recorded" 4
     report.Service.rp_domains;
   Alcotest.(check int) "one job uses one worker" 1 report.Service.rp_workers;
-  let contains needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool) "report json carries workers" true
     (contains "\"workers\":" (Service.report_json report))
 
@@ -371,11 +403,6 @@ let test_trace_export () =
   Alcotest.(check bool) "job span recorded" true
     (List.exists (fun (sp : Trace.span) -> sp.Trace.sp_cat = "job") spans);
   let json = Trace.to_chrome_json ~meta:(Service.trace_meta report) trace in
-  let contains needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool) "chrome envelope" true
     (contains "\"traceEvents\"" json);
   Alcotest.(check bool) "meta carries wall time" true
@@ -919,6 +946,41 @@ let test_serve_protocol_roundtrip () =
   in
   Alcotest.(check (list string)) "same answers at 1 and 4 workers"
     (canonical 1) (canonical 4)
+
+(* [disable_passes] is validated while parsing the request: a bad list is
+   a bad_request that echoes the request id, as is an unknown option key;
+   a good list compiles. *)
+let test_serve_disable_passes () =
+  let req id options =
+    compile_request ~id ~extra:(",\"options\":" ^ options) 3
+  in
+  let lines =
+    [ req "unknown" {|{"disable_passes":["nosuch"]}|};
+      req "required" {|{"disable_passes":["parse"]}|};
+      req "nonstring" {|{"disable_passes":["vm-optimize",1]}|};
+      req "removed" {|{"fuse_loops":false}|};
+      req "good" {|{"disable_passes":["vm-optimize","retiming"]}|} ]
+  in
+  let responses, snapshot, _ = run_serve_session lines in
+  let resps = parsed_responses responses in
+  let message j =
+    Option.value ~default:""
+      (Option.bind (Json.member "message" j) Json.to_string_opt)
+  in
+  List.iter
+    (fun (id, needle) ->
+      let j = find_by_id id resps in
+      Alcotest.(check (option string)) (id ^ " is a bad_request")
+        (Some "bad_request")
+        (Option.bind (Json.member "kind" j) Json.to_string_opt);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: message %S mentions %S" id (message j) needle)
+        true (contains needle (message j)))
+    [ "unknown", "nosuch"; "required", "parse"; "nonstring", "pass names";
+      "removed", "unknown option" ];
+  Alcotest.(check string) "a valid list compiles" "ok"
+    (status_of (find_by_id "good" resps));
+  Alcotest.(check int) "bad requests counted" 4 snapshot.Metrics.s_bad_request
 
 let test_serve_oversized_request () =
   let limits = { Server.default_limits with Server.max_request_bytes = 64 } in
@@ -1473,6 +1535,10 @@ let suites =
         test_cache_miss_on_option_change;
       Alcotest.test_case "option fingerprints" `Quick
         test_option_fingerprints;
+      Alcotest.test_case "equivalent pass lists share an artifact" `Quick
+        test_equivalent_selections_share_artifact;
+      Alcotest.test_case "serve validates disable_passes" `Quick
+        test_serve_disable_passes;
       Alcotest.test_case "artifact key sees pass selection" `Quick
         test_artifact_key_sees_pass_selection;
       Alcotest.test_case "disk cache survives a restart" `Quick
