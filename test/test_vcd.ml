@@ -3,6 +3,7 @@
 module Driver = Roccc_core.Driver
 module Vcd = Roccc_hw.Vcd
 module Engine = Roccc_hw.Engine
+module Kernels = Roccc_core.Kernels
 
 let contains needle hay =
   let re = Str.regexp_string needle in
@@ -81,6 +82,27 @@ let test_vcd_ident_uniqueness () =
   Alcotest.(check int) "unique ids" 300
     (List.length (List.sort_uniq compare ids))
 
+(* The whole dump of a benchmark run, pinned by digest: any change to what
+   the engine launches, retires or reports as controller state, or to how
+   the dump renders, shows up here. *)
+let test_vcd_golden_digests () =
+  let line (b : Kernels.benchmark) =
+    let c = Kernels.compile b in
+    let r =
+      Driver.simulate ~scalars:b.Kernels.scalars ~arrays:(b.Kernels.arrays ()) c
+    in
+    let text =
+      Vcd.render (Vcd.of_simulation ~design:c.Driver.entry c.Driver.kernel r)
+    in
+    Printf.sprintf "%s vcd=%s\n" b.Kernels.bench_name
+      (Digest.to_hex (Digest.string text))
+  in
+  let ic = open_in_bin "golden/vcd.txt" in
+  let want = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Alcotest.(check string) "VCD digests (tools/gen_golden.ml)" want
+    (line Kernels.fir ^ line Kernels.wavelet)
+
 let suites =
   [ "hw.vcd",
     [ Alcotest.test_case "structure" `Quick test_vcd_structure;
@@ -90,4 +112,5 @@ let suites =
       Alcotest.test_case "rejects out-of-order changes" `Quick
         test_vcd_rejects_disorder;
       Alcotest.test_case "identifier uniqueness" `Quick
-        test_vcd_ident_uniqueness ] ]
+        test_vcd_ident_uniqueness;
+      Alcotest.test_case "golden digests" `Quick test_vcd_golden_digests ] ]

@@ -1,4 +1,4 @@
-(* Regenerate the test/golden IR dump and VHDL digest files:
+(* Regenerate the test/golden IR dump, VHDL and VCD digest files:
      dune exec tools/gen_golden.exe -- test/golden
    Run from the repository root after an intentional IR or printer change,
    then review the diff. *)
@@ -68,6 +68,28 @@ let () =
     String.concat "" (List.map line (Kernels.gallery @ [ Kernels.wavelet_cols ]))
   in
   let path = Filename.concat dir "gallery.vhdl.txt" in
+  let oc = open_out_bin path in
+  output_string oc text;
+  close_out oc;
+  Printf.printf "wrote %s (%d bytes)\n" path (String.length text)
+
+(* one MD5 line per kernel over the VCD of its execution-model run at the
+   benchmark's own inputs: the cycle engine's launches, retirements and
+   controller states, byte for byte *)
+let () =
+  let dir = if Array.length Sys.argv > 1 then Sys.argv.(1) else "test/golden" in
+  let line (b : Kernels.benchmark) =
+    let c = Kernels.compile b in
+    let r = Driver.simulate ~scalars:b.Kernels.scalars ~arrays:(b.Kernels.arrays ()) c in
+    let text =
+      Roccc_hw.Vcd.render
+        (Roccc_hw.Vcd.of_simulation ~design:c.Driver.entry c.Driver.kernel r)
+    in
+    Printf.sprintf "%s vcd=%s\n" b.Kernels.bench_name
+      (Digest.to_hex (Digest.string text))
+  in
+  let text = String.concat "" (List.map line [ Kernels.fir; Kernels.wavelet ]) in
+  let path = Filename.concat dir "vcd.txt" in
   let oc = open_out_bin path in
   output_string oc text;
   close_out oc;
