@@ -8,9 +8,6 @@ exception Error of string
 
 let errf fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 
-(** A burst of consecutive addresses presented to the memory in one cycle. *)
-type request = { base_address : int; count : int }
-
 (* ------------------------------------------------------------------ *)
 (* Input side: sequential whole-array scan                             *)
 (* ------------------------------------------------------------------ *)
@@ -25,14 +22,15 @@ let create_input ~(array_dims : int list) ~(bus_elements : int) : input_gen =
   if bus_elements < 1 then errf "address generator: bus must be >= 1";
   { total = List.fold_left ( * ) 1 array_dims; bus_elements; next = 0 }
 
-(** Next read request, or [None] once the array is exhausted. *)
-let next_read (g : input_gen) : request option =
-  if g.next >= g.total then None
+(** Claim the next burst of consecutive addresses: returns its length, 0
+    once the array is exhausted. The burst starts at [issued g] as it was
+    before the call. *)
+let next_read (g : input_gen) : int =
+  let count = min g.bus_elements (g.total - g.next) in
+  if count <= 0 then 0
   else begin
-    let count = min g.bus_elements (g.total - g.next) in
-    let r = { base_address = g.next; count } in
     g.next <- g.next + count;
-    Some r
+    count
   end
 
 let input_done (g : input_gen) : bool = g.next >= g.total
@@ -44,49 +42,57 @@ let issued (g : input_gen) : int = g.next
 (* Output side: one address per iteration, following the write pattern *)
 (* ------------------------------------------------------------------ *)
 
+(* Per-dimension arrays, outermost first. *)
 type output_gen = {
-  out_dims : int list;       (** output array dimensions *)
-  iterations : int list;     (** loop iteration counts, outermost first *)
-  stride : int list;
-  lower : int list;
-  offset : int list;         (** write offset relative to loop indices *)
+  out_dims : int array;      (** output array dimensions *)
+  iterations : int array;    (** loop iteration counts *)
+  stride : int array;
+  base : int array;          (** lower bound + write offset *)
+  total : int;               (** stores in all *)
   mutable window : int;      (** next window number *)
 }
 
 let create_output ~(out_dims : int list) ~(iterations : int list)
     ~(stride : int list) ~(lower : int list) ~(offset : int list) : output_gen
     =
-  { out_dims; iterations; stride; lower; offset; window = 0 }
+  let ndims = List.length iterations in
+  if List.length out_dims <> ndims || List.length stride <> ndims
+     || List.length lower <> ndims || List.length offset <> ndims
+  then invalid_arg "Address_gen.create_output: dimension counts differ";
+  { out_dims = Array.of_list out_dims;
+    iterations = Array.of_list iterations;
+    stride = Array.of_list stride;
+    base = Array.of_list (List.map2 ( + ) lower offset);
+    total = List.fold_left ( * ) 1 iterations;
+    window = 0 }
 
-let total_outputs (g : output_gen) : int =
-  List.fold_left ( * ) 1 g.iterations
+let total_outputs (g : output_gen) : int = g.total
 
-(* Mixed-radix split of a window number into per-dim iteration coords. *)
-let rec split_coords w = function
-  | [] -> []
-  | [ _ ] -> [ w ]
-  | _ :: rest ->
-    let inner = List.fold_left ( * ) 1 rest in
-    (w / inner) :: split_coords (w mod inner) rest
-
-(** Store address for the next window, or [None] when complete. *)
-let next_write (g : output_gen) : int option =
-  if g.window >= total_outputs g then None
+(** Store address for the next window, or -1 when complete. The window
+    number splits mixed-radix into per-dimension iteration coordinates
+    (the outermost takes the quotient). *)
+let next_write (g : output_gen) : int =
+  if g.window >= g.total then -1
   else begin
-    let coords = split_coords g.window g.iterations in
-    let pos =
-      List.map2 (fun (c, s) (l, o) -> l + (c * s) + o)
-        (List.combine coords g.stride)
-        (List.combine g.lower g.offset)
-    in
-    List.iter2
-      (fun p d ->
-        if p < 0 || p >= d then
-          errf "output address generator: position out of the output array")
-      pos g.out_dims;
-    let addr = List.fold_left2 (fun acc d p -> (acc * d) + p) 0 g.out_dims pos in
+    let n = Array.length g.iterations in
+    let w = ref g.window and addr = ref 0 and scale = ref 1 in
+    for d = n - 1 downto 0 do
+      let c =
+        if d = 0 then !w
+        else begin
+          let c = !w mod g.iterations.(d) in
+          w := !w / g.iterations.(d);
+          c
+        end
+      in
+      let p = g.base.(d) + (c * g.stride.(d)) in
+      if p < 0 || p >= g.out_dims.(d) then
+        errf "output address generator: position out of the output array";
+      addr := !addr + (p * !scale);
+      scale := !scale * g.out_dims.(d)
+    done;
     g.window <- g.window + 1;
-    Some addr
+    !addr
   end
 
-let output_done (g : output_gen) : bool = g.window >= total_outputs g
+let output_done (g : output_gen) : bool = g.window >= g.total

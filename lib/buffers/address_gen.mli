@@ -5,14 +5,14 @@
 
 exception Error of string
 
-type request = { base_address : int; count : int }
-
 type input_gen
 
 val create_input : array_dims:int list -> bus_elements:int -> input_gen
 
-val next_read : input_gen -> request option
-(** Next burst request; [None] once the array is exhausted. *)
+val next_read : input_gen -> int
+(** Claim the next burst of consecutive addresses: returns its length, 0
+    once the array is exhausted. The burst starts at {!issued} as it was
+    before the call. *)
 
 val input_done : input_gen -> bool
 val issued : input_gen -> int
@@ -29,8 +29,8 @@ val create_output :
 
 val total_outputs : output_gen -> int
 
-val next_write : output_gen -> int option
-(** Flat store address for the next window; [None] when complete. Raises
+val next_write : output_gen -> int
+(** Flat store address for the next window; -1 when complete. Raises
     {!Error} when the pattern escapes the output array. *)
 
 val output_done : output_gen -> bool

@@ -39,9 +39,7 @@ let start (c : t) = if c.state = Idle then c.state <- Filling
 (* Transition rules evaluated once per clock by the simulator. Progress is
    tracked by launch/retire counters: the compile-time schedule means the
    controller needs no handshake with the buffer, only counts. *)
-let step (c : t) ~(window_ready : bool) ~(input_done : bool) : unit =
-  ignore window_ready;
-  ignore input_done;
+let step (c : t) : unit =
   c.cycle <- c.cycle + 1;
   (match c.state with
   | Idle -> ()
@@ -59,21 +57,3 @@ let note_launch (c : t) = c.launched <- c.launched + 1
 let note_retire (c : t) = c.retired <- c.retired + 1
 
 let is_done (c : t) = c.state = Done
-
-(** VHDL skeleton of the controller FSM — emitted alongside the data path
-    for completeness (states, transitions and counters as a synthesizable
-    two-process machine). *)
-let to_vhdl_sketch (c : t) ~(name : string) : string =
-  Printf.sprintf
-    "-- controller %s: %d iterations, pipeline latency %d\n\
-     -- states: idle -> filling -> steady -> draining -> done\n\
-     type state_t is (idle, filling, steady, draining, done);\n\
-     signal state : state_t := idle;\n\
-     signal launched : unsigned(31 downto 0) := (others => '0');\n\
-     signal retired  : unsigned(31 downto 0) := (others => '0');\n\
-     -- transitions evaluated on rising_edge(clk):\n\
-     --   filling -> steady when window_ready\n\
-     --   steady  -> draining when launched = %d\n\
-     --   draining -> done when retired = %d\n"
-    name c.total_iterations c.pipeline_latency c.total_iterations
-    c.total_iterations

@@ -19,12 +19,9 @@ type t = {
 val create : total_iterations:int -> pipeline_latency:int -> t
 val start : t -> unit
 
-val step : t -> window_ready:bool -> input_done:bool -> unit
+val step : t -> unit
 (** Evaluate one clock's transitions. *)
 
 val note_launch : t -> unit
 val note_retire : t -> unit
 val is_done : t -> bool
-
-val to_vhdl_sketch : t -> name:string -> string
-(** Synthesizable two-process FSM skeleton for documentation dumps. *)

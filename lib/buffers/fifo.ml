@@ -13,10 +13,14 @@ exception Error of string
 
 let errf fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 
+module Words = Roccc_util.Words
+
 type t = {
   name : string;
   depth : int;                       (** capacity in elements *)
-  buf : int64 Queue.t;
+  ring : Words.t;                    (** [depth] slots *)
+  mutable head : int;                (** slot of the oldest element *)
+  mutable length : int;              (** elements held *)
   mutable pushed : int;              (** total elements ever pushed *)
   mutable popped : int;              (** total elements ever popped *)
   mutable high_water : int;          (** max occupancy observed *)
@@ -28,34 +32,39 @@ let create ~(name : string) ~(depth : int) : t =
   if depth < 1 then errf "fifo %s: depth must be >= 1 (got %d)" name depth;
   { name;
     depth;
-    buf = Queue.create ();
+    ring = Words.create depth;
+    head = 0;
+    length = 0;
     pushed = 0;
     popped = 0;
     high_water = 0;
     full_stalls = 0;
     empty_stalls = 0 }
 
-let length (f : t) : int = Queue.length f.buf
-let space (f : t) : int = f.depth - Queue.length f.buf
-let is_empty (f : t) : bool = Queue.is_empty f.buf
-let is_full (f : t) : bool = Queue.length f.buf >= f.depth
+let length (f : t) : int = f.length
+let space (f : t) : int = f.depth - f.length
+let is_empty (f : t) : bool = f.length = 0
+let is_full (f : t) : bool = f.length >= f.depth
 
-(** Push one element; the engine must check [space] first — pushing
+(** Push word [i] of [src]; the engine must check [space] first — pushing
     into a full channel is a simulator bug, not backpressure. *)
-let push (f : t) (v : int64) : unit =
+let push (f : t) (src : Words.t) (i : int) : unit =
   if is_full f then
     errf "fifo %s: push into a full channel (depth %d)" f.name f.depth;
-  Queue.add v f.buf;
+  f.ring.{(f.head + f.length) mod f.depth} <- src.{i};
+  f.length <- f.length + 1;
   f.pushed <- f.pushed + 1;
-  if Queue.length f.buf > f.high_water then
-    f.high_water <- Queue.length f.buf
+  if f.length > f.high_water then f.high_water <- f.length
 
-let pop (f : t) : int64 option =
-  if Queue.is_empty f.buf then None
+(** Pop the oldest element into word [i] of [dst]; false when empty. *)
+let pop (f : t) (dst : Words.t) (i : int) : bool =
+  if f.length = 0 then false
   else begin
-    let v = Queue.pop f.buf in
+    dst.{i} <- f.ring.{f.head};
+    f.head <- (f.head + 1) mod f.depth;
+    f.length <- f.length - 1;
     f.popped <- f.popped + 1;
-    Some v
+    true
   end
 
 (** Record a cycle in which the producer wanted to launch but the

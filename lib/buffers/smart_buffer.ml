@@ -28,23 +28,36 @@ type stats = {
   mutable exported_windows : int;  (** windows handed to the data path *)
 }
 
+module Words = Roccc_util.Words
+
 type t = {
   cfg : config;
-  data : int64 array;             (** arrival store, flat row-major *)
+  data : Words.t;                 (** arrival store, flat row-major *)
   mutable arrived : int;          (** elements received so far (in order) *)
   mutable window_index : int;     (** next window number to export *)
-  mutable reach_window : int;     (** window whose reach is cached, or -1 *)
+  origin : int array;             (** that window's origin, per dim *)
+  mutable origin_flat : int;      (** its flat row-major index *)
   mutable reach : int;            (** highest flat index it touches *)
   stats : stats;
+  (* derived from [cfg] once *)
+  dims : int array;
+  iterations : int array;
+  stride : int array;
+  lower : int array;
+  offset_flat : int array;   (** flat displacement of each window offset *)
+  offset_min : int array;    (** smallest offset per dim *)
+  offset_max : int array;    (** largest offset per dim *)
+  windows : int;
+  shift : int;               (** {!Words.shift} of the element width *)
 }
 
-let total_elements cfg = List.fold_left ( * ) 1 cfg.array_dims
+let total_elements (cfg : config) = List.fold_left ( * ) 1 cfg.array_dims
 
-let total_windows cfg = List.fold_left ( * ) 1 cfg.iterations
+let total_windows (cfg : config) = List.fold_left ( * ) 1 cfg.iterations
 
 (* Extent per dimension: max offset + 1 relative to the window origin
    (offsets are relative to the loop indices). *)
-let extents cfg : int list =
+let extents (cfg : config) : int list =
   match cfg.window_offsets with
   | [] -> List.map (fun _ -> 1) cfg.array_dims
   | first :: _ ->
@@ -66,108 +79,123 @@ let capacity_elements (cfg : config) : int =
 let capacity_bits (cfg : config) : int =
   capacity_elements cfg * cfg.element_bits
 
+let config (b : t) : config = b.cfg
+
+(** Elements still expected from memory. *)
+let remaining_fetch (b : t) : int = total_elements b.cfg - b.arrived
+
+(** Deliver the next memory word: the first [count] words of [src]
+    ([<= bus_elements], in row-major order). The address generator
+    guarantees in-order delivery. *)
+let push (b : t) (src : Words.t) (count : int) : unit =
+  if count > b.cfg.bus_elements then
+    errf "smart buffer: %d elements exceed the bus width %d" count
+      b.cfg.bus_elements;
+  if b.arrived + count > Bigarray.Array1.dim b.data then
+    errf "smart buffer: more data than the array holds";
+  Words.blit_wrapped ~signed:b.cfg.element_signed ~shift:b.shift src 0 b.data
+    b.arrived count;
+  b.arrived <- b.arrived + count;
+  b.stats.fetched_elements <- b.stats.fetched_elements + count
+
+(* Point [origin] at window [w]: its number splits mixed-radix into
+   per-dimension iteration coordinates (the outermost takes the
+   quotient). *)
+let locate (b : t) (w : int) : unit =
+  let w = ref w and flat = ref 0 and scale = ref 1 in
+  for d = Array.length b.dims - 1 downto 0 do
+    let c =
+      if d = 0 then !w
+      else begin
+        let c = !w mod b.iterations.(d) in
+        w := !w / b.iterations.(d);
+        c
+      end
+    in
+    let o = b.lower.(d) + (c * b.stride.(d)) in
+    b.origin.(d) <- o;
+    flat := !flat + (o * !scale);
+    scale := !scale * b.dims.(d)
+  done;
+  b.origin_flat <- !flat;
+  b.reach <- 0;
+  for k = 0 to Array.length b.offset_flat - 1 do
+    b.reach <- max b.reach (!flat + b.offset_flat.(k))
+  done
+
 let create (cfg : config) : t =
   if cfg.bus_elements < 1 then errf "smart buffer: bus must carry >= 1 element";
   (match cfg.array_dims with
   | [ _ ] | [ _; _ ] -> ()
   | _ -> errf "smart buffer: 1-D or 2-D arrays only");
-  { cfg;
-    data = Array.make (total_elements cfg) 0L;
-    arrived = 0;
-    window_index = 0;
-    reach_window = -1;
-    reach = 0;
-    stats = { fetched_elements = 0; exported_windows = 0 } }
-
-(** Elements still expected from memory. *)
-let remaining_fetch (b : t) : int = total_elements b.cfg - b.arrived
-
-(** Deliver the next memory word ([<= bus_elements] elements, in row-major
-    order). The address generator guarantees in-order delivery. *)
-let push (b : t) (elements : int64 array) : unit =
-  if Array.length elements > b.cfg.bus_elements then
-    errf "smart buffer: %d elements exceed the bus width %d"
-      (Array.length elements) b.cfg.bus_elements;
-  Array.iter
-    (fun v ->
-      if b.arrived >= total_elements b.cfg then
-        errf "smart buffer: more data than the array holds";
-      b.data.(b.arrived) <-
-        Roccc_util.Bits.truncate ~signed:b.cfg.element_signed
-          b.cfg.element_bits v;
-      b.arrived <- b.arrived + 1;
-      b.stats.fetched_elements <- b.stats.fetched_elements + 1)
-    elements
-
-(* Window origin (per-dim indices) of window number w. *)
-let window_origin (b : t) (w : int) : int list =
-  let rec split w dims =
-    match dims with
-    | [] -> []
-    | [ _ ] -> [ w ]
-    | d :: rest ->
-      let inner = List.fold_left ( * ) 1 rest in
-      (w / inner) :: split (w mod inner) (d :: rest |> List.tl)
+  let dims = Array.of_list cfg.array_dims in
+  let ndims = Array.length dims in
+  let per_dim name l =
+    if List.length l <> ndims then
+      errf "smart buffer: %s has %d entries for a %d-D array" name
+        (List.length l) ndims;
+    Array.of_list l
   in
-  let per_dim = split w b.cfg.iterations in
-  List.map2
-    (fun (o, s) l -> l + (o * s))
-    (List.combine per_dim b.cfg.stride)
-    b.cfg.lower
-  |> fun l -> l
-
-(* Flat row-major index of a multi-dim position. *)
-let flat_index (dims : int list) (pos : int list) : int =
-  List.fold_left2 (fun acc d p -> (acc * d) + p) 0 dims pos
-
-(* Highest flat index the window at [origin] touches. *)
-let window_reach (b : t) (origin : int list) : int =
-  let positions =
-    List.map
-      (fun offset -> List.map2 (fun o c -> o + c) origin offset)
-      b.cfg.window_offsets
+  let offsets = List.map (per_dim "a window offset") cfg.window_offsets in
+  let flat (pos : int array) =
+    let acc = ref 0 in
+    Array.iteri (fun d p -> acc := (!acc * dims.(d)) + p) pos;
+    !acc
   in
-  List.fold_left
-    (fun acc pos -> max acc (flat_index b.cfg.array_dims pos))
-    0 positions
-
-(* Reach of the next window, computed once per window: the simulator asks
-   whether it is ready several times a cycle. *)
-let next_reach (b : t) : int =
-  if b.reach_window <> b.window_index then begin
-    b.reach <- window_reach b (window_origin b b.window_index);
-    b.reach_window <- b.window_index
-  end;
-  b.reach
+  let extreme pick =
+    Array.init ndims (fun d ->
+        match offsets with
+        | [] -> 0
+        | o :: rest -> List.fold_left (fun acc o -> pick acc o.(d)) o.(d) rest)
+  in
+  let b =
+    { cfg;
+      data = Words.create (total_elements cfg);
+      arrived = 0;
+      window_index = 0;
+      origin = Array.make ndims 0;
+      origin_flat = 0;
+      reach = 0;
+      stats = { fetched_elements = 0; exported_windows = 0 };
+      dims;
+      iterations = per_dim "iterations" cfg.iterations;
+      stride = per_dim "stride" cfg.stride;
+      lower = per_dim "lower" cfg.lower;
+      offset_flat = Array.of_list (List.map flat offsets);
+      offset_min = extreme min;
+      offset_max = extreme max;
+      windows = total_windows cfg;
+      shift = Words.shift cfg.element_bits }
+  in
+  locate b 0;
+  b
 
 (** Is the next window fully buffered? *)
 let window_ready (b : t) : bool =
-  b.window_index < total_windows b.cfg && next_reach b < b.arrived
+  b.window_index < b.windows && b.reach < b.arrived
 
-(** Export the next window's values (in offset order) to the data path and
-    advance; [None] when data is still missing or iteration is complete. *)
-let pop_window (b : t) : int64 array option =
-  if not (window_ready b) then None
+(** Export the next window's values (in offset order) to words [at ..] of
+    [dst] and advance; false, writing nothing, when data is still missing
+    or iteration is complete. *)
+let pop_window (b : t) (dst : Words.t) (at : int) : bool =
+  if not (window_ready b) then false
   else begin
-    let origin = window_origin b b.window_index in
-    let values =
-      List.map
-        (fun offset ->
-          let pos = List.map2 (fun o c -> o + c) origin offset in
-          List.iter2
-            (fun p d ->
-              if p < 0 || p >= d then
-                errf "smart buffer: window position out of the array")
-            pos b.cfg.array_dims;
-          b.data.(flat_index b.cfg.array_dims pos))
-        b.cfg.window_offsets
-    in
+    if Array.length b.offset_flat > 0 then
+      for d = 0 to Array.length b.dims - 1 do
+        if b.origin.(d) + b.offset_min.(d) < 0
+           || b.origin.(d) + b.offset_max.(d) >= b.dims.(d)
+        then errf "smart buffer: window position out of the array"
+      done;
+    for k = 0 to Array.length b.offset_flat - 1 do
+      dst.{at + k} <- b.data.{b.origin_flat + b.offset_flat.(k)}
+    done;
     b.window_index <- b.window_index + 1;
     b.stats.exported_windows <- b.stats.exported_windows + 1;
-    Some (Array.of_list values)
+    locate b b.window_index;
+    true
   end
 
-let finished (b : t) : bool = b.window_index >= total_windows b.cfg
+let finished (b : t) : bool = b.window_index >= b.windows
 
 let stats (b : t) = b.stats
 

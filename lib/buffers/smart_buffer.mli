@@ -24,15 +24,12 @@ type stats = {
   mutable exported_windows : int;
 }
 
-type t = {
-  cfg : config;
-  data : int64 array;
-  mutable arrived : int;
-  mutable window_index : int;
-  mutable reach_window : int;  (** window whose reach is cached, or -1 *)
-  mutable reach : int;  (** highest flat index that window touches *)
-  stats : stats;
-}
+type t
+(** A buffer instance: the words that have arrived, unboxed, and the
+    next window's position, with the window's shape resolved to flat
+    offsets once. *)
+
+val config : t -> config
 
 val capacity_elements : config -> int
 (** Register capacity of the generated buffer: [extent + bus - 1] for 1-D
@@ -46,16 +43,19 @@ val create : config -> t
 val remaining_fetch : t -> int
 (** Elements still expected from memory. *)
 
-val push : t -> int64 array -> unit
-(** Deliver the next memory word (up to [bus_elements] values, row-major,
-    in order — the input address generator's contract). *)
+val push : t -> Roccc_util.Words.t -> int -> unit
+(** [push b src count] delivers the next memory word: the first [count]
+    words of [src] (up to [bus_elements] values, row-major, in order — the
+    input address generator's contract). *)
 
 val window_ready : t -> bool
 (** Is the next window fully buffered? *)
 
-val pop_window : t -> int64 array option
-(** Export the next window's values in offset order and advance; [None]
-    while data is missing or once iteration completes. *)
+val pop_window : t -> Roccc_util.Words.t -> int -> bool
+(** [pop_window b dst at] exports the next window's values, in offset
+    order, to words [at ..] of [dst] and advances; false, writing nothing,
+    while data is missing or once iteration completes. Raises {!Error}
+    when the window reaches outside the array. *)
 
 val finished : t -> bool
 

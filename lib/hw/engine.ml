@@ -16,7 +16,14 @@
     stream into a FIFO instead of a BRAM ([Sink_fifo]), with credit-based
     backpressure (a launch is held until the channel has space for every
     in-flight iteration's results). [simulate] is the classic one-kernel
-    BRAM-to-BRAM run, unchanged. *)
+    BRAM-to-BRAM run.
+
+    Values move between the components as unboxed words, and every index
+    (input port, output port, window offset, address) is resolved in
+    [create], so a cycle allocates nothing: the launch inputs and the
+    retired outputs are written to per-launch rows sized from the
+    iteration count, and [result] turns them into traces only when they
+    are forced. *)
 
 module K = Roccc_hir.Kernel
 module Graph = Roccc_datapath.Graph
@@ -26,10 +33,13 @@ module Smart_buffer = Roccc_buffers.Smart_buffer
 module Address_gen = Roccc_buffers.Address_gen
 module Controller = Roccc_buffers.Controller
 module Fifo = Roccc_buffers.Fifo
+module Words = Roccc_util.Words
 
 exception Error of string
 
 let errf fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
+
+type trace = (int * (string * int64) list) list
 
 type result = {
   cycles : int;                 (** total clock cycles until done *)
@@ -46,9 +56,9 @@ type result = {
   latch_bits : int;             (** pipeline-register bits *)
   wall_time_us : float;         (** cycles at the estimated clock *)
   controller_trace : (int * string) list;  (** state transitions (cycle, state) *)
-  launch_trace : (int * (string * int64) list) list;
+  launch_trace : trace Lazy.t;
       (** (cycle, window+scalar inputs) per launch, in cycle order *)
-  retire_trace : (int * (string * int64) list) list;
+  retire_trace : trace Lazy.t;
       (** (cycle, data-path outputs) per retirement, in cycle order *)
 }
 
@@ -64,44 +74,52 @@ type sink =
 
 type lane_source =
   | Src_bram of { bram : Bram.t; gen : Address_gen.input_gen }
-  | Src_fifo of { fifo : Fifo.t; total : int; mutable taken : int }
+  | Src_fifo of {
+      fifo : Fifo.t;
+      total : int;
+      mutable taken : int;
+      arrived : Words.t;  (** this cycle's elements, one bus worth *)
+    }
 
 type input_lane = {
-  lane_window : K.window_input;
   lane_source : lane_source;
   lane_buffer : Smart_buffer.t;
+  lane_at : int;  (** column of the window's first value in a launch row *)
 }
 
 type output_lane = {
   out_port : K.output;
+  out_column : int;  (** column of its port in a retire row; -1 = none *)
   out_bram : Bram.t option;       (** None for scalar / streamed outputs *)
   out_gen : Address_gen.output_gen option;
 }
 
+(* Launch [n]'s inputs are the row of [launch_rows] at word
+   [n * Array.length input_names]; the data path's outputs for it are the
+   row of [retire_rows] at word [n * Array.length output_names]. *)
 type t = {
   kernel : K.t;
-  eval : Dp_eval.prepared;  (** the data path, prepared once *)
+  eval : Dp_eval.prepared;  (** the data path, compiled once *)
   pipeline : Pipeline.t;
-  luts : (string * (int64 -> int64)) list;
   latency : int;
-  lanes : input_lane list;
-  out_lanes : output_lane list;
-  out_brams : (string * Bram.t) list ref;
+  lanes : input_lane array;
+  out_lanes : output_lane array;
+  out_brams : (string * Bram.t) list;
   sink : sink;
   outputs_per_launch : int;       (** array elements pushed per retire *)
-  scalar_out_regs : (string, int64) Hashtbl.t;
-  scalar_inputs : (string * int64) list;
   total : int;
   controller : Controller.t;
-  mutable feedback_prev : (string * int64) list;
-  in_flight : (int * (string * int64) list) Queue.t;
-      (** (retire_cycle, dp outputs) in launch order *)
+  input_names : string array;     (** window values, then scalar inputs *)
+  scalar_at : int;                (** column of the first scalar input *)
+  scalar_values : Words.t;
+  output_names : string array;    (** the data path's output ports *)
+  launch_rows : Words.t;
+  retire_rows : Words.t;
+  launch_cycles : int array;
+  retire_cycles : int array;
   mutable cycle : int;
   mutable launches : int;
-  (* the three traces are newest-first; [result] reverses them *)
-  mutable trace : (int * string) list;
-  mutable launch_trace : (int * (string * int64) list) list;
-  mutable retire_trace : (int * (string * int64) list) list;
+  mutable trace : (int * string) list;  (** newest first *)
 }
 
 let dims_size dims = List.fold_left ( * ) 1 dims
@@ -133,7 +151,9 @@ let create ?(luts = []) ?(scalars = []) ?(arrays = []) ?(bus_elements = 1)
     ?(feeds = []) ?(sink = Sink_bram) (k : K.t) ~(dp : Graph.t)
     ~(pipeline : Pipeline.t) : t =
   let latency = Pipeline.latency pipeline in
-  (* ---- input lanes ---- *)
+  (* ---- input lanes: each window's values take consecutive columns of
+     the launch row ---- *)
+  let next_column = ref 0 in
   let lanes =
     List.map
       (fun (w : K.window_input) ->
@@ -142,7 +162,9 @@ let create ?(luts = []) ?(scalars = []) ?(arrays = []) ?(bus_elements = 1)
         let size = dims_size w.K.win_dims in
         let source =
           match List.assoc_opt w.K.win_array feeds with
-          | Some (Feed_fifo fifo) -> Src_fifo { fifo; total = size; taken = 0 }
+          | Some (Feed_fifo fifo) ->
+            Src_fifo
+              { fifo; total = size; taken = 0; arrived = Words.create bus_elements }
           | (Some (Feed_bram _) | None) as feed -> (
             let bram =
               Bram.create ~name:w.K.win_array
@@ -177,20 +199,53 @@ let create ?(luts = []) ?(scalars = []) ?(arrays = []) ?(bus_elements = 1)
               iterations;
               lower }
         in
-        { lane_window = w; lane_source = source; lane_buffer = buffer })
+        let at = !next_column in
+        next_column := at + List.length w.K.win_scalars;
+        { lane_source = source; lane_buffer = buffer; lane_at = at })
       k.K.windows
+  in
+  let scalar_values =
+    List.map
+      (fun (p : Roccc_cfront.Ast.param) ->
+        match List.assoc_opt p.Roccc_cfront.Ast.pname scalars with
+        | Some v -> v
+        | None ->
+          errf "engine: missing scalar input %s" p.Roccc_cfront.Ast.pname)
+      k.K.scalar_inputs
+  in
+  let input_names =
+    Array.of_list
+      (List.concat_map
+         (fun (w : K.window_input) -> List.map snd w.K.win_scalars)
+         k.K.windows
+      @ List.map (fun (p : Roccc_cfront.Ast.param) -> p.Roccc_cfront.Ast.pname)
+          k.K.scalar_inputs)
+  in
+  let eval = Dp_eval.prepare ~luts ~columns:input_names dp in
+  let output_names = Dp_eval.outputs eval in
+  let column_of port =
+    let rec find j =
+      if j >= Array.length output_names then -1
+      else if String.equal output_names.(j) port then j
+      else find (j + 1)
+    in
+    find 0
   in
   (* ---- output lanes ---- *)
   let out_brams : (string * Bram.t) list ref = ref [] in
   let out_lanes =
     List.map
       (fun (o : K.output) ->
+        let lane bram gen =
+          { out_port = o; out_column = column_of o.K.port; out_bram = bram;
+            out_gen = gen }
+        in
         match o.K.target with
         | K.Out_array { arr; kind; dims; offset } -> (
           match sink with
           | Sink_fifo _ ->
             (* streamed: retires push into the channel in port order *)
-            { out_port = o; out_bram = None; out_gen = None }
+            lane None None
           | Sink_bram ->
             let bram =
               match List.assoc_opt arr !out_brams with
@@ -211,8 +266,8 @@ let create ?(luts = []) ?(scalars = []) ?(arrays = []) ?(bus_elements = 1)
               Address_gen.create_output ~out_dims:dims ~iterations ~stride
                 ~lower ~offset
             in
-            { out_port = o; out_bram = Some bram; out_gen = Some gen })
-        | K.Out_scalar _ -> { out_port = o; out_bram = None; out_gen = None })
+            lane (Some bram) (Some gen))
+        | K.Out_scalar _ -> lane None None)
       k.K.outputs
   in
   let out_lanes =
@@ -244,43 +299,67 @@ let create ?(luts = []) ?(scalars = []) ?(arrays = []) ?(bus_elements = 1)
     Controller.create ~total_iterations:total ~pipeline_latency:latency
   in
   Controller.start controller;
-  let scalar_inputs =
-    List.map
-      (fun (p : Roccc_cfront.Ast.param) ->
-        match List.assoc_opt p.Roccc_cfront.Ast.pname scalars with
-        | Some v -> p.Roccc_cfront.Ast.pname, v
-        | None ->
-          errf "engine: missing scalar input %s" p.Roccc_cfront.Ast.pname)
-      k.K.scalar_inputs
-  in
   { kernel = k;
-    eval = Dp_eval.prepare dp;
+    eval;
     pipeline;
-    luts;
     latency;
-    lanes;
-    out_lanes;
-    out_brams;
+    lanes = Array.of_list lanes;
+    out_lanes = Array.of_list out_lanes;
+    out_brams = !out_brams;
     sink;
     outputs_per_launch;
-    scalar_out_regs = Hashtbl.create 4;
-    scalar_inputs;
     total;
     controller;
-    feedback_prev = [];
-    in_flight = Queue.create ();
+    input_names;
+    scalar_at = !next_column;
+    scalar_values = Words.of_array (Array.of_list scalar_values);
+    output_names;
+    launch_rows = Words.create (total * Array.length input_names);
+    retire_rows = Words.create (total * Array.length output_names);
+    launch_cycles = Array.make total 0;
+    retire_cycles = Array.make total 0;
     cycle = 0;
     launches = 0;
-    trace = [ 0, Controller.state_name controller.Controller.state ];
-    launch_trace = [];
-    retire_trace = [] }
+    trace = [ 0, Controller.state_name controller.Controller.state ] }
 
 let is_done (e : t) : bool = Controller.is_done e.controller
 
-let lane_input_done (l : input_lane) : bool =
-  match l.lane_source with
-  | Src_bram { gen; _ } -> Address_gen.input_done gen
-  | Src_fifo { total; taken; _ } -> taken >= total
+(** Iterations retired so far (progress indicator for stall diagnostics). *)
+let retired (e : t) : int = e.controller.Controller.retired
+
+(* 1. memory reads: a BRAM lane returns last cycle's request and accepts
+   a new one; a FIFO lane drains up to one bus worth of elements from its
+   channel (an empty channel stalls the lane) *)
+let read_lane (lane : input_lane) : unit =
+  match lane.lane_source with
+  | Src_bram { bram; gen } ->
+    Bram.clock bram;
+    if bram.Bram.read_count > 0 then
+      Smart_buffer.push lane.lane_buffer bram.Bram.read_out bram.Bram.read_count;
+    let address = Address_gen.issued gen in
+    let count = Address_gen.next_read gen in
+    if count > 0 then Bram.request_read bram ~address ~count
+  | Src_fifo src ->
+    let bus = (Smart_buffer.config lane.lane_buffer).Smart_buffer.bus_elements in
+    let want = min bus (src.total - src.taken) in
+    if want > 0 then begin
+      let got = ref 0 in
+      while !got < want && Fifo.pop src.fifo src.arrived !got do
+        incr got
+      done;
+      if !got = 0 then Fifo.note_empty_stall src.fifo
+      else begin
+        src.taken <- src.taken + !got;
+        Smart_buffer.push lane.lane_buffer src.arrived !got
+      end
+    end
+
+let windows_ready (e : t) : bool =
+  let ready = ref true in
+  for i = 0 to Array.length e.lanes - 1 do
+    if not (Smart_buffer.window_ready e.lanes.(i).lane_buffer) then ready := false
+  done;
+  !ready
 
 (* Launch credit: a streamed producer may only launch when the channel can
    absorb the results of every in-flight iteration plus this one, even if
@@ -290,137 +369,97 @@ let has_launch_credit (e : t) : bool =
   match e.sink with
   | Sink_bram -> true
   | Sink_fifo f ->
-    Fifo.space f >= (Queue.length e.in_flight + 1) * e.outputs_per_launch
+    Fifo.space f >= (e.launches - retired e + 1) * e.outputs_per_launch
+
+(* 2. issue iteration [e.launches]: its windows and the scalar inputs
+   fill its launch row, and the data path writes its retire row *)
+let launch (e : t) : unit =
+  let n = e.launches in
+  let row = n * Array.length e.input_names in
+  for i = 0 to Array.length e.lanes - 1 do
+    let lane = e.lanes.(i) in
+    if not (Smart_buffer.pop_window lane.lane_buffer e.launch_rows (row + lane.lane_at))
+    then errf "engine: ready buffer refused to pop"
+  done;
+  for j = 0 to Bigarray.Array1.dim e.scalar_values - 1 do
+    e.launch_rows.{row + e.scalar_at + j} <- e.scalar_values.{j}
+  done;
+  Dp_eval.launch e.eval e.launch_rows row e.retire_rows
+    (n * Array.length e.output_names);
+  e.launch_cycles.(n) <- e.cycle;
+  e.launches <- n + 1;
+  Controller.note_launch e.controller
+
+(* 3. retire iteration [retired e]: its results reach the output side *)
+let retire (e : t) : unit =
+  let n = retired e in
+  e.retire_cycles.(n) <- e.cycle;
+  let row = n * Array.length e.output_names in
+  for i = 0 to Array.length e.out_lanes - 1 do
+    let ol = e.out_lanes.(i) in
+    if ol.out_column < 0 then
+      errf "engine: data path produced no %s" ol.out_port.K.port;
+    let at = row + ol.out_column in
+    match ol.out_bram, ol.out_gen with
+    | Some bram, Some gen ->
+      let address = Address_gen.next_write gen in
+      if address < 0 then errf "engine: output address generator exhausted";
+      Bram.write bram ~address e.retire_rows at
+    | _, _ -> (
+      match ol.out_port.K.target with
+      | K.Out_scalar _ -> ()  (* read from the last retire row by [result] *)
+      | K.Out_array _ -> (
+        match e.sink with
+        | Sink_fifo f -> Fifo.push f e.retire_rows at
+        | Sink_bram -> errf "engine: array output without BRAM"))
+  done;
+  Controller.note_retire e.controller
 
 (** Advance the engine by one clock cycle. *)
 let step (e : t) : unit =
-  if is_done e then ()
-  else begin
+  if not (is_done e) then begin
     e.cycle <- e.cycle + 1;
-    (* 1. memory reads: each BRAM lane returns last cycle's request and
-       accepts a new one; each FIFO lane drains up to one bus worth of
-       elements from its channel (an empty channel stalls the lane) *)
-    List.iter
-      (fun lane ->
-        match lane.lane_source with
-        | Src_bram { bram; gen } -> (
-          Bram.clock bram;
-          let arrived = Bram.read_port bram in
-          if Array.length arrived > 0 then
-            Smart_buffer.push lane.lane_buffer arrived;
-          match Address_gen.next_read gen with
-          | Some { Address_gen.base_address; count } ->
-            Bram.request_read bram ~address:base_address ~count
-          | None -> ())
-        | Src_fifo src ->
-          let bus = lane.lane_buffer.Smart_buffer.cfg.Smart_buffer.bus_elements in
-          let want = min bus (src.total - src.taken) in
-          if want > 0 then begin
-            let got = ref [] in
-            (try
-               for _ = 1 to want do
-                 match Fifo.pop src.fifo with
-                 | Some v -> got := v :: !got
-                 | None -> raise Exit
-               done
-             with Exit -> ());
-            let got = List.rev !got in
-            if got = [] then Fifo.note_empty_stall src.fifo
-            else begin
-              src.taken <- src.taken + List.length got;
-              Smart_buffer.push lane.lane_buffer (Array.of_list got)
-            end
-          end)
-      e.lanes;
-    (* 2. launch an iteration when every buffer has its window and the
+    for i = 0 to Array.length e.lanes - 1 do
+      read_lane e.lanes.(i)
+    done;
+    (* launch an iteration when every buffer has its window and the
        output channel (if any) has credit for the results *)
-    let all_ready =
-      e.lanes <> []
-      && List.for_all
-           (fun l -> Smart_buffer.window_ready l.lane_buffer)
-           e.lanes
-      || (e.lanes = [] && e.launches < e.total)
-    in
-    if all_ready && e.launches < e.total then begin
-      if not (has_launch_credit e) then
+    if e.launches < e.total && windows_ready e then begin
+      if has_launch_credit e then launch e
+      else
         match e.sink with
         | Sink_fifo f -> Fifo.note_full_stall f
         | Sink_bram -> ()
-      else begin
-        let window_inputs =
-          List.concat_map
-            (fun lane ->
-              match Smart_buffer.pop_window lane.lane_buffer with
-              | Some values ->
-                List.map2
-                  (fun (_, name) v -> name, v)
-                  lane.lane_window.K.win_scalars (Array.to_list values)
-              | None -> errf "engine: ready buffer refused to pop")
-            e.lanes
-        in
-        let inputs = window_inputs @ e.scalar_inputs in
-        let r =
-          Dp_eval.run_prepared ~luts:e.luts ~feedback_prev:e.feedback_prev
-            e.eval ~inputs
-        in
-        e.feedback_prev <- Dp_eval.thread_feedback e.feedback_prev r;
-        e.launches <- e.launches + 1;
-        e.launch_trace <- (e.cycle, inputs) :: e.launch_trace;
-        Controller.note_launch e.controller;
-        Queue.add (e.cycle + e.latency, r.Dp_eval.outputs) e.in_flight
-      end
     end;
-    (* 3. retire iterations whose results reach the output side *)
     while
-      (not (Queue.is_empty e.in_flight))
-      && fst (Queue.peek e.in_flight) <= e.cycle
+      retired e < e.launches
+      && e.launch_cycles.(retired e) + e.latency <= e.cycle
     do
-      let _, outputs = Queue.pop e.in_flight in
-      e.retire_trace <- (e.cycle, outputs) :: e.retire_trace;
-      List.iter
-        (fun ol ->
-          let value =
-            match List.assoc_opt ol.out_port.K.port outputs with
-            | Some v -> v
-            | None ->
-              errf "engine: data path produced no %s" ol.out_port.K.port
-          in
-          match ol.out_bram, ol.out_gen with
-          | Some bram, Some gen -> (
-            match Address_gen.next_write gen with
-            | Some address -> Bram.write bram ~address value
-            | None -> errf "engine: output address generator exhausted")
-          | _, _ -> (
-            match ol.out_port.K.target with
-            | K.Out_scalar { name; _ } ->
-              Hashtbl.replace e.scalar_out_regs name value
-            | K.Out_array _ -> (
-              match e.sink with
-              | Sink_fifo f -> Fifo.push f value
-              | Sink_bram -> errf "engine: array output without BRAM")))
-        e.out_lanes;
-      Controller.note_retire e.controller
+      retire e
     done;
     (* 4. controller transition *)
     let prev_state = e.controller.Controller.state in
-    Controller.step e.controller
-      ~window_ready:
-        (e.lanes <> []
-        && List.for_all
-             (fun l -> Smart_buffer.window_ready l.lane_buffer)
-             e.lanes)
-      ~input_done:(List.for_all lane_input_done e.lanes);
+    Controller.step e.controller;
     if e.controller.Controller.state <> prev_state then
       e.trace <-
         (e.cycle, Controller.state_name e.controller.Controller.state)
         :: e.trace
   end
 
+(* The first [count] rows of [rows], [names] wide, each with its cycle. *)
+let rows_trace (rows : Words.t) (names : string array) (cycles : int array)
+    (count : int) : trace Lazy.t =
+  let width = Array.length names in
+  lazy
+    (List.init count (fun n ->
+         ( cycles.(n),
+           List.init width (fun j -> names.(j), rows.{(n * width) + j}) )))
+
 (** Collect the run's results. Call after [is_done] (or after giving up:
     the counters are valid at any point). *)
 let result (e : t) : result =
   let memory_reads =
-    List.fold_left
+    Array.fold_left
       (fun acc l ->
         match l.lane_source with
         | Src_bram { bram; _ } -> acc + bram.Bram.reads
@@ -428,28 +467,42 @@ let result (e : t) : result =
       0 e.lanes
   in
   let memory_writes =
-    List.fold_left (fun acc (_, b) -> acc + b.Bram.writes) 0 !(e.out_brams)
+    List.fold_left (fun acc (_, b) -> acc + b.Bram.writes) 0 e.out_brams
   in
   let reuse =
-    match e.lanes with
-    | [] -> 1.0
-    | _ ->
+    if Array.length e.lanes = 0 || memory_reads = 0 then 1.0
+    else
       let naive =
-        List.fold_left
+        Array.fold_left
           (fun acc l ->
-            acc + Smart_buffer.naive_fetches l.lane_buffer.Smart_buffer.cfg)
+            acc + Smart_buffer.naive_fetches (Smart_buffer.config l.lane_buffer))
           0 e.lanes
       in
-      if memory_reads = 0 then 1.0
-      else float_of_int naive /. float_of_int memory_reads
+      float_of_int naive /. float_of_int memory_reads
+  in
+  (* a pointer output holds the last retired value; of two lanes writing
+     one pointer, the later lane wins *)
+  let scalar_outputs =
+    let last = retired e - 1 in
+    if last < 0 then []
+    else begin
+      let regs = Hashtbl.create 4 in
+      Array.iter
+        (fun ol ->
+          match ol.out_port.K.target with
+          | K.Out_scalar { name; _ } ->
+            Hashtbl.replace regs name
+              e.retire_rows.{(last * Array.length e.output_names) + ol.out_column}
+          | K.Out_array _ -> ())
+        e.out_lanes;
+      List.sort compare (Hashtbl.fold (fun n v acc -> (n, v) :: acc) regs [])
+    end
   in
   { cycles = e.cycle;
     launches = e.launches;
     output_arrays =
-      List.map (fun (name, b) -> name, Bram.contents b) !(e.out_brams);
-    scalar_outputs =
-      Hashtbl.fold (fun n v acc -> (n, v) :: acc) e.scalar_out_regs []
-      |> List.sort compare;
+      List.map (fun (name, b) -> name, Bram.contents b) e.out_brams;
+    scalar_outputs;
     memory_reads;
     memory_writes;
     reuse_ratio = reuse;
@@ -463,11 +516,9 @@ let result (e : t) : result =
          float_of_int e.cycle /. e.pipeline.Pipeline.clock_mhz
        else 0.0);
     controller_trace = List.rev e.trace;
-    launch_trace = List.rev e.launch_trace;
-    retire_trace = List.rev e.retire_trace }
-
-(** Iterations retired so far (progress indicator for stall diagnostics). *)
-let retired (e : t) : int = e.controller.Controller.retired
+    launch_trace = rows_trace e.launch_rows e.input_names e.launch_cycles e.launches;
+    retire_trace =
+      rows_trace e.retire_rows e.output_names e.retire_cycles (retired e) }
 
 let total_launches (e : t) : int = e.total
 let latency (e : t) : int = e.latency
@@ -484,5 +535,5 @@ let simulate ?(luts = []) ?(scalars = []) ?(arrays = []) ?(bus_elements = 1)
   done;
   if not (is_done e) then
     errf "engine: cycle budget exhausted after %d cycles (%d/%d retired)"
-      e.cycle e.controller.Controller.retired e.total;
+      e.cycle (retired e) e.total;
   result e

@@ -1,9 +1,13 @@
 (** Cycle-accurate simulator of the execution model (paper Figure 2):
     off-chip MEM → BRAM → smart buffer → pipelined data path → BRAM.
     Functional values come from the data-path evaluator, timing from the
-    pipeliner; the controller FSM sequences fill / steady / drain. *)
+    pipeliner; the controller FSM sequences fill / steady / drain. Values
+    move as unboxed words and every index is resolved when the engine is
+    built, so a simulated cycle allocates nothing. *)
 
 exception Error of string
+
+type trace = (int * (string * int64) list) list
 
 type result = {
   cycles : int;  (** clock cycles until the controller reaches done *)
@@ -22,11 +26,13 @@ type result = {
   controller_trace : (int * string) list;
       (** controller state transitions as (cycle, state-name), in cycle
           order *)
-  launch_trace : (int * (string * int64) list) list;
+  launch_trace : trace Lazy.t;
       (** (cycle, window+scalar inputs) per launch, in cycle order (one
-          launch per cycle at most, so the cycles strictly increase) *)
-  retire_trace : (int * (string * int64) list) list;
-      (** (cycle, data-path outputs) per retirement, in cycle order *)
+          launch per cycle at most, so the cycles strictly increase);
+          stored unboxed during the run and built when forced *)
+  retire_trace : trace Lazy.t;
+      (** (cycle, data-path outputs) per retirement, in cycle order;
+          built when forced *)
 }
 
 (** Where a window input's elements come from. *)

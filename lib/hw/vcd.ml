@@ -131,8 +131,9 @@ let of_simulation ~(design : string) (k : Roccc_hir.Kernel.t)
     | Some kd -> kd.Roccc_cfront.Ast.bits
     | None -> 32
   in
+  let launch_trace = Lazy.force r.Engine.launch_trace in
   let input_names =
-    match r.Engine.launch_trace with
+    match launch_trace with
     | [] -> []
     | (_, first) :: _ -> List.map fst first
   in
@@ -144,7 +145,7 @@ let of_simulation ~(design : string) (k : Roccc_hir.Kernel.t)
           changes =
             List.map
               (fun (cycle, inputs) -> cycle, List.assoc name inputs)
-              r.Engine.launch_trace })
+              launch_trace })
       input_names
   in
   let output_signals =
@@ -158,7 +159,7 @@ let of_simulation ~(design : string) (k : Roccc_hir.Kernel.t)
                 Option.map
                   (fun v -> cycle, v)
                   (List.assoc_opt o.Roccc_hir.Kernel.port outputs))
-              r.Engine.retire_trace })
+              (Lazy.force r.Engine.retire_trace) })
       k.Roccc_hir.Kernel.outputs
   in
   let controller =

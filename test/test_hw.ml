@@ -11,6 +11,16 @@ open Roccc_hw
 
 let fir_source = Roccc_core.Kernels.paper_fir_source
 
+(* The smart buffer moves unboxed words; these push and pop int64 arrays. *)
+let push b values =
+  Smart_buffer.push b (Roccc_util.Words.of_array values) (Array.length values)
+
+let pop_window b =
+  let n = List.length (Smart_buffer.config b).Smart_buffer.window_offsets in
+  let w = Roccc_util.Words.create n in
+  if Smart_buffer.pop_window b w 0 then Some (Roccc_util.Words.to_array w)
+  else None
+
 let acc_source = Roccc_core.Kernels.paper_acc_source
 
 (* Compile a kernel all the way to datapath + pipeline. *)
@@ -44,8 +54,8 @@ let test_buffer_fetches_each_element_once () =
   let b = Smart_buffer.create fir_buffer_config in
   let windows = ref 0 in
   for i = 0 to 20 do
-    Smart_buffer.push b [| Int64.of_int (i * 10) |];
-    while Option.is_some (Smart_buffer.pop_window b) do incr windows done
+    push b [| Int64.of_int (i * 10) |];
+    while Option.is_some (pop_window b) do incr windows done
   done;
   Alcotest.(check int) "21 fetches" 21
     (Smart_buffer.stats b).Smart_buffer.fetched_elements;
@@ -55,9 +65,9 @@ let test_buffer_fetches_each_element_once () =
 let test_buffer_window_contents () =
   let b = Smart_buffer.create fir_buffer_config in
   for i = 0 to 4 do
-    Smart_buffer.push b [| Int64.of_int (100 + i) |]
+    push b [| Int64.of_int (100 + i) |]
   done;
-  match Smart_buffer.pop_window b with
+  match pop_window b with
   | Some w ->
     Alcotest.(check (list int64)) "first window"
       [ 100L; 101L; 102L; 103L; 104L ]
@@ -67,7 +77,7 @@ let test_buffer_window_contents () =
 let test_buffer_not_ready_early () =
   let b = Smart_buffer.create fir_buffer_config in
   for i = 0 to 3 do
-    Smart_buffer.push b [| Int64.of_int i |]
+    push b [| Int64.of_int i |]
   done;
   Alcotest.(check bool) "not ready with 4 of 5" false
     (Smart_buffer.window_ready b)
@@ -75,8 +85,8 @@ let test_buffer_not_ready_early () =
 let test_buffer_reuse_ratio () =
   let b = Smart_buffer.create fir_buffer_config in
   for i = 0 to 20 do
-    Smart_buffer.push b [| Int64.of_int i |];
-    while Option.is_some (Smart_buffer.pop_window b) do () done
+    push b [| Int64.of_int i |];
+    while Option.is_some (pop_window b) do () done
   done;
   (* naive: 17 windows x 5 elements = 85; smart: 21 fetches *)
   Alcotest.(check int) "naive fetches" 85
@@ -118,14 +128,14 @@ let test_buffer_two_dim_windows () =
   (* data: 0..8 row-major *)
   let windows = ref [] in
   for i = 0 to 8 do
-    Smart_buffer.push b [| Int64.of_int i |];
-    match Smart_buffer.pop_window b with
+    push b [| Int64.of_int i |];
+    match pop_window b with
     | Some w -> windows := !windows @ [ Array.to_list w ]
     | None -> ()
   done;
   (* drain the rest *)
   let rec drain () =
-    match Smart_buffer.pop_window b with
+    match pop_window b with
     | Some w ->
       windows := !windows @ [ Array.to_list w ];
       drain ()
@@ -153,9 +163,9 @@ let test_buffer_stride_two () =
   let b = Smart_buffer.create cfg in
   let windows = ref [] in
   for i = 0 to 3 do
-    Smart_buffer.push b [| Int64.of_int (2 * i); Int64.of_int ((2 * i) + 1) |];
+    push b [| Int64.of_int (2 * i); Int64.of_int ((2 * i) + 1) |];
     let rec drain () =
-      match Smart_buffer.pop_window b with
+      match pop_window b with
       | Some w ->
         windows := !windows @ [ Array.to_list w ];
         drain ()
@@ -177,10 +187,10 @@ let test_buffer_stride_two () =
 let test_input_gen_covers_array_once () =
   let g = Address_gen.create_input ~array_dims:[ 10 ] ~bus_elements:3 in
   let rec collect acc =
+    let base = Address_gen.issued g in
     match Address_gen.next_read g with
-    | Some { Address_gen.base_address; count } ->
-      collect (acc @ List.init count (fun i -> base_address + i))
-    | None -> acc
+    | 0 -> acc
+    | count -> collect (acc @ List.init count (fun i -> base + i))
   in
   let addrs = collect [] in
   Alcotest.(check (list int)) "all addresses once"
@@ -194,8 +204,8 @@ let test_output_gen_sequential () =
   in
   let rec collect acc =
     match Address_gen.next_write g with
-    | Some a -> collect (acc @ [ a ])
-    | None -> acc
+    | -1 -> acc
+    | a -> collect (acc @ [ a ])
   in
   Alcotest.(check (list int)) "sequential stores"
     (List.init 17 (fun i -> i))
@@ -208,8 +218,8 @@ let test_output_gen_two_dim_offset () =
   in
   let rec collect acc =
     match Address_gen.next_write g with
-    | Some a -> collect (acc @ [ a ])
-    | None -> acc
+    | -1 -> acc
+    | a -> collect (acc @ [ a ])
   in
   (* positions (1,1) (1,2) (2,1) (2,2) -> 5 6 9 10 *)
   Alcotest.(check (list int)) "offset stores" [ 5; 6; 9; 10 ] (collect [])
@@ -392,16 +402,16 @@ let test_engine_cost_linear_in_cycles () =
        is not linear"
       large small;
   Alcotest.(check int) "one launch_trace entry per launch" r.Engine.launches
-    (List.length r.Engine.launch_trace);
+    (List.length (Lazy.force r.Engine.launch_trace));
   let rec increasing ~strict = function
     | (a, _) :: ((b, _) :: _ as rest) ->
       (if strict then a < b else a <= b) && increasing ~strict rest
     | _ -> true
   in
   Alcotest.(check bool) "launch cycles strictly increase" true
-    (increasing ~strict:true r.Engine.launch_trace);
+    (increasing ~strict:true (Lazy.force r.Engine.launch_trace));
   Alcotest.(check bool) "retire cycles never decrease" true
-    (increasing ~strict:false r.Engine.retire_trace)
+    (increasing ~strict:false (Lazy.force r.Engine.retire_trace))
 
 let qcheck_case = QCheck_alcotest.to_alcotest
 
@@ -445,11 +455,11 @@ let prop_buffer_windows_match_direct_indexing =
       while not (Smart_buffer.finished b) do
         if !pos < n then begin
           let count = min bus (n - !pos) in
-          Smart_buffer.push b (Array.sub data !pos count);
+          push b (Array.sub data !pos count);
           pos := !pos + count
         end;
         let rec drain () =
-          match Smart_buffer.pop_window b with
+          match pop_window b with
           | Some w ->
             out := !out @ [ w ];
             drain ()

@@ -115,9 +115,9 @@ let prop_buffer_2d_matches_direct =
       let windows = ref [] in
       Array.iter
         (fun v ->
-          Smart_buffer.push b [| v |];
+          Test_hw.push b [| v |];
           let rec drain () =
-            match Smart_buffer.pop_window b with
+            match Test_hw.pop_window b with
             | Some w ->
               windows := !windows @ [ w ];
               drain ()
