@@ -69,26 +69,32 @@ let entry_arg =
     & opt (some string) None
     & info [ "e"; "entry" ] ~docv:"FUNC" ~doc:"Kernel function to compile.")
 
+(* The option flags read as [Some v] only when given, so that a command
+   can tell which were (see [options_and_flags_term]). *)
 let target_ns_arg =
   Arg.(
-    value & opt float Roccc_datapath.Pipeline.default_target_ns
-    & info [ "target-ns" ] ~doc:"Pipeline stage delay budget (ns).")
+    value & opt (some float) None
+    & info [ "target-ns" ]
+        ~absent:(Printf.sprintf "%g" Roccc_datapath.Pipeline.default_target_ns)
+        ~doc:"Pipeline stage delay budget (ns).")
 
 let bus_arg =
   Arg.(
-    value & opt int 1
-    & info [ "bus" ] ~doc:"Memory bus width in elements per access.")
+    value & opt (some int) None
+    & info [ "bus" ] ~absent:"1"
+        ~doc:"Memory bus width in elements per access.")
 
 let unroll_inner_arg =
   Arg.(
-    value & opt int 0
-    & info [ "unroll-inner" ]
+    value & opt (some int) None
+    & info [ "unroll-inner" ] ~absent:"0"
         ~doc:"Fully unroll inner loops up to this trip count.")
 
 let stage_budget_arg =
   Arg.(
-    value & opt int Roccc_datapath.Delay.default_stage_budget
+    value & opt (some int) None
     & info [ "stage-budget" ]
+        ~absent:(string_of_int Roccc_datapath.Delay.default_stage_budget)
         ~doc:
           "Cap the stage count of a multi-stage (wide, >32-bit) operator \
            region; 0 means the decomposition's natural depth. \
@@ -96,10 +102,10 @@ let stage_budget_arg =
 
 let decomp_arg =
   Arg.(
-    value
-    & opt string
-        (Roccc_datapath.Delay.decomp_name Roccc_datapath.Delay.default_decomp)
+    value & opt (some string) None
     & info [ "decomp" ] ~docv:"NAME"
+        ~absent:
+          (Roccc_datapath.Delay.decomp_name Roccc_datapath.Delay.default_decomp)
         ~doc:
           "Wide-multiplier decomposition: $(b,csa) (partial products + \
            carry-save 3:2 compression tree) or $(b,addtree) (binary \
@@ -124,32 +130,58 @@ let disable_pass_arg =
            $(b,bit-width-inference) keeps the declared C widths. See the \
            pass names in $(b,--dump passes).")
 
-let options_of target_ns bus unroll_inner stage_budget decomp disabled_passes
-    =
-  let target_ns =
-    checked (Server.check_positive_float ~flag:"--target-ns" target_ns)
+(* The compile options, and which of the option flags above were given. *)
+let options_and_flags target_ns bus unroll_inner stage_budget decomp
+    disabled_passes =
+  let given =
+    List.filter_map
+      (fun (flag, present) -> if present then Some flag else None)
+      [ "--target-ns", Option.is_some target_ns;
+        "--bus", Option.is_some bus;
+        "--unroll-inner", Option.is_some unroll_inner;
+        "--stage-budget", Option.is_some stage_budget;
+        "--decomp", Option.is_some decomp ]
   in
-  let bus = checked (Server.check_positive_int ~flag:"--bus" bus) in
+  let target_ns =
+    checked
+      (Server.check_positive_float ~flag:"--target-ns"
+         (Option.value target_ns
+            ~default:Roccc_datapath.Pipeline.default_target_ns))
+  in
+  let bus =
+    checked (Server.check_positive_int ~flag:"--bus" (Option.value bus ~default:1))
+  in
+  let unroll_inner = Option.value unroll_inner ~default:0 in
   if unroll_inner < 0 then
     usage_error
       (Printf.sprintf "--unroll-inner expects a non-negative integer, got %d"
          unroll_inner);
+  let stage_budget =
+    Option.value stage_budget ~default:Roccc_datapath.Delay.default_stage_budget
+  in
   if stage_budget < 0 then
     usage_error
       (Printf.sprintf "--stage-budget expects a non-negative integer, got %d"
          stage_budget);
-  { Driver.default_options with
-    Driver.target_ns;
-    bus_elements = bus;
-    unroll_inner_max = unroll_inner;
-    stage_budget;
-    decomp = decomp_of_flag decomp;
-    disabled_passes }
+  let decomp =
+    Option.fold decomp ~none:Roccc_datapath.Delay.default_decomp
+      ~some:decomp_of_flag
+  in
+  ( { Driver.default_options with
+      Driver.target_ns;
+      bus_elements = bus;
+      unroll_inner_max = unroll_inner;
+      stage_budget;
+      decomp;
+      disabled_passes },
+    given )
 
-let options_term =
+let options_and_flags_term =
   Term.(
-    const options_of $ target_ns_arg $ bus_arg $ unroll_inner_arg
+    const options_and_flags $ target_ns_arg $ bus_arg $ unroll_inner_arg
     $ stage_budget_arg $ decomp_arg $ disable_pass_arg)
+
+let options_term = Term.(const fst $ options_and_flags_term)
 
 (* Unknown or required pass names, and a dump after a pass these options
    skip, are usage errors caught before any compile. *)
@@ -659,8 +691,18 @@ let batch_cmd =
     | exception Driver.Error _ ->
       [ { Service.label = base; source; entry = "?"; options; luts = [] } ]
   in
-  let run paths table1 options jobs use_cache cache_dir trace_out out sweep
-      sweep_entry sweep_unroll sweep_bus sweep_target config =
+  let run paths table1 (options, given) jobs use_cache cache_dir trace_out out
+      sweep sweep_entry sweep_unroll sweep_bus sweep_target config =
+    (* the gallery jobs compile at each kernel's own tuned options *)
+    (match given with
+    | flag :: _ when table1 ->
+      usage_error
+        (Printf.sprintf
+           "batch: %s cannot be combined with --table1 (the Table 1 \
+            kernels compile at their own tuned options; only \
+            --disable-pass applies to them)"
+           flag)
+    | _ -> ());
     check_passes ~dump_after:config.Roccc_core.Pass.dump_after options;
     with_errors (fun () ->
         let jobs =
@@ -763,7 +805,8 @@ let batch_cmd =
   in
   let term =
     Term.(
-      const run $ paths_arg $ table1_arg $ options_term $ jobs_arg $ cache_arg
+      const run $ paths_arg $ table1_arg $ options_and_flags_term $ jobs_arg
+      $ cache_arg
       $ cache_dir_arg $ trace_arg $ out_arg $ sweep_arg $ sweep_entry_arg
       $ sweep_unroll_arg $ sweep_bus_arg $ sweep_target_ns_arg $ config_term)
   in

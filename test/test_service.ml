@@ -1527,6 +1527,33 @@ let test_serve_socket_refuses_past_domain_limit () =
         (count "overloaded" + later_refused)
         snapshot.Metrics.s_refused)
 
+(* The Table 1 jobs compile at each kernel's tuned options, so
+   `batch --table1` refuses the option flags it would otherwise drop (it
+   used to compile the same nine designs whatever they said). *)
+let test_table1_rejects_option_flags () =
+  let run args =
+    let err = Filename.temp_file "roccc_table1" ".err" in
+    let code =
+      Sys.command
+        (Printf.sprintf "../bin/roccc.exe batch --table1 --jobs 1 %s > /dev/null 2> %s"
+           args (Filename.quote err))
+    in
+    let ic = open_in_bin err in
+    let text = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    Sys.remove err;
+    code, text
+  in
+  List.iter
+    (fun (flag, value) ->
+      let code, err = run (flag ^ " " ^ value) in
+      Alcotest.(check int) (flag ^ " exits 2") 2 code;
+      Alcotest.(check bool) (flag ^ " is named") true (contains flag err))
+    [ "--bus", "4"; "--target-ns", "3"; "--unroll-inner", "2";
+      "--stage-budget", "1"; "--decomp", "addtree" ];
+  let code, _ = run "--disable-pass vm-optimize" in
+  Alcotest.(check int) "--disable-pass still applies" 0 code
+
 let suites =
   [ "service",
     [ Alcotest.test_case "cache hit on identical job" `Quick
@@ -1545,6 +1572,8 @@ let suites =
         test_disk_cache_survives_process;
       Alcotest.test_case "batch isolates a failing kernel" `Quick
         test_batch_isolates_failure;
+      Alcotest.test_case "batch --table1 rejects option flags" `Quick
+        test_table1_rejects_option_flags;
       Alcotest.test_case "parallel VHDL = sequential VHDL" `Slow
         test_parallel_matches_sequential;
       Alcotest.test_case "warm batch reports hits and is faster" `Slow
