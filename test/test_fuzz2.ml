@@ -209,11 +209,122 @@ let prop_feedback_width_soundness =
             = b.Roccc_datapath.Dp_eval.outputs)
           full narrow)
 
+(* ------------------------------------------------------------------ *)
+(* The compiled data-path evaluator against the VM evaluator           *)
+(* ------------------------------------------------------------------ *)
+
+module Dp_eval = Roccc_datapath.Dp_eval
+module Eval = Roccc_vm.Eval
+
+(* 64-bit operators that run through the decomposed wide models *)
+let wide_source =
+  "void wide(int64 A[10], int64 B[10], int64 C[8]) {\n\
+  \  int i;\n\
+  \  for (i = 0; i < 8; i++) {\n\
+  \    C[i] = A[i] * B[i+1] + A[i+2] - B[i];\n\
+  \  }\n\
+   }\n"
+
+(* division and remainder by zero on the lane the mux discards *)
+let guarded_source =
+  "void guarded(int A[8], int B[8], int C[8]) {\n\
+  \  int i;\n\
+  \  for (i = 0; i < 8; i++) {\n\
+  \    if (B[i] != 0) { C[i] = A[i] / B[i] + A[i] % B[i]; }\n\
+  \    else { C[i] = A[i]; }\n\
+  \  }\n\
+   }\n"
+
+(* The gallery (LUT calls among them) and the two kernels above. *)
+let evaluator_cases : Driver.compiled list Lazy.t =
+  lazy
+    (List.map Roccc_core.Kernels.compile Roccc_core.Kernels.gallery
+    @ [ Driver.compile ~entry:"wide" wide_source;
+        Driver.compile ~entry:"guarded" guarded_source ])
+
+(* Input values: zeros (to reach guarded division), small values, and
+   the full 64-bit range. *)
+let gen_stream : int64 array list QCheck.Gen.t =
+  let open QCheck.Gen in
+  let value =
+    frequency
+      [ 2, return 0L; 5, map Int64.of_int (int_range (-300) 300); 2, ui64 ]
+  in
+  list_size (int_range 1 8) (array_repeat 16 value)
+
+(* Run [stream] through the VM on the procedure and through the compiled
+   evaluator, at declared and at inferred widths, threading feedback in
+   each: every output and SNX store must agree. A stream the C program
+   traps on (a division by zero it really takes) is compared up to the
+   trap. *)
+let compiled_matches_vm (c : Driver.compiled) (stream : int64 array list) :
+    bool =
+  let luts = List.map Roccc_hir.Lut_conv.interp_binding c.Driver.luts in
+  let dp = c.Driver.dp in
+  let full = Dp_eval.prepare ~luts dp in
+  let narrow = Dp_eval.prepare ~luts ~widths:c.Driver.widths dp in
+  let sorted = List.sort compare in
+  let thread prev next =
+    next @ List.filter (fun (n, _) -> not (List.mem_assoc n next)) prev
+  in
+  let rec go fb_vm fb_full fb_narrow = function
+    | [] -> true
+    | values :: rest -> (
+      let inputs =
+        List.mapi
+          (fun j (p : Roccc_vm.Proc.port) ->
+            p.Roccc_vm.Proc.port_name, values.(j mod Array.length values))
+          dp.Roccc_datapath.Graph.input_ports
+      in
+      match Eval.run ~luts ~feedback_prev:fb_vm c.Driver.proc ~inputs with
+      | exception Roccc_vm.Instr.Vm_error _ -> true
+      | vm ->
+        let a = Dp_eval.run_prepared ~feedback_prev:fb_full full ~inputs in
+        let b = Dp_eval.run_prepared ~feedback_prev:fb_narrow narrow ~inputs in
+        let same (o1, f1) (o2, f2) = sorted o1 = sorted o2 && sorted f1 = sorted f2 in
+        let vm_r = vm.Eval.outputs, vm.Eval.feedback_next in
+        same vm_r (a.Dp_eval.outputs, a.Dp_eval.feedback_next)
+        && same vm_r (b.Dp_eval.outputs, b.Dp_eval.feedback_next)
+        && go
+             (thread fb_vm vm.Eval.feedback_next)
+             (Dp_eval.thread_feedback fb_full a)
+             (Dp_eval.thread_feedback fb_narrow b)
+             rest)
+  in
+  go [] [] [] stream
+
+let prop_evaluator_matches_vm_on_cases =
+  QCheck.Test.make ~count:80
+    ~name:"compiled evaluator = VM evaluator (gallery, wide, guarded division)"
+    (QCheck.make
+       QCheck.Gen.(pair (int_range 0 11) gen_stream)
+       ~print:(fun (k, _) ->
+         (List.nth (Lazy.force evaluator_cases) k).Driver.entry))
+    (fun (k, stream) ->
+      compiled_matches_vm (List.nth (Lazy.force evaluator_cases) k) stream)
+
+let prop_evaluator_matches_vm_on_kernels name gen =
+  QCheck.Test.make ~count:40 ~name
+    (QCheck.make QCheck.Gen.(pair gen gen_stream) ~print:fst)
+    (fun (source, stream) ->
+      match Driver.compile ~entry:"k" source with
+      | exception Driver.Error _ -> QCheck.assume_fail ()
+      | c -> compiled_matches_vm c stream)
+
 let suites =
   [ "fuzz2",
     [ qcheck_case prop_feedback_kernels_verify;
       qcheck_case prop_2d_kernels_verify;
       qcheck_case prop_feedback_width_soundness;
+      qcheck_case prop_evaluator_matches_vm_on_cases;
+      qcheck_case
+        (prop_evaluator_matches_vm_on_kernels
+           "compiled evaluator = VM evaluator (random feedback kernels)"
+           gen_feedback_kernel);
+      qcheck_case
+        (prop_evaluator_matches_vm_on_kernels
+           "compiled evaluator = VM evaluator (random 2-D kernels)"
+           gen_2d_kernel);
       Alcotest.test_case "different array lengths" `Quick
         test_different_array_lengths;
       Alcotest.test_case "far window offsets" `Quick test_window_far_offset ] ]
