@@ -7,7 +7,8 @@
     [prepare] compiles the data path once: each instruction becomes a
     closure over an unboxed register file with its operand registers and
     truncation resolved, and ports, feedback signals and lookup tables
-    become indices. A launch then allocates nothing. *)
+    become indices. A launch then allocates nothing, save the values a
+    lookup-table call or a 64-bit operator's decomposed model boxes. *)
 
 module Instr = Roccc_vm.Instr
 module Proc = Roccc_vm.Proc
@@ -23,8 +24,8 @@ type result = {
   feedback_next : (string * int64) list;
 }
 
-(* Words.wrap, repeated so that it inlines into every compiled step: a
-   call across modules would box the value. *)
+(* The shift pair of Words.blit_wrapped, repeated so that it inlines into
+   every compiled step: a call across modules would box the value. *)
 let[@inline] wrap signed s v =
   if signed then Int64.shift_right (Int64.shift_left v s) s
   else Int64.shift_right_logical (Int64.shift_left v s) s
@@ -47,48 +48,29 @@ type prepared = {
   out_shift : int array;
   out_signed : bool array;
   out_fault : exn option;  (** an output register no step defines *)
-  (* Feedback slots: declared signals in first-declaration order, then
-     names only an LPR mentions. [fb] is what LPR reads: the declared
-     initial value, then the latest SNX store, committed when a launch
-     ends. [fb_known] is false for an undeclared name no caller gave. *)
+  (* One slot per declared feedback signal, in first-declaration order.
+     [fb] is what LPR reads: the initial value, then the latest SNX
+     store, committed when a launch ends. *)
   fb_names : string array;
   fb_init : Words.t;
   fb : Words.t;
-  fb_known : bool array;
-  declared : int;  (** slots [0, declared) are declared signals *)
   fb_decls : (string * int) list;  (** every declaration, with its slot *)
   snx : Words.t;
   snx_stamp : int array;  (** launch that last stored each slot *)
-  launch : int ref;
-  lut_names : string array;
-  luts : (int64 -> int64) array;
+  launches : int ref;  (** numbers the launches, for [snx_stamp] *)
   columns : string array;  (** input row layout *)
   row : Words.t;  (** the list interface's input and output rows *)
   out_row : Words.t;
 }
 
 let index_of (names : string array) name =
-  let rec find j =
-    if j >= Array.length names then -1
-    else if String.equal names.(j) name then j
-    else find (j + 1)
-  in
-  find 0
+  Option.value (Array.find_index (String.equal name) names) ~default:(-1)
 
 (* Distinct names in order of first appearance. *)
 let distinct names =
   List.fold_left
     (fun acc n -> if List.mem n acc then acc else acc @ [ n ])
     [] names
-
-let bind_luts (p : prepared) (luts : (string * (int64 -> int64)) list) : unit =
-  Array.iteri
-    (fun i name ->
-      p.luts.(i) <-
-        (match List.assoc_opt name luts with
-        | Some f -> f
-        | None -> fun _ -> errf "dp_eval: unknown lookup table %s" name))
-    p.lut_names
 
 (* A compiled instruction: a step, nothing to do, or the fault every
    launch meets there. *)
@@ -100,21 +82,12 @@ let prepare ?(luts = []) ?(widths : Widths.t option) ?columns (dp : Graph.t) :
   let instrs =
     List.concat_map (fun (n : Graph.node) -> n.Graph.instrs) dp.Graph.nodes
   in
-  let declared_names = distinct (List.map (fun (n, _, _) -> n) feedbacks) in
-  let mentioned f = List.filter_map (fun (i : Instr.instr) -> f i.Instr.op) instrs in
   let fb_names =
-    Array.of_list
-      (distinct
-         (declared_names
-         @ mentioned (function Instr.Lpr n -> Some n | _ -> None)))
+    Array.of_list (distinct (List.map (fun (n, _, _) -> n) feedbacks))
   in
-  let lut_names =
-    Array.of_list (distinct (mentioned (function Instr.Lut n -> Some n | _ -> None)))
-  in
-  let declared = List.length declared_names in
   let nslots = Array.length fb_names in
   let fb_init = Words.create nslots in
-  List.iteri
+  Array.iteri
     (fun s name ->
       let _, kind, init =
         List.find (fun (n, _, _) -> String.equal n name) feedbacks
@@ -122,13 +95,12 @@ let prepare ?(luts = []) ?(widths : Widths.t option) ?columns (dp : Graph.t) :
       fb_init.{s} <-
         Roccc_util.Bits.truncate ~signed:kind.Roccc_cfront.Ast.signed
           kind.Roccc_cfront.Ast.bits init)
-    declared_names;
+    fb_names;
   let fb = Words.create nslots in
   Bigarray.Array1.blit fb_init fb;
-  let fb_known = Array.init nslots (fun s -> s < declared) in
-  let snx = Words.create declared in
-  let snx_stamp = Array.make declared 0 in
-  let launch = ref 0 in
+  let snx = Words.create nslots in
+  let snx_stamp = Array.make nslots 0 in
+  let launches = ref 0 in
   let port_regs ports = List.map (fun (p : Proc.port) -> p.Proc.port_reg) ports in
   let nregs =
     1
@@ -140,7 +112,6 @@ let prepare ?(luts = []) ?(widths : Widths.t option) ?columns (dp : Graph.t) :
             instrs)
   in
   let r = Words.create nregs in
-  let p_luts = Array.make (Array.length lut_names) (fun v -> v) in
   let shift_of (k : Instr.ikind) = Words.shift k.Roccc_cfront.Ast.bits in
   let signed_of (k : Instr.ikind) = k.Roccc_cfront.Ast.signed in
   (* The operations are spelled out one closure each, so that every value
@@ -218,12 +189,12 @@ let prepare ?(luts = []) ?(widths : Widths.t option) ?columns (dp : Graph.t) :
       fun () -> r.{d} <- wrap sg s (if r.{sel} <> 0L then r.{a} else r.{b})
     | Instr.Lpr name, [] ->
       let slot = index_of fb_names name in
-      fun () ->
-        if fb_known.(slot) then r.{d} <- wrap sg s fb.{slot}
-        else errf "dp_eval: unknown feedback signal %s" name
-    | Instr.Lut name, [ a ] ->
-      let slot = index_of lut_names name in
-      fun () -> r.{d} <- wrap sg s (p_luts.(slot) r.{a})
+      if slot < 0 then errf "dp_eval: unknown feedback signal %s" name;
+      fun () -> r.{d} <- wrap sg s fb.{slot}
+    | Instr.Lut name, [ a ] -> (
+      match List.assoc_opt name luts with
+      | Some f -> fun () -> r.{d} <- wrap sg s (f r.{a})
+      | None -> errf "dp_eval: unknown lookup table %s" name)
     | op, srcs ->
       (* what Instr.eval_op raises for these operand lists *)
       raise
@@ -253,14 +224,14 @@ let prepare ?(luts = []) ?(widths : Widths.t option) ?columns (dp : Graph.t) :
       | Instr.Snx name, None, [ a ] -> (
         (* a signal declared twice shares the slot of its first
            declaration; an undeclared one is stored nowhere *)
-        match List.assoc_opt name (List.mapi (fun s n -> n, s) declared_names) with
-        | None -> Skip
-        | Some slot ->
+        match index_of fb_names name with
+        | -1 -> Skip
+        | slot ->
           let sg = signed_of i.Instr.kind and s = shift_of i.Instr.kind in
           Step
             (fun () ->
               snx.{slot} <- wrap sg s r.{a};
-              snx_stamp.(slot) <- !launch))
+              snx_stamp.(slot) <- !launches))
       | Instr.Snx _, None, _ -> Stop (Error "dp_eval: snx arity")
       | _, None, _ -> Stop (Error "dp_eval: instruction without destination")
       | _, Some d, _ -> (
@@ -268,7 +239,8 @@ let prepare ?(luts = []) ?(widths : Widths.t option) ?columns (dp : Graph.t) :
         | f ->
           defined.(d) <- true;
           Step f
-        | exception ((Instr.Vm_error _ | Widths.Error _) as e) -> Stop e))
+        | exception ((Error _ | Instr.Vm_error _ | Widths.Error _) as e) ->
+          Stop e))
   in
   let rec build acc = function
     | [] -> List.rev acc, None
@@ -283,40 +255,32 @@ let prepare ?(luts = []) ?(widths : Widths.t option) ?columns (dp : Graph.t) :
   let outs f = Array.of_list (List.map f dp.Graph.output_ports) in
   let in_names = ins (fun p -> p.Proc.port_name) in
   let columns = Option.value columns ~default:in_names in
-  let p =
-    { regs = r;
-      program = Array.of_list program;
-      fault;
-      in_names;
-      in_cols = Array.map (index_of columns) in_names;
-      in_regs = ins (fun p -> p.Proc.port_reg);
-      in_shift = ins (fun p -> shift_of p.Proc.port_kind);
-      in_signed = ins (fun p -> signed_of p.Proc.port_kind);
-      out_names = outs (fun p -> p.Proc.port_name);
-      out_regs = outs (fun p -> p.Proc.port_reg);
-      out_shift = outs (fun p -> shift_of p.Proc.port_kind);
-      out_signed = outs (fun p -> signed_of p.Proc.port_kind);
-      out_fault =
-        List.find_map
-          (fun r -> if defined.(r) then None else Some (undefined r))
-          (port_regs dp.Graph.output_ports);
-      fb_names;
-      fb_init;
-      fb;
-      fb_known;
-      declared;
-      fb_decls = List.map (fun (n, _, _) -> n, index_of fb_names n) feedbacks;
-      snx;
-      snx_stamp;
-      launch;
-      lut_names;
-      luts = p_luts;
-      columns;
-      row = Words.create (Array.length columns);
-      out_row = Words.create (List.length dp.Graph.output_ports) }
-  in
-  bind_luts p luts;
-  p
+  { regs = r;
+    program = Array.of_list program;
+    fault;
+    in_names;
+    in_cols = Array.map (index_of columns) in_names;
+    in_regs = ins (fun p -> p.Proc.port_reg);
+    in_shift = ins (fun p -> shift_of p.Proc.port_kind);
+    in_signed = ins (fun p -> signed_of p.Proc.port_kind);
+    out_names = outs (fun p -> p.Proc.port_name);
+    out_regs = outs (fun p -> p.Proc.port_reg);
+    out_shift = outs (fun p -> shift_of p.Proc.port_kind);
+    out_signed = outs (fun p -> signed_of p.Proc.port_kind);
+    out_fault =
+      List.find_map
+        (fun r -> if defined.(r) then None else Some (undefined r))
+        (port_regs dp.Graph.output_ports);
+    fb_names;
+    fb_init;
+    fb;
+    fb_decls = List.map (fun (n, _, _) -> n, index_of fb_names n) feedbacks;
+    snx;
+    snx_stamp;
+    launches;
+    columns;
+    row = Words.create (Array.length columns);
+    out_row = Words.create (List.length dp.Graph.output_ports) }
 
 let outputs (p : prepared) : string array = p.out_names
 
@@ -325,7 +289,7 @@ let outputs (p : prepared) : string array = p.out_names
     stores become what LPR reads next. *)
 let launch (p : prepared) (src : Words.t) (at : int) (dst : Words.t)
     (dst_at : int) : unit =
-  incr p.launch;
+  incr p.launches;
   let r = p.regs in
   for k = 0 to Array.length p.in_regs - 1 do
     let c = p.in_cols.(k) in
@@ -341,27 +305,20 @@ let launch (p : prepared) (src : Words.t) (at : int) (dst : Words.t)
   for k = 0 to Array.length p.out_regs - 1 do
     dst.{dst_at + k} <- wrap p.out_signed.(k) p.out_shift.(k) r.{p.out_regs.(k)}
   done;
-  let now = !(p.launch) in
-  for s = 0 to p.declared - 1 do
+  let now = !(p.launches) in
+  for s = 0 to Array.length p.fb_names - 1 do
     if p.snx_stamp.(s) = now then p.fb.{s} <- p.snx.{s}
   done
 
 (** Evaluate one iteration on a prepared data path, from and to lists.
-    [luts], when given, replaces the tables bound by [prepare];
     [feedback_prev] gives each feedback signal's previous value (default:
     its declared initial value). *)
-let run_prepared ?luts ?(feedback_prev = []) (p : prepared)
+let run_prepared ?(feedback_prev = []) (p : prepared)
     ~(inputs : (string * int64) list) : result =
-  Option.iter (bind_luts p) luts;
   Array.iteri
     (fun s name ->
-      match List.assoc_opt name feedback_prev with
-      | Some v ->
-        p.fb.{s} <- v;
-        p.fb_known.(s) <- true
-      | None ->
-        p.fb.{s} <- (if s < p.declared then p.fb_init.{s} else 0L);
-        p.fb_known.(s) <- s < p.declared)
+      p.fb.{s} <-
+        Option.value (List.assoc_opt name feedback_prev) ~default:p.fb_init.{s})
     p.fb_names;
   Array.iter
     (fun name ->
@@ -373,7 +330,7 @@ let run_prepared ?luts ?(feedback_prev = []) (p : prepared)
       p.row.{j} <- Option.value (List.assoc_opt name inputs) ~default:0L)
     p.columns;
   launch p p.row 0 p.out_row 0;
-  let now = !(p.launch) in
+  let now = !(p.launches) in
   { outputs = Array.to_list (Array.mapi (fun k n -> n, p.out_row.{k}) p.out_names);
     feedback_next =
       List.filter_map

@@ -29,8 +29,9 @@ val prepare :
     soundness check for bit-width inference. [columns] names the words of
     the input rows {!launch} reads (default: the input ports, in order).
     Faults that do not depend on a value — a register read before its
-    definition, a malformed instruction — are found here and raised when
-    a launch reaches them, with the messages a step-by-step evaluation
+    definition, an LPR of an undeclared signal, a table missing from
+    [luts], a malformed instruction — are found here and raised when a
+    launch reaches them, with the messages a step-by-step evaluation
     gives. *)
 
 val outputs : prepared -> string array
@@ -47,14 +48,13 @@ val launch : prepared -> Roccc_util.Words.t -> int -> Roccc_util.Words.t -> int 
     and for a register read before this launch defines it. *)
 
 val run_prepared :
-  ?luts:(string * (int64 -> int64)) list ->
   ?feedback_prev:(string * int64) list ->
   prepared ->
   inputs:(string * int64) list ->
   result
-(** Evaluate one iteration from and to lists. [luts], when given, replaces
-    the tables bound by {!prepare}. [feedback_prev] gives each feedback
-    signal's previous value (default: its declared initial value). *)
+(** Evaluate one iteration from and to lists. [feedback_prev] gives each
+    declared feedback signal's previous value (default: its initial
+    value). *)
 
 val run :
   ?luts:(string * (int64 -> int64)) list ->

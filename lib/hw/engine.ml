@@ -224,12 +224,8 @@ let create ?(luts = []) ?(scalars = []) ?(arrays = []) ?(bus_elements = 1)
   let eval = Dp_eval.prepare ~luts ~columns:input_names dp in
   let output_names = Dp_eval.outputs eval in
   let column_of port =
-    let rec find j =
-      if j >= Array.length output_names then -1
-      else if String.equal output_names.(j) port then j
-      else find (j + 1)
-    in
-    find 0
+    Option.value (Array.find_index (String.equal port) output_names)
+      ~default:(-1)
   in
   (* ---- output lanes ---- *)
   let out_brams : (string * Bram.t) list ref = ref [] in

@@ -13,13 +13,12 @@ val of_array : int64 array -> t
 val to_array : t -> int64 array
 
 val shift : int -> int
-(** [shift bits] = [64 - bits]: the shift pair that wraps a word to [bits]
-    bits (see {!wrap}). Raises [Invalid_argument] outside [1, 64]. *)
-
-val wrap : signed:bool -> int -> int64 -> int64
-(** [wrap ~signed (shift bits) v] = [Bits.truncate ~signed bits v]. *)
+(** [shift bits] = [64 - bits]: shifting a word left and back right by it
+    wraps the word to [bits] bits, as [Bits.truncate] does. Raises
+    [Invalid_argument] outside [1, 64]. *)
 
 val blit_wrapped :
   signed:bool -> shift:int -> t -> int -> t -> int -> int -> unit
 (** [blit_wrapped ~signed ~shift src i dst j n] copies words [i .. i+n-1]
-    of [src] to [j .. j+n-1] of [dst], each wrapped as by {!wrap}. *)
+    of [src] to [j .. j+n-1] of [dst], each wrapped to [64 - shift] bits
+    (sign- or zero-extended). *)

@@ -876,14 +876,12 @@ let prop_prepared_matches_fresh_runs =
       in
       let luts = List.map Lut_conv.interp_binding c.Driver.luts in
       let dp = c.Driver.dp in
-      let p = Dp_eval.prepare dp in
+      let p = Dp_eval.prepare ~luts dp in
       let rec go fresh_fb prepared_fb = function
         | [] -> true
         | inputs :: rest ->
           let a = Dp_eval.run ~luts ~feedback_prev:fresh_fb dp ~inputs in
-          let b =
-            Dp_eval.run_prepared ~luts ~feedback_prev:prepared_fb p ~inputs
-          in
+          let b = Dp_eval.run_prepared ~feedback_prev:prepared_fb p ~inputs in
           a = b
           && go
                (Dp_eval.thread_feedback fresh_fb a)
