@@ -149,7 +149,8 @@ let options_and_flags target_ns bus unroll_inner stage_budget decomp
             ~default:Roccc_datapath.Pipeline.default_target_ns))
   in
   let bus =
-    checked (Server.check_positive_int ~flag:"--bus" (Option.value bus ~default:1))
+    checked
+      (Server.check_positive_int ~flag:"--bus" (Option.value bus ~default:1))
   in
   let unroll_inner = Option.value unroll_inner ~default:0 in
   if unroll_inner < 0 then

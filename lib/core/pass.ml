@@ -471,7 +471,9 @@ let differential_widths (st : state) : unit =
   let rec go it fb_full fb_narrow = function
     | [] -> ()
     | vec :: rest ->
-      let full = Dp_eval.run_prepared ?feedback_prev:fb_full full_dp ~inputs:vec in
+      let full =
+        Dp_eval.run_prepared ?feedback_prev:fb_full full_dp ~inputs:vec
+      in
       let narrow =
         Dp_eval.run_prepared ?feedback_prev:fb_narrow narrow_dp ~inputs:vec
       in

@@ -101,7 +101,9 @@ let prepare ?(luts = []) ?(widths : Widths.t option) ?columns (dp : Graph.t) :
   let snx = Words.create nslots in
   let snx_stamp = Array.make nslots 0 in
   let launches = ref 0 in
-  let port_regs ports = List.map (fun (p : Proc.port) -> p.Proc.port_reg) ports in
+  let port_regs ports =
+    List.map (fun (p : Proc.port) -> p.Proc.port_reg) ports
+  in
   let nregs =
     1
     + List.fold_left max 0
@@ -165,17 +167,21 @@ let prepare ?(luts = []) ?(widths : Widths.t option) ?columns (dp : Graph.t) :
             (Int64.shift_right r.{a} (Int64.to_int (Int64.logand r.{b} 63L)))
     | Instr.Band, [ a; b ] ->
       fun () -> r.{d} <- wrap sg s (Int64.logand r.{a} r.{b})
-    | Instr.Bor, [ a; b ] -> fun () -> r.{d} <- wrap sg s (Int64.logor r.{a} r.{b})
+    | Instr.Bor, [ a; b ] ->
+      fun () -> r.{d} <- wrap sg s (Int64.logor r.{a} r.{b})
     | Instr.Bxor, [ a; b ] ->
       fun () -> r.{d} <- wrap sg s (Int64.logxor r.{a} r.{b})
     | Instr.Bnot, [ a ] -> fun () -> r.{d} <- wrap sg s (Int64.lognot r.{a})
     | Instr.Neg, [ a ] -> fun () -> r.{d} <- wrap sg s (Int64.neg r.{a})
     | Instr.Slt, [ a; b ] -> fun () -> r.{d} <- wrap sg s (bool (r.{a} < r.{b}))
-    | Instr.Sle, [ a; b ] -> fun () -> r.{d} <- wrap sg s (bool (r.{a} <= r.{b}))
+    | Instr.Sle, [ a; b ] ->
+      fun () -> r.{d} <- wrap sg s (bool (r.{a} <= r.{b}))
     | Instr.Sgt, [ a; b ] -> fun () -> r.{d} <- wrap sg s (bool (r.{a} > r.{b}))
-    | Instr.Sge, [ a; b ] -> fun () -> r.{d} <- wrap sg s (bool (r.{a} >= r.{b}))
+    | Instr.Sge, [ a; b ] ->
+      fun () -> r.{d} <- wrap sg s (bool (r.{a} >= r.{b}))
     | Instr.Seq, [ a; b ] -> fun () -> r.{d} <- wrap sg s (bool (r.{a} = r.{b}))
-    | Instr.Sne, [ a; b ] -> fun () -> r.{d} <- wrap sg s (bool (r.{a} <> r.{b}))
+    | Instr.Sne, [ a; b ] ->
+      fun () -> r.{d} <- wrap sg s (bool (r.{a} <> r.{b}))
     | Instr.Land, [ a; b ] ->
       fun () -> r.{d} <- wrap sg s (bool (r.{a} <> 0L && r.{b} <> 0L))
     | Instr.Lor, [ a; b ] ->
@@ -200,9 +206,11 @@ let prepare ?(luts = []) ?(widths : Widths.t option) ?columns (dp : Graph.t) :
       raise
         (Instr.Vm_error
            (match op with
-           | Instr.Snx _ when List.length srcs = 1 -> "snx handled by the evaluator"
+           | Instr.Snx _ when List.length srcs = 1 ->
+             "snx handled by the evaluator"
            | _ ->
-             Printf.sprintf "arity mismatch for %s: got %d operand(s), expected %d"
+             Printf.sprintf
+               "arity mismatch for %s: got %d operand(s), expected %d"
                (Instr.opcode_name op) (List.length srcs) (Instr.arity op)))
   in
   (* Every launch runs the steps in the same order, so a register read
@@ -331,7 +339,8 @@ let run_prepared ?(feedback_prev = []) (p : prepared)
     p.columns;
   launch p p.row 0 p.out_row 0;
   let now = !(p.launches) in
-  { outputs = Array.to_list (Array.mapi (fun k n -> n, p.out_row.{k}) p.out_names);
+  { outputs =
+      Array.to_list (Array.mapi (fun k n -> n, p.out_row.{k}) p.out_names);
     feedback_next =
       List.filter_map
         (fun (name, s) ->

@@ -37,7 +37,8 @@ val prepare :
 val outputs : prepared -> string array
 (** The output ports: the words of the output rows {!launch} writes. *)
 
-val launch : prepared -> Roccc_util.Words.t -> int -> Roccc_util.Words.t -> int -> unit
+val launch :
+  prepared -> Roccc_util.Words.t -> int -> Roccc_util.Words.t -> int -> unit
 (** [launch p src at dst dst_at] evaluates one iteration, allocating
     nothing: the inputs are the row of [src] at word [at] (laid out as
     [columns]), the outputs go to the row of [dst] at word [dst_at], and

@@ -52,7 +52,8 @@ let contents (m : t) : int64 array = Words.to_array m.data
 let request_read (m : t) ~(address : int) ~(count : int) : unit =
   if address < 0 || address + count > size m then
     errf "bram %s: read [%d, %d) out of range" m.name address (address + count);
-  if count > Bigarray.Array1.dim m.read_out then m.read_out <- Words.create count;
+  if count > Bigarray.Array1.dim m.read_out then
+    m.read_out <- Words.create count;
   m.pending_address <- address;
   m.pending_count <- count
 

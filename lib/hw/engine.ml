@@ -164,7 +164,10 @@ let create ?(luts = []) ?(scalars = []) ?(arrays = []) ?(bus_elements = 1)
           match List.assoc_opt w.K.win_array feeds with
           | Some (Feed_fifo fifo) ->
             Src_fifo
-              { fifo; total = size; taken = 0; arrived = Words.create bus_elements }
+              { fifo;
+                total = size;
+                taken = 0;
+                arrived = Words.create bus_elements }
           | (Some (Feed_bram _) | None) as feed -> (
             let bram =
               Bram.create ~name:w.K.win_array
@@ -331,12 +334,15 @@ let read_lane (lane : input_lane) : unit =
   | Src_bram { bram; gen } ->
     Bram.clock bram;
     if bram.Bram.read_count > 0 then
-      Smart_buffer.push lane.lane_buffer bram.Bram.read_out bram.Bram.read_count;
+      Smart_buffer.push lane.lane_buffer bram.Bram.read_out
+        bram.Bram.read_count;
     let address = Address_gen.issued gen in
     let count = Address_gen.next_read gen in
     if count > 0 then Bram.request_read bram ~address ~count
   | Src_fifo src ->
-    let bus = (Smart_buffer.config lane.lane_buffer).Smart_buffer.bus_elements in
+    let bus =
+      (Smart_buffer.config lane.lane_buffer).Smart_buffer.bus_elements
+    in
     let want = min bus (src.total - src.taken) in
     if want > 0 then begin
       let got = ref 0 in
@@ -353,7 +359,8 @@ let read_lane (lane : input_lane) : unit =
 let windows_ready (e : t) : bool =
   let ready = ref true in
   for i = 0 to Array.length e.lanes - 1 do
-    if not (Smart_buffer.window_ready e.lanes.(i).lane_buffer) then ready := false
+    if not (Smart_buffer.window_ready e.lanes.(i).lane_buffer) then
+      ready := false
   done;
   !ready
 
@@ -374,7 +381,10 @@ let launch (e : t) : unit =
   let row = n * Array.length e.input_names in
   for i = 0 to Array.length e.lanes - 1 do
     let lane = e.lanes.(i) in
-    if not (Smart_buffer.pop_window lane.lane_buffer e.launch_rows (row + lane.lane_at))
+    if
+      not
+        (Smart_buffer.pop_window lane.lane_buffer e.launch_rows
+           (row + lane.lane_at))
     then errf "engine: ready buffer refused to pop"
   done;
   for j = 0 to Bigarray.Array1.dim e.scalar_values - 1 do
@@ -471,7 +481,8 @@ let result (e : t) : result =
       let naive =
         Array.fold_left
           (fun acc l ->
-            acc + Smart_buffer.naive_fetches (Smart_buffer.config l.lane_buffer))
+            acc
+            + Smart_buffer.naive_fetches (Smart_buffer.config l.lane_buffer))
           0 e.lanes
       in
       float_of_int naive /. float_of_int memory_reads
@@ -488,7 +499,8 @@ let result (e : t) : result =
           match ol.out_port.K.target with
           | K.Out_scalar { name; _ } ->
             Hashtbl.replace regs name
-              e.retire_rows.{(last * Array.length e.output_names) + ol.out_column}
+              e.retire_rows.{(last * Array.length e.output_names)
+                             + ol.out_column}
           | K.Out_array _ -> ())
         e.out_lanes;
       List.sort compare (Hashtbl.fold (fun n v acc -> (n, v) :: acc) regs [])
@@ -512,7 +524,8 @@ let result (e : t) : result =
          float_of_int e.cycle /. e.pipeline.Pipeline.clock_mhz
        else 0.0);
     controller_trace = List.rev e.trace;
-    launch_trace = rows_trace e.launch_rows e.input_names e.launch_cycles e.launches;
+    launch_trace =
+      rows_trace e.launch_rows e.input_names e.launch_cycles e.launches;
     retire_trace =
       rows_trace e.retire_rows e.output_names e.retire_cycles (retired e) }
 

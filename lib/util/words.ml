@@ -10,7 +10,8 @@ let create n : t =
 let of_array (values : int64 array) : t =
   Bigarray.Array1.of_array Bigarray.int64 Bigarray.c_layout values
 
-let to_array (a : t) : int64 array = Array.init (Bigarray.Array1.dim a) (fun i -> a.{i})
+let to_array (a : t) : int64 array =
+  Array.init (Bigarray.Array1.dim a) (fun i -> a.{i})
 
 let shift bits =
   if bits < 1 || bits > 64 then

@@ -281,7 +281,9 @@ let compiled_matches_vm (c : Driver.compiled) (stream : int64 array list) :
       | vm ->
         let a = Dp_eval.run_prepared ~feedback_prev:fb_full full ~inputs in
         let b = Dp_eval.run_prepared ~feedback_prev:fb_narrow narrow ~inputs in
-        let same (o1, f1) (o2, f2) = sorted o1 = sorted o2 && sorted f1 = sorted f2 in
+        let same (o1, f1) (o2, f2) =
+          sorted o1 = sorted o2 && sorted f1 = sorted f2
+        in
         let vm_r = vm.Eval.outputs, vm.Eval.feedback_next in
         same vm_r (a.Dp_eval.outputs, a.Dp_eval.feedback_next)
         && same vm_r (b.Dp_eval.outputs, b.Dp_eval.feedback_next)

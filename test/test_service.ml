@@ -1535,8 +1535,9 @@ let test_table1_rejects_option_flags () =
     let err = Filename.temp_file "roccc_table1" ".err" in
     let code =
       Sys.command
-        (Printf.sprintf "../bin/roccc.exe batch --table1 --jobs 1 %s > /dev/null 2> %s"
-           args (Filename.quote err))
+        (Printf.sprintf
+           "../bin/roccc.exe batch --table1 --jobs 1 %s > /dev/null 2> %s" args
+           (Filename.quote err))
     in
     let ic = open_in_bin err in
     let text = really_input_string ic (in_channel_length ic) in

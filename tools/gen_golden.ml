@@ -80,7 +80,9 @@ let () =
   let dir = if Array.length Sys.argv > 1 then Sys.argv.(1) else "test/golden" in
   let line (b : Kernels.benchmark) =
     let c = Kernels.compile b in
-    let r = Driver.simulate ~scalars:b.Kernels.scalars ~arrays:(b.Kernels.arrays ()) c in
+    let r =
+      Driver.simulate ~scalars:b.Kernels.scalars ~arrays:(b.Kernels.arrays ()) c
+    in
     let text =
       Roccc_hw.Vcd.render
         (Roccc_hw.Vcd.of_simulation ~design:c.Driver.entry c.Driver.kernel r)
@@ -88,7 +90,9 @@ let () =
     Printf.sprintf "%s vcd=%s\n" b.Kernels.bench_name
       (Digest.to_hex (Digest.string text))
   in
-  let text = String.concat "" (List.map line [ Kernels.fir; Kernels.wavelet ]) in
+  let text =
+    String.concat "" (List.map line [ Kernels.fir; Kernels.wavelet ])
+  in
   let path = Filename.concat dir "vcd.txt" in
   let oc = open_out_bin path in
   output_string oc text;
