@@ -33,8 +33,6 @@ let next_read (g : input_gen) : int =
     count
   end
 
-let input_done (g : input_gen) : bool = g.next >= g.total
-
 (** Addresses issued so far (each element exactly once). *)
 let issued (g : input_gen) : int = g.next
 
@@ -65,8 +63,6 @@ let create_output ~(out_dims : int list) ~(iterations : int list)
     base = Array.of_list (List.map2 ( + ) lower offset);
     total = List.fold_left ( * ) 1 iterations;
     window = 0 }
-
-let total_outputs (g : output_gen) : int = g.total
 
 (** Store address for the next window, or -1 when complete. The window
     number splits mixed-radix into per-dimension iteration coordinates

@@ -14,7 +14,6 @@ val next_read : input_gen -> int
     once the array is exhausted. The burst starts at {!issued} as it was
     before the call. *)
 
-val input_done : input_gen -> bool
 val issued : input_gen -> int
 
 type output_gen
@@ -26,8 +25,6 @@ val create_output :
   lower:int list ->
   offset:int list ->
   output_gen
-
-val total_outputs : output_gen -> int
 
 val next_write : output_gen -> int
 (** Flat store address for the next window; -1 when complete. Raises
