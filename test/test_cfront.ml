@@ -472,6 +472,41 @@ let test_interp_globals_reset () =
   Alcotest.(check int64) "second equals first" 496L
     (List.assoc "out" second.Interp.pointer_outputs)
 
+(* The outcomes and step budgets pinned by test/golden/interp.txt
+   (tools/gen_golden.exe writes it from the same cases). *)
+let interp_golden_lines () =
+  let ic = open_in_bin "golden/interp.txt" in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  String.split_on_char '\n' text |> List.filter (fun l -> l <> "")
+
+let test_interp_golden_outcomes () =
+  let want =
+    List.filter
+      (fun l -> not (Str.string_match (Str.regexp ".* max_steps=") l 0))
+      (interp_golden_lines ())
+  in
+  Alcotest.(check string) "outcome digests (tools/gen_golden.ml)"
+    (String.concat "" (List.map (fun l -> l ^ "\n") want))
+    (Interp_cases.outcome_lines ())
+
+let test_interp_golden_budgets () =
+  let lines = interp_golden_lines () in
+  List.iter
+    (fun (name, (run : ?max_steps:int -> unit -> Interp.outcome)) ->
+      let n =
+        List.find_map
+          (fun l -> Scanf.sscanf_opt l "%s max_steps=%d" (fun m n ->
+               if m = name then Some n else None) |> Option.join)
+          lines
+        |> Option.get
+      in
+      ignore (run ~max_steps:n ());
+      match run ~max_steps:(n - 1) () with
+      | exception Interp.Error "interpreter step budget exhausted" -> ()
+      | _ -> Alcotest.failf "%s: %d steps should not suffice" name (n - 1))
+    Interp_cases.budgeted
+
 (* ------------------------------------------------------------------ *)
 (* Property tests                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -599,6 +634,9 @@ let suites =
       Alcotest.test_case "accumulator" `Quick test_interp_accumulator;
       Alcotest.test_case "if_else" `Quick test_interp_if_else;
       Alcotest.test_case "unsigned truncation" `Quick test_interp_truncation;
+      Alcotest.test_case "golden outcomes" `Quick test_interp_golden_outcomes;
+      Alcotest.test_case "golden step budgets" `Quick
+        test_interp_golden_budgets;
       Alcotest.test_case "signed truncation" `Quick
         test_interp_signed_truncation;
       Alcotest.test_case "division by zero" `Quick
