@@ -240,10 +240,10 @@ let check_program ?(luts = []) (prog : program) : env =
     prog.globals;
   List.iter
     (fun f ->
-      (* Parameters enter scope for the duration of the function body. The
-         single shared table is fine because kernels are checked one at a
-         time and names are unique per the subset's conventions. *)
-      List.iter (fun p -> Hashtbl.replace env.vars p.pname p.ptype) f.params;
-      List.iter (check_stmt env) f.body)
+      (* A function sees the globals, its parameters and its own locals:
+         never a name another function declares. *)
+      let fenv = { env with vars = Hashtbl.copy env.vars } in
+      List.iter (fun p -> Hashtbl.replace fenv.vars p.pname p.ptype) f.params;
+      List.iter (check_stmt fenv) f.body)
     prog.funcs;
   env

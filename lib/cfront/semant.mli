@@ -22,4 +22,6 @@ val type_of_expr : env -> Ast.expr -> Ast.ikind
 val check_program :
   ?luts:(string * lut_signature) list -> Ast.program -> env
 (** Check a whole program (recursion, pointer discipline, arities, array
-    dimensionalities); returns the populated environment. *)
+    dimensionalities); returns the environment of the globals. Each
+    function body is checked in a scope of its own: the globals, its
+    parameters and its locals. *)

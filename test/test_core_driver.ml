@@ -23,6 +23,43 @@ let test_wavelet_cols () =
   let _c, _r, diffs = Kernels.run Kernels.wavelet_cols in
   Alcotest.(check (list string)) "wavelet_cols hw = sw" [] diffs
 
+(* A callee's local must not overwrite the caller's local of the same
+   name: the inline pass gives the hardware fresh names, and the
+   interpreter gives each function its own frame. *)
+let callee_local_source =
+  "int f(int x) { int t; t = x + 100; return t; }\n\
+   void k(int A[8], int B[8]) {\n\
+  \  int i;\n\
+  \  for (i = 0; i < 8; i = i + 1) {\n\
+  \    int t; int u;\n\
+  \    t = A[i];\n\
+  \    u = f(t);\n\
+  \    B[i] = t + u;\n\
+  \  }\n\
+   }\n"
+
+let test_callee_locals_private () =
+  let c = Driver.compile ~entry:"k" callee_local_source in
+  let arrays = [ "A", Array.init 8 (fun i -> Int64.of_int (i + 1)) ] in
+  Alcotest.(check (list string)) "hw = sw" [] (Driver.verify ~arrays c);
+  Alcotest.(check (option (array int64))) "B = 2t + 100"
+    (Some (Array.init 8 (fun i -> Int64.of_int (102 + (2 * i)))))
+    (List.assoc_opt "B" (Driver.interpret ~arrays c).Roccc_cfront.Interp.arrays)
+
+(* A lowering failure names its pass and its layer once each. *)
+let test_lowering_error_message () =
+  let src =
+    "void k(int A[8], int B[8]) {\n\
+    \  int i;\n\
+    \  for (i = 0; i < 8; i = i + 1) { int T[2]; T[0] = A[i]; B[i] = T[0]; }\n\
+     }\n"
+  in
+  match Driver.compile ~entry:"k" src with
+  | _ -> Alcotest.fail "a local array in the kernel loop compiled"
+  | exception Driver.Error msg ->
+    Alcotest.(check string) "message"
+      "lower-to-suifvm: lowering: unsupported local declaration T" msg
+
 (* ------------------------------------------------------------------ *)
 (* Golden behaviour checks                                              *)
 (* ------------------------------------------------------------------ *)
@@ -226,7 +263,9 @@ let suites =
        [ "bit_correlator"; "mul_acc"; "udiv"; "square_root"; "cos";
          "arbitrary_lut"; "fir"; "dct"; "wavelet" ]
     @ [ Alcotest.test_case "wavelet_cols compiles & verifies" `Quick
-          test_wavelet_cols ]);
+          test_wavelet_cols;
+        Alcotest.test_case "callee locals stay private" `Quick
+          test_callee_locals_private ]);
     "core.golden",
     [ Alcotest.test_case "bit_correlator counts" `Quick
         test_bit_correlator_golden;
@@ -249,4 +288,6 @@ let suites =
       Alcotest.test_case "wavelet behavioural shape" `Quick
         test_behaviour_wavelet_invertible_shape;
       Alcotest.test_case "mul_acc lowers branch to mux" `Quick
-        test_mul_acc_uses_mux_not_branch_in_dp ] ]
+        test_mul_acc_uses_mux_not_branch_in_dp;
+      Alcotest.test_case "lowering error message" `Quick
+        test_lowering_error_message ] ]
