@@ -105,7 +105,7 @@ type fn = {
   named : (string, int) Hashtbl.t;  (** one scalar slot per name *)
   ret : int;  (** slot of the returned value *)
   mutable returned : bool;  (** the last [return] carried a value *)
-  mutable active : bool;
+  mutable active : bool;  (** a call is running: its frame is in use *)
   mutable body : unit -> unit;
 }
 
@@ -146,9 +146,9 @@ let array_error name = function
   | Some (Scalar _) -> Printf.sprintf "%s is a scalar, expected array" name
   | Some (Array _) -> assert false
 
-(* The slot [name] gets in the function's frame: the same for every
-   declaration of the name, as a C block scope never outlives its
-   function here. *)
+(* The slot [name] gets in the function's frame: one for every declaration
+   of the name in the function, as blocks do not scope declarations here
+   (nor in Semant or the lowering). *)
 let scalar_slot c name =
   match Hashtbl.find_opt c.fn.named name with
   | Some s -> s
@@ -239,8 +239,9 @@ let rec expr c (e : expr) : operand =
     code c (fun () -> tick b n; rx (); set fr d (wrap sg sh (get fx sx))) d
   | Call (f, args) -> call c f args
 
-(* The right operand is evaluated before the left, as the tree walker this
-   replaces did; a leaf is read where it would have been evaluated. *)
+(* The right operand is evaluated before the left: that order decides which
+   of two failing operands reports its error. A leaf is read at its turn
+   in that order, as a call in the other operand may write a global. *)
 and binop c op x y =
   let b = c.rt.budget in
   let fx = x.fr and sx = x.slot and fy = y.fr and sy = y.slot in
@@ -313,12 +314,13 @@ and index c a idx =
 and offset_code c dims idx : unit -> int =
   let b = c.rt.budget in
   let ops = Array.of_list (List.map (expr c) idx) in
+  let runs = Array.map run_of ops in
   let values = Array.make (Array.length ops) 0 in
   fun () ->
     for k = 0 to Array.length ops - 1 do
       let o = ops.(k) in
       tick b o.steps;
-      (run_of o) ();
+      runs.(k) ();
       values.(k) <- Int64.to_int (get o.fr o.slot)
     done;
     flat_offset dims values
@@ -375,7 +377,6 @@ and call c f args =
    paper's multiple-return-value outputs — take no argument and start as
    fresh zeroed cells, local to the call. *)
 and bind_params g temps caller =
-  let fail fmt = Printf.ksprintf (fun m () -> raise (Error m)) fmt in
   let name = g.func.fname in
   let rec plan params temps acc =
     match params, temps with
@@ -387,14 +388,15 @@ and bind_params g temps caller =
       plan ps ts ((fun () -> set fr s 0L) :: acc)
     | ({ ptype = Tarray _; pname }, _) :: _, _ ->
       Error
-        (fail "function %s: array parameter %s cannot be passed in a call" name
+        (Printf.sprintf
+           "function %s: array parameter %s cannot be passed in a call" name
            pname)
     | ({ ptype = Tvoid; pname }, _) :: _, _ ->
-      Error (fail "function %s: void parameter %s" name pname)
-    | _ -> Error (fail "function %s: arity mismatch" name)
+      Error (Printf.sprintf "function %s: void parameter %s" name pname)
+    | _ -> Error (Printf.sprintf "function %s: arity mismatch" name)
   in
   match plan g.params temps [] with
-  | Error raise_it -> raise_it
+  | Error msg -> fun () -> raise (Error msg)
   | Ok steps ->
     let steps = Array.of_list steps in
     fun () ->
@@ -480,14 +482,9 @@ and stmt c (s : stmt) : unit -> unit =
       | Some (Array (data, dims, k)) ->
         let sg = k.signed and sh = Words.shift k.bits in
         (match dims, idx with
-        | [| n |], [ Var i ] when (match Hashtbl.find_opt c.scope i with
-                                   | Some (Scalar _) -> true
-                                   | _ -> false) ->
-          let fi, si =
-            match Hashtbl.find c.scope i with
-            | Scalar (fi, si, _) -> fi, si
-            | Array _ -> assert false
-          in
+        | [| n |], [ i ] when is_leaf c i ->
+          let i = expr c i in
+          let fi = i.fr and si = i.slot in
           with_value b 1 v (fun fo so ->
               fun () ->
                 let x = get fo so in
@@ -506,7 +503,8 @@ and stmt c (s : stmt) : unit -> unit =
         with_value b 1 v (fun _ _ () -> raise (Error msg))))
   | Sif (cond, th, el) ->
     let cond = expr c cond in
-    let th = stmts c th and el = stmts c el in
+    let th = stmts c th in
+    let el = stmts c el in
     with_value b 1 cond (fun fo so ->
         fun () -> if get fo so <> 0L then th () else el ())
   | Sfor (h, body) -> (
@@ -602,19 +600,21 @@ let create ?(max_steps = default_max_steps) ?(lut_funcs = []) (prog : program) :
     let frame = Words.create (frame_size f) in
     let used = ref 0 in
     let named = Hashtbl.create 8 in
+    let scalar p k =
+      let s = !used in
+      incr used;
+      Hashtbl.replace named p.pname s;
+      Scalar (frame, s, k)
+    in
     let params =
       List.map
         (fun p ->
           ( p,
             match p.ptype with
-            | Tint k | Tptr k ->
-              let s = !used in
-              incr used;
-              Hashtbl.replace named p.pname s;
-              Scalar (frame, s, k)
             | Tarray (k, dims) ->
               Array (Words.create (dims_size dims), Array.of_list dims, k)
-            | Tvoid -> Array (Words.create 0, [||], int32_kind) ))
+            | Tint k | Tptr k -> scalar p k
+            | Tvoid -> scalar p int32_kind ))
         f.params
     in
     f.fname,
@@ -711,9 +711,8 @@ let run ?(scalars = []) ?(arrays = []) (rt : runtime) (fname : string) : outcome
       List.filter_map
         (fun (p, binding) ->
           match binding with
-          | Array (data, _, _) when p.ptype <> Tvoid ->
-            Some (p.pname, Words.to_array data)
-          | Array _ | Scalar _ -> None)
+          | Array (data, _, _) -> Some (p.pname, Words.to_array data)
+          | Scalar _ -> None)
         g.params }
 
 (** Read a global scalar's current value (after a {!run}); [None] when the

@@ -15,8 +15,11 @@ val create :
   ?lut_funcs:(string * (int64 -> int64)) list ->
   Ast.program ->
   runtime
-(** Build a runtime: globals allocated, lookup-table functions registered.
-    [max_steps] bounds total evaluation steps (guards non-termination). *)
+(** Build a runtime: globals allocated, lookup-table functions registered,
+    every function compiled once to closures over its own frame of
+    unboxed slots. [max_steps] bounds total evaluation steps (guards
+    non-termination): one per expression node, statement and loop
+    iteration. *)
 
 val init_globals : runtime -> unit
 (** Re-evaluate constant global initializers (called by {!run}). *)
