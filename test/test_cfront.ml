@@ -501,27 +501,22 @@ let interp_golden_lines () =
   close_in ic;
   String.split_on_char '\n' text |> List.filter (fun l -> l <> "")
 
+(* "name max_steps=n" lines; the others are outcome digests *)
+let budget_line l = Scanf.sscanf_opt l "%s max_steps=%d" (fun m n -> m, n)
+
 let test_interp_golden_outcomes () =
   let want =
-    List.filter
-      (fun l -> not (Str.string_match (Str.regexp ".* max_steps=") l 0))
-      (interp_golden_lines ())
+    List.filter (fun l -> budget_line l = None) (interp_golden_lines ())
   in
   Alcotest.(check string) "outcome digests (tools/gen_golden.ml)"
     (String.concat "" (List.map (fun l -> l ^ "\n") want))
     (Interp_cases.outcome_lines ())
 
 let test_interp_golden_budgets () =
-  let lines = interp_golden_lines () in
+  let budgets = List.filter_map budget_line (interp_golden_lines ()) in
   List.iter
     (fun (name, (run : ?max_steps:int -> unit -> Interp.outcome)) ->
-      let n =
-        List.find_map
-          (fun l -> Scanf.sscanf_opt l "%s max_steps=%d" (fun m n ->
-               if m = name then Some n else None) |> Option.join)
-          lines
-        |> Option.get
-      in
+      let n = List.assoc name budgets in
       ignore (run ~max_steps:n ());
       match run ~max_steps:(n - 1) () with
       | exception Interp.Error "interpreter step budget exhausted" -> ()
