@@ -1,28 +1,16 @@
 (** Control-flow graph library over VM procedures — the Machine-SUIF CFG
     library equivalent (paper references [14]): successor/predecessor maps,
-    reverse postorder, dominators and dominance frontiers.
-
-    Besides the label-keyed maps, [build] precomputes a dense block order
-    (reverse postorder first, then any unreachable blocks in program order)
-    with successor/predecessor arrays of order indices — the layout the
-    bit-vector data-flow engine in {!Dataflow} iterates over without any
-    hashing on its hot path. *)
+    reverse postorder, dominators and dominance frontiers. *)
 
 module Proc = Roccc_vm.Proc
-module Bitset = Roccc_util.Bitset
 
 type t = {
   proc : Proc.t;
-  labels : Proc.label array;              (* in block order *)
   succ : (Proc.label, Proc.label list) Hashtbl.t;
   pred : (Proc.label, Proc.label list) Hashtbl.t;
   rpo : Proc.label array;                 (* reverse postorder from entry *)
   rpo_index : (Proc.label, int) Hashtbl.t;
   idom : (Proc.label, Proc.label) Hashtbl.t;  (* immediate dominators *)
-  order : Proc.label array;               (* rpo ++ unreachable blocks *)
-  order_index : (Proc.label, int) Hashtbl.t;
-  succ_idx : int array array;             (* successors as order indices *)
-  pred_idx : int array array;             (* predecessors as order indices *)
 }
 
 let successors (g : t) (l : Proc.label) : Proc.label list =
@@ -32,10 +20,6 @@ let predecessors (g : t) (l : Proc.label) : Proc.label list =
   Option.value (Hashtbl.find_opt g.pred l) ~default:[]
 
 let entry_label (g : t) : Proc.label = (Proc.entry g.proc).Proc.label
-
-let num_blocks (g : t) : int = Array.length g.order
-
-let index_of (g : t) (l : Proc.label) : int = Hashtbl.find g.order_index l
 
 (* Depth-first postorder from the entry. Unreachable blocks are excluded. *)
 let compute_rpo (proc : Proc.t) : Proc.label array =
@@ -110,35 +94,7 @@ let build (proc : Proc.t) : t =
   let rpo_index = Hashtbl.create 16 in
   Array.iteri (fun i l -> Hashtbl.replace rpo_index l i) rpo;
   let idom = compute_idom rpo pred in
-  (* Dense order: reachable blocks in reverse postorder, then any
-     unreachable blocks in program order, so every block has an index and
-     the reachable prefix is already a good worklist seed. *)
-  let unreachable =
-    List.filter_map
-      (fun (b : Proc.block) ->
-        if Hashtbl.mem rpo_index b.Proc.label then None else Some b.Proc.label)
-      proc.Proc.blocks
-  in
-  let order = Array.append rpo (Array.of_list unreachable) in
-  let order_index = Hashtbl.create (Array.length order) in
-  Array.iteri (fun i l -> Hashtbl.replace order_index l i) order;
-  let idx_list ls =
-    Array.of_list (List.map (fun l -> Hashtbl.find order_index l) ls)
-  in
-  let succ_idx =
-    Array.map
-      (fun l -> idx_list (Option.value (Hashtbl.find_opt succ l) ~default:[]))
-      order
-  in
-  let pred_idx =
-    Array.map
-      (fun l -> idx_list (Option.value (Hashtbl.find_opt pred l) ~default:[]))
-      order
-  in
-  { proc;
-    labels = Array.of_list (List.map (fun b -> b.Proc.label) proc.Proc.blocks);
-    succ; pred; rpo; rpo_index; idom;
-    order; order_index; succ_idx; pred_idx }
+  { proc; succ; pred; rpo; rpo_index; idom }
 
 let immediate_dominator (g : t) (l : Proc.label) : Proc.label option =
   match Hashtbl.find_opt g.idom l with
@@ -157,12 +113,13 @@ let dominates (g : t) (a : Proc.label) (b : Proc.label) : bool =
   walk b
 
 (** Dominance frontier of every node (Cytron et al. via idom walk-up).
-    Per-node members accumulate in a bitset (O(1) dedup) and a reversed
-    list, materialized once — discovery order is preserved but the old
-    [List.mem]-plus-append quadratic rescan per edge is gone. *)
+    Every insertion of [l] happens while [l] is visited, so one stamp per
+    node ([l]'s index once [l] has joined its frontier) dedups in O(1);
+    members accumulate in a reversed list, materialized once, so discovery
+    order is preserved. *)
 let dominance_frontiers (g : t) : (Proc.label, Proc.label list) Hashtbl.t =
   let n = Array.length g.rpo in
-  let members = Array.init n (fun _ -> Bitset.create n) in
+  let stamp = Array.make n (-1) in
   let rev_df = Array.make n [] in
   Array.iteri
     (fun li l ->
@@ -177,8 +134,8 @@ let dominance_frontiers (g : t) : (Proc.label, Proc.label list) Hashtbl.t =
               let idom_l = Hashtbl.find_opt g.idom l in
               let rec runner r ri =
                 if Some r <> idom_l then begin
-                  if not (Bitset.mem members.(ri) li) then begin
-                    Bitset.set members.(ri) li;
+                  if stamp.(ri) <> li then begin
+                    stamp.(ri) <- li;
                     rev_df.(ri) <- l :: rev_df.(ri)
                   end;
                   match Hashtbl.find_opt g.idom r with
@@ -192,24 +149,3 @@ let dominance_frontiers (g : t) : (Proc.label, Proc.label list) Hashtbl.t =
   let df = Hashtbl.create 16 in
   Array.iteri (fun ri r -> Hashtbl.replace df r (List.rev rev_df.(ri))) g.rpo;
   df
-
-(** Blocks in reverse postorder (execution-friendly order). *)
-let blocks_rpo (g : t) : Proc.block list =
-  Array.to_list g.rpo |> List.map (Proc.find_block g.proc)
-
-(** Render the CFG as a DOT graph (for debugging and the figure dumps). *)
-let to_dot (g : t) : string =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "digraph %s {\n" g.proc.Proc.pname);
-  List.iter
-    (fun (b : Proc.block) ->
-      Buffer.add_string buf
-        (Printf.sprintf "  L%d [shape=box,label=\"L%d (%d instrs)\"];\n"
-           b.Proc.label b.Proc.label
-           (List.length b.Proc.instrs));
-      List.iter
-        (fun s -> Buffer.add_string buf (Printf.sprintf "  L%d -> L%d;\n" b.Proc.label s))
-        (Proc.successors b))
-    g.proc.Proc.blocks;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf

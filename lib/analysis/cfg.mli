@@ -7,27 +7,14 @@ module Proc = Roccc_vm.Proc
 
 type t = {
   proc : Proc.t;
-  labels : Proc.label array;
   succ : (Proc.label, Proc.label list) Hashtbl.t;
   pred : (Proc.label, Proc.label list) Hashtbl.t;
   rpo : Proc.label array;  (** reverse postorder from entry *)
   rpo_index : (Proc.label, int) Hashtbl.t;
   idom : (Proc.label, Proc.label) Hashtbl.t;
-  order : Proc.label array;
-      (** dense block order: reverse postorder, then unreachable blocks in
-          program order — the index space of the data-flow engine *)
-  order_index : (Proc.label, int) Hashtbl.t;
-  succ_idx : int array array;  (** successors of [order.(i)], as indices *)
-  pred_idx : int array array;  (** predecessors of [order.(i)], as indices *)
 }
 
 val build : Proc.t -> t
-
-val num_blocks : t -> int
-(** Blocks in the dense order (reachable and unreachable). *)
-
-val index_of : t -> Proc.label -> int
-(** A label's dense order index. Raises [Not_found] for unknown labels. *)
 
 val successors : t -> Proc.label -> Proc.label list
 val predecessors : t -> Proc.label -> Proc.label list
@@ -40,9 +27,3 @@ val dominates : t -> Proc.label -> Proc.label -> bool
 (** Reflexive dominance. *)
 
 val dominance_frontiers : t -> (Proc.label, Proc.label list) Hashtbl.t
-
-val blocks_rpo : t -> Proc.block list
-(** Blocks in reverse postorder. *)
-
-val to_dot : t -> string
-(** DOT rendering for debugging and figure dumps. *)

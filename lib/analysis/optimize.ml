@@ -3,8 +3,7 @@
 
     - copy propagation: uses of a Mov result read the source directly;
     - local value numbering: within a block, identical pure computations
-      (same opcode, same sources, same kind) share one instruction —
-      backed by the available-expressions analysis for validation;
+      (same opcode, same sources, same kind) share one instruction;
     - dead-code elimination: instructions whose results reach no output
       port, no SNX, no phi and no branch are dropped.
 
@@ -13,7 +12,6 @@
 
 module Proc = Roccc_vm.Proc
 module Instr = Roccc_vm.Instr
-module Bitset = Roccc_util.Bitset
 
 (* ------------------------------------------------------------------ *)
 (* Copy propagation                                                    *)
@@ -128,14 +126,13 @@ let value_number (proc : Proc.t) : int =
 (* ------------------------------------------------------------------ *)
 
 let eliminate_dead (proc : Proc.t) : int =
-  (* roots: output ports, SNX sources, branch conditions, phi args.
-     Liveness marking runs on the packed-bitset substrate of the data-flow
-     engine: membership and insertion are single word ops. *)
-  let live = Bitset.create (Dataflow.reg_universe proc) in
+  (* roots: output ports, SNX sources, branch conditions, phi args;
+     liveness is marked in an array indexed by register *)
+  let live = Array.make (Proc.reg_universe proc) false in
   let work = ref [] in
   let mark r =
-    if not (Bitset.mem live r) then begin
-      Bitset.set live r;
+    if not live.(r) then begin
+      live.(r) <- true;
       work := r :: !work
     end
   in
@@ -180,14 +177,14 @@ let eliminate_dead (proc : Proc.t) : int =
   let removed = ref 0 in
   List.iter
     (fun (b : Proc.block) ->
-      let keep_phi (p : Proc.phi) = Bitset.mem live p.Proc.phi_dst in
+      let keep_phi (p : Proc.phi) = live.(p.Proc.phi_dst) in
       let kept_phis = List.filter keep_phi b.Proc.phis in
       removed := !removed + List.length b.Proc.phis - List.length kept_phis;
       b.Proc.phis <- kept_phis;
       let keep (i : Instr.instr) =
         match i.Instr.op, i.Instr.dst with
         | Instr.Snx _, _ -> true
-        | _, Some d -> Bitset.mem live d
+        | _, Some d -> live.(d)
         | _, None -> true
       in
       let kept = List.filter keep b.Proc.instrs in

@@ -9,7 +9,6 @@
 
 module Proc = Roccc_vm.Proc
 module Instr = Roccc_vm.Instr
-module Bitset = Roccc_util.Bitset
 
 exception Error of string
 
@@ -33,20 +32,20 @@ let dom_children (g : Cfg.t) : (Proc.label, Proc.label list) Hashtbl.t =
 let convert (proc : Proc.t) : Cfg.t =
   let g = Cfg.build proc in
   let df = Cfg.dominance_frontiers g in
-  (* Labels form the interned universe of the phi-insertion bitsets. *)
+  (* Labels index the phi-insertion membership arrays. *)
   let label_universe =
     1 + List.fold_left (fun m (b : Proc.block) -> max m b.Proc.label) (-1)
           proc.Proc.blocks
   in
   (* ---- collect definition blocks per register ---- *)
-  let def_blocks : (Instr.vreg, Bitset.t) Hashtbl.t = Hashtbl.create 32 in
+  let def_blocks : (Instr.vreg, bool array) Hashtbl.t = Hashtbl.create 32 in
   let def_count : (Instr.vreg, int) Hashtbl.t = Hashtbl.create 32 in
   let note_def r l =
     (match Hashtbl.find_opt def_blocks r with
-    | Some bs -> Bitset.set bs l
+    | Some bs -> bs.(l) <- true
     | None ->
-      let bs = Bitset.create label_universe in
-      Bitset.set bs l;
+      let bs = Array.make label_universe false in
+      bs.(l) <- true;
       Hashtbl.replace def_blocks r bs);
     Hashtbl.replace def_count r
       (1 + Option.value (Hashtbl.find_opt def_count r) ~default:0)
@@ -70,11 +69,14 @@ let convert (proc : Proc.t) : Cfg.t =
   Hashtbl.iter
     (fun r blocks ->
       if needs_phi r then begin
-        (* iterated dominance frontier of the definition blocks, with the
-           placed/seen sets as bitsets over the label universe *)
-        let placed = Bitset.create label_universe in
-        let seen = Bitset.create label_universe in
-        let work = ref (Bitset.elements blocks) in
+        (* iterated dominance frontier of the definition blocks, seeded in
+           ascending label order *)
+        let placed = Array.make label_universe false in
+        let seen = Array.make label_universe false in
+        let work = ref [] in
+        for l = label_universe - 1 downto 0 do
+          if blocks.(l) then work := l :: !work
+        done;
         while !work <> [] do
           match !work with
           | [] -> ()
@@ -83,16 +85,16 @@ let convert (proc : Proc.t) : Cfg.t =
             let frontier = Option.value (Hashtbl.find_opt df l) ~default:[] in
             List.iter
               (fun y ->
-                if not (Bitset.mem placed y) then begin
-                  Bitset.set placed y;
+                if not placed.(y) then begin
+                  placed.(y) <- true;
                   let b = Proc.find_block proc y in
                   b.Proc.phis <-
                     b.Proc.phis
                     @ [ { Proc.phi_dst = r;  (* renamed below *)
                           phi_args = [];
                           phi_kind = Proc.reg_kind proc r } ];
-                  if not (Bitset.mem seen y) then begin
-                    Bitset.set seen y;
+                  if not seen.(y) then begin
+                    seen.(y) <- true;
                     work := y :: !work
                   end
                 end)

@@ -1,6 +1,6 @@
 (** Procedures: basic blocks of VM instructions plus explicit control flow —
-    the Machine-SUIF-style container the CFG, data-flow and SSA libraries
-    operate on. *)
+    the Machine-SUIF-style container the CFG and SSA libraries operate
+    on. *)
 
 type label = int
 
@@ -102,6 +102,32 @@ let block_uses (b : block) : Instr.vreg list =
 
 let all_instrs (p : t) : Instr.instr list =
   List.concat_map (fun b -> b.instrs) p.blocks
+
+(** The smallest bound above every register mentioned anywhere in the
+    procedure: the size of a register-indexed table. *)
+let reg_universe (p : t) : int =
+  let m = ref (-1) in
+  let see r = if r > !m then m := r in
+  Hashtbl.iter (fun r _ -> see r) p.reg_kinds;
+  List.iter (fun (port : port) -> see port.port_reg) p.inputs;
+  List.iter (fun (port : port) -> see port.port_reg) p.outputs;
+  List.iter
+    (fun (b : block) ->
+      List.iter
+        (fun (phi : phi) ->
+          see phi.phi_dst;
+          List.iter (fun (_, r) -> see r) phi.phi_args)
+        b.phis;
+      List.iter
+        (fun (i : Instr.instr) ->
+          (match i.Instr.dst with Some d -> see d | None -> ());
+          List.iter see i.Instr.srcs)
+        b.instrs;
+      match b.term with
+      | Branch (r, _, _) -> see r
+      | Jump _ | Ret -> ())
+    p.blocks;
+  !m + 1
 
 (** Deep copy: mutating the copy (SSA conversion, the optimizer) leaves the
     original untouched. Instructions and phis are immutable records, so the

@@ -1,6 +1,6 @@
 (** Procedures: basic blocks of VM instructions plus explicit control flow —
-    the Machine-SUIF-style container the CFG, data-flow and SSA libraries
-    operate on. *)
+    the Machine-SUIF-style container the CFG and SSA libraries operate
+    on. *)
 
 type label = int
 
@@ -57,6 +57,10 @@ val successors : block -> label list
 val block_defs : block -> Instr.vreg list
 val block_uses : block -> Instr.vreg list
 val all_instrs : t -> Instr.instr list
+
+val reg_universe : t -> int
+(** The smallest bound above every register mentioned anywhere in the
+    procedure: the size of a register-indexed table. *)
 
 val copy : t -> t
 (** Deep copy: mutating the copy (SSA conversion, the optimizer) leaves

@@ -1,4 +1,4 @@
-(* Extra coverage: synthetic cyclic CFGs for the dominator/dataflow
+(* Extra coverage: synthetic cyclic CFGs for the dominator and SSA
    libraries (the dp functions are acyclic, but the libraries are general),
    the driver's function-to-LUT conversion, determinism, and engine edge
    cases. *)
@@ -77,45 +77,94 @@ let test_cfg_loop_dominance_frontier () =
   Alcotest.(check bool) "DF(head) contains head" true
     (List.mem b1.Proc.label df_b1)
 
-let test_liveness_through_loop () =
-  let proc, (b0, b1, b2, _b3) = build_loop_proc () in
-  let g = Cfg.build proc in
-  let sol = Dataflow.liveness g in
-  (* v0 (reg of the counter) is live around the back edge *)
-  let v0 =
-    match b0.Proc.instrs with
-    | { Instr.dst = Some d; _ } :: _ -> d
-    | _ -> Alcotest.fail "shape"
-  in
-  Alcotest.(check bool) "counter live into the head" true
-    (Dataflow.IS.mem v0 (Dataflow.in_of sol b1.Proc.label));
-  Alcotest.(check bool) "counter live out of the body" true
-    (Dataflow.IS.mem v0 (Dataflow.out_of sol b2.Proc.label))
+(* A ladder of [diamonds] diamonds (header -> left/right -> join), each
+   redefining the accumulator on both arms; with [loops], every tenth join
+   conditionally branches back to its own header. 1 + 4*diamonds + 1
+   blocks. *)
+let build_ladder ~diamonds ~loops () =
+  let proc = Proc.create "ladder" in
+  let k = Ast.int32_kind in
+  let entry = Proc.fresh_block proc in
+  let step = Proc.fresh_reg proc k in
+  let acc = Proc.fresh_reg proc k in
+  entry.Proc.instrs <-
+    [ Instr.make ~dst:step (Instr.Ldc 1L) [] k;
+      Instr.make ~dst:acc (Instr.Ldc 0L) [] k ];
+  let link = ref (fun l -> entry.Proc.term <- Proc.Jump l) in
+  for i = 1 to diamonds do
+    let hd = Proc.fresh_block proc in
+    let lf = Proc.fresh_block proc in
+    let rt = Proc.fresh_block proc in
+    let jn = Proc.fresh_block proc in
+    !link hd.Proc.label;
+    let cond = Proc.fresh_reg proc Ast.bool_kind in
+    hd.Proc.instrs <-
+      [ Instr.make ~dst:cond Instr.Slt [ acc; step ] Ast.bool_kind ];
+    hd.Proc.term <- Proc.Branch (cond, lf.Proc.label, rt.Proc.label);
+    lf.Proc.instrs <- [ Instr.make ~dst:acc Instr.Add [ acc; step ] k ];
+    lf.Proc.term <- Proc.Jump jn.Proc.label;
+    rt.Proc.instrs <- [ Instr.make ~dst:acc Instr.Sub [ acc; step ] k ];
+    rt.Proc.term <- Proc.Jump jn.Proc.label;
+    if loops && i mod 10 = 0 then begin
+      let again = Proc.fresh_reg proc Ast.bool_kind in
+      jn.Proc.instrs <-
+        [ Instr.make ~dst:again Instr.Sgt [ acc; step ] Ast.bool_kind ];
+      link :=
+        fun l -> jn.Proc.term <- Proc.Branch (again, hd.Proc.label, l)
+    end
+    else link := fun l -> jn.Proc.term <- Proc.Jump l
+  done;
+  let exit_b = Proc.fresh_block proc in
+  !link exit_b.Proc.label;
+  exit_b.Proc.term <- Proc.Ret;
+  { proc with
+    Proc.outputs = [ { Proc.port_name = "acc"; port_reg = acc; port_kind = k } ]
+  }
 
-let test_reaching_defs_loop () =
-  let proc, (b0, b1, b2, _b3) = build_loop_proc () in
+(* dominance frontiers on the ladder: the stamped construction must match a
+   direct reading of Cytron's definition *)
+let test_ladder_dominance_frontiers () =
+  let proc = build_ladder ~diamonds:60 ~loops:true () in
   let g = Cfg.build proc in
-  let sol, sites = Dataflow.reaching_definitions g in
-  (* both definitions of v0 (init in b0, update in b2) reach the head *)
-  let v0 =
-    match b0.Proc.instrs with
-    | { Instr.dst = Some d; _ } :: _ -> d
-    | _ -> Alcotest.fail "shape"
-  in
-  let v0_sites =
-    List.filter (fun s -> s.Dataflow.site_reg = v0) sites
-    |> List.map (fun s -> s.Dataflow.site_id)
-  in
-  Alcotest.(check int) "two defs of the counter" 2 (List.length v0_sites);
-  let reach_head = Dataflow.in_of sol b1.Proc.label in
+  let df = Cfg.dominance_frontiers g in
   List.iter
-    (fun site ->
-      Alcotest.(check bool)
-        (Printf.sprintf "site %d reaches head" site)
-        true
-        (Dataflow.IS.mem site reach_head))
-    v0_sites;
-  ignore b2
+    (fun (b : Proc.block) ->
+      let x = b.Proc.label in
+      let expected =
+        (* y is in DF(x) iff x dominates a predecessor of y but not y
+           strictly (x = y allowed) *)
+        List.filter_map
+          (fun (y : Proc.block) ->
+            let y = y.Proc.label in
+            let dominates_pred =
+              List.exists
+                (fun p -> Cfg.dominates g x p)
+                (Cfg.predecessors g y)
+            in
+            if dominates_pred && (x = y || not (Cfg.dominates g x y)) then
+              Some y
+            else None)
+          proc.Proc.blocks
+      in
+      let got =
+        List.sort compare (Option.value (Hashtbl.find_opt df x) ~default:[])
+      in
+      Alcotest.(check (list int))
+        (Printf.sprintf "DF(%d)" x)
+        (List.sort compare expected)
+        got)
+    proc.Proc.blocks
+
+(* SSA on the loopy ladder: one name per register, every use dominated by
+   its definition, and the accumulator's final value unchanged *)
+let test_ssa_on_ladder () =
+  let proc = build_ladder ~diamonds:60 ~loops:true () in
+  let before = Eval.run proc ~inputs:[] in
+  let _g = Ssa.convert proc in
+  Ssa.verify proc;
+  let after = Eval.run proc ~inputs:[] in
+  Alcotest.(check (list (pair string int64))) "same outputs"
+    before.Eval.outputs after.Eval.outputs
 
 let test_ssa_on_loop () =
   (* SSA conversion handles the cycle: phi at the loop head. *)
@@ -284,11 +333,11 @@ let suites =
         test_cfg_loop_dominators;
       Alcotest.test_case "dominance frontier with back edge" `Quick
         test_cfg_loop_dominance_frontier;
-      Alcotest.test_case "liveness through a loop" `Quick
-        test_liveness_through_loop;
-      Alcotest.test_case "reaching definitions in a loop" `Quick
-        test_reaching_defs_loop;
+      Alcotest.test_case "ladder dominance frontiers match definition"
+        `Quick test_ladder_dominance_frontiers;
       Alcotest.test_case "SSA with loop phis" `Quick test_ssa_on_loop;
+      Alcotest.test_case "SSA on the 240-block ladder" `Quick
+        test_ssa_on_ladder;
       Alcotest.test_case "evaluator runs the cycle" `Quick
         test_eval_loop_proc ];
     "core.lut_conversion",

@@ -36,68 +36,6 @@ let test_bits_binary_string () =
     (Bits.to_binary_string ~width:4 (-1L));
   Alcotest.(check string) "zero" "00000000" (Bits.to_binary_string ~width:8 0L)
 
-let test_bitset_basics () =
-  let b = Bitset.create 100 in
-  Alcotest.(check int) "length" 100 (Bitset.length b);
-  Alcotest.(check bool) "fresh set is empty" true (Bitset.is_empty b);
-  (* straddle the word boundary *)
-  List.iter (Bitset.set b) [ 0; 62; 63; 99 ];
-  Alcotest.(check bool) "mem 63" true (Bitset.mem b 63);
-  Alcotest.(check bool) "not mem 64" false (Bitset.mem b 64);
-  Alcotest.(check int) "cardinal" 4 (Bitset.cardinal b);
-  Alcotest.(check (list int)) "elements ascending" [ 0; 62; 63; 99 ]
-    (Bitset.elements b);
-  Bitset.set b 62;
-  Alcotest.(check int) "set is idempotent" 4 (Bitset.cardinal b);
-  Bitset.clear b 62;
-  Alcotest.(check (list int)) "after clear" [ 0; 63; 99 ] (Bitset.elements b);
-  Alcotest.(check int) "fold counts members" 3
-    (Bitset.fold (fun _ n -> n + 1) b 0)
-
-let test_bitset_inplace_ops () =
-  let a = Bitset.of_list 130 [ 1; 64; 127 ] in
-  let b = Bitset.of_list 130 [ 64; 128 ] in
-  let u = Bitset.copy a in
-  Alcotest.(check bool) "union changed" true (Bitset.union_into ~dst:u b);
-  Alcotest.(check (list int)) "union" [ 1; 64; 127; 128 ] (Bitset.elements u);
-  Alcotest.(check bool) "union reached fixpoint" false
-    (Bitset.union_into ~dst:u b);
-  let i = Bitset.copy a in
-  Alcotest.(check bool) "inter changed" true (Bitset.inter_into ~dst:i b);
-  Alcotest.(check (list int)) "inter" [ 64 ] (Bitset.elements i);
-  let d = Bitset.copy a in
-  Alcotest.(check bool) "diff changed" true (Bitset.diff_into ~dst:d b);
-  Alcotest.(check (list int)) "diff" [ 1; 127 ] (Bitset.elements d);
-  Alcotest.(check bool) "equal to a fresh copy" true
-    (Bitset.equal a (Bitset.copy a));
-  Alcotest.(check bool) "not equal" false (Bitset.equal a b);
-  let blitted = Bitset.create 130 in
-  Bitset.blit ~src:a ~dst:blitted;
-  Alcotest.(check bool) "blit copies" true (Bitset.equal a blitted)
-
-let test_bitset_fill_and_tail_bits () =
-  (* 65 bits: one full word + one bit; fill_all must keep the unused high
-     bits of the last word zero or cardinal/equal/iter all drift *)
-  let b = Bitset.create 65 in
-  Bitset.fill_all b;
-  Alcotest.(check int) "fill_all cardinal" 65 (Bitset.cardinal b);
-  Alcotest.(check bool) "last member present" true (Bitset.mem b 64);
-  let empty = Bitset.create 65 in
-  Alcotest.(check bool) "diff with empty is a no-op" false
-    (Bitset.diff_into ~dst:b empty);
-  Alcotest.(check int) "still full" 65 (Bitset.cardinal b);
-  let also_full = Bitset.create 65 in
-  Bitset.fill_all also_full;
-  Alcotest.(check bool) "full = full" true (Bitset.equal b also_full);
-  Bitset.clear_all b;
-  Alcotest.(check bool) "clear_all empties" true (Bitset.is_empty b);
-  (* iter visits in increasing order *)
-  let c = Bitset.of_list 200 [ 199; 5; 63; 64; 0 ] in
-  let seen = ref [] in
-  Bitset.iter (fun i -> seen := i :: !seen) c;
-  Alcotest.(check (list int)) "iter ascending" [ 0; 5; 63; 64; 199 ]
-    (List.rev !seen)
-
 let test_controller_lifecycle () =
   let open Roccc_buffers.Controller in
   let c = create ~total_iterations:2 ~pipeline_latency:1 in
@@ -146,11 +84,6 @@ let suites =
       Alcotest.test_case "64-bit boundary" `Quick test_bits_64_boundary;
       Alcotest.test_case "1-bit kinds" `Quick test_bits_one_bit;
       Alcotest.test_case "binary rendering" `Quick test_bits_binary_string;
-      Alcotest.test_case "bitset basics" `Quick test_bitset_basics;
-      Alcotest.test_case "bitset in-place operators" `Quick
-        test_bitset_inplace_ops;
-      Alcotest.test_case "bitset fill and tail bits" `Quick
-        test_bitset_fill_and_tail_bits;
       Alcotest.test_case "controller lifecycle" `Quick
         test_controller_lifecycle;
       Alcotest.test_case "block defs/uses" `Quick test_proc_block_uses;

@@ -150,63 +150,6 @@ let test_cfg_straightline () =
     (Cfg.successors g (Cfg.entry_label g))
 
 (* ------------------------------------------------------------------ *)
-(* Dataflow                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_liveness_outputs_live () =
-  let proc = lower if_else_source "if_else" in
-  let g = Cfg.build proc in
-  let sol = Dataflow.liveness g in
-  (* The exit block's live-out contains the output port registers. *)
-  let exit_l =
-    List.find (fun (b : Proc.block) -> b.Proc.term = Proc.Ret) proc.Proc.blocks
-  in
-  let live_exit = Dataflow.out_of sol exit_l.Proc.label in
-  List.iter
-    (fun (p : Proc.port) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "output %s live at exit" p.Proc.port_name)
-        true
-        (Dataflow.IS.mem p.Proc.port_reg live_exit))
-    proc.Proc.outputs
-
-let test_liveness_inputs_live_at_entry () =
-  let proc = lower if_else_source "if_else" in
-  let g = Cfg.build proc in
-  let sol = Dataflow.liveness g in
-  let live_in_entry = Dataflow.in_of sol (Cfg.entry_label g) in
-  List.iter
-    (fun (p : Proc.port) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "input %s live at entry" p.Proc.port_name)
-        true
-        (Dataflow.IS.mem p.Proc.port_reg live_in_entry))
-    proc.Proc.inputs
-
-let test_reaching_definitions () =
-  let proc = lower if_else_source "if_else" in
-  let g = Cfg.build proc in
-  let sol, sites = Dataflow.reaching_definitions g in
-  (* Both branch definitions of 'a' reach the join block. *)
-  let join =
-    List.find
-      (fun (b : Proc.block) -> List.length (Cfg.predecessors g b.Proc.label) = 2)
-      proc.Proc.blocks
-  in
-  let reach_in = Dataflow.in_of sol join.Proc.label in
-  Alcotest.(check bool) "definitions reach the join" true
-    (Dataflow.IS.cardinal reach_in > 0);
-  Alcotest.(check bool) "site list non-empty" true (List.length sites > 0)
-
-let test_available_expressions () =
-  let proc = lower fir_source "fir" in
-  let g = Cfg.build proc in
-  let _sol, numbering = Dataflow.available_expressions g in
-  (* FIR has 4 multiplies, 3 adds, 1 sub: at least 8 distinct expressions. *)
-  Alcotest.(check bool) "expressions numbered" true
-    (Hashtbl.length numbering >= 8)
-
-(* ------------------------------------------------------------------ *)
 (* SSA                                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -329,15 +272,6 @@ let suites =
       Alcotest.test_case "dominance frontiers" `Quick
         test_cfg_dominance_frontier;
       Alcotest.test_case "straight-line" `Quick test_cfg_straightline ];
-    "analysis.dataflow",
-    [ Alcotest.test_case "outputs live at exit" `Quick
-        test_liveness_outputs_live;
-      Alcotest.test_case "inputs live at entry" `Quick
-        test_liveness_inputs_live_at_entry;
-      Alcotest.test_case "reaching definitions" `Quick
-        test_reaching_definitions;
-      Alcotest.test_case "available expressions" `Quick
-        test_available_expressions ];
     "analysis.ssa",
     [ Alcotest.test_case "single-assignment invariant" `Quick
         test_ssa_single_assignment;
