@@ -46,6 +46,23 @@ let test_callee_locals_private () =
     (Some (Array.init 8 (fun i -> Int64.of_int (102 + (2 * i)))))
     (List.assoc_opt "B" (Driver.interpret ~arrays c).Roccc_cfront.Interp.arrays)
 
+(* A call's value is truncated to the callee's declared return kind, in
+   the interpreter as in the hardware: nib(7) = 16 wraps to 0. *)
+let return_kind_source =
+  "uint4 nib(int x) { return x + 9; }\n\
+   void k(int A[8], int B[8]) {\n\
+  \  int i;\n\
+  \  for (i = 0; i < 8; i = i + 1) { B[i] = nib(A[i]); }\n\
+   }\n"
+
+let test_return_truncated () =
+  let c = Driver.compile ~entry:"k" return_kind_source in
+  let arrays = [ "A", Array.init 8 (fun i -> Int64.of_int (i + 1)) ] in
+  Alcotest.(check (list string)) "hw = sw" [] (Driver.verify ~arrays c);
+  Alcotest.(check (option (array int64))) "B = (A + 9) mod 16"
+    (Some (Array.init 8 (fun i -> Int64.of_int ((i + 10) mod 16))))
+    (List.assoc_opt "B" (Driver.interpret ~arrays c).Roccc_cfront.Interp.arrays)
+
 (* A lowering failure names its pass and its layer once each. *)
 let test_lowering_error_message () =
   let src =
@@ -265,7 +282,9 @@ let suites =
     @ [ Alcotest.test_case "wavelet_cols compiles & verifies" `Quick
           test_wavelet_cols;
         Alcotest.test_case "callee locals stay private" `Quick
-          test_callee_locals_private ]);
+          test_callee_locals_private;
+        Alcotest.test_case "return truncated to its kind" `Quick
+          test_return_truncated ]);
     "core.golden",
     [ Alcotest.test_case "bit_correlator counts" `Quick
         test_bit_correlator_golden;
