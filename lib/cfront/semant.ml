@@ -155,6 +155,10 @@ let check_lvalue env (lv : lvalue) : unit =
     | Tptr _ -> ()
     | Tint _ | Tarray _ | Tvoid -> errf "*%s: %s is not a pointer" x x)
 
+(* A block sees the names of its enclosing scopes; what it declares ends
+   with it. *)
+let block env = { env with vars = Hashtbl.copy env.vars }
+
 let rec check_stmt env (s : stmt) : unit =
   match s with
   | Sdecl (t, name, init) ->
@@ -169,16 +173,16 @@ let rec check_stmt env (s : stmt) : unit =
     check_expr env e
   | Sif (c, th, el) ->
     check_expr env c;
-    List.iter (check_stmt env) th;
-    List.iter (check_stmt env) el
+    List.iter (check_stmt (block env)) th;
+    List.iter (check_stmt (block env)) el
   | Sfor (h, body) ->
-    (* Loop index must be a declared integer. *)
+    (* An undeclared loop index is an int of the enclosing scope. *)
     if not (Hashtbl.mem env.vars h.index) then
       Hashtbl.replace env.vars h.index (Tint int32_kind);
     check_expr env h.init;
     check_expr env h.bound;
     check_expr env h.step;
-    List.iter (check_stmt env) body
+    List.iter (check_stmt (block env)) body
   | Sreturn e -> Option.iter (check_expr env) e
   | Sexpr e -> (
     match e with
@@ -242,7 +246,7 @@ let check_program ?(luts = []) (prog : program) : env =
     (fun f ->
       (* A function sees the globals, its parameters and its own locals:
          never a name another function declares. *)
-      let fenv = { env with vars = Hashtbl.copy env.vars } in
+      let fenv = block env in
       List.iter (fun p -> Hashtbl.replace fenv.vars p.pname p.ptype) f.params;
       List.iter (check_stmt fenv) f.body)
     prog.funcs;

@@ -253,6 +253,36 @@ let test_semant_function_scope () =
   Alcotest.(check bool) "globals stay visible" true
     (semant_ok "int q; int g(int x) { return x + q; }")
 
+(* A declaration ends with its block: an if branch or a for body. A loop
+   index the program never declares belongs to the enclosing scope. *)
+let test_semant_block_scope () =
+  let rejects what src =
+    match Semant.check_program (Parser.parse_program src) with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Semant.Error msg ->
+      Alcotest.(check string) what "undeclared variable t" msg
+  in
+  rejects "then-branch local read in the else-branch"
+    "void k(int A[8], int B[8]) {\n\
+    \  int i;\n\
+    \  for (i = 0; i < 8; i = i + 1) {\n\
+    \    if (A[i] > 3) { int t; t = A[i]; B[i] = t; } else { B[i] = t; }\n\
+    \  }\n\
+     }\n";
+  rejects "loop-body local read after the loop"
+    "int f(int A[8]) {\n\
+    \  int i;\n\
+    \  for (i = 0; i < 8; i = i + 1) { int t; t = A[i]; }\n\
+    \  return t;\n\
+     }\n";
+  Alcotest.(check bool) "enclosing names stay visible" true
+    (semant_ok
+       "int f(int A[8]) {\n\
+       \  int s; s = 0;\n\
+       \  for (i = 0; i < 8; i = i + 1) { if (A[i] > 0) { s = s + A[i]; } }\n\
+       \  return s + i;\n\
+        }\n")
+
 let test_semant_rejects_recursion () =
   Alcotest.(check bool) "direct" false
     (semant_ok "int f(int n) { return f(n - 1); }");
@@ -664,6 +694,7 @@ let suites =
       Alcotest.test_case "rejects recursion" `Quick
         test_semant_rejects_recursion;
       Alcotest.test_case "function scope" `Quick test_semant_function_scope;
+      Alcotest.test_case "block scope" `Quick test_semant_block_scope;
       Alcotest.test_case "rejects ill-formed programs" `Quick
         test_semant_rejects_bad_programs;
       Alcotest.test_case "lookup-table signatures" `Quick test_semant_luts;
