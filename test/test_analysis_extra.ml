@@ -155,6 +155,31 @@ let test_ladder_dominance_frontiers () =
         got)
     proc.Proc.blocks
 
+(* Both arms under [r] reach the join [l], whose third predecessor puts
+   its idom above [r]: each walk passes [r], which still lists [l] once.
+     entry -> r | q;  r -> p1 | p2;  p1, p2, q -> l *)
+let test_frontier_listed_once () =
+  let proc = Proc.create "shared" in
+  let k = Ast.int32_kind in
+  let blk () = Proc.fresh_block proc in
+  let entry = blk () and r = blk () and q = blk () in
+  let p1 = blk () and p2 = blk () and l = blk () in
+  let c = Proc.fresh_reg proc k in
+  entry.Proc.instrs <- [ Instr.make ~dst:c (Instr.Ldc 1L) [] k ];
+  entry.Proc.term <- Proc.Branch (c, r.Proc.label, q.Proc.label);
+  r.Proc.term <- Proc.Branch (c, p1.Proc.label, p2.Proc.label);
+  List.iter (fun (b : Proc.block) -> b.Proc.term <- Proc.Jump l.Proc.label)
+    [ q; p1; p2 ];
+  l.Proc.term <- Proc.Ret;
+  let df = Cfg.dominance_frontiers (Cfg.build proc) in
+  List.iter
+    (fun (b : Proc.block) ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "DF(%d)" b.Proc.label)
+        [ l.Proc.label ]
+        (Option.value (Hashtbl.find_opt df b.Proc.label) ~default:[]))
+    [ r; q; p1; p2 ]
+
 (* SSA on the loopy ladder: one name per register, every use dominated by
    its definition, and the accumulator's final value unchanged *)
 let test_ssa_on_ladder () =
@@ -335,6 +360,8 @@ let suites =
         test_cfg_loop_dominance_frontier;
       Alcotest.test_case "ladder dominance frontiers match definition"
         `Quick test_ladder_dominance_frontiers;
+      Alcotest.test_case "frontier lists a join once" `Quick
+        test_frontier_listed_once;
       Alcotest.test_case "SSA with loop phis" `Quick test_ssa_on_loop;
       Alcotest.test_case "SSA on the 240-block ladder" `Quick
         test_ssa_on_ladder;
