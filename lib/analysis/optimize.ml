@@ -126,8 +126,7 @@ let value_number (proc : Proc.t) : int =
 (* ------------------------------------------------------------------ *)
 
 let eliminate_dead (proc : Proc.t) : int =
-  (* roots: output ports, SNX sources, branch conditions, phi args;
-     liveness is marked in an array indexed by register *)
+  (* roots: output ports, SNX sources, branch conditions, phi args *)
   let live = Array.make (Proc.reg_universe proc) false in
   let work = ref [] in
   let mark r =

@@ -546,21 +546,20 @@ and stmt c (s : stmt) : unit -> unit =
       tick b 1;
       g.returned <- false;
       raise_notrace Return
-  | Sreturn (Some e) -> (
+  | Sreturn (Some e) ->
     let g = c.fn in
-    let[@inline] return v =
-      set g.frame g.ret v;
-      g.returned <- true;
-      raise_notrace Return
+    (* the value is truncated to the declared return kind, as C does; a
+       shift of 0 keeps it whole *)
+    let sg, sh =
+      match g.func.ret with
+      | Tint k -> k.signed, Words.shift k.bits
+      | Tvoid | Tptr _ | Tarray _ -> true, 0
     in
-    (* the value is truncated to the declared return kind, as C does *)
-    match g.func.ret with
-    | Tint k ->
-      let sg = k.signed and sh = Words.shift k.bits in
-      with_value b 1 (expr c e) (fun fo so ->
-          fun () -> return (wrap sg sh (get fo so)))
-    | Tvoid | Tptr _ | Tarray _ ->
-      with_value b 1 (expr c e) (fun fo so -> fun () -> return (get fo so)))
+    with_value b 1 (expr c e) (fun fo so ->
+        fun () ->
+          set g.frame g.ret (wrap sg sh (get fo so));
+          g.returned <- true;
+          raise_notrace Return)
   | Sexpr (Call (f, [ Var x; v ])) when String.equal f roccc_store2next -> (
     match Hashtbl.find_opt c.scope x with
     | Some (Scalar (fr, s, k)) -> with_value b 1 (expr c v) (store fr s k)
