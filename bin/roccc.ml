@@ -925,7 +925,7 @@ let tune_cmd =
       & info [ "trace" ] ~docv:"FILE"
           ~doc:
             "Write per-candidate and per-pass spans as Chrome trace_event \
-             JSON; mid-end passes reused from the search's shared cache \
+             JSON; passes reused from the search's shared cache \
              appear as zero-duration $(i,cached) spans.")
   in
   let run target entry objective slice_budget target_mhz unroll bus target_ns

@@ -159,13 +159,20 @@ let check_lvalue env (lv : lvalue) : unit =
    with it. *)
 let block env = { env with vars = Hashtbl.copy env.vars }
 
-let rec check_stmt env (s : stmt) : unit =
+(* The interpreter and the lowering keep one variable per name per
+   function, so a declaration may not shadow a name already visible (a
+   global, a parameter, or a local of this or an enclosing block).
+   Sibling blocks may each declare the same name. *)
+let rec check_stmt ~fname env (s : stmt) : unit =
   match s with
   | Sdecl (t, name, init) ->
     (match t with
     | Tint _ | Tarray _ -> ()
     | Tptr _ -> errf "local pointer %s is not allowed" name
     | Tvoid -> errf "void local %s" name);
+    if Hashtbl.mem env.vars name then
+      errf "function %s: declaration of %s shadows the %s already in scope"
+        fname name name;
     Hashtbl.replace env.vars name t;
     Option.iter (check_expr env) init
   | Sassign (lv, e) ->
@@ -173,8 +180,8 @@ let rec check_stmt env (s : stmt) : unit =
     check_expr env e
   | Sif (c, th, el) ->
     check_expr env c;
-    List.iter (check_stmt (block env)) th;
-    List.iter (check_stmt (block env)) el
+    List.iter (check_stmt ~fname (block env)) th;
+    List.iter (check_stmt ~fname (block env)) el
   | Sfor (h, body) ->
     (* An undeclared loop index is an int of the enclosing scope. *)
     if not (Hashtbl.mem env.vars h.index) then
@@ -182,7 +189,7 @@ let rec check_stmt env (s : stmt) : unit =
     check_expr env h.init;
     check_expr env h.bound;
     check_expr env h.step;
-    List.iter (check_stmt (block env)) body
+    List.iter (check_stmt ~fname (block env)) body
   | Sreturn e -> Option.iter (check_expr env) e
   | Sexpr e -> (
     match e with
@@ -248,6 +255,6 @@ let check_program ?(luts = []) (prog : program) : env =
          never a name another function declares. *)
       let fenv = block env in
       List.iter (fun p -> Hashtbl.replace fenv.vars p.pname p.ptype) f.params;
-      List.iter (check_stmt fenv) f.body)
+      List.iter (check_stmt ~fname:f.fname fenv) f.body)
     prog.funcs;
   env

@@ -205,7 +205,7 @@ let back_end ?instrument ?config ?(options = default_options)
   compiled_of_state (Pass.run ~config Pass.back_passes st)
 
 (* ------------------------------------------------------------------ *)
-(* Estimate-only back end (the autotuner's costing)                    *)
+(* Design metrics (the autotuner's costing)                            *)
 (* ------------------------------------------------------------------ *)
 
 type measurement = {
@@ -218,16 +218,6 @@ type measurement = {
   ms_outputs_per_cycle : int;
 }
 
-(* The full back end minus VHDL generation and linting. Neither skipped
-   pass feeds the area model, so the measurement's slices, clock and
-   latch bits are identical to what [back_end] would report — the
-   autotuner's dominance pruning over these numbers is exact. *)
-let estimate_passes : Pass.pass list =
-  List.filter
-    (fun (p : Pass.pass) ->
-      p.Pass.name <> "vhdl-generation" && p.Pass.name <> "vhdl-lint")
-    Pass.back_passes
-
 let measurement_of_state (st : Pass.state) : measurement =
   let area = need "area estimate" st.Pass.st_area in
   let pipeline = need "pipeline" st.Pass.st_pipeline in
@@ -238,12 +228,6 @@ let measurement_of_state (st : Pass.state) : measurement =
     ms_latch_bits = pipeline.Pipeline.latch_bits;
     ms_greedy_latch_bits = pipeline.Pipeline.greedy_latch_bits;
     ms_outputs_per_cycle = Pipeline.outputs_per_cycle pipeline }
-
-let estimate_back_end ?instrument ?config ?(options = default_options)
-    (sk : staged_kernel) : measurement =
-  let config = resolve_config ?instrument ?config () in
-  let st = state_of_staged ~options sk in
-  measurement_of_state (Pass.run ~config estimate_passes st)
 
 (** Compile one kernel function from C source to VHDL + estimates. *)
 let compile ?instrument ?config ?(options = default_options) ?(luts = [])

@@ -132,15 +132,12 @@ val back_end :
 (** SUIFvm lowering, SSA, data-path construction, pipelining, VHDL
     generation and estimation. Raises {!Error}. *)
 
-(** {1 Estimate-only back end}
+(** {1 Design metrics} *)
 
-    The autotuner's costing: same mid-end, cheaper back half. *)
-
-(** Exact design metrics without generating VHDL: the result of running
-    the back end minus [vhdl-generation] and [vhdl-lint]. Neither skipped
-    pass feeds the area model, so these numbers are identical to the ones
-    a full {!back_end} run reports — dominance pruning over them is
-    exact. *)
+(** The design metrics the autotuner costs a candidate by. Neither
+    [vhdl-generation] nor [vhdl-lint] feeds the area model, so a state
+    that ran every other back-end pass gives the numbers a full compile
+    reports. *)
 type measurement = {
   ms_slices : int;
   ms_operator_slices : int;
@@ -151,14 +148,9 @@ type measurement = {
   ms_outputs_per_cycle : int;
 }
 
-val estimate_back_end :
-  ?instrument:instrument ->
-  ?config:Pass.config ->
-  ?options:options ->
-  staged_kernel ->
-  measurement
-(** Run the back end through area estimation, skipping VHDL generation
-    and linting. Raises {!Error}. *)
+val measurement_of_state : Pass.state -> measurement
+(** The metrics of a state that has run [area-estimation]. Raises {!Error}
+    on missing fields. *)
 
 val compile :
   ?instrument:instrument ->
@@ -187,23 +179,14 @@ val compile_all :
 (** Compile every hardware-eligible function (array/pointer parameters) in
     a source file: (name, compiled) successes and (name, error) failures. *)
 
-(** {1 Pipeline-state conversions}
+(** {1 Pipeline-state conversion}
 
     Used by callers that drive the {!Pass} pipelines directly (the batch
     service resumes compilation from per-pass cached states). *)
 
-val front_of_state : Pass.state -> front
-(** Project a state that has completed {!Pass.front_passes} (restricts the
-    program to the entry function). Raises {!Error} on missing fields. *)
-
-val staged_of_state : Pass.state -> staged_kernel
-(** Project a state that has completed {!Pass.kernel_passes}. *)
-
-val state_of_front : ?options:options -> front -> Pass.state
-(** Rebuild the pipeline state from a front-end result. *)
-
-val state_of_staged : options:options -> staged_kernel -> Pass.state
-(** Rebuild the pipeline state from a staged kernel. *)
+val compiled_of_state : Pass.state -> compiled
+(** Project a state that has completed {!Pass.back_passes}. Raises
+    {!Error} on missing fields. *)
 
 val simulate :
   ?scalars:(string * int64) list ->

@@ -4,8 +4,9 @@
     fingerprint, an invariant verifier and an optional differential
     semantics check. The driver's stages are declarative lists of these
     values executed by {!run}; the batch service chains the per-pass
-    fingerprints into cache keys so a back-end option sweep reuses every
-    mid-end pass, not just whole stages.
+    fingerprints into cache keys so an option sweep reuses every pass
+    before the first one that reads a swept option, not just whole
+    stages.
 
     The manager:
     - runs each pass's verifier after it under [verify_ir]
@@ -140,10 +141,10 @@ type instrument = pass_stats -> unit
 
 (** The pipeline state threaded through the passes. Fields are filled in as
     the layers complete; a pass that needs a missing field is a pipeline
-    construction error, reported by name. States up to the end of the HIR
-    layer hold only immutable values (ASTs, kernels) and are safe to share
-    across domains and cache; VM procedures are mutated in place by SSA
-    conversion and the optimizer, so back-end states must not be shared. *)
+    construction error, reported by name. No pass mutates a value of its
+    input state: the VM passes that rewrite a procedure in place (SSA
+    conversion, the optimizer) work on a {!Proc.copy}, so every state is
+    safe to cache and share across domains. *)
 type state = {
   st_source : string;
   st_entry : string;
@@ -156,9 +157,6 @@ type state = {
   st_func : Ast.func option;        (** the entry function *)
   st_kernel : Kernel.t option;
   st_proc : Proc.t option;
-  st_proc_lowered : Proc.t option;
-      (** deep copy taken right after lowering, before SSA mutates the
-          procedure — the reference point for differential checks *)
   st_dp : Graph.t option;
   st_widths : Widths.t option;
   st_pipeline : Pipeline.t option;
@@ -182,7 +180,6 @@ let initial ?(luts = []) ~(options : options) ~(entry : string)
     st_func = None;
     st_kernel = None;
     st_proc = None;
-    st_proc_lowered = None;
     st_dp = None;
     st_widths = None;
     st_pipeline = None;
@@ -236,7 +233,8 @@ type pass = {
   transform : state -> state;
   ir_size : state -> int;
   verifier : (state -> unit) option;      (** run under [verify_ir] *)
-  differential : (state -> unit) option;  (** run under [differential] *)
+  differential : (state -> state -> unit) option;
+      (** run under [differential] on the pass's input and output states *)
   dump : state -> string;                 (** IR printer for [dump_after] *)
   fingerprint : options -> string;
       (** canonical rendering of exactly the option fields the pass reads
@@ -245,6 +243,9 @@ type pass = {
 
 let always _ = true
 let no_fp (_ : options) = ""
+
+(* A differential check that reads only the pass's output state. *)
+let output_only check (_ : state) (st : state) = check st
 
 (* ------------------------------------------------------------------ *)
 (* Manager configuration                                               *)
@@ -424,20 +425,19 @@ let differential_lower (st : state) : unit =
       (List.combine vecs vm_results)
   end
 
-(* SSA / optimizer boundary: the mutated procedure must still compute what
-   the freshly lowered procedure computed. *)
-let differential_vm (check : string) (st : state) : unit =
+(* SSA / optimizer boundary: the rewritten procedure must still compute
+   what its input procedure computed. *)
+let differential_vm (check : string) (input : state) (st : state) : unit =
   let proc = proc_of st in
-  let lowered = need "lowered procedure snapshot" st.st_proc_lowered in
   let vecs = port_vectors proc.Proc.inputs in
   let luts = lut_bindings st.st_luts in
-  let before = Eval.run_stream ~luts lowered vecs in
+  let before = Eval.run_stream ~luts (proc_of input) vecs in
   let after = Eval.run_stream ~luts proc vecs in
   List.iteri
     (fun it ((b : Eval.result), (a : Eval.result)) ->
-      compare_values ~check ~iter:it ~a_name:"lowered vm" ~b_name:"vm"
+      compare_values ~check ~iter:it ~a_name:"input vm" ~b_name:"vm"
         b.Eval.outputs a.Eval.outputs;
-      compare_values ~check ~iter:it ~a_name:"lowered vm feedback"
+      compare_values ~check ~iter:it ~a_name:"input vm feedback"
         ~b_name:"vm feedback" b.Eval.feedback_next a.Eval.feedback_next)
     (List.combine before after)
 
@@ -768,7 +768,7 @@ let scalar_replacement_pass =
         { st with st_kernel = Some kernel });
     ir_size = (fun st -> ast_size (kernel_of st).Kernel.dp);
     verifier = Some (fun st -> Kernel.verify (kernel_of st));
-    differential = Some differential_front;
+    differential = Some (output_only differential_front);
     dump = dump_kernel;
     fingerprint = no_fp }
 
@@ -799,12 +799,10 @@ let lower_pass =
       (fun st ->
         let lut_sigs = List.map Lut_conv.signature st.st_luts in
         let proc = Lower.lower_kernel ~luts:lut_sigs (kernel_of st) in
-        { st with
-          st_proc = Some proc;
-          st_proc_lowered = Some (Proc.copy proc) });
+        { st with st_proc = Some proc });
     ir_size = (fun st -> proc_size (proc_of st));
     verifier = Some (fun st -> Proc.verify_cfg (proc_of st));
-    differential = Some differential_lower;
+    differential = Some (output_only differential_lower);
     dump = dump_proc;
     fingerprint = no_fp }
 
@@ -822,10 +820,10 @@ let ssa_pass =
     applicable = always;
     transform =
       (fun st ->
-        let proc = proc_of st in
+        let proc = Proc.copy (proc_of st) in
         let _cfg = Ssa.convert proc in
         Ssa.verify proc;
-        st);
+        { st with st_proc = Some proc });
     ir_size = (fun st -> proc_size (proc_of st));
     verifier = Some vm_verifier;
     differential = Some (differential_vm "ssa-and-cfg");
@@ -840,10 +838,10 @@ let vm_optimize_pass =
     applicable = always;
     transform =
       (fun st ->
-        let proc = proc_of st in
+        let proc = Proc.copy (proc_of st) in
         let _stats = Optimize.run proc in
         Ssa.verify proc;
-        st);
+        { st with st_proc = Some proc });
     ir_size = (fun st -> proc_size (proc_of st));
     verifier = Some vm_verifier;
     differential = Some (differential_vm "vm-optimize");
@@ -868,7 +866,7 @@ let datapath_build_pass =
           let dp = dp_of st in
           Graph.verify dp;
           Builder.verify_adjoining dp);
-    differential = Some differential_dp;
+    differential = Some (output_only differential_dp);
     dump = dump_dp;
     fingerprint = no_fp }
 
@@ -898,7 +896,7 @@ let width_inference_pass =
       (fun st -> { st with st_widths = Some (Widths.infer (dp_of st)) });
     ir_size = (fun st -> Graph.instr_count (dp_of st));
     verifier = Some widths_verifier;
-    differential = Some differential_widths;
+    differential = Some (output_only differential_widths);
     dump =
       (fun st ->
         Printf.sprintf "total inferred bits: %d\n"
@@ -978,7 +976,7 @@ let retiming_pass =
       (fun st -> { st with st_pipeline = Some (Pipeline.retime (pipeline_of st)) });
     ir_size = (fun st -> (pipeline_of st).Pipeline.latch_bits);
     verifier = Some (fun st -> Pipeline.verify (pipeline_of st));
-    differential = Some differential_retiming;
+    differential = Some (output_only differential_retiming);
     dump = (fun st -> Pipeline.describe (pipeline_of st));
     fingerprint = no_fp }
 
@@ -1243,7 +1241,7 @@ let step ?config (p : pass) (st : state) : state =
         p.verifier;
     if config.differential then
       Option.iter
-        (fun d -> with_pass_name p.name (fun () -> d st'))
+        (fun d -> with_pass_name p.name (fun () -> d st st'))
         p.differential;
     if List.mem p.name config.dump_after then
       config.on_dump p.name (with_pass_name p.name (fun () -> p.dump st'));

@@ -63,9 +63,9 @@ type instrument = pass_stats -> unit
 (** {1 Pipeline state} *)
 
 (** The state threaded through the passes; fields fill in as layers
-    complete. States up to the end of the HIR layer hold only immutable
-    values and are safe to cache and share across domains; VM procedures
-    are mutated in place by SSA/optimization, so back-end states are not. *)
+    complete. No pass mutates a value of its input state (SSA conversion
+    and the optimizer rewrite a {!Roccc_vm.Proc.copy}), so every state is
+    safe to cache and share across domains. *)
 type state = {
   st_source : string;
   st_entry : string;
@@ -77,9 +77,6 @@ type state = {
   st_func : Roccc_cfront.Ast.func option;
   st_kernel : Roccc_hir.Kernel.t option;
   st_proc : Roccc_vm.Proc.t option;
-  st_proc_lowered : Roccc_vm.Proc.t option;
-      (** deep copy taken right after lowering — the reference point for
-          the differential checks of the later VM passes *)
   st_dp : Roccc_datapath.Graph.t option;
   st_widths : Roccc_datapath.Widths.t option;
   st_pipeline : Roccc_datapath.Pipeline.t option;
@@ -122,7 +119,8 @@ type pass = {
   transform : state -> state;
   ir_size : state -> int;
   verifier : (state -> unit) option;      (** run under [verify_ir] *)
-  differential : (state -> unit) option;  (** run under [differential] *)
+  differential : (state -> state -> unit) option;
+      (** run under [differential] on the pass's input and output states *)
   dump : state -> string;                 (** IR printer for [dump_after] *)
   fingerprint : options -> string;
       (** canonical rendering of exactly the option fields the pass reads *)

@@ -161,8 +161,11 @@ and layout_item (g : Cfg.t) (lay : layout) (it : item) (level : int) : int =
 (* Copy insertion + final graph                                        *)
 (* ------------------------------------------------------------------ *)
 
-(** Build the data path of an SSA-form procedure. *)
+(** Build the data path of an SSA-form procedure. The copy registers come
+    from a {!Proc.copy}, which the graph keeps: the input is left as it
+    was. *)
 let build (proc : Proc.t) : Graph.t =
+  let proc = Proc.copy proc in
   let g = Cfg.build proc in
   let items = parse_seq g (Cfg.entry_label g) None in
   let lay = { lv = Array.make 4 [] } in

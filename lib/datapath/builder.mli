@@ -9,8 +9,9 @@ exception Error of string
 
 val build : Roccc_vm.Proc.t -> Graph.t
 (** Build the data path of an SSA-form procedure (convert with
-    {!Roccc_analysis.Ssa.convert} first). Raises {!Error} on unstructured
-    control flow. *)
+    {!Roccc_analysis.Ssa.convert} first). The graph's [proc] is a copy
+    holding the inserted copy registers; the argument is not mutated.
+    Raises {!Error} on unstructured control flow. *)
 
 val verify_adjoining : Graph.t -> unit
 (** Check the def-use adjoining invariant: every register consumed at level

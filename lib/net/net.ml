@@ -199,9 +199,9 @@ let link_channels (stages : stage list) : channel list =
 (* Planning: compile every stage, then link them                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Compile one stage. With a cache the mid end resumes from the deepest
-   cached per-pass state (exactly like a service compile) and only the
-   back end runs fresh; without one it is a plain driver compile. *)
+(* Compile one stage. With a cache the compile resumes from the deepest
+   cached per-pass state, exactly like a service compile; without one it
+   is a plain driver compile. *)
 let compile_stage ?cache ?config ~options ~luts ~source ~tid entry :
     Driver.compiled =
   match cache with
@@ -211,8 +211,7 @@ let compile_stage ?cache ?config ~options ~luts ~source ~tid entry :
       match config with Some c -> c | None -> Pass.default_config ()
     in
     let job = { Service.label = entry; source; entry; options; luts } in
-    let st, _, _ = Service.run_mid_end ?cache ~config ~tid job in
-    Driver.back_end ~config ~options (Driver.staged_of_state st)
+    Driver.compiled_of_state (fst (Service.run_chain ?cache ~config ~tid job))
 
 (** Build a network plan for pipeline [name] of [source]: compile every
     stage (fanned out over the domain scheduler, per-pass cached when

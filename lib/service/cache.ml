@@ -1,8 +1,8 @@
 (* The content-addressed pass cache.
 
    In memory it maps fingerprints to intermediate pipeline states — one per
-   executed mid-end pass, keyed by the chained per-pass fingerprints — and
-   to finished artifacts (VHDL + estimates). On disk (optional, under
+   executed pass, keyed by the chained per-pass fingerprints — and to
+   finished artifacts (VHDL + estimates). On disk (optional, under
    _roccc_cache/) only artifacts are persisted: they are plain strings and
    numbers, so a marshalled artifact is safe to reload in any later
    process, whereas the in-memory IR values are not worth the versioning
@@ -35,7 +35,7 @@ type artifact = {
 
 type value =
   | State of Pass.state
-      (* mid-end pipeline state (immutable IR only) after one pass *)
+      (* pipeline state after one pass (never mutated once stored) *)
   | Artifact of artifact
 
 type stats = {
@@ -289,6 +289,18 @@ let find (t : t) (key : Fingerprint.t) : (value * origin) option =
   | Error _ ->
     (* degrade: a read that keeps failing is a miss, never a crash *)
     count_io_error t;
+    Atomic.incr t.misses;
+    None
+
+(* Pipeline states are never persisted, so a state lookup skips the disk
+   tier and its I/O fault point: a miss costs no file-system probe. *)
+let find_state (t : t) (key : Fingerprint.t) : Pass.state option =
+  let hex = Fingerprint.to_hex key in
+  match locked t (fun () -> Hashtbl.find_opt t.table hex) with
+  | Some (State st) ->
+    Atomic.incr t.hits;
+    Some st
+  | Some (Artifact _) | None ->
     Atomic.incr t.misses;
     None
 

@@ -6,11 +6,13 @@
     [Atomic.int]s outside the lock — a counter bump never contends with
     a lookup. The disk tier is a single shared directory.
 
-    Mid-end pipeline states (one per executed pass, keyed by chained
-    per-pass fingerprints) are memoized in memory only — they hold
-    immutable compiler IR; finished artifacts — the VHDL text plus
-    estimates — are additionally persisted under a disk directory when one
-    is given, surviving the process. *)
+    Pipeline states (one per executed pass, keyed by chained per-pass
+    fingerprints) are memoized in memory only — no pass mutates a state,
+    so one is shared as is by every later compile that reaches it;
+    finished artifacts — the VHDL text plus estimates — are additionally
+    persisted under a disk directory when one is given, surviving the
+    process. Which states are stored is the caller's choice
+    ({!Service.compile_cached} stores mid-end states only). *)
 
 (** A finished compilation, reduced to plain data (safe to marshal). *)
 type artifact = {
@@ -26,7 +28,7 @@ type artifact = {
 
 type value =
   | State of Roccc_core.Pass.state
-      (** mid-end pipeline state (immutable IR only) after one pass *)
+      (** pipeline state after one pass (never mutated once stored) *)
   | Artifact of artifact
 
 type stats = {
@@ -99,6 +101,10 @@ val find : t -> Fingerprint.t -> (value * origin) option
 (** Memory first, then disk (artifacts only); counts a hit or miss.
     Carries the ["cache_read"] fault point; transient failures are
     retried, then degrade to a miss. *)
+
+val find_state : t -> Fingerprint.t -> Roccc_core.Pass.state option
+(** A pipeline state from the memory tier (states are never persisted, so
+    no disk probe); counts a hit or miss. *)
 
 val store : t -> Fingerprint.t -> value -> unit
 

@@ -52,8 +52,11 @@ let make ~(source : string) ~(entry : string) ~(luts : Lut_conv.table list)
 
 (* Per-pass chained keys: the key after pass N is a digest of the key
    after pass N-1, the pass name and that pass's own option fingerprint.
-   Equal chains mean "same pipeline state" — a back-end option sweep keeps
-   every mid-end chain link equal, so all mid-end states are shared. *)
+   Equal chains mean "same pipeline state", from parse to
+   area-estimation: two option records share every state up to the first
+   pass that reads a field where they differ — a bus-width sweep shares
+   all but area-estimation, a clock-target sweep everything before
+   pipelining. *)
 
 let seed ~(source : string) ~(entry : string)
     ~(luts : Lut_conv.table list) : t =

@@ -5,15 +5,15 @@
    deepest-first at per-pass granularity:
 
      full artifact (every pass that runs) -> memory or disk
-     one chained key per mid-end pass     -> pipeline state, memory only
+     one chained key per pass             -> pipeline state, memory only
 
-   The chained keys cover the front + kernel pipelines (parse through
-   feedback-detection); each link digests the previous link, the pass name
-   and that pass's own option fingerprint, so a warm rerun costs one
-   lookup, a front option change re-runs only from the first affected
-   pass, and a back-end sweep (bus width, stage budget, disabling
-   bit-width inference) reuses every mid-end pass and re-runs only the
-   back end. *)
+   The chained keys cover every pass, parse through area-estimation; each
+   link digests the previous link, the pass name and that pass's own
+   option fingerprint, so a warm rerun costs one lookup and an option
+   change re-runs only from the first pass that reads it. A compile
+   stores the mid-end states (parse through feedback-detection); the
+   tuner's costing ([measure_cached]) also stores the back-end states
+   another job can branch from. *)
 
 module Driver = Roccc_core.Driver
 module Pass = Roccc_core.Pass
@@ -35,7 +35,7 @@ type job = {
 type origin =
   | Cold            (* every pass ran *)
   | Warm_partial    (* a mid-end prefix reused; the rest re-ran *)
-  | Warm_stage      (* every mid-end pass reused; back end ran *)
+  | Warm_stage      (* every mid-end pass reused; (part of) the back end ran *)
   | Warm_memory     (* finished artifact from the in-memory cache *)
   | Warm_disk       (* finished artifact reloaded from _roccc_cache/ *)
   | Coalesced       (* waited on a concurrent identical compile (single-flight) *)
@@ -105,10 +105,16 @@ let success_of_artifact ~label ~elapsed ~origin (a : Cache.artifact) : success
     r_elapsed_s = elapsed;
     r_origin = origin }
 
-(* The mid-end pipeline whose states are cached per pass: everything up to
-   (and including) the storage-level kernel passes. The back end mutates
-   its procedure in place, so its states are never shared. *)
+(* The mid end: every pass up to (and including) the storage-level kernel
+   passes. A compile stores only these states: serve's memory tier never
+   evicts, and a kernel's back-end states weigh several times its mid-end
+   states. *)
 let mid_passes = Pass.front_passes @ Pass.kernel_passes
+
+(* The costing chain: every pass but the VHDL layer's. Neither VHDL pass
+   feeds the area model, so its metrics equal a full compile's. *)
+let measure_passes =
+  List.filter (fun (p : Pass.pass) -> p.Pass.layer <> Pass.Vhdl) Pass.all_passes
 
 (* The finished artifact's identity: the inputs plus every pass that runs
    with the option fields it reads. Disabling a pass changes the list; an
@@ -121,11 +127,10 @@ let full_key (job : job) : Fingerprint.t =
          (fun (p : Pass.pass) -> p.Pass.name, p.Pass.fingerprint job.options)
          (Pass.executed job.options Pass.all_passes))
 
-(** The chained per-pass fingerprints of the job's mid-end pipeline, in
-    execution order: one (pass, key-of-state-after-it) per pass that
-    runs. *)
-let pass_keys (job : job) : (Pass.pass * Fingerprint.t) list =
-  let selected = Pass.executed job.options mid_passes in
+(* The chained per-pass fingerprints of the passes of [passes] the job
+   runs, in execution order: one (pass, key-of-state-after-it) each. *)
+let chain_keys (job : job) (passes : Pass.pass list) :
+    (Pass.pass * Fingerprint.t) list =
   let seed =
     Fingerprint.seed ~source:job.source ~entry:job.entry ~luts:job.luts
   in
@@ -137,9 +142,15 @@ let pass_keys (job : job) : (Pass.pass * Fingerprint.t) list =
             ~options_fp:(p.Pass.fingerprint job.options)
         in
         fp, (p, fp) :: acc)
-      (seed, []) selected
+      (seed, []) (Pass.executed job.options passes)
   in
   List.rev keyed
+
+let pass_keys (job : job) : (Pass.pass * Fingerprint.t) list =
+  chain_keys job Pass.all_passes
+
+let mid_end_key (job : job) : Fingerprint.t =
+  snd (List.hd (List.rev (chain_keys job mid_passes)))
 
 (* The tracing instrument every cached entry point installs: forward to
    the caller's hook, then record a per-pass span. *)
@@ -160,29 +171,36 @@ let traced_config ?trace ~tid (job : job) (base_config : Pass.config) :
                 ())
             trace) }
 
-(* Resume the mid-end pipeline from the deepest cached per-pass state
-   (storing each newly computed state back), returning the completed
-   mid-end state and how many passes were reused. Reused passes appear in
-   [trace] with a [cached] argument and zero duration. *)
-let run_mid_end ?cache ~(config : Pass.config) ?trace ~tid (job : job) :
-    Pass.state * int * int =
-  let keyed = Array.of_list (pass_keys job) in
+(* Run the chain of [passes] from its deepest cached state, storing each
+   newly computed mid-end state back. With [share_back_end] it also stores
+   each back-end state whose next pass reads an option, since only there
+   can another job's chain leave this one: before [pipelining] (the clock
+   target) and before [area-estimation] (the bus width; in the costing
+   chain that is also where a full compile goes on to the VHDL passes).
+   Only a job equal to this one could resume from the states in between.
+   Returns the final state and where its mid end came from. Reused passes
+   appear in [trace] with a [cached] argument and zero duration. *)
+let resume ?cache ~(share_back_end : bool) ~(config : Pass.config) ?trace
+    ~tid (job : job) (passes : Pass.pass list) : Pass.state * origin =
+  let keyed = Array.of_list (chain_keys job passes) in
   let n = Array.length keyed in
+  let n_mid = List.length (Pass.executed job.options mid_passes) in
   (* deepest cached state first *)
   let rec probe i =
     if i < 0 then None
     else
-      match Option.bind cache (fun c -> Cache.find c (snd keyed.(i))) with
-      | Some (Cache.State st, _) -> Some (i, st)
-      | _ -> probe (i - 1)
+      match Option.bind cache (fun c -> Cache.find_state c (snd keyed.(i))) with
+      | Some st -> Some (i, st)
+      | None -> probe (i - 1)
   in
   let st, start_idx =
     match if cache = None then None else probe (n - 1) with
     | Some (idx, st) ->
-      (* Cached mid-end states hold only immutable IR; re-bind the
-         job-specific options (the chain guarantees every option field a
-         reused pass reads is equal). Reused passes get zero-duration
-         spans so the trace still shows the full Figure 1 pipeline. *)
+      (* No pass mutates its input state, so a cached state is shared
+         as is; re-bind the job-specific options (the chain guarantees
+         every option field a reused pass reads is equal). Reused passes
+         get zero-duration spans so the trace still shows the full
+         Figure 1 pipeline. *)
       Option.iter
         (fun tr ->
           let t = now () in
@@ -200,40 +218,43 @@ let run_mid_end ?cache ~(config : Pass.config) ?trace ~tid (job : job) :
         0 )
   in
   let st = ref st in
+  let branches i =
+    i + 1 < n
+    && (let next, _ = keyed.(i + 1) in
+        next.Pass.fingerprint job.options <> "")
+  in
   for i = start_idx to n - 1 do
     let p, key = keyed.(i) in
     st := Pass.step ~config p !st;
-    Option.iter (fun c -> Cache.store c key (Cache.State !st)) cache
+    if i < n_mid || (share_back_end && branches i) then
+      Option.iter (fun c -> Cache.store c key (Cache.State !st)) cache
   done;
-  !st, start_idx, n
+  ( !st,
+    if start_idx = 0 then Cold
+    else if start_idx < n_mid then Warm_partial
+    else Warm_stage )
 
-(* The preamble the costing tiers share: default the config, validate the
-   pass names, install the tracing instrument, and hand back a thunk
-   that resumes the cached mid-end — [compile_cached] forces it only when
-   the finished artifact is not cached. The thunk also reports where the
-   mid-end came from. *)
-let prepare ?cache ?config ?trace ~tid (job : job) :
-    Pass.config * Pass.config * (unit -> Driver.staged_kernel * origin) =
+let run_chain ?cache ~config ?trace ~tid (job : job) : Pass.state * origin =
+  resume ?cache ~share_back_end:false ~config ?trace ~tid job Pass.all_passes
+
+(* The preamble the cached entry points share: default the config,
+   validate the pass names and install the tracing instrument. Returns
+   the caller's config and the traced one. *)
+let prepare ?config ?trace ~tid (job : job) : Pass.config * Pass.config =
   let base_config =
     match config with Some c -> c | None -> Pass.default_config ()
   in
   Result.iter_error
     (fun msg -> raise (Driver.Error msg))
     (Pass.check_names ~dump_after:base_config.Pass.dump_after job.options);
-  let config = traced_config ?trace ~tid job base_config in
-  let mid_end () =
-    let st, start_idx, n = run_mid_end ?cache ~config ?trace ~tid job in
-    ( Driver.staged_of_state st,
-      if start_idx = 0 then Cold
-      else if start_idx < n then Warm_partial
-      else Warm_stage )
-  in
-  base_config, config, mid_end
+  base_config, traced_config ?trace ~tid job base_config
 
 (** Compile one job, consulting [cache] deepest-first — the full artifact,
-    then the chained per-pass states of the mid-end pipeline — resuming
-    from the deepest cached state and reporting per-pass spans to [trace]
-    (reused passes appear with a [cached] argument and zero duration).
+    then the chained per-pass states from [area-estimation] back to
+    [parse] — resuming from the deepest cached state and reporting
+    per-pass spans to [trace] (reused passes appear with a [cached]
+    argument and zero duration). Stores the artifact and the mid-end
+    states it computes.
 
     Executions are single-flight per full fingerprint: when a cache is
     given and the same key is already compiling on another domain, this
@@ -243,19 +264,16 @@ let prepare ?cache ?config ?trace ~tid (job : job) :
     compiling again. Raises {!Driver.Error} on failure. *)
 let compile_cached ?cache ?config ?trace ?(tid = 0) (job : job) : success =
   let t0 = now () in
-  let base_config, config, mid_end = prepare ?cache ?config ?trace ~tid job in
+  let base_config, config = prepare ?config ?trace ~tid job in
   let full_key = full_key job in
-  let finish origin (c : Driver.compiled) =
-    let art = artifact_of c in
-    Option.iter (fun cache -> Cache.store cache full_key (Cache.Artifact art)) cache;
-    success_of_artifact ~label:job.label ~elapsed:(now () -. t0) ~origin art
-  in
   let from_artifact origin (a : Cache.artifact) =
     success_of_artifact ~label:job.label ~elapsed:(now () -. t0) ~origin a
   in
   let execute () =
-    let staged, origin = mid_end () in
-    finish origin (Driver.back_end ~config ~options:job.options staged)
+    let st, origin = run_chain ?cache ~config ?trace ~tid job in
+    let art = artifact_of (Driver.compiled_of_state st) in
+    Option.iter (fun cache -> Cache.store cache full_key (Cache.Artifact art)) cache;
+    from_artifact origin art
   in
   match Option.bind cache (fun c -> Cache.find c full_key) with
   | Some (Cache.Artifact a, where) ->
@@ -312,14 +330,19 @@ let compile_cached ?cache ?config ?trace ?(tid = 0) (job : job) : success =
              own execution — its warm per-pass states still help *)
           execute ())))
 
-(** Measure one job without generating VHDL: the mid-end resumes from the
-    same chained per-pass cache entries {!compile_cached} uses (so an
-    estimate run warms the cache for a later full run and vice versa),
-    then the estimate-only back end prices it. Raises {!Driver.Error}. *)
+(** Measure one job without generating VHDL: the chain of every pass but
+    the VHDL layer's, resumed from its deepest cached state. Beyond the
+    mid end it stores the states before each pass that reads an option
+    (see [resume]), so a search prices each distinct back-end prefix
+    once, and a full compile of the same job resumes from its retimed
+    state. Raises {!Driver.Error}. *)
 let measure_cached ?cache ?config ?trace ?(tid = 0) (job : job) :
     Driver.measurement =
-  let _, config, mid_end = prepare ?cache ?config ?trace ~tid job in
-  Driver.estimate_back_end ~config ~options:job.options (fst (mid_end ()))
+  let _, config = prepare ?config ?trace ~tid job in
+  let st, _ =
+    resume ?cache ~share_back_end:true ~config ?trace ~tid job measure_passes
+  in
+  Driver.measurement_of_state st
 
 (* ------------------------------------------------------------------ *)
 (* Batches                                                             *)

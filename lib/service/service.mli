@@ -19,7 +19,8 @@ type origin =
   | Cold  (** every pass ran *)
   | Warm_partial
       (** a prefix of the mid-end passes was reused; the rest re-ran *)
-  | Warm_stage  (** every mid-end pass reused; only the back end ran *)
+  | Warm_stage
+      (** every mid-end pass reused; only (a suffix of) the back end ran *)
   | Warm_memory  (** finished artifact from the in-memory cache *)
   | Warm_disk  (** finished artifact reloaded from the disk cache *)
   | Coalesced
@@ -59,24 +60,31 @@ val full_key : job -> Fingerprint.t
     option fingerprint of every pass {!Roccc_core.Pass.executed} runs. *)
 
 val pass_keys : job -> (Roccc_core.Pass.pass * Fingerprint.t) list
-(** The chained per-pass keys of the job's mid-end pipeline (parse
-    through feedback-detection), in execution order: one (pass, key of
-    the state after it) per pass that runs. The last key names the
-    completed mid-end state. *)
+(** The chained per-pass keys of the job's whole pipeline (parse through
+    area-estimation), in execution order: one (pass, key of the state
+    after it) per pass that runs. Each key digests the previous one, the
+    pass name and the option fields that pass reads, so two jobs share
+    every state up to the first pass whose options differ: a bus-width
+    change shares all but [area-estimation], a clock-target change all
+    but [pipelining] and what follows it. *)
 
-val run_mid_end :
+val mid_end_key : job -> Fingerprint.t
+(** The key of the job's completed mid-end state (after
+    feedback-detection): jobs with equal keys share every mid-end pass. *)
+
+val run_chain :
   ?cache:Cache.t ->
   config:Roccc_core.Pass.config ->
   ?trace:Trace.t ->
   tid:int ->
   job ->
-  Roccc_core.Pass.state * int * int
-(** Resume the mid-end pipeline (parse through the kernel passes) from
-    the deepest cached per-pass state, storing each newly computed
-    state back. Returns the completed mid-end state, the index of the
-    first pass that actually ran, and the number of passes that run.
-    The process-network planner uses this to share per-kernel mid-end
-    work between network and single-kernel compiles. *)
+  Roccc_core.Pass.state * origin
+(** Run every pass the job executes, resuming from the deepest cached
+    state of {!pass_keys} and storing each newly computed mid-end state
+    back (never a back-end state: see {!compile_cached}). Returns the
+    final state and where its mid end came from. The process-network
+    planner uses this to share per-kernel work between network and
+    single-kernel compiles. *)
 
 val compile_cached :
   ?cache:Cache.t ->
@@ -86,12 +94,15 @@ val compile_cached :
   job ->
   success
 (** Compile one job, consulting the cache deepest-first — the finished
-    artifact, then one chained fingerprint per mid-end pass (parse through
-    feedback-detection) — resuming compilation from the deepest cached
-    pipeline state and tracing each pass (reused passes appear with a
-    [cached] argument and zero duration). [config] enables IR
-    verification / differential checks and dumps; the job's options say
-    which passes run.
+    artifact, then the chained per-pass states of {!pass_keys} —
+    resuming compilation from the deepest cached pipeline state and
+    tracing each pass (reused passes appear with a [cached] argument and
+    zero duration). [config] enables IR verification / differential
+    checks and dumps; the job's options say which passes run.
+
+    It stores the artifact and the mid-end states, not the back-end
+    states: [serve]'s memory tier never evicts, and a kernel's back-end
+    states weigh several times its mid-end states.
 
     Executions are single-flight per full fingerprint: with a cache,
     concurrent requests for the same key collapse to one execution — the
@@ -107,11 +118,18 @@ val measure_cached :
   ?tid:int ->
   job ->
   Roccc_core.Driver.measurement
-(** Like {!compile_cached} but running the estimate-only back end (no
-    VHDL generation or linting): the mid-end resumes from the same
-    chained per-pass cache entries, so estimate runs and full runs warm
-    each other's prefixes. The measurement's slices/clock/latch numbers
-    are identical to a full compile's. Raises {!Roccc_core.Driver.Error}. *)
+(** The design metrics of one job without generating VHDL: the chain of
+    {!pass_keys} minus the VHDL layer's passes, resumed from its deepest
+    cached state. Besides the mid-end states it stores each back-end
+    state that the next pass reads an option after — the
+    [bit-width-inference] state before [pipelining] (the clock target),
+    the retimed state before [area-estimation] (the bus width) — so
+    candidates that share a back-end prefix compute it once, and a later
+    {!compile_cached} of the same job resumes from the retimed state. The
+    states in between are left out: only a job equal to this one could
+    resume from them, and a search's twelve retimed states already weigh
+    up to 0.9 MiB. The metrics equal a full compile's. Raises
+    {!Roccc_core.Driver.Error}. *)
 
 val run_batch :
   ?cache:Cache.t ->

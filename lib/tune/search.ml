@@ -1,10 +1,12 @@
 (* The search over the unroll x bus x target-ns grid: exact
    estimate-only costing on every point, full VHDL generation on the
-   Pareto front only. Both share one content-addressed pass cache, so a
-   mid-end prefix compiles once per search no matter how many candidates
+   Pareto front only. Both share one content-addressed pass cache keyed
+   by one chain from parse to area-estimation, so every distinct prefix
+   of the pipeline runs once per search no matter how many candidates
    revisit it. *)
 
 module Driver = Roccc_core.Driver
+module Pass = Roccc_core.Pass
 module Service = Roccc_service.Service
 module Scheduler = Roccc_service.Scheduler
 module Cache = Roccc_service.Cache
@@ -136,24 +138,14 @@ let options_of (st : settings) (c : candidate) : Driver.options =
     stage_budget = c.cd_stage_budget;
     decomp = c.cd_decomp }
 
-(* Evaluate [f] on candidate indices in two waves: one representative per
-   distinct mid-end state key first, then everyone else — so
-   the wide wave finds every distinct mid-end prefix already cached
-   instead of racing to compile it on several workers at once. *)
-let eval_waves ~(num_domains : int) ~(fp : int -> string)
+(* Evaluate [f] on candidate indices in waves: for each key function in
+   turn, one representative per distinct key among the candidates not yet
+   run, then everyone left. Each wave finds the prefixes the previous
+   waves computed already cached, instead of racing to compute them on
+   several workers at once. *)
+let eval_waves ~(num_domains : int) ~(keys : (int -> string) list)
     ~(f : tid:int -> int -> 'b) (idxs : int list) :
     (int * ('b, string) Stdlib.result) list =
-  let seen = Hashtbl.create 16 in
-  let reps, rest =
-    List.partition
-      (fun i ->
-        let k = fp i in
-        if Hashtbl.mem seen k then false
-        else (
-          Hashtbl.add seen k ();
-          true))
-      idxs
-  in
   let run_wave (wave : int list) =
     if wave = [] then []
     else
@@ -166,7 +158,26 @@ let eval_waves ~(num_domains : int) ~(fp : int -> string)
       in
       List.mapi (fun k i -> (i, res.(k))) wave
   in
-  run_wave reps @ run_wave rest
+  let rec go keys idxs =
+    match keys with
+    | [] -> run_wave idxs
+    | key :: more ->
+      let seen = Hashtbl.create 16 in
+      let reps, rest =
+        List.partition
+          (fun i ->
+            let k = key i in
+            if Hashtbl.mem seen k then false
+            else (
+              Hashtbl.add seen k ();
+              true))
+          idxs
+      in
+      (* sequenced: OCaml evaluates the operands of [@] right to left *)
+      let first = run_wave reps in
+      first @ go more rest
+  in
+  go keys idxs
 
 let run ?cache ?trace ?config ?(luts = []) (st : settings) ~(source : string)
     ~(entry : string) : result =
@@ -185,8 +196,14 @@ let run ?cache ?trace ?config ?(luts = []) (st : settings) ~(source : string)
           luts })
       cands
   in
-  let fp i =
-    (snd (List.hd (List.rev (Service.pass_keys jobs.(i)))) :> string)
+  let mid_end_key i = (Service.mid_end_key jobs.(i) :> string) in
+  (* the key of the last data-path state: after retiming, or pipelining
+     when retiming is disabled *)
+  let pipeline_key i =
+    List.fold_left
+      (fun key ((p : Pass.pass), (k : Roccc_service.Fingerprint.t)) ->
+        if p.Pass.layer = Pass.Datapath then (k :> string) else key)
+      "" (Service.pass_keys jobs.(i))
   in
   let span ~tid ~t0 name tier =
     match trace with
@@ -202,9 +219,10 @@ let run ?cache ?trace ?config ?(luts = []) (st : settings) ~(source : string)
   let meas : Driver.measurement option array = Array.make n None in
 
   (* Exact estimate-only costing (identical metrics to a full compile,
-     minus the VHDL) on every grid point. *)
+     minus the VHDL) on every grid point; it stores the retimed states,
+     so the full compiles below resume from them. *)
   let est_results =
-    eval_waves ~num_domains:st.st_domains ~fp
+    eval_waves ~num_domains:st.st_domains ~keys:[ mid_end_key; pipeline_key ]
       ~f:(fun ~tid i ->
         let t0 = Unix.gettimeofday () in
         let m = Service.measure_cached ~cache ?config ?trace ~tid jobs.(i) in
@@ -243,9 +261,10 @@ let run ?cache ?trace ?config ?(luts = []) (st : settings) ~(source : string)
       status.(i) <- (if List.mem i front_idx then On_front else Dominated))
     feasible;
 
-  (* Full compiles (VHDL generation + lint) on the front only. *)
+  (* Full compiles (VHDL generation + lint) on the front only, in one
+     wave: every prefix they share is already cached. *)
   let full_results =
-    eval_waves ~num_domains:st.st_domains ~fp
+    eval_waves ~num_domains:st.st_domains ~keys:[]
       ~f:(fun ~tid i ->
         let t0 = Unix.gettimeofday () in
         let s = Service.compile_cached ~cache ?config ?trace ~tid jobs.(i) in

@@ -3,18 +3,25 @@
     generation on the Pareto front only.
 
     {ul
-    {- {b estimate} — the real back end minus VHDL generation and
-       linting ({!Roccc_core.Driver.estimate_back_end}) on every grid
-       point. Its slices/clock/latch numbers are {e identical} to a full
+    {- {b estimate} — every pass but VHDL generation and linting
+       ({!Roccc_service.Service.measure_cached}) on every grid point.
+       Its slices/clock/latch numbers are {e identical} to a full
        compile's, so exact feasibility filtering and Pareto-front
        extraction here cannot drop a true front point.}
     {- {b full} — {!Roccc_service.Service.compile_cached} on the front
-       only, producing the VHDL. The cached mid-end prefix is shared by
-       both, so each distinct mid-end compiles once per search.}}
+       only, producing the VHDL.}}
 
-    Candidates sharing a front-end options fingerprint are seeded one
-    representative first, then fanned across the domain scheduler, so a
-    parallel search still compiles each distinct mid-end prefix once. *)
+    Both share one cache keyed by one chain of per-pass keys from parse
+    to area-estimation, so each distinct prefix runs once per search:
+    the mid end and the back end through bit-width inference once per
+    unroll factor, pipelining and retiming once per (unroll, target-ns),
+    area estimation once per point. A front point's full compile resumes
+    from the retimed state its estimate stored.
+
+    Costing fans across the domain scheduler in three waves: one
+    candidate per distinct mid end, then one per distinct retimed
+    pipeline, then the rest, so a parallel search still computes each
+    distinct prefix once. *)
 
 type space = {
   sp_unroll : int list;
@@ -97,7 +104,7 @@ val run :
   result
 (** Deterministic for fixed inputs regardless of [st_domains]. Candidate
     evaluations appear in [trace] as [cat "tune"] spans wrapping the
-    per-pass spans; reused mid-end passes show up as zero-duration spans
+    per-pass spans; reused passes show up as zero-duration spans
     with a [cached] argument. Raises nothing: per-candidate failures are
     recorded as {!Failed} rows. *)
 

@@ -89,17 +89,6 @@ let successors (b : block) : label list =
   | Branch (_, l1, l2) -> [ l1; l2 ]
   | Ret -> []
 
-(** Registers defined by a block (phis then instrs). *)
-let block_defs (b : block) : Instr.vreg list =
-  List.map (fun p -> p.phi_dst) b.phis
-  @ List.filter_map (fun (i : Instr.instr) -> i.Instr.dst) b.instrs
-
-(** Registers used by a block's instructions and terminator (phi uses are
-    attributed to predecessors by analyses that need that precision). *)
-let block_uses (b : block) : Instr.vreg list =
-  List.concat_map (fun (i : Instr.instr) -> i.Instr.srcs) b.instrs
-  @ (match b.term with Branch (r, _, _) -> [ r ] | Jump _ | Ret -> [])
-
 let all_instrs (p : t) : Instr.instr list =
   List.concat_map (fun b -> b.instrs) p.blocks
 

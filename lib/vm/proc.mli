@@ -54,8 +54,6 @@ val find_block : t -> label -> block
 val entry : t -> block
 
 val successors : block -> label list
-val block_defs : block -> Instr.vreg list
-val block_uses : block -> Instr.vreg list
 val all_instrs : t -> Instr.instr list
 
 val reg_universe : t -> int

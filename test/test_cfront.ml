@@ -283,6 +283,48 @@ let test_semant_block_scope () =
        \  return s + i;\n\
         }\n")
 
+(* The interpreter and the lowering keep one variable per name per
+   function, so a declaration that shadows a visible name is rejected;
+   sibling blocks may still each declare the same name. *)
+let test_semant_rejects_shadowing () =
+  let rejects what src =
+    match Semant.check_program (Parser.parse_program src) with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Semant.Error msg ->
+      Alcotest.(check string) what
+        "function k: declaration of t shadows the t already in scope" msg
+  in
+  rejects "block local shadows a function local"
+    "void k(int A[8], int B[8]) {\n\
+    \  int i;\n\
+    \  for (i = 0; i < 8; i = i + 1) {\n\
+    \    int t; t = A[i];\n\
+    \    if (A[i] > 3) { int8 t; t = 300; }\n\
+    \    B[i] = t;\n\
+    \  }\n\
+     }\n";
+  rejects "redeclared in the same block"
+    "int k(int a) { int t; int t; t = a; return t; }";
+  rejects "local shadows a parameter" "int k(int t) { int t; t = 1; return t; }";
+  rejects "local shadows a global" "int t; int k(int a) { int t; t = a; return t; }";
+  Alcotest.(check bool) "sibling branches each declare t" true
+    (semant_ok
+       "void k(int A[8], int B[8]) {\n\
+       \  int i;\n\
+       \  for (i = 0; i < 8; i = i + 1) {\n\
+       \    if (A[i] > 3) { int t; t = A[i]; B[i] = t; }\n\
+       \    else { int t; t = 0 - A[i]; B[i] = t; }\n\
+       \  }\n\
+        }\n");
+  Alcotest.(check bool) "sequential loops each declare t" true
+    (semant_ok
+       "int k(int A[8]) {\n\
+       \  int i; int s; s = 0;\n\
+       \  for (i = 0; i < 4; i = i + 1) { int t; t = A[i]; s = s + t; }\n\
+       \  for (i = 4; i < 8; i = i + 1) { int t; t = A[i]; s = s - t; }\n\
+       \  return s;\n\
+        }\n")
+
 let test_semant_rejects_recursion () =
   Alcotest.(check bool) "direct" false
     (semant_ok "int f(int n) { return f(n - 1); }");
@@ -695,6 +737,8 @@ let suites =
         test_semant_rejects_recursion;
       Alcotest.test_case "function scope" `Quick test_semant_function_scope;
       Alcotest.test_case "block scope" `Quick test_semant_block_scope;
+      Alcotest.test_case "shadowing rejected" `Quick
+        test_semant_rejects_shadowing;
       Alcotest.test_case "rejects ill-formed programs" `Quick
         test_semant_rejects_bad_programs;
       Alcotest.test_case "lookup-table signatures" `Quick test_semant_luts;

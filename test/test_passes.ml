@@ -299,6 +299,48 @@ let test_recompile_identical () =
   Alcotest.(check (list string))
     "identical trace" c1.Driver.pass_trace c2.Driver.pass_trace
 
+(* Pipeline states are shared across compiles (the service's per-pass
+   cache), so no pass may mutate the procedure of its input state: SSA
+   conversion and the optimizer rewrite a copy, and data-path building
+   takes its copy registers from one. Stepping a pass twice from one
+   state gives equal procedures. *)
+let test_vm_passes_leave_input_unchanged () =
+  let source =
+    "void k(int A[8], int B[8]) {\n\
+    \  int i;\n\
+    \  for (i = 0; i < 8; i = i + 1) {\n\
+    \    int t;\n\
+    \    if (A[i] > 3) { t = A[i] + 1; } else { t = A[i] * 2; }\n\
+    \    B[i] = t + t;\n\
+    \  }\n\
+     }\n"
+  in
+  let config = quiet_config () in
+  let find name = Option.get (Pass.find name) in
+  let st =
+    Pass.run ~config
+      (Pass.front_passes @ Pass.kernel_passes @ [ find "lower-to-suifvm" ])
+      (Pass.initial ~options:Driver.default_options ~entry:"k" source)
+  in
+  let proc (st : Pass.state) = Option.get st.Pass.st_proc in
+  let snapshot st = Proc.to_string (proc st), Proc.reg_universe (proc st) in
+  let step_twice name st =
+    let before = snapshot st in
+    let st1 = Pass.step ~config (find name) st in
+    let st2 = Pass.step ~config (find name) st in
+    Alcotest.(check (pair string int))
+      (name ^ " leaves the input procedure unchanged") before (snapshot st);
+    Alcotest.(check string)
+      (name ^ " gives the same procedure from a shared state")
+      (Proc.to_string (proc st1)) (Proc.to_string (proc st2));
+    st1
+  in
+  let ssa = step_twice "ssa-and-cfg" st in
+  Alcotest.(check bool) "ssa-and-cfg rewrote its copy" false
+    (String.equal (Proc.to_string (proc st)) (Proc.to_string (proc ssa)));
+  let opt = step_twice "vm-optimize" ssa in
+  ignore (step_twice "datapath-build" opt)
+
 let test_id_gen_registry () =
   let g = Roccc_util.Id_gen.create ~start:7 () in
   Roccc_util.Id_gen.register g;
@@ -342,4 +384,6 @@ let suites =
         Alcotest.test_case "recompilation is byte-identical" `Quick
           test_recompile_identical;
         Alcotest.test_case "id generator registry resets" `Quick
-          test_id_gen_registry ] ) ]
+          test_id_gen_registry;
+        Alcotest.test_case "VM passes leave their input unchanged" `Quick
+          test_vm_passes_leave_input_unchanged ] ) ]

@@ -75,12 +75,23 @@ let test_cache_miss_on_option_change () =
   Alcotest.check origin "source change is cold" Service.Cold
     r4.Service.r_origin
 
-let mid_keys job = List.map snd (Service.pass_keys job)
+(* The keys of [job]'s chain, with their pass names, in execution order. *)
+let keys_by_pass job =
+  List.map (fun ((p : Pass.pass), k) -> p.Pass.name, k) (Service.pass_keys job)
+
+(* The passes whose keys differ between two jobs running the same passes. *)
+let moved_keys a b =
+  List.filter_map
+    (fun ((name, ka), (_, kb)) -> if ka = kb then None else Some name)
+    (List.combine (keys_by_pass a) (keys_by_pass b))
 
 let test_option_fingerprints () =
   let base = fir_job () in
   let bus2 =
     fir_job ~options:{ Driver.default_options with Driver.bus_elements = 2 } ()
+  in
+  let tns3 =
+    fir_job ~options:{ Driver.default_options with Driver.target_ns = 3.0 } ()
   in
   let unroll2 =
     fir_job
@@ -90,10 +101,19 @@ let test_option_fingerprints () =
   Alcotest.(check bool) "full key sees the bus width" false
     (Service.full_key base = Service.full_key bus2);
   Alcotest.(check bool) "bus width moves no mid-end key" true
-    (mid_keys base = mid_keys bus2);
-  let last_key job = List.hd (List.rev (mid_keys job)) in
+    (Service.mid_end_key base = Service.mid_end_key bus2);
+  Alcotest.(check (list string)) "bus width moves only area-estimation"
+    [ "area-estimation" ] (moved_keys base bus2);
+  Alcotest.(check (list string)) "clock target moves pipelining onwards"
+    [ "pipelining"; "retiming"; "vhdl-generation"; "vhdl-lint";
+      "area-estimation" ]
+    (moved_keys base tns3);
+  Alcotest.(check (list string)) "the chain runs parse to area-estimation"
+    [ "parse"; "area-estimation" ]
+    (let names = List.map fst (keys_by_pass base) in
+     [ List.hd names; List.hd (List.rev names) ]);
   Alcotest.(check bool) "unroll factor moves the mid-end state key" false
-    (last_key base = last_key unroll2)
+    (Service.mid_end_key base = Service.mid_end_key unroll2)
 
 (* Regression: the finished artifact's key includes the passes that run —
    a job disabling an optional pass must not be served the default job's

@@ -212,7 +212,9 @@ let test_deterministic_across_domains () =
 let test_cache_shares_midend () =
   (* all candidates share unroll=1, so the whole grid has one mid-end
      prefix: every mid-end pass must compile exactly once, and every
-     later candidate must reuse it (zero-duration [cached] spans) *)
+     later candidate must reuse it (zero-duration [cached] spans). The
+     back end is shared too: everything before pipelining runs once,
+     pipelining and retiming once per clock target. *)
   let obj = Objective.Max_mhz { slice_budget = Roccc_fpga.Area.xc2v2000_slices } in
   let st =
     { (settings obj) with
@@ -244,7 +246,59 @@ let test_cache_shares_midend () =
     (fun (s : Trace.span) ->
       Alcotest.(check (float 0.0)) "cached spans have zero duration" 0.0
         s.Trace.sp_dur_s)
-    parse_cached
+    parse_cached;
+  let runs name =
+    List.length
+      (List.filter
+         (fun (s : Trace.span) ->
+           s.Trace.sp_cat = "pass" && s.Trace.sp_name = name
+           && not (List.mem_assoc "cached" s.Trace.sp_args))
+         spans)
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check int) (name ^ " runs once for the whole search") 1
+        (runs name))
+    [ "lower-to-suifvm"; "ssa-and-cfg"; "vm-optimize"; "datapath-build";
+      "bit-width-inference" ];
+  List.iter
+    (fun name ->
+      Alcotest.(check int) (name ^ " runs once per target-ns") 2 (runs name))
+    [ "pipelining"; "retiming" ]
+
+(* A front point's full compile resumes from the retimed state its
+   estimate stored; its VHDL must still be byte-equal to a plain
+   compile at that point's options. *)
+let test_front_vhdl_matches_compile () =
+  let obj = Objective.Max_mhz { slice_budget = 4000 } in
+  List.iter
+    (fun (name, source, entry, luts) ->
+      let st = { (settings obj) with Search.st_space = Search.default_space } in
+      let r = Search.run ~luts st ~source ~entry in
+      Alcotest.(check bool) (name ^ ": front is non-empty") true
+        (r.Search.res_front <> []);
+      List.iter
+        (fun ((rw : Search.row), (s : Service.success)) ->
+          let c = rw.Search.rw_cand in
+          let options =
+            { st.Search.st_base with
+              Driver.unroll_outer_factor = c.Search.cd_unroll;
+              bus_elements = c.Search.cd_bus;
+              target_ns = c.Search.cd_target_ns;
+              stage_budget = c.Search.cd_stage_budget;
+              decomp = c.Search.cd_decomp }
+          in
+          let compiled = Driver.compile ~options ~luts ~entry source in
+          Alcotest.(check (list (pair string string)))
+            (rw.Search.rw_label ^ ": VHDL equals Driver.compile")
+            (Service.vhdl_files compiled) s.Service.r_vhdl)
+        r.Search.res_front)
+    (let dct = Roccc_core.Kernels.dct in
+     [ "fir16", fir16_source, "fir", [];
+       ( "dct",
+         dct.Roccc_core.Kernels.source,
+         dct.Roccc_core.Kernels.entry,
+         dct.Roccc_core.Kernels.luts ) ])
 
 let test_duplicate_axis_points_collapse () =
   let obj = Objective.Min_latch_bits in
@@ -327,6 +381,8 @@ let suites =
           test_deterministic_across_domains;
         Alcotest.test_case "mid-end compiles once across candidates" `Quick
           test_cache_shares_midend;
+        Alcotest.test_case "front VHDL equals a plain compile" `Quick
+          test_front_vhdl_matches_compile;
         Alcotest.test_case "duplicate axis points collapse" `Quick
           test_duplicate_axis_points_collapse ] );
     ( "tune.cli",

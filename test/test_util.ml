@@ -55,20 +55,6 @@ let test_controller_lifecycle () =
   step c;
   Alcotest.(check bool) "done when all retired" true (is_done c)
 
-let test_proc_block_uses () =
-  let open Roccc_vm in
-  let proc = Proc.create "t" in
-  let b = Proc.fresh_block proc in
-  let k = Roccc_cfront.Ast.int32_kind in
-  let r0 = Proc.fresh_reg proc k in
-  let r1 = Proc.fresh_reg proc k in
-  let r2 = Proc.fresh_reg proc k in
-  b.Proc.instrs <- [ Instr.make ~dst:r2 Instr.Add [ r0; r1 ] k ];
-  b.Proc.term <- Proc.Branch (r2, 0, 0);
-  Alcotest.(check (list int)) "defs" [ r2 ] (Proc.block_defs b);
-  Alcotest.(check (list int)) "uses include branch reg" [ r0; r1; r2 ]
-    (List.sort compare (Proc.block_uses b))
-
 let test_instr_printing () =
   let open Roccc_vm in
   let k = Roccc_cfront.Ast.int32_kind in
@@ -86,5 +72,4 @@ let suites =
       Alcotest.test_case "binary rendering" `Quick test_bits_binary_string;
       Alcotest.test_case "controller lifecycle" `Quick
         test_controller_lifecycle;
-      Alcotest.test_case "block defs/uses" `Quick test_proc_block_uses;
       Alcotest.test_case "instruction printing" `Quick test_instr_printing ] ]
