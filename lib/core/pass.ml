@@ -709,7 +709,13 @@ let partial_unroll_pass =
     layer = Hir;
     optional = true;
     enabled = (fun o -> o.unroll_outer_factor > 1);
-    applicable = always;
+    (* only a top-level loop is unrolled: without one the transform is
+       the identity, and skipping it lets the service's chain converge *)
+    applicable =
+      (fun st ->
+        List.exists
+          (function Ast.Sfor _ -> true | _ -> false)
+          (func_of st).Ast.body);
     transform =
       (fun st ->
         let f = func_of st in
@@ -1153,9 +1159,9 @@ let runs (options : options) (p : pass) : bool =
   && not (p.optional && List.mem p.name options.disabled_passes)
 
 (** The passes of [passes] that would execute under [options], in order —
-    the basis for the service's cache keys. (A pass whose dynamic
-    [applicable] gate skips is still listed: the skip is a deterministic
-    function of the inputs, so the keys remain sound.) *)
+    the basis for the service's cache keys. A pass whose dynamic
+    [applicable] gate later skips is listed too; {!step} then returns its
+    input state physically, and the service chains no key for it. *)
 let executed (options : options) (passes : pass list) : pass list =
   List.filter (runs options) passes
 

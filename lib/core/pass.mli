@@ -173,12 +173,13 @@ val executed : options -> pass list -> pass list
 (** The passes that would execute under the options, in order: a pass
     runs when its option gate is open and, if it is optional,
     [disabled_passes] does not name it. The basis for the service's
-    cache keys. (A pass whose dynamic [applicable] gate later skips is
-    still listed; the skip is a deterministic function of the pass
-    inputs, so the keys stay sound.) *)
+    cache keys. A pass whose dynamic [applicable] gate later skips is
+    listed too: {!step} then returns its input state physically ([==]),
+    and the service chains no key for it, so jobs that differ only in
+    what the skipped pass reads share the states after it. *)
 
 val step : ?config:config -> pass -> state -> state
-(** Run one pass (or skip it, returning the state unchanged, when its
+(** Run one pass (or skip it, returning the input state itself, when its
     gates say so): transform, trace, instrument, then verify / check /
     dump according to [config]. Raises {!Error} with the pass name. *)
 

@@ -227,13 +227,93 @@ let fenv_of (prog : program) (f : func) : fenv =
   in
   { arrays; scalars; pointers; globals }
 
+module Elements = Set.Make (struct
+  type t = string * int list
+
+  let compare = compare
+end)
+
+let offset_text = function
+  | [ c ] -> Printf.sprintf "%+d" c
+  | cs -> "(" ^ String.concat "," (List.map (Printf.sprintf "%+d") cs) ^ ")"
+
+(* The affine array elements [stmts] writes, one per write site, in
+   program order. *)
+let rec write_sites ~indices ~(env : fenv) (stmts : stmt list) :
+    (string * int list) list =
+  List.concat_map
+    (fun s ->
+      match s with
+      | Sassign (Lindex (arr, idx), _) when M.mem arr env.arrays ->
+        Option.to_list
+          (Option.map (fun o -> arr, o) (offset_vector ~indices idx))
+      | Sif (_, th, el) ->
+        write_sites ~indices ~env th @ write_sites ~indices ~env el
+      | Sassign _ | Sdecl _ | Sfor _ | Sreturn _ | Sexpr _ -> [])
+    stmts
+
+(* The array elements every path through [stmts] writes. *)
+let rec definitely_written ~indices ~(env : fenv) (written : Elements.t)
+    (stmts : stmt list) : Elements.t =
+  List.fold_left
+    (fun w s ->
+      match s with
+      | Sassign (Lindex (arr, idx), _) when M.mem arr env.arrays -> (
+        match offset_vector ~indices idx with
+        | Some o -> Elements.add (arr, o) w
+        | None -> w)
+      | Sif (_, th, el) ->
+        Elements.inter
+          (definitely_written ~indices ~env w th)
+          (definitely_written ~indices ~env w el)
+      | Sassign _ | Sdecl _ | Sfor _ | Sreturn _ | Sexpr _ -> w)
+    written stmts
+
 (* Collect and rewrite array accesses in the loop body. Returns the body with
    reads replaced by window scalars and writes replaced by Tmp scalars,
-   plus the recorded accesses and (write-port expressions). *)
+   plus the recorded accesses and (write-port expressions).
+
+   Each written element gets one output port and one Tmp scalar. An
+   element written once keeps Figure 3b's in-place declaration; one
+   written at several sites (both branches of an if, or a write then an
+   overwrite) has its scalar declared at the top of the body, so
+   if-conversion muxes the writes and the last write on each path wins.
+   An element some path leaves unwritten is rejected: C keeps its old
+   value there, which the output stream cannot express. *)
 let rewrite_body ~indices ~(env : fenv) (body : stmt list) =
   let acc = { reads = []; writes = [] } in
-  let out_counter = Roccc_util.Id_gen.create () in
-  let outputs = ref [] in  (* (port, kind, array, offset) *)
+  let sites = write_sites ~indices ~env body in
+  acc.writes <-
+    List.fold_left
+      (fun els el -> if List.mem el els then els else els @ [ el ])
+      [] sites;
+  let every_path = definitely_written ~indices ~env Elements.empty body in
+  List.iter
+    (fun (arr, offset) ->
+      if not (Elements.mem (arr, offset) every_path) then
+        errf "array %s: the element at offset %s is written on some paths \
+              only; write it on every path (C would keep its old value)"
+          arr (offset_text offset))
+    acc.writes;
+  let ports =
+    List.mapi (fun n el -> el, Printf.sprintf "Tmp%d" n) acc.writes
+  in
+  let several el = List.length (List.filter (( = ) el) sites) > 1 in
+  let kind_of arr = fst (M.find arr env.arrays) in
+  let outputs =
+    List.map
+      (fun ((arr, offset), port) ->
+        let kind, dims = M.find arr env.arrays in
+        port, kind, `Array (arr, dims, offset))
+      ports
+  in
+  let hoisted =
+    List.filter_map
+      (fun (((arr, _) as el), port) ->
+        if several el then Some (Sdecl (Tint (kind_of arr), port, None))
+        else None)
+      ports
+  in
   let record_read arr offset =
     if not (List.mem (arr, offset) acc.reads) then
       acc.reads <- acc.reads @ [ arr, offset ]
@@ -258,15 +338,14 @@ let rewrite_body ~indices ~(env : fenv) (body : stmt list) =
     | Sassign (Lindex (arr, idx), e) when M.mem arr env.arrays -> (
       match offset_vector ~indices idx with
       | Some offset ->
-        acc.writes <- acc.writes @ [ arr, offset ];
-        let kind, dims = M.find arr env.arrays in
-        let port = Printf.sprintf "Tmp%d" (Roccc_util.Id_gen.fresh out_counter) in
-        outputs := !outputs @ [ port, kind, `Array (arr, dims, offset) ];
+        let port = List.assoc (arr, offset) ports in
         let e' = replace_reads e in
         (* Figure 3b keeps both: Tmp0 = expr; C[i] = Tmp0; *)
-        [ Sdecl (Tint kind, port, None);
-          Sassign (Lvar port, e');
-          Sassign (Lindex (arr, idx), Var port) ]
+        let assign =
+          [ Sassign (Lvar port, e'); Sassign (Lindex (arr, idx), Var port) ]
+        in
+        if several (arr, offset) then assign
+        else Sdecl (Tint (kind_of arr), port, None) :: assign
       | None -> errf "array write %s[...] is not affine in the loop indices" arr)
     | Sassign (lv, e) -> [ Sassign (lv, replace_reads e) ]
     | Sdecl (t, n, init) -> [ Sdecl (t, n, Option.map replace_reads init) ]
@@ -275,8 +354,8 @@ let rewrite_body ~indices ~(env : fenv) (body : stmt list) =
     | Sreturn _ -> errf "return inside kernel loop is not supported"
     | Sexpr e -> [ Sexpr (replace_reads e) ]
   in
-  let body' = rw body in
-  body', acc, !outputs
+  let body' = hoisted @ rw body in
+  body', acc, outputs
 
 (* Every access must stay inside its array's declared dimensions over the
    whole iteration space: the smart buffer and the output address

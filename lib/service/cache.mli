@@ -12,7 +12,8 @@
     finished artifacts — the VHDL text plus estimates — are additionally
     persisted under a disk directory when one is given, surviving the
     process. Which states are stored is the caller's choice
-    ({!Service.compile_cached} stores mid-end states only). *)
+    ({!Service.compile_cached} stores mid-end states unless asked to share
+    the back end). *)
 
 (** A finished compilation, reduced to plain data (safe to marshal). *)
 type artifact = {

@@ -31,7 +31,7 @@ let lut_part (t : Lut_conv.table) : string =
 (* The cache format and compiler version. It must move whenever a pass's
    output changes under an unchanged option fingerprint, or an existing
    cache directory would keep serving stale designs. *)
-let version = "roccc-cache-v5"
+let version = "roccc-cache-v6"
 
 let digest parts = Digest.to_hex (Digest.string (String.concat "\x00" parts))
 
@@ -50,13 +50,15 @@ let make ~(source : string) ~(entry : string) ~(luts : Lut_conv.table list)
     (inputs ~tag:"full" ~source ~entry ~luts
     @ List.concat_map (fun (name, fp) -> [ name; fp ]) passes)
 
-(* Per-pass chained keys: the key after pass N is a digest of the key
-   after pass N-1, the pass name and that pass's own option fingerprint.
-   Equal chains mean "same pipeline state", from parse to
-   area-estimation: two option records share every state up to the first
-   pass that reads a field where they differ — a bus-width sweep shares
-   all but area-estimation, a clock-target sweep everything before
-   pipelining. *)
+(* Per-pass chained keys: the key of the state a pass produces is a
+   digest of the key of the state it read, the pass name and that pass's
+   own option fingerprint. Equal chains mean "same pipeline state", from
+   parse to area-estimation: two option records share every state up to
+   the first pass that reads a field where they differ — a bus-width
+   sweep shares all but area-estimation, a clock-target sweep everything
+   before pipelining. A pass that is skipped at run time (its
+   [applicable] gate is false) returns its input, so the service chains
+   no link for it and the next pass chains from the same key. *)
 
 let seed ~(source : string) ~(entry : string)
     ~(luts : Lut_conv.table list) : t =

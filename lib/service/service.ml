@@ -2,18 +2,21 @@
    scheduler + structured tracing, over the pass-manager pipeline.
 
    A job is (source, entry, options, luts). Compilation consults the cache
-   deepest-first at per-pass granularity:
+   at per-pass granularity:
 
      full artifact (every pass that runs) -> memory or disk
-     one chained key per pass             -> pipeline state, memory only
+     one chained key per state            -> pipeline state, memory only
 
-   The chained keys cover every pass, parse through area-estimation; each
-   link digests the previous link, the pass name and that pass's own
-   option fingerprint, so a warm rerun costs one lookup and an option
-   change re-runs only from the first pass that reads it. A compile
-   stores the mid-end states (parse through feedback-detection); the
-   tuner's costing ([measure_cached]) also stores the back-end states
-   another job can branch from. *)
+   Each link of the chain digests the previous link, the pass name and
+   that pass's own option fingerprint, so an option change re-runs only
+   from the first pass that reads it. A pass that does not apply (its
+   [applicable] gate skips it) adds no link: the mid end walks forward
+   and converges with every job that reaches the same state, whatever
+   the skipped pass would have read. The back end's keys chain from the
+   converged mid-end key and are probed deepest first. A compile stores
+   the mid-end states (parse through feedback-detection); the tuner's
+   costing ([measure_cached]) and front compiles also store the
+   back-end states another job can branch from. *)
 
 module Driver = Roccc_core.Driver
 module Pass = Roccc_core.Pass
@@ -129,20 +132,25 @@ let full_key (job : job) : Fingerprint.t =
 
 (* The chained per-pass fingerprints of the passes of [passes] the job
    runs, in execution order: one (pass, key-of-state-after-it) each. *)
-let chain_keys (job : job) (passes : Pass.pass list) :
+(* The key of the state [p] produces from the state keyed [key]. *)
+let link (job : job) (key : Fingerprint.t) (p : Pass.pass) : Fingerprint.t =
+  Fingerprint.chain key ~pass:p.Pass.name
+    ~options_fp:(p.Pass.fingerprint job.options)
+
+let seed_key (job : job) : Fingerprint.t =
+  Fingerprint.seed ~source:job.source ~entry:job.entry ~luts:job.luts
+
+(* The static chain from [from] (default: the job's seed) over the passes
+   of [passes] the job runs, as if every one applied. *)
+let chain_keys ?from (job : job) (passes : Pass.pass list) :
     (Pass.pass * Fingerprint.t) list =
-  let seed =
-    Fingerprint.seed ~source:job.source ~entry:job.entry ~luts:job.luts
-  in
+  let from = match from with Some k -> k | None -> seed_key job in
   let _, keyed =
     List.fold_left
-      (fun (fp, acc) (p : Pass.pass) ->
-        let fp =
-          Fingerprint.chain fp ~pass:p.Pass.name
-            ~options_fp:(p.Pass.fingerprint job.options)
-        in
-        fp, (p, fp) :: acc)
-      (seed, []) (Pass.executed job.options passes)
+      (fun (key, acc) p ->
+        let key = link job key p in
+        key, (p, key) :: acc)
+      (from, []) (Pass.executed job.options passes)
   in
   List.rev keyed
 
@@ -171,68 +179,98 @@ let traced_config ?trace ~tid (job : job) (base_config : Pass.config) :
                 ())
             trace) }
 
-(* Run the chain of [passes] from its deepest cached state, storing each
-   newly computed mid-end state back. With [share_back_end] it also stores
-   each back-end state whose next pass reads an option, since only there
-   can another job's chain leave this one: before [pipelining] (the clock
-   target) and before [area-estimation] (the bus width; in the costing
-   chain that is also where a full compile goes on to the VHDL passes).
-   Only a job equal to this one could resume from the states in between.
-   Returns the final state and where its mid end came from. Reused passes
-   appear in [trace] with a [cached] argument and zero duration. *)
+(* Run the chain of [passes], storing each newly computed mid-end state.
+
+   The mid end walks forward from the seed: each pass's key chains the
+   key of the state it reads, so a hit adopts the stored state and a miss
+   steps the pass. A pass that [Pass.step] skips (its [applicable] gate
+   is false) returns its input physically and leaves the key unchanged,
+   so jobs whose options differ only in what a skipped pass would have
+   read converge on one chain: a loop-free kernel at every unroll factor
+   shares unroll 1's states.
+
+   The back end keeps static keys chained from the converged mid-end key
+   and is probed deepest first. With [share_back_end] it also stores each
+   back-end state whose next pass reads an option, since only there can
+   another job's chain leave this one: before [pipelining] (the clock
+   target) and before [area-estimation] (the bus width). Only a job equal
+   to this one could resume from the states in between. Returns the final
+   state and where its mid end came from. Reused passes appear in [trace]
+   with a [cached] argument and zero duration. *)
 let resume ?cache ~(share_back_end : bool) ~(config : Pass.config) ?trace
     ~tid (job : job) (passes : Pass.pass list) : Pass.state * origin =
-  let keyed = Array.of_list (chain_keys job passes) in
-  let n = Array.length keyed in
+  let executed = Pass.executed job.options passes in
   let n_mid = List.length (Pass.executed job.options mid_passes) in
-  (* deepest cached state first *)
-  let rec probe i =
-    if i < 0 then None
-    else
-      match Option.bind cache (fun c -> Cache.find_state c (snd keyed.(i))) with
-      | Some st -> Some (i, st)
-      | None -> probe (i - 1)
+  let mid = List.filteri (fun i _ -> i < n_mid) executed in
+  let back = List.filteri (fun i _ -> i >= n_mid) executed in
+  let find key = Option.bind cache (fun c -> Cache.find_state c key) in
+  let store key st =
+    Option.iter (fun c -> Cache.store c key (Cache.State st)) cache
   in
-  let st, start_idx =
-    match if cache = None then None else probe (n - 1) with
-    | Some (idx, st) ->
-      (* No pass mutates its input state, so a cached state is shared
-         as is; re-bind the job-specific options (the chain guarantees
-         every option field a reused pass reads is equal). Reused passes
-         get zero-duration spans so the trace still shows the full
-         Figure 1 pipeline. *)
-      Option.iter
-        (fun tr ->
-          let t = now () in
-          List.iter
-            (fun name ->
+  let hit = ref false in
+  (* No pass mutates its input state, so a cached state is shared as is;
+     re-bind the job-specific options (the chain guarantees every option
+     field a reused pass reads is equal). Each reused pass gets a
+     zero-duration span so the trace still shows the full Figure 1
+     pipeline. *)
+  let adopt (current : Pass.state) (cached : Pass.state) =
+    hit := true;
+    let shown = List.length current.Pass.st_trace in
+    Option.iter
+      (fun tr ->
+        let t = now () in
+        List.iteri
+          (fun k name ->
+            if k >= shown then
               Trace.add_span tr ~cat:"pass" ~tid ~name ~start_s:t ~dur_s:0.0
                 ~args:[ "job", Trace.Str job.label; "cached", Trace.Int 1 ]
                 ())
-            st.Pass.st_trace)
-        trace;
-      { st with Pass.st_options = job.options }, idx + 1
-    | None ->
+          cached.Pass.st_trace)
+      trace;
+    { cached with Pass.st_options = job.options }
+  in
+  let mid_ran = ref false in
+  let st, mid_key =
+    List.fold_left
+      (fun (st, key) (p : Pass.pass) ->
+        let key' = link job key p in
+        match find key' with
+        | Some cached -> adopt st cached, key'
+        | None ->
+          let st' = Pass.step ~config p st in
+          if st' == st then st, key
+          else begin
+            mid_ran := true;
+            store key' st';
+            st', key'
+          end)
       ( Pass.initial ~luts:job.luts ~options:job.options ~entry:job.entry
           job.source,
-        0 )
+        seed_key job )
+      mid
   in
+  let back = Array.of_list (chain_keys ~from:mid_key job back) in
+  let n = Array.length back in
+  (* deepest cached back-end state first *)
+  let rec probe i =
+    if i < 0 then st, 0
+    else
+      match find (snd back.(i)) with
+      | Some cached -> adopt st cached, i + 1
+      | None -> probe (i - 1)
+  in
+  let st, start = probe (n - 1) in
   let st = ref st in
-  let branches i =
-    i + 1 < n
-    && (let next, _ = keyed.(i + 1) in
-        next.Pass.fingerprint job.options <> "")
-  in
-  for i = start_idx to n - 1 do
-    let p, key = keyed.(i) in
+  for i = start to n - 1 do
+    let p, key = back.(i) in
     st := Pass.step ~config p !st;
-    if i < n_mid || (share_back_end && branches i) then
-      Option.iter (fun c -> Cache.store c key (Cache.State !st)) cache
+    if
+      share_back_end && i + 1 < n
+      && (fst back.(i + 1)).Pass.fingerprint job.options <> ""
+    then store key !st
   done;
   ( !st,
-    if start_idx = 0 then Cold
-    else if start_idx < n_mid then Warm_partial
-    else Warm_stage )
+    if not !hit then Cold else if !mid_ran then Warm_partial else Warm_stage )
 
 let run_chain ?cache ~config ?trace ~tid (job : job) : Pass.state * origin =
   resume ?cache ~share_back_end:false ~config ?trace ~tid job Pass.all_passes
@@ -262,7 +300,8 @@ let prepare ?config ?trace ~tid (job : job) : Pass.config * Pass.config =
     artifact (origin {!Coalesced}, a zero-duration ["coalesced"] trace
     span, and a bump of the cache's [coalesced] counter) instead of
     compiling again. Raises {!Driver.Error} on failure. *)
-let compile_cached ?cache ?config ?trace ?(tid = 0) (job : job) : success =
+let compile_cached ?cache ?(share_back_end = false) ?config ?trace ?(tid = 0)
+    (job : job) : success =
   let t0 = now () in
   let base_config, config = prepare ?config ?trace ~tid job in
   let full_key = full_key job in
@@ -270,7 +309,9 @@ let compile_cached ?cache ?config ?trace ?(tid = 0) (job : job) : success =
     success_of_artifact ~label:job.label ~elapsed:(now () -. t0) ~origin a
   in
   let execute () =
-    let st, origin = run_chain ?cache ~config ?trace ~tid job in
+    let st, origin =
+      resume ?cache ~share_back_end ~config ?trace ~tid job Pass.all_passes
+    in
     let art = artifact_of (Driver.compiled_of_state st) in
     Option.iter (fun cache -> Cache.store cache full_key (Cache.Artifact art)) cache;
     from_artifact origin art

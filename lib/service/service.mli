@@ -60,17 +60,22 @@ val full_key : job -> Fingerprint.t
     option fingerprint of every pass {!Roccc_core.Pass.executed} runs. *)
 
 val pass_keys : job -> (Roccc_core.Pass.pass * Fingerprint.t) list
-(** The chained per-pass keys of the job's whole pipeline (parse through
-    area-estimation), in execution order: one (pass, key of the state
-    after it) per pass that runs. Each key digests the previous one, the
-    pass name and the option fields that pass reads, so two jobs share
-    every state up to the first pass whose options differ: a bus-width
-    change shares all but [area-estimation], a clock-target change all
-    but [pipelining] and what follows it. *)
+(** The static chained per-pass keys of the job's whole pipeline (parse
+    through area-estimation), in execution order: one (pass, key of the
+    state after it) per pass that runs, as if every pass applied. Each
+    key digests the previous one, the pass name and the option fields
+    that pass reads, so two jobs share every state up to the first pass
+    whose options differ: a bus-width change shares all but
+    [area-estimation], a clock-target change all but [pipelining] and
+    what follows it. A compile's mid end may converge further (see
+    {!compile_cached}): a pass its [applicable] gate skips adds no link,
+    so jobs with different static keys can share states. *)
 
 val mid_end_key : job -> Fingerprint.t
-(** The key of the job's completed mid-end state (after
-    feedback-detection): jobs with equal keys share every mid-end pass. *)
+(** The static key of the job's completed mid-end state (after
+    feedback-detection): jobs with equal keys share every mid-end pass,
+    and jobs whose keys differ only through skipped passes share them
+    too. *)
 
 val run_chain :
   ?cache:Cache.t ->
@@ -79,30 +84,43 @@ val run_chain :
   tid:int ->
   job ->
   Roccc_core.Pass.state * origin
-(** Run every pass the job executes, resuming from the deepest cached
-    state of {!pass_keys} and storing each newly computed mid-end state
-    back (never a back-end state: see {!compile_cached}). Returns the
-    final state and where its mid end came from. The process-network
-    planner uses this to share per-kernel work between network and
-    single-kernel compiles. *)
+(** Run every pass the job executes, resuming from the cached states
+    as {!compile_cached} does and storing each newly computed mid-end
+    state back (never a back-end state). Returns the final state and
+    where its mid end came from. The process-network planner uses this
+    to share per-kernel work between network and single-kernel
+    compiles. *)
 
 val compile_cached :
   ?cache:Cache.t ->
+  ?share_back_end:bool ->
   ?config:Roccc_core.Pass.config ->
   ?trace:Trace.t ->
   ?tid:int ->
   job ->
   success
-(** Compile one job, consulting the cache deepest-first — the finished
-    artifact, then the chained per-pass states of {!pass_keys} —
-    resuming compilation from the deepest cached pipeline state and
-    tracing each pass (reused passes appear with a [cached] argument and
-    zero duration). [config] enables IR verification / differential
-    checks and dumps; the job's options say which passes run.
+(** Compile one job, consulting the cache — the finished artifact, then
+    the chained per-pass states — resuming compilation from the deepest
+    cached pipeline state and tracing each pass (reused passes appear
+    with a [cached] argument and zero duration). [config] enables IR
+    verification / differential checks and dumps; the job's options say
+    which passes run.
 
-    It stores the artifact and the mid-end states, not the back-end
-    states: [serve]'s memory tier never evicts, and a kernel's back-end
-    states weigh several times its mid-end states.
+    The mid end walks forward: it adopts each pass's cached state and
+    steps the pass on a miss. A pass whose [applicable] gate skips it
+    leaves the chain key unchanged, so jobs that differ only in what a
+    skipped pass reads converge on one chain (a loop-free kernel at
+    every unroll factor shares unroll 1's states). The back end's keys
+    chain from that converged mid-end key and are probed deepest first.
+
+    It stores the artifact and the mid-end states. Back-end states are
+    stored only with [share_back_end] (default [false]): then, as in
+    {!measure_cached}, each state whose next pass reads an option — the
+    linted design before [area-estimation] included — so a search's
+    front points that differ only in bus width generate and lint their
+    VHDL once. [serve] and [batch] leave it off: [serve]'s memory tier
+    never evicts, and a kernel's back-end states weigh several times its
+    mid-end states.
 
     Executions are single-flight per full fingerprint: with a cache,
     concurrent requests for the same key collapse to one execution — the

@@ -1,9 +1,9 @@
 (* The search over the unroll x bus x target-ns grid: exact
    estimate-only costing on every point, full VHDL generation on the
    Pareto front only. Both share one content-addressed pass cache keyed
-   by one chain from parse to area-estimation, so every distinct prefix
-   of the pipeline runs once per search no matter how many candidates
-   revisit it. *)
+   by one chain from parse to area-estimation, so every distinct state
+   of the pipeline is computed once per search no matter how many
+   candidates revisit it. *)
 
 module Driver = Roccc_core.Driver
 module Pass = Roccc_core.Pass
@@ -138,11 +138,13 @@ let options_of (st : settings) (c : candidate) : Driver.options =
     stage_budget = c.cd_stage_budget;
     decomp = c.cd_decomp }
 
-(* Evaluate [f] on candidate indices in waves: for each key function in
-   turn, one representative per distinct key among the candidates not yet
-   run, then everyone left. Each wave finds the prefixes the previous
-   waves computed already cached, instead of racing to compute them on
-   several workers at once. *)
+(* Evaluate [f] on candidate indices in waves: the first candidate
+   alone, which computes the prefix every candidate shares (parse onwards,
+   and for a loop-free kernel the whole back end at its clock target);
+   then, for each key function in turn, one representative per distinct
+   key among the candidates not yet run; then everyone left. Each wave
+   finds the prefixes the previous waves computed already cached, instead
+   of racing to compute them on several workers at once. *)
 let eval_waves ~(num_domains : int) ~(keys : (int -> string) list)
     ~(f : tid:int -> int -> 'b) (idxs : int list) :
     (int * ('b, string) Stdlib.result) list =
@@ -177,7 +179,8 @@ let eval_waves ~(num_domains : int) ~(keys : (int -> string) list)
       let first = run_wave reps in
       first @ go more rest
   in
-  go keys idxs
+  (* one key for all: the first wave is the first candidate *)
+  go ((fun _ -> "") :: keys) idxs
 
 let run ?cache ?trace ?config ?(luts = []) (st : settings) ~(source : string)
     ~(entry : string) : result =
@@ -261,13 +264,17 @@ let run ?cache ?trace ?config ?(luts = []) (st : settings) ~(source : string)
       status.(i) <- (if List.mem i front_idx then On_front else Dominated))
     feasible;
 
-  (* Full compiles (VHDL generation + lint) on the front only, in one
-     wave: every prefix they share is already cached. *)
+  (* Full compiles (VHDL generation + lint) on the front only: every
+     retimed state is already cached, and each compile stores its linted
+     design, so points that differ only in bus width lint it once. *)
   let full_results =
     eval_waves ~num_domains:st.st_domains ~keys:[]
       ~f:(fun ~tid i ->
         let t0 = Unix.gettimeofday () in
-        let s = Service.compile_cached ~cache ?config ?trace ~tid jobs.(i) in
+        let s =
+          Service.compile_cached ~cache ~share_back_end:true ?config ?trace
+            ~tid jobs.(i)
+        in
         span ~tid ~t0 ("full:" ^ labels.(i)) "full";
         s)
       front_idx

@@ -14,14 +14,21 @@
     Both share one cache keyed by one chain of per-pass keys from parse
     to area-estimation, so each distinct prefix runs once per search:
     the mid end and the back end through bit-width inference once per
-    unroll factor, pipelining and retiming once per (unroll, target-ns),
-    area estimation once per point. A front point's full compile resumes
-    from the retimed state its estimate stored.
+    distinct mid-end state, pipelining and retiming once per (mid-end
+    state, target-ns), area estimation once per point. A kernel with no
+    top-level loop skips partial unrolling, so all its unroll factors
+    share one mid-end state. A front point's full compile resumes from
+    the retimed state its estimate stored and stores its linted design,
+    so front points that differ only in bus width (or, loop-free, in
+    unroll factor) generate and lint their VHDL once.
 
-    Costing fans across the domain scheduler in three waves: one
-    candidate per distinct mid end, then one per distinct retimed
-    pipeline, then the rest, so a parallel search still computes each
-    distinct prefix once. *)
+    Costing fans across the domain scheduler in waves: the first
+    candidate alone, then one candidate per distinct static mid-end key,
+    then one per distinct static retimed-pipeline key, then the rest, so
+    a parallel search computes the front end every candidate shares
+    once. Static keys do not see a skipped pass: two loop-free
+    candidates with different unroll factors in one wave may still
+    compute their shared back end twice. *)
 
 type space = {
   sp_unroll : int list;

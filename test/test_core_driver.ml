@@ -63,6 +63,47 @@ let test_return_truncated () =
     (Some (Array.init 8 (fun i -> Int64.of_int ((i + 10) mod 16))))
     (List.assoc_opt "B" (Driver.interpret ~arrays c).Roccc_cfront.Interp.arrays)
 
+(* An array element written at several sites gets one output port: the
+   data path muxes the writes, and the last write on each path wins. *)
+let conditional_write_source body =
+  "void k(int A[8], int B[8]) {\n\
+  \  int i;\n\
+  \  for (i = 0; i < 8; i = i + 1) {\n" ^ body ^ "\n  }\n}\n"
+
+let test_conditional_writes () =
+  let arrays = [ "A", [| 1L; 5L; 2L; 6L; 3L; 7L; 4L; 8L |] ] in
+  List.iter
+    (fun (name, body, expected) ->
+      let c = Driver.compile ~entry:"k" (conditional_write_source body) in
+      Alcotest.(check (list string)) (name ^ ": hw = sw") []
+        (Driver.verify ~arrays c);
+      Alcotest.(check int) (name ^ ": one output port") 1
+        (List.length c.Driver.kernel.Roccc_hir.Kernel.outputs);
+      Alcotest.(check (array int64)) (name ^ ": B")
+        (Array.map Int64.of_int expected)
+        (List.assoc "B" (Driver.simulate ~arrays c).Roccc_hw.Engine.output_arrays))
+    [ ( "both branches",
+        "if (A[i] > 3) { B[i] = A[i] + 1; } else { B[i] = A[i] - 1; }",
+        [| 0; 6; 1; 7; 2; 8; 5; 9 |] );
+      ( "overwritten",
+        "B[i] = A[i] + 1; if (A[i] > 3) { B[i] = A[i] * 2; }",
+        [| 2; 10; 3; 12; 4; 14; 8; 16 |] ) ]
+
+(* C keeps an element's old value on a path that does not write it; the
+   output stream cannot, so scalar replacement rejects the kernel. *)
+let test_partial_write_rejected () =
+  match
+    Driver.compile ~entry:"k"
+      (conditional_write_source "if (A[i] > 3) { B[i] = A[i] + 1; }")
+  with
+  | _ -> Alcotest.fail "a write on one path only compiled"
+  | exception Driver.Error msg ->
+    Alcotest.(check string) "message"
+      "scalar-replacement: scalar replacement: array B: the element at \
+       offset +0 is written on some paths only; write it on every path (C \
+       would keep its old value)"
+      msg
+
 (* A lowering failure names its pass and its layer once each. *)
 let test_lowering_error_message () =
   let src =
@@ -284,7 +325,11 @@ let suites =
         Alcotest.test_case "callee locals stay private" `Quick
           test_callee_locals_private;
         Alcotest.test_case "return truncated to its kind" `Quick
-          test_return_truncated ]);
+          test_return_truncated;
+        Alcotest.test_case "array writes on every path" `Quick
+          test_conditional_writes;
+        Alcotest.test_case "array write on one path rejected" `Quick
+          test_partial_write_rejected ]);
     "core.golden",
     [ Alcotest.test_case "bit_correlator counts" `Quick
         test_bit_correlator_golden;

@@ -75,6 +75,29 @@ let test_cache_miss_on_option_change () =
   Alcotest.check origin "source change is cold" Service.Cold
     r4.Service.r_origin
 
+(* A loop-free kernel gives partial unrolling nothing to unroll: the pass
+   is skipped and leaves the chain key unchanged, so unroll 8 converges on
+   unroll 1's states and runs only the back end. *)
+let test_loop_free_unroll_converges () =
+  let cache = Cache.create () in
+  let dct = Roccc_core.Kernels.dct in
+  let job unroll =
+    { Service.label = Printf.sprintf "dct.u%d" unroll;
+      source = dct.Roccc_core.Kernels.source;
+      entry = dct.Roccc_core.Kernels.entry;
+      options = { Driver.default_options with Driver.unroll_outer_factor = unroll };
+      luts = dct.Roccc_core.Kernels.luts }
+  in
+  let r1 = Service.compile_cached ~cache (job 1) in
+  let r8 = Service.compile_cached ~cache (job 8) in
+  Alcotest.check origin "unroll 1 is cold" Service.Cold r1.Service.r_origin;
+  Alcotest.check origin "unroll 8 reuses every mid-end state"
+    Service.Warm_stage r8.Service.r_origin;
+  Alcotest.(check (list (pair string string))) "byte-equal VHDL"
+    r1.Service.r_vhdl r8.Service.r_vhdl;
+  Alcotest.(check bool) "partial-unroll skipped" false
+    (List.mem "partial-unroll" r8.Service.r_pass_trace)
+
 (* The keys of [job]'s chain, with their pass names, in execution order. *)
 let keys_by_pass job =
   List.map (fun ((p : Pass.pass), k) -> p.Pass.name, k) (Service.pass_keys job)
@@ -1581,6 +1604,8 @@ let suites =
         test_cache_hit_identical;
       Alcotest.test_case "cache miss on option change" `Quick
         test_cache_miss_on_option_change;
+      Alcotest.test_case "loop-free kernel converges across unroll" `Quick
+        test_loop_free_unroll_converges;
       Alcotest.test_case "option fingerprints" `Quick
         test_option_fingerprints;
       Alcotest.test_case "equivalent pass lists share an artifact" `Quick

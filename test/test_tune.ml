@@ -266,6 +266,38 @@ let test_cache_shares_midend () =
       Alcotest.(check int) (name ^ " runs once per target-ns") 2 (runs name))
     [ "pipelining"; "retiming" ]
 
+(* dct has no loop, so its twelve unroll x bus points per clock target
+   converge on one mid end and one back end: the mid end and the front
+   half of the back end run once, pipelining and retiming once per clock
+   target, and the front points that differ only in unroll or bus width
+   generate and lint their VHDL once per clock target. *)
+let test_loop_free_grid_converges () =
+  let dct = Roccc_core.Kernels.dct in
+  let obj = Objective.Max_mhz { slice_budget = Roccc_fpga.Area.xc2v2000_slices } in
+  let st = { (settings obj) with Search.st_space = Search.default_space } in
+  let trace = Trace.create () in
+  let r =
+    Search.run ~trace ~luts:dct.Roccc_core.Kernels.luts st
+      ~source:dct.Roccc_core.Kernels.source ~entry:dct.Roccc_core.Kernels.entry
+  in
+  Alcotest.(check int) "36 candidates" 36 r.Search.res_explored;
+  Alcotest.(check int) "every point on the front" 36
+    (List.length r.Search.res_front);
+  let spans = Trace.spans trace in
+  let runs name =
+    List.length
+      (List.filter
+         (fun (s : Trace.span) ->
+           s.Trace.sp_cat = "pass" && s.Trace.sp_name = name
+           && not (List.mem_assoc "cached" s.Trace.sp_args))
+         spans)
+  in
+  List.iter
+    (fun (name, n) -> Alcotest.(check int) (name ^ " runs") n (runs name))
+    [ "parse", 1; "ssa-and-cfg", 1; "bit-width-inference", 1;
+      "partial-unroll", 0; "pipelining", 3; "retiming", 3;
+      "vhdl-generation", 3; "vhdl-lint", 3 ]
+
 (* A front point's full compile resumes from the retimed state its
    estimate stored; its VHDL must still be byte-equal to a plain
    compile at that point's options. *)
@@ -381,6 +413,8 @@ let suites =
           test_deterministic_across_domains;
         Alcotest.test_case "mid-end compiles once across candidates" `Quick
           test_cache_shares_midend;
+        Alcotest.test_case "loop-free grid converges" `Quick
+          test_loop_free_grid_converges;
         Alcotest.test_case "front VHDL equals a plain compile" `Quick
           test_front_vhdl_matches_compile;
         Alcotest.test_case "duplicate axis points collapse" `Quick
