@@ -90,5 +90,3 @@ let next_write (g : output_gen) : int =
     g.window <- g.window + 1;
     !addr
   end
-
-let output_done (g : output_gen) : bool = g.window >= g.total

@@ -29,5 +29,3 @@ val create_output :
 val next_write : output_gen -> int
 (** Flat store address for the next window; -1 when complete. Raises
     {!Error} when the pattern escapes the output array. *)
-
-val output_done : output_gen -> bool

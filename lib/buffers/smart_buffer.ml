@@ -81,9 +81,6 @@ let capacity_bits (cfg : config) : int =
 
 let config (b : t) : config = b.cfg
 
-(** Elements still expected from memory. *)
-let remaining_fetch (b : t) : int = total_elements b.cfg - b.arrived
-
 (** Deliver the next memory word: the first [count] words of [src]
     ([<= bus_elements], in row-major order). The address generator
     guarantees in-order delivery. *)

@@ -40,9 +40,6 @@ val capacity_bits : config -> int
 val create : config -> t
 (** Raises {!Error} for empty buses or >2-D arrays. *)
 
-val remaining_fetch : t -> int
-(** Elements still expected from memory. *)
-
 val push : t -> Roccc_util.Words.t -> int -> unit
 (** [push b src count] delivers the next memory word: the first [count]
     words of [src] (up to [bus_elements] values, row-major, in order — the

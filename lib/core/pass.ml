@@ -168,9 +168,6 @@ type state = {
 
 let initial ?(luts = []) ~(options : options) ~(entry : string)
     (source : string) : state =
-  (* Reset this domain's registered id generators at compilation start so
-     repeated compiles in one process produce byte-identical IR. *)
-  Roccc_util.Id_gen.reset_registered ();
   { st_source = source;
     st_entry = entry;
     st_options = options;

@@ -92,9 +92,7 @@ val initial :
   entry:string ->
   string ->
   state
-(** Fresh pipeline state for one compilation of [source]. Also resets the
-    calling domain's registered {!Roccc_util.Id_gen} generators, keeping
-    repeated compiles in one process byte-identical. *)
+(** Fresh pipeline state for one compilation of [source]. *)
 
 val buffer_configs_of :
   bus_elements:int -> Roccc_hir.Kernel.t -> Roccc_buffers.Smart_buffer.config list

@@ -55,19 +55,6 @@ let node_inputs (n : node) : Instr.vreg list =
   |> List.filter (fun r -> not (List.mem r defs))
   |> List.sort_uniq compare
 
-(** Registers produced by [n] and consumed by other nodes (or output ports). *)
-let node_outputs (dp : t) (n : node) : Instr.vreg list =
-  let defs = node_defs n in
-  let used_elsewhere r =
-    List.exists
-      (fun (m : node) ->
-        m.id <> n.id
-        && List.exists (fun (i : Instr.instr) -> List.mem r i.Instr.srcs) m.instrs)
-      dp.nodes
-    || List.exists (fun (p : Proc.port) -> p.Proc.port_reg = r) dp.output_ports
-  in
-  List.filter used_elsewhere defs |> List.sort_uniq compare
-
 (** Registers that carry compile-time constants (Ldc results, propagated
     through Mov/Cvt) — constant multiplier/shift operands are much cheaper
     in both area and delay. *)

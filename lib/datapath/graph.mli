@@ -37,7 +37,6 @@ val is_hard : node -> bool
 
 val node_defs : node -> Instr.vreg list
 val node_inputs : node -> Instr.vreg list
-val node_outputs : t -> node -> Instr.vreg list
 
 val constant_values : t -> (Instr.vreg, int64) Hashtbl.t
 (** Registers carrying compile-time constants (Ldc, propagated through

@@ -58,9 +58,6 @@ let paper_table1 : row list =
       paper_roccc = { slices = 2415; clock_mhz = 101.0 };
       description = "2-D (5,3) lossless JPEG2000 wavelet engine (handwritten)" } ]
 
-let find_row name =
-  List.find_opt (fun r -> String.equal r.name name) paper_table1
-
 (* ------------------------------------------------------------------ *)
 (* Structural models of the hand designs                               *)
 (* ------------------------------------------------------------------ *)

@@ -16,8 +16,6 @@ type row = {
 val paper_table1 : row list
 (** The nine published rows, in Table 1 order. *)
 
-val find_row : string -> row option
-
 val model : string -> perf option
 (** Our structural estimate of the hand design for a Table 1 row name:
     distributed-arithmetic FIR/DCT, MULT18X18-based mul_acc, restoring

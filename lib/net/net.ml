@@ -199,9 +199,9 @@ let link_channels (stages : stage list) : channel list =
 (* Planning: compile every stage, then link them                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Compile one stage. With a cache the compile resumes from the deepest
-   cached per-pass state, exactly like a service compile; without one it
-   is a plain driver compile. *)
+(* Compile one stage. With a cache the compile resumes from its cached
+   mid-end states, exactly like a service compile; without one it is a
+   plain driver compile. *)
 let compile_stage ?cache ?config ~options ~luts ~source ~tid entry :
     Driver.compiled =
   match cache with

@@ -1,8 +1,8 @@
 (* The content-addressed pass cache.
 
-   In memory it maps fingerprints to intermediate pipeline states — one per
-   executed pass, keyed by the chained per-pass fingerprints — and to
-   finished artifacts (VHDL + estimates). On disk (optional, under
+   In memory it maps fingerprints to intermediate pipeline states — the
+   ones a compile keeps, keyed by the chained per-pass fingerprints — and
+   to finished artifacts (VHDL + estimates). On disk (optional, under
    _roccc_cache/) only artifacts are persisted: they are plain strings and
    numbers, so a marshalled artifact is safe to reload in any later
    process, whereas the in-memory IR values are not worth the versioning
@@ -47,7 +47,7 @@ type stats = {
   io_errors : int;  (* disk operations degraded after exhausting retries *)
   tmp_swept : int;  (* stale *.art.tmp.<pid> files removed at open *)
   contended : int;  (* lock acquisitions that found the lock held *)
-  flights : int;    (* single-flight leaders: compile executions started *)
+  flights : int;    (* counted single-flight leaders: compile executions *)
   coalesced : int;  (* followers that waited on a leader instead of compiling *)
 }
 
@@ -63,10 +63,10 @@ type t = {
   retries : int Atomic.t;
   io_errors : int Atomic.t;
   tmp_swept : int;
-  (* single-flight registry: keys whose compile is currently executing.
-     One lock + condition for the whole table — entries are rare (one per
-     concurrently-executing distinct key) and held only for registry
-     bookkeeping, never across a compile. *)
+  (* single-flight registry: keys whose artifact or state is being
+     computed. One lock + condition for the whole table — entries are
+     rare (one per concurrently computed distinct key) and the lock is
+     held only for registry bookkeeping, never across a computation. *)
   fl_lock : Mutex.t;
   fl_cond : Condition.t;
   fl_inflight : (string, unit) Hashtbl.t;
@@ -316,46 +316,62 @@ let store (t : t) (key : Fingerprint.t) (v : value) : unit =
 (* Single-flight                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Concurrent compiles of the same key collapse to one execution: the
-   first caller to enter becomes the leader (and must call [exit_flight]
-   when done, success or failure); every concurrent caller of the same
-   key blocks until the leader exits and is told it was coalesced — it
-   then finds the leader's artifact in the cache instead of recompiling.
-   The registry spans only this process; across processes sharing a
-   cache directory the disk tier deduplicates at artifact granularity
-   instead. *)
-let enter_flight (t : t) (key : Fingerprint.t) : [ `Leader | `Coalesced ] =
-  let hex = Fingerprint.to_hex key in
+(* Concurrent computations of one key collapse to one: the first caller
+   to enter becomes the leader and computes; every concurrent caller of
+   the same key blocks until the leader exits, then re-probes for what
+   the leader stored. [counted] flights (compile executions) bump
+   [flights] and [coalesced]; state flights do not. The registry spans
+   only this process; across processes sharing a cache directory the
+   disk tier deduplicates at artifact granularity instead. *)
+let enter_flight (t : t) ~(counted : bool) (hex : string) : bool =
   Mutex.lock t.fl_lock;
-  if Hashtbl.mem t.fl_inflight hex then begin
-    Atomic.incr t.fl_coalesced;
-    while Hashtbl.mem t.fl_inflight hex do
-      Condition.wait t.fl_cond t.fl_lock
-    done;
-    Mutex.unlock t.fl_lock;
-    `Coalesced
+  let leader = not (Hashtbl.mem t.fl_inflight hex) in
+  if leader then begin
+    Hashtbl.add t.fl_inflight hex ();
+    if counted then Atomic.incr t.fl_flights
   end
   else begin
-    Hashtbl.add t.fl_inflight hex ();
-    Atomic.incr t.fl_flights;
-    Mutex.unlock t.fl_lock;
-    `Leader
-  end
+    if counted then Atomic.incr t.fl_coalesced;
+    while Hashtbl.mem t.fl_inflight hex do
+      Condition.wait t.fl_cond t.fl_lock
+    done
+  end;
+  Mutex.unlock t.fl_lock;
+  leader
 
-let exit_flight (t : t) (key : Fingerprint.t) : unit =
-  let hex = Fingerprint.to_hex key in
+let exit_flight (t : t) (hex : string) : unit =
   Mutex.lock t.fl_lock;
   Hashtbl.remove t.fl_inflight hex;
   Condition.broadcast t.fl_cond;
   Mutex.unlock t.fl_lock
 
-(* A leader that re-probes after winning and finds a fresh artifact (the
-   previous leader stored and exited between this caller's cache probe
-   and its [enter_flight]) did not execute anything: retract the flight
-   so [flights] stays an exact execution count. *)
-let abort_flight (t : t) (key : Fingerprint.t) : unit =
-  Atomic.decr t.fl_flights;
-  exit_flight t key
+type 'a flight = Found of 'a | Computed of 'a | Coalesced of 'a
+
+let single_flight (t : t) (key : Fingerprint.t) ~(counted : bool)
+    ~(find : unit -> 'a option) ~(compute : unit -> 'a) : 'a flight =
+  match find () with
+  | Some v -> Found v
+  | None ->
+    let hex = Fingerprint.to_hex key in
+    if enter_flight t ~counted hex then
+      (* exited on success and failure alike: a dying leader must wake
+         its followers, who then compute for themselves *)
+      Fun.protect
+        ~finally:(fun () -> exit_flight t hex)
+        (fun () ->
+          (* re-probe under leadership: a previous leader may have stored
+             and exited between the probe above and winning the flight;
+             then nothing executes and a counted flight is retracted, so
+             [flights] stays an exact execution count *)
+          match find () with
+          | Some v ->
+            if counted then Atomic.decr t.fl_flights;
+            Found v
+          | None -> Computed (compute ()))
+    else
+      match find () with
+      | Some v -> Coalesced v
+      | None -> Computed (compute ())
 
 (* Each counter is individually exact (atomic); the snapshot as a whole
    is consistent whenever the cache is quiescent — the accounting the

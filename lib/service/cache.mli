@@ -6,14 +6,15 @@
     [Atomic.int]s outside the lock — a counter bump never contends with
     a lookup. The disk tier is a single shared directory.
 
-    Pipeline states (one per executed pass, keyed by chained per-pass
+    Pipeline states (the ones a compile keeps, keyed by chained per-pass
     fingerprints) are memoized in memory only — no pass mutates a state,
     so one is shared as is by every later compile that reaches it;
     finished artifacts — the VHDL text plus estimates — are additionally
     persisted under a disk directory when one is given, surviving the
     process. Which states are stored is the caller's choice
     ({!Service.compile_cached} stores mid-end states unless asked to share
-    the back end). *)
+    the back end). Both are computed once per key under
+    {!single_flight}. *)
 
 (** A finished compilation, reduced to plain data (safe to marshal). *)
 type artifact = {
@@ -36,6 +37,8 @@ type stats = {
   hits : int;  (** in-memory fingerprint hits *)
   disk_hits : int;  (** artifacts reloaded from the disk directory *)
   misses : int;
+      (** probes that found nothing, a {!single_flight} leader's or
+          follower's re-probe included *)
   stores : int;
   retries : int;
       (** disk I/O attempts retried (with jittered exponential backoff)
@@ -48,12 +51,12 @@ type stats = {
           mid-write) removed when the cache opened *)
   contended : int;  (** table-lock acquisitions that found the lock held *)
   flights : int;
-      (** single-flight leaders — compile executions actually started
-          (see {!enter_flight}) *)
+      (** single-flight leaders of compile executions (see
+          {!single_flight}); state flights are not counted *)
   coalesced : int;
       (** single-flight followers — concurrent duplicate compiles that
           waited on a leader and shared its artifact instead of
-          executing *)
+          executing; state flights are not counted *)
 }
 
 type t
@@ -73,28 +76,39 @@ val sweep_stale_tmp :
     write is never deleted. [pid_alive] is injectable for tests.
     {!create} runs this automatically when given a [disk_dir]. *)
 
-val enter_flight : t -> Fingerprint.t -> [ `Leader | `Coalesced ]
-(** Single-flight admission for one compile execution of [key]:
-    [`Leader] means the caller must run the compile (and is obliged to
-    call {!exit_flight} afterwards, on success or failure); [`Coalesced]
-    means a concurrent leader for the same key was already executing —
-    the call blocked until that leader exited, and the caller should
-    re-probe {!find} for the leader's artifact instead of compiling.
-    The registry spans one process; across processes sharing a cache
+(** How {!single_flight} produced its value. *)
+type 'a flight =
+  | Found of 'a  (** [find] had it, on the first probe or under leadership *)
+  | Computed of 'a
+      (** this caller ran [compute]: as the leader, or after its leader
+          failed *)
+  | Coalesced of 'a
+      (** a concurrent leader computed it while this caller waited *)
+
+val single_flight :
+  t ->
+  Fingerprint.t ->
+  counted:bool ->
+  find:(unit -> 'a option) ->
+  compute:(unit -> 'a) ->
+  'a flight
+(** Compute [key]'s value once among concurrent callers. [find] probes
+    the cache; on a miss the first caller becomes the leader, probes
+    again (a previous leader may just have stored) and runs [compute],
+    which stores what later callers should [find]. Concurrent callers of
+    the same key block until the leader exits, then probe again; if the
+    leader raised — a pass error, {!Roccc_core.Pass.Cancelled}, an
+    injected fault — they find nothing and compute for themselves. The
+    leader exits its flight whether [compute] returns or raises.
+
+    A flight is held only while [compute] runs, so a [compute] that
+    waits on no flight itself (a pipeline state's: it only steps passes)
+    can never be part of a wait cycle; a compile's [compute] waits only
+    on such state flights. [counted] flights bump [flights] and
+    [coalesced] (the service counts artifact compiles, not states). The
+    registry spans one process; across processes sharing a cache
     directory the disk tier deduplicates at artifact granularity
     instead. *)
-
-val exit_flight : t -> Fingerprint.t -> unit
-(** End the caller's leadership of [key], waking every coalesced
-    follower. Must be called exactly once per [`Leader], even when the
-    compile failed (followers then find no artifact and fall back to
-    compiling themselves). *)
-
-val abort_flight : t -> Fingerprint.t -> unit
-(** Like {!exit_flight}, but also retracts the [flights] count: for a
-    leader that re-probed after winning, found the artifact already
-    stored (a previous leader finished in between), and will not
-    execute. Keeps [flights] an exact count of compile executions. *)
 
 type origin = Memory | Disk
 

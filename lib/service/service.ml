@@ -2,21 +2,21 @@
    scheduler + structured tracing, over the pass-manager pipeline.
 
    A job is (source, entry, options, luts). Compilation consults the cache
-   at per-pass granularity:
+   at two granularities:
 
      full artifact (every pass that runs) -> memory or disk
-     one chained key per state            -> pipeline state, memory only
+     one chained key per kept state       -> pipeline state, memory only
 
    Each link of the chain digests the previous link, the pass name and
    that pass's own option fingerprint, so an option change re-runs only
-   from the first pass that reads it. A pass that does not apply (its
-   [applicable] gate skips it) adds no link: the mid end walks forward
-   and converges with every job that reaches the same state, whatever
-   the skipped pass would have read. The back end's keys chain from the
-   converged mid-end key and are probed deepest first. A compile stores
-   the mid-end states (parse through feedback-detection); the tuner's
-   costing ([measure_cached]) and front compiles also store the
-   back-end states another job can branch from. *)
+   from the first pass that reads it. A run of passes that returns its
+   input unchanged (an [applicable] gate skipped it) adds no link, so
+   jobs that differ only in what a skipped pass would read converge on
+   one chain. A compile walks its passes forward once and keeps the
+   mid-end states (parse through feedback-detection); the tuner's
+   costing ([measure_cached]) and front compiles also keep the back-end
+   states another job can branch from. Every kept state and every
+   artifact is computed once under a single flight of its key. *)
 
 module Driver = Roccc_core.Driver
 module Pass = Roccc_core.Pass
@@ -109,7 +109,7 @@ let success_of_artifact ~label ~elapsed ~origin (a : Cache.artifact) : success
     r_origin = origin }
 
 (* The mid end: every pass up to (and including) the storage-level kernel
-   passes. A compile stores only these states: serve's memory tier never
+   passes. A compile keeps these states: serve's memory tier never
    evicts, and a kernel's back-end states weigh several times its mid-end
    states. *)
 let mid_passes = Pass.front_passes @ Pass.kernel_passes
@@ -122,7 +122,9 @@ let measure_passes =
 (* The finished artifact's identity: the inputs plus every pass that runs
    with the option fields it reads. Disabling a pass changes the list; an
    option no running pass reads, or a disabled pass that was gated off
-   anyway, does not. *)
+   anyway, does not. It stays a static digest of the job, unlike the
+   state keys [resume] chains as it walks: the disk tier and serve's hot
+   path probe it before any state exists. *)
 let full_key (job : job) : Fingerprint.t =
   Fingerprint.make ~source:job.source ~entry:job.entry ~luts:job.luts
     ~passes:
@@ -130,35 +132,10 @@ let full_key (job : job) : Fingerprint.t =
          (fun (p : Pass.pass) -> p.Pass.name, p.Pass.fingerprint job.options)
          (Pass.executed job.options Pass.all_passes))
 
-(* The chained per-pass fingerprints of the passes of [passes] the job
-   runs, in execution order: one (pass, key-of-state-after-it) each. *)
 (* The key of the state [p] produces from the state keyed [key]. *)
 let link (job : job) (key : Fingerprint.t) (p : Pass.pass) : Fingerprint.t =
   Fingerprint.chain key ~pass:p.Pass.name
     ~options_fp:(p.Pass.fingerprint job.options)
-
-let seed_key (job : job) : Fingerprint.t =
-  Fingerprint.seed ~source:job.source ~entry:job.entry ~luts:job.luts
-
-(* The static chain from [from] (default: the job's seed) over the passes
-   of [passes] the job runs, as if every one applied. *)
-let chain_keys ?from (job : job) (passes : Pass.pass list) :
-    (Pass.pass * Fingerprint.t) list =
-  let from = match from with Some k -> k | None -> seed_key job in
-  let _, keyed =
-    List.fold_left
-      (fun (key, acc) p ->
-        let key = link job key p in
-        key, (p, key) :: acc)
-      (from, []) (Pass.executed job.options passes)
-  in
-  List.rev keyed
-
-let pass_keys (job : job) : (Pass.pass * Fingerprint.t) list =
-  chain_keys job Pass.all_passes
-
-let mid_end_key (job : job) : Fingerprint.t =
-  snd (List.hd (List.rev (chain_keys job mid_passes)))
 
 (* The tracing instrument every cached entry point installs: forward to
    the caller's hook, then record a per-pass span. *)
@@ -179,35 +156,36 @@ let traced_config ?trace ~tid (job : job) (base_config : Pass.config) :
                 ())
             trace) }
 
-(* Run the chain of [passes], storing each newly computed mid-end state.
+(* Run the job's [passes] in one forward walk, probing and storing only
+   the states the job keeps: every mid-end state and, with
+   [share_back_end], each back-end state where another job's chain can
+   leave this one — before a pass that reads an option (the clock target
+   at [pipelining], the bus width at [area-estimation]) and before the
+   VHDL layer, which costing leaves out. Only a job equal to this one
+   could resume from the states in between.
 
-   The mid end walks forward from the seed: each pass's key chains the
-   key of the state it reads, so a hit adopts the stored state and a miss
-   steps the pass. A pass that [Pass.step] skips (its [applicable] gate
-   is false) returns its input physically and leaves the key unchanged,
-   so jobs whose options differ only in what a skipped pass would have
-   read converge on one chain: a loop-free kernel at every unroll factor
-   shares unroll 1's states.
-
-   The back end keeps static keys chained from the converged mid-end key
-   and is probed deepest first. With [share_back_end] it also stores each
-   back-end state whose next pass reads an option, since only there can
-   another job's chain leave this one: before [pipelining] (the clock
-   target) and before [area-estimation] (the bus width). Only a job equal
-   to this one could resume from the states in between. Returns the final
-   state and where its mid end came from. Reused passes appear in [trace]
-   with a [cached] argument and zero duration. *)
+   The passes between kept states are stepped lazily, so nothing runs
+   before a later hit. A hit adopts the stored state; a miss computes it
+   under a single flight of its key, so concurrent jobs that reach one
+   state compute it once. A computation whose result is physically its
+   input (every pass in it was skipped) stores nothing and leaves the key
+   unchanged. Returns the final state and where its mid end came from.
+   Reused passes appear in [trace] with a [cached] argument and zero
+   duration. *)
 let resume ?cache ~(share_back_end : bool) ~(config : Pass.config) ?trace
     ~tid (job : job) (passes : Pass.pass list) : Pass.state * origin =
-  let executed = Pass.executed job.options passes in
-  let n_mid = List.length (Pass.executed job.options mid_passes) in
-  let mid = List.filteri (fun i _ -> i < n_mid) executed in
-  let back = List.filteri (fun i _ -> i >= n_mid) executed in
-  let find key = Option.bind cache (fun c -> Cache.find_state c key) in
-  let store key st =
-    Option.iter (fun c -> Cache.store c key (Cache.State st)) cache
+  let executed = Array.of_list (Pass.executed job.options passes) in
+  let n = Array.length executed in
+  let kept i =
+    let p = executed.(i) in
+    List.memq p mid_passes
+    || share_back_end && i + 1 < n
+       &&
+       let q = executed.(i + 1) in
+       q.Pass.fingerprint job.options <> ""
+       || (q.Pass.layer = Pass.Vhdl && p.Pass.layer <> Pass.Vhdl)
   in
-  let hit = ref false in
+  let hit = ref false and mid_ran = ref false in
   (* No pass mutates its input state, so a cached state is shared as is;
      re-bind the job-specific options (the chain guarantees every option
      field a reused pass reads is equal). Each reused pass gets a
@@ -229,48 +207,51 @@ let resume ?cache ~(share_back_end : bool) ~(config : Pass.config) ?trace
       trace;
     { cached with Pass.st_options = job.options }
   in
-  let mid_ran = ref false in
-  let st, mid_key =
-    List.fold_left
-      (fun (st, key) (p : Pass.pass) ->
-        let key' = link job key p in
-        match find key' with
-        | Some cached -> adopt st cached, key'
-        | None ->
-          let st' = Pass.step ~config p st in
-          if st' == st then st, key
-          else begin
-            mid_ran := true;
-            store key' st';
-            st', key'
-          end)
-      ( Pass.initial ~luts:job.luts ~options:job.options ~entry:job.entry
-          job.source,
-        seed_key job )
-      mid
+  let step_all pending st =
+    List.fold_left (fun st p -> Pass.step ~config p st) st (List.rev pending)
   in
-  let back = Array.of_list (chain_keys ~from:mid_key job back) in
-  let n = Array.length back in
-  (* deepest cached back-end state first *)
-  let rec probe i =
-    if i < 0 then st, 0
+  (* [st] is the last state the walk holds, keyed [key]; [pending] (latest
+     first) are the passes stepped lazily since, which chain [key] to
+     [pending_key]. *)
+  let rec walk st key pending pending_key i =
+    if i = n then step_all pending st
     else
-      match find (snd back.(i)) with
-      | Some cached -> adopt st cached, i + 1
-      | None -> probe (i - 1)
+      let p = executed.(i) in
+      let pending = p :: pending and pending_key = link job pending_key p in
+      if not (kept i) then walk st key pending pending_key (i + 1)
+      else
+        let compute () =
+          let st' = step_all pending st in
+          if st' != st then
+            Option.iter
+              (fun c -> Cache.store c pending_key (Cache.State st'))
+              cache;
+          st'
+        in
+        let flight =
+          match cache with
+          | None -> Cache.Computed (compute ())
+          | Some c ->
+            Cache.single_flight c pending_key ~counted:false
+              ~find:(fun () -> Cache.find_state c pending_key)
+              ~compute
+        in
+        match flight with
+        | Cache.Found cached | Cache.Coalesced cached ->
+          walk (adopt st cached) pending_key [] pending_key (i + 1)
+        | Cache.Computed st' when st' == st -> walk st key [] key (i + 1)
+        | Cache.Computed st' ->
+          if List.memq p mid_passes then mid_ran := true;
+          walk st' pending_key [] pending_key (i + 1)
   in
-  let st, start = probe (n - 1) in
-  let st = ref st in
-  for i = start to n - 1 do
-    let p, key = back.(i) in
-    st := Pass.step ~config p !st;
-    if
-      share_back_end && i + 1 < n
-      && (fst back.(i + 1)).Pass.fingerprint job.options <> ""
-    then store key !st
-  done;
-  ( !st,
-    if not !hit then Cold else if !mid_ran then Warm_partial else Warm_stage )
+  let seed = Fingerprint.seed ~source:job.source ~entry:job.entry ~luts:job.luts in
+  let st =
+    walk
+      (Pass.initial ~luts:job.luts ~options:job.options ~entry:job.entry
+         job.source)
+      seed [] seed 0
+  in
+  st, if not !hit then Cold else if !mid_ran then Warm_partial else Warm_stage
 
 let run_chain ?cache ~config ?trace ~tid (job : job) : Pass.state * origin =
   resume ?cache ~share_back_end:false ~config ?trace ~tid job Pass.all_passes
@@ -287,95 +268,61 @@ let prepare ?config ?trace ~tid (job : job) : Pass.config * Pass.config =
     (Pass.check_names ~dump_after:base_config.Pass.dump_after job.options);
   base_config, traced_config ?trace ~tid job base_config
 
-(** Compile one job, consulting [cache] deepest-first — the full artifact,
-    then the chained per-pass states from [area-estimation] back to
-    [parse] — resuming from the deepest cached state and reporting
-    per-pass spans to [trace] (reused passes appear with a [cached]
-    argument and zero duration). Stores the artifact and the mid-end
-    states it computes.
-
-    Executions are single-flight per full fingerprint: when a cache is
-    given and the same key is already compiling on another domain, this
-    call blocks on that leader's completion and shares its cached
-    artifact (origin {!Coalesced}, a zero-duration ["coalesced"] trace
-    span, and a bump of the cache's [coalesced] counter) instead of
-    compiling again. Raises {!Driver.Error} on failure. *)
+(** Compile one job: the finished artifact from the cache, or a [resume]
+    of its passes that stores it. Executions are single-flight per full
+    fingerprint: a concurrent identical compile blocks on its leader and
+    shares the artifact (origin {!Coalesced}, a zero-duration
+    ["coalesced"] trace span). Raises {!Driver.Error} on failure. *)
 let compile_cached ?cache ?(share_back_end = false) ?config ?trace ?(tid = 0)
     (job : job) : success =
   let t0 = now () in
   let base_config, config = prepare ?config ?trace ~tid job in
   let full_key = full_key job in
-  let from_artifact origin (a : Cache.artifact) =
-    success_of_artifact ~label:job.label ~elapsed:(now () -. t0) ~origin a
-  in
   let execute () =
     let st, origin =
       resume ?cache ~share_back_end ~config ?trace ~tid job Pass.all_passes
     in
     let art = artifact_of (Driver.compiled_of_state st) in
     Option.iter (fun cache -> Cache.store cache full_key (Cache.Artifact art)) cache;
-    from_artifact origin art
+    art, origin
   in
-  match Option.bind cache (fun c -> Cache.find c full_key) with
-  | Some (Cache.Artifact a, where) ->
-    let origin =
-      match where with Cache.Memory -> Warm_memory | Cache.Disk -> Warm_disk
-    in
-    from_artifact origin a
-  | Some _ | None -> (
+  let find c () =
+    match Cache.find c full_key with
+    | Some (Cache.Artifact a, Cache.Memory) -> Some (a, Warm_memory)
+    | Some (Cache.Artifact a, Cache.Disk) -> Some (a, Warm_disk)
+    | Some (Cache.State _, _) | None -> None
+  in
+  let art, origin =
     match cache with
     | None -> execute ()
     | Some c -> (
-      match Cache.enter_flight c full_key with
-      | `Leader -> (
-        (* re-probe under leadership: a previous leader may have stored
-           and exited between our probe above and winning the flight, in
-           which case there is nothing to execute and the flight is
-           retracted (so [flights] counts executions exactly) *)
-        match Cache.find c full_key with
-        | Some (Cache.Artifact a, where) ->
-          Cache.abort_flight c full_key;
-          let origin =
-            match where with
-            | Cache.Memory -> Warm_memory
-            | Cache.Disk -> Warm_disk
-          in
-          from_artifact origin a
-        | Some _ | None ->
-          (* the flight is exited on success AND failure: a dying leader
-             must wake its followers, who then compile for themselves *)
-          Fun.protect
-            ~finally:(fun () -> Cache.exit_flight c full_key)
-            execute)
-      | `Coalesced -> (
+      match
+        Cache.single_flight c full_key ~counted:true ~find:(find c)
+          ~compute:execute
+      with
+      | Cache.Found r | Cache.Computed r -> r
+      | Cache.Coalesced (a, _) ->
         (* we slept through any deadline while the leader ran; honour it
            before answering from the shared artifact *)
-        (match base_config.Pass.cancel with
-        | Some check -> (
-          match check () with
-          | Some reason -> raise (Pass.Cancelled reason)
-          | None -> ())
-        | None -> ());
+        Option.iter
+          (fun check ->
+            Option.iter (fun reason -> raise (Pass.Cancelled reason)) (check ()))
+          base_config.Pass.cancel;
         Option.iter
           (fun tr ->
             Trace.add_span tr ~cat:"pass" ~tid ~name:"coalesced"
               ~start_s:(now ()) ~dur_s:0.0
-              ~args:
-                [ "job", Trace.Str job.label; "coalesced", Trace.Int 1 ]
+              ~args:[ "job", Trace.Str job.label; "coalesced", Trace.Int 1 ]
               ())
           trace;
-        match Cache.find c full_key with
-        | Some (Cache.Artifact a, _) -> from_artifact Coalesced a
-        | Some _ | None ->
-          (* the leader failed (or its store degraded); fall back to our
-             own execution — its warm per-pass states still help *)
-          execute ())))
+        a, Coalesced)
+  in
+  success_of_artifact ~label:job.label ~elapsed:(now () -. t0) ~origin art
 
 (** Measure one job without generating VHDL: the chain of every pass but
-    the VHDL layer's, resumed from its deepest cached state. Beyond the
-    mid end it stores the states before each pass that reads an option
-    (see [resume]), so a search prices each distinct back-end prefix
-    once, and a full compile of the same job resumes from its retimed
+    the VHDL layer's. It keeps the back-end states another job can branch
+    from (see [resume]), so a search prices each distinct back-end prefix
+    once, and a front compile of the same job resumes from its retimed
     state. Raises {!Driver.Error}. *)
 let measure_cached ?cache ?config ?trace ?(tid = 0) (job : job) :
     Driver.measurement =

@@ -1,6 +1,15 @@
 (** The batch compilation service: fans (source, entry, options) jobs
-    across worker domains, memoizing stage outputs in a content-addressed
-    {!Cache} and collecting per-pass timings in a {!Trace}.
+    across worker domains, memoizing the finished artifact and the
+    pipeline states a compile keeps in a content-addressed {!Cache}, and
+    collecting per-pass timings in a {!Trace}.
+
+    A state's key chains the previous state's key with each pass that
+    ran and the option fields it reads, so jobs share every state up to
+    the first pass whose options differ; a pass whose [applicable] gate
+    skips it adds no link. Every stored state and artifact is computed
+    once under a single flight of its key ({!Cache.single_flight}), so
+    concurrent jobs that reach one state wait for it instead of
+    computing it again.
 
     Results are deterministic: job [i]'s slot in the report is job [i]'s
     result no matter how many domains ran the batch, and the generated
@@ -57,25 +66,9 @@ type report = {
 
 val full_key : job -> Fingerprint.t
 (** The finished artifact's cache key: the job's inputs plus the name and
-    option fingerprint of every pass {!Roccc_core.Pass.executed} runs. *)
-
-val pass_keys : job -> (Roccc_core.Pass.pass * Fingerprint.t) list
-(** The static chained per-pass keys of the job's whole pipeline (parse
-    through area-estimation), in execution order: one (pass, key of the
-    state after it) per pass that runs, as if every pass applied. Each
-    key digests the previous one, the pass name and the option fields
-    that pass reads, so two jobs share every state up to the first pass
-    whose options differ: a bus-width change shares all but
-    [area-estimation], a clock-target change all but [pipelining] and
-    what follows it. A compile's mid end may converge further (see
-    {!compile_cached}): a pass its [applicable] gate skips adds no link,
-    so jobs with different static keys can share states. *)
-
-val mid_end_key : job -> Fingerprint.t
-(** The static key of the job's completed mid-end state (after
-    feedback-detection): jobs with equal keys share every mid-end pass,
-    and jobs whose keys differ only through skipped passes share them
-    too. *)
+    option fingerprint of every pass {!Roccc_core.Pass.executed} runs. It
+    is a static digest of the job, not a link of the state chain: the
+    disk tier and [serve]'s hot path probe it before any state exists. *)
 
 val run_chain :
   ?cache:Cache.t ->
@@ -86,7 +79,7 @@ val run_chain :
   Roccc_core.Pass.state * origin
 (** Run every pass the job executes, resuming from the cached states
     as {!compile_cached} does and storing each newly computed mid-end
-    state back (never a back-end state). Returns the final state and
+    state (never a back-end state). Returns the final state and
     where its mid end came from. The process-network planner uses this
     to share per-kernel work between network and single-kernel
     compiles. *)
@@ -100,34 +93,35 @@ val compile_cached :
   job ->
   success
 (** Compile one job, consulting the cache — the finished artifact, then
-    the chained per-pass states — resuming compilation from the deepest
-    cached pipeline state and tracing each pass (reused passes appear
+    the chained states — and tracing each pass (reused passes appear
     with a [cached] argument and zero duration). [config] enables IR
     verification / differential checks and dumps; the job's options say
     which passes run.
 
-    The mid end walks forward: it adopts each pass's cached state and
-    steps the pass on a miss. A pass whose [applicable] gate skips it
-    leaves the chain key unchanged, so jobs that differ only in what a
-    skipped pass reads converge on one chain (a loop-free kernel at
-    every unroll factor shares unroll 1's states). The back end's keys
-    chain from that converged mid-end key and are probed deepest first.
+    On an artifact miss it walks the passes forward once, probing and
+    storing only the states it keeps: every mid-end state and, with
+    [share_back_end] (default [false]), each back-end state where
+    another job's chain can leave this one — before a pass that reads an
+    option (the clock target at [pipelining], the bus width at
+    [area-estimation]) and before the VHDL layer, where
+    {!measure_cached}'s chain ends. The passes in between are stepped
+    lazily, so nothing runs before a later hit, and a compile without
+    [share_back_end] probes no back-end key. A search's front points that
+    differ only in bus width then generate and lint their VHDL once.
+    [serve] and [batch] leave it off: [serve]'s memory tier never evicts,
+    and a kernel's back-end states weigh several times its mid-end
+    states. A pass whose [applicable] gate skips it leaves the chain key
+    unchanged, so jobs that differ only in what a skipped pass reads
+    converge (a loop-free kernel at every unroll factor shares unroll
+    1's states).
 
-    It stores the artifact and the mid-end states. Back-end states are
-    stored only with [share_back_end] (default [false]): then, as in
-    {!measure_cached}, each state whose next pass reads an option — the
-    linted design before [area-estimation] included — so a search's
-    front points that differ only in bus width generate and lint their
-    VHDL once. [serve] and [batch] leave it off: [serve]'s memory tier
-    never evicts, and a kernel's back-end states weigh several times its
-    mid-end states.
-
-    Executions are single-flight per full fingerprint: with a cache,
-    concurrent requests for the same key collapse to one execution — the
-    followers block on the leader's completion and share its cached
-    artifact with origin {!Coalesced} and a zero-duration ["coalesced"]
-    trace span ({!Cache.stats} counts [flights] and [coalesced]).
-    Raises {!Roccc_core.Driver.Error} on failure. *)
+    Every kept state is computed under a single flight of its key, and
+    so is the execution as a whole, per full fingerprint: concurrent
+    requests for the same key collapse to one execution — the followers
+    block on the leader's completion and share its cached artifact with
+    origin {!Coalesced} and a zero-duration ["coalesced"] trace span
+    ({!Cache.stats} counts [flights] and [coalesced] for executions
+    only, not states). Raises {!Roccc_core.Driver.Error} on failure. *)
 
 val measure_cached :
   ?cache:Cache.t ->
@@ -136,18 +130,17 @@ val measure_cached :
   ?tid:int ->
   job ->
   Roccc_core.Driver.measurement
-(** The design metrics of one job without generating VHDL: the chain of
-    {!pass_keys} minus the VHDL layer's passes, resumed from its deepest
-    cached state. Besides the mid-end states it stores each back-end
-    state that the next pass reads an option after — the
-    [bit-width-inference] state before [pipelining] (the clock target),
-    the retimed state before [area-estimation] (the bus width) — so
-    candidates that share a back-end prefix compute it once, and a later
-    {!compile_cached} of the same job resumes from the retimed state. The
-    states in between are left out: only a job equal to this one could
-    resume from them, and a search's twelve retimed states already weigh
-    up to 0.9 MiB. The metrics equal a full compile's. Raises
-    {!Roccc_core.Driver.Error}. *)
+(** The design metrics of one job without generating VHDL: the walk of
+    {!compile_cached} over every pass but the VHDL layer's, keeping the
+    back-end states as [share_back_end] does — the [bit-width-inference]
+    state before [pipelining] (the clock target) and the retimed state
+    before [area-estimation] (the bus width) — so candidates that share a
+    back-end prefix compute it once, and a later {!compile_cached}
+    [~share_back_end:true] of the same job resumes from the retimed
+    state. The states in between are left out: only a job equal to this
+    one could resume from them, and a search's twelve retimed states
+    already weigh up to 0.9 MiB. The metrics equal a full compile's.
+    Raises {!Roccc_core.Driver.Error}. *)
 
 val run_batch :
   ?cache:Cache.t ->

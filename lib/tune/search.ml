@@ -1,12 +1,11 @@
 (* The search over the unroll x bus x target-ns grid: exact
    estimate-only costing on every point, full VHDL generation on the
-   Pareto front only. Both share one content-addressed pass cache keyed
-   by one chain from parse to area-estimation, so every distinct state
-   of the pipeline is computed once per search no matter how many
-   candidates revisit it. *)
+   Pareto front only. Both share one content-addressed pass cache whose
+   chained states are each computed once under a single flight, so every
+   distinct state of the pipeline is computed once per search no matter
+   how many candidates, on however many workers, revisit it. *)
 
 module Driver = Roccc_core.Driver
-module Pass = Roccc_core.Pass
 module Service = Roccc_service.Service
 module Scheduler = Roccc_service.Scheduler
 module Cache = Roccc_service.Cache
@@ -31,13 +30,6 @@ let default_space =
     sp_target_ns = [ 3.0; 5.0; 8.0 ];
     sp_stage_budget = [ Delay.default_stage_budget ];
     sp_decomp = [ Delay.default_decomp ] }
-
-let space_size (s : space) : int =
-  List.length (dedupe s.sp_unroll)
-  * List.length (dedupe s.sp_bus)
-  * List.length (dedupe s.sp_target_ns)
-  * List.length (dedupe s.sp_stage_budget)
-  * List.length (dedupe s.sp_decomp)
 
 type candidate = {
   cd_unroll : int;
@@ -138,50 +130,6 @@ let options_of (st : settings) (c : candidate) : Driver.options =
     stage_budget = c.cd_stage_budget;
     decomp = c.cd_decomp }
 
-(* Evaluate [f] on candidate indices in waves: the first candidate
-   alone, which computes the prefix every candidate shares (parse onwards,
-   and for a loop-free kernel the whole back end at its clock target);
-   then, for each key function in turn, one representative per distinct
-   key among the candidates not yet run; then everyone left. Each wave
-   finds the prefixes the previous waves computed already cached, instead
-   of racing to compute them on several workers at once. *)
-let eval_waves ~(num_domains : int) ~(keys : (int -> string) list)
-    ~(f : tid:int -> int -> 'b) (idxs : int list) :
-    (int * ('b, string) Stdlib.result) list =
-  let run_wave (wave : int list) =
-    if wave = [] then []
-    else
-      let arr = Array.of_list wave in
-      let res =
-        Scheduler.parallel_map ~num_domains
-          ~describe_error:Service.describe_error
-          ~f:(fun ~tid i -> f ~tid i)
-          arr
-      in
-      List.mapi (fun k i -> (i, res.(k))) wave
-  in
-  let rec go keys idxs =
-    match keys with
-    | [] -> run_wave idxs
-    | key :: more ->
-      let seen = Hashtbl.create 16 in
-      let reps, rest =
-        List.partition
-          (fun i ->
-            let k = key i in
-            if Hashtbl.mem seen k then false
-            else (
-              Hashtbl.add seen k ();
-              true))
-          idxs
-      in
-      (* sequenced: OCaml evaluates the operands of [@] right to left *)
-      let first = run_wave reps in
-      first @ go more rest
-  in
-  (* one key for all: the first wave is the first candidate *)
-  go ((fun _ -> "") :: keys) idxs
-
 let run ?cache ?trace ?config ?(luts = []) (st : settings) ~(source : string)
     ~(entry : string) : result =
   let t_start = Unix.gettimeofday () in
@@ -199,15 +147,6 @@ let run ?cache ?trace ?config ?(luts = []) (st : settings) ~(source : string)
           luts })
       cands
   in
-  let mid_end_key i = (Service.mid_end_key jobs.(i) :> string) in
-  (* the key of the last data-path state: after retiming, or pipelining
-     when retiming is disabled *)
-  let pipeline_key i =
-    List.fold_left
-      (fun key ((p : Pass.pass), (k : Roccc_service.Fingerprint.t)) ->
-        if p.Pass.layer = Pass.Datapath then (k :> string) else key)
-      "" (Service.pass_keys jobs.(i))
-  in
   let span ~tid ~t0 name tier =
     match trace with
     | None -> ()
@@ -221,11 +160,20 @@ let run ?cache ?trace ?config ?(luts = []) (st : settings) ~(source : string)
   let status = Array.make n (Failed "not evaluated") in
   let meas : Driver.measurement option array = Array.make n None in
 
+  (* [f] on each index across the workers, results in index order *)
+  let eval ~f idxs =
+    let res =
+      Scheduler.parallel_map ~num_domains:st.st_domains
+        ~describe_error:Service.describe_error ~f (Array.of_list idxs)
+    in
+    List.mapi (fun k i -> (i, res.(k))) idxs
+  in
+
   (* Exact estimate-only costing (identical metrics to a full compile,
      minus the VHDL) on every grid point; it stores the retimed states,
      so the full compiles below resume from them. *)
   let est_results =
-    eval_waves ~num_domains:st.st_domains ~keys:[ mid_end_key; pipeline_key ]
+    eval
       ~f:(fun ~tid i ->
         let t0 = Unix.gettimeofday () in
         let m = Service.measure_cached ~cache ?config ?trace ~tid jobs.(i) in
@@ -245,7 +193,6 @@ let run ?cache ?trace ?config ?(luts = []) (st : settings) ~(source : string)
             status.(i) <- Failed msg;
             None)
       est_results
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
   let feasible =
     List.filter
@@ -268,7 +215,7 @@ let run ?cache ?trace ?config ?(luts = []) (st : settings) ~(source : string)
      retimed state is already cached, and each compile stores its linted
      design, so points that differ only in bus width lint it once. *)
   let full_results =
-    eval_waves ~num_domains:st.st_domains ~keys:[]
+    eval
       ~f:(fun ~tid i ->
         let t0 = Unix.gettimeofday () in
         let s =

@@ -11,24 +11,22 @@
     {- {b full} — {!Roccc_service.Service.compile_cached} on the front
        only, producing the VHDL.}}
 
-    Both share one cache keyed by one chain of per-pass keys from parse
-    to area-estimation, so each distinct prefix runs once per search:
-    the mid end and the back end through bit-width inference once per
-    distinct mid-end state, pipelining and retiming once per (mid-end
-    state, target-ns), area estimation once per point. A kernel with no
-    top-level loop skips partial unrolling, so all its unroll factors
-    share one mid-end state. A front point's full compile resumes from
-    the retimed state its estimate stored and stores its linted design,
-    so front points that differ only in bus width (or, loop-free, in
-    unroll factor) generate and lint their VHDL once.
+    Both share one cache of chained per-pass states, each computed once
+    per search under a single flight of its key
+    ({!Roccc_service.Cache.single_flight}): the mid end and the back end
+    through bit-width inference once per distinct mid-end state,
+    pipelining and retiming once per (mid-end state, target-ns), area
+    estimation once per point. A kernel with no top-level loop skips
+    partial unrolling, so all its unroll factors share one mid-end
+    state. A front point's full compile resumes from the retimed state
+    its estimate stored and stores its linted design, so front points
+    that differ only in bus width (or, loop-free, in unroll factor)
+    generate and lint their VHDL once.
 
-    Costing fans across the domain scheduler in waves: the first
-    candidate alone, then one candidate per distinct static mid-end key,
-    then one per distinct static retimed-pipeline key, then the rest, so
-    a parallel search computes the front end every candidate shares
-    once. Static keys do not see a skipped pass: two loop-free
-    candidates with different unroll factors in one wave may still
-    compute their shared back end twice. *)
+    Each tier is one pass of the domain scheduler over its candidates.
+    Candidates that reach a state another worker is computing wait for
+    it instead of computing it again, so the passes that run, and the
+    result, are the same at every worker count. *)
 
 type space = {
   sp_unroll : int list;
@@ -44,9 +42,6 @@ type space = {
 val default_space : space
 (** unroll [1;2;4;8] x bus [1;2;4] x target_ns [3;5;8] ns — 36 points
     (wide-operator axes at their single default values). *)
-
-val space_size : space -> int
-(** Grid size after per-axis deduplication. *)
 
 type candidate = {
   cd_unroll : int;

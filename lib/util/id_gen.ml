@@ -1,33 +1,14 @@
 (** Deterministic integer id generators.
 
     Every IR in the compiler (virtual registers, CFG blocks, datapath nodes,
-    VHDL signals) needs fresh ids. A generator is a value, not global state,
-    so independent compilations are reproducible.
-
-    Any generator that nonetheless must outlive one compilation (a
-    long-lived counter) is required to be {!register}ed; the pass manager
-    calls {!reset_registered} at the start of every compilation
-    ([Pass.initial]) so repeated compiles in one process — and cache
-    replays — produce byte-identical IR and VHDL. The registry is
-    domain-local: a batch worker resets only its own generators, never
-    another domain's mid-compilation. All generators in the compiler today
-    are function-local or per-procedure; the registry is the guard that
-    keeps any future long-lived counter deterministic too. *)
+    VHDL signals) needs fresh ids. A generator is a value, not global state:
+    each is function-local or owned by the IR it numbers, so independent
+    compilations — and the cached pipeline states several compiles share —
+    are reproducible. *)
 
 type t = { mutable next : int; start : int }
 
-(* Domain-local registry of long-lived generators, reset at the start of
-   every compilation. Registration is rare (normally never); keeping the
-   registry per-domain means concurrent batch workers cannot reset each
-   other's generators. *)
-let registry : t list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
 let create ?(start = 0) () = { next = start; start }
-
-let register t =
-  let r = Domain.DLS.get registry in
-  if not (List.memq t !r) then r := t :: !r
 
 let fresh t =
   let id = t.next in
@@ -37,5 +18,3 @@ let fresh t =
 let peek t = t.next
 
 let reset t = t.next <- t.start
-
-let reset_registered () = List.iter reset !(Domain.DLS.get registry)

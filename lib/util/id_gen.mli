@@ -13,16 +13,3 @@ val peek : t -> int
 
 val reset : t -> unit
 (** [reset t] restarts the generator at its start value. *)
-
-val register : t -> unit
-(** Enroll a long-lived generator in the calling domain's reset registry.
-    Generators should normally be function-local values; any generator that
-    outlives one compilation must be registered so {!reset_registered}
-    restores it between compilations, keeping repeated compiles
-    byte-identical. The registry is domain-local, so parallel batch
-    workers cannot reset each other's generators. *)
-
-val reset_registered : unit -> unit
-(** Reset every generator registered in the calling domain to its start
-    value. The pass manager calls this at the start of each compilation
-    (from [Pass.initial]). *)

@@ -316,9 +316,6 @@ end architecture rtl;
 (** Names of library entities used by {!system_wrapper_vhdl}. *)
 let library_entities = [ "roccc_addr_gen"; "roccc_smart_buffer"; "roccc_controller" ]
 
-(** Names of library entities used by {!network_wrapper_vhdl}. *)
-let network_entities = library_entities @ [ "roccc_fifo" ]
-
 (** Render the Figure 2 system around a compiled data path: address
     generator -> BRAM port -> smart buffer -> data path, sequenced by the
     controller. The data-path entity is referenced by [dp_entity] with

@@ -23,9 +23,6 @@ val fifo_vhdl : string
 
 val library_entities : string list
 
-val network_entities : string list
-(** Entities instantiated by {!network_wrapper_vhdl}. *)
-
 (** One stage of a network top level, as seen by the wiring generator. *)
 type net_stage = {
   ns_entity : string;                  (** data-path entity name *)

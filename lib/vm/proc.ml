@@ -60,9 +60,6 @@ let reg_kind (p : t) (r : Instr.vreg) : Instr.ikind =
   | Some k -> k
   | None -> Roccc_cfront.Ast.int32_kind
 
-let set_reg_kind (p : t) (r : Instr.vreg) (k : Instr.ikind) =
-  Hashtbl.replace p.reg_kinds r k
-
 let fresh_block (p : t) : block =
   let b =
     { label = Roccc_util.Id_gen.fresh p.label_gen;

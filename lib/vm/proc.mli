@@ -47,7 +47,6 @@ val create : ?feedbacks:(string * Instr.ikind * int64) list -> string -> t
 
 val fresh_reg : t -> Instr.ikind -> Instr.vreg
 val reg_kind : t -> Instr.vreg -> Instr.ikind
-val set_reg_kind : t -> Instr.vreg -> Instr.ikind -> unit
 
 val fresh_block : t -> block
 val find_block : t -> label -> block

@@ -341,15 +341,6 @@ let test_vm_passes_leave_input_unchanged () =
   let opt = step_twice "vm-optimize" ssa in
   ignore (step_twice "datapath-build" opt)
 
-let test_id_gen_registry () =
-  let g = Roccc_util.Id_gen.create ~start:7 () in
-  Roccc_util.Id_gen.register g;
-  let (_ : int) = Roccc_util.Id_gen.fresh g in
-  let (_ : int) = Roccc_util.Id_gen.fresh g in
-  Alcotest.(check int) "advanced" 9 (Roccc_util.Id_gen.peek g);
-  Roccc_util.Id_gen.reset_registered ();
-  Alcotest.(check int) "reset to start" 7 (Roccc_util.Id_gen.peek g)
-
 let suites =
   [ ( "passes",
       [ Alcotest.test_case "verify-ir over Table 1" `Slow test_verify_ir_gallery;
@@ -383,7 +374,5 @@ let suites =
           test_dump_golden;
         Alcotest.test_case "recompilation is byte-identical" `Quick
           test_recompile_identical;
-        Alcotest.test_case "id generator registry resets" `Quick
-          test_id_gen_registry;
         Alcotest.test_case "VM passes leave their input unchanged" `Quick
           test_vm_passes_leave_input_unchanged ] ) ]

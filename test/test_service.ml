@@ -98,45 +98,57 @@ let test_loop_free_unroll_converges () =
   Alcotest.(check bool) "partial-unroll skipped" false
     (List.mem "partial-unroll" r8.Service.r_pass_trace)
 
-(* The keys of [job]'s chain, with their pass names, in execution order. *)
-let keys_by_pass job =
-  List.map (fun ((p : Pass.pass), k) -> p.Pass.name, k) (Service.pass_keys job)
-
-(* The passes whose keys differ between two jobs running the same passes. *)
-let moved_keys a b =
+(* The passes a compile of [job] on [cache] runs rather than reuses, in
+   execution order, read off its trace. *)
+let uncached_passes ?share_back_end cache job =
+  let trace = Trace.create () in
+  ignore (Service.compile_cached ~cache ?share_back_end ~trace job);
   List.filter_map
-    (fun ((name, ka), (_, kb)) -> if ka = kb then None else Some name)
-    (List.combine (keys_by_pass a) (keys_by_pass b))
+    (fun (sp : Trace.span) ->
+      if sp.Trace.sp_cat = "pass" && not (List.mem_assoc "cached" sp.Trace.sp_args)
+      then Some sp.Trace.sp_name
+      else None)
+    (Trace.spans trace)
 
+(* Each pass's option fingerprint links the state chain: a recompile on
+   one cache re-runs only from the first pass that reads a changed
+   option. *)
 let test_option_fingerprints () =
-  let base = fir_job () in
-  let bus2 =
-    fir_job ~options:{ Driver.default_options with Driver.bus_elements = 2 } ()
+  (* trip count 16, so unroll 2 divides it *)
+  let source =
+    "void fir(int A[20], int C[16]) { int i; for (i = 0; i < 16; i = i + 1) \
+     { C[i] = 3*A[i] + 5*A[i+1] + 7*A[i+2] + 9*A[i+3] - A[i+4]; } }"
   in
-  let tns3 =
-    fir_job ~options:{ Driver.default_options with Driver.target_ns = 3.0 } ()
+  let with_options f =
+    { (fir_job ~options:(f Driver.default_options) ()) with Service.source }
   in
+  let bus2 = with_options (fun o -> { o with Driver.bus_elements = 2 }) in
+  let tns3 = with_options (fun o -> { o with Driver.target_ns = 3.0 }) in
   let unroll2 =
-    fir_job
-      ~options:{ Driver.default_options with Driver.unroll_outer_factor = 2 }
-      ()
+    with_options (fun o -> { o with Driver.unroll_outer_factor = 2 })
   in
+  let base = with_options Fun.id in
   Alcotest.(check bool) "full key sees the bus width" false
     (Service.full_key base = Service.full_key bus2);
-  Alcotest.(check bool) "bus width moves no mid-end key" true
-    (Service.mid_end_key base = Service.mid_end_key bus2);
-  Alcotest.(check (list string)) "bus width moves only area-estimation"
-    [ "area-estimation" ] (moved_keys base bus2);
-  Alcotest.(check (list string)) "clock target moves pipelining onwards"
-    [ "pipelining"; "retiming"; "vhdl-generation"; "vhdl-lint";
-      "area-estimation" ]
-    (moved_keys base tns3);
+  let cache = Cache.create () in
+  let cold = uncached_passes ~share_back_end:true cache base in
   Alcotest.(check (list string)) "the chain runs parse to area-estimation"
     [ "parse"; "area-estimation" ]
-    (let names = List.map fst (keys_by_pass base) in
-     [ List.hd names; List.hd (List.rev names) ]);
-  Alcotest.(check bool) "unroll factor moves the mid-end state key" false
-    (Service.mid_end_key base = Service.mid_end_key unroll2)
+    [ List.hd cold; List.hd (List.rev cold) ];
+  Alcotest.(check (list string)) "bus width re-runs only area-estimation"
+    [ "area-estimation" ]
+    (uncached_passes ~share_back_end:true cache bus2);
+  Alcotest.(check (list string)) "clock target re-runs pipelining onwards"
+    [ "pipelining"; "retiming"; "vhdl-generation"; "vhdl-lint";
+      "area-estimation" ]
+    (uncached_passes ~share_back_end:true cache tns3);
+  let unrolled = uncached_passes cache unroll2 in
+  Alcotest.(check bool) "unroll factor re-runs the mid end" true
+    (List.mem "partial-unroll" unrolled
+    && List.mem "scalar-replacement" unrolled
+    && List.mem "feedback-detection" unrolled);
+  Alcotest.(check bool) "unroll factor reuses the passes before it" false
+    (List.mem "parse" unrolled)
 
 (* Regression: the finished artifact's key includes the passes that run —
    a job disabling an optional pass must not be served the default job's
@@ -1314,6 +1326,103 @@ let test_single_flight_dedup () =
       Alcotest.(check (float 0.0)) "zero duration" 0.0 sp.Trace.sp_dur_s)
     coalesced_spans
 
+(* Two costing runs of fir that differ only in bus width start together
+   on one cache: they share every state up to the retimed one. The first
+   to reach [pipelining] is held there until both have passed
+   [bit-width-inference], so the other reaches the retimed state while
+   the leader is computing it: it must wait on the leader's flight, not
+   run [pipelining] and [retiming] a second time. With [fail], the held
+   leader raises instead; its flight must still end, and the follower
+   computes the state itself. *)
+let costing_race ~fail =
+  let cache = Cache.create () in
+  let trace = Trace.create () in
+  let runs = Hashtbl.create 8 and runs_lock = Mutex.create () in
+  let held = Atomic.make false in
+  let passed_bit_widths () =
+    List.length
+      (List.filter
+         (fun (sp : Trace.span) -> sp.Trace.sp_name = "bit-width-inference")
+         (Trace.spans trace))
+  in
+  let hold () =
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    while passed_bit_widths () < 2 && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.001
+    done;
+    Unix.sleepf 0.05
+  in
+  let config =
+    { (Pass.default_config ()) with
+      Pass.instrument =
+        Some
+          (fun (ps : Driver.pass_stats) ->
+            let name = ps.Driver.pass_name in
+            Mutex.protect runs_lock (fun () ->
+                Hashtbl.replace runs name
+                  (1 + Option.value ~default:0 (Hashtbl.find_opt runs name)));
+            if name = "pipelining" && Atomic.compare_and_set held false true
+            then begin
+              hold ();
+              if fail then failwith "leader dies inside pipelining"
+            end) }
+  in
+  let job bus =
+    fir_job ~label:(Printf.sprintf "fir.b%d" bus)
+      ~options:{ Driver.default_options with Driver.bus_elements = bus } ()
+  in
+  let go = Atomic.make false in
+  let domains =
+    List.map
+      (fun bus ->
+        Domain.spawn (fun () ->
+            while not (Atomic.get go) do
+              Domain.cpu_relax ()
+            done;
+            match Service.measure_cached ~cache ~config ~trace (job bus) with
+            | m -> Ok m
+            | exception e -> Error (Printexc.to_string e)))
+      [ 1; 2 ]
+  in
+  Atomic.set go true;
+  let results = List.map Domain.join domains in
+  let count name = Option.value ~default:0 (Hashtbl.find_opt runs name) in
+  results, count, cache
+
+let test_state_flight_dedup () =
+  let results, count, cache = costing_race ~fail:false in
+  Alcotest.(check int) "pipelining runs once" 1 (count "pipelining");
+  Alcotest.(check int) "retiming runs once" 1 (count "retiming");
+  Alcotest.(check int) "bit-width inference runs once" 1
+    (count "bit-width-inference");
+  Alcotest.(check int) "area estimation runs per bus width" 2
+    (count "area-estimation");
+  Alcotest.(check int) "state flights are not counted" 0
+    (Cache.stats cache).Cache.flights;
+  List.iter2
+    (fun bus r ->
+      match r with
+      | Ok m ->
+        let plain =
+          Service.measure_cached
+            { (fir_job ()) with
+              Service.options =
+                { Driver.default_options with Driver.bus_elements = bus } }
+        in
+        Alcotest.(check int) "slices equal an uncached run"
+          plain.Driver.ms_slices m.Driver.ms_slices
+      | Error msg -> Alcotest.fail msg)
+    [ 1; 2 ] results
+
+let test_state_flight_failing_leader () =
+  let results, count, _ = costing_race ~fail:true in
+  let failed = List.filter Result.is_error results in
+  Alcotest.(check int) "the held leader fails" 1 (List.length failed);
+  Alcotest.(check int) "the follower succeeds" 1
+    (List.length (List.filter Result.is_ok results));
+  Alcotest.(check int) "the follower ran pipelining itself" 2
+    (count "pipelining")
+
 (* ------------------------------------------------------------------ *)
 (* Multi-process-safe tmp sweeping                                     *)
 (* ------------------------------------------------------------------ *)
@@ -1674,6 +1783,10 @@ let suites =
         test_health_reports_workers_and_cache;
       Alcotest.test_case "single-flight dedup executes once" `Quick
         test_single_flight_dedup;
+      Alcotest.test_case "state flights dedupe concurrent costing" `Quick
+        test_state_flight_dedup;
+      Alcotest.test_case "a failing state leader frees its follower" `Quick
+        test_state_flight_failing_leader;
       Alcotest.test_case "tmp sweep respects live pids" `Quick
         test_tmp_sweep_respects_live_pids ];
     "service.serve",

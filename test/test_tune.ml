@@ -195,19 +195,51 @@ let test_fewer_full_compiles_than_grid () =
     (List.length r.Search.res_front)
     r.Search.res_full_evals
 
+(* The uncached pass spans of a traced search, counted per pass name. *)
+let pass_runs (tr : Trace.t) : (string * int) list =
+  let counts = Hashtbl.create 32 in
+  List.iter
+    (fun (s : Trace.span) ->
+      if s.Trace.sp_cat = "pass" && not (List.mem_assoc "cached" s.Trace.sp_args)
+      then
+        Hashtbl.replace counts s.Trace.sp_name
+          (1 + Option.value ~default:0 (Hashtbl.find_opt counts s.Trace.sp_name)))
+    (Trace.spans tr);
+  List.sort compare (List.of_seq (Hashtbl.to_seq counts))
+
+(* One worker and four give the same rows, the same front and the same
+   passes run: a state another worker is computing is waited for, not
+   computed twice. dct is loop-free, so its unroll factors converge on
+   one back end per clock target. *)
 let test_deterministic_across_domains () =
-  let obj = Objective.Min_slices { target_mhz = 0.0 } in
-  let r1 = Search.run (settings ~domains:1 obj) ~source:fir16_source ~entry:"fir" in
-  let r4 = Search.run (settings ~domains:4 obj) ~source:fir16_source ~entry:"fir" in
-  Alcotest.(check (list string)) "same front under 4 workers"
-    (front_labels r1) (front_labels r4);
   let statuses r =
     List.map
       (fun (rw : Search.row) -> (rw.Search.rw_label, Search.status_name rw.Search.rw_status))
       r.Search.res_rows
   in
-  Alcotest.(check (list (pair string string))) "same per-candidate statuses"
-    (statuses r1) (statuses r4)
+  let dct = Roccc_core.Kernels.dct in
+  List.iter
+    (fun (name, obj, space, source, entry, luts) ->
+      let run domains =
+        let trace = Trace.create () in
+        let st = { (settings ~domains obj) with Search.st_space = space } in
+        let r = Search.run ~trace ~luts st ~source ~entry in
+        r, pass_runs trace
+      in
+      let r1, runs1 = run 1 and r4, runs4 = run 4 in
+      Alcotest.(check (list string)) (name ^ ": same front under 4 workers")
+        (front_labels r1) (front_labels r4);
+      Alcotest.(check (list (pair string string)))
+        (name ^ ": same per-candidate statuses")
+        (statuses r1) (statuses r4);
+      Alcotest.(check (list (pair string int)))
+        (name ^ ": same passes run") runs1 runs4)
+    [ "fir", Objective.Min_slices { target_mhz = 0.0 }, small_space,
+      fir16_source, "fir", [];
+      "dct",
+      Objective.Max_mhz { slice_budget = Roccc_fpga.Area.xc2v2000_slices },
+      Search.default_space, dct.Roccc_core.Kernels.source,
+      dct.Roccc_core.Kernels.entry, dct.Roccc_core.Kernels.luts ]
 
 let test_cache_shares_midend () =
   (* all candidates share unroll=1, so the whole grid has one mid-end
@@ -247,14 +279,7 @@ let test_cache_shares_midend () =
       Alcotest.(check (float 0.0)) "cached spans have zero duration" 0.0
         s.Trace.sp_dur_s)
     parse_cached;
-  let runs name =
-    List.length
-      (List.filter
-         (fun (s : Trace.span) ->
-           s.Trace.sp_cat = "pass" && s.Trace.sp_name = name
-           && not (List.mem_assoc "cached" s.Trace.sp_args))
-         spans)
-  in
+  let runs name = Option.value ~default:0 (List.assoc_opt name (pass_runs trace)) in
   List.iter
     (fun name ->
       Alcotest.(check int) (name ^ " runs once for the whole search") 1
@@ -283,15 +308,7 @@ let test_loop_free_grid_converges () =
   Alcotest.(check int) "36 candidates" 36 r.Search.res_explored;
   Alcotest.(check int) "every point on the front" 36
     (List.length r.Search.res_front);
-  let spans = Trace.spans trace in
-  let runs name =
-    List.length
-      (List.filter
-         (fun (s : Trace.span) ->
-           s.Trace.sp_cat = "pass" && s.Trace.sp_name = name
-           && not (List.mem_assoc "cached" s.Trace.sp_args))
-         spans)
-  in
+  let runs name = Option.value ~default:0 (List.assoc_opt name (pass_runs trace)) in
   List.iter
     (fun (name, n) -> Alcotest.(check int) (name ^ " runs") n (runs name))
     [ "parse", 1; "ssa-and-cfg", 1; "bit-width-inference", 1;
