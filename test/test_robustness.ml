@@ -223,6 +223,16 @@ let test_error_missing_entry () =
   Alcotest.(check bool) ("names the function: " ^ msg) true
     (contains "nope" msg)
 
+(* Every rejection's text, as `roccc` prints it and as a batch job reports
+   it, pinned by test/golden/errors.txt (tools/gen_golden.exe writes it
+   from the same cases). *)
+let test_error_golden () =
+  let ic = open_in_bin "golden/errors.txt" in
+  let want = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Alcotest.(check string) "errors.txt (tools/error_cases.ml)" want
+    (Error_cases.golden ())
+
 (* ------------------------------------------------------------------ *)
 (* Printers / dumps                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -317,7 +327,8 @@ let suites =
       Alcotest.test_case "constant-expression global init" `Quick
         test_negative_global_initializer;
       Alcotest.test_case "missing entry named" `Quick
-        test_error_missing_entry ];
+        test_error_missing_entry;
+      Alcotest.test_case "golden error messages" `Quick test_error_golden ];
     "robustness.printers",
     [ Alcotest.test_case "VM procedure printing" `Quick test_proc_printing;
       Alcotest.test_case "DOT output well-formed" `Quick

@@ -107,3 +107,12 @@ let () =
   output_string oc text;
   close_out oc;
   Printf.printf "wrote %s (%d bytes)\n" path (String.length text)
+
+let () =
+  let dir = if Array.length Sys.argv > 1 then Sys.argv.(1) else "test/golden" in
+  let text = Error_cases.golden () in
+  let path = Filename.concat dir "errors.txt" in
+  let oc = open_out_bin path in
+  output_string oc text;
+  close_out oc;
+  Printf.printf "wrote %s (%d bytes)\n" path (String.length text)
