@@ -36,27 +36,15 @@ let read_file path =
 
 let with_errors f =
   try f () with
-  | Driver.Error msg ->
-    Printf.eprintf "roccc: %s\n" msg;
-    exit 1
-  | Roccc_cfront.Parser.Error (msg, line, col) ->
-    Printf.eprintf "roccc: parse error at %d:%d: %s\n" line col msg;
-    exit 1
-  | Roccc_cfront.Semant.Error msg ->
-    Printf.eprintf "roccc: %s\n" msg;
-    exit 1
-  | Roccc_vm.Instr.Vm_error msg ->
-    Printf.eprintf "roccc: vm error: %s\n" msg;
-    exit 1
-  | Roccc_cfront.Interp.Error msg ->
-    Printf.eprintf "roccc: interpreter: %s\n" msg;
-    exit 1
-  | Net.Error msg ->
-    Printf.eprintf "roccc: network: %s\n" msg;
-    exit 1
   | Sys_error msg ->
     Printf.eprintf "roccc: %s\n" msg;
     exit 1
+  | e -> (
+    match Roccc_core.Pass.error_message e with
+    | Some msg ->
+      Printf.eprintf "roccc: %s\n" msg;
+      exit 1
+    | None -> raise e)
 
 (* ---- common args ---- *)
 
@@ -316,7 +304,8 @@ let compile_cmd =
           List.exists
             (fun (pl : Roccc_cfront.Ast.pipeline_decl) ->
               String.equal pl.Roccc_cfront.Ast.pl_name entry)
-            (try Net.pipelines_of_source source with Net.Error _ -> [])
+            (try Net.pipelines_of_source source
+             with Roccc_util.Diag.Error { where = "parse error"; _ } -> [])
         in
         if is_network then run_network ~source ~config ~options ~out entry
         else begin
@@ -537,13 +526,9 @@ let profile_cmd =
               n, if Array.length vs > 0 then vs.(0) else 0L)
             scalars
         in
-        match
-          Roccc_core.Profile.analyze ~scalars ~arrays ~entry source
-        with
-        | p -> print_string (Roccc_core.Profile.report p)
-        | exception Roccc_core.Profile.Error msg ->
-          Printf.eprintf "roccc: %s\n" msg;
-          exit 1)
+        print_string
+          (Roccc_core.Profile.report
+             (Roccc_core.Profile.analyze ~scalars ~arrays ~entry source)))
   in
   Cmd.v
     (Cmd.info "profile"
@@ -689,7 +674,7 @@ let batch_cmd =
           { Service.label = base ^ ":" ^ entry; source; entry; options;
             luts = [] })
         entries
-    | exception Driver.Error _ ->
+    | exception Roccc_util.Diag.Error { where = "parse error"; _ } ->
       [ { Service.label = base; source; entry = "?"; options; luts = [] } ]
   in
   let run paths table1 (options, given) jobs use_cache cache_dir trace_out out

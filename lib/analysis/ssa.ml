@@ -9,10 +9,7 @@
 
 module Proc = Roccc_vm.Proc
 module Instr = Roccc_vm.Instr
-
-exception Error of string
-
-let errf fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
+module Diag = Roccc_util.Diag
 
 (* Dominator-tree children map derived from idom. *)
 let dom_children (g : Cfg.t) : (Proc.label, Proc.label list) Hashtbl.t =
@@ -131,14 +128,19 @@ let convert (proc : Proc.t) : Cfg.t =
     let k = Proc.reg_kind proc r in
     Proc.fresh_reg proc k
   in
-  (* end-of-block variable environment, used to fill phi args and to find
-     the exit-reaching version of each output. *)
-  let block_end_version : (Proc.label * Instr.vreg, Instr.vreg) Hashtbl.t =
-    Hashtbl.create 32
+  let exit_label =
+    match
+      List.find_opt (fun (b : Proc.block) -> b.Proc.term = Proc.Ret) proc.Proc.blocks
+    with
+    | Some b -> b.Proc.label
+    | None ->
+      Diag.failf "ssa" "ssa: procedure %s has no exit block" proc.Proc.pname
   in
+  (* the outputs rebound to the versions reaching the exit; only the exit
+     block's environment is read, so no other block's is kept *)
+  let exit_outputs = ref proc.Proc.outputs in
   let children = dom_children g in
   let multi r = needs_phi r in
-  let interesting = Hashtbl.fold (fun r _ acc -> r :: acc) def_blocks [] in
   let rec rename (l : Proc.label) =
     let b = Proc.find_block proc l in
     let pushed = ref [] in
@@ -181,10 +183,11 @@ let convert (proc : Proc.t) : Cfg.t =
     (match b.Proc.term with
     | Proc.Branch (r, l1, l2) -> b.Proc.term <- Proc.Branch (top r, l1, l2)
     | Proc.Jump _ | Proc.Ret -> ());
-    (* snapshot versions at block end *)
-    List.iter
-      (fun r -> Hashtbl.replace block_end_version (l, r) (top r))
-      interesting;
+    if l = exit_label then
+      exit_outputs :=
+        List.map
+          (fun (p : Proc.port) -> { p with Proc.port_reg = top p.Proc.port_reg })
+          proc.Proc.outputs;
     (* fill phi args in successors *)
     List.iter
       (fun s ->
@@ -205,21 +208,7 @@ let convert (proc : Proc.t) : Cfg.t =
     (fun (p : Proc.port) -> push p.Proc.port_reg p.Proc.port_reg)
     proc.Proc.inputs;
   rename entry_l;
-  (* ---- rebind outputs to exit-reaching versions ---- *)
-  let exit_label =
-    match
-      List.find_opt (fun (b : Proc.block) -> b.Proc.term = Proc.Ret) proc.Proc.blocks
-    with
-    | Some b -> b.Proc.label
-    | None -> errf "ssa: procedure %s has no exit block" proc.Proc.pname
-  in
-  proc.Proc.outputs <-
-    List.map
-      (fun (p : Proc.port) ->
-        match Hashtbl.find_opt block_end_version (exit_label, p.Proc.port_reg) with
-        | Some v -> { p with Proc.port_reg = v }
-        | None -> p)
-      proc.Proc.outputs;
+  proc.Proc.outputs <- !exit_outputs;
   Cfg.build proc
 
 (* ------------------------------------------------------------------ *)
@@ -231,7 +220,7 @@ let verify (proc : Proc.t) : unit =
   let seen = Hashtbl.create 64 in
   let check r where =
     if Hashtbl.mem seen r then
-      errf "ssa: register v%d assigned more than once (%s)" r where
+      Diag.failf "ssa" "ssa: register v%d assigned more than once (%s)" r where
     else Hashtbl.replace seen r ()
   in
   List.iter
@@ -278,14 +267,17 @@ let verify_dominance (proc : Proc.t) : unit =
     proc.Proc.blocks;
   let check_use ~block ~pos ~what r =
     match Hashtbl.find_opt defs r with
-    | None -> errf "ssa: %s uses v%d, which has no definition" what r
+    | None ->
+      Diag.failf "ssa" "ssa: %s uses v%d, which has no definition" what r
     | Some (dl, dpos) ->
       if dl = block then begin
         if dpos >= pos then
-          errf "ssa: %s uses v%d before its definition in L%d" what r block
+          Diag.failf "ssa"
+            "ssa: %s uses v%d before its definition in L%d" what r block
       end
       else if not (Cfg.dominates cfg dl block) then
-        errf "ssa: %s uses v%d, defined in L%d which does not dominate L%d"
+        Diag.failf "ssa"
+          "ssa: %s uses v%d, defined in L%d which does not dominate L%d"
           what r dl block
   in
   List.iter

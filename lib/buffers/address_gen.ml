@@ -4,13 +4,11 @@
     order, [bus_elements] per access; the output generator produces one
     store address per exported window. *)
 
-exception Error of string
-
-let errf fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
-
 (* ------------------------------------------------------------------ *)
 (* Input side: sequential whole-array scan                             *)
 (* ------------------------------------------------------------------ *)
+
+module Diag = Roccc_util.Diag
 
 type input_gen = {
   total : int;
@@ -19,7 +17,8 @@ type input_gen = {
 }
 
 let create_input ~(array_dims : int list) ~(bus_elements : int) : input_gen =
-  if bus_elements < 1 then errf "address generator: bus must be >= 1";
+  if bus_elements < 1 then
+    Diag.failf "address generator" "address generator: bus must be >= 1";
   { total = List.fold_left ( * ) 1 array_dims; bus_elements; next = 0 }
 
 (** Claim the next burst of consecutive addresses: returns its length, 0
@@ -83,7 +82,8 @@ let next_write (g : output_gen) : int =
       in
       let p = g.base.(d) + (c * g.stride.(d)) in
       if p < 0 || p >= g.out_dims.(d) then
-        errf "output address generator: position out of the output array";
+        Diag.failf "address generator"
+          "output address generator: position out of the output array";
       addr := !addr + (p * !scale);
       scale := !scale * g.out_dims.(d)
     done;

@@ -3,8 +3,6 @@
     array element once, row-major, in bursts; the output side produces one
     store address per exported window. *)
 
-exception Error of string
-
 type input_gen
 
 val create_input : array_dims:int list -> bus_elements:int -> input_gen
@@ -28,4 +26,4 @@ val create_output :
 
 val next_write : output_gen -> int
 (** Flat store address for the next window; -1 when complete. Raises
-    {!Error} when the pattern escapes the output array. *)
+    {!Roccc_util.Diag.Error} when the pattern escapes the output array. *)

@@ -9,11 +9,8 @@
     sizing rule in [Roccc_net] can be checked against what actually
     happened during co-simulation. *)
 
-exception Error of string
-
-let errf fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
-
 module Words = Roccc_util.Words
+module Diag = Roccc_util.Diag
 
 type t = {
   name : string;
@@ -29,7 +26,8 @@ type t = {
 }
 
 let create ~(name : string) ~(depth : int) : t =
-  if depth < 1 then errf "fifo %s: depth must be >= 1 (got %d)" name depth;
+  if depth < 1 then
+    Diag.failf "fifo" "fifo %s: depth must be >= 1 (got %d)" name depth;
   { name;
     depth;
     ring = Words.create depth;
@@ -50,7 +48,8 @@ let is_full (f : t) : bool = f.length >= f.depth
     into a full channel is a simulator bug, not backpressure. *)
 let push (f : t) (src : Words.t) (i : int) : unit =
   if is_full f then
-    errf "fifo %s: push into a full channel (depth %d)" f.name f.depth;
+    Diag.failf "fifo"
+      "fifo %s: push into a full channel (depth %d)" f.name f.depth;
   f.ring.{(f.head + f.length) mod f.depth} <- src.{i};
   f.length <- f.length + 1;
   f.pushed <- f.pushed + 1;

@@ -8,9 +8,7 @@
     [(rows-1) * row_length + cols] (line buffers), matching the hardware
     structure the generator sizes. *)
 
-exception Error of string
-
-let errf fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
+module Diag = Roccc_util.Diag
 
 type config = {
   element_bits : int;
@@ -74,7 +72,9 @@ let capacity_elements (cfg : config) : int =
   match extents cfg, cfg.array_dims with
   | [ e ], [ _ ] -> e + cfg.bus_elements - 1
   | [ er; ec ], [ _; cols ] -> ((er - 1) * cols) + ec + cfg.bus_elements - 1
-  | _ -> errf "smart buffer: only 1-D and 2-D windows are supported"
+  | _ ->
+    Diag.failf "smart buffer"
+      "smart buffer: only 1-D and 2-D windows are supported"
 
 let capacity_bits (cfg : config) : int =
   capacity_elements cfg * cfg.element_bits
@@ -86,10 +86,11 @@ let config (b : t) : config = b.cfg
     guarantees in-order delivery. *)
 let push (b : t) (src : Words.t) (count : int) : unit =
   if count > b.cfg.bus_elements then
-    errf "smart buffer: %d elements exceed the bus width %d" count
+    Diag.failf "smart buffer"
+      "smart buffer: %d elements exceed the bus width %d" count
       b.cfg.bus_elements;
   if b.arrived + count > Bigarray.Array1.dim b.data then
-    errf "smart buffer: more data than the array holds";
+    Diag.failf "smart buffer" "smart buffer: more data than the array holds";
   Words.blit_wrapped ~signed:b.cfg.element_signed ~shift:b.shift src 0 b.data
     b.arrived count;
   b.arrived <- b.arrived + count;
@@ -121,15 +122,17 @@ let locate (b : t) (w : int) : unit =
   done
 
 let create (cfg : config) : t =
-  if cfg.bus_elements < 1 then errf "smart buffer: bus must carry >= 1 element";
+  if cfg.bus_elements < 1 then
+    Diag.failf "smart buffer" "smart buffer: bus must carry >= 1 element";
   (match cfg.array_dims with
   | [ _ ] | [ _; _ ] -> ()
-  | _ -> errf "smart buffer: 1-D or 2-D arrays only");
+  | _ -> Diag.failf "smart buffer" "smart buffer: 1-D or 2-D arrays only");
   let dims = Array.of_list cfg.array_dims in
   let ndims = Array.length dims in
   let per_dim name l =
     if List.length l <> ndims then
-      errf "smart buffer: %s has %d entries for a %d-D array" name
+      Diag.failf "smart buffer"
+        "smart buffer: %s has %d entries for a %d-D array" name
         (List.length l) ndims;
     Array.of_list l
   in
@@ -181,7 +184,9 @@ let pop_window (b : t) (dst : Words.t) (at : int) : bool =
       for d = 0 to Array.length b.dims - 1 do
         if b.origin.(d) + b.offset_min.(d) < 0
            || b.origin.(d) + b.offset_max.(d) >= b.dims.(d)
-        then errf "smart buffer: window position out of the array"
+        then
+          Diag.failf "smart buffer"
+            "smart buffer: window position out of the array"
       done;
     for k = 0 to Array.length b.offset_flat - 1 do
       dst.{at + k} <- b.data.{b.origin_flat + b.offset_flat.(k)}

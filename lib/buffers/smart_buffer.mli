@@ -3,8 +3,6 @@
     stride — it reuses live input data so each array element is fetched from
     memory exactly once. *)
 
-exception Error of string
-
 (** Static configuration derived from the kernel's access pattern. All
     per-dimension lists are outermost-first; [window_offsets],
     [stride]/[iterations]/[lower] have one entry per array dimension. *)
@@ -38,7 +36,7 @@ val capacity_elements : config -> int
 val capacity_bits : config -> int
 
 val create : config -> t
-(** Raises {!Error} for empty buses or >2-D arrays. *)
+(** Raises {!Roccc_util.Diag.Error} for empty buses or >2-D arrays. *)
 
 val push : t -> Roccc_util.Words.t -> int -> unit
 (** [push b src count] delivers the next memory word: the first [count]
@@ -49,9 +47,9 @@ val window_ready : t -> bool
 (** Is the next window fully buffered? *)
 
 val pop_window : t -> Roccc_util.Words.t -> int -> bool
-(** [pop_window b dst at] exports the next window's values, in offset
-    order, to words [at ..] of [dst] and advances; false, writing nothing,
-    while data is missing or once iteration completes. Raises {!Error}
+(** [pop_window b dst at] exports the next window's values, in offset order,
+    to words [at ..] of [dst] and advances; false, writing nothing, while data
+    is missing or once iteration completes. Raises {!Roccc_util.Diag.Error}
     when the window reaches outside the array. *)
 
 val finished : t -> bool

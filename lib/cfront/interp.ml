@@ -13,10 +13,7 @@
 
 open Ast
 module Words = Roccc_util.Words
-
-exception Error of string
-
-let errf fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
+module Diag = Roccc_util.Diag
 
 let default_max_steps = 10_000_000
 
@@ -39,7 +36,8 @@ let[@inline] bool b = if b then 1L else 0L
    same step as if each were counted alone. *)
 type budget = { mutable steps : int; max_steps : int }
 
-let[@inline never] exhausted () = errf "interpreter step budget exhausted"
+let[@inline never] exhausted () =
+  Diag.failf "interpretation" "interpreter step budget exhausted"
 
 let[@inline] tick b n =
   let s = b.steps + n in
@@ -47,10 +45,11 @@ let[@inline] tick b n =
   if s > b.max_steps then exhausted ()
 
 let[@inline never] out_of_bounds i d =
-  errf "array index %d out of bounds [0;%d)" i d
+  Diag.failf "interpretation" "array index %d out of bounds [0;%d)" i d
 
 let[@inline never] divide_by_zero op : unit =
-  errf (if op = Div then "division by zero" else "modulo by zero")
+  Diag.failf "interpretation"
+    (if op = Div then "division by zero" else "modulo by zero")
 
 (* Inlined into each closure, where [op] is fixed: the match is a jump and
    the value stays unboxed, as long as no branch ends in a call that
@@ -134,7 +133,7 @@ let code c f slot = { run = Some f; fr = c.fn.frame; slot; steps = 0 }
    program does not bind, kept where the program would meet them. *)
 let failing c msg =
   let b = c.rt.budget in
-  code c (fun () -> tick b 1; raise (Error msg)) 0
+  code c (fun () -> tick b 1; Diag.failf "interpretation" "%s" msg) 0
 
 let scalar_error name = function
   | None -> Printf.sprintf "undefined variable %s at runtime" name
@@ -173,7 +172,8 @@ let flat_offset (dims : int array) (idx : int array) =
     if i < 0 || i >= dims.(d) then out_of_bounds i dims.(d);
     off := (!off * dims.(d)) + i
   done;
-  if Array.length idx <> n then errf "dimension/index arity mismatch";
+  if Array.length idx <> n then
+    Diag.failf "interpretation" "dimension/index arity mismatch";
   !off
 
 (* Whether [e] compiles to a leaf. *)
@@ -396,7 +396,7 @@ and bind_params g temps caller =
     | _ -> Error (Printf.sprintf "function %s: arity mismatch" name)
   in
   match plan g.params temps [] with
-  | Error msg -> fun () -> raise (Error msg)
+  | Error msg -> fun () -> Diag.failf "interpretation" "%s" msg
   | Ok steps ->
     let steps = Array.of_list steps in
     fun () ->
@@ -407,7 +407,8 @@ and bind_params g temps caller =
 (* Runs [g]'s body on its frame, whose parameters are bound; returns the
    value of the [return] that ended it, or 0. *)
 and enter g : int64 =
-  if g.active then errf "function %s: recursive call" g.func.fname;
+  if g.active then
+    Diag.failf "interpretation" "function %s: recursive call" g.func.fname;
   zero_slots g.frame g.locals;
   g.active <- true;
   g.returned <- false;
@@ -453,7 +454,7 @@ and stmt c (s : stmt) : unit -> unit =
     let sg = k.signed and sh = Words.shift k.bits in
     fun fo so () -> set fr s (wrap sg sh (get fo so))
   in
-  let fail msg () = tick b 1; raise (Error msg) in
+  let fail msg () = tick b 1; Diag.failf "interpretation" "%s" msg in
   match s with
   | Sdecl (Tint k, name, init) -> (
     let init = Option.map (expr c) init in
@@ -476,7 +477,7 @@ and stmt c (s : stmt) : unit -> unit =
       | Some (Scalar (fr, s, k)) -> with_value b 1 v (store fr s k)
       | other ->
         let msg = scalar_error x other in
-        with_value b 1 v (fun _ _ () -> raise (Error msg)))
+        with_value b 1 v (fun _ _ () -> Diag.failf "interpretation" "%s" msg))
     | Lindex (a, idx) -> (
       match Hashtbl.find_opt c.scope a with
       | Some (Array (data, dims, k)) ->
@@ -500,7 +501,7 @@ and stmt c (s : stmt) : unit -> unit =
                 set data (offset ()) (wrap sg sh x)))
       | other ->
         let msg = array_error a other in
-        with_value b 1 v (fun _ _ () -> raise (Error msg))))
+        with_value b 1 v (fun _ _ () -> Diag.failf "interpretation" "%s" msg)))
   | Sif (cond, th, el) ->
     let cond = expr c cond in
     let th = stmts c th in
@@ -583,7 +584,8 @@ let create ?(max_steps = default_max_steps) ?(lut_funcs = []) (prog : program) :
       | Tarray (k, dims) ->
         Hashtbl.replace globals g.gname
           (Array (Words.create (dims_size dims), Array.of_list dims, k))
-      | Tptr _ | Tvoid -> errf "unsupported global %s" g.gname)
+      | Tptr _ | Tvoid ->
+        Diag.failf "interpretation" "unsupported global %s" g.gname)
     prog.globals;
   (* an initializer sets the name's binding, as the program sees it *)
   let inits =
@@ -597,7 +599,9 @@ let create ?(max_steps = default_max_steps) ?(lut_funcs = []) (prog : program) :
               let v = wrap k.signed (Words.shift k.bits) v in
               fun () -> set fr s v
             | None ->
-              fun () -> errf "global %s initializer must be a constant" g.gname)
+              fun () ->
+                Diag.failf "interpretation"
+                  "global %s initializer must be a constant" g.gname)
         | _, _ -> None)
       prog.globals
   in
@@ -680,7 +684,7 @@ let run ?(scalars = []) ?(arrays = []) (rt : runtime) (fname : string) : outcome
   let g =
     match List.assoc_opt fname rt.funcs with
     | Some g -> g
-    | None -> errf "no function named %s" fname
+    | None -> Diag.failf "interpretation" "no function named %s" fname
   in
   List.iter
     (fun (p, binding) ->
@@ -689,7 +693,8 @@ let run ?(scalars = []) ?(arrays = []) (rt : runtime) (fname : string) : outcome
         let v =
           match List.assoc_opt p.pname scalars with
           | Some v -> v
-          | None -> errf "missing scalar argument %s" p.pname
+          | None ->
+            Diag.failf "interpretation" "missing scalar argument %s" p.pname
         in
         set fr s (wrap k.signed (Words.shift k.bits) v)
       | Tptr _, Scalar (fr, s, _) -> set fr s 0L
@@ -698,12 +703,13 @@ let run ?(scalars = []) ?(arrays = []) (rt : runtime) (fname : string) : outcome
         match List.assoc_opt p.pname arrays with
         | Some a ->
           if Array.length a <> n then
-            errf "array argument %s has %d elements, expected %d" p.pname
+            Diag.failf "interpretation"
+              "array argument %s has %d elements, expected %d" p.pname
               (Array.length a) n;
           let sg = k.signed and sh = Words.shift k.bits in
           Array.iteri (fun i v -> set data i (wrap sg sh v)) a
         | None -> Bigarray.Array1.fill data 0L)
-      | _ -> errf "void parameter %s" p.pname)
+      | _ -> Diag.failf "interpretation" "void parameter %s" p.pname)
     g.params;
   let value = enter g in
   { return_value = (if g.returned then Some value else None);

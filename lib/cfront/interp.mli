@@ -4,8 +4,6 @@
     data path on a FPGA", paper §4.2.2). Values are int64, truncated to the
     declared kind at every assignment. *)
 
-exception Error of string
-
 type runtime
 
 val default_max_steps : int

@@ -1,5 +1,7 @@
 (** Hand-written lexer for the ROCCC C subset. *)
 
+module Diag = Roccc_util.Diag
+
 type token =
   | INT_LIT of int64
   | IDENT of string
@@ -20,8 +22,6 @@ type token =
   | EOF
 
 type located = { tok : token; line : int; col : int }
-
-exception Error of string * int * int  (** message, line, column *)
 
 let token_name = function
   | INT_LIT v -> Printf.sprintf "integer %Ld" v
@@ -77,7 +77,7 @@ let advance st =
   | None -> ());
   st.pos <- st.pos + 1
 
-let error st msg = raise (Error (msg, st.line, st.col))
+let error st msg = Diag.failf ~pos:(st.line, st.col) "parse error" "%s" msg
 
 let rec skip_trivia st =
   match peek_char st with
@@ -145,7 +145,7 @@ let lex_number st =
           "integer literal %s is out of range (it does not fit in 64 bits)"
           text
     in
-    raise (Error (msg, sline, scol))
+    Diag.failf ~pos:(sline, scol) "parse error" "%s" msg
 
 let lex_ident st =
   let start = st.pos in
@@ -218,7 +218,8 @@ let next_token st : located =
   in
   { tok; line; col }
 
-(** Tokenize a whole source string. Raises {!Error} on malformed input. *)
+(** Tokenize a whole source string. Raises a positioned
+    {!Roccc_util.Diag.Error} on malformed input. *)
 let tokenize (src : string) : located list =
   let st = { src; pos = 0; line = 1; col = 1 } in
   let rec loop acc =

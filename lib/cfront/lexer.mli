@@ -21,13 +21,11 @@ type token =
 
 type located = { tok : token; line : int; col : int }
 
-exception Error of string * int * int
-(** message, line, column *)
-
 val token_name : token -> string
 (** Human-readable token name for error messages. *)
 
 val tokenize : string -> located list
 (** Tokenize a whole source string (the final element is EOF). Handles
     line and block comments, decimal and hex literals with u/U/l/L
-    suffixes. Raises {!Error} on malformed input. *)
+    suffixes. Raises a positioned {!Roccc_util.Diag.Error} on malformed
+    input. *)

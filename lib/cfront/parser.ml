@@ -1,6 +1,6 @@
 (** Recursive-descent parser for the ROCCC C subset. *)
 
-exception Error of string * int * int  (** message, line, column *)
+module Diag = Roccc_util.Diag
 
 type state = { mutable toks : Lexer.located list }
 
@@ -16,7 +16,8 @@ let peek2 st =
 
 let advance st = match st.toks with [] -> () | _ :: rest -> st.toks <- rest
 
-let error_at (t : Lexer.located) msg = raise (Error (msg, t.line, t.col))
+let error_at (t : Lexer.located) msg =
+  Diag.failf ~pos:(t.line, t.col) "parse error" "%s" msg
 
 let expect st tok =
   let t = peek st in
@@ -539,10 +540,7 @@ let parse_param st : Ast.param =
   { Ast.pname; ptype }
 
 let parse_program (src : string) : Ast.program =
-  let toks =
-    try Lexer.tokenize src
-    with Lexer.Error (msg, line, col) -> raise (Error (msg, line, col))
-  in
+  let toks = Lexer.tokenize src in
   let st = { toks } in
   let globals = ref [] in
   let funcs = ref [] in
@@ -631,5 +629,5 @@ let parse_program (src : string) : Ast.program =
 let parse_func (src : string) : Ast.func =
   match (parse_program src).funcs with
   | [ f ] -> f
-  | [] -> raise (Error ("no function found in source", 1, 1))
+  | [] -> Diag.failf ~pos:(1, 1) "parse error" "no function found in source"
   | f :: _ -> f

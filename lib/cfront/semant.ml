@@ -3,10 +3,7 @@
     expression typing used by the VM lowering. *)
 
 open Ast
-
-exception Error of string
-
-let errf fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
+module Diag = Roccc_util.Diag
 
 (** Signature of a lookup-table function: input kind, output kind. *)
 type lut_signature = { lut_in : ikind; lut_out : ikind }
@@ -29,7 +26,7 @@ let create_env ?(luts = []) (prog : program) : env =
 let var_type env name =
   match Hashtbl.find_opt env.vars name with
   | Some t -> t
-  | None -> errf "undeclared variable %s" name
+  | None -> Diag.failf "semantic error" "undeclared variable %s" name
 
 (* ------------------------------------------------------------------ *)
 (* Expression typing                                                   *)
@@ -59,21 +56,25 @@ let rec type_of_expr env (e : expr) : ikind =
   | Var x -> (
     match var_type env x with
     | Tint k -> k
-    | Tarray _ -> errf "array %s used without an index" x
-    | Tptr _ -> errf "pointer %s read without dereference" x
-    | Tvoid -> errf "void variable %s" x)
+    | Tarray _ -> Diag.failf "semantic error" "array %s used without an index" x
+    | Tptr _ ->
+      Diag.failf "semantic error" "pointer %s read without dereference" x
+    | Tvoid -> Diag.failf "semantic error" "void variable %s" x)
   | Deref x -> (
     match var_type env x with
     | Tptr k -> k
-    | Tint _ | Tarray _ | Tvoid -> errf "*%s: %s is not a pointer" x x)
+    | Tint _ | Tarray _ | Tvoid ->
+      Diag.failf "semantic error" "*%s: %s is not a pointer" x x)
   | Index (a, idx) -> (
     match var_type env a with
     | Tarray (k, dims) ->
       if List.length idx <> List.length dims then
-        errf "array %s has %d dimension(s) but %d index(es) given" a
+        Diag.failf "semantic error"
+          "array %s has %d dimension(s) but %d index(es) given" a
           (List.length dims) (List.length idx);
       k
-    | Tint _ | Tptr _ | Tvoid -> errf "%s is not an array" a)
+    | Tint _ | Tptr _ | Tvoid ->
+      Diag.failf "semantic error" "%s is not an array" a)
   | Unop (Lnot, _) -> bool_kind
   | Unop ((Neg | Bnot), a) -> join_kinds (type_of_expr env a) int32_kind
   | Cast (k, _) -> k
@@ -87,10 +88,14 @@ let rec type_of_expr env (e : expr) : ikind =
         match var_type env x with
         | Tint k -> k
         | Tarray _ | Tptr _ | Tvoid ->
-          errf "%s expects a scalar variable" roccc_load_prev)
-      | _ -> errf "%s expects exactly one variable argument" roccc_load_prev)
+          Diag.failf "semantic error"
+            "%s expects a scalar variable" roccc_load_prev)
+      | _ ->
+        Diag.failf "semantic error"
+          "%s expects exactly one variable argument" roccc_load_prev)
     else if String.equal f roccc_store2next then
-      errf "%s is a statement, not an expression" roccc_store2next
+      Diag.failf "semantic error"
+        "%s is a statement, not an expression" roccc_store2next
     else (
       match Hashtbl.find_opt env.luts f with
       | Some s -> s.lut_out
@@ -99,9 +104,13 @@ let rec type_of_expr env (e : expr) : ikind =
         | Some callee -> (
           match callee.ret with
           | Tint k -> k
-          | Tvoid -> errf "void function %s used as an expression" f
-          | Tarray _ | Tptr _ -> errf "function %s has unsupported return type" f)
-        | None -> errf "call to unknown function %s" f))
+          | Tvoid ->
+            Diag.failf "semantic error"
+              "void function %s used as an expression" f
+          | Tarray _ | Tptr _ ->
+            Diag.failf "semantic error"
+              "function %s has unsupported return type" f)
+        | None -> Diag.failf "semantic error" "call to unknown function %s" f))
 
 (* ------------------------------------------------------------------ *)
 (* Checks                                                              *)
@@ -126,12 +135,14 @@ let rec check_expr env (e : expr) : unit =
             callee.params)
         in
         if List.length args <> n_scalar then
-          errf "function %s expects %d scalar argument(s), got %d" f n_scalar
+          Diag.failf "semantic error"
+            "function %s expects %d scalar argument(s), got %d" f n_scalar
             (List.length args)
       | None ->
         if Hashtbl.mem env.luts f then (
           if List.length args <> 1 then
-            errf "lookup table %s expects exactly one argument" f)
+            Diag.failf "semantic error"
+              "lookup table %s expects exactly one argument" f)
         else ())
 
 let check_lvalue env (lv : lvalue) : unit =
@@ -139,21 +150,26 @@ let check_lvalue env (lv : lvalue) : unit =
   | Lvar x -> (
     match var_type env x with
     | Tint _ -> ()
-    | Tarray _ -> errf "cannot assign whole array %s" x
-    | Tptr _ -> errf "cannot reassign pointer %s (write through *%s)" x x
-    | Tvoid -> errf "cannot assign void variable %s" x)
+    | Tarray _ -> Diag.failf "semantic error" "cannot assign whole array %s" x
+    | Tptr _ ->
+      Diag.failf "semantic error"
+        "cannot reassign pointer %s (write through *%s)" x x
+    | Tvoid -> Diag.failf "semantic error" "cannot assign void variable %s" x)
   | Lindex (a, idx) -> (
     List.iter (check_expr env) idx;
     match var_type env a with
     | Tarray (_, dims) ->
       if List.length idx <> List.length dims then
-        errf "array %s has %d dimension(s) but %d index(es) given" a
+        Diag.failf "semantic error"
+          "array %s has %d dimension(s) but %d index(es) given" a
           (List.length dims) (List.length idx)
-    | Tint _ | Tptr _ | Tvoid -> errf "%s is not an array" a)
+    | Tint _ | Tptr _ | Tvoid ->
+      Diag.failf "semantic error" "%s is not an array" a)
   | Lderef x -> (
     match var_type env x with
     | Tptr _ -> ()
-    | Tint _ | Tarray _ | Tvoid -> errf "*%s: %s is not a pointer" x x)
+    | Tint _ | Tarray _ | Tvoid ->
+      Diag.failf "semantic error" "*%s: %s is not a pointer" x x)
 
 (* A block sees the names of its enclosing scopes; what it declares ends
    with it. *)
@@ -168,10 +184,12 @@ let rec check_stmt ~fname env (s : stmt) : unit =
   | Sdecl (t, name, init) ->
     (match t with
     | Tint _ | Tarray _ -> ()
-    | Tptr _ -> errf "local pointer %s is not allowed" name
-    | Tvoid -> errf "void local %s" name);
+    | Tptr _ ->
+      Diag.failf "semantic error" "local pointer %s is not allowed" name
+    | Tvoid -> Diag.failf "semantic error" "void local %s" name);
     if Hashtbl.mem env.vars name then
-      errf "function %s: declaration of %s shadows the %s already in scope"
+      Diag.failf "semantic error"
+        "function %s: declaration of %s shadows the %s already in scope"
         fname name name;
     Hashtbl.replace env.vars name t;
     Option.iter (check_expr env) init
@@ -197,13 +215,15 @@ let rec check_stmt ~fname env (s : stmt) : unit =
       (match var_type env x with
       | Tint _ -> ()
       | Tarray _ | Tptr _ | Tvoid ->
-        errf "%s expects a scalar variable" roccc_store2next);
+        Diag.failf "semantic error"
+          "%s expects a scalar variable" roccc_store2next);
       check_expr env v
     | Call (f, _) when String.equal f roccc_store2next ->
-      errf "%s expects (variable, value)" roccc_store2next
+      Diag.failf "semantic error"
+        "%s expects (variable, value)" roccc_store2next
     | Call _ -> check_expr env e
     | Const _ | Var _ | Index _ | Deref _ | Binop _ | Unop _ | Cast _ ->
-      errf "expression statement has no effect")
+      Diag.failf "semantic error" "expression statement has no effect")
 
 (* Recursion check over the user-function call graph (paper §2: no recursion). *)
 let check_no_recursion (prog : program) : unit =
@@ -227,7 +247,9 @@ let check_no_recursion (prog : program) : unit =
   let rec visit name =
     match Hashtbl.find_opt color name with
     | Some `Done -> ()
-    | Some `Active -> errf "recursion involving function %s is not allowed" name
+    | Some `Active ->
+      Diag.failf "semantic error"
+        "recursion involving function %s is not allowed" name
     | None ->
       Hashtbl.replace color name `Active;
       (match List.assoc_opt name graph with
@@ -238,7 +260,7 @@ let check_no_recursion (prog : program) : unit =
   List.iter (fun (name, _) -> visit name) graph
 
 (** Check a whole program. Returns the populated environment on success;
-    raises {!Error} otherwise. *)
+    raises {!Roccc_util.Diag.Error} otherwise. *)
 let check_program ?(luts = []) (prog : program) : env =
   let env = create_env ~luts prog in
   check_no_recursion prog;
@@ -246,8 +268,9 @@ let check_program ?(luts = []) (prog : program) : env =
     (fun g ->
       match g.gtype with
       | Tint _ | Tarray _ -> Option.iter (check_expr env) g.ginit
-      | Tptr _ -> errf "global pointer %s is not allowed" g.gname
-      | Tvoid -> errf "void global %s" g.gname)
+      | Tptr _ ->
+        Diag.failf "semantic error" "global pointer %s is not allowed" g.gname
+      | Tvoid -> Diag.failf "semantic error" "void global %s" g.gname)
     prog.globals;
   List.iter
     (fun f ->

@@ -2,8 +2,6 @@
     (no recursion, statically analyzable pointers, literal array dims), and
     expression typing used by the VM lowering. *)
 
-exception Error of string
-
 (** Signature of a lookup-table function: input kind, output kind. *)
 type lut_signature = { lut_in : Ast.ikind; lut_out : Ast.ikind }
 
@@ -17,7 +15,7 @@ val join_kinds : Ast.ikind -> Ast.ikind -> Ast.ikind
 (** Usual arithmetic conversion (promotion to at least 32 bits). *)
 
 val type_of_expr : env -> Ast.expr -> Ast.ikind
-(** Raises {!Error} on ill-typed expressions. *)
+(** Raises {!Roccc_util.Diag.Error} on ill-typed expressions. *)
 
 val check_program :
   ?luts:(string * lut_signature) list -> Ast.program -> env

@@ -8,12 +8,12 @@
     Every transformation is a first-class {!Pass.pass} value; the driver is
     a thin projection layer that runs the declarative pipelines
     ({!Pass.front_passes}, {!Pass.kernel_passes}, {!Pass.back_passes}) and
-    converts between the {!Pass.state} threaded through them and the staged
-    result records ({!front}, {!staged_kernel}, {!compiled}) that callers
-    such as the batch service memoize. *)
+    projects the final {!Pass.state} threaded through them onto the
+    {!compiled} record. *)
 
 module Ast = Roccc_cfront.Ast
 module Parser = Roccc_cfront.Parser
+module Diag = Roccc_util.Diag
 module Interp = Roccc_cfront.Interp
 module Lut_conv = Roccc_hir.Lut_conv
 module Kernel = Roccc_hir.Kernel
@@ -26,8 +26,6 @@ module Engine = Roccc_hw.Engine
 module Area = Roccc_fpga.Area
 
 exception Error = Pass.Error
-
-let errf fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 
 type options = Pass.options = {
   unroll_inner_max : int;
@@ -56,21 +54,8 @@ type instrument = pass_stats -> unit
 (* Stage results                                                       *)
 (* ------------------------------------------------------------------ *)
 
-type front = {
-  fr_source : string;
-  fr_entry : string;
-  fr_program : Ast.program;       (** restricted to the entry function *)
-  fr_func : Ast.func;             (** after inlining and loop transforms *)
-  fr_luts : Lut_conv.table list;  (** registered + converted tables *)
-  fr_seed_luts : Lut_conv.table list;  (** registered before compilation *)
-  fr_trace : string list;
-}
-
-type staged_kernel = {
-  sk_front : front;
-  sk_kernel : Kernel.t;
-  sk_trace : string list;         (** cumulative (includes the front's) *)
-}
+type front = Pass.state
+type staged_kernel = Pass.state
 
 type compiled = {
   source : string;
@@ -96,37 +81,7 @@ type compiled = {
 (* State projections                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let need what = function
-  | Some v -> v
-  | None -> errf "pipeline state is missing the %s" what
-
-let front_of_state (st : Pass.state) : front =
-  let f = need "entry function" st.Pass.st_func in
-  let program = need "program" st.Pass.st_program in
-  { fr_source = st.Pass.st_source;
-    fr_entry = st.Pass.st_entry;
-    fr_program = { program with Ast.funcs = [ f ] };
-    fr_func = f;
-    fr_luts = st.Pass.st_luts;
-    fr_seed_luts = st.Pass.st_seed_luts;
-    fr_trace = st.Pass.st_trace }
-
-let staged_of_state (st : Pass.state) : staged_kernel =
-  { sk_front = front_of_state st;
-    sk_kernel = need "kernel" st.Pass.st_kernel;
-    sk_trace = st.Pass.st_trace }
-
-let state_of_front ?(options = default_options) (fr : front) : Pass.state =
-  { (Pass.initial ~luts:fr.fr_luts ~options ~entry:fr.fr_entry fr.fr_source) with
-    Pass.st_seed_luts = fr.fr_seed_luts;
-    st_program = Some fr.fr_program;
-    st_func = Some fr.fr_func;
-    st_trace = fr.fr_trace }
-
-let state_of_staged ~(options : options) (sk : staged_kernel) : Pass.state =
-  { (state_of_front ~options sk.sk_front) with
-    Pass.st_kernel = Some sk.sk_kernel;
-    st_trace = sk.sk_trace }
+let need = Pass.need
 
 (* Figure 2 system wrapper from the pre-existing VHDL component library,
    for the simple 1-D single-window shape. *)
@@ -191,18 +146,17 @@ let front_end ?instrument ?config ?(options = default_options) ?(luts = [])
     ~(entry : string) (source : string) : front =
   let config = resolve_config ?instrument ?config () in
   let st = Pass.initial ~luts ~options ~entry source in
-  front_of_state (Pass.run ~config Pass.front_passes st)
+  Pass.run ~config Pass.front_passes st
 
 let lower_to_kernel ?instrument ?config (fr : front) : staged_kernel =
   let config = resolve_config ?instrument ?config () in
-  let st = state_of_front fr in
-  staged_of_state (Pass.run ~config Pass.kernel_passes st)
+  Pass.run ~config Pass.kernel_passes fr
 
 let back_end ?instrument ?config ?(options = default_options)
     (sk : staged_kernel) : compiled =
   let config = resolve_config ?instrument ?config () in
-  let st = state_of_staged ~options sk in
-  compiled_of_state (Pass.run ~config Pass.back_passes st)
+  compiled_of_state
+    (Pass.run ~config Pass.back_passes { sk with Pass.st_options = options })
 
 (* ------------------------------------------------------------------ *)
 (* Design metrics (the autotuner's costing)                            *)
@@ -239,11 +193,7 @@ let compile ?instrument ?config ?(options = default_options) ?(luts = [])
 (** The kernel-eligible functions of a source file (array or pointer
     parameters), in definition order. *)
 let eligible_entries (source : string) : string list =
-  let program =
-    try Parser.parse_program source
-    with Parser.Error (msg, line, col) ->
-      errf "parse error at %d:%d: %s" line col msg
-  in
+  let program = Parser.parse_program source in
   let eligible (f : Ast.func) =
     List.exists
       (fun p ->
@@ -280,9 +230,8 @@ let simulate ?(scalars = []) ?(arrays = []) (c : compiled) : Engine.result =
     Engine.simulate ~luts:lut_bindings ~scalars ~arrays
       ~bus_elements:c.options.bus_elements c.kernel ~dp:c.dp
       ~pipeline:c.pipeline
-  with
-  | Roccc_vm.Instr.Vm_error msg -> errf "simulation of %s: %s" c.entry msg
-  | Engine.Error msg -> errf "simulation of %s: %s" c.entry msg
+  with Diag.Error { where = "vm" | "engine"; msg; _ } ->
+    raise (Error (Printf.sprintf "simulation of %s: %s" c.entry msg))
 
 (** Run the original C through the reference interpreter (same inputs). *)
 let interpret ?(scalars = []) ?(arrays = []) (c : compiled) : Interp.outcome =
@@ -291,7 +240,8 @@ let interpret ?(scalars = []) ?(arrays = []) (c : compiled) : Interp.outcome =
   try
     Interp.run_source ~luts:lut_sigs ~lut_funcs ~scalars ~arrays c.source
       c.entry
-  with Interp.Error msg -> errf "interpretation of %s: %s" c.entry msg
+  with Diag.Error { where = "interpretation"; msg; _ } ->
+    raise (Error (Printf.sprintf "interpretation of %s: %s" c.entry msg))
 
 (** Co-simulation check: hardware simulation equals software semantics on
     the given inputs. Returns the diff report ([] when equivalent). *)

@@ -64,26 +64,13 @@ type instrument = pass_stats -> unit
 
 (** {1 Staged pipeline} *)
 
+type front
 (** Front-end result: parse, semantic checks, LUT conversion, inlining and
     loop-level optimization. Immutable — safe to share across domains. *)
-type front = {
-  fr_source : string;
-  fr_entry : string;
-  fr_program : Roccc_cfront.Ast.program;  (** restricted to the entry *)
-  fr_func : Roccc_cfront.Ast.func;
-  fr_luts : Roccc_hir.Lut_conv.table list;  (** registered + converted *)
-  fr_seed_luts : Roccc_hir.Lut_conv.table list;
-      (** the tables registered before compilation began *)
-  fr_trace : string list;
-}
 
+type staged_kernel
 (** Storage-level result: scalar replacement + feedback annotation.
     Immutable — safe to share across domains. *)
-type staged_kernel = {
-  sk_front : front;
-  sk_kernel : Roccc_hir.Kernel.t;
-  sk_trace : string list;
-}
 
 (** Everything the compiler produces for one kernel. *)
 type compiled = {
@@ -168,7 +155,8 @@ val compile :
 
 val eligible_entries : string -> string list
 (** The kernel-eligible functions (array or pointer parameters) of a C
-    source file, in definition order. Raises {!Error} on parse failure. *)
+    source file, in definition order. Raises the parser's
+    {!Roccc_util.Diag.Error} on parse failure. *)
 
 val compile_all :
   ?config:Pass.config ->

@@ -44,6 +44,7 @@ module Dp_eval = Roccc_datapath.Dp_eval
 module Gen = Roccc_vhdl.Gen
 module Lint = Roccc_vhdl.Lint
 module Area = Roccc_fpga.Area
+module Diag = Roccc_util.Diag
 
 exception Error of string
 
@@ -53,38 +54,13 @@ exception Cancelled of string
    Deliberately not an [Error]: callers distinguish "the compiler failed"
    from "the caller gave up". *)
 
-let errf fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
-
-(* Translate the libraries' typed exceptions into the user-facing [Error]
-   so no pass lets a raw internal exception escape to a caller (the CLI,
-   the batch service). *)
-let user_message (e : exn) : string option =
+(* The text of a compiler error: a pass failure, or a library's
+   diagnostic not yet prefixed with the pass that met it. *)
+let error_message (e : exn) : string option =
   match e with
-  | Loop_opt.Error m -> Some ("loop optimization: " ^ m)
-  | Inline.Error m -> Some ("inlining: " ^ m)
-  | Lut_conv.Error m -> Some ("lut conversion: " ^ m)
-  | Feedback.Error m -> Some ("feedback: " ^ m)
-  | Scalar_replacement.Error m -> Some ("scalar replacement: " ^ m)
-  | Kernel.Ill_formed m -> Some ("kernel: " ^ m)
-  | Lower.Error m -> Some ("lowering: " ^ m)
-  | Proc.Ill_formed m -> Some ("vm cfg: " ^ m)
-  | Ssa.Error m -> Some ("ssa: " ^ m)
-  | Builder.Error m -> Some ("datapath construction: " ^ m)
-  | Graph.Ill_formed m -> Some ("datapath: " ^ m)
-  | Widths.Error m -> Some ("width inference: " ^ m)
-  | Pipeline.Error m -> Some ("pipelining: " ^ m)
-  | Gen.Error m -> Some ("vhdl generation: " ^ m)
-  | Lint.Error m -> Some ("vhdl lint: " ^ m)
-  | Eval.Error m -> Some ("vm evaluation: " ^ m)
-  | Dp_eval.Error m -> Some ("datapath evaluation: " ^ m)
-  | Interp.Error m -> Some ("interpretation: " ^ m)
-  | Roccc_vm.Instr.Vm_error m -> Some ("vm: " ^ m)
+  | Error msg -> Some msg
+  | Diag.Error d -> Some (Diag.to_string d)
   | _ -> None
-
-let guard (f : unit -> 'a) : 'a =
-  try f ()
-  with e -> (
-    match user_message e with Some m -> raise (Error m) | None -> raise e)
 
 (* ------------------------------------------------------------------ *)
 (* Options                                                             *)
@@ -187,7 +163,7 @@ let initial ?(luts = []) ~(options : options) ~(entry : string)
 
 let need what = function
   | Some v -> v
-  | None -> errf "pipeline state is missing the %s" what
+  | None -> raise (Error ("pipeline state is missing the " ^ what))
 
 let program_of st = need "program" st.st_program
 let func_of st = need "entry function" st.st_func
@@ -308,10 +284,7 @@ let port_vectors (ports : Proc.port list) : (string * int64) list list =
               ~i:it p.Proc.port_kind ))
         ports)
 
-let diff_errf name fmt =
-  Printf.ksprintf
-    (fun s -> errf "differential check (%s): %s" name s)
-    fmt
+let diff_errf check fmt = Diag.failf ("differential check (" ^ check ^ ")") fmt
 
 let compare_values ~(check : string) ~(iter : int) ~(a_name : string)
     ~(b_name : string) (a : (string * int64) list) (b : (string * int64) list)
@@ -503,8 +476,10 @@ let find_entry (program : Ast.program) (entry : string) ~(where : string) :
   with
   | Some f -> f
   | None ->
-    if String.equal where "parse" then errf "no function named %s" entry
-    else errf "function %s lost during %s" entry where
+    raise
+      (Error
+         (if String.equal where "parse" then "no function named " ^ entry
+          else Printf.sprintf "function %s lost during %s" entry where))
 
 let parse_pass =
   { name = "parse";
@@ -514,12 +489,7 @@ let parse_pass =
     applicable = always;
     transform =
       (fun st ->
-        let program =
-          try Parser.parse_program st.st_source
-          with Parser.Error (msg, line, col) ->
-            errf "parse error at %d:%d: %s" line col msg
-        in
-        { st with st_program = Some program });
+        { st with st_program = Some (Parser.parse_program st.st_source) });
     ir_size = (fun st -> program_size (program_of st));
     verifier = None;
     differential = None;
@@ -536,8 +506,7 @@ let semantic_check_pass =
       (fun st ->
         let program = program_of st in
         let lut_sigs = List.map Lut_conv.signature st.st_luts in
-        (try ignore (Semant.check_program ~luts:lut_sigs program)
-         with Semant.Error msg -> errf "semantic error: %s" msg);
+        ignore (Semant.check_program ~luts:lut_sigs program);
         let f = find_entry program st.st_entry ~where:"parse" in
         { st with st_func = Some f });
     ir_size = (fun _ -> 0);
@@ -576,7 +545,7 @@ let convertible_luts (st : state) : Lut_conv.table list =
           when k.Ast.bits <= st.st_options.lut_convert_max_bits -> (
           match Lut_conv.from_function program callee with
           | table -> Some table
-          | exception Lut_conv.Error _ -> None)
+          | exception Diag.Error { where = "lut conversion"; _ } -> None)
         | _ -> None)
       | None -> None)
     called_names
@@ -763,12 +732,7 @@ let scalar_replacement_pass =
         let program = program_of st in
         let f = func_of st in
         let program = { program with Ast.funcs = [ f ] } in
-        let kernel =
-          try Scalar_replacement.run program f
-          with Scalar_replacement.Error msg ->
-            errf "scalar replacement: %s" msg
-        in
-        { st with st_kernel = Some kernel });
+        { st with st_kernel = Some (Scalar_replacement.run program f) });
     ir_size = (fun st -> ast_size (kernel_of st).Kernel.dp);
     verifier = Some (fun st -> Kernel.verify (kernel_of st));
     differential = Some (output_only differential_front);
@@ -884,7 +848,8 @@ let widths_verifier st =
           | Some d ->
             let w = Widths.width widths d in
             if w < 1 || w > 64 then
-              errf "width inference: v%d has width %d outside [1,64]" d w
+              Diag.failf "width inference" "v%d has width %d outside [1,64]" d
+                w
           | None -> ())
         n.Graph.instrs)
     dp.Graph.nodes
@@ -1015,13 +980,10 @@ let vhdl_lint_pass =
     applicable = always;
     transform =
       (fun st ->
-        (match st.st_design with
-        | Some design -> (
-          match Lint.check design with
-          | _ -> ()
-          | exception Lint.Error msg ->
-            errf "generated VHDL fails lint: %s" msg)
-        | None -> errf "pipeline state is missing the design");
+        (match Lint.check (need "design" st.st_design) with
+        | _ -> ()
+        | exception Diag.Error { where = "vhdl lint"; msg; _ } ->
+          Diag.failf "generated VHDL fails lint" "%s" msg);
         st);
     ir_size = (fun _ -> 0);
     verifier = None;
@@ -1138,15 +1100,13 @@ let prefix_pass name msg =
   then msg
   else name ^ ": " ^ msg
 
-(* Satellite of the refactor: every error escaping a pass carries the
-   failing pass's name, so the CLI and the batch service report "where",
-   not just "what". *)
-let with_pass_name (name : string) (f : unit -> 'a) : 'a =
-  try f () with
-  | Error msg -> raise (Error (prefix_pass name msg))
-  | e -> (
-    match user_message e with
-    | Some m -> raise (Error (prefix_pass name m))
+(* Every error escaping a pass carries the failing pass's name, so the
+   CLI and the batch service report "where", not just "what". *)
+let with_pass_name ?(stage = "") (name : string) (f : unit -> 'a) : 'a =
+  try f ()
+  with e -> (
+    match error_message e with
+    | Some m -> raise (Error (prefix_pass name (stage ^ m)))
     | None -> raise e)
 
 (* Whether [p] runs under [options]: its option gate is open and, when it
@@ -1233,14 +1193,7 @@ let step ?config (p : pass) (st : state) : state =
     if config.verify_ir then
       Option.iter
         (fun v ->
-          try v st' with
-          | Error msg ->
-            raise (Error (prefix_pass p.name ("ir verification: " ^ msg)))
-          | e -> (
-            match user_message e with
-            | Some m ->
-              raise (Error (prefix_pass p.name ("ir verification: " ^ m)))
-            | None -> raise e))
+          with_pass_name ~stage:"ir verification: " p.name (fun () -> v st'))
         p.verifier;
     if config.differential then
       Option.iter

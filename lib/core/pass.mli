@@ -18,12 +18,11 @@ exception Cancelled of string
     deadline). Deliberately distinct from {!Error}: the compiler did not
     fail, the caller gave up. *)
 
-val user_message : exn -> string option
-(** Translate a library's typed exception into a user-facing message
-    ([None] for exceptions that should propagate unchanged). *)
-
-val guard : (unit -> 'a) -> 'a
-(** Run [f], translating known library exceptions into {!Error}. *)
+val error_message : exn -> string option
+(** The text of a compiler error: {!Error}'s message, or a library's
+    {!Roccc_util.Diag.Error} rendered by {!Roccc_util.Diag.to_string};
+    [None] for any other exception. The one renderer behind every
+    command's and every job's error line. *)
 
 (** {1 Options} *)
 
@@ -93,6 +92,10 @@ val initial :
   string ->
   state
 (** Fresh pipeline state for one compilation of [source]. *)
+
+val need : string -> 'a option -> 'a
+(** [need what field]: the field's value; raises {!Error} naming [what]
+    when an earlier pass has not filled it in. *)
 
 val buffer_configs_of :
   bus_elements:int -> Roccc_hir.Kernel.t -> Roccc_buffers.Smart_buffer.config list

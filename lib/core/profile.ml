@@ -15,10 +15,7 @@ module Ast = Roccc_cfront.Ast
 module Parser = Roccc_cfront.Parser
 module Semant = Roccc_cfront.Semant
 module Interp = Roccc_cfront.Interp
-
-exception Error of string
-
-let errf fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
+module Diag = Roccc_util.Diag
 
 (** One profiled loop site. *)
 type site = {
@@ -168,15 +165,11 @@ let instrument (prog : Ast.program) : Ast.program * site list =
 (** Profile [entry] of the program in [source] on the given inputs. *)
 let analyze ?(luts = []) ?(lut_funcs = []) ?(scalars = []) ?(arrays = [])
     ~(entry : string) (source : string) : profile =
-  let prog =
-    try Parser.parse_program source
-    with Parser.Error (msg, line, col) ->
-      errf "parse error at %d:%d: %s" line col msg
-  in
+  let prog = Parser.parse_program source in
   let _ = Semant.check_program ~luts prog in
   let prog', sites = instrument prog in
   if not (List.exists (fun (f : Ast.func) -> f.Ast.fname = entry) prog'.Ast.funcs)
-  then errf "no function named %s" entry;
+  then Diag.failf "profile" "no function named %s" entry;
   let rt = Interp.create ~lut_funcs prog' in
   let _ = Interp.run rt entry ~scalars ~arrays in
   List.iter

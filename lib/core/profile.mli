@@ -3,8 +3,6 @@
     by dynamic operation count, identifying the frequently executing kernels
     — the hardware candidates — before compilation. *)
 
-exception Error of string
-
 (** One profiled loop site. *)
 type site = {
   site_id : int;

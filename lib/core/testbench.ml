@@ -9,10 +9,7 @@ module Pipeline = Roccc_datapath.Pipeline
 module Dp_eval = Roccc_datapath.Dp_eval
 module Lut_conv = Roccc_hir.Lut_conv
 module Ast = Roccc_cfront.Ast
-
-exception Error of string
-
-let errf fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
+module Diag = Roccc_util.Diag
 
 (* Window values per iteration, in kernel launch order — the same schedule
    the smart buffer produces. *)
@@ -24,7 +21,9 @@ let iteration_inputs (c : Driver.compiled)
     let data =
       match List.assoc_opt w.Kernel.win_array arrays with
       | Some d -> d
-      | None -> errf "testbench: missing input array %s" w.Kernel.win_array
+      | None ->
+        Diag.failf "testbench"
+          "testbench: missing input array %s" w.Kernel.win_array
     in
     let dims = w.Kernel.win_dims in
     let flat pos = List.fold_left2 (fun acc d p -> (acc * d) + p) 0 dims pos in
@@ -67,7 +66,8 @@ let iteration_inputs (c : Driver.compiled)
           (fun (p : Ast.param) ->
             match List.assoc_opt p.Ast.pname scalars with
             | Some v -> p.Ast.pname, v
-            | None -> errf "testbench: missing scalar %s" p.Ast.pname)
+            | None ->
+              Diag.failf "testbench" "testbench: missing scalar %s" p.Ast.pname)
           k.Kernel.scalar_inputs)
 
 let literal (kind : Ast.ikind) (v : int64) : string =

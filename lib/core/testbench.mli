@@ -4,8 +4,6 @@
     come from the data-path evaluator, which the test suite keeps equal to
     the C interpreter. *)
 
-exception Error of string
-
 val iteration_inputs :
   Driver.compiled ->
   arrays:(string * int64 array) list ->
@@ -19,5 +17,5 @@ val generate :
   ?arrays:(string * int64 array) list ->
   Driver.compiled ->
   string
-(** Render the testbench VHDL text. Raises {!Error} when a named input
-    array or scalar is missing. *)
+(** Render the testbench VHDL text. Raises {!Roccc_util.Diag.Error} when a
+    named input array or scalar is missing. *)

@@ -12,12 +12,9 @@ module Instr = Roccc_vm.Instr
 module Proc = Roccc_vm.Proc
 module Cfg = Roccc_analysis.Cfg
 
-exception Error of string
-
-let errf fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
-
 module IM = Map.Make (Int)
 module IS = Set.Make (Int)
+module Diag = Roccc_util.Diag
 
 (* ------------------------------------------------------------------ *)
 (* Region tree                                                         *)
@@ -54,7 +51,9 @@ let find_join (g : Cfg.t) (l1 : Proc.label) (l2 : Proc.label) : Proc.label =
   in
   match common with
   | j :: _ -> j
-  | [] -> errf "builder: branches never rejoin — unstructured CFG"
+  | [] ->
+    Diag.failf "datapath construction"
+      "builder: branches never rejoin — unstructured CFG"
 
 (* Parse blocks from [l] until [stop] (exclusive) into a region sequence. *)
 let rec parse_seq (g : Cfg.t) (l : Proc.label) (stop : Proc.label option) :
@@ -107,12 +106,15 @@ let mux_instrs (g : Cfg.t) ~(cond : Instr.vreg) ~(join : Proc.label)
         let v_then, v_else =
           if IS.mem la then_side then va, vb
           else if IS.mem lb then_side then vb, va
-          else errf "builder: phi in L%d has no arg from the then side" join
+          else
+            Diag.failf "datapath construction"
+              "builder: phi in L%d has no arg from the then side" join
         in
         Instr.make ~dst:phi.Proc.phi_dst Instr.Mux [ cond; v_then; v_else ]
           phi.Proc.phi_kind
       | args ->
-        errf "builder: phi with %d args in L%d (expected 2)" (List.length args)
+        Diag.failf "datapath construction"
+          "builder: phi with %d args in L%d (expected 2)" (List.length args)
           join)
     b.Proc.phis
 
@@ -218,7 +220,8 @@ let build (proc : Proc.t) : Graph.t =
       match IM.find_opt r !val_map with
       | Some v -> v
       | None ->
-        errf "builder: register v%d used before it is available (level rout)" r
+        Diag.failf "datapath construction"
+          "builder: register v%d used before it is available (level rout)" r
   in
   for k = 0 to level_count - 1 do
     let nodes = levels.(k) in
@@ -321,7 +324,9 @@ let build (proc : Proc.t) : Graph.t =
         let cur =
           match IM.find_opt p.Proc.port_reg !val_map with
           | Some v -> v
-          | None -> errf "builder: output %s never defined" p.Proc.port_name
+          | None ->
+            Diag.failf "datapath construction"
+              "builder: output %s never defined" p.Proc.port_name
         in
         let dst = Proc.fresh_reg proc p.Proc.port_kind in
         ( ports @ [ { p with Proc.port_reg = dst } ],
@@ -375,7 +380,7 @@ let verify_adjoining (dp : Graph.t) : unit =
               if IS.mem s local then ()
               else if IS.mem s inputs then begin
                 if n.Graph.level <> 0 then
-                  errf
+                  Diag.failf "datapath construction"
                     "adjoining violated: input v%d consumed at level %d (only \
                      level 0 may read external inputs)"
                     s n.Graph.level
@@ -384,11 +389,13 @@ let verify_adjoining (dp : Graph.t) : unit =
                 match Hashtbl.find_opt produced_at s with
                 | Some lvl when lvl = n.Graph.level - 1 -> ()
                 | Some lvl ->
-                  errf
+                  Diag.failf "datapath construction"
                     "adjoining violated: v%d produced at level %d, consumed \
                      at level %d"
                     s lvl n.Graph.level
-                | None -> errf "adjoining: v%d has no producer" s)
+                | None ->
+                  Diag.failf "datapath construction"
+                    "adjoining: v%d has no producer" s)
             i.Instr.srcs)
         n.Graph.instrs)
     dp.Graph.nodes

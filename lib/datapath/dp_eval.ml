@@ -14,10 +14,7 @@ module Instr = Roccc_vm.Instr
 module Proc = Roccc_vm.Proc
 module Words = Roccc_util.Words
 module Wide = Roccc_ip_wide.Wide
-
-exception Error of string
-
-let errf fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
+module Diag = Roccc_util.Diag
 
 type result = {
   outputs : (string * int64) list;
@@ -75,6 +72,8 @@ let distinct names =
 (* A compiled instruction: a step, nothing to do, or the fault every
    launch meets there. *)
 type step = Step of (unit -> unit) | Skip | Stop of exn
+
+let fault msg = Diag.Error { where = "datapath evaluation"; pos = None; msg }
 
 let prepare ?(luts = []) ?(widths : Widths.t option) ?columns (dp : Graph.t) :
     prepared =
@@ -195,23 +194,24 @@ let prepare ?(luts = []) ?(widths : Widths.t option) ?columns (dp : Graph.t) :
       fun () -> r.{d} <- wrap sg s (if r.{sel} <> 0L then r.{a} else r.{b})
     | Instr.Lpr name, [] ->
       let slot = index_of fb_names name in
-      if slot < 0 then errf "dp_eval: unknown feedback signal %s" name;
+      if slot < 0 then
+        Diag.failf "datapath evaluation"
+          "dp_eval: unknown feedback signal %s" name;
       fun () -> r.{d} <- wrap sg s fb.{slot}
     | Instr.Lut name, [ a ] -> (
       match List.assoc_opt name luts with
       | Some f -> fun () -> r.{d} <- wrap sg s (f r.{a})
-      | None -> errf "dp_eval: unknown lookup table %s" name)
+      | None ->
+        Diag.failf "datapath evaluation"
+          "dp_eval: unknown lookup table %s" name)
     | op, srcs ->
       (* what Instr.eval_op raises for these operand lists *)
-      raise
-        (Instr.Vm_error
-           (match op with
-           | Instr.Snx _ when List.length srcs = 1 ->
-             "snx handled by the evaluator"
-           | _ ->
-             Printf.sprintf
-               "arity mismatch for %s: got %d operand(s), expected %d"
-               (Instr.opcode_name op) (List.length srcs) (Instr.arity op)))
+      match op with
+      | Instr.Snx _ when List.length srcs = 1 ->
+        Diag.failf "vm" "snx handled by the evaluator"
+      | _ ->
+        Diag.failf "vm" "arity mismatch for %s: got %d operand(s), expected %d"
+          (Instr.opcode_name op) (List.length srcs) (Instr.arity op)
   in
   (* Every launch runs the steps in the same order, so a register read
      before its definition is a fact of the data path, found here; the
@@ -220,7 +220,7 @@ let prepare ?(luts = []) ?(widths : Widths.t option) ?columns (dp : Graph.t) :
   let defined = Array.make nregs false in
   List.iter (fun r -> defined.(r) <- true) (port_regs dp.Graph.input_ports);
   let undefined r =
-    Error (Printf.sprintf "dp_eval: register v%d read before definition" r)
+    fault (Printf.sprintf "dp_eval: register v%d read before definition" r)
   in
   let step (i : Instr.instr) =
     (* operands are fetched first to last, so the first undefined source
@@ -240,14 +240,17 @@ let prepare ?(luts = []) ?(widths : Widths.t option) ?columns (dp : Graph.t) :
             (fun () ->
               snx.{slot} <- wrap sg s r.{a};
               snx_stamp.(slot) <- !launches))
-      | Instr.Snx _, None, _ -> Stop (Error "dp_eval: snx arity")
-      | _, None, _ -> Stop (Error "dp_eval: instruction without destination")
+      | Instr.Snx _, None, _ -> Stop (fault "dp_eval: snx arity")
+      | _, None, _ -> Stop (fault "dp_eval: instruction without destination")
       | _, Some d, _ -> (
         match compile i d with
         | f ->
           defined.(d) <- true;
           Step f
-        | exception ((Error _ | Instr.Vm_error _ | Widths.Error _) as e) ->
+        | exception
+            (Diag.Error
+               { where = "datapath evaluation" | "vm" | "width inference"; _ }
+             as e) ->
           Stop e))
   in
   let rec build acc = function
@@ -301,7 +304,9 @@ let launch (p : prepared) (src : Words.t) (at : int) (dst : Words.t)
   let r = p.regs in
   for k = 0 to Array.length p.in_regs - 1 do
     let c = p.in_cols.(k) in
-    if c < 0 then errf "dp_eval: missing input %s" p.in_names.(k);
+    if c < 0 then
+      Diag.failf "datapath evaluation"
+        "dp_eval: missing input %s" p.in_names.(k);
     r.{p.in_regs.(k)} <- wrap p.in_signed.(k) p.in_shift.(k) src.{at + c}
   done;
   let program = p.program in
@@ -331,7 +336,7 @@ let run_prepared ?(feedback_prev = []) (p : prepared)
   Array.iter
     (fun name ->
       if not (List.mem_assoc name inputs) then
-        errf "dp_eval: missing input %s" name)
+        Diag.failf "datapath evaluation" "dp_eval: missing input %s" name)
     p.in_names;
   Array.iteri
     (fun j name ->

@@ -3,8 +3,6 @@
     feedback between iterations. Used to verify construction against the VM
     and C semantics, and as the functional core of the hardware simulator. *)
 
-exception Error of string
-
 type result = {
   outputs : (string * int64) list;
   feedback_next : (string * int64) list;
@@ -39,14 +37,14 @@ val outputs : prepared -> string array
 
 val launch :
   prepared -> Roccc_util.Words.t -> int -> Roccc_util.Words.t -> int -> unit
-(** [launch p src at dst dst_at] evaluates one iteration, allocating
-    nothing: the inputs are the row of [src] at word [at] (laid out as
-    [columns]), the outputs go to the row of [dst] at word [dst_at], and
-    this iteration's SNX stores become what the next launch's LPRs read
-    (the threading of {!thread_feedback}). Division by zero on a not-taken
-    lane yields a harmless placeholder, as in hardware where the mux
-    discards the lane. Raises {!Error} for an input port with no column,
-    and for a register read before this launch defines it. *)
+(** [launch p src at dst dst_at] evaluates one iteration, allocating nothing:
+    the inputs are the row of [src] at word [at] (laid out as [columns]), the
+    outputs go to the row of [dst] at word [dst_at], and this iteration's SNX
+    stores become what the next launch's LPRs read (the threading of
+    {!thread_feedback}). Division by zero on a not-taken lane yields a
+    harmless placeholder, as in hardware where the mux discards the lane.
+    Raises {!Roccc_util.Diag.Error} for an input port with no column, and for
+    a register read before this launch defines it. *)
 
 val run_prepared :
   ?feedback_prev:(string * int64) list ->

@@ -23,9 +23,7 @@
    lists. Every array is sized once per solve; the pivots allocate
    nothing. *)
 
-exception Error of string
-
-let errf fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
+module Diag = Roccc_util.Diag
 
 type result = {
   x : int array;   (** optimal values, in the caller's variable order *)
@@ -37,10 +35,12 @@ let solve ~(weight : int array) ~(tail : int array) ~(head : int array)
   let n = Array.length weight in
   let m = Array.length tail in
   if Array.length head <> m || Array.length lower <> m then
-    errf "flow: %d tails, %d heads, %d lower bounds" m (Array.length head)
+    Diag.failf "flow"
+      "flow: %d tails, %d heads, %d lower bounds" m (Array.length head)
       (Array.length lower);
   if Array.fold_left ( + ) 0 weight <> 0 then
-    errf "flow: weights do not sum to zero (the program is unbounded)";
+    Diag.failf "flow"
+      "flow: weights do not sum to zero (the program is unbounded)";
   (* ---- arcs: the m constraint arcs, then one artificial arc per node ---- *)
   let root = n in
   let na = m + n in
@@ -157,7 +157,7 @@ let solve ~(weight : int array) ~(tail : int array) ~(head : int array)
       u := parent.(!u)
     done;
     if !side = 0 then
-      errf "flow: a negative cycle (the program is infeasible)";
+      Diag.failf "flow" "flow: a negative cycle (the program is infeasible)";
     let d = !delta in
     if d > 0 then begin
       flow.(e_in) <- flow.(e_in) + d;
@@ -232,7 +232,7 @@ let solve ~(weight : int array) ~(tail : int array) ~(head : int array)
   (* ---- recovery: x = -pi; strong duality checks the arithmetic ---- *)
   for v = 0 to n - 1 do
     if flow.(m + v) <> 0 then
-      errf "flow: node %d keeps %d unit(s) on its artificial arc" v
+      Diag.failf "flow" "flow: node %d keeps %d unit(s) on its artificial arc" v
         flow.(m + v)
   done;
   let x = Array.init n (fun v -> -pi.(v)) in
@@ -242,9 +242,10 @@ let solve ~(weight : int array) ~(tail : int array) ~(head : int array)
   for k = 0 to m - 1 do
     dual := !dual + (lower.(k) * flow.(k));
     if x.(head.(k)) - x.(tail.(k)) < lower.(k) then
-      errf "flow: recovered point violates x%d - x%d >= %d" head.(k)
+      Diag.failf "flow"
+        "flow: recovered point violates x%d - x%d >= %d" head.(k)
         tail.(k) lower.(k)
   done;
   if !dual <> !objective then
-    errf "flow: primal objective %d but dual %d" !objective !dual;
+    Diag.failf "flow" "flow: primal objective %d but dual %d" !objective !dual;
   { x; objective = !objective }

@@ -9,9 +9,6 @@
     callers read values relative to a reference variable of their own.
     This is the shape of min-area retiming ({!Pipeline.retime}). *)
 
-exception Error of string
-(** An ill-formed or infeasible program, or a broken internal invariant. *)
-
 type result = {
   x : int array;   (** an optimal point, in the caller's variable order *)
   objective : int; (** [sum_v weight.(v) * x.(v)] at that point *)
@@ -22,6 +19,7 @@ val solve :
   result
 (** Variables are [0 .. Array.length weight - 1]; the weights must sum to 0
     (otherwise the program is unbounded). Deterministic: equal inputs give
-    equal results. The returned point is checked against every constraint
-    and its objective against the flow's (strong duality); raises {!Error}
-    if either fails, or if the constraints are infeasible. *)
+    equal results. The returned point is checked against every constraint and
+    its objective against the flow's (strong duality); raises
+    {!Roccc_util.Diag.Error} if either fails, or if the constraints are
+    infeasible. *)

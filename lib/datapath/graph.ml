@@ -5,6 +5,7 @@
 
 module Instr = Roccc_vm.Instr
 module Proc = Roccc_vm.Proc
+module Diag = Roccc_util.Diag
 
 type kind =
   | Soft of Proc.label   (** data path of one CFG node *)
@@ -93,38 +94,38 @@ let flatten (dp : t) : (int * Instr.instr) list =
 (* Well-formedness                                                     *)
 (* ------------------------------------------------------------------ *)
 
-exception Ill_formed of string
-
-let illf fmt = Printf.ksprintf (fun s -> raise (Ill_formed s)) fmt
-
-(** Structural invariants of a built data path: node ids unique, the
-    [levels] index consistent with each node's [level], single assignment
-    across the whole graph, and forward dataflow — every operand is an
-    external input or is defined at a strictly earlier level, or earlier
-    within the same node. Feedback enters through LPR results (ordinary
-    definitions), so a well-formed graph is acyclic modulo the LPR/SNX
-    feedback registers. Raises {!Ill_formed} on the first violation. *)
+(** Structural invariants of a built data path: node ids unique, the [levels]
+    index consistent with each node's [level], single assignment across the
+    whole graph, and forward dataflow — every operand is an external input or
+    is defined at a strictly earlier level, or earlier within the same node.
+    Feedback enters through LPR results (ordinary definitions), so a
+    well-formed graph is acyclic modulo the LPR/SNX feedback registers. Raises
+    {!Roccc_util.Diag.Error} on the first violation. *)
 let verify (dp : t) : unit =
   let ids = Hashtbl.create 32 in
   List.iter
     (fun n ->
-      if Hashtbl.mem ids n.id then illf "datapath: duplicate node id %d" n.id;
+      if Hashtbl.mem ids n.id then
+        Diag.failf "datapath" "datapath: duplicate node id %d" n.id;
       Hashtbl.replace ids n.id ())
     dp.nodes;
   let nlevels = Array.length dp.levels in
   List.iter
     (fun n ->
       if n.level < 0 || n.level >= nlevels then
-        illf "datapath: node %d at level %d outside [0,%d)" n.id n.level nlevels;
+        Diag.failf "datapath"
+          "datapath: node %d at level %d outside [0,%d)" n.id n.level nlevels;
       if not (List.memq n dp.levels.(n.level)) then
-        illf "datapath: node %d missing from its level %d" n.id n.level)
+        Diag.failf "datapath"
+          "datapath: node %d missing from its level %d" n.id n.level)
     dp.nodes;
   Array.iteri
     (fun lvl nodes ->
       List.iter
         (fun n ->
           if n.level <> lvl then
-            illf "datapath: node %d indexed at level %d but labeled %d" n.id
+            Diag.failf "datapath"
+              "datapath: node %d indexed at level %d but labeled %d" n.id
               lvl n.level)
         nodes)
     dp.levels;
@@ -137,7 +138,8 @@ let verify (dp : t) : unit =
           match i.Instr.dst with
           | Some d ->
             if Hashtbl.mem def_level d then
-              illf "datapath: register v%d defined twice (node %d)" d n.id;
+              Diag.failf "datapath"
+                "datapath: register v%d defined twice (node %d)" d n.id;
             Hashtbl.replace def_level d (n.level, n.id, k)
           | None -> ())
         n.instrs)
@@ -155,15 +157,16 @@ let verify (dp : t) : unit =
               if not (Hashtbl.mem inputs r) then
                 match Hashtbl.find_opt def_level r with
                 | None ->
-                  illf "datapath: node %d uses undefined register v%d" n.id r
+                  Diag.failf "datapath"
+                    "datapath: node %d uses undefined register v%d" n.id r
                 | Some (dl, dnode, dpos) ->
                   if dl > n.level then
-                    illf
+                    Diag.failf "datapath"
                       "datapath: node %d (level %d) uses v%d defined at later \
                        level %d"
                       n.id n.level r dl
                   else if dnode = n.id && dpos >= k then
-                    illf
+                    Diag.failf "datapath"
                       "datapath: node %d uses v%d before its definition at \
                        level %d"
                       n.id r dl)
@@ -176,7 +179,8 @@ let verify (dp : t) : unit =
         (not (Hashtbl.mem def_level p.Proc.port_reg))
         && not (Hashtbl.mem inputs p.Proc.port_reg)
       then
-        illf "datapath: output port %s reads undefined register v%d"
+        Diag.failf "datapath"
+          "datapath: output port %s reads undefined register v%d"
           p.Proc.port_name p.Proc.port_reg)
     dp.output_ports
 

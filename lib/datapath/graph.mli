@@ -55,10 +55,8 @@ val to_string : t -> string
 
 val to_dot : t -> string
 
-exception Ill_formed of string
-
 val verify : t -> unit
 (** Structural well-formedness: unique node ids, consistent level index,
     single assignment, forward dataflow (operands defined at earlier
     levels or earlier in the same node; acyclic modulo LPR/SNX feedback).
-    Raises {!Ill_formed}. *)
+    Raises {!Roccc_util.Diag.Error}. *)

@@ -11,10 +11,7 @@
 
 module Instr = Roccc_vm.Instr
 module Proc = Roccc_vm.Proc
-
-exception Error of string
-
-let errf fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
+module Diag = Roccc_util.Diag
 
 (** Default combinational budget per stage, in nanoseconds. *)
 let default_target_ns = 5.0
@@ -124,7 +121,7 @@ let check_feedback_stages (tm : Timing.t) (stages : int array) : unit =
             List.iter
               (fun s ->
                 if l <> s then
-                  errf
+                  Diag.failf "pipelining"
                     "pipeline: feedback %s spans stages %d and %d — the \
                      LPR/SNX loop must fit one stage"
                     name l s)
@@ -421,7 +418,8 @@ let exact_stages (tm : Timing.t) (stages : int array) ~(stage_count : int)
         ~tail:(Array.map (fun (t, _, _) -> t) cons)
         ~head:(Array.map (fun (_, h, _) -> h) cons)
         ~lower:(Array.map (fun (_, _, l) -> l) cons)
-    with Flow.Error msg -> errf "retiming: %s" msg
+    with Diag.Error { where = "flow"; msg; _ } ->
+      Diag.failf "pipelining" "retiming: %s" msg
   in
   Array.init n (fun i -> sol.Flow.x.(i) - sol.Flow.x.(zero)), sol.Flow.objective
 
@@ -435,7 +433,8 @@ let retime (p : t) : t =
     exact_stages p.timing stages ~stage_count:p.stage_count ~budget
   in
   if optimum > p.latch_bits then
-    errf "retiming: optimum %d latch bits exceeds the feasible start's %d"
+    Diag.failf "pipelining"
+      "retiming: optimum %d latch bits exceeds the feasible start's %d"
       optimum p.latch_bits;
   if optimum = p.latch_bits then p
   else begin
@@ -448,7 +447,8 @@ let retime (p : t) : t =
     in
     (* the recovered stages must realise the flow's optimum *)
     if q.latch_bits <> optimum then
-      errf "retiming: recovered stages imply %d latch bits, the optimum is %d"
+      Diag.failf "pipelining"
+        "retiming: recovered stages imply %d latch bits, the optimum is %d"
         q.latch_bits optimum;
     q
   end
@@ -469,7 +469,7 @@ let build ?(target_ns = default_target_ns) ?stage_budget ?decomp
       List.iter
         (fun (ti : Timing.tinstr) ->
           if ti.Timing.ti_stages > 1 then
-            errf
+            Diag.failf "pipelining"
               "pipeline: feedback %s runs through a %d-stage operator — a \
                multi-stage region cannot fit the single-stage LPR/SNX loop"
               name ti.Timing.ti_stages)
@@ -547,27 +547,29 @@ let describe (p : t) : string =
 (* ------------------------------------------------------------------ *)
 
 (** Invariants of a staged pipeline: every data-path instruction is staged
-    exactly once, stages lie in [0, stage_count), dataflow is forward
-    (a producer's stage never exceeds its consumer's, LPRs excepted — they
-    read the previous iteration), each feedback's LPR/SNX pair shares one
-    stage, and the recorded latch/feedback bit counts balance against an
-    independent recomputation from the stage assignment. Raises {!Error}. *)
+    exactly once, stages lie in [0, stage_count), dataflow is forward (a
+    producer's stage never exceeds its consumer's, LPRs excepted — they read
+    the previous iteration), each feedback's LPR/SNX pair shares one stage,
+    and the recorded latch/feedback bit counts balance against an independent
+    recomputation from the stage assignment. Raises {!Roccc_util.Diag.Error}. *)
 let verify (p : t) : unit =
   let n_staged = List.length p.instrs in
   let n_graph = Graph.instr_count p.dp in
   if n_staged <> n_graph then
-    errf "pipeline: %d staged instruction(s) but the data path has %d"
+    Diag.failf "pipelining"
+      "pipeline: %d staged instruction(s) but the data path has %d"
       n_staged n_graph;
   if Array.length p.stage_delays <> p.stage_count then
-    errf "pipeline: %d stage delay(s) for %d stage(s)"
+    Diag.failf "pipelining" "pipeline: %d stage delay(s) for %d stage(s)"
       (Array.length p.stage_delays) p.stage_count;
   List.iter
     (fun si ->
       if si.stage < 0 || si.stage >= p.stage_count then
-        errf "pipeline: instruction staged at %d outside [0,%d)" si.stage
+        Diag.failf "pipelining"
+          "pipeline: instruction staged at %d outside [0,%d)" si.stage
           p.stage_count;
       if si.si_stages > 1 && si.stage + si.si_stages > p.stage_count then
-        errf
+        Diag.failf "pipelining"
           "pipeline: %d-stage region starting at %d overruns the %d-stage \
            schedule"
           si.si_stages si.stage p.stage_count)
@@ -599,13 +601,13 @@ let verify (p : t) : unit =
               in
               if si.stage < min_stage then
                 if prod.si_stages > 1 then
-                  errf
+                  Diag.failf "pipelining"
                     "pipeline: value v%d consumed at stage %d inside or \
                      before its producer's pinned region (stages %d..%d)"
                     r si.stage prod.stage
                     (prod.stage + prod.si_stages - 1)
                 else
-                  errf
+                  Diag.failf "pipelining"
                     "pipeline: value v%d produced at stage %d but consumed \
                      at stage %d"
                     r prod.stage si.stage
@@ -636,7 +638,8 @@ let verify (p : t) : unit =
             List.iter
               (fun s ->
                 if l <> s then
-                  errf "pipeline: feedback %s latched across stages %d and %d"
+                  Diag.failf "pipelining"
+                    "pipeline: feedback %s latched across stages %d and %d"
                     name l s)
               ss)
           ls)
@@ -668,7 +671,8 @@ let verify (p : t) : unit =
       last_use 0
   in
   if latch_bits <> p.latch_bits then
-    errf "pipeline: latch bits out of balance — recorded %d, stages imply %d"
+    Diag.failf "pipelining"
+      "pipeline: latch bits out of balance — recorded %d, stages imply %d"
       p.latch_bits latch_bits;
   let feedback_bits =
     List.fold_left
@@ -676,5 +680,6 @@ let verify (p : t) : unit =
       0 p.dp.Graph.proc.Proc.feedbacks
   in
   if feedback_bits <> p.feedback_bits then
-    errf "pipeline: feedback bits out of balance — recorded %d, expected %d"
+    Diag.failf "pipelining"
+      "pipeline: feedback bits out of balance — recorded %d, expected %d"
       p.feedback_bits feedback_bits

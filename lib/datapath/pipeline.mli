@@ -7,8 +7,6 @@
 
 module Instr = Roccc_vm.Instr
 
-exception Error of string
-
 val default_target_ns : float
 (** Default combinational budget per stage. *)
 
@@ -70,18 +68,18 @@ val multi_stage_ops : t -> int
 val build :
   ?target_ns:float -> ?stage_budget:int -> ?decomp:Delay.decomp ->
   ?retime:bool -> Graph.t -> Widths.t -> t
-(** Stage the data path: greedy delay-chunked placement at the ASAP levels
-    of the timed netlist, feedback paths collapsed to one stage, then —
-    unless [~retime:false] — the {!retime} pass. Raises {!Error} if a
+(** Stage the data path: greedy delay-chunked placement at the ASAP levels of
+    the timed netlist, feedback paths collapsed to one stage, then — unless
+    [~retime:false] — the {!retime} pass. Raises {!Roccc_util.Diag.Error} if a
     feedback path cannot fit a single stage. *)
 
 val retime : t -> t
-(** Exact min-area retiming: the stage assignment with the fewest latch
-    bits at the same stage count and a worst stage delay no larger than the
-    current one, with the {!pinned} instructions kept where they are. Solved
-    as a min-cost flow ({!Flow}); the recovered stages are checked to
-    realise the flow's optimum (raises {!Error} otherwise). A pipeline that
-    is already optimal comes back unchanged, so [retime] is idempotent. *)
+(** Exact min-area retiming: the stage assignment with the fewest latch bits
+    at the same stage count and a worst stage delay no larger than the current
+    one, with the {!pinned} instructions kept where they are. Solved as a
+    min-cost flow ({!Flow}); the recovered stages are checked to realise the
+    flow's optimum (raises {!Roccc_util.Diag.Error} otherwise). A pipeline
+    that is already optimal comes back unchanged, so [retime] is idempotent. *)
 
 val pinned : Timing.t -> bool array
 (** The instructions retiming never moves, indexed by [ti_index]: LPR/SNX
@@ -106,4 +104,4 @@ val verify : t -> unit
     retire before its entry boundary; its result exists only past the exit
     register), each feedback LPR/SNX pair in a single stage, and the
     recorded latch/feedback bit totals balancing an independent
-    recomputation from the stage assignment. Raises {!Error}. *)
+    recomputation from the stage assignment. Raises {!Roccc_util.Diag.Error}. *)

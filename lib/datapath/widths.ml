@@ -15,10 +15,7 @@ module Instr = Roccc_vm.Instr
 module Proc = Roccc_vm.Proc
 
 module IM = Map.Make (Int)
-
-exception Error of string
-
-let errf fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
+module Diag = Roccc_util.Diag
 
 (** Inferred physical width of every register in the data path. *)
 type t = int IM.t
@@ -26,7 +23,7 @@ type t = int IM.t
 let width (w : t) (r : Instr.vreg) : int =
   match IM.find_opt r w with
   | Some bits -> bits
-  | None -> errf "widths: no inferred width for v%d" r
+  | None -> Diag.failf "width inference" "widths: no inferred width for v%d" r
 
 let width_opt (w : t) (r : Instr.vreg) : int option = IM.find_opt r w
 
@@ -208,7 +205,8 @@ let infer (dp : Graph.t) : t =
   let src_interval r =
     match IM.find_opt r !intervals with
     | Some i -> i
-    | None -> errf "widths: operand v%d inferred out of order" r
+    | None ->
+      Diag.failf "width inference" "widths: operand v%d inferred out of order" r
   in
   List.iter
     (fun (n : Graph.node) ->

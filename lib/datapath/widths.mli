@@ -4,13 +4,12 @@
     the data path with each intermediate truncated to its inferred width
     equals full-width evaluation. *)
 
-exception Error of string
-
 type t
 (** Inferred width per virtual register. *)
 
 val width : t -> Roccc_vm.Instr.vreg -> int
-(** Raises {!Error} for registers outside the analyzed data path. *)
+(** Raises {!Roccc_util.Diag.Error} for registers outside the analyzed data
+    path. *)
 
 val width_opt : t -> Roccc_vm.Instr.vreg -> int option
 (** [None] for registers outside the analyzed data path — the non-raising

@@ -7,10 +7,7 @@
 
 open Roccc_cfront.Ast
 module K = Kernel
-
-exception Error of string
-
-let errf fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
+module Diag = Roccc_util.Diag
 
 
 (* Rewrite the body of the data-path function for one feedback variable.
@@ -65,7 +62,9 @@ let rewrite_var counter (name : string) (kind : ikind) (stmts : stmt list) :
     | Sreturn e ->
       written, [ Sreturn (Option.map (load_rewrite ~written) e) ]
     | Sexpr e -> written, [ Sexpr (load_rewrite ~written e) ]
-    | Sfor _ -> errf "feedback rewriting inside nested loops is unsupported"
+    | Sfor _ ->
+      Diag.failf "feedback"
+        "feedback rewriting inside nested loops is unsupported"
   in
   let body = snd (go false stmts) in
   body @ [ Sexpr (Call (roccc_store2next, [ Var name; Var name ])) ]
@@ -110,9 +109,10 @@ let validate (k : K.t) : unit =
           0 dp_body
       in
       if total_stores = 0 then
-        errf "feedback variable %s has no %s" name roccc_store2next;
+        Diag.failf "feedback"
+          "feedback variable %s has no %s" name roccc_store2next;
       if total_stores <> 1 || top_level_stores <> 1 then
-        errf
+        Diag.failf "feedback"
           "feedback variable %s must have exactly one unconditional %s (found \
            %d, %d at top level)"
           name roccc_store2next total_stores top_level_stores)

@@ -4,12 +4,10 @@
     the body stores the (possibly phi-merged) new value. The store must be
     unconditional: the hardware feedback latch loads every cycle. *)
 
-exception Error of string
-
 val annotate : Kernel.t -> Kernel.t
 (** Rewrite the kernel's data-path function for every detected feedback
     variable (no-op without feedback). *)
 
 val validate : Kernel.t -> unit
-(** Check that each feedback variable has exactly one unconditional
-    store2next at the top level of the dp body. Raises {!Error}. *)
+(** Check that each feedback variable has exactly one unconditional store2next
+    at the top level of the dp body. Raises {!Roccc_util.Diag.Error}. *)

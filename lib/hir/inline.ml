@@ -2,10 +2,7 @@
     feasible made into a lookup table" (paper §2). *)
 
 open Roccc_cfront.Ast
-
-exception Error of string
-
-let errf fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
+module Diag = Roccc_util.Diag
 
 (* Rename every local/param of [callee] with a unique prefix so inlined
    copies never collide with caller names or with each other. The counter
@@ -169,7 +166,8 @@ let inline_calls (prog : program) (f : func) : func =
         | Some callee ->
           let args' = List.map walk args in
           if returns_anywhere_but_last callee.body then
-            errf "cannot inline %s: return is not the final statement" g;
+            Diag.failf "inlining"
+              "cannot inline %s: return is not the final statement" g;
           let mapping, body = freshen_body rename_counter callee in
           (* Scalar formals consume the call arguments in order; pointer
              formals (the paper's multiple-return-value outputs) receive no
@@ -186,9 +184,11 @@ let inline_calls (prog : program) (f : func) : func =
               | { ptype = Tptr k; pname; _ } :: ps, rest ->
                 Sdecl (Tint k, List.assoc pname mapping, None) :: bind ps rest
               | { ptype = Tarray _ | Tvoid; pname; _ } :: _, _ ->
-                errf "cannot inline %s: unsupported parameter %s" g pname
+                Diag.failf "inlining"
+                  "cannot inline %s: unsupported parameter %s" g pname
               | [], _ :: _ | { ptype = Tint _; _ } :: _, [] ->
-                errf "call to %s: arity mismatch during inlining" g
+                Diag.failf "inlining"
+                  "call to %s: arity mismatch during inlining" g
             in
             bind callee.params args'
           in
@@ -196,7 +196,7 @@ let inline_calls (prog : program) (f : func) : func =
             match callee.ret with
             | Tint k -> k
             | Tvoid | Tarray _ | Tptr _ ->
-              errf "cannot inline %s: non-integer return" g
+              Diag.failf "inlining" "cannot inline %s: non-integer return" g
           in
           let result =
             Printf.sprintf "%s_ret%d" g (Roccc_util.Id_gen.fresh result_counter)

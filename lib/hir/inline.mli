@@ -3,8 +3,6 @@
     renamed apart; nested calls are handled by iterating to a fixpoint
     (recursion is rejected upstream by the semantic checks). *)
 
-exception Error of string
-
 val inline_calls :
   Roccc_cfront.Ast.program -> Roccc_cfront.Ast.func -> Roccc_cfront.Ast.func
 (** Inline every call to a program-defined function inside the given

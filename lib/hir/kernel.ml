@@ -4,6 +4,7 @@
     (paper §4.1), and the loop information driving iteration. *)
 
 open Roccc_cfront.Ast
+module Diag = Roccc_util.Diag
 
 (** One normalized loop dimension: the index takes [count] values starting at
     [lower], advancing by [step]. Outermost dimension first in [t.loops]. *)
@@ -54,16 +55,12 @@ let iteration_space (k : t) : int =
 (* Well-formedness                                                     *)
 (* ------------------------------------------------------------------ *)
 
-exception Ill_formed of string
-
-let illf fmt = Printf.ksprintf (fun s -> raise (Ill_formed s)) fmt
-
 (** Invariants of a scalar-replaced kernel: the dp function is pure scalar
     code (no array parameters), every window scalar and live-in scalar is a
     scalar parameter of dp, every output port is a pointer parameter of dp,
     window offsets are consistent with the array rank, loop dimensions are
-    non-degenerate, and feedback names are distinct. Raises {!Ill_formed}
-    on the first violation. *)
+    non-degenerate, and feedback names are distinct. Raises
+    {!Roccc_util.Diag.Error} on the first violation. *)
 let verify (k : t) : unit =
   let dp_params = k.dp.params in
   let param name = List.find_opt (fun p -> String.equal p.pname name) dp_params in
@@ -71,56 +68,80 @@ let verify (k : t) : unit =
     (fun p ->
       match p.ptype with
       | Tarray _ ->
-        illf "kernel %s: dp function keeps array parameter %s" k.kname p.pname
+        Diag.failf "kernel"
+          "kernel %s: dp function keeps array parameter %s" k.kname p.pname
       | Tint _ | Tptr _ | Tvoid -> ())
     dp_params;
   List.iter
     (fun w ->
       let rank = List.length w.win_dims in
-      if rank = 0 then illf "kernel %s: window on %s has no dimensions" k.kname w.win_array;
+      if rank = 0 then
+        Diag.failf "kernel"
+          "kernel %s: window on %s has no dimensions" k.kname w.win_array;
       List.iter
         (fun off ->
           if List.length off <> rank then
-            illf "kernel %s: window offset on %s has rank %d, array has rank %d"
+            Diag.failf "kernel"
+              "kernel %s: window offset on %s has rank %d, array has rank %d"
               k.kname w.win_array (List.length off) rank)
         w.win_offsets;
       if
         List.sort compare (List.map fst w.win_scalars)
         <> List.sort compare w.win_offsets
       then
-        illf "kernel %s: window scalars on %s do not cover the offsets"
+        Diag.failf "kernel"
+          "kernel %s: window scalars on %s do not cover the offsets"
           k.kname w.win_array;
       List.iter
         (fun (_, name) ->
           match param name with
           | Some { ptype = Tint _; _ } -> ()
-          | Some _ -> illf "kernel %s: window scalar %s is not a scalar dp parameter" k.kname name
-          | None -> illf "kernel %s: window scalar %s missing from dp parameters" k.kname name)
+          | Some _ ->
+            Diag.failf "kernel"
+              "kernel %s: window scalar %s is not a scalar dp parameter"
+              k.kname name
+          | None ->
+            Diag.failf "kernel"
+              "kernel %s: window scalar %s missing from dp parameters"
+              k.kname name)
         w.win_scalars)
     k.windows;
   List.iter
     (fun p ->
       match param p.pname with
       | Some { ptype = Tint _; _ } -> ()
-      | Some _ -> illf "kernel %s: scalar input %s is not a scalar dp parameter" k.kname p.pname
-      | None -> illf "kernel %s: scalar input %s missing from dp parameters" k.kname p.pname)
+      | Some _ ->
+        Diag.failf "kernel"
+          "kernel %s: scalar input %s is not a scalar dp parameter"
+          k.kname p.pname
+      | None ->
+        Diag.failf "kernel"
+          "kernel %s: scalar input %s missing from dp parameters"
+          k.kname p.pname)
     k.scalar_inputs;
   List.iter
     (fun o ->
       match param o.port with
       | Some { ptype = Tptr _; _ } -> ()
-      | Some _ -> illf "kernel %s: output port %s is not a pointer dp parameter" k.kname o.port
-      | None -> illf "kernel %s: output port %s missing from dp parameters" k.kname o.port)
+      | Some _ ->
+        Diag.failf "kernel"
+          "kernel %s: output port %s is not a pointer dp parameter"
+          k.kname o.port
+      | None ->
+        Diag.failf "kernel"
+          "kernel %s: output port %s missing from dp parameters" k.kname o.port)
     k.outputs;
   List.iter
     (fun d ->
       if d.count < 1 then
-        illf "kernel %s: loop %s has trip count %d" k.kname d.index d.count;
-      if d.step = 0 then illf "kernel %s: loop %s has step 0" k.kname d.index)
+        Diag.failf "kernel"
+          "kernel %s: loop %s has trip count %d" k.kname d.index d.count;
+      if d.step = 0 then
+        Diag.failf "kernel" "kernel %s: loop %s has step 0" k.kname d.index)
     k.loops;
   let fb_names = List.map (fun f -> f.fb_name) k.feedback in
   if List.length (List.sort_uniq String.compare fb_names) <> List.length fb_names
-  then illf "kernel %s: duplicate feedback variable" k.kname
+  then Diag.failf "kernel" "kernel %s: duplicate feedback variable" k.kname
 
 (** Window extent (max offset - min offset + 1) per dimension, or [] when the
     kernel has no window inputs. *)

@@ -46,13 +46,12 @@ type t = {
 val iteration_space : t -> int
 (** Product of the loop trip counts (1 when loop-free). *)
 
-exception Ill_formed of string
-
 val verify : t -> unit
 (** Well-formedness of a scalar-replaced kernel: dp is pure scalar code,
-    window scalars / scalar inputs / output ports all appear as dp
-    parameters of the right shape, offsets match the array rank, loops are
-    non-degenerate, feedback names are distinct. Raises {!Ill_formed}. *)
+    window scalars / scalar inputs / output ports all appear as dp parameters
+    of the right shape, offsets match the array rank, loops are
+    non-degenerate, feedback names are distinct. Raises
+    {!Roccc_util.Diag.Error}. *)
 
 val window_extent : window_input -> int list
 (** Max offset − min offset + 1 per dimension. *)

@@ -3,10 +3,7 @@
     optimizations, such as loop strip-mining, loop fusion, etc."). *)
 
 open Roccc_cfront.Ast
-
-exception Error of string
-
-let errf fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
+module Diag = Roccc_util.Diag
 
 (* ------------------------------------------------------------------ *)
 (* Trip counts                                                         *)
@@ -63,7 +60,9 @@ let subst_var name value stmts =
     block of code and therefore eliminates the loop controller" (paper §2). *)
 let fully_unroll (h : for_header) (body : stmt list) : stmt list =
   match iteration_values h with
-  | None -> errf "cannot fully unroll: loop %s has non-constant bounds" h.index
+  | None ->
+    Diag.failf "loop optimization"
+      "cannot fully unroll: loop %s has non-constant bounds" h.index
   | Some values ->
     List.concat_map (fun i -> subst_var h.index i body) values
 
@@ -72,13 +71,15 @@ let fully_unroll (h : for_header) (body : stmt list) : stmt list =
     count must be divisible by the factor. *)
 let partially_unroll ~factor (h : for_header) (body : stmt list) :
     for_header * stmt list =
-  if factor < 1 then errf "unroll factor must be >= 1";
+  if factor < 1 then
+    Diag.failf "loop optimization" "unroll factor must be >= 1";
   if factor = 1 then h, body
   else
     match trip_count h, h.step with
     | Some n, Const step ->
       if n mod factor <> 0 then
-        errf "unroll factor %d does not divide trip count %d" factor n;
+        Diag.failf "loop optimization"
+          "unroll factor %d does not divide trip count %d" factor n;
       let step = Int64.to_int step in
       let shift_index k stmts =
         (* index -> index + k*step in every expression *)
@@ -94,7 +95,9 @@ let partially_unroll ~factor (h : for_header) (body : stmt list) :
       in
       let h' = { h with step = Const (Int64.of_int (factor * step)) } in
       h', body'
-    | _ -> errf "cannot unroll: loop %s has non-constant bounds" h.index
+    | _ ->
+      Diag.failf "loop optimization"
+        "cannot unroll: loop %s has non-constant bounds" h.index
 
 (* Apply full unrolling to every constant-bound loop in a body whose trip
    count is at most [max_trip]. *)
@@ -202,13 +205,14 @@ let rec fuse_loops stmts =
     of [width] and an inner unit loop. The trip count must be divisible by
     the width (the common case when sizing strips to buffer capacity). *)
 let strip_mine ~width (h : for_header) (body : stmt list) : stmt =
-  if width < 1 then errf "strip width must be >= 1";
+  if width < 1 then Diag.failf "loop optimization" "strip width must be >= 1";
   match h.init, h.bound, h.step, h.cond_op with
   | Const init, Const bound, Const 1L, Lt ->
     let init = Int64.to_int init and bound = Int64.to_int bound in
     let n = bound - init in
     if n mod width <> 0 then
-      errf "strip width %d does not divide trip count %d" width n;
+      Diag.failf "loop optimization"
+        "strip width %d does not divide trip count %d" width n;
     let outer_index = h.index ^ "_strip" in
     let inner =
       Sfor
@@ -226,4 +230,6 @@ let strip_mine ~width (h : for_header) (body : stmt list) : stmt =
           bound = Const (Int64.of_int bound);
           step = Const (Int64.of_int width) },
         [ inner ] )
-  | _ -> errf "strip-mining requires a constant-bound unit-step loop"
+  | _ ->
+    Diag.failf "loop optimization"
+      "strip-mining requires a constant-bound unit-step loop"

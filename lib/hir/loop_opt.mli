@@ -1,8 +1,6 @@
 (** Loop-level transformations (paper §2): full and partial unrolling,
     fusion, and strip-mining. *)
 
-exception Error of string
-
 val iteration_values : Roccc_cfront.Ast.for_header -> int list option
 (** Index values of a constant-bound loop in execution order; [None] for
     non-constant headers or absurdly long ([> 2^20]) loops. *)
@@ -15,7 +13,8 @@ val fully_unroll :
   Roccc_cfront.Ast.stmt list
 (** Replace a constant-bound loop by straight-line code, substituting each
     index value ("converts a for-loop with constant bounds into a
-    non-iterative block of code", §2). Raises {!Error} otherwise. *)
+    non-iterative block of code", §2). Raises {!Roccc_util.Diag.Error}
+    otherwise. *)
 
 val partially_unroll :
   factor:int ->

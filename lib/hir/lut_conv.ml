@@ -4,10 +4,7 @@
     text initialization file. *)
 
 open Roccc_cfront.Ast
-
-exception Error of string
-
-let errf fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
+module Diag = Roccc_util.Diag
 
 (** A materialized lookup table: [contents.(x)] is the output for input x
     (inputs are treated as unsigned addresses). *)
@@ -30,7 +27,9 @@ let signature (t : table) : string * Roccc_cfront.Semant.lut_signature =
 let lookup (t : table) (x : int64) : int64 =
   let n = Array.length t.contents in
   let i = Int64.to_int (Roccc_util.Bits.truncate_unsigned t.in_kind.bits x) in
-  if i < 0 || i >= n then errf "lookup table %s: index %d out of range" t.lut_name i
+  if i < 0 || i >= n then
+    Diag.failf "lut conversion"
+      "lookup table %s: index %d out of range" t.lut_name i
   else t.contents.(i)
 
 let interp_binding (t : table) : string * (int64 -> int64) =
@@ -58,7 +57,8 @@ let cos_table ?(name = "cos") ~in_bits ~out_bits () : table =
 let of_contents ~name ~in_kind ~out_kind contents : table =
   let expected = 1 lsl in_kind.bits in
   if Array.length contents <> expected then
-    errf "table %s: %d entries given, %d expected" name (Array.length contents)
+    Diag.failf "lut conversion"
+      "table %s: %d entries given, %d expected" name (Array.length contents)
       expected;
   { lut_name = name; in_kind; out_kind;
     contents = Array.map (Roccc_util.Bits.truncate ~signed:out_kind.signed out_kind.bits) contents;
@@ -77,7 +77,8 @@ let of_init_text ~name ~in_kind ~out_kind (text : string) : table =
         else
           match Int64.of_string_opt line with
           | Some v -> Some v
-          | None -> errf "table %s: bad init line %S" name line)
+          | None ->
+            Diag.failf "lut conversion" "table %s: bad init line %S" name line)
       lines
   in
   of_contents ~name ~in_kind ~out_kind (Array.of_list values)
@@ -110,16 +111,20 @@ let from_function (prog : program) (f : func) : table =
   let in_kind, pname =
     match f.params with
     | [ { pname; ptype = Tint k } ] -> k, pname
-    | _ -> errf "%s: LUT conversion needs exactly one scalar parameter" f.fname
+    | _ ->
+      Diag.failf "lut conversion"
+        "%s: LUT conversion needs exactly one scalar parameter" f.fname
   in
   let out_kind =
     match f.ret with
     | Tint k -> k
     | Tvoid | Tarray _ | Tptr _ ->
-      errf "%s: LUT conversion needs an integer return" f.fname
+      Diag.failf "lut conversion"
+        "%s: LUT conversion needs an integer return" f.fname
   in
   if in_kind.bits > max_table_bits then
-    errf "%s: input width %d too large for LUT conversion (max %d)" f.fname
+    Diag.failf "lut conversion"
+      "%s: input width %d too large for LUT conversion (max %d)" f.fname
       in_kind.bits max_table_bits;
   (* Purity: no array/pointer access, no globals, no intrinsics. *)
   let impure =
@@ -140,7 +145,8 @@ let from_function (prog : program) (f : func) : table =
         | _ -> false)
       false f.body
   in
-  if impure then errf "%s: not pure, cannot convert to a LUT" f.fname;
+  if impure then
+    Diag.failf "lut conversion" "%s: not pure, cannot convert to a LUT" f.fname;
   let n = 1 lsl in_kind.bits in
   let rt = Roccc_cfront.Interp.create prog in
   let contents =
@@ -156,7 +162,9 @@ let from_function (prog : program) (f : func) : table =
         match outcome.Roccc_cfront.Interp.return_value with
         | Some v ->
           Roccc_util.Bits.truncate ~signed:out_kind.signed out_kind.bits v
-        | None -> errf "%s: no return value during LUT conversion" f.fname)
+        | None ->
+          Diag.failf "lut conversion"
+            "%s: no return value during LUT conversion" f.fname)
   in
   { lut_name = f.fname; in_kind; out_kind; contents; preexisting = false }
 

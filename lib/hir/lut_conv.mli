@@ -2,8 +2,6 @@
     into a lookup table"; LUT instructions instantiate either pre-existing
     library tables (cos) or ROM IPs initialized from text files. *)
 
-exception Error of string
-
 type table = {
   lut_name : string;
   in_kind : Roccc_cfront.Ast.ikind;
@@ -42,8 +40,8 @@ val to_init_text : table -> string
 val max_table_bits : int
 
 val from_function : Roccc_cfront.Ast.program -> Roccc_cfront.Ast.func -> table
-(** Tabulate a pure single-scalar-argument function by exhaustive
-    evaluation; raises {!Error} beyond {!max_table_bits} input bits or for
+(** Tabulate a pure single-scalar-argument function by exhaustive evaluation;
+    raises {!Roccc_util.Diag.Error} beyond {!max_table_bits} input bits or for
     impure bodies. *)
 
 val convert_calls : Roccc_cfront.Ast.program -> table list -> Roccc_cfront.Ast.program

@@ -8,12 +8,9 @@
 open Roccc_cfront.Ast
 module K = Kernel
 
-exception Error of string
-
-let errf fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
-
 module S = Set.Make (String)
 module M = Map.Make (String)
+module Diag = Roccc_util.Diag
 
 (* ------------------------------------------------------------------ *)
 (* Shape analysis: pre-statements, loop nest (<= 2 deep), post-statements *)
@@ -47,7 +44,8 @@ let rec split_body (stmts : stmt list) : stmt list * (nest * stmt list) option
 (* Constant-normalize a loop header into a Kernel.loop_dim. *)
 let normalize_header (h : for_header) : K.loop_dim =
   if h.step = Const 0L then
-    errf "loop %s has a zero step, so it never advances" h.index;
+    Diag.failf "scalar replacement"
+      "loop %s has a zero step, so it never advances" h.index;
   match Loop_opt.iteration_values h with
   | Some values ->
     let lower = match values with v :: _ -> v | [] -> 0 in
@@ -56,7 +54,8 @@ let normalize_header (h : for_header) : K.loop_dim =
     in
     { K.index = h.index; lower; count = List.length values; step }
   | None ->
-    errf "loop %s must have constant bounds after constant folding" h.index
+    Diag.failf "scalar replacement"
+      "loop %s must have constant bounds after constant folding" h.index
 
 (* ------------------------------------------------------------------ *)
 (* Affine index analysis                                               *)
@@ -291,7 +290,8 @@ let rewrite_body ~indices ~(env : fenv) (body : stmt list) =
   List.iter
     (fun (arr, offset) ->
       if not (Elements.mem (arr, offset) every_path) then
-        errf "array %s: the element at offset %s is written on some paths \
+        Diag.failf "scalar replacement"
+          "array %s: the element at offset %s is written on some paths \
               only; write it on every path (C would keep its old value)"
           arr (offset_text offset))
     acc.writes;
@@ -328,7 +328,8 @@ let rewrite_body ~indices ~(env : fenv) (body : stmt list) =
             record_read a offset;
             Var (scalar_name a offset)
           | None ->
-            errf "array access %s[...] is not affine in the loop indices" a)
+            Diag.failf "scalar replacement"
+              "array access %s[...] is not affine in the loop indices" a)
         | _ -> e')
       e
   in
@@ -346,12 +347,17 @@ let rewrite_body ~indices ~(env : fenv) (body : stmt list) =
         in
         if several (arr, offset) then assign
         else Sdecl (Tint (kind_of arr), port, None) :: assign
-      | None -> errf "array write %s[...] is not affine in the loop indices" arr)
+      | None ->
+        Diag.failf "scalar replacement"
+          "array write %s[...] is not affine in the loop indices" arr)
     | Sassign (lv, e) -> [ Sassign (lv, replace_reads e) ]
     | Sdecl (t, n, init) -> [ Sdecl (t, n, Option.map replace_reads init) ]
     | Sif (c, th, el) -> [ Sif (replace_reads c, rw th, rw el) ]
-    | Sfor _ -> errf "unexpected nested loop in innermost body"
-    | Sreturn _ -> errf "return inside kernel loop is not supported"
+    | Sfor _ ->
+      Diag.failf "scalar replacement" "unexpected nested loop in innermost body"
+    | Sreturn _ ->
+      Diag.failf "scalar replacement"
+        "return inside kernel loop is not supported"
     | Sexpr e -> [ Sexpr (replace_reads e) ]
   in
   let body' = hoisted @ rw body in
@@ -379,7 +385,8 @@ let check_bounds ~(env : fenv) ~(loops : K.loop_dim list) ~(what : string)
             let lo, hi = index_range d in
             match List.nth_opt dims d with
             | Some n when lo + c < 0 || hi + c >= n ->
-              errf "array %s: %s at offset %+d%s reaches index %d, outside \
+              Diag.failf "scalar replacement"
+                "array %s: %s at offset %+d%s reaches index %d, outside \
                     its declared bound %s%s"
                 arr what c
                 (if List.length dims > 1 then
@@ -419,7 +426,8 @@ let load_stmts ~indices ~(env : fenv) reads =
    original function itself. *)
 let pure_kernel (env : fenv) (f : func) : K.t =
   if not (M.is_empty env.arrays) then
-    errf "function %s has array parameters but no loop" f.fname;
+    Diag.failf "scalar replacement"
+      "function %s has array parameters but no loop" f.fname;
   let outputs =
     List.filter_map
       (fun p ->
@@ -573,7 +581,7 @@ let run (prog : program) (f : func) : K.t =
         | Sdecl ((Tint _ | Tarray _), _, _) -> ()
         | Sassign (Lvar _, Const _) -> ()
         | Sassign _ | Sdecl _ | Sif _ | Sfor _ | Sreturn _ | Sexpr _ ->
-          errf
+          Diag.failf "scalar replacement"
             "unsupported statement before the kernel loop (only declarations \
              and constant scalar initializations may precede it)")
       pre;
@@ -583,11 +591,11 @@ let run (prog : program) (f : func) : K.t =
         | Sassign (Lderef _, Var _) -> ()
         | Sreturn None -> ()
         | Sfor _ ->
-          errf
+          Diag.failf "scalar replacement"
             "a second loop follows the kernel loop — fuse the loops or \
              compile them as separate kernels"
         | Sassign _ | Sdecl _ | Sif _ | Sreturn (Some _) | Sexpr _ ->
-          errf
+          Diag.failf "scalar replacement"
             "unsupported statement after the kernel loop (only scalar \
              exports '*out = var;' may follow it)")
       post;
@@ -653,7 +661,7 @@ let run (prog : program) (f : func) : K.t =
             match init with
             | Some v -> { K.fb_name = x; fb_kind = kind; fb_init = v }
             | None ->
-              errf
+              Diag.failf "scalar replacement"
                 "loop-carried scalar %s needs a constant initializer before \
                  the loop"
                 x))

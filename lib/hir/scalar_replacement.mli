@@ -9,9 +9,8 @@
     DCT); or constant scalar setup + one loop nest (1-D or 2-D, constant
     bounds, indices affine in the loop variables) + scalar exports. *)
 
-exception Error of string
-
 val run : Roccc_cfront.Ast.program -> Roccc_cfront.Ast.func -> Kernel.t
 (** Transform a checked, inlined, constant-folded function into a kernel.
-    Raises {!Error} with a user-facing message on shape violations
-    (non-affine accesses, statements before/after the loop nest, etc.). *)
+    Raises {!Roccc_util.Diag.Error} with a user-facing message on shape
+    violations (non-affine accesses, statements before/after the loop nest,
+    etc.). *)

@@ -4,10 +4,7 @@
     circuit starts, and to drain the output BRAM afterwards. *)
 
 module Words = Roccc_util.Words
-
-exception Error of string
-
-let errf fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
+module Diag = Roccc_util.Diag
 
 type t = {
   name : string;
@@ -41,7 +38,8 @@ let size (m : t) = Bigarray.Array1.dim m.data
 
 let load (m : t) (values : int64 array) : unit =
   if Array.length values > size m then
-    errf "bram %s: %d values exceed capacity %d" m.name (Array.length values)
+    Diag.failf "bram"
+      "bram %s: %d values exceed capacity %d" m.name (Array.length values)
       (size m);
   Words.blit_wrapped ~signed:m.element_signed ~shift:m.shift
     (Words.of_array values) 0 m.data 0 (Array.length values)
@@ -51,7 +49,8 @@ let contents (m : t) : int64 array = Words.to_array m.data
 (** Present a read request this cycle; data appears after [clock]. *)
 let request_read (m : t) ~(address : int) ~(count : int) : unit =
   if address < 0 || address + count > size m then
-    errf "bram %s: read [%d, %d) out of range" m.name address (address + count);
+    Diag.failf "bram"
+      "bram %s: read [%d, %d) out of range" m.name address (address + count);
   if count > Bigarray.Array1.dim m.read_out then
     m.read_out <- Words.create count;
   m.pending_address <- address;
@@ -61,7 +60,7 @@ let request_read (m : t) ~(address : int) ~(count : int) : unit =
     the clock edge. *)
 let write (m : t) ~(address : int) (src : Words.t) (i : int) : unit =
   if address < 0 || address >= size m then
-    errf "bram %s: write %d out of range" m.name address;
+    Diag.failf "bram" "bram %s: write %d out of range" m.name address;
   Words.blit_wrapped ~signed:m.element_signed ~shift:m.shift src i m.data
     address 1;
   m.writes <- m.writes + 1

@@ -3,8 +3,6 @@
     to stage input data before the circuit starts. Contents are unboxed
     words, so a clocked read or a write allocates nothing. *)
 
-exception Error of string
-
 type t = {
   name : string;
   data : Roccc_util.Words.t;

@@ -34,10 +34,7 @@ module Address_gen = Roccc_buffers.Address_gen
 module Controller = Roccc_buffers.Controller
 module Fifo = Roccc_buffers.Fifo
 module Words = Roccc_util.Words
-
-exception Error of string
-
-let errf fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
+module Diag = Roccc_util.Diag
 
 type trace = (int * (string * int64) list) list
 
@@ -134,7 +131,8 @@ let loop_geometry (k : K.t) ~(ndims : int) =
       List.init ndims (fun _ -> 0) )
   else begin
     if List.length k.K.loops <> ndims then
-      errf "engine: %d loop dims but a %d-D array" (List.length k.K.loops)
+      Diag.failf "engine"
+        "engine: %d loop dims but a %d-D array" (List.length k.K.loops)
         ndims;
     ( List.map (fun d -> d.K.count) k.K.loops,
       List.map (fun d -> d.K.step) k.K.loops,
@@ -182,10 +180,13 @@ let create ?(luts = []) ?(scalars = []) ?(arrays = []) ?(bus_elements = 1)
             (match values with
             | Some values ->
               if Array.length values <> size then
-                errf "engine: array %s has %d elements, expected %d"
+                Diag.failf "engine"
+                  "engine: array %s has %d elements, expected %d"
                   w.K.win_array (Array.length values) size;
               Bram.load bram values
-            | None -> errf "engine: missing input array %s" w.K.win_array);
+            | None ->
+              Diag.failf "engine"
+                "engine: missing input array %s" w.K.win_array);
             let gen =
               Address_gen.create_input ~array_dims:w.K.win_dims ~bus_elements
             in
@@ -213,7 +214,8 @@ let create ?(luts = []) ?(scalars = []) ?(arrays = []) ?(bus_elements = 1)
         match List.assoc_opt p.Roccc_cfront.Ast.pname scalars with
         | Some v -> v
         | None ->
-          errf "engine: missing scalar input %s" p.Roccc_cfront.Ast.pname)
+          Diag.failf "engine"
+            "engine: missing scalar input %s" p.Roccc_cfront.Ast.pname)
       k.K.scalar_inputs
   in
   let input_names =
@@ -385,7 +387,7 @@ let launch (e : t) : unit =
       not
         (Smart_buffer.pop_window lane.lane_buffer e.launch_rows
            (row + lane.lane_at))
-    then errf "engine: ready buffer refused to pop"
+    then Diag.failf "engine" "engine: ready buffer refused to pop"
   done;
   for j = 0 to Bigarray.Array1.dim e.scalar_values - 1 do
     e.launch_rows.{row + e.scalar_at + j} <- e.scalar_values.{j}
@@ -404,12 +406,13 @@ let retire (e : t) : unit =
   for i = 0 to Array.length e.out_lanes - 1 do
     let ol = e.out_lanes.(i) in
     if ol.out_column < 0 then
-      errf "engine: data path produced no %s" ol.out_port.K.port;
+      Diag.failf "engine" "engine: data path produced no %s" ol.out_port.K.port;
     let at = row + ol.out_column in
     match ol.out_bram, ol.out_gen with
     | Some bram, Some gen ->
       let address = Address_gen.next_write gen in
-      if address < 0 then errf "engine: output address generator exhausted";
+      if address < 0 then
+        Diag.failf "engine" "engine: output address generator exhausted";
       Bram.write bram ~address e.retire_rows at
     | _, _ -> (
       match ol.out_port.K.target with
@@ -417,7 +420,7 @@ let retire (e : t) : unit =
       | K.Out_array _ -> (
         match e.sink with
         | Sink_fifo f -> Fifo.push f e.retire_rows at
-        | Sink_bram -> errf "engine: array output without BRAM"))
+        | Sink_bram -> Diag.failf "engine" "engine: array output without BRAM"))
   done;
   Controller.note_retire e.controller
 
@@ -543,6 +546,7 @@ let simulate ?(luts = []) ?(scalars = []) ?(arrays = []) ?(bus_elements = 1)
     step e
   done;
   if not (is_done e) then
-    errf "engine: cycle budget exhausted after %d cycles (%d/%d retired)"
+    Diag.failf "engine"
+      "engine: cycle budget exhausted after %d cycles (%d/%d retired)"
       e.cycle (retired e) e.total;
   result e

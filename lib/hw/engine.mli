@@ -5,8 +5,6 @@
     move as unboxed words and every index is resolved when the engine is
     built, so a simulated cycle allocates nothing. *)
 
-exception Error of string
-
 type trace = (int * (string * int64) list) list
 
 type result = {
@@ -63,10 +61,9 @@ val create :
   dp:Roccc_datapath.Graph.t ->
   pipeline:Roccc_datapath.Pipeline.t ->
   t
-(** Build an engine without running it. [feeds] selects the element
-    source per window array (default: a BRAM loaded from [arrays]);
-    [sink] is where array outputs retire. Raises {!Error} on missing
-    inputs. *)
+(** Build an engine without running it. [feeds] selects the element source per
+    window array (default: a BRAM loaded from [arrays]); [sink] is where array
+    outputs retire. Raises {!Roccc_util.Diag.Error} on missing inputs. *)
 
 val step : t -> unit
 (** Advance the engine by one clock cycle (a no-op once done). A FIFO-fed
@@ -98,10 +95,10 @@ val simulate :
   dp:Roccc_datapath.Graph.t ->
   pipeline:Roccc_datapath.Pipeline.t ->
   result
-(** Simulate a compiled kernel end to end. [arrays] supplies the input
-    array contents by name (loaded into per-array BRAMs before the circuit
-    starts); [scalars] the live-in scalar parameters; [bus_elements] the
-    memory bus width (the paper's "bus size"). One iteration enters the
-    pipeline per cycle once its windows are buffered; results retire
-    [pipeline latency] cycles later. Raises {!Error} on missing inputs or
-    if the cycle budget is exhausted. *)
+(** Simulate a compiled kernel end to end. [arrays] supplies the input array
+    contents by name (loaded into per-array BRAMs before the circuit starts);
+    [scalars] the live-in scalar parameters; [bus_elements] the memory bus
+    width (the paper's "bus size"). One iteration enters the pipeline per
+    cycle once its windows are buffered; results retire [pipeline latency]
+    cycles later. Raises {!Roccc_util.Diag.Error} on missing inputs or if the
+    cycle budget is exhausted. *)

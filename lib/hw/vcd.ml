@@ -3,12 +3,10 @@
     controller state — loadable into GTKWave next to a VHDL simulation of
     the generated design. *)
 
-exception Error of string
-
-let errf fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
-
 (** One traced signal: name, bit width, and its value changes as
     (cycle, value) pairs in increasing cycle order. *)
+module Diag = Roccc_util.Diag
+
 type signal = {
   sig_name : string;
   sig_bits : int;
@@ -41,10 +39,11 @@ let render (t : t) : string =
   List.iter
     (fun s ->
       if s.sig_bits < 1 || s.sig_bits > 64 then
-        errf "vcd: signal %s has width %d" s.sig_name s.sig_bits;
+        Diag.failf "vcd" "vcd: signal %s has width %d" s.sig_name s.sig_bits;
       let rec sorted = function
         | (c1, _) :: ((c2, _) :: _ as rest) ->
-          if c1 > c2 then errf "vcd: %s changes out of order" s.sig_name
+          if c1 > c2 then
+            Diag.failf "vcd" "vcd: %s changes out of order" s.sig_name
           else sorted rest
         | _ -> ()
       in

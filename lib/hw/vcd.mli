@@ -2,8 +2,6 @@
     GTKWave: window inputs at their launch cycles, outputs at their retire
     cycles, and the controller state. *)
 
-exception Error of string
-
 type signal = {
   sig_name : string;
   sig_bits : int;
@@ -21,7 +19,7 @@ val ident_of_index : int -> string
 (** Compact VCD identifier for the i-th signal (printable ASCII). *)
 
 val render : t -> string
-(** Render as VCD text; raises {!Error} on malformed signals. *)
+(** Render as VCD text; raises {!Roccc_util.Diag.Error} on malformed signals. *)
 
 val of_simulation :
   design:string -> Roccc_hir.Kernel.t -> Engine.result -> t

@@ -35,10 +35,7 @@ module Interp = Roccc_cfront.Interp
 module Pipeline = Roccc_datapath.Pipeline
 module Library = Roccc_vhdl.Library
 module Proc = Roccc_vm.Proc
-
-exception Error of string
-
-let errf fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
+module Diag = Roccc_util.Diag
 
 (* ------------------------------------------------------------------ *)
 (* Network description                                                 *)
@@ -80,12 +77,7 @@ type t = {
 
 (** Pipeline declarations of a source file, in order. *)
 let pipelines_of_source (source : string) : Ast.pipeline_decl list =
-  let program =
-    try Parser.parse_program source
-    with Parser.Error (msg, line, col) ->
-      errf "parse error at %d:%d: %s" line col msg
-  in
-  program.Ast.pipelines
+  (Parser.parse_program source).Ast.pipelines
 
 let find_pipeline ~(name : string) (source : string) : Ast.pipeline_decl =
   match
@@ -94,7 +86,7 @@ let find_pipeline ~(name : string) (source : string) : Ast.pipeline_decl =
       (pipelines_of_source source)
   with
   | Some pl -> pl
-  | None -> errf "no pipeline named %s in the source" name
+  | None -> Diag.failf "network" "no pipeline named %s in the source" name
 
 (* ------------------------------------------------------------------ *)
 (* Rate analysis and FIFO sizing                                       *)
@@ -126,16 +118,23 @@ let stage_of_compiled ~(name : string) (c : Driver.compiled) : stage =
   let w =
     match k.K.windows with
     | [ w ] -> w
-    | [] -> errf "stage %s: a network stage needs an array input" name
-    | _ -> errf "stage %s: network stages take exactly one input array" name
+    | [] ->
+      Diag.failf "network" "stage %s: a network stage needs an array input" name
+    | _ ->
+      Diag.failf "network"
+        "stage %s: network stages take exactly one input array" name
   in
   (match w.K.win_dims with
   | [ _ ] -> ()
-  | _ -> errf "stage %s: network stages stream 1-D arrays only" name);
+  | _ ->
+    Diag.failf "network"
+      "stage %s: network stages stream 1-D arrays only" name);
   (match k.K.loops with
   | [ _ ] -> ()
-  | [] -> errf "stage %s: network stages need a loop" name
-  | _ -> errf "stage %s: network stages are single-loop kernels" name);
+  | [] -> Diag.failf "network" "stage %s: network stages need a loop" name
+  | _ ->
+    Diag.failf "network"
+      "stage %s: network stages are single-loop kernels" name);
   let array_outputs =
     List.filter_map
       (fun (o : K.output) ->
@@ -146,19 +145,24 @@ let stage_of_compiled ~(name : string) (c : Driver.compiled) : stage =
   in
   let out_array, out_dims =
     match array_outputs with
-    | [] -> errf "stage %s: a network stage needs an array output" name
+    | [] ->
+      Diag.failf "network"
+        "stage %s: a network stage needs an array output" name
     | (arr, dims) :: rest ->
       List.iter
         (fun (arr', _) ->
           if not (String.equal arr arr') then
-            errf "stage %s: network stages write one output array (%s vs %s)"
+            Diag.failf "network"
+              "stage %s: network stages write one output array (%s vs %s)"
               name arr arr')
         rest;
       arr, dims
   in
   (match out_dims with
   | [ _ ] -> ()
-  | _ -> errf "stage %s: network stages stream 1-D arrays only" name);
+  | _ ->
+    Diag.failf "network"
+      "stage %s: network stages stream 1-D arrays only" name);
   { sg_name = name;
     sg_compiled = c;
     sg_in_array = w.K.win_array;
@@ -173,7 +177,7 @@ let link_channels (stages : stage list) : channel list =
   let rec go acc = function
     | p :: (cns :: _ as rest) ->
       if p.sg_elements_out <> cns.sg_elements_in then
-        errf
+        Diag.failf "network"
           "channel %s -> %s: the producer streams %d elements but the \
            consumer expects %d"
           p.sg_name cns.sg_name p.sg_elements_out cns.sg_elements_in;
@@ -226,7 +230,8 @@ let plan ?cache ?config ?(options = Driver.default_options)
   List.iter
     (fun s ->
       if not (List.mem s eligible) then
-        errf "pipeline %s: stage %s is not a kernel in this source" name s)
+        Diag.failf "network"
+          "pipeline %s: stage %s is not a kernel in this source" name s)
     pl.Ast.pl_stages;
   let opts_of s =
     match List.assoc_opt s stage_options with
@@ -236,7 +241,6 @@ let plan ?cache ?config ?(options = Driver.default_options)
   let entries = Array.of_list pl.Ast.pl_stages in
   let compiled =
     Scheduler.parallel_map ~num_domains:jobs
-      ~describe_error:Service.describe_error
       ~f:(fun ~tid entry ->
         compile_stage ?cache ?config ~options:(opts_of entry) ~luts ~source
           ~tid entry)
@@ -248,7 +252,7 @@ let plan ?cache ?config ?(options = Driver.default_options)
          (fun i r ->
            match r with
            | Ok c -> stage_of_compiled ~name:entries.(i) c
-           | Error msg -> errf "stage %s: %s" entries.(i) msg)
+           | Error msg -> Diag.failf "network" "stage %s: %s" entries.(i) msg)
          compiled)
   in
   { net_name = name; net_stages = stages; net_channels = link_channels stages }
@@ -294,7 +298,7 @@ let simulate ?(scalars = []) ?(arrays = []) ?depths
       (fun i (ch : channel) ->
         let depth = depth_of i ch in
         if depth < ch.ch_producer_rate then
-          errf
+          Diag.failf "network"
             "channel %s: depth %d cannot hold one %d-element burst \
              (deadlock)"
             ch.ch_name depth ch.ch_producer_rate;
@@ -327,7 +331,8 @@ let simulate ?(scalars = []) ?(arrays = []) ?depths
           Engine.create ~luts ~scalars ~arrays
             ~bus_elements:c.Driver.options.Driver.bus_elements ~feeds ~sink
             c.Driver.kernel ~dp:c.Driver.dp ~pipeline:c.Driver.pipeline
-        with Engine.Error msg -> errf "stage %s: %s" sg.sg_name msg)
+        with Diag.Error { where = "engine"; msg; _ } ->
+          Diag.failf "network" "stage %s: %s" sg.sg_name msg)
       net.net_stages
   in
   (* downstream-first stepping order *)
@@ -340,7 +345,8 @@ let simulate ?(scalars = []) ?(arrays = []) ?depths
        incr cycle;
        List.iter Engine.step stepping
      done
-   with Engine.Error msg -> errf "network %s: %s" net.net_name msg);
+   with Diag.Error { where = "engine"; msg; _ } ->
+     Diag.failf "network" "network %s: %s" net.net_name msg);
   if not (List.for_all Engine.is_done engines) then begin
     let progress =
       String.concat ", "
@@ -350,7 +356,8 @@ let simulate ?(scalars = []) ?(arrays = []) ?depths
                (Engine.total_launches e))
            net.net_stages engines)
     in
-    errf "network %s: cycle budget exhausted after %d cycles (%s)"
+    Diag.failf "network"
+      "network %s: cycle budget exhausted after %d cycles (%s)"
       net.net_name !cycle progress
   end;
   let stage_results =
@@ -385,7 +392,7 @@ let simulate ?(scalars = []) ?(arrays = []) ?depths
     outcome. *)
 let sequential ?(scalars = []) ?(arrays = []) (net : t) : Interp.outcome =
   let rec go input = function
-    | [] -> errf "network %s has no stages" net.net_name
+    | [] -> Diag.failf "network" "network %s has no stages" net.net_name
     | [ (last : stage) ] -> Driver.interpret ~scalars ~arrays:input last.sg_compiled
     | (s : stage) :: ((next : stage) :: _ as rest) ->
       let o = Driver.interpret ~scalars ~arrays:input s.sg_compiled in
@@ -393,7 +400,8 @@ let sequential ?(scalars = []) ?(arrays = []) (net : t) : Interp.outcome =
         match List.assoc_opt s.sg_out_array o.Interp.arrays with
         | Some a -> a
         | None ->
-          errf "stage %s never wrote its output array %s" s.sg_name
+          Diag.failf "network"
+            "stage %s never wrote its output array %s" s.sg_name
             s.sg_out_array
       in
       go [ next.sg_in_array, out ] rest

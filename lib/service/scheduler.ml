@@ -25,8 +25,13 @@ let effective_workers ?(num_domains = 0) (n : int) : int =
   let requested = if num_domains <= 0 then default_domains () else num_domains in
   max 1 (min requested (min (default_domains ()) (max 1 n)))
 
-let parallel_map ?(num_domains = 0) ?(chunk = 0)
-    ?(describe_error = fun _ -> None) ~(f : tid:int -> 'a -> 'b)
+let describe_error (e : exn) : string option =
+  match e with
+  | Roccc_core.Pass.Cancelled reason -> Some ("cancelled: " ^ reason)
+  | Faults.Injected _ -> Faults.describe e
+  | e -> Roccc_core.Pass.error_message e
+
+let parallel_map ?(num_domains = 0) ?(chunk = 0) ~(f : tid:int -> 'a -> 'b)
     (jobs : 'a array) : ('b, string) result array =
   let n = Array.length jobs in
   let workers = effective_workers ~num_domains n in

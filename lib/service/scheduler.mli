@@ -14,10 +14,14 @@ val effective_workers : ?num_domains:int -> int -> int
     parallelism and to the job count, floored at 1. Two requests with
     the same effective worker count run the same configuration. *)
 
+val describe_error : exn -> string option
+(** The message a failed job reports: a compiler error's text
+    ({!Roccc_core.Pass.error_message}), a cancellation or an injected
+    fault; [None] for any other exception. *)
+
 val parallel_map :
   ?num_domains:int ->
   ?chunk:int ->
-  ?describe_error:(exn -> string option) ->
   f:(tid:int -> 'a -> 'b) ->
   'a array ->
   ('b, string) result array
@@ -30,6 +34,6 @@ val parallel_map :
     [f] receives the worker slot as [tid].
 
     Result [i] always corresponds to job [i]. A job that raises yields
-    [Error msg] in its slot — [describe_error] may translate known
-    exceptions into clean messages (return [None] to fall back to
-    [Printexc.to_string]) — and the remaining jobs still run. *)
+    [Error msg] in its slot — {!describe_error}'s message, or
+    [Printexc.to_string] for an exception it does not know — and the
+    remaining jobs still run. *)

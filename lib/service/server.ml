@@ -579,7 +579,7 @@ let handle (srv : t) (tid : int) (p : pending) : unit =
       match e with
       | Faults.Injected point -> "injected_fault", "injected fault at " ^ point
       | _ -> (
-        match Service.describe_error e with
+        match Scheduler.describe_error e with
         | Some m -> "compile", m
         | None -> "internal", Printexc.to_string e)
     in

@@ -336,17 +336,6 @@ let measure_cached ?cache ?config ?trace ?(tid = 0) (job : job) :
 (* Batches                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let describe_error (e : exn) : string option =
-  match e with
-  | Driver.Error msg -> Some msg
-  | Roccc_cfront.Parser.Error (msg, line, col) ->
-    Some (Printf.sprintf "parse error at %d:%d: %s" line col msg)
-  | Roccc_cfront.Semant.Error msg -> Some ("semantic error: " ^ msg)
-  | Roccc_vm.Instr.Vm_error msg -> Some ("vm error: " ^ msg)
-  | Pass.Cancelled reason -> Some ("cancelled: " ^ reason)
-  | Faults.Injected _ -> Faults.describe e
-  | _ -> None
-
 let run_batch ?cache ?config ?trace ?(num_domains = 0) (jobs : job list) :
     report =
   let t0 = now () in
@@ -381,13 +370,13 @@ let run_batch ?cache ?config ?trace ?(num_domains = 0) (jobs : job list) :
               [ "status", Trace.Str "error";
                 "message",
                 Trace.Str
-                  (Option.value (describe_error e)
+                  (Option.value (Scheduler.describe_error e)
                      ~default:(Printexc.to_string e)) ]
             ())
         trace;
       raise e
   in
-  let results = Scheduler.parallel_map ~num_domains:domains ~describe_error ~f arr in
+  let results = Scheduler.parallel_map ~num_domains:domains ~f arr in
   { rp_results = Array.map2 (fun j r -> j, r) arr results;
     rp_wall_s = now () -. t0;
     rp_domains = domains;

@@ -153,9 +153,6 @@ val run_batch :
     {!Scheduler.default_domains}). One kernel's failure does not affect
     the other jobs. *)
 
-val describe_error : exn -> string option
-(** User-facing message for the compiler's known exceptions. *)
-
 val table1_jobs : ?disabled_passes:string list -> unit -> job list
 (** The paper's nine Table 1 kernels, with their per-kernel tuned options
     and [disabled_passes]. *)

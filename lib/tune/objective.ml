@@ -1,3 +1,5 @@
+module Driver = Roccc_core.Driver
+
 type t =
   | Max_mhz of { slice_budget : int }
   | Min_slices of { target_mhz : float }
@@ -62,14 +64,14 @@ let describe = function
   | Min_slices _ -> "min-slices (no clock constraint)"
   | Min_latch_bits -> "min-latch-bits"
 
-let feasible (obj : t) (m : Pareto.metrics) : bool =
+let feasible (obj : t) (m : Driver.measurement) : bool =
   match obj with
-  | Max_mhz { slice_budget } -> m.Pareto.p_slices <= slice_budget
-  | Min_slices { target_mhz } -> m.Pareto.p_clock_mhz >= target_mhz
+  | Max_mhz { slice_budget } -> m.Driver.ms_slices <= slice_budget
+  | Min_slices { target_mhz } -> m.Driver.ms_clock_mhz >= target_mhz
   | Min_latch_bits -> true
 
-let fitness (obj : t) (m : Pareto.metrics) : float =
+let fitness (obj : t) (m : Driver.measurement) : float =
   match obj with
-  | Max_mhz _ -> m.Pareto.p_clock_mhz
-  | Min_slices _ -> -.float_of_int m.Pareto.p_slices
-  | Min_latch_bits -> -.float_of_int m.Pareto.p_latch_bits
+  | Max_mhz _ -> m.Driver.ms_clock_mhz
+  | Min_slices _ -> -.float_of_int m.Driver.ms_slices
+  | Min_latch_bits -> -.float_of_int m.Driver.ms_latch_bits

@@ -24,8 +24,8 @@ val name : t -> string
 val describe : t -> string
 (** e.g. ["max-mhz (slices <= 4000)"]. *)
 
-val feasible : t -> Pareto.metrics -> bool
+val feasible : t -> Roccc_core.Driver.measurement -> bool
 
-val fitness : t -> Pareto.metrics -> float
+val fitness : t -> Roccc_core.Driver.measurement -> float
 (** Scalar score, higher is better; used only to order the front for
     display, never to prune. *)

@@ -2,26 +2,16 @@
 
 module Driver = Roccc_core.Driver
 
-type metrics = {
-  p_slices : int;
-  p_clock_mhz : float;
-  p_latch_bits : int;
-}
+let dominates (a : Driver.measurement) (b : Driver.measurement) : bool =
+  a.Driver.ms_slices <= b.Driver.ms_slices
+  && a.Driver.ms_clock_mhz >= b.Driver.ms_clock_mhz
+  && a.Driver.ms_latch_bits <= b.Driver.ms_latch_bits
+  && (a.Driver.ms_slices < b.Driver.ms_slices
+     || a.Driver.ms_clock_mhz > b.Driver.ms_clock_mhz
+     || a.Driver.ms_latch_bits < b.Driver.ms_latch_bits)
 
-let of_measurement (m : Driver.measurement) : metrics =
-  { p_slices = m.Driver.ms_slices;
-    p_clock_mhz = m.Driver.ms_clock_mhz;
-    p_latch_bits = m.Driver.ms_latch_bits }
-
-let dominates (a : metrics) (b : metrics) : bool =
-  a.p_slices <= b.p_slices
-  && a.p_clock_mhz >= b.p_clock_mhz
-  && a.p_latch_bits <= b.p_latch_bits
-  && (a.p_slices < b.p_slices
-     || a.p_clock_mhz > b.p_clock_mhz
-     || a.p_latch_bits < b.p_latch_bits)
-
-let front (points : ('a * metrics) list) : ('a * metrics) list =
+let front (points : ('a * Driver.measurement) list) :
+    ('a * Driver.measurement) list =
   List.filter
     (fun (_, m) ->
       not (List.exists (fun (_, m') -> dominates m' m) points))

@@ -163,8 +163,8 @@ let run ?cache ?trace ?config ?(luts = []) (st : settings) ~(source : string)
   (* [f] on each index across the workers, results in index order *)
   let eval ~f idxs =
     let res =
-      Scheduler.parallel_map ~num_domains:st.st_domains
-        ~describe_error:Service.describe_error ~f (Array.of_list idxs)
+      Scheduler.parallel_map ~num_domains:st.st_domains ~f
+        (Array.of_list idxs)
     in
     List.mapi (fun k i -> (i, res.(k))) idxs
   in
@@ -188,7 +188,7 @@ let run ?cache ?trace ?config ?(luts = []) (st : settings) ~(source : string)
         match r with
         | Ok m ->
             meas.(i) <- Some m;
-            Some (i, Pareto.of_measurement m)
+            Some (i, m)
         | Error msg ->
             status.(i) <- Failed msg;
             None)
@@ -247,7 +247,7 @@ let run ?cache ?trace ?config ?(luts = []) (st : settings) ~(source : string)
   in
   let fitness_of i =
     match meas.(i) with
-    | Some m -> Objective.fitness st.st_objective (Pareto.of_measurement m)
+    | Some m -> Objective.fitness st.st_objective m
     | None -> neg_infinity
   in
   let front =
@@ -394,9 +394,7 @@ let to_json (r : result) : string =
     List.map
       (fun ((rw : row), (_ : Service.success)) ->
         let m = Option.get rw.rw_measure in
-        let fitness =
-          Objective.fitness r.res_objective (Pareto.of_measurement m)
-        in
+        let fitness = Objective.fitness r.res_objective m in
         Printf.sprintf
           "    { \"label\": %s, \"unroll\": %d, \"bus\": %d, \"target_ns\": \
            %g, \"stage_budget\": %d, \"decomp\": %s, \"clock_mhz\": %g, \

@@ -10,10 +10,7 @@ module Graph = Roccc_datapath.Graph
 module Widths = Roccc_datapath.Widths
 module Pipeline = Roccc_datapath.Pipeline
 module Lut_conv = Roccc_hir.Lut_conv
-
-exception Error of string
-
-let errf fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
+module Diag = Roccc_util.Diag
 
 let cat = String.concat ""
 
@@ -123,8 +120,10 @@ let instr_rhs (i : Instr.instr) ~(dst_width : int) ~(ops : string list) : string
     cat
       [ resized (List.nth ops 1) dst_width; " when "; List.nth ops 0; " /= 0 else ";
         resized (List.nth ops 2) dst_width ]
-  | Instr.Lpr _ | Instr.Snx _ -> errf "gen: feedback handled separately"
-  | Instr.Lut _ -> errf "gen: LUT handled as component instance"
+  | Instr.Lpr _ | Instr.Snx _ ->
+    Diag.failf "vhdl generation" "gen: feedback handled separately"
+  | Instr.Lut _ ->
+    Diag.failf "vhdl generation" "gen: LUT handled as component instance"
 
 (* ------------------------------------------------------------------ *)
 (* Node components                                                     *)
@@ -266,7 +265,9 @@ let gen_node (proc : Proc.t) (widths : Widths.t) (p : Pipeline.t)
             List.find_opt (fun t -> String.equal t.Lut_conv.lut_name table) luts
           with
           | Some t -> t
-          | None -> errf "gen: unregistered lookup table %s" table
+          | None ->
+            Diag.failf "vhdl generation"
+              "gen: unregistered lookup table %s" table
         in
         let comp = "rom_" ^ t.Lut_conv.lut_name in
         let in_bits = t.Lut_conv.in_kind.Roccc_cfront.Ast.bits in
@@ -293,7 +294,8 @@ let gen_node (proc : Proc.t) (widths : Widths.t) (p : Pipeline.t)
         let dst_width = Ast.vtype_width (vtype d) in
         let ops = List.map operand rs in
         emit (Ast.Assign (internal_name d 0, instr_rhs i ~dst_width ~ops))
-      | _, None -> errf "gen: instruction without destination")
+      | _, None ->
+        Diag.failf "vhdl generation" "gen: instruction without destination")
     uses;
   (* delay chains for local defs: sequential statements (the latches) *)
   List.iter

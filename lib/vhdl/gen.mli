@@ -4,8 +4,6 @@
     latch placement; LUT instructions instantiate ROM components initialized
     from text files; SNX/LPR pairs become top-level feedback registers. *)
 
-exception Error of string
-
 val generate :
   ?luts:Roccc_hir.Lut_conv.table list ->
   Roccc_datapath.Pipeline.t ->

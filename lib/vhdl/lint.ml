@@ -8,11 +8,9 @@
     Every check is a hashtable lookup, so a design lints in time linear in
     its size. *)
 
-exception Error of string
-
-let errf fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
-
 (* VHDL keywords / functions appearing in generated expressions. *)
+module Diag = Roccc_util.Diag
+
 let builtin_names =
   [ "resize"; "to_signed"; "to_unsigned"; "to_integer"; "shift_left";
     "shift_right"; "signed"; "unsigned"; "when"; "else"; "and"; "or"; "xor";
@@ -101,7 +99,7 @@ let check_unit (entities : (string, formals) Hashtbl.t) (instance_id : int ref)
   in
   let declared = counts names in
   (match first_repeated declared names with
-  | Some x -> errf "%s: %s declared more than once" ename x
+  | Some x -> Diag.failf "vhdl lint" "%s: %s declared more than once" ename x
   | None -> ());
   let out_ports = Hashtbl.create 16 in
   List.iter
@@ -113,18 +111,18 @@ let check_unit (entities : (string, formals) Hashtbl.t) (instance_id : int ref)
   List.iter (fun (c, _) -> Hashtbl.replace components c ()) a.Ast.components;
   let check_ref where name =
     if not (Hashtbl.mem declared name) then
-      errf "%s: undeclared name %s in %s" ename name where
+      Diag.failf "vhdl lint" "%s: undeclared name %s in %s" ename name where
   in
   let check_read where name =
     check_ref where name;
     if Hashtbl.mem out_ports name then
-      errf "%s: output port %s read in %s" ename name where
+      Diag.failf "vhdl lint" "%s: output port %s read in %s" ename name where
   in
   let drivers = Hashtbl.create 64 in
   let drive where name =
     check_ref where name;
     if Hashtbl.mem drivers name then
-      errf "%s: signal %s has multiple drivers" ename name
+      Diag.failf "vhdl lint" "%s: signal %s has multiple drivers" ename name
     else Hashtbl.replace drivers name where
   in
   let reads where text = iter_identifiers (check_read where) text in
@@ -158,16 +156,20 @@ let check_unit (entities : (string, formals) Hashtbl.t) (instance_id : int ref)
         incr instance_id;
         let id = !instance_id in
         if not (Hashtbl.mem components component) then
-          errf "%s: instance %s uses undeclared component %s" ename inst_label
+          Diag.failf "vhdl lint"
+            "%s: instance %s uses undeclared component %s" ename inst_label
             component;
         match Hashtbl.find_opt entities component with
-        | None -> errf "%s: component %s has no generated entity" ename component
+        | None ->
+          Diag.failf "vhdl lint"
+            "%s: component %s has no generated entity" ename component
         | Some f ->
           List.iter
             (fun (formal, actual) ->
               match Hashtbl.find_opt f.f_index formal with
               | None ->
-                errf "%s: instance %s maps unknown formal %s" ename inst_label
+                Diag.failf "vhdl lint"
+                  "%s: instance %s maps unknown formal %s" ename inst_label
                   formal
               | Some i ->
                 f.f_mapped.(i) <- id;
@@ -184,18 +186,19 @@ let check_unit (entities : (string, formals) Hashtbl.t) (instance_id : int ref)
             (fun p ->
               let fname = p.Ast.port_name in
               if f.f_mapped.(Hashtbl.find f.f_index fname) <> id then
-                errf "%s: instance %s leaves formal %s unmapped" ename
+                Diag.failf "vhdl lint"
+                  "%s: instance %s leaves formal %s unmapped" ename
                   inst_label fname)
             f.f_ports))
     a.Ast.body;
   !instances, List.length names
 
-(** Lint a whole design. Raises {!Error} on the first violation; returns a
-    summary report on success. *)
+(** Lint a whole design. Raises {!Roccc_util.Diag.Error} on the first
+    violation; returns a summary report on success. *)
 let check (d : Ast.design) : report =
   let names = List.map (fun u -> u.Ast.unit_entity.Ast.entity_name) d.Ast.units in
   (match first_repeated (counts names) names with
-  | Some x -> errf "duplicate entity %s" x
+  | Some x -> Diag.failf "vhdl lint" "duplicate entity %s" x
   | None -> ());
   let entities = Hashtbl.create 16 in
   List.iter

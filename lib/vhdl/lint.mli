@@ -3,8 +3,6 @@
     multiple drivers, component instances match generated entities and map
     every formal, output ports never read inside their own architecture. *)
 
-exception Error of string
-
 type report = {
   units_checked : int;
   instances_checked : int;
@@ -16,5 +14,5 @@ val identifiers_of : string -> string list
     literals filtered out). Exposed for tests. *)
 
 val check : Ast.design -> report
-(** Lint a whole design. Raises {!Error} describing the first violation;
-    returns a summary on success. *)
+(** Lint a whole design. Raises {!Roccc_util.Diag.Error} describing the first
+    violation; returns a summary on success. *)

@@ -3,9 +3,7 @@
     check that lowering, SSA conversion and data-path construction preserve
     the software semantics. *)
 
-exception Error of string
-
-let errf fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
+module Diag = Roccc_util.Diag
 
 type result = {
   outputs : (string * int64) list;
@@ -27,7 +25,8 @@ let run ?(luts = []) ?(feedback_prev = []) (proc : Proc.t)
   let read r =
     match Hashtbl.find_opt regs r with
     | Some v -> v
-    | None -> errf "eval: register v%d read before definition" r
+    | None ->
+      Diag.failf "vm evaluation" "eval: register v%d read before definition" r
   in
   let lpr name =
     match List.assoc_opt name feedback_prev with
@@ -37,12 +36,13 @@ let run ?(luts = []) ?(feedback_prev = []) (proc : Proc.t)
         List.find_opt (fun (n, _, _) -> String.equal n name) proc.Proc.feedbacks
       with
       | Some (_, kind, init) -> truncate kind init
-      | None -> errf "eval: unknown feedback signal %s" name)
+      | None ->
+        Diag.failf "vm evaluation" "eval: unknown feedback signal %s" name)
   in
   let lut name v =
     match List.assoc_opt name luts with
     | Some f -> f v
-    | None -> errf "eval: unknown lookup table %s" name
+    | None -> Diag.failf "vm evaluation" "eval: unknown lookup table %s" name
   in
   (* Bind inputs. *)
   List.iter
@@ -51,12 +51,14 @@ let run ?(luts = []) ?(feedback_prev = []) (proc : Proc.t)
       | Some v ->
         Hashtbl.replace regs port.Proc.port_reg
           (truncate port.Proc.port_kind v)
-      | None -> errf "eval: missing input %s" port.Proc.port_name)
+      | None ->
+        Diag.failf "vm evaluation" "eval: missing input %s" port.Proc.port_name)
     proc.Proc.inputs;
   (* Execute blocks, bounded to catch accidental CFG cycles. *)
   let max_blocks = 100_000 in
   let rec exec (prev : Proc.label option) (b : Proc.block) (n : int) : unit =
-    if n > max_blocks then errf "eval: block budget exhausted (CFG cycle?)";
+    if n > max_blocks then
+      Diag.failf "vm evaluation" "eval: block budget exhausted (CFG cycle?)";
     (* Phis read the value coming from the edge we arrived on; evaluate them
        in parallel from pre-phi register state. *)
     (match prev with
@@ -68,7 +70,8 @@ let run ?(luts = []) ?(feedback_prev = []) (proc : Proc.t)
             match List.assoc_opt prev_label phi.Proc.phi_args with
             | Some src -> phi.Proc.phi_dst, read src
             | None ->
-              errf "eval: phi in L%d has no arg for predecessor L%d"
+              Diag.failf "vm evaluation"
+                "eval: phi in L%d has no arg for predecessor L%d"
                 b.Proc.label prev_label)
           b.Proc.phis
       in
@@ -80,11 +83,12 @@ let run ?(luts = []) ?(feedback_prev = []) (proc : Proc.t)
         | Instr.Snx name, None -> (
           match operands with
           | [ v ] -> Hashtbl.replace snx_values name (truncate i.Instr.kind v)
-          | _ -> errf "eval: snx arity")
+          | _ -> Diag.failf "vm evaluation" "eval: snx arity")
         | op, Some dst ->
           let v = Instr.eval_op ~lut ~lpr op operands in
           Hashtbl.replace regs dst (truncate i.Instr.kind v)
-        | _, None -> errf "eval: instruction without destination")
+        | _, None ->
+          Diag.failf "vm evaluation" "eval: instruction without destination")
       b.Proc.instrs;
     match b.Proc.term with
     | Proc.Ret -> ()

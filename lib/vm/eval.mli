@@ -3,8 +3,6 @@
     SSA conversion and data-path construction preserve the software
     semantics. *)
 
-exception Error of string
-
 type result = {
   outputs : (string * int64) list;
   feedback_next : (string * int64) list;

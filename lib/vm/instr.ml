@@ -3,16 +3,11 @@
     the ROCCC-specific opcodes LPR (load previous), SNX (store next), LUT
     (table lookup) and MUX (hardware select, materializing SSA phis). *)
 
+module Diag = Roccc_util.Diag
+
 type vreg = int
 
 type ikind = Roccc_cfront.Ast.ikind
-
-exception Vm_error of string
-(** A runtime trap during VM/data-path evaluation (division by zero,
-    malformed operand list). Raised instead of a bare [Failure] so the
-    driver and CLI can surface it as a user-facing message. *)
-
-let vm_errf fmt = Printf.ksprintf (fun s -> raise (Vm_error s)) fmt
 
 type opcode =
   | Add | Sub | Mul | Div | Rem
@@ -95,9 +90,10 @@ let eval_op ~(lut : string -> int64 -> int64) ~(lpr : string -> int64)
   | Sub, [ a; b ] -> Int64.sub a b
   | Mul, [ a; b ] -> Int64.mul a b
   | Div, [ a; b ] ->
-    if Int64.equal b 0L then vm_errf "division by zero" else Int64.div a b
+    if Int64.equal b 0L then
+      Diag.failf "vm" "division by zero" else Int64.div a b
   | Rem, [ a; b ] ->
-    if Int64.equal b 0L then vm_errf "modulo by zero" else Int64.rem a b
+    if Int64.equal b 0L then Diag.failf "vm" "modulo by zero" else Int64.rem a b
   | Shl, [ a; b ] -> Int64.shift_left a (Int64.to_int (Int64.logand b 63L))
   | Shr, [ a; b ] -> Int64.shift_right a (Int64.to_int (Int64.logand b 63L))
   | Band, [ a; b ] -> Int64.logand a b
@@ -119,7 +115,7 @@ let eval_op ~(lut : string -> int64 -> int64) ~(lpr : string -> int64)
   | Mux, [ sel; a; b ] -> if nonzero sel then a else b
   | Lpr name, [] -> lpr name
   | Lut name, [ a ] -> lut name a
-  | Snx _, [ _ ] -> vm_errf "snx handled by the evaluator"
+  | Snx _, [ _ ] -> Diag.failf "vm" "snx handled by the evaluator"
   | _ ->
-    vm_errf "arity mismatch for %s: got %d operand(s), expected %d"
+    Diag.failf "vm" "arity mismatch for %s: got %d operand(s), expected %d"
       (opcode_name op) (List.length operands) (arity op)

@@ -7,12 +7,6 @@ type vreg = int
 
 type ikind = Roccc_cfront.Ast.ikind
 
-exception Vm_error of string
-(** A runtime trap during VM/data-path evaluation — division or modulo by
-    zero, or a malformed operand list. Raised by {!eval_op} instead of a
-    bare [Failure] so callers (the execution engine, the driver, the CLI)
-    can surface it as a user-facing simulation error. *)
-
 type opcode =
   | Add | Sub | Mul | Div | Rem
   | Shl | Shr
@@ -52,4 +46,4 @@ val eval_op :
   int64
 (** Evaluate an opcode over fetched operand values (the caller truncates the
     result to [kind]). Snx is handled by the evaluators, not here. Raises
-    {!Vm_error} on division/modulo by zero or an arity mismatch. *)
+    {!Roccc_util.Diag.Error} on division/modulo by zero or an arity mismatch. *)

@@ -5,11 +5,8 @@
 open Roccc_cfront.Ast
 module K = Roccc_hir.Kernel
 
-exception Error of string
-
-let errf fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
-
 module M = Map.Make (String)
+module Diag = Roccc_util.Diag
 
 type env = {
   proc : Proc.t;
@@ -46,7 +43,7 @@ let binop_opcode : binop -> Instr.opcode = function
 let var_reg env name =
   match M.find_opt name env.vars with
   | Some (r, k) -> r, k
-  | None -> errf "unbound variable %s" name
+  | None -> Diag.failf "lowering" "unbound variable %s" name
 
 let bind_var env name kind =
   let r = Proc.fresh_reg env.proc kind in
@@ -63,7 +60,8 @@ let rec lower_expr env (e : expr) : Instr.vreg * ikind =
     dst, kind
   | Var x -> var_reg env x
   | Deref x -> var_reg env x
-  | Index (a, _) -> errf "array access %s survived scalar replacement" a
+  | Index (a, _) ->
+    Diag.failf "lowering" "array access %s survived scalar replacement" a
   | Cast (k, inner) ->
     let src, _ = lower_expr env inner in
     let dst = Proc.fresh_reg env.proc k in
@@ -104,8 +102,9 @@ let rec lower_expr env (e : expr) : Instr.vreg * ikind =
         let dst = Proc.fresh_reg env.proc s.lut_out in
         emit env (Instr.make ~dst (Instr.Lut f) [ src ] s.lut_out);
         dst, s.lut_out
-      | _ -> errf "lookup table %s needs one argument" f)
-    | None -> errf "residual call to %s (inline or register a LUT)" f)
+      | _ -> Diag.failf "lowering" "lookup table %s needs one argument" f)
+    | None ->
+      Diag.failf "lowering" "residual call to %s (inline or register a LUT)" f)
 
 (* Assign the value in [src] (of kind [src_kind]) to variable [name]: a mov
    when kinds agree, otherwise an explicit width conversion. *)
@@ -126,12 +125,12 @@ and lower_stmt env (s : stmt) : unit =
       assign_var env name src sk
     | None -> ())
   | Sdecl ((Tarray _ | Tptr _ | Tvoid), name, _) ->
-    errf "unsupported local declaration %s" name
+    Diag.failf "lowering" "unsupported local declaration %s" name
   | Sassign (Lvar x, e) | Sassign (Lderef x, e) ->
     let src, sk = lower_expr env e in
     assign_var env x src sk
   | Sassign (Lindex (a, _), _) ->
-    errf "array store %s survived scalar replacement" a
+    Diag.failf "lowering" "array store %s survived scalar replacement" a
   | Sexpr (Call (f, [ Var x; v ])) when String.equal f roccc_store2next ->
     let src, _ = lower_expr env v in
     let _, kind = var_reg env x in
@@ -155,7 +154,8 @@ and lower_stmt env (s : stmt) : unit =
     lower_stmts env el;
     env.cur.Proc.term <- Proc.Jump join_block.Proc.label;
     env.cur <- join_block
-  | Sfor _ -> errf "loops must be handled before data-path lowering"
+  | Sfor _ ->
+    Diag.failf "lowering" "loops must be handled before data-path lowering"
 
 (** Lower a kernel's data-path function into a VM procedure. Inputs are the
     window scalars and scalar live-ins; outputs are the pointer ports;
@@ -185,7 +185,8 @@ let lower_kernel ?(luts = []) (k : K.t) : Proc.t =
           ( ins,
             outs @ [ { Proc.port_name = p.pname; port_reg = r; port_kind = kind } ] )
         | Tarray _ | Tvoid ->
-          errf "dp parameter %s must be scalar or pointer" p.pname)
+          Diag.failf "lowering"
+            "dp parameter %s must be scalar or pointer" p.pname)
       ([], []) f.params
   in
   (* Bind feedback variables as ordinary variables; LPR/SNX handle the

@@ -4,8 +4,6 @@
     DAG-shaped CFG with one dedicated register per variable (SSA conversion
     renames afterwards). *)
 
-exception Error of string
-
 val lower_kernel :
   ?luts:(string * Roccc_cfront.Semant.lut_signature) list ->
   Roccc_hir.Kernel.t ->

@@ -2,6 +2,8 @@
     the Machine-SUIF-style container the CFG and SSA libraries operate
     on. *)
 
+module Diag = Roccc_util.Diag
+
 type label = int
 
 type terminator =
@@ -137,22 +139,19 @@ let copy (p : t) : t =
 (* Well-formedness                                                     *)
 (* ------------------------------------------------------------------ *)
 
-exception Ill_formed of string
-
-let illf fmt = Printf.ksprintf (fun s -> raise (Ill_formed s)) fmt
-
 (** Structural CFG invariants, independent of SSA form: non-empty, unique
     block labels, terminator targets resolve, phi arguments come from
     actual predecessors and cover every predecessor, and every used
     register has a definition (an instruction, a phi, or an input port).
-    Raises {!Ill_formed} on the first violation. *)
+    Raises {!Roccc_util.Diag.Error} on the first violation. *)
 let verify_cfg (p : t) : unit =
-  if p.blocks = [] then illf "proc %s has no blocks" p.pname;
+  if p.blocks = [] then Diag.failf "vm cfg" "proc %s has no blocks" p.pname;
   let labels = List.map (fun b -> b.label) p.blocks in
   let seen = Hashtbl.create 16 in
   List.iter
     (fun l ->
-      if Hashtbl.mem seen l then illf "proc %s: duplicate block L%d" p.pname l;
+      if Hashtbl.mem seen l then
+        Diag.failf "vm cfg" "proc %s: duplicate block L%d" p.pname l;
       Hashtbl.replace seen l ())
     labels;
   List.iter
@@ -160,7 +159,8 @@ let verify_cfg (p : t) : unit =
       List.iter
         (fun l ->
           if not (Hashtbl.mem seen l) then
-            illf "proc %s: L%d jumps to missing block L%d" p.pname b.label l)
+            Diag.failf "vm cfg"
+              "proc %s: L%d jumps to missing block L%d" p.pname b.label l)
         (successors b))
     p.blocks;
   (* predecessor map *)
@@ -181,18 +181,21 @@ let verify_cfg (p : t) : unit =
           let arg_labels = List.map fst phi.phi_args in
           let uniq = List.sort_uniq compare arg_labels in
           if List.length uniq <> List.length arg_labels then
-            illf "proc %s: phi v%d in L%d repeats a predecessor" p.pname
+            Diag.failf "vm cfg"
+              "proc %s: phi v%d in L%d repeats a predecessor" p.pname
               phi.phi_dst b.label;
           List.iter
             (fun l ->
               if not (List.mem l bpreds) then
-                illf "proc %s: phi v%d in L%d names non-predecessor L%d"
+                Diag.failf "vm cfg"
+                  "proc %s: phi v%d in L%d names non-predecessor L%d"
                   p.pname phi.phi_dst b.label l)
             arg_labels;
           List.iter
             (fun l ->
               if not (List.mem l arg_labels) then
-                illf "proc %s: phi v%d in L%d misses predecessor L%d" p.pname
+                Diag.failf "vm cfg"
+                  "proc %s: phi v%d in L%d misses predecessor L%d" p.pname
                   phi.phi_dst b.label l)
             bpreds)
         b.phis)
@@ -212,7 +215,8 @@ let verify_cfg (p : t) : unit =
     p.blocks;
   let check_use where r =
     if not (Hashtbl.mem defined r) then
-      illf "proc %s: %s uses undefined register v%d" p.pname where r
+      Diag.failf "vm cfg"
+        "proc %s: %s uses undefined register v%d" p.pname where r
   in
   List.iter
     (fun b ->

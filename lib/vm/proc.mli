@@ -63,12 +63,10 @@ val copy : t -> t
 (** Deep copy: mutating the copy (SSA conversion, the optimizer) leaves
     the original untouched. *)
 
-exception Ill_formed of string
-
 val verify_cfg : t -> unit
-(** Structural well-formedness, independent of SSA form: unique block
-    labels, terminator targets resolve, phi arguments come from actual
-    predecessors and cover all of them, every used register has some
-    definition (instruction, phi, or input port). Raises {!Ill_formed}. *)
+(** Structural well-formedness, independent of SSA form: unique block labels,
+    terminator targets resolve, phi arguments come from actual predecessors
+    and cover all of them, every used register has some definition
+    (instruction, phi, or input port). Raises {!Roccc_util.Diag.Error}. *)
 
 val to_string : t -> string

@@ -291,7 +291,7 @@ let test_engine_zero_iterations () =
       Driver.simulate ~arrays:[ "A", Array.make 4 0L ] c
     with
     | r -> Alcotest.(check int) "no launches" 0 r.Roccc_hw.Engine.launches
-    | exception Roccc_hw.Engine.Error _ -> ())
+    | exception Roccc_util.Diag.Error { where = "engine"; _ } -> ())
 
 let test_engine_single_iteration () =
   let src =
@@ -352,6 +352,42 @@ let test_compile_all () =
   Alcotest.(check bool) "helper skipped" true
     (not (List.mem_assoc "helper" oks) && not (List.mem_assoc "helper" errs))
 
+(* SSA renaming reads the variable environment at the exit block only, so
+   conversion allocates in proportion to the procedure: square_root
+   unrolled 8 times (1216 instructions) may cost at most 1.5x the minor
+   words per instruction that unroll 1 (152) does. Snapshotting every
+   block's environment made it 4.6x. *)
+let ssa_words_per_instr factor =
+  let module Pass = Roccc_core.Pass in
+  let module Kernels = Roccc_core.Kernels in
+  let b = Kernels.square_root in
+  let options =
+    { (b.Kernels.tune Driver.default_options) with
+      Driver.unroll_outer_factor = factor }
+  in
+  let config =
+    { (Pass.default_config ()) with Pass.verify_ir = false; differential = false }
+  in
+  let lower = Option.get (Pass.find "lower-to-suifvm") in
+  let st =
+    Pass.run ~config
+      (Pass.front_passes @ Pass.kernel_passes @ [ lower ])
+      (Pass.initial ~options ~entry:b.Kernels.entry b.Kernels.source)
+  in
+  let proc = Proc.copy (Pass.need "vm procedure" st.Pass.st_proc) in
+  let n = List.length (Proc.all_instrs proc) in
+  let before = Gc.minor_words () in
+  ignore (Ssa.convert proc);
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let test_ssa_allocation_linear () =
+  let w1 = ssa_words_per_instr 1 and w8 = ssa_words_per_instr 8 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words/instr at unroll 8 <= 1.5 x %.0f at unroll 1"
+       w8 w1)
+    true
+    (w8 <= 1.5 *. w1)
+
 let suites =
   [ "analysis.loops",
     [ Alcotest.test_case "dominators on a cyclic CFG" `Quick
@@ -365,6 +401,8 @@ let suites =
       Alcotest.test_case "SSA with loop phis" `Quick test_ssa_on_loop;
       Alcotest.test_case "SSA on the 240-block ladder" `Quick
         test_ssa_on_ladder;
+      Alcotest.test_case "SSA allocation linear in the procedure" `Quick
+        test_ssa_allocation_linear;
       Alcotest.test_case "evaluator runs the cycle" `Quick
         test_eval_loop_proc ];
     "core.lut_conversion",

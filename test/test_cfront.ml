@@ -51,24 +51,24 @@ let test_lex_hex () =
 
 let test_lex_error_position () =
   match Lexer.tokenize "int x;\n  @" with
-  | exception Lexer.Error (_, line, col) ->
+  | exception Roccc_util.Diag.Error { where = "parse error"; pos = Some (line, col); _ } ->
     Alcotest.(check int) "line" 2 line;
     Alcotest.(check int) "col" 3 col
   | _ -> Alcotest.fail "expected a lexer error"
 
 let test_lex_unterminated_comment () =
   match Lexer.tokenize "a /* never closed" with
-  | exception Lexer.Error (msg, _, _) ->
+  | exception Roccc_util.Diag.Error { where = "parse error"; msg; _ } ->
     Alcotest.(check bool) "message" true
       (String.length msg > 0)
   | _ -> Alcotest.fail "expected a lexer error"
 
 (* An over-wide literal used to crash tokenize with an assert failure;
-   it must be a positioned Lexer.Error pointing at the literal. *)
+   it must be a positioned parse error pointing at the literal. *)
 let test_lex_integer_overflow () =
   let expect_error ~line ~col src =
     match Lexer.tokenize src with
-    | exception Lexer.Error (msg, l, c) ->
+    | exception Roccc_util.Diag.Error { where = "parse error"; pos = Some (l, c); msg } ->
       Alcotest.(check bool)
         ("out-of-range message: " ^ msg)
         true
@@ -91,7 +91,7 @@ let test_lex_integer_overflow () =
     in
     Alcotest.(check (list int64)) "boundary literals" [ -1L; Int64.max_int ]
       lits
-  | exception Lexer.Error (msg, _, _) ->
+  | exception Roccc_util.Diag.Error { where = "parse error"; msg; _ } ->
     Alcotest.fail ("boundary literal rejected: " ^ msg)
 
 (* ------------------------------------------------------------------ *)
@@ -169,7 +169,7 @@ let test_parse_for_variants () =
   let parse_ok src =
     match Parser.parse_func src with
     | _ -> true
-    | exception Parser.Error _ -> false
+    | exception Roccc_util.Diag.Error { where = "parse error"; _ } -> false
   in
   Alcotest.(check bool) "i++" true
     (parse_ok "void f(int A[4]) { int i; for (i=0;i<4;i++) A[i]=i; }");
@@ -190,7 +190,7 @@ let test_parse_errors () =
   let fails src =
     match Parser.parse_program src with
     | _ -> false
-    | exception Parser.Error _ -> true
+    | exception Roccc_util.Diag.Error { where = "parse error"; _ } -> true
   in
   Alcotest.(check bool) "missing semicolon" true (fails "int f() { return 1 }");
   Alcotest.(check bool) "bad for update" true
@@ -225,7 +225,7 @@ let test_pretty_roundtrip () =
 let semant_ok ?(luts = []) src =
   match Semant.check_program ~luts (Parser.parse_program src) with
   | _ -> true
-  | exception Semant.Error _ -> false
+  | exception Roccc_util.Diag.Error { where = "semantic error"; _ } -> false
 
 let test_semant_accepts_kernels () =
   Alcotest.(check bool) "fir" true (semant_ok fir_source);
@@ -247,7 +247,7 @@ let test_semant_function_scope () =
     (fun (order, src) ->
       match Semant.check_program (Parser.parse_program src) with
       | _ -> Alcotest.failf "%s: accepted a caller's local" order
-      | exception Semant.Error msg ->
+      | exception Roccc_util.Diag.Error { where = "semantic error"; msg; _ } ->
         Alcotest.(check string) order "undeclared variable q" msg)
     [ "helper first", helper ^ kernel; "kernel first", kernel ^ helper ];
   Alcotest.(check bool) "globals stay visible" true
@@ -259,7 +259,7 @@ let test_semant_block_scope () =
   let rejects what src =
     match Semant.check_program (Parser.parse_program src) with
     | _ -> Alcotest.failf "%s: accepted" what
-    | exception Semant.Error msg ->
+    | exception Roccc_util.Diag.Error { where = "semantic error"; msg; _ } ->
       Alcotest.(check string) what "undeclared variable t" msg
   in
   rejects "then-branch local read in the else-branch"
@@ -290,7 +290,7 @@ let test_semant_rejects_shadowing () =
   let rejects what src =
     match Semant.check_program (Parser.parse_program src) with
     | _ -> Alcotest.failf "%s: accepted" what
-    | exception Semant.Error msg ->
+    | exception Roccc_util.Diag.Error { where = "semantic error"; msg; _ } ->
       Alcotest.(check string) what
         "function k: declaration of t shadows the t already in scope" msg
   in
@@ -489,7 +489,7 @@ let test_interp_division_by_zero () =
     Interp.run_source "void f(int a, int* o) { *o = a / 0; }" "f"
       ~scalars:[ "a", 5L ]
   with
-  | exception Interp.Error _ -> ()
+  | exception Roccc_util.Diag.Error { where = "interpretation"; _ } -> ()
   | _ -> Alcotest.fail "expected a runtime error"
 
 let test_interp_step_budget () =
@@ -501,7 +501,7 @@ let test_interp_step_budget () =
   in
   let rt = Interp.create ~max_steps:1000 prog in
   match Interp.run rt "f" with
-  | exception Interp.Error _ -> ()
+  | exception Roccc_util.Diag.Error { where = "interpretation"; _ } -> ()
   | _ -> Alcotest.fail "expected step budget error"
 
 let test_interp_function_call () =
@@ -591,7 +591,7 @@ let test_interp_golden_budgets () =
       let n = List.assoc name budgets in
       ignore (run ~max_steps:n ());
       match run ~max_steps:(n - 1) () with
-      | exception Interp.Error "interpreter step budget exhausted" -> ()
+      | exception Roccc_util.Diag.Error { where = "interpretation"; msg = "interpreter step budget exhausted"; _ } -> ()
       | _ -> Alcotest.failf "%s: %d steps should not suffice" name (n - 1))
     Interp_cases.budgeted
 
@@ -700,7 +700,7 @@ let prop_pretty_roundtrip_exprs =
       match Parser.parse_func src with
       | { Ast.body = [ Ast.Sreturn (Some e') ]; _ } -> Ast.equal_expr e e'
       | _ -> false
-      | exception Parser.Error _ -> false)
+      | exception Roccc_util.Diag.Error { where = "parse error"; _ } -> false)
 
 (* ------------------------------------------------------------------ *)
 

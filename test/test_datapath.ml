@@ -718,8 +718,8 @@ let prop_exact_matches_brute_force =
 
 let expect_pipeline_error needle f =
   match f () with
-  | () -> Alcotest.failf "expected Pipeline.Error mentioning %S" needle
-  | exception Pipeline.Error msg ->
+  | () -> Alcotest.failf "expected a pipelining error mentioning %S" needle
+  | exception Roccc_util.Diag.Error { where = "pipelining"; msg; _ } ->
     let found =
       try
         ignore (Str.search_forward (Str.regexp_string needle) msg 0);
@@ -914,7 +914,7 @@ let test_prepared_keeps_undefined_read_error () =
   for launch = 1 to 2 do
     match Dp_eval.run_prepared p ~inputs:[ "x1", 3L; "x2", 4L ] with
     | _ -> Alcotest.failf "launch %d read an undefined register" launch
-    | exception Dp_eval.Error msg ->
+    | exception Roccc_util.Diag.Error { where = "datapath evaluation"; msg; _ } ->
       Alcotest.(check string)
         (Printf.sprintf "launch %d error" launch)
         (Printf.sprintf "dp_eval: register v%d read before definition" late)

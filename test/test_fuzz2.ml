@@ -277,7 +277,7 @@ let compiled_matches_vm (c : Driver.compiled) (stream : int64 array list) :
           dp.Roccc_datapath.Graph.input_ports
       in
       match Eval.run ~luts ~feedback_prev:fb_vm c.Driver.proc ~inputs with
-      | exception Roccc_vm.Instr.Vm_error _ -> true
+      | exception Roccc_util.Diag.Error { where = "vm"; _ } -> true
       | vm ->
         let a = Dp_eval.run_prepared ~feedback_prev:fb_full full ~inputs in
         let b = Dp_eval.run_prepared ~feedback_prev:fb_narrow narrow ~inputs in

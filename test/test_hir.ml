@@ -183,7 +183,7 @@ let test_partial_unroll_rejects_nondivisible () =
   match f.Ast.body with
   | [ Ast.Sdecl _; Ast.Sfor (h, body) ] -> (
     match Loop_opt.partially_unroll ~factor:2 h body with
-    | exception Loop_opt.Error _ -> ()
+    | exception Roccc_util.Diag.Error { where = "loop optimization"; _ } -> ()
     | _ -> Alcotest.fail "expected error for non-divisible factor")
   | _ -> Alcotest.fail "bad shape"
 
@@ -385,7 +385,7 @@ let test_sr_rejects_nonaffine () =
      C[i] = A[B[i]]; } }"
   in
   match kernel_of src "f" with
-  | exception Scalar_replacement.Error _ -> ()
+  | exception Roccc_util.Diag.Error { where = "scalar replacement"; _ } -> ()
   | _ -> Alcotest.fail "expected rejection of indirect access"
 
 let test_sr_two_dim () =
@@ -533,7 +533,7 @@ let test_lut_rejects_impure () =
   ignore prog;
   let prog2 = parse "int bad2(uint20 x) { return x; }" in
   (match Lut_conv.from_function prog2 (List.hd prog2.Ast.funcs) with
-  | exception Lut_conv.Error _ -> ()
+  | exception Roccc_util.Diag.Error { where = "lut conversion"; _ } -> ()
   | _ -> Alcotest.fail "20-bit input must be rejected")
 
 let test_lut_init_roundtrip () =

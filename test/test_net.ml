@@ -48,12 +48,12 @@ let test_fifo_basic () =
 
 let test_fifo_guards () =
   (match Fifo.create ~name:"bad" ~depth:0 with
-  | exception Fifo.Error _ -> ()
+  | exception Roccc_util.Diag.Error { where = "fifo"; _ } -> ()
   | _ -> Alcotest.fail "depth 0 accepted");
   let f = Fifo.create ~name:"tiny" ~depth:1 in
   push f 1L;
   (match push f 2L with
-  | exception Fifo.Error _ -> ()
+  | exception Roccc_util.Diag.Error { where = "fifo"; _ } -> ()
   | () -> Alcotest.fail "push into a full channel accepted");
   Fifo.note_full_stall f;
   Fifo.note_empty_stall f;
@@ -85,17 +85,17 @@ let test_pipeline_parse () =
 
 let test_pipeline_errors () =
   (match Net.find_pipeline ~name:"missing" Net.gallery_source with
-  | exception Net.Error _ -> ()
+  | exception Roccc_util.Diag.Error { where = "network"; _ } -> ()
   | _ -> Alcotest.fail "missing pipeline accepted");
   (* a one-stage pipeline is a parse error *)
   (match Net.pipelines_of_source "void f(int A[4], int B[2]) { int i; for (i=0;i<2;i=i+1) { B[i]=A[i]; } }\npipeline p = f;\n" with
-  | exception Net.Error _ -> ()
+  | exception Roccc_util.Diag.Error { where = "parse error"; _ } -> ()
   | _ -> Alcotest.fail "one-stage pipeline accepted");
   (* a stage that is not a kernel in the source *)
   (match Net.plan ~name:"ghost"
            (Net.gallery_source ^ "pipeline ghost = fir -> nothere;\n")
    with
-  | exception Net.Error msg ->
+  | exception Roccc_util.Diag.Error { where = "network"; msg; _ } ->
     Alcotest.(check bool) "names the stage" true
       (let needle = "nothere" in
        let n = String.length needle and h = String.length msg in
@@ -231,7 +231,7 @@ let test_deadlock_rejected () =
   in
   let net = gallery_plan ~stage_options:[ "fir", fast ] () in
   match Net.simulate ~arrays:(Net.gallery_arrays ()) ~depths:[ 1 ] net with
-  | exception Net.Error msg ->
+  | exception Roccc_util.Diag.Error { where = "network"; msg; _ } ->
     Alcotest.(check bool) "names the deadlock" true
       (let needle = "deadlock" in
        let n = String.length needle and h = String.length msg in

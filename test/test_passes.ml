@@ -91,7 +91,7 @@ let test_verify_cfg_catches_undefined_use () =
   b.Proc.instrs <- [ Instr.make ~dst:1 Instr.Add [ 41; 42 ] k ];
   match Proc.verify_cfg p with
   | () -> Alcotest.fail "expected Ill_formed"
-  | exception Proc.Ill_formed msg ->
+  | exception Roccc_util.Diag.Error { where = "vm cfg"; msg; _ } ->
     Alcotest.(check bool)
       (Printf.sprintf "message %S names the register" msg)
       true (contains "v41" msg)
@@ -110,7 +110,7 @@ let test_kernel_verify_catches_missing_port () =
   in
   (match Roccc_hir.Kernel.verify broken with
   | () -> Alcotest.fail "expected Ill_formed"
-  | exception Roccc_hir.Kernel.Ill_formed _ -> ());
+  | exception Roccc_util.Diag.Error { where = "kernel"; _ } -> ());
   Roccc_hir.Kernel.verify kernel
 
 let test_graph_verify_catches_duplicate_def () =
@@ -135,7 +135,7 @@ let test_graph_verify_catches_duplicate_def () =
   last.Roccc_datapath.Graph.instrs <- saved @ [ def_instr ];
   (match Roccc_datapath.Graph.verify dp with
   | () -> Alcotest.fail "expected Ill_formed on duplicate definition"
-  | exception Roccc_datapath.Graph.Ill_formed _ -> ());
+  | exception Roccc_util.Diag.Error { where = "datapath"; _ } -> ());
   last.Roccc_datapath.Graph.instrs <- saved;
   Roccc_datapath.Graph.verify dp
 

@@ -16,8 +16,7 @@ let prop_parser_total =
     (fun s ->
       match Parser.parse_program s with
       | _ -> true
-      | exception Parser.Error _ -> true
-      | exception Lexer.Error _ -> true)
+      | exception Roccc_util.Diag.Error { where = "parse error"; _ } -> true)
 
 let prop_parser_total_c_like =
   (* token soup from C fragments is more likely to reach deep parser code *)
@@ -35,8 +34,7 @@ let prop_parser_total_c_like =
     (fun s ->
       match Parser.parse_program s with
       | _ -> true
-      | exception Parser.Error _ -> true
-      | exception Lexer.Error _ -> true)
+      | exception Roccc_util.Diag.Error { where = "parse error"; _ } -> true)
 
 let prop_driver_clean_errors =
   (* the driver wraps everything in Driver.Error or succeeds *)

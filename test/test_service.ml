@@ -486,7 +486,7 @@ let test_driver_instrument_hook () =
 
 let test_vm_error_typed () =
   Alcotest.check_raises "division by zero is a typed error"
-    (Instr.Vm_error "division by zero")
+    (Roccc_util.Diag.Error { where = "vm"; pos = None; msg = "division by zero" })
     (fun () ->
       ignore
         (Instr.eval_op
@@ -494,7 +494,7 @@ let test_vm_error_typed () =
            ~lpr:(fun _ -> 0L)
            Instr.Div [ 1L; 0L ]));
   Alcotest.check_raises "arity mismatch is a typed error"
-    (Instr.Vm_error "arity mismatch for add: got 1 operand(s), expected 2")
+    (Roccc_util.Diag.Error { where = "vm"; pos = None; msg = "arity mismatch for add: got 1 operand(s), expected 2" })
     (fun () ->
       ignore
         (Instr.eval_op
@@ -1707,6 +1707,35 @@ let test_table1_rejects_option_flags () =
   let code, _ = run "--disable-pass vm-optimize" in
   Alcotest.(check int) "--disable-pass still applies" 0 code
 
+(* `batch` over a directory turns an unparseable file into one failed
+   job, printed with its parse error, and still compiles the others. *)
+let test_batch_reports_unparseable_file () =
+  let dir = Filename.temp_file "roccc_batch" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let write name text =
+    let oc = open_out_bin (Filename.concat dir name) in
+    output_string oc text;
+    close_out oc
+  in
+  write "bad.c" "void k(int A[8]) { A[0] = ; }\n";
+  write "good.c" fir_source;
+  let out = Filename.temp_file "roccc_batch" ".out" in
+  let code =
+    Sys.command
+      (Printf.sprintf "../bin/roccc.exe batch --jobs 1 %s > %s 2>&1"
+         (Filename.quote dir) (Filename.quote out))
+  in
+  let ic = open_in_bin out in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  List.iter (fun f -> Sys.remove (Filename.concat dir f)) [ "bad.c"; "good.c" ];
+  Sys.rmdir dir;
+  Sys.remove out;
+  Alcotest.(check int) "exit 0 while a job succeeds" 0 code;
+  Alcotest.(check bool) ("per-job parse error in: " ^ text) true
+    (contains "bad                      ERROR parse error at 1:" text)
+
 let suites =
   [ "service",
     [ Alcotest.test_case "cache hit on identical job" `Quick
@@ -1727,6 +1756,8 @@ let suites =
         test_disk_cache_survives_process;
       Alcotest.test_case "batch isolates a failing kernel" `Quick
         test_batch_isolates_failure;
+      Alcotest.test_case "batch reports an unparseable file per job" `Quick
+        test_batch_reports_unparseable_file;
       Alcotest.test_case "batch --table1 rejects option flags" `Quick
         test_table1_rejects_option_flags;
       Alcotest.test_case "parallel VHDL = sequential VHDL" `Slow

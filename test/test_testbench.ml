@@ -91,7 +91,7 @@ let test_testbench_feedback_kernel () =
 let test_testbench_missing_input_rejected () =
   let c = Driver.compile ~entry:"fir" fir_src in
   match Testbench.generate ~arrays:[] c with
-  | exception Testbench.Error _ -> ()
+  | exception Roccc_util.Diag.Error { where = "testbench"; _ } -> ()
   | _ -> Alcotest.fail "expected missing-array error"
 
 let suites =

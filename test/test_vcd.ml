@@ -75,7 +75,7 @@ let test_vcd_rejects_disorder () =
       end_cycle = 10 }
   in
   match Vcd.render bad with
-  | exception Vcd.Error _ -> ()
+  | exception Roccc_util.Diag.Error { where = "vcd"; _ } -> ()
   | _ -> Alcotest.fail "expected out-of-order rejection"
 
 let test_vcd_ident_uniqueness () =

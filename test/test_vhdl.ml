@@ -127,7 +127,7 @@ let test_lint_catches_undeclared () =
       rom_inits = [] }
   in
   match Lint.check bad with
-  | exception Lint.Error _ -> ()
+  | exception Roccc_util.Diag.Error { where = "vhdl lint"; _ } -> ()
   | _ -> Alcotest.fail "lint must reject undeclared names"
 
 let test_lint_catches_multiple_drivers () =
@@ -150,7 +150,7 @@ let test_lint_catches_multiple_drivers () =
       rom_inits = [] }
   in
   match Lint.check bad with
-  | exception Lint.Error _ -> ()
+  | exception Roccc_util.Diag.Error { where = "vhdl lint"; _ } -> ()
   | _ -> Alcotest.fail "lint must reject multiple drivers"
 
 (* One negative case per rule, each with its exact message. [unit_of]
@@ -172,7 +172,7 @@ let design_of_units units = { V.design_name = "t"; units; rom_inits = [] }
 
 let lint_error units =
   match Lint.check (design_of_units units) with
-  | exception Lint.Error msg -> msg
+  | exception Roccc_util.Diag.Error { where = "vhdl lint"; msg; _ } -> msg
   | _ -> Alcotest.fail "lint accepted a bad design"
 
 (* a leaf entity [leaf] with ports x : in, y : out *)

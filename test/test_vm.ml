@@ -95,7 +95,7 @@ let test_instr_arity_checked () =
 let test_eval_rejects_missing_input () =
   let proc = lower fir_source "fir" in
   match Eval.run proc ~inputs:[ "A0", 1L ] with
-  | exception Eval.Error _ -> ()
+  | exception Roccc_util.Diag.Error { where = "vm evaluation"; _ } -> ()
   | _ -> Alcotest.fail "expected missing-input error"
 
 (* ------------------------------------------------------------------ *)

@@ -7,7 +7,6 @@
 
 module Driver = Roccc_core.Driver
 module Net = Roccc_net.Net
-module Service = Roccc_service.Service
 module Pass = Roccc_core.Pass
 
 type case = { name : string; run : unit -> unit; batch : bool }
@@ -150,27 +149,17 @@ let cases : case list =
       ^ "void bad(int A[8], int B[8]) { int i; for (i = 0; i < 8; i = i + \
          1) { B[i] = A[i+9]; } }\npipeline r = f -> bad;\n") ]
 
-(* what `roccc` prints after "roccc: " *)
-let cli_text (e : exn) : string =
-  match e with
-  | Driver.Error msg -> msg
-  | Roccc_cfront.Parser.Error (msg, line, col) ->
-    Printf.sprintf "parse error at %d:%d: %s" line col msg
-  | Roccc_cfront.Semant.Error msg -> msg
-  | Roccc_vm.Instr.Vm_error msg -> "vm error: " ^ msg
-  | Roccc_cfront.Interp.Error msg -> "interpreter: " ^ msg
-  | Net.Error msg -> "network: " ^ msg
-  | e -> "uncaught " ^ Printexc.to_string e
-
 let render (c : case) : string =
   match c.run () with
   | () -> Printf.sprintf "%s\n  accepted\n" c.name
   | exception e ->
-    Printf.sprintf "%s\n  roccc: %s\n%s" c.name (cli_text e)
+    let text describe =
+      Option.value (describe e) ~default:("uncaught " ^ Printexc.to_string e)
+    in
+    Printf.sprintf "%s\n  roccc: %s\n%s" c.name (text Pass.error_message)
       (if c.batch then
          Printf.sprintf "  batch: %s\n"
-           (Option.value (Service.describe_error e)
-              ~default:(Printexc.to_string e))
+           (text Roccc_service.Scheduler.describe_error)
        else "")
 
 let golden () : string = String.concat "" (List.map render cases)

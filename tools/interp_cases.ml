@@ -141,7 +141,7 @@ let budget (run : ?max_steps:int -> unit -> Interp.outcome) =
   let ok n =
     match run ~max_steps:n () with
     | _ -> true
-    | exception Interp.Error _ -> false
+    | exception Roccc_util.Diag.Error { where = "interpretation"; _ } -> false
   in
   let rec grow hi = if ok hi then hi else grow (2 * hi) in
   let rec bisect lo hi =
