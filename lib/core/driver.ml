@@ -81,8 +81,6 @@ type compiled = {
 (* State projections                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let need = Pass.need
-
 (* Figure 2 system wrapper from the pre-existing VHDL component library,
    for the simple 1-D single-window shape. *)
 let system_vhdl_of (kernel : Kernel.t) (proc : Proc.t) (pipeline : Pipeline.t)
@@ -107,23 +105,23 @@ let system_vhdl_of (kernel : Kernel.t) (proc : Proc.t) (pipeline : Pipeline.t)
   | _ -> None
 
 let compiled_of_state (st : Pass.state) : compiled =
-  let kernel = need "kernel" st.Pass.st_kernel in
-  let proc = need "vm procedure" st.Pass.st_proc in
-  let pipeline = need "pipeline" st.Pass.st_pipeline in
-  let f = need "entry function" st.Pass.st_func in
-  let program = need "program" st.Pass.st_program in
+  let kernel = Pass.need "kernel" st.Pass.st_kernel in
+  let proc = Pass.need "vm procedure" st.Pass.st_proc in
+  let pipeline = Pass.need "pipeline" st.Pass.st_pipeline in
+  let f = Pass.need "entry function" st.Pass.st_func in
+  let program = Pass.need "program" st.Pass.st_program in
   { source = st.Pass.st_source;
     entry = st.Pass.st_entry;
     options = st.Pass.st_options;
     program = { program with Ast.funcs = [ f ] };
     kernel;
     proc;
-    dp = need "data path" st.Pass.st_dp;
-    widths = need "signal widths" st.Pass.st_widths;
+    dp = Pass.need "data path" st.Pass.st_dp;
+    widths = Pass.need "signal widths" st.Pass.st_widths;
     pipeline;
-    design = need "design" st.Pass.st_design;
+    design = Pass.need "design" st.Pass.st_design;
     buffer_configs = st.Pass.st_buffer_configs;
-    area = need "area estimate" st.Pass.st_area;
+    area = Pass.need "area estimate" st.Pass.st_area;
     luts = st.Pass.st_luts;
     system_vhdl = system_vhdl_of kernel proc pipeline;
     pass_trace = st.Pass.st_trace }
@@ -173,8 +171,8 @@ type measurement = {
 }
 
 let measurement_of_state (st : Pass.state) : measurement =
-  let area = need "area estimate" st.Pass.st_area in
-  let pipeline = need "pipeline" st.Pass.st_pipeline in
+  let area = Pass.need "area estimate" st.Pass.st_area in
+  let pipeline = Pass.need "pipeline" st.Pass.st_pipeline in
   { ms_slices = area.Area.slices;
     ms_operator_slices = area.Area.operator_slices;
     ms_clock_mhz = area.Area.clock_mhz;

@@ -184,7 +184,7 @@ val simulate :
 (** Run the compiled circuit on the cycle-accurate execution model.
     [arrays] supplies input array contents by parameter name; [scalars] the
     live-in scalar parameters. Raises {!Error} (not a bare [Failure]) when
-    the model traps — e.g. a division by zero in the data path. *)
+    the model fails — e.g. an input array it reads is missing. *)
 
 val interpret :
   ?scalars:(string * int64) list ->

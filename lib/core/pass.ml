@@ -1102,11 +1102,11 @@ let prefix_pass name msg =
 
 (* Every error escaping a pass carries the failing pass's name, so the
    CLI and the batch service report "where", not just "what". *)
-let with_pass_name ?(stage = "") (name : string) (f : unit -> 'a) : 'a =
+let with_pass_name (name : string) (f : unit -> 'a) : 'a =
   try f ()
   with e -> (
     match error_message e with
-    | Some m -> raise (Error (prefix_pass name (stage ^ m)))
+    | Some m -> raise (Error (prefix_pass name m))
     | None -> raise e)
 
 (* Whether [p] runs under [options]: its option gate is open and, when it
@@ -1193,7 +1193,12 @@ let step ?config (p : pass) (st : state) : state =
     if config.verify_ir then
       Option.iter
         (fun v ->
-          with_pass_name ~stage:"ir verification: " p.name (fun () -> v st'))
+          with_pass_name p.name (fun () ->
+              try v st'
+              with e -> (
+                match error_message e with
+                | Some m -> raise (Error ("ir verification: " ^ m))
+                | None -> raise e)))
         p.verifier;
     if config.differential then
       Option.iter
