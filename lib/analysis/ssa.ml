@@ -130,7 +130,9 @@ let convert (proc : Proc.t) : Cfg.t =
   in
   let exit_label =
     match
-      List.find_opt (fun (b : Proc.block) -> b.Proc.term = Proc.Ret) proc.Proc.blocks
+      List.find_opt
+        (fun (b : Proc.block) -> b.Proc.term = Proc.Ret)
+        proc.Proc.blocks
     with
     | Some b -> b.Proc.label
     | None ->
@@ -186,7 +188,8 @@ let convert (proc : Proc.t) : Cfg.t =
     if l = exit_label then
       exit_outputs :=
         List.map
-          (fun (p : Proc.port) -> { p with Proc.port_reg = top p.Proc.port_reg })
+          (fun (p : Proc.port) ->
+            { p with Proc.port_reg = top p.Proc.port_reg })
           proc.Proc.outputs;
     (* fill phi args in successors *)
     List.iter

@@ -6,10 +6,9 @@
     semantics.
 
     The pipeline is also exposed stage by stage ({!front_end},
-    {!lower_to_kernel}, {!back_end}) so callers such as the batch
-    compilation service can memoize stage outputs content-addressed on
-    (source, entry, options) and observe per-pass timings through the
-    {!instrument} hook. *)
+    {!lower_to_kernel}, {!back_end}), each stage's result an opaque pass
+    state, so a caller can time the stages apart and observe per-pass
+    timings through the {!instrument} hook. *)
 
 exception Error of string
 (** Equal to {!Pass.Error}: every failure carries the failing pass's name. *)

@@ -848,8 +848,8 @@ let widths_verifier st =
           | Some d ->
             let w = Widths.width widths d in
             if w < 1 || w > 64 then
-              Diag.failf "width inference" "v%d has width %d outside [1,64]" d
-                w
+              Diag.failf "width inference" "v%d has width %d outside [1,64]"
+                d w
           | None -> ())
         n.Graph.instrs)
     dp.Graph.nodes

@@ -366,7 +366,9 @@ let ssa_words_per_instr factor =
       Driver.unroll_outer_factor = factor }
   in
   let config =
-    { (Pass.default_config ()) with Pass.verify_ir = false; differential = false }
+    { (Pass.default_config ()) with
+      Pass.verify_ir = false;
+      differential = false }
   in
   let lower = Option.get (Pass.find "lower-to-suifvm") in
   let st =

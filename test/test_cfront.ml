@@ -51,7 +51,9 @@ let test_lex_hex () =
 
 let test_lex_error_position () =
   match Lexer.tokenize "int x;\n  @" with
-  | exception Roccc_util.Diag.Error { where = "parse error"; pos = Some (line, col); _ } ->
+  | exception
+      Roccc_util.Diag.Error
+        { where = "parse error"; pos = Some (line, col); _ } ->
     Alcotest.(check int) "line" 2 line;
     Alcotest.(check int) "col" 3 col
   | _ -> Alcotest.fail "expected a lexer error"
@@ -68,7 +70,9 @@ let test_lex_unterminated_comment () =
 let test_lex_integer_overflow () =
   let expect_error ~line ~col src =
     match Lexer.tokenize src with
-    | exception Roccc_util.Diag.Error { where = "parse error"; pos = Some (l, c); msg } ->
+    | exception
+        Roccc_util.Diag.Error { where = "parse error"; pos = Some (l, c); msg }
+      ->
       Alcotest.(check bool)
         ("out-of-range message: " ^ msg)
         true
@@ -591,7 +595,12 @@ let test_interp_golden_budgets () =
       let n = List.assoc name budgets in
       ignore (run ~max_steps:n ());
       match run ~max_steps:(n - 1) () with
-      | exception Roccc_util.Diag.Error { where = "interpretation"; msg = "interpreter step budget exhausted"; _ } -> ()
+      | exception
+          Roccc_util.Diag.Error
+            { where = "interpretation";
+              msg = "interpreter step budget exhausted";
+              _ } ->
+        ()
       | _ -> Alcotest.failf "%s: %d steps should not suffice" name (n - 1))
     Interp_cases.budgeted
 

@@ -914,7 +914,8 @@ let test_prepared_keeps_undefined_read_error () =
   for launch = 1 to 2 do
     match Dp_eval.run_prepared p ~inputs:[ "x1", 3L; "x2", 4L ] with
     | _ -> Alcotest.failf "launch %d read an undefined register" launch
-    | exception Roccc_util.Diag.Error { where = "datapath evaluation"; msg; _ } ->
+    | exception
+        Roccc_util.Diag.Error { where = "datapath evaluation"; msg; _ } ->
       Alcotest.(check string)
         (Printf.sprintf "launch %d error" launch)
         (Printf.sprintf "dp_eval: register v%d read before definition" late)

@@ -486,7 +486,8 @@ let test_driver_instrument_hook () =
 
 let test_vm_error_typed () =
   Alcotest.check_raises "division by zero is a typed error"
-    (Roccc_util.Diag.Error { where = "vm"; pos = None; msg = "division by zero" })
+    (Roccc_util.Diag.Error
+       { where = "vm"; pos = None; msg = "division by zero" })
     (fun () ->
       ignore
         (Instr.eval_op
@@ -494,7 +495,10 @@ let test_vm_error_typed () =
            ~lpr:(fun _ -> 0L)
            Instr.Div [ 1L; 0L ]));
   Alcotest.check_raises "arity mismatch is a typed error"
-    (Roccc_util.Diag.Error { where = "vm"; pos = None; msg = "arity mismatch for add: got 1 operand(s), expected 2" })
+    (Roccc_util.Diag.Error
+       { where = "vm";
+         pos = None;
+         msg = "arity mismatch for add: got 1 operand(s), expected 2" })
     (fun () ->
       ignore
         (Instr.eval_op

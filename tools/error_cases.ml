@@ -124,7 +124,8 @@ let cases : case list =
     compile "lowering: unsupported local declaration"
       (loop_kernel "int T[2]; T[0] = A[i]; B[i] = T[0];");
     compile "pass manager: unknown disabled pass"
-      ~options:{ Driver.default_options with Driver.disabled_passes = [ "nosuch" ] }
+      ~options:
+        { Driver.default_options with Driver.disabled_passes = [ "nosuch" ] }
       (loop_kernel "B[i] = A[i];");
     compile "differential: division by zero" ~differential:true
       (loop_kernel "B[i] = A[i] / (A[i] - A[i]);");
