@@ -1,12 +1,14 @@
 (** The roccc command-line compiler.
 
-    roccc compile <file.c> -e <entry> [-o out.vhd] [--dump-stage ...]
+    roccc compile <file.c> -e <entry> [-o DIR] [--dump ...]
+    roccc compile-all <file.c> [-o DIR]   (every kernel function in a file)
     roccc simulate <file.c> -e <entry> --array A=1,2,3 --scalar x=5
-    roccc report <file.c> -e <entry>
+    roccc profile <file.c> -e <entry>     (rank loops by dynamic op count)
     roccc bench <name>         (compile + simulate a built-in Table 1 kernel)
     roccc batch <files|dirs> [--jobs N] [--cache] [--trace out.json]
     roccc batch <file.c> -e <entry> --sweep   (unroll x bus option grid)
     roccc tune <file.c|kernel> --objective max-mhz --slice-budget 4000
+    roccc serve [--socket PATH] [--jobs N] [--cache]   (JSON-lines server)
 *)
 
 open Cmdliner
@@ -33,6 +35,19 @@ let read_file path =
   let s = really_input_string ic n in
   close_in ic;
   s
+
+(* Write [files] (name, contents) into [dir], creating [dir] (not its
+   parents) when missing; [announce] prints "wrote PATH" per file. *)
+let write_files ?(announce = false) dir files =
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  List.iter
+    (fun (name, contents) ->
+      let path = Filename.concat dir name in
+      let oc = open_out path in
+      output_string oc contents;
+      close_out oc;
+      if announce then Printf.printf "wrote %s\n" path)
+    files
 
 let with_errors f =
   try f () with
@@ -280,21 +295,11 @@ let compile_cmd =
     match out with
     | None -> ()
     | Some dir ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-      let files =
-        ((name ^ "_net.vhd"), Net.network_vhdl net)
+      write_files ~announce:true dir
+        ((name ^ "_net.vhd", Net.network_vhdl net)
         :: List.concat_map
              (fun (sg : Net.stage) -> Service.vhdl_files sg.Net.sg_compiled)
-             net.Net.net_stages
-      in
-      List.iter
-        (fun (fname, contents) ->
-          let path = Filename.concat dir fname in
-          let oc = open_out path in
-          output_string oc contents;
-          close_out oc;
-          Printf.printf "wrote %s\n" path)
-        files
+             net.Net.net_stages)
   in
   let run file entry options out dumps testbench config =
     check_passes ~dump_after:config.Roccc_core.Pass.dump_after options;
@@ -336,14 +341,7 @@ let compile_cmd =
           dumps;
         (match out with
         | Some dir ->
-          if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-          List.iter
-            (fun (name, contents) ->
-              let path = Filename.concat dir name in
-              let oc = open_out path in
-              output_string oc contents;
-              close_out oc;
-              Printf.printf "wrote %s\n" path)
+          write_files ~announce:true dir
             (Roccc_vhdl.Ast.to_files c.Driver.design
             @ (match c.Driver.system_vhdl with
               | Some text -> [ c.Driver.entry ^ "_system.vhd", text ]
@@ -482,14 +480,7 @@ let compile_all_cmd =
               c.Driver.pipeline.Roccc_datapath.Pipeline.latch_bits;
             match out with
             | Some dir ->
-              if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-              List.iter
-                (fun (fname, contents) ->
-                  let path = Filename.concat dir fname in
-                  let oc = open_out path in
-                  output_string oc contents;
-                  close_out oc)
-                (Roccc_vhdl.Ast.to_files c.Driver.design)
+              write_files dir (Roccc_vhdl.Ast.to_files c.Driver.design)
             | None -> ())
           oks;
         List.iter
@@ -764,15 +755,8 @@ let batch_cmd =
           if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
           let written =
             List.fold_left
-              (fun n ((j : Service.job), (s : Service.success)) ->
-                ignore j;
-                let jdir = Filename.concat dir s.Service.r_label in
-                if not (Sys.file_exists jdir) then Sys.mkdir jdir 0o755;
-                List.iter
-                  (fun (name, contents) ->
-                    let oc = open_out (Filename.concat jdir name) in
-                    output_string oc contents;
-                    close_out oc)
+              (fun n (_, (s : Service.success)) ->
+                write_files (Filename.concat dir s.Service.r_label)
                   s.Service.r_vhdl;
                 n + List.length s.Service.r_vhdl)
               0 (Service.successes report)
@@ -933,18 +917,7 @@ let tune_cmd =
         in
         let decomp =
           if decomp = [] then usage_error "--decomp expects a non-empty list";
-          List.map
-            (fun name ->
-              match Roccc_datapath.Delay.decomp_of_string name with
-              | Some d -> d
-              | None ->
-                usage_error
-                  (Printf.sprintf
-                     "--decomp: unknown decomposition %s (expected %s)" name
-                     (String.concat " or "
-                        (List.map Roccc_datapath.Delay.decomp_name
-                           Roccc_datapath.Delay.all_decomps))))
-            decomp
+          List.map decomp_of_flag decomp
         in
         let jobs =
           match jobs with

@@ -9,17 +9,5 @@ type stats = {
   dead_removed : int;
 }
 
-val propagate_copies : Roccc_vm.Proc.t -> int
-(** Redirect readers of same-kind Mov results to the source; returns the
-    number of rewritten uses. *)
-
-val value_number : Roccc_vm.Proc.t -> int
-(** Share identical pure computations within each block; returns the number
-    of instructions replaced by copies. *)
-
-val eliminate_dead : Roccc_vm.Proc.t -> int
-(** Drop instructions whose results reach no output, SNX, phi or branch;
-    returns the number removed. *)
-
 val run : Roccc_vm.Proc.t -> stats
 (** Iterate the three passes to a fixpoint. *)

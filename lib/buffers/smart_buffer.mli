@@ -29,11 +29,10 @@ type t
 
 val config : t -> config
 
-val capacity_elements : config -> int
-(** Register capacity of the generated buffer: [extent + bus - 1] for 1-D
-    windows, line buffers [(rows-1)*row_length + cols + bus - 1] for 2-D. *)
-
 val capacity_bits : config -> int
+(** Register bits of the generated buffer: [extent + bus - 1] elements for
+    1-D windows, line buffers [(rows-1)*row_length + cols + bus - 1] for
+    2-D. *)
 
 val create : config -> t
 (** Raises {!Roccc_util.Diag.Error} for empty buses or >2-D arrays. *)

@@ -6,8 +6,6 @@
 
 type runtime
 
-val default_max_steps : int
-
 val create :
   ?max_steps:int ->
   ?lut_funcs:(string * (int64 -> int64)) list ->
@@ -18,9 +16,6 @@ val create :
     unboxed slots. [max_steps] bounds total evaluation steps (guards
     non-termination): one per expression node, statement and loop
     iteration. *)
-
-val init_globals : runtime -> unit
-(** Re-evaluate constant global initializers (called by {!run}). *)
 
 (** Result of running a kernel. *)
 type outcome = {

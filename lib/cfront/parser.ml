@@ -624,10 +624,3 @@ let parse_program (src : string) : Ast.program =
   { Ast.globals = List.rev !globals;
     funcs = List.rev !funcs;
     pipelines = List.rev !pipelines }
-
-(** Parse a single function from a source string containing exactly one. *)
-let parse_func (src : string) : Ast.func =
-  match (parse_program src).funcs with
-  | [ f ] -> f
-  | [] -> Diag.failf ~pos:(1, 1) "parse error" "no function found in source"
-  | f :: _ -> f

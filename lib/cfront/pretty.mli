@@ -1,14 +1,7 @@
 (** Pretty-printer rendering the AST back to C source (used by the Figure 3
     and Figure 4 reproductions, and round-trip tested against the parser). *)
 
-val kind_name : Ast.ikind -> string
-val ctype_name : Ast.ctype -> string
-val binop_symbol : Ast.binop -> string
-val unop_symbol : Ast.unop -> string
-
 val expr_to_string : Ast.expr -> string
-val lvalue_to_string : Ast.lvalue -> string
 
-val stmts_to_string : ?indent:int -> Ast.stmt list -> string
 val func_to_string : Ast.func -> string
 val program_to_string : Ast.program -> string

@@ -209,13 +209,16 @@ let eligible_entries (source : string) : string list =
     per-function failures. *)
 let compile_all ?config ?(options = default_options) ?(luts = [])
     (source : string) : (string * compiled) list * (string * string) list =
-  let entries = eligible_entries source in
-  List.fold_left
-    (fun (oks, errs) entry ->
-      match compile ?config ~options ~luts ~entry source with
-      | c -> oks @ [ entry, c ], errs
-      | exception Error msg -> oks, errs @ [ entry, msg ])
-    ([], []) entries
+  (* newest first, reversed once at the end *)
+  let oks, errs =
+    List.fold_left
+      (fun (oks, errs) entry ->
+        match compile ?config ~options ~luts ~entry source with
+        | c -> (entry, c) :: oks, errs
+        | exception Error msg -> oks, (entry, msg) :: errs)
+      ([], []) (eligible_entries source)
+  in
+  List.rev oks, List.rev errs
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)

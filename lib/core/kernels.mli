@@ -30,7 +30,6 @@ val square_root : benchmark
 val cos_kernel : benchmark
 val cos_table : Roccc_hir.Lut_conv.table
 val arbitrary_lut : benchmark
-val user_rom_table : Roccc_hir.Lut_conv.table
 val fir : benchmark
 val dct : benchmark
 val dct_source : string
@@ -43,16 +42,11 @@ val wavelet : benchmark
     {!wavelet_cols}. *)
 
 val wavelet_cols : benchmark
-val wavelet_rows_source : string
-val wavelet_cols_source : string
 
 val modsq : benchmark
 (** Modular squaring over the Mersenne prime 2^31-1 — the wide-arithmetic
     workload: its 62-bit square compiles to a pinned multi-stage operator
     region. Not a Table 1 row; carried in the {!gallery}. *)
-
-val modsq_source : string
-(** Same source as [examples/modsq.c]. *)
 
 val table1 : benchmark list
 (** The nine rows in Table 1 order. *)

@@ -97,14 +97,6 @@ val need : string -> 'a option -> 'a
 (** [need what field]: the field's value; raises {!Error} naming [what]
     when an earlier pass has not filled it in. *)
 
-val buffer_configs_of :
-  bus_elements:int -> Roccc_hir.Kernel.t -> Roccc_buffers.Smart_buffer.config list
-(** Smart-buffer configurations for the kernel's window inputs — shared by
-    the simulator and the area estimator. *)
-
-val ast_size : Roccc_cfront.Ast.func -> int
-(** Statement + expression count (the HIR IR-size metric). *)
-
 (** {1 Pass values} *)
 
 type layer = Cfront | Hir | Vm | Datapath | Vhdl | Fpga

@@ -21,16 +21,11 @@ type profile = {
   total_dynamic_ops : int64;
 }
 
-val dynamic_ops : site -> int64
 val fraction : profile -> site -> float
 
 val computational_density : site -> float
 (** Operations per memory access — §4's "high computational density, low
     control density" characterization. *)
-
-val instrument :
-  Roccc_cfront.Ast.program -> Roccc_cfront.Ast.program * site list
-(** Inject per-loop counters (globals [__prof_<i>]); exposed for tests. *)
 
 val analyze :
   ?luts:(string * Roccc_cfront.Semant.lut_signature) list ->

@@ -198,17 +198,6 @@ let instr_delay ?(stage_budget = default_stage_budget)
     { stages = 1;
       per_stage_ns = single_cycle_delay_ns ~const_operands op kind src_widths }
 
-(** Per-stage combinational delay of one instruction — for single-cycle
-    operators exactly the classic estimate, for staged operators the
-    balanced per-stage share. [const_operands] mark sources carrying
-    compile-time constants (constant multipliers become shift-add trees,
-    constant shifts become wiring). *)
-let instr_delay_ns ?stage_budget ?decomp
-    ?(const_operands : int64 option list = []) (op : Instr.opcode)
-    (kind : Instr.ikind) (src_widths : int list) : float =
-  (instr_delay ?stage_budget ?decomp ~const_operands op kind src_widths)
-    .per_stage_ns
-
 (** Achievable clock for a given worst-stage combinational delay, with a
     routing pessimism factor (global routing roughly doubles logic delay on
     a real device). *)

@@ -1,18 +1,6 @@
 (** Combinational delay estimation per instruction (paper §4.2.3), tuned to
     a Virtex-II speed-grade-5 fabric. *)
 
-val lut_level_ns : float
-(** One 4-LUT plus local routing. *)
-
-val carry_per_bit_ns : float
-(** Incremental dedicated carry-chain delay. *)
-
-val register_overhead_ns : float
-(** Flip-flop clock-to-out plus setup, charged once per pipeline stage. *)
-
-val routing_factor : float
-(** Global-routing pessimism applied to logic delay. *)
-
 type staged = {
   stages : int;        (** consecutive pipeline stages the op occupies *)
   per_stage_ns : float;(** combinational delay of each stage *)
@@ -47,20 +35,9 @@ val instr_delay :
     shapes keep the single-cycle model; wide multiplies, adds and divides
     decompose into multi-stage regions via the {!Roccc_ip_wide.Wide} cost
     models, capped at [stage_budget] stages (0 = uncapped — a larger
-    budget never increases the per-stage delay). *)
-
-val instr_delay_ns :
-  ?stage_budget:int ->
-  ?decomp:decomp ->
-  ?const_operands:int64 option list ->
-  Roccc_vm.Instr.opcode ->
-  Roccc_vm.Instr.ikind ->
-  int list ->
-  float
-(** Per-stage delay of {!instr_delay} — for single-cycle shapes exactly the
-    classic estimate. [const_operands] marks sources carrying compile-time
-    constants: constant multipliers become shift-add trees, constant shifts
-    and masks become wiring. *)
+    budget never increases the per-stage delay). [const_operands] marks
+    sources carrying compile-time constants: constant multipliers become
+    shift-add trees, constant shifts and masks become wiring. *)
 
 val clock_mhz_of_stage_delay : float -> float
 (** Achievable clock for a worst-stage combinational delay, including

@@ -32,11 +32,7 @@ type t = {
   output_ports : Proc.port list;
 }
 
-val kind_name : kind -> string
-val is_hard : node -> bool
-
 val node_defs : node -> Instr.vreg list
-val node_inputs : node -> Instr.vreg list
 
 val constant_values : t -> (Instr.vreg, int64) Hashtbl.t
 (** Registers carrying compile-time constants (Ldc, propagated through

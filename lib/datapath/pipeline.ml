@@ -77,9 +77,6 @@ let staged_regions (p : t) : (Instr.instr * int * int) list =
       if si.si_stages > 1 then Some (si.si, si.stage, si.si_stages) else None)
     p.instrs
 
-(** Number of multi-stage operators in the staging. *)
-let multi_stage_ops (p : t) : int = List.length (staged_regions p)
-
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)

@@ -44,12 +44,6 @@ val outputs_per_cycle : t -> int
 (** Results produced per steady-state cycle (one iteration enters each
     cycle; equals the number of output ports). *)
 
-val stage_of_def : t -> Instr.vreg -> int
-(** Stage where a register's value is produced (0 for external inputs). *)
-
-val stage_of_instr : t -> Instr.instr -> int
-(** Stage an instruction executes in. *)
-
 val use_delay : t -> Instr.instr -> Instr.vreg -> int
 (** Latch boundaries operand [r] crosses to reach instruction [i] — the
     delay-chain depth the VHDL generator materializes for this use. *)
@@ -61,9 +55,6 @@ val register_bits : t -> int
 val staged_regions : t -> (Instr.instr * int * int) list
 (** Pinned multi-stage regions as [(instr, start_stage, stages)]. Empty
     for a purely single-cycle data path. *)
-
-val multi_stage_ops : t -> int
-(** Number of multi-stage operators in the staging. *)
 
 val build :
   ?target_ns:float -> ?stage_budget:int -> ?decomp:Delay.decomp ->

@@ -253,21 +253,3 @@ let declared (dp : Graph.t) : t =
 (** Total inferred signal bits (a proxy for wiring/register pressure used by
     the area model and the ablation bench). *)
 let total_bits (w : t) : int = IM.fold (fun _ bits acc -> acc + bits) w 0
-
-(** Width statistics per declared vs. inferred bits — quantifies the paper's
-    bit-narrowing claim. *)
-let narrowing_ratio (dp : Graph.t) (w : t) : float =
-  let declared, inferred =
-    List.fold_left
-      (fun (d, i) (n : Graph.node) ->
-        List.fold_left
-          (fun (d, i) (instr : Instr.instr) ->
-            match instr.Instr.dst with
-            | Some dst ->
-              ( d + instr.Instr.kind.Roccc_cfront.Ast.bits,
-                i + width w dst )
-            | None -> d, i)
-          (d, i) n.Graph.instrs)
-      (0, 0) dp.Graph.nodes
-  in
-  if declared = 0 then 1.0 else float_of_int inferred /. float_of_int declared

@@ -24,7 +24,3 @@ val declared : Graph.t -> t
 
 val total_bits : t -> int
 (** Sum of all inferred signal widths. *)
-
-val narrowing_ratio : Graph.t -> t -> float
-(** Inferred bits / declared bits over all instruction results; quantifies
-    the paper's bit-narrowing claim (1.0 = no narrowing). *)

@@ -215,10 +215,6 @@ let quick_estimate (dp : Graph.t) : int =
 (** The paper's target device: Xilinx Virtex-II xc2v2000-5. *)
 let xc2v2000_slices = 10752
 
-(** Device utilization fraction on the paper's part. *)
-let utilization (e : estimate) : float =
-  float_of_int e.slices /. float_of_int xc2v2000_slices
-
 let fits (e : estimate) : bool = e.slices <= xc2v2000_slices
 
 (* ------------------------------------------------------------------ *)

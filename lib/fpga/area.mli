@@ -37,7 +37,6 @@ val quick_estimate : Roccc_datapath.Graph.t -> int
 val xc2v2000_slices : int
 (** Slice capacity of the paper's target device. *)
 
-val utilization : estimate -> float
 val fits : estimate -> bool
 
 type power_estimate = {

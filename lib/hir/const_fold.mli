@@ -6,18 +6,6 @@ val fold_expr : Roccc_cfront.Ast.expr -> Roccc_cfront.Ast.expr
     reassociation of constant add/sub chains). Division by zero is never
     folded away. *)
 
-val propagate_func :
-  ?consts:(string * int64) list ->
-  Roccc_cfront.Ast.func ->
-  Roccc_cfront.Ast.func
-(** Propagate known constants through the body (branch-aware; statically
-    decided conditionals are spliced). [consts] seeds the environment. *)
-
-val dce_func : Roccc_cfront.Ast.func -> Roccc_cfront.Ast.func
-(** Remove scalar assignments whose results are never used. Pointer and
-    array writes are the observable outputs and are kept; declarations are
-    kept (only dead initializers are dropped). *)
-
 val optimize_func :
   ?consts:(string * int64) list ->
   Roccc_cfront.Ast.func ->

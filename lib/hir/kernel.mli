@@ -53,7 +53,4 @@ val verify : t -> unit
     non-degenerate, feedback names are distinct. Raises
     {!Roccc_util.Diag.Error}. *)
 
-val window_extent : window_input -> int list
-(** Max offset − min offset + 1 per dimension. *)
-
 val describe : t -> string

@@ -7,15 +7,6 @@ val iteration_values : Roccc_cfront.Ast.for_header -> int list option
 
 val trip_count : Roccc_cfront.Ast.for_header -> int option
 
-val fully_unroll :
-  Roccc_cfront.Ast.for_header ->
-  Roccc_cfront.Ast.stmt list ->
-  Roccc_cfront.Ast.stmt list
-(** Replace a constant-bound loop by straight-line code, substituting each
-    index value ("converts a for-loop with constant bounds into a
-    non-iterative block of code", §2). Raises {!Roccc_util.Diag.Error}
-    otherwise. *)
-
 val partially_unroll :
   factor:int ->
   Roccc_cfront.Ast.for_header ->

@@ -37,12 +37,10 @@ val of_init_text :
 
 val to_init_text : table -> string
 
-val max_table_bits : int
-
 val from_function : Roccc_cfront.Ast.program -> Roccc_cfront.Ast.func -> table
 (** Tabulate a pure single-scalar-argument function by exhaustive evaluation;
-    raises {!Roccc_util.Diag.Error} beyond {!max_table_bits} input bits or for
-    impure bodies. *)
+    raises {!Roccc_util.Diag.Error} beyond 16 input bits or for impure
+    bodies. *)
 
 val convert_calls : Roccc_cfront.Ast.program -> table list -> Roccc_cfront.Ast.program
 (** Drop converted function definitions; calls resolve to the tables. *)

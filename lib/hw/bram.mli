@@ -26,7 +26,6 @@ val load : t -> int64 array -> unit
 (** Stage contents (truncated to the element kind). *)
 
 val contents : t -> int64 array
-val size : t -> int
 
 val request_read : t -> address:int -> count:int -> unit
 (** Present a burst read request; data appears after the next {!clock}. *)

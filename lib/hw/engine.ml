@@ -533,7 +533,6 @@ let result (e : t) : result =
       rows_trace e.retire_rows e.output_names e.retire_cycles (retired e) }
 
 let total_launches (e : t) : int = e.total
-let latency (e : t) : int = e.latency
 
 (** Simulate a kernel end to end. [arrays] supplies input array contents by
     name; [scalars] the live-in scalar values; [bus_elements] the number of

@@ -83,8 +83,6 @@ val retired : t -> int
 val total_launches : t -> int
 (** Iterations the kernel needs in total. *)
 
-val latency : t -> int
-
 val simulate :
   ?luts:(string * (int64 -> int64)) list ->
   ?scalars:(string * int64) list ->

@@ -15,16 +15,6 @@ let bit_correlator ~(mask : int64) (x : int64) : int64 =
   (* bits equal <=> xnor; count ones of ~(x ^ mask) over 8 bits *)
   popcount8 (Int64.lognot (Int64.logxor x mask))
 
-(** Multiplier-accumulator over a stream of 12-bit pairs with a new-data
-    flag; returns the running sums. *)
-let mul_acc (items : (int64 * int64 * bool) list) : int64 list =
-  let acc = ref 0L in
-  List.map
-    (fun (a, b, nd) ->
-      if nd then acc := Int64.add !acc (Int64.mul a b);
-      !acc)
-    items
-
 (** 8-bit unsigned division: (quotient, remainder). *)
 let udiv (n : int64) (d : int64) : int64 * int64 =
   if Int64.equal d 0L then 0xffL, Int64.logand n 0xffL

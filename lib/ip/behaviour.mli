@@ -1,13 +1,8 @@
 (** Golden behavioural models for the nine Table 1 kernels; both the IP
     baselines and the compiled ROCCC circuits are checked against these. *)
 
-val popcount8 : int64 -> int64
-
 val bit_correlator : mask:int64 -> int64 -> int64
 (** Number of bits of the 8-bit input equal to the constant mask. *)
-
-val mul_acc : (int64 * int64 * bool) list -> int64 list
-(** Multiplier-accumulator over (a, b, new_data) items; running sums. *)
 
 val udiv : int64 -> int64 -> int64 * int64
 (** 8-bit unsigned division: (quotient, remainder); divide-by-zero yields
@@ -15,9 +10,6 @@ val udiv : int64 -> int64 -> int64 * int64
 
 val isqrt : int64 -> int64
 (** Floor integer square root. *)
-
-val fir_taps : int list
-(** The paper's Figure 3 coefficients: 3, 5, 7, 9, -1. *)
 
 val fir : int64 array -> int64 array
 (** 5-tap FIR over a padded input (output length = input - 4). *)
@@ -27,10 +19,6 @@ val dct8_coeff : int array array
 
 val dct8 : int64 array -> int64 array
 (** Scaled integer 8-point DCT-II. *)
-
-val wavelet53_1d : int64 array -> int64 array
-(** One (5,3) lifting level of an even-length line: approximations in the
-    first half, details in the second. *)
 
 val wavelet53_2d : rows:int -> cols:int -> int64 array -> int64 array
 (** Row pass then column pass over a row-major image. *)

@@ -24,7 +24,7 @@
 module Driver = Roccc_core.Driver
 module Pass = Roccc_core.Pass
 module Service = Roccc_service.Service
-module Scheduler = Roccc_service.Scheduler
+module Pool = Roccc_service.Pool
 module Engine = Roccc_hw.Engine
 module Fifo = Roccc_buffers.Fifo
 module K = Roccc_hir.Kernel
@@ -240,7 +240,7 @@ let plan ?cache ?config ?(options = Driver.default_options)
   in
   let entries = Array.of_list pl.Ast.pl_stages in
   let compiled =
-    Scheduler.parallel_map ~num_domains:jobs
+    Pool.parallel_map ~num_domains:jobs
       ~f:(fun ~tid entry ->
         compile_stage ?cache ?config ~options:(opts_of entry) ~luts ~source
           ~tid entry)

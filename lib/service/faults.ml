@@ -88,7 +88,6 @@ let current : t option Atomic.t = Atomic.make None
 
 let install (t : t) : unit = Atomic.set current (Some t)
 let clear () : unit = Atomic.set current None
-let installed () : t option = Atomic.get current
 
 let env_var = "ROCCC_FAULT"
 

@@ -28,8 +28,6 @@ val install : t -> unit
 
 val clear : unit -> unit
 
-val installed : unit -> t option
-
 val env_var : string
 (** ["ROCCC_FAULT"]. *)
 

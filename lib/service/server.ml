@@ -36,7 +36,7 @@ let now = Unix.gettimeofday
 (* ------------------------------------------------------------------ *)
 
 type limits = {
-  workers : int;       (* worker domains; 0 = Scheduler.default_domains *)
+  workers : int;       (* worker domains; 0 = Pool.recommended *)
   queue_depth : int;   (* admission queue bound *)
   deadline_ms : float option;  (* default per-request deadline *)
   max_request_bytes : int;     (* request line length bound *)
@@ -346,8 +346,6 @@ let create ?cache ?config ?trace ?(limits = default_limits) () : t =
     n_requests = 0;
     stop_flag = Atomic.make false }
 
-let metrics (srv : t) : Metrics.t = srv.metrics
-
 let request_stop (srv : t) : unit = Atomic.set srv.stop_flag true
 let stop_requested (srv : t) : bool = Atomic.get srv.stop_flag
 
@@ -579,7 +577,7 @@ let handle (srv : t) (tid : int) (p : pending) : unit =
       match e with
       | Faults.Injected point -> "injected_fault", "injected fault at " ^ point
       | _ -> (
-        match Scheduler.describe_error e with
+        match Pool.describe_error e with
         | Some m -> "compile", m
         | None -> "internal", Printexc.to_string e)
     in

@@ -95,14 +95,3 @@ val serve_socket :
 val request_stop : t -> unit
 (** Ask the serve loop to stop admitting (async-signal-safe: sets an
     atomic flag; safe to call from a signal handler). *)
-
-val stop_requested : t -> bool
-
-val metrics : t -> Metrics.t
-
-val health_json : t -> Json.t
-(** The metrics snapshot a ["health"] request returns: request counters,
-    latency percentiles, live queue depth/capacity, the worker pool
-    (configured and effective counts plus per-worker response counts),
-    connection counters, cache statistics, and fault-injection
-    counters. *)

@@ -340,11 +340,9 @@ let run_batch ?cache ?config ?trace ?(num_domains = 0) (jobs : job list) :
     report =
   let t0 = now () in
   let arr = Array.of_list jobs in
-  let domains =
-    if num_domains <= 0 then Scheduler.default_domains () else num_domains
-  in
+  let domains = Pool.resolve num_domains in
   let workers =
-    Scheduler.effective_workers ~num_domains:domains (Array.length arr)
+    Pool.effective_workers ~num_domains:domains (Array.length arr)
   in
   let f ~tid (job : job) : success =
     let j0 = now () in
@@ -370,13 +368,13 @@ let run_batch ?cache ?config ?trace ?(num_domains = 0) (jobs : job list) :
               [ "status", Trace.Str "error";
                 "message",
                 Trace.Str
-                  (Option.value (Scheduler.describe_error e)
+                  (Option.value (Pool.describe_error e)
                      ~default:(Printexc.to_string e)) ]
             ())
         trace;
       raise e
   in
-  let results = Scheduler.parallel_map ~num_domains:domains ~f arr in
+  let results = Pool.parallel_map ~num_domains:domains ~f arr in
   { rp_results = Array.map2 (fun j r -> j, r) arr results;
     rp_wall_s = now () -. t0;
     rp_domains = domains;
@@ -464,45 +462,6 @@ let trace_meta (r : report) : (string * Trace.arg) list =
     "jobs", Trace.Int (Array.length r.rp_results);
     "failed", Trace.Int (List.length (failures r)) ]
   @ cache_meta
-
-let report_json (r : report) : string =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{";
-  Buffer.add_string buf (Printf.sprintf "\"wall_s\":%.6f," r.rp_wall_s);
-  Buffer.add_string buf (Printf.sprintf "\"domains\":%d," r.rp_domains);
-  Buffer.add_string buf (Printf.sprintf "\"workers\":%d," r.rp_workers);
-  (match r.rp_cache with
-  | None -> Buffer.add_string buf "\"cache\":null,"
-  | Some s ->
-    Buffer.add_string buf
-      (Printf.sprintf
-         "\"cache\":{\"hits\":%d,\"disk_hits\":%d,\"misses\":%d,\"stores\":%d},"
-         s.Cache.hits s.Cache.disk_hits s.Cache.misses s.Cache.stores));
-  Buffer.add_string buf "\"jobs\":[";
-  Array.iteri
-    (fun i (j, res) ->
-      if i > 0 then Buffer.add_char buf ',';
-      match res with
-      | Ok s ->
-        Buffer.add_string buf
-          (Trace.args_json
-             [ "label", Trace.Str j.label;
-               "status", Trace.Str "ok";
-               "origin", Trace.Str (origin_name s.r_origin);
-               "elapsed_s", Trace.Float s.r_elapsed_s;
-               "slices", Trace.Int s.r_slices;
-               "clock_mhz", Trace.Float s.r_clock_mhz;
-               "latency", Trace.Int s.r_latency;
-               "latch_bits", Trace.Int s.r_latch_bits ])
-      | Error msg ->
-        Buffer.add_string buf
-          (Trace.args_json
-             [ "label", Trace.Str j.label;
-               "status", Trace.Str "error";
-               "message", Trace.Str msg ]))
-    r.rp_results;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
 
 let summary (r : report) : string =
   let buf = Buffer.create 256 in

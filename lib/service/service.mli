@@ -60,15 +60,9 @@ type report = {
   rp_domains : int;  (** domains requested *)
   rp_workers : int;
       (** workers actually used: the request clamped to the hardware
-          parallelism and the job count ({!Scheduler.effective_workers}) *)
+          parallelism and the job count ({!Pool.effective_workers}) *)
   rp_cache : Cache.stats option;
 }
-
-val full_key : job -> Fingerprint.t
-(** The finished artifact's cache key: the job's inputs plus the name and
-    option fingerprint of every pass {!Roccc_core.Pass.executed} runs. It
-    is a static digest of the job, not a link of the state chain: the
-    disk tier and [serve]'s hot path probe it before any state exists. *)
 
 val run_chain :
   ?cache:Cache.t ->
@@ -150,7 +144,7 @@ val run_batch :
   job list ->
   report
 (** Run a batch across up to [num_domains] workers ([<= 0] or omitted:
-    {!Scheduler.default_domains}). One kernel's failure does not affect
+    {!Pool.resolve}). One kernel's failure does not affect
     the other jobs. *)
 
 val table1_jobs : ?disabled_passes:string list -> unit -> job list
@@ -181,9 +175,6 @@ val failures : report -> (job * string) list
 
 val summary : report -> string
 (** Human-readable per-job lines plus batch totals. *)
-
-val report_json : report -> string
-(** Batch summary as a JSON object (wall time, cache stats, per-job rows). *)
 
 val trace_meta : report -> (string * Trace.arg) list
 (** Batch-level metadata for {!Trace.to_chrome_json}'s [meta] object. *)

@@ -19,8 +19,8 @@ type span = {
 }
 
 (* Counter ("C") events: a named value sampled over time — the serve
-   loop's queue depth. Kept separate from spans so existing span
-   consumers (pass_totals, the tests) see exactly what they always did. *)
+   loop's queue depth. Kept separate from spans so span consumers see
+   only spans. *)
 type counter = {
   c_name : string;
   c_tid : int;
@@ -185,18 +185,3 @@ let to_chrome_json ?(meta = []) (t : t) : string =
   Buffer.add_string buf (args_json meta);
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-(* Per-pass aggregate: pass name -> (count, total seconds), hottest first. *)
-let pass_totals (t : t) : (string * int * float) list =
-  let tbl = Hashtbl.create 32 in
-  List.iter
-    (fun sp ->
-      if String.equal sp.sp_cat "pass" then begin
-        let n, s =
-          Option.value (Hashtbl.find_opt tbl sp.sp_name) ~default:(0, 0.0)
-        in
-        Hashtbl.replace tbl sp.sp_name (n + 1, s +. sp.sp_dur_s)
-      end)
-    (spans t);
-  Hashtbl.fold (fun name (n, s) acc -> (name, n, s) :: acc) tbl []
-  |> List.sort (fun (_, _, a) (_, _, b) -> Float.compare b a)

@@ -41,9 +41,6 @@ type counter = {
 
 val add_counter : t -> ?tid:int -> name:string -> value:float -> unit -> unit
 
-val counters : t -> counter list
-(** All counter samples, in chronological order. *)
-
 (** A point in time worth a tick mark (Chrome ["i"] events) — a
     connection opening or closing. *)
 type instant = {
@@ -56,20 +53,10 @@ type instant = {
 val add_instant :
   t -> ?tid:int -> ?args:(string * arg) list -> name:string -> unit -> unit
 
-val instants : t -> instant list
-(** All instant events, in chronological order. *)
-
 val to_chrome_json : ?meta:(string * arg) list -> t -> string
 (** The Chrome trace_event document: [{"traceEvents": [...], "meta": ...}].
     Load it at chrome://tracing or ui.perfetto.dev. [meta] carries
     batch-level summary values (wall time, cache hits, ...). *)
-
-val pass_totals : t -> (string * int * float) list
-(** Aggregate over ["pass"] spans: (pass name, run count, total seconds),
-    hottest pass first. *)
-
-val args_json : (string * arg) list -> string
-(** Render an argument list as one JSON object (shared JSON helper). *)
 
 val escape : string -> string
 (** JSON string-body escaping (shared with {!Json}). *)

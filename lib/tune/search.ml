@@ -7,7 +7,7 @@
 
 module Driver = Roccc_core.Driver
 module Service = Roccc_service.Service
-module Scheduler = Roccc_service.Scheduler
+module Pool = Roccc_service.Pool
 module Cache = Roccc_service.Cache
 module Trace = Roccc_service.Trace
 module Delay = Roccc_datapath.Delay
@@ -163,7 +163,7 @@ let run ?cache ?trace ?config ?(luts = []) (st : settings) ~(source : string)
   (* [f] on each index across the workers, results in index order *)
   let eval ~f idxs =
     let res =
-      Scheduler.parallel_map ~num_domains:st.st_domains ~f
+      Pool.parallel_map ~num_domains:st.st_domains ~f
         (Array.of_list idxs)
     in
     List.mapi (fun k i -> (i, res.(k))) idxs
@@ -274,7 +274,7 @@ let run ?cache ?trace ?config ?(luts = []) (st : settings) ~(source : string)
     res_quick_evals = 0;
     res_estimate_evals = estimate_evals;
     res_full_evals = full_evals;
-    res_workers = Scheduler.effective_workers ~num_domains:st.st_domains n;
+    res_workers = Pool.effective_workers ~num_domains:st.st_domains n;
     res_wall_s = Unix.gettimeofday () -. t_start;
     res_cache = Some (Cache.stats cache) }
 

@@ -110,12 +110,6 @@ val run :
     with a [cached] argument. Raises nothing: per-candidate failures are
     recorded as {!Failed} rows. *)
 
-val status_name : status -> string
-(** ["front"], ["dominated"], ["infeasible"], ["failed"]. *)
-
-val status_detail : status -> string option
-(** The reason string of {!Failed}. *)
-
 val table : result -> string
 (** The rendered front (best first) plus a search summary. *)
 

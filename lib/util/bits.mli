@@ -1,7 +1,5 @@
 (** Fixed-width two's-complement arithmetic helpers. *)
 
-val max_width : int
-
 val bits_for_unsigned : int64 -> int
 (** Minimal width representing the value as unsigned; 64 for negatives. *)
 

@@ -58,10 +58,7 @@ type design = {
   rom_inits : (string * string) list;
 }
 
-val vtype_to_string : vtype -> string
 val vtype_width : vtype -> int
-val direction_to_string : direction -> string
-val port_to_string : port -> string
 
 val to_string : design -> string
 (** Render the whole design as one VHDL source text. *)

@@ -313,9 +313,6 @@ end architecture rtl;
 (* System assembly (Figure 2) for 1-D single-window kernels            *)
 (* ------------------------------------------------------------------ *)
 
-(** Names of library entities used by {!system_wrapper_vhdl}. *)
-let library_entities = [ "roccc_addr_gen"; "roccc_smart_buffer"; "roccc_controller" ]
-
 (** Render the Figure 2 system around a compiled data path: address
     generator -> BRAM port -> smart buffer -> data path, sequenced by the
     controller. The data-path entity is referenced by [dp_entity] with

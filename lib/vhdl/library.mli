@@ -3,25 +3,10 @@
     VHDL library") and the Figure 2 system assembly for 1-D single-window
     kernels. *)
 
-val address_generator_vhdl : string
-(** Sequential-scan input address generator (generic-parameterized). *)
-
-val smart_buffer_vhdl : window:int -> element_bits:int -> string
-(** 1-D sliding-window shift-register buffer with parallel window taps. *)
-
-val controller_vhdl : string
-(** The filling/steady/draining/done FSM. *)
-
 val line_buffer_vhdl :
   win_rows:int -> win_cols:int -> row_length:int -> element_bits:int -> string
 (** 2-D smart buffer: (win_rows - 1) line FIFOs plus the window column,
     with parallel taps [win_<r>_<c>]. *)
-
-val fifo_vhdl : string
-(** Synchronous circular-buffer FIFO channel with full/empty flags
-    (process networks: producer stalls on full, consumer on empty). *)
-
-val library_entities : string list
 
 (** One stage of a network top level, as seen by the wiring generator. *)
 type net_stage = {

@@ -8,6 +8,8 @@ let accumulator_source = Roccc_core.Kernels.paper_acc_source
 
 let if_else_source = Roccc_core.Kernels.paper_if_else_source
 
+let parse_func src = List.hd (Parser.parse_program src).Ast.funcs
+
 (* ------------------------------------------------------------------ *)
 (* Lexer                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -117,7 +119,7 @@ let test_parse_fir () =
   | _ -> Alcotest.fail "unexpected FIR body shape"
 
 let test_parse_precedence () =
-  let f = Parser.parse_func "int f(int a, int b) { return a + b * 2; }" in
+  let f = parse_func "int f(int a, int b) { return a + b * 2; }" in
   match f.Ast.body with
   | [ Ast.Sreturn (Some (Ast.Binop (Ast.Add, Ast.Var "a",
         Ast.Binop (Ast.Mul, Ast.Var "b", Ast.Const 2L)))) ] ->
@@ -125,7 +127,7 @@ let test_parse_precedence () =
   | _ -> Alcotest.fail "precedence wrong"
 
 let test_parse_parens_override () =
-  let f = Parser.parse_func "int f(int a, int b) { return (a + b) * 2; }" in
+  let f = parse_func "int f(int a, int b) { return (a + b) * 2; }" in
   match f.Ast.body with
   | [ Ast.Sreturn (Some (Ast.Binop (Ast.Mul, Ast.Binop (Ast.Add, _, _), _))) ]
     ->
@@ -148,7 +150,7 @@ let test_parse_if_else () =
   Alcotest.(check int) "two pointer outputs" 2 (List.length ptr_params)
 
 let test_parse_two_dim_array () =
-  let f = Parser.parse_func
+  let f = parse_func
       "void t(int A[4][8]) { A[1][2] = A[0][0] + 1; }"
   in
   (match (List.hd f.Ast.params).Ast.ptype with
@@ -159,7 +161,7 @@ let test_parse_two_dim_array () =
   | _ -> Alcotest.fail "2-D assignment shape"
 
 let test_parse_sized_ints () =
-  let f = Parser.parse_func "uint12 m(int8 a, uint19 b) { return b; }" in
+  let f = parse_func "uint12 m(int8 a, uint19 b) { return b; }" in
   (match f.Ast.ret with
   | Ast.Tint { Ast.signed = false; bits = 12 } -> ()
   | _ -> Alcotest.fail "uint12 return");
@@ -171,7 +173,7 @@ let test_parse_sized_ints () =
 
 let test_parse_for_variants () =
   let parse_ok src =
-    match Parser.parse_func src with
+    match parse_func src with
     | _ -> true
     | exception Roccc_util.Diag.Error { where = "parse error"; _ } -> false
   in
@@ -187,7 +189,7 @@ let test_parse_for_variants () =
     (parse_ok "void f(int A[4]) { for (int i=0;i<4;i++) A[i]=i; }")
 
 let test_parse_compound_assign () =
-  let f = Parser.parse_func "int f(int a) { a += 3; a -= 1; a++; return a; }" in
+  let f = parse_func "int f(int a) { a += 3; a -= 1; a++; return a; }" in
   Alcotest.(check int) "statements" 4 (List.length f.Ast.body)
 
 let test_parse_errors () =
@@ -706,7 +708,7 @@ let prop_pretty_roundtrip_exprs =
           "int f(int va, int vb, int vc, int vd, int ve) { return %s; }"
           (Pretty.expr_to_string e)
       in
-      match Parser.parse_func src with
+      match parse_func src with
       | { Ast.body = [ Ast.Sreturn (Some e') ]; _ } -> Ast.equal_expr e e'
       | _ -> false
       | exception Roccc_util.Diag.Error { where = "parse error"; _ } -> false)

@@ -96,8 +96,8 @@ let test_buffer_reuse_ratio () =
 
 let test_buffer_capacity () =
   (* 1-D: extent + bus - 1 *)
-  Alcotest.(check int) "FIR capacity" 5
-    (Smart_buffer.capacity_elements fir_buffer_config);
+  Alcotest.(check int) "FIR capacity" (5 * 32)
+    (Smart_buffer.capacity_bits fir_buffer_config);
   (* 2-D 2x2 window on an 8-wide array: one line + 2 + bus - 1 *)
   let cfg2 =
     { Smart_buffer.element_bits = 8;
@@ -109,9 +109,8 @@ let test_buffer_capacity () =
       iterations = [ 5; 7 ];
       lower = [ 0; 0 ] }
   in
-  Alcotest.(check int) "2-D line buffer capacity" 10
-    (Smart_buffer.capacity_elements cfg2);
-  Alcotest.(check int) "capacity bits" 80 (Smart_buffer.capacity_bits cfg2)
+  Alcotest.(check int) "2-D line buffer capacity" (10 * 8)
+    (Smart_buffer.capacity_bits cfg2)
 
 let test_buffer_two_dim_windows () =
   let cfg =

@@ -154,8 +154,8 @@ let prop_buffer_capacity_sufficient =
           iterations = [ n - extent + 1 ];
           lower = [ 0 ] }
       in
-      Smart_buffer.capacity_elements cfg >= extent
-      && Smart_buffer.capacity_elements cfg <= extent + bus)
+      let elements = Smart_buffer.capacity_bits cfg / 8 in
+      elements >= extent && elements <= extent + bus)
 
 (* ------------------------------------------------------------------ *)
 (* Engine invariants                                                   *)

@@ -21,17 +21,12 @@ let kind ?(signed = true) bits = Ast.make_ikind ~signed bits
 (* ---- staged delay descriptors ---- *)
 
 let test_narrow_stays_single_cycle () =
-  (* every pre-existing shape (result <= 32 bits) keeps stages = 1 and
-     exactly the classic per-stage estimate *)
+  (* every pre-existing shape (result <= 32 bits) keeps stages = 1 *)
   List.iter
     (fun (op, k, ws) ->
       let d = Delay.instr_delay op k ws in
       Alcotest.(check int)
-        (Instr.opcode_name op ^ " single cycle") 1 d.Delay.stages;
-      Alcotest.(check (float 1e-9))
-        (Instr.opcode_name op ^ " per-stage = classic")
-        (Delay.instr_delay_ns op k ws)
-        d.Delay.per_stage_ns)
+        (Instr.opcode_name op ^ " single cycle") 1 d.Delay.stages)
     [ Instr.Add, kind 32, [ 32; 32 ];
       Instr.Mul, kind 16, [ 16; 16 ];
       Instr.Mul, kind 32, [ 16; 16 ];
@@ -46,7 +41,9 @@ let test_wide_mul_is_staged () =
     (d.Delay.per_stage_ns > 0.0);
   (* the decomposed region's stage delay must beat a flat single-cycle
      64-bit multiplier, else staging it is pointless *)
-  let flat = Delay.instr_delay_ns Instr.Mul (kind 32) [ 32; 32 ] in
+  let flat =
+    (Delay.instr_delay Instr.Mul (kind 32) [ 32; 32 ]).Delay.per_stage_ns
+  in
   Alcotest.(check bool) "staged beats flat 32x32 estimate" true
     (d.Delay.per_stage_ns < Delay.total_ns d +. flat);
   let add = Delay.instr_delay Instr.Add (kind ~signed:false 64) [ 64; 64 ] in
@@ -152,7 +149,9 @@ let test_csa_reduce_accumulate () =
 (* ---- pinned regions through the pipeliner ---- *)
 
 let compiled_modsq =
-  lazy (Driver.compile ~entry:Kernels.modsq.Kernels.entry Kernels.modsq_source)
+  lazy
+    (Driver.compile ~entry:Kernels.modsq.Kernels.entry
+       Kernels.modsq.Kernels.source)
 
 let test_modsq_has_pinned_regions () =
   let c = Lazy.force compiled_modsq in
@@ -184,9 +183,7 @@ let test_retiming_preserves_pinned_stages () =
          (Pipeline.staged_regions q))
   in
   Alcotest.(check bool) "region starts survive retiming" true
-    (key p = key greedy);
-  Alcotest.(check int) "multi_stage_ops agrees" (Pipeline.multi_stage_ops p)
-    (List.length (Pipeline.staged_regions p))
+    (key p = key greedy)
 
 let test_modsq_hw_equals_sw () =
   let b = Kernels.modsq in
@@ -202,7 +199,7 @@ let test_stage_budget_caps_pipeline () =
   let budgeted =
     Driver.compile
       ~options:{ Driver.default_options with Driver.stage_budget = 2 }
-      ~entry:Kernels.modsq.Kernels.entry Kernels.modsq_source
+      ~entry:Kernels.modsq.Kernels.entry Kernels.modsq.Kernels.source
   in
   List.iter
     (fun (i, _, k) ->
@@ -220,7 +217,7 @@ let test_addtree_decomp_compiles () =
   let c =
     Driver.compile
       ~options:{ Driver.default_options with Driver.decomp = Delay.Addtree }
-      ~entry:Kernels.modsq.Kernels.entry Kernels.modsq_source
+      ~entry:Kernels.modsq.Kernels.entry Kernels.modsq.Kernels.source
   in
   Alcotest.(check bool) "addtree modsq still staged" true
     (Pipeline.staged_regions c.Driver.pipeline <> []);
@@ -244,7 +241,7 @@ let test_staged_beats_unstaged_in_search () =
           sp_decomp = Delay.all_decomps } }
   in
   let r =
-    Search.run settings ~source:Kernels.modsq_source
+    Search.run settings ~source:Kernels.modsq.Kernels.source
       ~entry:Kernels.modsq.Kernels.entry
   in
   Alcotest.(check bool) "non-empty front" true (r.Search.res_front <> []);

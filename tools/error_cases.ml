@@ -160,7 +160,7 @@ let render (c : case) : string =
     Printf.sprintf "%s\n  roccc: %s\n%s" c.name (text Pass.error_message)
       (if c.batch then
          Printf.sprintf "  batch: %s\n"
-           (text Roccc_service.Scheduler.describe_error)
+           (text Roccc_service.Pool.describe_error)
        else "")
 
 let golden () : string = String.concat "" (List.map render cases)
