@@ -209,7 +209,6 @@ let eligible_entries (source : string) : string list =
     per-function failures. *)
 let compile_all ?config ?(options = default_options) ?(luts = [])
     (source : string) : (string * compiled) list * (string * string) list =
-  (* newest first, reversed once at the end *)
   let oks, errs =
     List.fold_left
       (fun (oks, errs) entry ->

@@ -313,6 +313,10 @@ let kernel_of src name =
   let f = List.find (fun g -> g.Ast.fname = name) prog.Ast.funcs in
   Scalar_replacement.run prog f
 
+let contains needle hay =
+  let re = Str.regexp_string needle in
+  try ignore (Str.search_forward re hay 0); true with Not_found -> false
+
 let test_sr_fir_window () =
   let k = kernel_of fir_source "fir" in
   (match k.Kernel.windows with
@@ -320,7 +324,10 @@ let test_sr_fir_window () =
     Alcotest.(check string) "array" "A" w.Kernel.win_array;
     Alcotest.(check (list (list int))) "offsets"
       [ [ 0 ]; [ 1 ]; [ 2 ]; [ 3 ]; [ 4 ] ]
-      w.Kernel.win_offsets
+      w.Kernel.win_offsets;
+    Alcotest.(check bool) "extent" true
+      (contains "window on A: offsets [0; 1; 2; 3; 4] extent [5]\n"
+         (Kernel.describe k))
   | _ -> Alcotest.fail "expected one window");
   (match k.Kernel.loops with
   | [ d ] ->
@@ -403,7 +410,10 @@ let test_sr_two_dim () =
   | [ w ] ->
     Alcotest.(check (list (list int))) "2x2 window"
       [ [ 0; 0 ]; [ 0; 1 ]; [ 1; 0 ]; [ 1; 1 ] ]
-      w.Kernel.win_offsets
+      w.Kernel.win_offsets;
+    Alcotest.(check bool) "extent" true
+      (contains "window on A: offsets [0,0; 0,1; 1,0; 1,1] extent [2,2]\n"
+         (Kernel.describe k))
   | _ -> Alcotest.fail "expected one 2-D window");
   Alcotest.(check int) "two loop dims" 2 (List.length k.Kernel.loops)
 
@@ -426,10 +436,6 @@ let test_feedback_annotation () =
   let k = Feedback.annotate k in
   Feedback.validate k;
   let body_src = Pretty.func_to_string k.Kernel.dp in
-  let contains needle hay =
-    let re = Str.regexp_string needle in
-    try ignore (Str.search_forward re hay 0); true with Not_found -> false
-  in
   Alcotest.(check bool) "has load_prev" true
     (contains "ROCCC_load_prev(sum)" body_src);
   Alcotest.(check bool) "has store2next" true

@@ -220,7 +220,13 @@ let pass_runs (tr : Trace.t) : (string * int) list =
 let test_deterministic_across_domains () =
   let statuses r =
     List.map
-      (fun (rw : Search.row) -> (rw.Search.rw_label, rw.Search.rw_status))
+      (fun (rw : Search.row) ->
+        ( rw.Search.rw_label,
+          match rw.Search.rw_status with
+          | Search.On_front -> "front"
+          | Search.Dominated -> "dominated"
+          | Search.Infeasible -> "infeasible"
+          | Search.Failed reason -> "failed: " ^ reason ))
       r.Search.res_rows
   in
   let dct = Roccc_core.Kernels.dct in
@@ -235,9 +241,9 @@ let test_deterministic_across_domains () =
       let r1, runs1 = run 1 and r4, runs4 = run 4 in
       Alcotest.(check (list string)) (name ^ ": same front under 4 workers")
         (front_labels r1) (front_labels r4);
-      Alcotest.(check bool)
-        (name ^ ": same per-candidate statuses") true
-        (statuses r1 = statuses r4);
+      Alcotest.(check (list (pair string string)))
+        (name ^ ": same per-candidate statuses")
+        (statuses r1) (statuses r4);
       Alcotest.(check (list (pair string int)))
         (name ^ ": same passes run") runs1 runs4)
     [ "fir", Objective.Min_slices { target_mhz = 0.0 }, small_space,
