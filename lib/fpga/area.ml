@@ -215,8 +215,6 @@ let quick_estimate (dp : Graph.t) : int =
 (** The paper's target device: Xilinx Virtex-II xc2v2000-5. *)
 let xc2v2000_slices = 10752
 
-let fits (e : estimate) : bool = e.slices <= xc2v2000_slices
-
 (* ------------------------------------------------------------------ *)
 (* Power estimation (the third box of Figure 1's estimation trio)      *)
 (* ------------------------------------------------------------------ *)

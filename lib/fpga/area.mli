@@ -37,8 +37,6 @@ val quick_estimate : Roccc_datapath.Graph.t -> int
 val xc2v2000_slices : int
 (** Slice capacity of the paper's target device. *)
 
-val fits : estimate -> bool
-
 type power_estimate = {
   dynamic_mw : float;
   static_mw : float;

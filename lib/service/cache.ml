@@ -1,8 +1,9 @@
 (* The content-addressed pass cache.
 
    In memory it maps fingerprints to intermediate pipeline states — the
-   ones a compile keeps, keyed by the chained per-pass fingerprints — and
-   to finished artifacts (VHDL + estimates). On disk (optional, under
+   ones a compile keeps, keyed by the chained per-pass fingerprints — to
+   a design's rendered VHDL files, and to finished artifacts (VHDL +
+   estimates). On disk (optional, under
    _roccc_cache/) only artifacts are persisted: they are plain strings and
    numbers, so a marshalled artifact is safe to reload in any later
    process, whereas the in-memory IR values are not worth the versioning
@@ -37,6 +38,8 @@ type value =
   | State of Pass.state
       (* pipeline state after one pass (never mutated once stored) *)
   | Artifact of artifact
+  | Files of (string * string) list
+      (* one design's rendered VHDL files, shared by every artifact of it *)
 
 type stats = {
   hits : int;       (* in-memory fingerprint hits *)
@@ -292,17 +295,27 @@ let find (t : t) (key : Fingerprint.t) : (value * origin) option =
     Atomic.incr t.misses;
     None
 
-(* Pipeline states are never persisted, so a state lookup skips the disk
-   tier and its I/O fault point: a miss costs no file-system probe. *)
-let find_state (t : t) (key : Fingerprint.t) : Pass.state option =
+(* Pipeline states and rendered files are never persisted, so their
+   lookups skip the disk tier and its I/O fault point: a miss costs no
+   file-system probe. *)
+let find_memory (t : t) (key : Fingerprint.t) (select : value -> 'a option) :
+    'a option =
   let hex = Fingerprint.to_hex key in
-  match locked t (fun () -> Hashtbl.find_opt t.table hex) with
-  | Some (State st) ->
+  match
+    Option.bind (locked t (fun () -> Hashtbl.find_opt t.table hex)) select
+  with
+  | Some _ as found ->
     Atomic.incr t.hits;
-    Some st
-  | Some (Artifact _) | None ->
+    found
+  | None ->
     Atomic.incr t.misses;
     None
+
+let find_state (t : t) (key : Fingerprint.t) : Pass.state option =
+  find_memory t key (function State st -> Some st | _ -> None)
+
+let find_files (t : t) (key : Fingerprint.t) : (string * string) list option =
+  find_memory t key (function Files f -> Some f | _ -> None)
 
 let store (t : t) (key : Fingerprint.t) (v : value) : unit =
   let hex = Fingerprint.to_hex key in

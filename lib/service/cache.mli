@@ -7,14 +7,14 @@
     a lookup. The disk tier is a single shared directory.
 
     Pipeline states (the ones a compile keeps, keyed by chained per-pass
-    fingerprints) are memoized in memory only — no pass mutates a state,
-    so one is shared as is by every later compile that reaches it;
-    finished artifacts — the VHDL text plus estimates — are additionally
-    persisted under a disk directory when one is given, surviving the
-    process. Which states are stored is the caller's choice
-    ({!Service.compile_cached} stores mid-end states unless asked to share
-    the back end). Both are computed once per key under
-    {!single_flight}. *)
+    fingerprints) and a design's rendered files are memoized in memory
+    only — no pass mutates a state, so one is shared as is by every later
+    compile that reaches it; finished artifacts — the VHDL text plus
+    estimates — are additionally persisted under a disk directory when
+    one is given, surviving the process. Which states are stored is the
+    caller's choice ({!Service.compile_cached} stores mid-end states
+    unless asked to share the back end, and rendered files only then).
+    Each is computed once per key under {!single_flight}. *)
 
 (** A finished compilation, reduced to plain data (safe to marshal). *)
 type artifact = {
@@ -32,6 +32,9 @@ type value =
   | State of Roccc_core.Pass.state
       (** pipeline state after one pass (never mutated once stored) *)
   | Artifact of artifact
+  | Files of (string * string) list
+      (** one design's rendered VHDL files (filename -> contents), which
+          every artifact of that design shares *)
 
 type stats = {
   hits : int;  (** in-memory fingerprint hits *)
@@ -120,6 +123,9 @@ val find : t -> Fingerprint.t -> (value * origin) option
 val find_state : t -> Fingerprint.t -> Roccc_core.Pass.state option
 (** A pipeline state from the memory tier (states are never persisted, so
     no disk probe); counts a hit or miss. *)
+
+val find_files : t -> Fingerprint.t -> (string * string) list option
+(** A design's rendered files from the memory tier, like {!find_state}. *)
 
 val store : t -> Fingerprint.t -> value -> unit
 

@@ -2,10 +2,11 @@
    scheduler + structured tracing, over the pass-manager pipeline.
 
    A job is (source, entry, options, luts). Compilation consults the cache
-   at two granularities:
+   at three granularities:
 
      full artifact (every pass that runs) -> memory or disk
      one chained key per kept state       -> pipeline state, memory only
+     the linted state's key (front only)  -> rendered files, memory only
 
    Each link of the chain digests the previous link, the pass name and
    that pass's own option fingerprint, so an option change re-runs only
@@ -15,15 +16,15 @@
    one chain. A compile walks its passes forward once and keeps the
    mid-end states (parse through feedback-detection); the tuner's
    costing ([measure_cached]) and front compiles also keep the back-end
-   states another job can branch from. Every kept state and every
-   artifact is computed once under a single flight of its key. *)
+   states another job can branch from, and a front compile renders each
+   design's files once for every artifact of it. Every kept state,
+   rendering and artifact is computed once under a single flight of its
+   key. *)
 
 module Driver = Roccc_core.Driver
 module Pass = Roccc_core.Pass
 module Kernels = Roccc_core.Kernels
 module Lut_conv = Roccc_hir.Lut_conv
-module Area = Roccc_fpga.Area
-module Pipeline = Roccc_datapath.Pipeline
 
 let now = Unix.gettimeofday
 
@@ -84,15 +85,18 @@ let vhdl_files (c : Driver.compiled) : (string * string) list =
   | Some text -> [ c.Driver.entry ^ "_system.vhd", text ]
   | None -> []
 
-let artifact_of (c : Driver.compiled) : Cache.artifact =
-  { Cache.art_entry = c.Driver.entry;
-    art_vhdl = vhdl_files c;
-    art_slices = c.Driver.area.Area.slices;
-    art_operator_slices = c.Driver.area.Area.operator_slices;
-    art_clock_mhz = c.Driver.area.Area.clock_mhz;
-    art_latency = Pipeline.latency c.Driver.pipeline;
-    art_latch_bits = c.Driver.pipeline.Pipeline.latch_bits;
-    art_pass_trace = c.Driver.pass_trace }
+(* The artifact of a finished state whose design renders to [files]. *)
+let artifact_of (st : Pass.state) (files : (string * string) list) :
+    Cache.artifact =
+  let m = Driver.measurement_of_state st in
+  { Cache.art_entry = st.Pass.st_entry;
+    art_vhdl = files;
+    art_slices = m.Driver.ms_slices;
+    art_operator_slices = m.Driver.ms_operator_slices;
+    art_clock_mhz = m.Driver.ms_clock_mhz;
+    art_latency = m.Driver.ms_latency;
+    art_latch_bits = m.Driver.ms_latch_bits;
+    art_pass_trace = st.Pass.st_trace }
 
 let success_of_artifact ~label ~elapsed ~origin (a : Cache.artifact) : success
     =
@@ -169,11 +173,13 @@ let traced_config ?trace ~tid (job : job) (base_config : Pass.config) :
    under a single flight of its key, so concurrent jobs that reach one
    state compute it once. A computation whose result is physically its
    input (every pass in it was skipped) stores nothing and leaves the key
-   unchanged. Returns the final state and where its mid end came from.
-   Reused passes appear in [trace] with a [cached] argument and zero
-   duration. *)
+   unchanged. Returns the final state, the key of the last kept state
+   (the final state is that state stepped through the passes after it)
+   and where the mid end came from. Reused passes appear in [trace] with
+   a [cached] argument and zero duration. *)
 let resume ?cache ~(share_back_end : bool) ~(config : Pass.config) ?trace
-    ~tid (job : job) (passes : Pass.pass list) : Pass.state * origin =
+    ~tid (job : job) (passes : Pass.pass list) :
+    Pass.state * Fingerprint.t * origin =
   let executed = Array.of_list (Pass.executed job.options passes) in
   let n = Array.length executed in
   let kept i =
@@ -214,7 +220,7 @@ let resume ?cache ~(share_back_end : bool) ~(config : Pass.config) ?trace
      first) are the passes stepped lazily since, which chain [key] to
      [pending_key]. *)
   let rec walk st key pending pending_key i =
-    if i = n then step_all pending st
+    if i = n then step_all pending st, key
     else
       let p = executed.(i) in
       let pending = p :: pending and pending_key = link job pending_key p in
@@ -245,16 +251,40 @@ let resume ?cache ~(share_back_end : bool) ~(config : Pass.config) ?trace
           walk st' pending_key [] pending_key (i + 1)
   in
   let seed = Fingerprint.seed ~source:job.source ~entry:job.entry ~luts:job.luts in
-  let st =
+  let st, key =
     walk
       (Pass.initial ~luts:job.luts ~options:job.options ~entry:job.entry
          job.source)
       seed [] seed 0
   in
-  st, if not !hit then Cold else if !mid_ran then Warm_partial else Warm_stage
+  ( st,
+    key,
+    if not !hit then Cold else if !mid_ran then Warm_partial else Warm_stage )
 
 let run_chain ?cache ~config ?trace ~tid (job : job) : Pass.state * origin =
-  resume ?cache ~share_back_end:false ~config ?trace ~tid job Pass.all_passes
+  let st, _, origin =
+    resume ?cache ~share_back_end:false ~config ?trace ~tid job Pass.all_passes
+  in
+  st, origin
+
+(* A design's rendered files, once per [linted] key: the key of the last
+   state a [share_back_end] compile keeps, before [area-estimation]. That
+   pass adds only the estimate, which the files do not read, so every job
+   whose chain reaches this state renders the same text; each such
+   artifact shares the one physical list. The files get a key of their
+   own, one link past the state's, which the cache holds too. *)
+let render_once (cache : Cache.t) (linted : Fingerprint.t) (st : Pass.state) :
+    (string * string) list =
+  let key = Fingerprint.chain linted ~pass:"render" ~options_fp:"" in
+  match
+    Cache.single_flight cache key ~counted:false
+      ~find:(fun () -> Cache.find_files cache key)
+      ~compute:(fun () ->
+        let files = vhdl_files (Driver.compiled_of_state st) in
+        Cache.store cache key (Cache.Files files);
+        files)
+  with
+  | Cache.Found files | Cache.Computed files | Cache.Coalesced files -> files
 
 (* The preamble the cached entry points share: default the config,
    validate the pass names and install the tracing instrument. Returns
@@ -279,10 +309,15 @@ let compile_cached ?cache ?(share_back_end = false) ?config ?trace ?(tid = 0)
   let base_config, config = prepare ?config ?trace ~tid job in
   let full_key = full_key job in
   let execute () =
-    let st, origin =
+    let st, linted, origin =
       resume ?cache ~share_back_end ~config ?trace ~tid job Pass.all_passes
     in
-    let art = artifact_of (Driver.compiled_of_state st) in
+    let files =
+      match cache with
+      | Some cache when share_back_end -> render_once cache linted st
+      | _ -> vhdl_files (Driver.compiled_of_state st)
+    in
+    let art = artifact_of st files in
     Option.iter (fun cache -> Cache.store cache full_key (Cache.Artifact art)) cache;
     art, origin
   in
@@ -290,7 +325,7 @@ let compile_cached ?cache ?(share_back_end = false) ?config ?trace ?(tid = 0)
     match Cache.find c full_key with
     | Some (Cache.Artifact a, Cache.Memory) -> Some (a, Warm_memory)
     | Some (Cache.Artifact a, Cache.Disk) -> Some (a, Warm_disk)
-    | Some (Cache.State _, _) | None -> None
+    | Some ((Cache.State _ | Cache.Files _), _) | None -> None
   in
   let art, origin =
     match cache with
@@ -327,7 +362,7 @@ let compile_cached ?cache ?(share_back_end = false) ?config ?trace ?(tid = 0)
 let measure_cached ?cache ?config ?trace ?(tid = 0) (job : job) :
     Driver.measurement =
   let _, config = prepare ?config ?trace ~tid job in
-  let st, _ =
+  let st, _, _ =
     resume ?cache ~share_back_end:true ~config ?trace ~tid job measure_passes
   in
   Driver.measurement_of_state st

@@ -9,7 +9,8 @@
     skips it adds no link. Every stored state and artifact is computed
     once under a single flight of its key ({!Cache.single_flight}), so
     concurrent jobs that reach one state wait for it instead of
-    computing it again.
+    computing it again. A search's front compiles also render each
+    design's VHDL text once, keyed by its linted state.
 
     Results are deterministic: job [i]'s slot in the report is job [i]'s
     result no matter how many domains ran the batch, and the generated
@@ -101,21 +102,25 @@ val compile_cached :
     {!measure_cached}'s chain ends. The passes in between are stepped
     lazily, so nothing runs before a later hit, and a compile without
     [share_back_end] probes no back-end key. A search's front points that
-    differ only in bus width then generate and lint their VHDL once.
-    [serve] and [batch] leave it off: [serve]'s memory tier never evicts,
-    and a kernel's back-end states weigh several times its mid-end
-    states. A pass whose [applicable] gate skips it leaves the chain key
+    differ only in bus width then generate and lint their VHDL once. With
+    [share_back_end] and a cache, the files are rendered once per key of
+    the linted state before [area-estimation] (which adds only the
+    estimate), and every artifact of that design shares the one physical
+    list. [serve] and [batch] leave it off: [serve]'s memory tier never
+    evicts, and a kernel's back-end states weigh several times its
+    mid-end states. A pass whose [applicable] gate skips it leaves the chain key
     unchanged, so jobs that differ only in what a skipped pass reads
     converge (a loop-free kernel at every unroll factor shares unroll
     1's states).
 
-    Every kept state is computed under a single flight of its key, and
-    so is the execution as a whole, per full fingerprint: concurrent
-    requests for the same key collapse to one execution — the followers
-    block on the leader's completion and share its cached artifact with
-    origin {!Coalesced} and a zero-duration ["coalesced"] trace span
-    ({!Cache.stats} counts [flights] and [coalesced] for executions
-    only, not states). Raises {!Roccc_core.Driver.Error} on failure. *)
+    Every kept state and rendering is computed under a single flight of
+    its key, and so is the execution as a whole, per full fingerprint:
+    concurrent requests for the same key collapse to one execution — the
+    followers block on the leader's completion and share its cached
+    artifact with origin {!Coalesced} and a zero-duration ["coalesced"]
+    trace span ({!Cache.stats} counts [flights] and [coalesced] for
+    executions only, not states or renderings). Raises
+    {!Roccc_core.Driver.Error} on failure. *)
 
 val measure_cached :
   ?cache:Cache.t ->

@@ -347,6 +347,32 @@ let test_sweep_per_pass_cache_hits () =
          && not (List.mem_assoc "cached" sp.Trace.sp_args))
        spans)
 
+(* A batch compile keeps only mid-end states and artifacts, and renders
+   each job's files itself: serve's memory tier never evicts, so
+   bus-width siblings must store nothing a front compile would keep for
+   reuse (back-end states, rendered files). *)
+let test_batch_siblings_store_only_mid_end () =
+  let jobs =
+    Service.sweep_jobs ~source:fir_source ~entry:"fir"
+      ~unroll_factors:[ 1 ] ~bus_widths:[ 1; 2; 4 ] ()
+  in
+  let cache = Cache.create () in
+  let report = Service.run_batch ~cache ~num_domains:1 jobs in
+  let s = Cache.stats cache in
+  Alcotest.(check (list (pair string int))) "stores, hits and misses"
+    [ "stores", 11; "hits", 16; "misses", 22 ]
+    [ "stores", s.Cache.stores; "hits", s.Cache.hits;
+      "misses", s.Cache.misses ];
+  List.iter
+    (fun ((j : Service.job), s) ->
+      let compiled =
+        Driver.compile ~options:j.Service.options ~entry:"fir" fir_source
+      in
+      Alcotest.(check (list (pair string string)))
+        (j.Service.label ^ ": VHDL equals Driver.compile")
+        (Service.vhdl_files compiled) s.Service.r_vhdl)
+    (Service.successes report)
+
 (* ---- scheduler ---- *)
 
 let test_scheduler_deterministic_slots () =
@@ -1762,6 +1788,8 @@ let suites =
         test_sweep_grid;
       Alcotest.test_case "sweep hits the cache for every mid-end pass" `Quick
         test_sweep_per_pass_cache_hits;
+      Alcotest.test_case "batch siblings store only mid-end states" `Quick
+        test_batch_siblings_store_only_mid_end;
       Alcotest.test_case "scheduler slots are deterministic" `Quick
         test_scheduler_deterministic_slots;
       Alcotest.test_case "effective worker clamping" `Quick

@@ -354,12 +354,47 @@ let test_front_vhdl_matches_compile () =
             (rw.Search.rw_label ^ ": VHDL equals Driver.compile")
             (Service.vhdl_files compiled) s.Service.r_vhdl)
         r.Search.res_front)
-    (let dct = Roccc_core.Kernels.dct in
-     [ "fir16", fir16_source, "fir", [];
-       ( "dct",
-         dct.Roccc_core.Kernels.source,
-         dct.Roccc_core.Kernels.entry,
-         dct.Roccc_core.Kernels.luts ) ])
+    (* the tune-front kernels; fir16's and modsq's files include the
+       system wrapper, whose text depends on the pipeline latency *)
+    (( "fir16", fir16_source, "fir", [] )
+    :: List.map
+         (fun (b : Roccc_core.Kernels.benchmark) ->
+           ( b.Roccc_core.Kernels.bench_name,
+             b.Roccc_core.Kernels.source,
+             b.Roccc_core.Kernels.entry,
+             b.Roccc_core.Kernels.luts ))
+         Roccc_core.Kernels.[ dct; modsq; mul_acc; wavelet ])
+
+(* A search renders each distinct design once: dct's 36 front points
+   are 3 designs (one per clock target), so their artifacts hold 3
+   physically distinct file lists. Under four workers a render that
+   another worker is computing is waited for, not computed again. *)
+let test_front_renders_each_design_once () =
+  let dct = Roccc_core.Kernels.dct in
+  let obj = Objective.Max_mhz { slice_budget = Roccc_fpga.Area.xc2v2000_slices } in
+  List.iter
+    (fun domains ->
+      let st =
+        { (settings ~domains obj) with Search.st_space = Search.default_space }
+      in
+      let r =
+        Search.run ~luts:dct.Roccc_core.Kernels.luts st
+          ~source:dct.Roccc_core.Kernels.source
+          ~entry:dct.Roccc_core.Kernels.entry
+      in
+      let distinct =
+        List.fold_left
+          (fun seen (_, (s : Service.success)) ->
+            if List.memq s.Service.r_vhdl seen then seen
+            else s.Service.r_vhdl :: seen)
+          [] r.Search.res_front
+      in
+      let name = Printf.sprintf "-j %d: " domains in
+      Alcotest.(check int) (name ^ "36 front points") 36
+        (List.length r.Search.res_front);
+      Alcotest.(check int) (name ^ "3 rendered file lists") 3
+        (List.length distinct))
+    [ 1; 4 ]
 
 let test_duplicate_axis_points_collapse () =
   let obj = Objective.Min_latch_bits in
@@ -446,6 +481,8 @@ let suites =
           test_loop_free_grid_converges;
         Alcotest.test_case "front VHDL equals a plain compile" `Quick
           test_front_vhdl_matches_compile;
+        Alcotest.test_case "front renders each design once" `Quick
+          test_front_renders_each_design_once;
         Alcotest.test_case "duplicate axis points collapse" `Quick
           test_duplicate_axis_points_collapse ] );
     ( "tune.cli",
