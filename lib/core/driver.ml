@@ -156,31 +156,6 @@ let back_end ?instrument ?config ?(options = default_options)
   compiled_of_state
     (Pass.run ~config Pass.back_passes { sk with Pass.st_options = options })
 
-(* ------------------------------------------------------------------ *)
-(* Design metrics (the autotuner's costing)                            *)
-(* ------------------------------------------------------------------ *)
-
-type measurement = {
-  ms_slices : int;
-  ms_operator_slices : int;
-  ms_clock_mhz : float;
-  ms_latency : int;
-  ms_latch_bits : int;
-  ms_greedy_latch_bits : int;
-  ms_outputs_per_cycle : int;
-}
-
-let measurement_of_state (st : Pass.state) : measurement =
-  let area = Pass.need "area estimate" st.Pass.st_area in
-  let pipeline = Pass.need "pipeline" st.Pass.st_pipeline in
-  { ms_slices = area.Area.slices;
-    ms_operator_slices = area.Area.operator_slices;
-    ms_clock_mhz = area.Area.clock_mhz;
-    ms_latency = Pipeline.latency pipeline;
-    ms_latch_bits = pipeline.Pipeline.latch_bits;
-    ms_greedy_latch_bits = pipeline.Pipeline.greedy_latch_bits;
-    ms_outputs_per_cycle = Pipeline.outputs_per_cycle pipeline }
-
 (** Compile one kernel function from C source to VHDL + estimates. *)
 let compile ?instrument ?config ?(options = default_options) ?(luts = [])
     ~(entry : string) (source : string) : compiled =
@@ -243,18 +218,21 @@ let interpret ?(scalars = []) ?(arrays = []) (c : compiled) : Interp.outcome =
   with Diag.Error { where = "interpretation"; msg; _ } ->
     raise (Error (Printf.sprintf "interpretation of %s: %s" c.entry msg))
 
-(** Co-simulation check: hardware simulation equals software semantics on
-    the given inputs. Returns the diff report ([] when equivalent). *)
-let verify ?(scalars = []) ?(arrays = []) (c : compiled) : string list =
-  let hw = simulate ~scalars ~arrays c in
-  let sw = interpret ~scalars ~arrays c in
+(** Every difference between the hardware's outputs and the software
+    outcome ([] when equal). A software array named in [inputs] is an
+    input, which the hardware need not write back. *)
+let compare_outputs ~(inputs : string list)
+    ~(hw_arrays : (string * int64 array) list)
+    ~(hw_scalars : (string * int64) list) (sw : Interp.outcome) : string list =
   (* newest first, reversed once at the end *)
   let diffs = ref [] in
   let diff fmt = Printf.ksprintf (fun d -> diffs := d :: !diffs) fmt in
-  (* array outputs *)
   List.iter
     (fun (name, hw_data) ->
       match List.assoc_opt name sw.Interp.arrays with
+      | Some sw_data when Array.length hw_data <> Array.length sw_data ->
+        diff "%s: hw has %d elements, sw %d" name (Array.length hw_data)
+          (Array.length sw_data)
       | Some sw_data ->
         Array.iteri
           (fun i v ->
@@ -262,32 +240,36 @@ let verify ?(scalars = []) ?(arrays = []) (c : compiled) : string list =
               diff "%s[%d]: hw=%Ld sw=%Ld" name i v sw_data.(i))
           hw_data
       | None -> diff "missing sw array %s" name)
-    hw.Engine.output_arrays;
-  (* scalar outputs *)
+    hw_arrays;
   List.iter
     (fun (name, v) ->
       match List.assoc_opt name sw.Interp.pointer_outputs with
       | Some sv when Int64.equal v sv -> ()
       | Some sv -> diff "%s: hw=%Ld sw=%Ld" name v sv
       | None -> diff "missing sw scalar %s" name)
-    hw.Engine.scalar_outputs;
+    hw_scalars;
   (* software-side outputs the hardware never produced: a non-input array
      written by the C code, or a pointer output, must appear on the
      hardware side too *)
-  let input_names = List.map fst arrays in
   List.iter
     (fun (name, _) ->
-      if
-        (not (List.mem_assoc name hw.Engine.output_arrays))
-        && not (List.mem name input_names)
+      if (not (List.mem_assoc name hw_arrays)) && not (List.mem name inputs)
       then diff "hw never wrote array %s" name)
     sw.Interp.arrays;
   List.iter
     (fun (name, _) ->
-      if not (List.mem_assoc name hw.Engine.scalar_outputs) then
+      if not (List.mem_assoc name hw_scalars) then
         diff "hw never wrote scalar %s" name)
     sw.Interp.pointer_outputs;
   List.rev !diffs
+
+(** Co-simulation check: hardware simulation equals software semantics on
+    the given inputs. Returns the diff report ([] when equivalent). *)
+let verify ?(scalars = []) ?(arrays = []) (c : compiled) : string list =
+  let hw = simulate ~scalars ~arrays c in
+  compare_outputs ~inputs:(List.map fst arrays)
+    ~hw_arrays:hw.Engine.output_arrays ~hw_scalars:hw.Engine.scalar_outputs
+    (interpret ~scalars ~arrays c)
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)

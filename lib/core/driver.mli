@@ -84,7 +84,9 @@ type compiled = {
   pipeline : Roccc_datapath.Pipeline.t;  (** latch placement + clock *)
   design : Roccc_vhdl.Ast.design;  (** generated VHDL *)
   buffer_configs : Roccc_buffers.Smart_buffer.config list;
-  area : Roccc_fpga.Area.estimate;  (** Virtex-II slices + clock *)
+  area : Roccc_fpga.Area.estimate;
+      (** every number the design is judged by: Virtex-II slices, clock,
+          latency, latch bits, outputs per cycle *)
   luts : Roccc_hir.Lut_conv.table list;  (** registered lookup tables *)
   system_vhdl : string option;
       (** Figure 2 system wrapper (address generator + smart buffer +
@@ -117,26 +119,6 @@ val back_end :
   compiled
 (** SUIFvm lowering, SSA, data-path construction, pipelining, VHDL
     generation and estimation. Raises {!Error}. *)
-
-(** {1 Design metrics} *)
-
-(** The design metrics the autotuner costs a candidate by. Neither
-    [vhdl-generation] nor [vhdl-lint] feeds the area model, so a state
-    that ran every other back-end pass gives the numbers a full compile
-    reports. *)
-type measurement = {
-  ms_slices : int;
-  ms_operator_slices : int;
-  ms_clock_mhz : float;
-  ms_latency : int;  (** pipeline stages *)
-  ms_latch_bits : int;  (** after retiming (when the pass runs) *)
-  ms_greedy_latch_bits : int;
-  ms_outputs_per_cycle : int;
-}
-
-val measurement_of_state : Pass.state -> measurement
-(** The metrics of a state that has run [area-estimation]. Raises {!Error}
-    on missing fields. *)
 
 val compile :
   ?instrument:instrument ->
@@ -191,6 +173,19 @@ val interpret :
   compiled ->
   Roccc_cfront.Interp.outcome
 (** Run the original C source through the reference interpreter. *)
+
+val compare_outputs :
+  inputs:string list ->
+  hw_arrays:(string * int64 array) list ->
+  hw_scalars:(string * int64) list ->
+  Roccc_cfront.Interp.outcome ->
+  string list
+(** Every difference between the hardware's output arrays and pointer
+    outputs and the software outcome ([] when equal): an element, an
+    array length, an output the software never produced, and a software
+    output the hardware never wrote. A software array named in [inputs]
+    is an input, which the hardware need not write. {!verify} and the
+    process network's co-simulation both report through it. *)
 
 val verify :
   ?scalars:(string * int64) list ->

@@ -26,6 +26,10 @@ type estimate = {
       (** data path + registers + ROMs only — comparable to an operator IP
           core that has no memory-side wrapper *)
   clock_mhz : float;
+  latency : int;           (** pipeline stages *)
+  latch_bits : int;        (** pipeline-register bits after retiming *)
+  greedy_latch_bits : int; (** latch bits before retiming *)
+  outputs_per_cycle : int;
   breakdown : (string * int) list;  (** component -> slices *)
 }
 
@@ -168,6 +172,10 @@ let estimate ?(luts = []) ?(buffers = []) (p : Pipeline.t) : estimate =
     slices;
     operator_slices;
     clock_mhz = p.Pipeline.clock_mhz;
+    latency = Pipeline.latency p;
+    latch_bits = p.Pipeline.latch_bits;
+    greedy_latch_bits = p.Pipeline.greedy_latch_bits;
+    outputs_per_cycle = Pipeline.outputs_per_cycle p;
     breakdown =
       [ "datapath-logic", slices_of ~luts:dp_luts ~flip_flops:0;
         "pipeline-registers", slices_of ~luts:0 ~flip_flops:latch_ffs;

@@ -4,6 +4,10 @@
     storage, controllers and distributed ROMs, with an imperfect-packing
     factor. *)
 
+(** Every number a compiled design is judged by: the area model's
+    output plus the pipeline figures it reads. It is the one metrics
+    record — a compile's [area], the tuner's costing, the cached
+    artifact and a batch or serve result all carry it as is. *)
 type estimate = {
   luts : int;
   flip_flops : int;
@@ -12,7 +16,11 @@ type estimate = {
   operator_slices : int;
       (** data path + registers + ROMs only — comparable to an operator IP
           core without a memory-side wrapper *)
-  clock_mhz : float;
+  clock_mhz : float;  (** the pipeline's achieved clock *)
+  latency : int;  (** pipeline stages *)
+  latch_bits : int;  (** pipeline-register bits (after retiming when it runs) *)
+  greedy_latch_bits : int;  (** latch bits before retiming *)
+  outputs_per_cycle : int;
   breakdown : (string * int) list;  (** component → slices *)
 }
 

@@ -414,33 +414,12 @@ let sequential ?(scalars = []) ?(arrays = []) (net : t) : Interp.outcome =
     ([] when equivalent). *)
 let verify ?(scalars = []) ?(arrays = []) ?depths (net : t) : string list =
   let hw = simulate ~scalars ~arrays ?depths net in
-  let sw = sequential ~scalars ~arrays net in
-  (* newest first, reversed once at the end *)
-  let diffs = ref [] in
-  let diff fmt = Printf.ksprintf (fun d -> diffs := d :: !diffs) fmt in
-  List.iter
-    (fun (name, hw_data) ->
-      match List.assoc_opt name sw.Interp.arrays with
-      | Some sw_data ->
-        if Array.length hw_data <> Array.length sw_data then
-          diff "%s: hw has %d elements, sw %d" name (Array.length hw_data)
-            (Array.length sw_data)
-        else
-          Array.iteri
-            (fun i v ->
-              if not (Int64.equal v sw_data.(i)) then
-                diff "%s[%d]: hw=%Ld sw=%Ld" name i v sw_data.(i))
-            hw_data
-      | None -> diff "missing sw array %s" name)
-    hw.nr_output_arrays;
-  List.iter
-    (fun (name, v) ->
-      match List.assoc_opt name sw.Interp.pointer_outputs with
-      | Some sv when Int64.equal v sv -> ()
-      | Some sv -> diff "%s: hw=%Ld sw=%Ld" name v sv
-      | None -> diff "missing sw scalar %s" name)
-    hw.nr_scalar_outputs;
-  List.rev !diffs
+  Driver.compare_outputs
+    ~inputs:
+      (List.map fst arrays
+      @ List.map (fun (sg : stage) -> sg.sg_in_array) net.net_stages)
+    ~hw_arrays:hw.nr_output_arrays ~hw_scalars:hw.nr_scalar_outputs
+    (sequential ~scalars ~arrays net)
 
 (* ------------------------------------------------------------------ *)
 (* VHDL top level                                                      *)

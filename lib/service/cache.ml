@@ -26,11 +26,7 @@ type artifact = {
   art_vhdl : (string * string) list;
       (* filename -> contents: the design's files plus the optional system
          wrapper, exactly what a batch compile writes out *)
-  art_slices : int;
-  art_operator_slices : int;
-  art_clock_mhz : float;
-  art_latency : int;
-  art_latch_bits : int;
+  art_area : Roccc_fpga.Area.estimate;
   art_pass_trace : string list;
 }
 
@@ -79,7 +75,7 @@ type t = {
 
 (* Bump when the artifact record changes shape: a stale marshalled value
    from an older build must be ignored, not mis-read. *)
-let disk_magic = "ROCCC-ART2"
+let disk_magic = "ROCCC-ART3"
 
 (* [save_artifact] writes <key>.art.tmp.<pid> then renames; a process
    that dies between the two strands the tmp file forever (the pid in the

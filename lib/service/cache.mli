@@ -10,21 +10,22 @@
     fingerprints) and a design's rendered files are memoized in memory
     only — no pass mutates a state, so one is shared as is by every later
     compile that reaches it; finished artifacts — the VHDL text plus
-    estimates — are additionally persisted under a disk directory when
-    one is given, surviving the process. Which states are stored is the
-    caller's choice ({!Service.compile_cached} stores mid-end states
-    unless asked to share the back end, and rendered files only then).
-    Each is computed once per key under {!single_flight}. *)
+    the design's {!Roccc_fpga.Area.estimate} — are additionally persisted
+    under a disk directory when one is given, surviving the process.
+    Which states are stored is the caller's choice
+    ({!Service.compile_cached} stores mid-end states unless asked to
+    share the back end, and rendered files only then). Each is computed
+    once per key under {!single_flight}. *)
 
-(** A finished compilation, reduced to plain data (safe to marshal). *)
+(** A finished compilation, reduced to plain data (safe to marshal). The
+    disk tier writes it behind a format tag that changes with the
+    record's shape, so a file an older build wrote reads as a miss. *)
 type artifact = {
   art_entry : string;
   art_vhdl : (string * string) list;  (** filename -> contents *)
-  art_slices : int;
-  art_operator_slices : int;
-  art_clock_mhz : float;
-  art_latency : int;
-  art_latch_bits : int;
+  art_area : Roccc_fpga.Area.estimate;
+      (** the design's metrics record, exactly as [area-estimation]
+          produced it *)
   art_pass_trace : string list;
 }
 

@@ -28,6 +28,7 @@
 
 module Pass = Roccc_core.Pass
 module Driver = Roccc_core.Driver
+module Area = Roccc_fpga.Area
 
 let now = Unix.gettimeofday
 
@@ -551,14 +552,15 @@ let handle (srv : t) (tid : int) (p : pending) : unit =
         (fun n (_, text) -> n + String.length text)
         0 s.Service.r_vhdl
     in
+    let area = s.Service.r_area in
     finish
       ([ "status", Json.Str "ok";
          "entry", Json.Str s.Service.r_entry;
          "origin", Json.Str (Service.origin_name s.Service.r_origin);
-         "slices", Json.int s.Service.r_slices;
-         "clock_mhz", Json.Num s.Service.r_clock_mhz;
-         "latency", Json.int s.Service.r_latency;
-         "latch_bits", Json.int s.Service.r_latch_bits;
+         "slices", Json.int area.Area.slices;
+         "clock_mhz", Json.Num area.Area.clock_mhz;
+         "latency", Json.int area.Area.latency;
+         "latch_bits", Json.int area.Area.latch_bits;
          "vhdl_bytes", Json.int vhdl_bytes ]
       @
       if p.p_return_vhdl then

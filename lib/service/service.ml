@@ -25,6 +25,7 @@ module Driver = Roccc_core.Driver
 module Pass = Roccc_core.Pass
 module Kernels = Roccc_core.Kernels
 module Lut_conv = Roccc_hir.Lut_conv
+module Area = Roccc_fpga.Area
 
 let now = Unix.gettimeofday
 
@@ -56,10 +57,9 @@ type success = {
   r_label : string;
   r_entry : string;
   r_vhdl : (string * string) list;   (* filename -> contents *)
+  r_area : Area.estimate;
   r_slices : int;
-  r_operator_slices : int;
   r_clock_mhz : float;
-  r_latency : int;
   r_latch_bits : int;
   r_pass_trace : string list;
   r_elapsed_s : float;
@@ -88,26 +88,24 @@ let vhdl_files (c : Driver.compiled) : (string * string) list =
 (* The artifact of a finished state whose design renders to [files]. *)
 let artifact_of (st : Pass.state) (files : (string * string) list) :
     Cache.artifact =
-  let m = Driver.measurement_of_state st in
   { Cache.art_entry = st.Pass.st_entry;
     art_vhdl = files;
-    art_slices = m.Driver.ms_slices;
-    art_operator_slices = m.Driver.ms_operator_slices;
-    art_clock_mhz = m.Driver.ms_clock_mhz;
-    art_latency = m.Driver.ms_latency;
-    art_latch_bits = m.Driver.ms_latch_bits;
+    art_area = Pass.need "area estimate" st.Pass.st_area;
     art_pass_trace = st.Pass.st_trace }
 
+(* The one place a success is built. [r_slices], [r_clock_mhz] and
+   [r_latch_bits] copy [r_area] for the benchmark harness, their only
+   reader. *)
 let success_of_artifact ~label ~elapsed ~origin (a : Cache.artifact) : success
     =
+  let area = a.Cache.art_area in
   { r_label = label;
     r_entry = a.Cache.art_entry;
     r_vhdl = a.Cache.art_vhdl;
-    r_slices = a.Cache.art_slices;
-    r_operator_slices = a.Cache.art_operator_slices;
-    r_clock_mhz = a.Cache.art_clock_mhz;
-    r_latency = a.Cache.art_latency;
-    r_latch_bits = a.Cache.art_latch_bits;
+    r_area = area;
+    r_slices = area.Area.slices;
+    r_clock_mhz = area.Area.clock_mhz;
+    r_latch_bits = area.Area.latch_bits;
     r_pass_trace = a.Cache.art_pass_trace;
     r_elapsed_s = elapsed;
     r_origin = origin }
@@ -360,12 +358,12 @@ let compile_cached ?cache ?(share_back_end = false) ?config ?trace ?(tid = 0)
     once, and a front compile of the same job resumes from its retimed
     state. Raises {!Driver.Error}. *)
 let measure_cached ?cache ?config ?trace ?(tid = 0) (job : job) :
-    Driver.measurement =
+    Area.estimate =
   let _, config = prepare ?config ?trace ~tid job in
   let st, _, _ =
     resume ?cache ~share_back_end:true ~config ?trace ~tid job measure_passes
   in
-  Driver.measurement_of_state st
+  Pass.need "area estimate" st.Pass.st_area
 
 (* ------------------------------------------------------------------ *)
 (* Batches                                                             *)
@@ -390,7 +388,7 @@ let run_batch ?cache ?config ?trace ?(num_domains = 0) (jobs : job list) :
             ~args:
               [ "status", Trace.Str "ok";
                 "origin", Trace.Str (origin_name s.r_origin);
-                "slices", Trace.Int s.r_slices ]
+                "slices", Trace.Int s.r_area.Area.slices ]
             ())
         trace;
       s
@@ -504,11 +502,13 @@ let summary (r : report) : string =
     (fun (j, res) ->
       match res with
       | Ok s ->
+        let a = s.r_area in
         Buffer.add_string buf
           (Printf.sprintf
              "%-24s ok    %5d slices @ %6.1f MHz, %2d-stage, %5d latch \
               bits, %7.1f ms (%s)\n"
-             j.label s.r_slices s.r_clock_mhz s.r_latency s.r_latch_bits
+             j.label a.Area.slices a.Area.clock_mhz a.Area.latency
+             a.Area.latch_bits
              (s.r_elapsed_s *. 1e3)
              (origin_name s.r_origin))
       | Error msg ->

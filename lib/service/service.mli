@@ -44,11 +44,13 @@ type success = {
   r_label : string;
   r_entry : string;
   r_vhdl : (string * string) list;  (** filename -> contents *)
+  r_area : Roccc_fpga.Area.estimate;  (** the design's metrics *)
   r_slices : int;
-  r_operator_slices : int;
   r_clock_mhz : float;
-  r_latency : int;
-  r_latch_bits : int;  (** pipeline-register bits after retiming *)
+  r_latch_bits : int;
+      (** [r_slices], [r_clock_mhz] and [r_latch_bits] copy [r_area]'s
+          fields for the benchmark harness ([perfbench/]), which reads
+          them; nothing else should. *)
   r_pass_trace : string list;
   r_elapsed_s : float;
   r_origin : origin;
@@ -128,7 +130,7 @@ val measure_cached :
   ?trace:Trace.t ->
   ?tid:int ->
   job ->
-  Roccc_core.Driver.measurement
+  Roccc_fpga.Area.estimate
 (** The design metrics of one job without generating VHDL: the walk of
     {!compile_cached} over every pass but the VHDL layer's, keeping the
     back-end states as [share_back_end] does — the [bit-width-inference]

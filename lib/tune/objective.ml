@@ -1,4 +1,4 @@
-module Driver = Roccc_core.Driver
+module Area = Roccc_fpga.Area
 
 type t =
   | Max_mhz of { slice_budget : int }
@@ -28,7 +28,7 @@ let parse ~(name : string) ~(slice_budget : int option)
           | Some b when b <= 0 ->
               Error (Printf.sprintf "--slice-budget expects a positive slice count, got %d" b)
           | Some b -> Ok (Max_mhz { slice_budget = b })
-          | None -> Ok (Max_mhz { slice_budget = Roccc_fpga.Area.xc2v2000_slices })))
+          | None -> Ok (Max_mhz { slice_budget = Area.xc2v2000_slices })))
   | "min-slices" -> (
       match reject_budget "min-slices" with
       | Error _ as e -> e
@@ -64,14 +64,14 @@ let describe = function
   | Min_slices _ -> "min-slices (no clock constraint)"
   | Min_latch_bits -> "min-latch-bits"
 
-let feasible (obj : t) (m : Driver.measurement) : bool =
+let feasible (obj : t) (m : Area.estimate) : bool =
   match obj with
-  | Max_mhz { slice_budget } -> m.Driver.ms_slices <= slice_budget
-  | Min_slices { target_mhz } -> m.Driver.ms_clock_mhz >= target_mhz
+  | Max_mhz { slice_budget } -> m.Area.slices <= slice_budget
+  | Min_slices { target_mhz } -> m.Area.clock_mhz >= target_mhz
   | Min_latch_bits -> true
 
-let fitness (obj : t) (m : Driver.measurement) : float =
+let fitness (obj : t) (m : Area.estimate) : float =
   match obj with
-  | Max_mhz _ -> m.Driver.ms_clock_mhz
-  | Min_slices _ -> -.float_of_int m.Driver.ms_slices
-  | Min_latch_bits -> -.float_of_int m.Driver.ms_latch_bits
+  | Max_mhz _ -> m.Area.clock_mhz
+  | Min_slices _ -> -.float_of_int m.Area.slices
+  | Min_latch_bits -> -.float_of_int m.Area.latch_bits

@@ -1,5 +1,6 @@
 (** Tuning objectives: what [roccc tune] optimizes and under which
-    constraint a design point counts as feasible. *)
+    constraint a design point counts as feasible, both read off the
+    design's metrics record ({!Roccc_fpga.Area.estimate}). *)
 
 type t =
   | Max_mhz of { slice_budget : int }
@@ -24,8 +25,9 @@ val name : t -> string
 val describe : t -> string
 (** e.g. ["max-mhz (slices <= 4000)"]. *)
 
-val feasible : t -> Roccc_core.Driver.measurement -> bool
+val feasible : t -> Roccc_fpga.Area.estimate -> bool
+(** Whether a design's metrics meet the objective's constraint. *)
 
-val fitness : t -> Roccc_core.Driver.measurement -> float
+val fitness : t -> Roccc_fpga.Area.estimate -> float
 (** Scalar score, higher is better; used only to order the front for
     display, never to prune. *)

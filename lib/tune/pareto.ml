@@ -1,17 +1,16 @@
 (* Pareto dominance over (clock up, slices down, latch bits down). *)
 
-module Driver = Roccc_core.Driver
+module Area = Roccc_fpga.Area
 
-let dominates (a : Driver.measurement) (b : Driver.measurement) : bool =
-  a.Driver.ms_slices <= b.Driver.ms_slices
-  && a.Driver.ms_clock_mhz >= b.Driver.ms_clock_mhz
-  && a.Driver.ms_latch_bits <= b.Driver.ms_latch_bits
-  && (a.Driver.ms_slices < b.Driver.ms_slices
-     || a.Driver.ms_clock_mhz > b.Driver.ms_clock_mhz
-     || a.Driver.ms_latch_bits < b.Driver.ms_latch_bits)
+let dominates (a : Area.estimate) (b : Area.estimate) : bool =
+  a.Area.slices <= b.Area.slices
+  && a.Area.clock_mhz >= b.Area.clock_mhz
+  && a.Area.latch_bits <= b.Area.latch_bits
+  && (a.Area.slices < b.Area.slices
+     || a.Area.clock_mhz > b.Area.clock_mhz
+     || a.Area.latch_bits < b.Area.latch_bits)
 
-let front (points : ('a * Driver.measurement) list) :
-    ('a * Driver.measurement) list =
+let front (points : ('a * Area.estimate) list) : ('a * Area.estimate) list =
   List.filter
     (fun (_, m) ->
       not (List.exists (fun (_, m') -> dominates m' m) points))

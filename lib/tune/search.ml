@@ -11,6 +11,7 @@ module Pool = Roccc_service.Pool
 module Cache = Roccc_service.Cache
 module Trace = Roccc_service.Trace
 module Delay = Roccc_datapath.Delay
+module Area = Roccc_fpga.Area
 
 type space = {
   sp_unroll : int list;
@@ -49,7 +50,7 @@ type row = {
   rw_cand : candidate;
   rw_label : string;
   rw_status : status;
-  rw_measure : Driver.measurement option;
+  rw_area : Area.estimate option;
 }
 
 type settings = {
@@ -158,7 +159,7 @@ let run ?cache ?trace ?config ?(luts = []) (st : settings) ~(source : string)
           ()
   in
   let status = Array.make n (Failed "not evaluated") in
-  let meas : Driver.measurement option array = Array.make n None in
+  let meas : Area.estimate option array = Array.make n None in
 
   (* [f] on each index across the workers, results in index order *)
   let eval ~f idxs =
@@ -243,7 +244,7 @@ let run ?cache ?trace ?config ?(luts = []) (st : settings) ~(source : string)
         { rw_cand = cands.(i);
           rw_label = labels.(i);
           rw_status = status.(i);
-          rw_measure = meas.(i) })
+          rw_area = meas.(i) })
   in
   let fitness_of i =
     match meas.(i) with
@@ -322,12 +323,12 @@ let table (r : result) : string =
   Printf.bprintf b "  %-3s %-20s %6s %4s %6s %10s %8s %10s %8s\n" "#" "label"
     "unroll" "bus" "t_ns" "clock MHz" "slices" "latch bits" "out/cyc";
   List.iteri
-    (fun k ((rw : row), (_ : Service.success)) ->
-      let m = Option.get rw.rw_measure in
+    (fun k ((rw : row), (s : Service.success)) ->
+      let m = s.Service.r_area in
       Printf.bprintf b "  %-3d %-20s %6d %4d %6g %10.2f %8d %10d %8d\n" (k + 1)
         rw.rw_label rw.rw_cand.cd_unroll rw.rw_cand.cd_bus
-        rw.rw_cand.cd_target_ns m.Driver.ms_clock_mhz m.Driver.ms_slices
-        m.Driver.ms_latch_bits m.Driver.ms_outputs_per_cycle)
+        rw.rw_cand.cd_target_ns m.Area.clock_mhz m.Area.slices
+        m.Area.latch_bits m.Area.outputs_per_cycle)
     r.res_front;
   Printf.bprintf b
     "\nexplored %d | estimate %d | full %d (exhaustive: %d) | dominated %d \
@@ -392,8 +393,8 @@ let to_json (r : result) : string =
   | None -> Printf.bprintf b "  \"cache\": null,\n");
   let front_items =
     List.map
-      (fun ((rw : row), (_ : Service.success)) ->
-        let m = Option.get rw.rw_measure in
+      (fun ((rw : row), (s : Service.success)) ->
+        let m = s.Service.r_area in
         let fitness = Objective.fitness r.res_objective m in
         Printf.sprintf
           "    { \"label\": %s, \"unroll\": %d, \"bus\": %d, \"target_ns\": \
@@ -404,9 +405,9 @@ let to_json (r : result) : string =
           (str rw.rw_label) rw.rw_cand.cd_unroll rw.rw_cand.cd_bus
           rw.rw_cand.cd_target_ns rw.rw_cand.cd_stage_budget
           (str (Delay.decomp_name rw.rw_cand.cd_decomp))
-          m.Driver.ms_clock_mhz m.Driver.ms_slices
-          m.Driver.ms_operator_slices m.Driver.ms_latency m.Driver.ms_latch_bits
-          m.Driver.ms_greedy_latch_bits m.Driver.ms_outputs_per_cycle fitness)
+          m.Area.clock_mhz m.Area.slices m.Area.operator_slices m.Area.latency
+          m.Area.latch_bits m.Area.greedy_latch_bits m.Area.outputs_per_cycle
+          fitness)
       r.res_front
   in
   Printf.bprintf b "  \"front\": [\n%s\n  ],\n" (String.concat ",\n" front_items);
@@ -414,11 +415,11 @@ let to_json (r : result) : string =
     List.map
       (fun (rw : row) ->
         let extra =
-          match rw.rw_measure with
+          match rw.rw_area with
           | Some m ->
               Printf.sprintf
                 ", \"slices\": %d, \"clock_mhz\": %g, \"latch_bits\": %d"
-                m.Driver.ms_slices m.Driver.ms_clock_mhz m.Driver.ms_latch_bits
+                m.Area.slices m.Area.clock_mhz m.Area.latch_bits
           | None -> ""
         in
         let detail =

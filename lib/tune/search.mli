@@ -5,7 +5,7 @@
     {ul
     {- {b estimate} — every pass but VHDL generation and linting
        ({!Roccc_service.Service.measure_cached}) on every grid point.
-       Its slices/clock/latch numbers are {e identical} to a full
+       Its {!Roccc_fpga.Area.estimate} is {e identical} to a full
        compile's, so exact feasibility filtering and Pareto-front
        extraction here cannot drop a true front point.}
     {- {b full} — {!Roccc_service.Service.compile_cached} on the front
@@ -62,8 +62,9 @@ type row = {
   rw_cand : candidate;
   rw_label : string;
   rw_status : status;
-  rw_measure : Roccc_core.Driver.measurement option;
-      (** [None] only for a candidate whose estimate run failed *)
+  rw_area : Roccc_fpga.Area.estimate option;
+      (** the estimate tier's metrics ({!Roccc_service.Service.measure_cached});
+          [None] only for a candidate whose estimate run failed *)
 }
 
 type settings = {
@@ -111,9 +112,11 @@ val run :
     recorded as {!Failed} rows. *)
 
 val table : result -> string
-(** The rendered front (best first) plus a search summary. *)
+(** The rendered front (best first, each point's numbers read off its full
+    compile's [r_area]) plus a search summary. *)
 
 val to_json : result -> string
 (** The [pareto.json] document: settings, estimate and full evaluation
-    counts (the pruning evidence), the front with full metrics, and every
-    explored row with its status. *)
+    counts (the pruning evidence), the front with each full compile's
+    [r_area] metrics, and every explored row with its status and
+    [rw_area] metrics. *)

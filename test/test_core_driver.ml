@@ -312,6 +312,30 @@ let test_mul_acc_uses_mux_not_branch_in_dp () =
   in
   Alcotest.(check bool) "mux node present" true has_mux
 
+(* The one hw-vs-sw comparison reports a length mismatch (instead of
+   indexing past the shorter array), an element that differs, and every
+   software output the hardware never wrote, but not an input array. *)
+let test_compare_outputs () =
+  let sw =
+    { Roccc_cfront.Interp.return_value = None;
+      pointer_outputs = [ "y", 5L ];
+      arrays =
+        [ "A", [| 1L; 2L |]; "C", [| 1L; 2L |]; "E", [| 7L |];
+          "D", [| 0L |] ] }
+  in
+  Alcotest.(check (list string)) "every difference"
+    [ "C: hw has 3 elements, sw 2";
+      "E[0]: hw=8 sw=7";
+      "hw never wrote array D";
+      "hw never wrote scalar y" ]
+    (Driver.compare_outputs ~inputs:[ "A" ]
+       ~hw_arrays:[ "C", [| 1L; 2L; 3L |]; "E", [| 8L |] ]
+       ~hw_scalars:[] sw);
+  Alcotest.(check (list string)) "equal outputs" []
+    (Driver.compare_outputs ~inputs:[ "A"; "D" ]
+       ~hw_arrays:[ "C", [| 1L; 2L |]; "E", [| 7L |] ]
+       ~hw_scalars:[ "y", 5L ] sw)
+
 let suites =
   [ "core.table1-kernels",
     (List.map
@@ -329,7 +353,9 @@ let suites =
         Alcotest.test_case "array writes on every path" `Quick
           test_conditional_writes;
         Alcotest.test_case "array write on one path rejected" `Quick
-          test_partial_write_rejected ]);
+          test_partial_write_rejected;
+        Alcotest.test_case "hw/sw comparison reports every difference"
+          `Quick test_compare_outputs ]);
     "core.golden",
     [ Alcotest.test_case "bit_correlator counts" `Quick
         test_bit_correlator_golden;

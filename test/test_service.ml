@@ -10,6 +10,8 @@ module Trace = Roccc_service.Trace
 module Pool = Roccc_service.Pool
 module Fingerprint = Roccc_service.Fingerprint
 module Instr = Roccc_vm.Instr
+module Area = Roccc_fpga.Area
+module Kernels = Roccc_core.Kernels
 
 let fir_source = Roccc_core.Kernels.paper_fir_source
 
@@ -28,6 +30,32 @@ let contains needle hay =
 let origin = Alcotest.testable
     (fun ppf o -> Format.pp_print_string ppf (Service.origin_name o))
     (fun a b -> a = b)
+
+let area = Alcotest.testable
+    (fun ppf (a : Area.estimate) ->
+      Format.fprintf ppf "%s  latency %d, latch bits %d (greedy %d), %d out/cycle"
+        (Area.describe a) a.Area.latency a.Area.latch_bits
+        a.Area.greedy_latch_bits a.Area.outputs_per_cycle)
+    (fun a b -> a = b)
+
+let fresh_tmp_dir =
+  let n = ref 0 in
+  fun prefix ->
+    incr n;
+    let dir =
+      Filename.concat
+        (Filename.get_temp_dir_name ())
+        (Printf.sprintf "%s_%d_%d" prefix (Unix.getpid ()) !n)
+    in
+    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+    dir
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
 
 (* ---- cache ---- *)
 
@@ -199,26 +227,99 @@ let test_equivalent_selections_share_artifact () =
   Alcotest.check origin "reordered, repeated list hits the same artifact"
     Service.Warm_memory r.Service.r_origin
 
+(* One metrics record on every path: for each gallery kernel at its
+   tuned options, a plain compile's [area], the tuner's costing and the
+   cached compile's [r_area] — cold, from memory, and reloaded from disk
+   by a fresh cache (a new process) — are structurally equal, and the
+   three fields the benchmark harness reads copy the record. *)
 let test_disk_cache_survives_process () =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "roccc_cache_test_%d" (Unix.getpid ()))
-  in
-  let cache1 = Cache.create ~disk_dir:dir () in
-  let r1 = Service.compile_cached ~cache:cache1 (fir_job ()) in
-  Alcotest.check origin "cold in the first cache" Service.Cold
-    r1.Service.r_origin;
-  (* a fresh cache over the same directory models a new process *)
-  let cache2 = Cache.create ~disk_dir:dir () in
-  let r2 = Service.compile_cached ~cache:cache2 (fir_job ()) in
-  Alcotest.check origin "artifact reloaded from disk" Service.Warm_disk
-    r2.Service.r_origin;
-  Alcotest.(check bool) "identical VHDL from disk" true
-    (r1.Service.r_vhdl = r2.Service.r_vhdl);
-  Array.iter
-    (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-    (try Sys.readdir dir with Sys_error _ -> [||]);
-  (try Sys.rmdir dir with Sys_error _ -> ())
+  let dir = fresh_tmp_dir "roccc_cache_test" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let cache1 = Cache.create ~disk_dir:dir () in
+      List.iter
+        (fun (b : Kernels.benchmark) ->
+          let name = b.Kernels.bench_name in
+          let job =
+            { Service.label = name;
+              source = b.Kernels.source;
+              entry = b.Kernels.entry;
+              options = b.Kernels.tune Driver.default_options;
+              luts = b.Kernels.luts }
+          in
+          let plain = (Kernels.compile b).Driver.area in
+          let cold = Service.compile_cached ~cache:cache1 job in
+          let warm = Service.compile_cached ~cache:cache1 job in
+          let disk =
+            Service.compile_cached ~cache:(Cache.create ~disk_dir:dir ()) job
+          in
+          Alcotest.check origin (name ^ " cold in the first cache")
+            Service.Cold cold.Service.r_origin;
+          Alcotest.check origin (name ^ " from memory") Service.Warm_memory
+            warm.Service.r_origin;
+          Alcotest.check origin (name ^ " reloaded from disk")
+            Service.Warm_disk disk.Service.r_origin;
+          Alcotest.(check bool) (name ^ " identical VHDL from disk") true
+            (cold.Service.r_vhdl = disk.Service.r_vhdl);
+          List.iter
+            (fun (path, a) -> Alcotest.check area (name ^ " " ^ path) plain a)
+            [ "costing", Service.measure_cached job;
+              "cold", cold.Service.r_area;
+              "memory", warm.Service.r_area;
+              "disk", disk.Service.r_area ];
+          List.iter
+            (fun (s : Service.success) ->
+              let a = s.Service.r_area in
+              Alcotest.(check bool) (name ^ " copies equal r_area") true
+                ({ s with
+                   Service.r_slices = a.Area.slices;
+                   r_clock_mhz = a.Area.clock_mhz;
+                   r_latch_bits = a.Area.latch_bits }
+                = s))
+            [ cold; warm; disk ])
+        Kernels.gallery)
+
+(* An artifact an older build wrote, behind the previous format tag,
+   reads as a miss: a fresh cache compiles cold, raises nothing and gives
+   the same design. *)
+let test_old_disk_format_is_a_miss () =
+  let dir = fresh_tmp_dir "roccc_old_format" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let first =
+        Service.compile_cached ~cache:(Cache.create ~disk_dir:dir ())
+          (fir_job ())
+      in
+      let arts =
+        List.filter
+          (fun f -> Filename.check_suffix f ".art")
+          (Array.to_list (Sys.readdir dir))
+      in
+      Alcotest.(check bool) "an artifact was written" true (arts <> []);
+      (* the previous tag before a value of the previous artifact shape *)
+      let old =
+        "ROCCC-ART2"
+        ^ Marshal.to_string
+            ("fir", [ "fir.vhd", "-- old" ], 1, 2, 100.0, 3, 4, [ "parse" ])
+            []
+      in
+      List.iter
+        (fun f ->
+          Out_channel.with_open_bin (Filename.concat dir f) (fun oc ->
+              Out_channel.output_string oc old))
+        arts;
+      let again =
+        Service.compile_cached ~cache:(Cache.create ~disk_dir:dir ())
+          (fir_job ())
+      in
+      Alcotest.check origin "compiled cold, not reloaded" Service.Cold
+        again.Service.r_origin;
+      Alcotest.(check bool) "same VHDL" true
+        (first.Service.r_vhdl = again.Service.r_vhdl);
+      Alcotest.check area "same metrics" first.Service.r_area
+        again.Service.r_area)
 
 (* ---- batches ---- *)
 
@@ -558,25 +659,6 @@ let with_faults spec f =
   | Error msg -> Alcotest.fail ("bad fault spec: " ^ msg));
   Fun.protect ~finally:Faults.clear f
 
-let fresh_tmp_dir =
-  let n = ref 0 in
-  fun prefix ->
-    incr n;
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "%s_%d_%d" prefix (Unix.getpid ()) !n)
-    in
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    dir
-
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-    Sys.rmdir path
-  end
-  else Sys.remove path
-
 let test_faults_parse () =
   (match Faults.parse "cache_read:0.5,driver_pass" with
   | Ok _ -> ()
@@ -790,11 +872,18 @@ let hammer_key i =
 let hammer_artifact i =
   { Cache.art_entry = "e";
     art_vhdl = [ ("k.vhd", Printf.sprintf "-- artifact %d body" i) ];
-    art_slices = i;
-    art_operator_slices = i + 1;
-    art_clock_mhz = 100.0;
-    art_latency = i;
-    art_latch_bits = 0;
+    art_area =
+      { Roccc_fpga.Area.luts = 2 * i;
+        flip_flops = 0;
+        rom_luts = 0;
+        slices = i;
+        operator_slices = i + 1;
+        clock_mhz = 100.0;
+        latency = i;
+        latch_bits = 0;
+        greedy_latch_bits = 0;
+        outputs_per_cycle = 1;
+        breakdown = [] };
     art_pass_trace = [ "pass" ] }
 
 (* Mixed get/put traffic on overlapping keys from N domains: nothing is
@@ -1429,8 +1518,7 @@ let test_state_flight_dedup () =
               Service.options =
                 { Driver.default_options with Driver.bus_elements = bus } }
         in
-        Alcotest.(check int) "slices equal an uncached run"
-          plain.Driver.ms_slices m.Driver.ms_slices
+        Alcotest.check area "metrics equal an uncached run" plain m
       | Error msg -> Alcotest.fail msg)
     [ 1; 2 ] results
 
@@ -1774,6 +1862,8 @@ let suites =
         test_artifact_key_sees_pass_selection;
       Alcotest.test_case "disk cache survives a restart" `Quick
         test_disk_cache_survives_process;
+      Alcotest.test_case "an older artifact format reads as a miss" `Quick
+        test_old_disk_format_is_a_miss;
       Alcotest.test_case "batch isolates a failing kernel" `Quick
         test_batch_isolates_failure;
       Alcotest.test_case "batch reports an unparseable file per job" `Quick

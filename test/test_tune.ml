@@ -22,15 +22,19 @@ let fir16_source =
   \  }\n\
    }\n"
 
-(* a measurement on the three Pareto axes *)
+(* a design's metrics on the three Pareto axes *)
 let m s c l =
-  { Driver.ms_slices = s;
-    ms_clock_mhz = c;
-    ms_latch_bits = l;
-    ms_operator_slices = 0;
-    ms_latency = 0;
-    ms_greedy_latch_bits = 0;
-    ms_outputs_per_cycle = 0 }
+  { Roccc_fpga.Area.slices = s;
+    clock_mhz = c;
+    latch_bits = l;
+    luts = 0;
+    flip_flops = 0;
+    rom_luts = 0;
+    operator_slices = 0;
+    latency = 0;
+    greedy_latch_bits = 0;
+    outputs_per_cycle = 0;
+    breakdown = [] }
 
 (* ---- dominance ---- *)
 
@@ -167,7 +171,7 @@ let test_front_matches_reference () =
             Alcotest.(check bool)
               (name ^ ": " ^ rw.Search.rw_label ^ " is measured")
               true
-              (rw.Search.rw_measure <> None))
+              (rw.Search.rw_area <> None))
         r.Search.res_rows)
     [ Objective.Max_mhz { slice_budget = 400 };
       Objective.Min_slices { target_mhz = 100.0 };
@@ -180,13 +184,13 @@ let test_front_is_nondominated_and_feasible () =
   Alcotest.(check bool) "front is non-empty" true (r.Search.res_front <> []);
   let metrics =
     List.map
-      (fun ((rw : Search.row), _) -> Option.get rw.Search.rw_measure)
+      (fun ((rw : Search.row), _) -> Option.get rw.Search.rw_area)
       r.Search.res_front
   in
   List.iter
     (fun pm ->
       Alcotest.(check bool) "front point within budget" true
-        (pm.Driver.ms_slices <= budget);
+        (pm.Roccc_fpga.Area.slices <= budget);
       Alcotest.(check bool) "no front point dominates another" false
         (List.exists (fun qm -> Pareto.dominates qm pm) metrics))
     metrics

@@ -248,10 +248,10 @@ let test_staged_beats_unstaged_in_search () =
   let best staged =
     List.fold_left
       (fun acc (row : Search.row) ->
-        match row.Search.rw_measure with
+        match row.Search.rw_area with
         | Some m when (row.Search.rw_cand.Search.cd_stage_budget <> 1) = staged
           ->
-          Float.max acc m.Driver.ms_clock_mhz
+          Float.max acc m.Roccc_fpga.Area.clock_mhz
         | _ -> acc)
       0.0 r.Search.res_rows
   in
