@@ -414,12 +414,16 @@ let sequential ?(scalars = []) ?(arrays = []) (net : t) : Interp.outcome =
     ([] when equivalent). *)
 let verify ?(scalars = []) ?(arrays = []) ?depths (net : t) : string list =
   let hw = simulate ~scalars ~arrays ?depths net in
-  Driver.compare_outputs
-    ~inputs:
-      (List.map fst arrays
-      @ List.map (fun (sg : stage) -> sg.sg_in_array) net.net_stages)
-    ~hw_arrays:hw.nr_output_arrays ~hw_scalars:hw.nr_scalar_outputs
-    (sequential ~scalars ~arrays net)
+  (* the outcome compared is the last stage's run, so only its inputs
+     are exempt from the hw-never-wrote check *)
+  let inputs =
+    match List.rev net.net_stages with
+    | [] -> []
+    | [ only ] -> only.sg_in_array :: List.map fst arrays
+    | last :: _ -> [ last.sg_in_array ]
+  in
+  Driver.compare_outputs ~inputs ~hw_arrays:hw.nr_output_arrays
+    ~hw_scalars:hw.nr_scalar_outputs (sequential ~scalars ~arrays net)
 
 (* ------------------------------------------------------------------ *)
 (* VHDL top level                                                      *)

@@ -176,6 +176,25 @@ let test_network_verify () =
   Alcotest.(check bool) "high water within depth" true
     (ch.Net.cs_high_water <= ch.Net.cs_depth)
 
+let test_output_named_like_first_input () =
+  (* stage 1 reads A and writes B, stage 2 reads B and writes A: only the
+     last stage's input (B) is exempt from the hw-never-wrote check, so
+     the final A is compared, not skipped as an input *)
+  let source =
+    "void dbl(int A[8], int B[8]) { int i; for (i=0;i<8;i=i+1) { B[i]=2*A[i]; } }\n\
+     void inc(int B[8], int A[8]) { int i; for (i=0;i<8;i=i+1) { A[i]=B[i]+1; } }\n\
+     pipeline back = dbl -> inc;\n"
+  in
+  let net = Net.plan ~config:(quiet_config ()) ~name:"back" source in
+  let arrays = [ "A", Array.init 8 (fun i -> Int64.of_int (i - 3)) ] in
+  Alcotest.(check (list string)) "network == sequential" []
+    (Net.verify ~arrays net);
+  let a = List.assoc "A" (Net.simulate ~arrays net).Net.nr_output_arrays in
+  Alcotest.(check (array int64))
+    "A = 2*A + 1"
+    (Array.init 8 (fun i -> Int64.of_int ((2 * (i - 3)) + 1)))
+    a
+
 let test_depth_one_backpressure () =
   (* stress: force the channel down to a single element. The producer
      must stall on credit, the consumer on data, and the result must
@@ -295,6 +314,8 @@ let suites =
         Alcotest.test_case "plan shape" `Quick test_plan_shape;
         Alcotest.test_case "min depth rule" `Quick test_min_depth_rule;
         Alcotest.test_case "network verify" `Quick test_network_verify;
+        Alcotest.test_case "output named like first input" `Quick
+          test_output_named_like_first_input;
         Alcotest.test_case "depth-1 backpressure" `Quick
           test_depth_one_backpressure;
         Alcotest.test_case "rate mismatch" `Quick test_rate_mismatch;
