@@ -360,6 +360,23 @@ let test_gallery_golden () =
   in
   Alcotest.(check string) "gallery VHDL digests" expected actual
 
+(* The operator corpus (tools/op_cases.ml): its VHDL matches the digests
+   tools/gen_golden.ml wrote, and each entry's hardware equals C. *)
+let test_ops_golden () =
+  let ic = open_in_bin "golden/ops.vhdl.txt" in
+  let expected = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Alcotest.(check string) "operator corpus VHDL digests" expected
+    (Op_cases.golden ())
+
+let test_ops_verify () =
+  List.iter
+    (fun entry ->
+      Alcotest.(check (list string)) entry []
+        (Roccc_core.Driver.verify ~arrays:Op_cases.arrays
+           (Op_cases.compile entry)))
+    Op_cases.entries
+
 (* ------------------------------------------------------------------ *)
 (* Component library (paper §4.1)                                      *)
 (* ------------------------------------------------------------------ *)
@@ -482,7 +499,10 @@ let suites =
     [ Alcotest.test_case "gallery VHDL matches golden digests" `Quick
         test_gallery_golden;
       Alcotest.test_case "register bits = latch bits over the gallery" `Quick
-        test_register_bits_match_latch_bits ];
+        test_register_bits_match_latch_bits;
+      Alcotest.test_case "operator corpus matches golden digests" `Quick
+        test_ops_golden;
+      Alcotest.test_case "operator corpus: hw = sw" `Quick test_ops_verify ];
     "vhdl.library",
     [ Alcotest.test_case "address generator FSM" `Quick
         test_library_address_generator;
