@@ -298,7 +298,7 @@ let compile_cmd =
       write_files ~announce:true dir
         ((name ^ "_net.vhd", Net.network_vhdl net)
         :: List.concat_map
-             (fun (sg : Net.stage) -> Service.vhdl_files sg.Net.sg_compiled)
+             (fun (sg : Net.stage) -> Driver.files sg.Net.sg_compiled)
              net.Net.net_stages)
   in
   let run file entry options out dumps testbench config =
@@ -342,10 +342,7 @@ let compile_cmd =
         (match out with
         | Some dir ->
           write_files ~announce:true dir
-            (Roccc_vhdl.Ast.to_files c.Driver.design
-            @ (match c.Driver.system_vhdl with
-              | Some text -> [ c.Driver.entry ^ "_system.vhd", text ]
-              | None -> [])
+            (Driver.files c
             @
             match testbench with
             | Some spec ->
@@ -480,7 +477,7 @@ let compile_all_cmd =
               c.Driver.pipeline.Roccc_datapath.Pipeline.latch_bits;
             match out with
             | Some dir ->
-              write_files dir (Roccc_vhdl.Ast.to_files c.Driver.design)
+              write_files dir (Driver.files c)
             | None -> ())
           oks;
         List.iter

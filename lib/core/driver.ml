@@ -71,9 +71,6 @@ type compiled = {
   buffer_configs : Smart_buffer.config list;
   area : Area.estimate;
   luts : Lut_conv.table list;
-  system_vhdl : string option;
-      (** Figure 2 system wrapper (address generator + smart buffer +
-          controller around the data path) for 1-D single-window kernels *)
   pass_trace : string list;       (** executed passes, in order (Figure 1) *)
 }
 
@@ -104,6 +101,15 @@ let system_vhdl_of (kernel : Kernel.t) (proc : Proc.t) (pipeline : Pipeline.t)
          ~latency:(Pipeline.latency pipeline))
   | _ -> None
 
+(* The design's files, the Figure 2 wrapper rendered only here: its only
+   readers are the writers of files. *)
+let files (c : compiled) : (string * string) list =
+  Roccc_vhdl.Ast.to_files c.design
+  @
+  match system_vhdl_of c.kernel c.proc c.pipeline with
+  | Some text -> [ c.entry ^ "_system.vhd", text ]
+  | None -> []
+
 let compiled_of_state (st : Pass.state) : compiled =
   let kernel = Pass.need "kernel" st.Pass.st_kernel in
   let proc = Pass.need "vm procedure" st.Pass.st_proc in
@@ -123,7 +129,6 @@ let compiled_of_state (st : Pass.state) : compiled =
     buffer_configs = st.Pass.st_buffer_configs;
     area = Pass.need "area estimate" st.Pass.st_area;
     luts = st.Pass.st_luts;
-    system_vhdl = system_vhdl_of kernel proc pipeline;
     pass_trace = st.Pass.st_trace }
 
 (* The explicit [?instrument] argument (the historical hook) overrides the

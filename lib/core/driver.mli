@@ -88,9 +88,6 @@ type compiled = {
       (** every number the design is judged by: Virtex-II slices, clock,
           latency, latch bits, outputs per cycle *)
   luts : Roccc_hir.Lut_conv.table list;  (** registered lookup tables *)
-  system_vhdl : string option;
-      (** Figure 2 system wrapper (address generator + smart buffer +
-          controller), available for 1-D single-window kernels *)
   pass_trace : string list;  (** executed passes, in order (Figure 1) *)
 }
 
@@ -147,6 +144,12 @@ val compile_all :
   (string * compiled) list * (string * string) list
 (** Compile every hardware-eligible function (array/pointer parameters) in
     a source file: (name, compiled) successes and (name, error) failures. *)
+
+val files : compiled -> (string * string) list
+(** The files a compile writes, by name: the design's VHDL, its ROM
+    [.init] text files and, for a 1-D single-window kernel, the Figure 2
+    system wrapper ([<entry>_system.vhd]: address generator, smart buffer
+    and controller around the data path). Rendered on each call. *)
 
 (** {1 Pipeline-state conversion}
 

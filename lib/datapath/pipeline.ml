@@ -56,10 +56,12 @@ let stage_of_def (p : t) (r : Instr.vreg) : int =
 let stage_of_instr (p : t) (i : Instr.instr) : int =
   Option.value (Hashtbl.find_opt p.instr_stage i) ~default:0
 
-(** Latch boundaries operand [r] crosses to reach instruction [i] — the
-    delay-chain depth the VHDL generator materializes for this use. *)
-let use_delay (p : t) (i : Instr.instr) (r : Instr.vreg) : int =
-  max 0 (stage_of_instr p i - stage_of_def p r)
+(** Each operand [r] of instruction [i] with the latch boundaries it
+    crosses to reach [i] — the delay-chain depth the VHDL generator
+    materializes for that use. *)
+let use_delays (p : t) (i : Instr.instr) : (Instr.vreg * int) list =
+  let stage = stage_of_instr p i in
+  List.map (fun r -> r, max 0 (stage - stage_of_def p r)) i.Instr.srcs
 
 (** All pipeline flip-flop bits this staging implies — latch bits plus the
     SNX feedback registers. The area model charges registers from here.

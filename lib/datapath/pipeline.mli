@@ -44,9 +44,10 @@ val outputs_per_cycle : t -> int
 (** Results produced per steady-state cycle (one iteration enters each
     cycle; equals the number of output ports). *)
 
-val use_delay : t -> Instr.instr -> Instr.vreg -> int
-(** Latch boundaries operand [r] crosses to reach instruction [i] — the
-    delay-chain depth the VHDL generator materializes for this use. *)
+val use_delays : t -> Instr.instr -> (Instr.vreg * int) list
+(** Each operand [r] of instruction [i], in order, with the latch
+    boundaries it crosses to reach [i] — the delay-chain depth the VHDL
+    generator materializes for that use. *)
 
 val register_bits : t -> int
 (** All pipeline flip-flop bits this staging implies: latch bits plus the

@@ -78,13 +78,6 @@ type report = {
 (* One job                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let vhdl_files (c : Driver.compiled) : (string * string) list =
-  Roccc_vhdl.Ast.to_files c.Driver.design
-  @
-  match c.Driver.system_vhdl with
-  | Some text -> [ c.Driver.entry ^ "_system.vhd", text ]
-  | None -> []
-
 (* The artifact of a finished state whose design renders to [files]. *)
 let artifact_of (st : Pass.state) (files : (string * string) list) :
     Cache.artifact =
@@ -278,7 +271,7 @@ let render_once (cache : Cache.t) (linted : Fingerprint.t) (st : Pass.state) :
     Cache.single_flight cache key ~counted:false
       ~find:(fun () -> Cache.find_files cache key)
       ~compute:(fun () ->
-        let files = vhdl_files (Driver.compiled_of_state st) in
+        let files = Driver.files (Driver.compiled_of_state st) in
         Cache.store cache key (Cache.Files files);
         files)
   with
@@ -313,7 +306,7 @@ let compile_cached ?cache ?(share_back_end = false) ?config ?trace ?(tid = 0)
     let files =
       match cache with
       | Some cache when share_back_end -> render_once cache linted st
-      | _ -> vhdl_files (Driver.compiled_of_state st)
+      | _ -> Driver.files (Driver.compiled_of_state st)
     in
     let art = artifact_of st files in
     Option.iter (fun cache -> Cache.store cache full_key (Cache.Artifact art)) cache;

@@ -173,10 +173,6 @@ val sweep_jobs :
     suffix when more than one [target_ns] is swept. An empty [target_ns]
     (the default) sweeps only the base options' clock target. *)
 
-val vhdl_files : Roccc_core.Driver.compiled -> (string * string) list
-(** The files a compile produces: the design's VHDL + ROM inits + the
-    optional system wrapper. *)
-
 val successes : report -> (job * success) list
 val failures : report -> (job * string) list
 

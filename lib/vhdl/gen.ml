@@ -12,14 +12,69 @@ module Pipeline = Roccc_datapath.Pipeline
 module Lut_conv = Roccc_hir.Lut_conv
 module Diag = Roccc_util.Diag
 
-let cat = String.concat ""
+(* Tables keyed by register and by (register, delay) pair, hashed and
+   compared without the polymorphic primitives. *)
+module Regs = Hashtbl.Make (struct
+  type t = Instr.vreg
 
-let reg_name r = "v" ^ string_of_int r
+  let equal = Int.equal
+  let hash r = r
+end)
 
-(* Signal name of register [r] delayed by [k] pipeline stages. *)
-let delayed_name r k =
-  if k = 0 then reg_name r
-  else cat [ "v"; string_of_int r; "_d"; string_of_int k ]
+module Pairs = Hashtbl.Make (struct
+  type t = Instr.vreg * int
+
+  let equal ((r, k) : t) (r', k') = r = r' && k = k'
+  let hash ((r, k) : t) = (r * 65599) + k
+end)
+
+(* One shared value per signal of a design: each name, with the reference
+   that reads it, is built once and reused by every unit that names it. *)
+type names = {
+  delayed : (Ast.name * Ast.expr) Pairs.t;
+  internal : (Ast.name * Ast.expr) Pairs.t;
+  feedback : (string, (Ast.name * Ast.expr) * (Ast.name * Ast.expr)) Hashtbl.t;
+}
+
+let shared tbl key make =
+  match Pairs.find tbl key with
+  | v -> v
+  | exception Not_found ->
+    let n = make key in
+    let v = n, Ast.Ref n in
+    Pairs.add tbl key v;
+    v
+
+(* Register [r] delayed by [k] pipeline stages (v<r>, v<r>_d<k>). *)
+let delayed nm r k = shared nm.delayed (r, k) (fun (r, k) -> Ast.Reg (r, k))
+
+(* A node's own copy of its def [r] at delay [k] (v<r>_i<k>). *)
+let internal nm r k =
+  shared nm.internal (r, k) (fun (r, k) -> Ast.Internal (r, k))
+
+(* The feedback register of [fb] (fb_<fb>) and its next value
+   (fb_<fb>_next). *)
+let feedback nm fb =
+  match Hashtbl.find_opt nm.feedback fb with
+  | Some v -> v
+  | None ->
+    let make s =
+      let n = Ast.Id s in
+      n, Ast.Ref n
+    in
+    let v = make ("fb_" ^ fb), make (String.concat "" [ "fb_"; fb; "_next" ]) in
+    Hashtbl.add nm.feedback fb v;
+    v
+
+let feedback_port nm fb = fst (feedback nm fb)
+let feedback_next_port nm fb = snd (feedback nm fb)
+
+let clk = Ast.Id "clk"
+let rst = Ast.Id "rst"
+let addr = Ast.Id "addr"
+let data = Ast.Id "data"
+let one = Ast.Bits "1"
+let zero = Ast.Bits "0"
 
 let vtype_of_kind (kind : Instr.ikind) : Ast.vtype =
   if kind.Roccc_cfront.Ast.signed then Ast.Signed kind.Roccc_cfront.Ast.bits
@@ -35,91 +90,71 @@ let vtype_of (proc : Proc.t) (widths : Widths.t) (r : Instr.vreg) : Ast.vtype =
   if kind.Roccc_cfront.Ast.signed then Ast.Signed w else Ast.Unsigned w
 
 (* [to_signed(v, w)] or [to_unsigned(v, w)] for a [w]-bit value of [kind]. *)
-let numeric_literal (kind : Instr.ikind) (w : int) (v : int64) : string =
-  if kind.Roccc_cfront.Ast.signed then
-    cat [ "to_signed("; Int64.to_string v; ", "; string_of_int w; ")" ]
-  else
-    cat
-      [ "to_unsigned(";
-        Int64.to_string (Roccc_util.Bits.truncate_unsigned w v);
-        ", ";
-        string_of_int w;
-        ")" ]
+let numeric_literal (kind : Instr.ikind) (w : int) (v : int64) : Ast.expr =
+  let signed = kind.Roccc_cfront.Ast.signed in
+  Ast.Lit
+    { signed;
+      width = w;
+      value = (if signed then v else Roccc_util.Bits.truncate_unsigned w v) }
 
-(* Literal rendering for numeric_std. Wide literals use bit-string form:
+(* Literal for numeric_std. Wide literals use bit-string form:
    to_signed/to_unsigned take a VHDL integer (32-bit), which cannot carry
    a >32-bit constant. *)
-let literal (kind : Instr.ikind) (w : int) (v : int64) : string =
+let literal (kind : Instr.ikind) (w : int) (v : int64) : Ast.expr =
   if w > 32 then
-    cat
-      [ (if kind.Roccc_cfront.Ast.signed then "signed" else "unsigned");
-        "'(\"";
-        Roccc_util.Bits.to_binary_string ~width:w v;
-        "\")" ]
+    Ast.Wide_lit { signed = kind.Roccc_cfront.Ast.signed; width = w; value = v }
   else numeric_literal kind w v
-
-(* resize helper text *)
-let resized name w = cat [ "resize("; name; ", "; string_of_int w; ")" ]
 
 (* ------------------------------------------------------------------ *)
 (* Per-instruction RHS                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Build the RHS expression for an instruction whose operands are available
-   as signal texts [ops]. The result is resized to the destination width by
-   the caller when needed. *)
-let instr_rhs (i : Instr.instr) ~(dst_width : int) ~(ops : string list) : string =
-  let w = string_of_int dst_width in
+(* Build the RHS expression for an instruction whose operands are [ops].
+   The result is resized to the destination width by the caller when
+   needed. *)
+let instr_rhs (i : Instr.instr) ~(dst_width : int) ~(ops : Ast.expr list) :
+    Ast.expr =
+  let w = dst_width in
   let op1 () = List.nth ops 0 in
   let op2 () = List.nth ops 1 in
-  let bin symbol =
-    cat
-      [ "resize("; resized (op1 ()) dst_width; " "; symbol; " ";
-        resized (op2 ()) dst_width; ", "; w; ")" ]
+  let resized e = Ast.Resize (e, w) in
+  let bin op = resized (Ast.Binop (op, resized (op1 ()), resized (op2 ()))) in
+  let cmp op = Ast.When (one, Ast.Binop (op, op1 (), op2 ()), zero) in
+  let bitwise op = Ast.Binop (op, resized (op1 ()), resized (op2 ())) in
+  let nonzero e = Ast.Paren (Ast.Binop (Ast.Ne, e, Ast.Int 0)) in
+  let logical op =
+    Ast.When (one, Ast.Binop (op, nonzero (op1 ()), nonzero (op2 ())), zero)
   in
-  let cmp symbol =
-    cat [ "\"1\" when "; op1 (); " "; symbol; " "; op2 (); " else \"0\"" ]
-  in
-  let bitwise symbol =
-    cat
-      [ "resize("; op1 (); ", "; w; ") "; symbol; " resize("; op2 (); ", "; w; ")" ]
-  in
-  let logical symbol =
-    cat
-      [ "\"1\" when ("; op1 (); " /= 0) "; symbol; " ("; op2 ();
-        " /= 0) else \"0\"" ]
-  in
+  let shift f e = Ast.Call (f, [ e; Ast.Call ("to_integer", [ op2 () ]) ]) in
   match i.Instr.op with
-  | Instr.Add -> bin "+"
-  | Instr.Sub -> bin "-"
-  | Instr.Mul -> cat [ "resize("; op1 (); " * "; op2 (); ", "; w; ")" ]
-  | Instr.Div -> bin "/"
-  | Instr.Rem -> bin "rem"
-  | Instr.Neg -> cat [ "resize(-"; resized (op1 ()) dst_width; ", "; w; ")" ]
-  | Instr.Shl ->
-    cat [ "shift_left("; resized (op1 ()) dst_width; ", to_integer("; op2 (); "))" ]
-  | Instr.Shr ->
-    cat [ "resize(shift_right("; op1 (); ", to_integer("; op2 (); ")), "; w; ")" ]
-  | Instr.Band -> bitwise "and"
-  | Instr.Bor -> bitwise "or"
-  | Instr.Bxor -> bitwise "xor"
-  | Instr.Bnot -> cat [ "not resize("; op1 (); ", "; w; ")" ]
-  | Instr.Slt -> cmp "<"
-  | Instr.Sle -> cmp "<="
-  | Instr.Sgt -> cmp ">"
-  | Instr.Sge -> cmp ">="
-  | Instr.Seq -> cmp "="
-  | Instr.Sne -> cmp "/="
-  | Instr.Land -> logical "and"
-  | Instr.Lor -> logical "or"
-  | Instr.Lnot -> cat [ "\"1\" when "; op1 (); " = 0 else \"0\"" ]
-  | Instr.Mov -> resized (op1 ()) dst_width
-  | Instr.Cvt -> resized (op1 ()) dst_width
+  | Instr.Add -> bin Ast.Add
+  | Instr.Sub -> bin Ast.Sub
+  | Instr.Mul -> resized (Ast.Binop (Ast.Mul, op1 (), op2 ()))
+  | Instr.Div -> bin Ast.Div
+  | Instr.Rem -> bin Ast.Rem
+  | Instr.Neg -> resized (Ast.Unop (Ast.Neg, resized (op1 ())))
+  | Instr.Shl -> shift "shift_left" (resized (op1 ()))
+  | Instr.Shr -> resized (shift "shift_right" (op1 ()))
+  | Instr.Band -> bitwise Ast.And
+  | Instr.Bor -> bitwise Ast.Or
+  | Instr.Bxor -> bitwise Ast.Xor
+  | Instr.Bnot -> Ast.Unop (Ast.Not, resized (op1 ()))
+  | Instr.Slt -> cmp Ast.Lt
+  | Instr.Sle -> cmp Ast.Le
+  | Instr.Sgt -> cmp Ast.Gt
+  | Instr.Sge -> cmp Ast.Ge
+  | Instr.Seq -> cmp Ast.Eq
+  | Instr.Sne -> cmp Ast.Ne
+  | Instr.Land -> logical Ast.And
+  | Instr.Lor -> logical Ast.Or
+  | Instr.Lnot -> Ast.When (one, Ast.Binop (Ast.Eq, op1 (), Ast.Int 0), zero)
+  | Instr.Mov | Instr.Cvt -> resized (op1 ())
   | Instr.Ldc v -> literal i.Instr.kind dst_width v
   | Instr.Mux ->
-    cat
-      [ resized (List.nth ops 1) dst_width; " when "; List.nth ops 0; " /= 0 else ";
-        resized (List.nth ops 2) dst_width ]
+    Ast.When
+      ( resized (List.nth ops 1),
+        Ast.Binop (Ast.Ne, List.nth ops 0, Ast.Int 0),
+        resized (List.nth ops 2) )
   | Instr.Lpr _ | Instr.Snx _ ->
     Diag.failf "vhdl generation" "gen: feedback handled separately"
   | Instr.Lut _ ->
@@ -137,47 +172,44 @@ type node_iface = {
   ni_out : (Instr.vreg * int) list;  (* (reg, delay) output ports *)
 }
 
-let feedback_port name = "fb_" ^ name
-let feedback_next_port name = cat [ "fb_"; name; "_next" ]
-
 (* [add_new seen acc x] conses [x] onto the reversed list [acc] the first
-   time it is seen. *)
+   time it is seen; [add_new_pair] does so for a (register, delay) pair. *)
 let add_new seen acc x =
   if not (Hashtbl.mem seen x) then begin
     Hashtbl.add seen x ();
     acc := x :: !acc
   end
 
-(* Generate the component for one data-path node. [consumed_delays r] lists
-   the delayed versions of r that outside consumers need from this node. *)
-let gen_node (proc : Proc.t) (widths : Widths.t) (p : Pipeline.t)
+let add_new_pair seen acc x =
+  if not (Pairs.mem seen x) then begin
+    Pairs.add seen x ();
+    acc := x :: !acc
+  end
+
+(* Generate the component for one data-path node. [uses] pairs each of
+   its instructions with its operands and their delays: the stage distance
+   the pipeliner recorded for the edge ({!Pipeline.use_delays}) — the
+   generator does not re-derive staging. [consumed_delays r] lists the
+   delayed versions of r that outside consumers need from this node. *)
+let gen_node (nm : names) ~(vtype : Instr.vreg -> Ast.vtype) (proc : Proc.t)
     (luts : Lut_conv.table list) (n : Graph.node)
+    ~(uses : (Instr.instr * (Instr.vreg * int) list) list)
     ~(consumed_delays : Instr.vreg -> int list) : Ast.design_unit * node_iface
     =
-  let vtype r = vtype_of proc widths r in
-  let name = cat [ proc.Proc.pname; "_node"; string_of_int n.Graph.id ] in
+  let name = String.concat "" [ proc.Proc.pname; "_node"; string_of_int n.Graph.id ] in
   let defs = Graph.node_defs n in
-  let local = Hashtbl.create 16 in
-  List.iter (fun d -> Hashtbl.replace local d ()) defs;
-  let is_local r = Hashtbl.mem local r in
-  (* each instruction with its operands and their delays: the stage
-     distance the pipeliner recorded for the edge ({!Pipeline.use_delay}) —
-     the generator does not re-derive staging *)
-  let uses =
-    List.map
-      (fun (i : Instr.instr) ->
-        i, List.map (fun r -> r, Pipeline.use_delay p i r) i.Instr.srcs)
-      n.Graph.instrs
-  in
+  let local = Regs.create 16 in
+  List.iter (fun d -> Regs.replace local d ()) defs;
+  let is_local r = Regs.mem local r in
   (* inputs: (reg, delay) pairs needed by the node's instructions. Each
      local def gets a delay chain as deep as its deepest use, local or
      exported. *)
-  let in_seen = Hashtbl.create 16 and in_pairs = ref [] in
-  let chain_depth = Hashtbl.create 16 in
+  let in_seen = Pairs.create 16 and in_pairs = ref [] in
+  let chain_depth = Regs.create 16 in
   let deepen d k =
-    match Hashtbl.find_opt chain_depth d with
+    match Regs.find_opt chain_depth d with
     | Some m when m >= k -> ()
-    | _ -> Hashtbl.replace chain_depth d k
+    | _ -> Regs.replace chain_depth d k
   in
   let lpr_seen = Hashtbl.create 1 and lpr_names = ref [] in
   let snx_seen = Hashtbl.create 1 and snx_names = ref [] in
@@ -189,7 +221,7 @@ let gen_node (proc : Proc.t) (widths : Widths.t) (p : Pipeline.t)
       | _ -> ());
       List.iter
         (fun ((r, k) as use) ->
-          if is_local r then deepen r k else add_new in_seen in_pairs use)
+          if is_local r then deepen r k else add_new_pair in_seen in_pairs use)
         rs)
     uses;
   let in_pairs = List.rev !in_pairs in
@@ -201,7 +233,7 @@ let gen_node (proc : Proc.t) (widths : Widths.t) (p : Pipeline.t)
       defs
   in
   List.iter (fun (d, k) -> deepen d k) out_pairs;
-  let max_delay d = Option.value (Hashtbl.find_opt chain_depth d) ~default:0 in
+  let max_delay d = Option.value (Regs.find_opt chain_depth d) ~default:0 in
   let needs_clock =
     snx_names <> [] || List.exists (fun d -> max_delay d > 0) defs
   in
@@ -216,48 +248,49 @@ let gen_node (proc : Proc.t) (widths : Widths.t) (p : Pipeline.t)
     { Ast.port_name; port_dir; port_type }
   in
   let ports =
-    (if needs_clock then [ port "clk" Ast.Dir_in Ast.Std_logic ] else [])
+    (if needs_clock then [ port clk Ast.Dir_in Ast.Std_logic ] else [])
     @ List.map
-        (fun (r, k) -> port (delayed_name r k) Ast.Dir_in (vtype r))
+        (fun (r, k) -> port (fst (delayed nm r k)) Ast.Dir_in (vtype r))
         in_pairs
     @ List.map
-        (fun fb -> port (feedback_port fb) Ast.Dir_in (feedback_type fb))
+        (fun fb ->
+          port (fst (feedback_port nm fb)) Ast.Dir_in (feedback_type fb))
         lpr_names
     @ List.map
-        (fun (r, k) -> port (delayed_name r k) Ast.Dir_out (vtype r))
+        (fun (r, k) -> port (fst (delayed nm r k)) Ast.Dir_out (vtype r))
         out_pairs
     @ List.map
-        (fun fb -> port (feedback_next_port fb) Ast.Dir_out (feedback_type fb))
+        (fun fb ->
+          port (fst (feedback_next_port nm fb)) Ast.Dir_out (feedback_type fb))
         snx_names
   in
   (* ---- architecture body ----
      Discipline: every locally computed value lives in an internal signal
      v<r>_i<k> (k = pipeline delay); out ports are driven by one final
      assignment each. Out ports are therefore never read internally. *)
-  let internal_name r k = cat [ "v"; string_of_int r; "_i"; string_of_int k ] in
   (* reversed accumulators; [declared] holds (reg, delay) pairs *)
   let declared = ref [] and body = ref [] and clocked = ref [] in
   let emit c = body := c :: !body in
-  let declared_seen = Hashtbl.create 64 in
-  let declare r k = add_new declared_seen declared (r, k) in
+  let declared_seen = Pairs.create 64 in
+  let declare r k = add_new_pair declared_seen declared (r, k) in
   let lut_seen = Hashtbl.create 1 and lut_components = ref [] in
   let lut_count = ref 0 in
   let operand (r, k) =
-    if is_local r then internal_name r k else delayed_name r k
+    snd (if is_local r then internal nm r k else delayed nm r k)
   in
   List.iter
     (fun ((i : Instr.instr), rs) ->
       match i.Instr.op, i.Instr.dst with
       | Instr.Snx fb, None ->
         let src = operand (List.hd rs) in
-        emit (Ast.Comment (cat [ "snx["; fb; "]" ]));
+        emit (Ast.Comment (String.concat "" [ "snx["; fb; "]" ]));
         emit
           (Ast.Assign
-             ( feedback_next_port fb,
-               resized src i.Instr.kind.Roccc_cfront.Ast.bits ))
+             ( fst (feedback_next_port nm fb),
+               Ast.Resize (src, i.Instr.kind.Roccc_cfront.Ast.bits) ))
       | Instr.Lpr fb, Some d ->
         declare d 0;
-        emit (Ast.Assign (internal_name d 0, feedback_port fb))
+        emit (Ast.Assign (fst (internal nm d 0), snd (feedback_port nm fb)))
       | Instr.Lut table, Some d ->
         declare d 0;
         let t =
@@ -275,8 +308,8 @@ let gen_node (proc : Proc.t) (widths : Widths.t) (p : Pipeline.t)
           Hashtbl.add lut_seen comp ();
           lut_components :=
             ( comp,
-              [ port "addr" Ast.Dir_in (Ast.Unsigned in_bits);
-                port "data" Ast.Dir_out (vtype_of_kind t.Lut_conv.out_kind) ] )
+              [ port addr Ast.Dir_in (Ast.Unsigned in_bits);
+                port data Ast.Dir_out (vtype_of_kind t.Lut_conv.out_kind) ] )
             :: !lut_components
         end;
         let src = operand (List.hd rs) in
@@ -287,13 +320,13 @@ let gen_node (proc : Proc.t) (widths : Widths.t) (p : Pipeline.t)
              { inst_label = label;
                component = comp;
                port_map =
-                 [ "addr", cat [ "unsigned("; resized src in_bits; ")" ];
-                   "data", internal_name d 0 ] })
+                 [ addr, Ast.Call ("unsigned", [ Ast.Resize (src, in_bits) ]);
+                   data, snd (internal nm d 0) ] })
       | _, Some d ->
         declare d 0;
         let dst_width = Ast.vtype_width (vtype d) in
         let ops = List.map operand rs in
-        emit (Ast.Assign (internal_name d 0, instr_rhs i ~dst_width ~ops))
+        emit (Ast.Assign (fst (internal nm d 0), instr_rhs i ~dst_width ~ops))
       | _, None ->
         Diag.failf "vhdl generation" "gen: instruction without destination")
     uses;
@@ -302,7 +335,7 @@ let gen_node (proc : Proc.t) (widths : Widths.t) (p : Pipeline.t)
     (fun d ->
       for k = 1 to max_delay d do
         declare d k;
-        clocked := (internal_name d k, internal_name d (k - 1)) :: !clocked
+        clocked := (fst (internal nm d k), snd (internal nm d (k - 1))) :: !clocked
       done)
     defs;
   let latches =
@@ -310,7 +343,7 @@ let gen_node (proc : Proc.t) (widths : Widths.t) (p : Pipeline.t)
     else
       [ Ast.Clocked_process
           { label = "latches";
-            clock = "clk";
+            clock = clk;
             reset = None;
             assignments = List.rev !clocked;
             reset_assignments = [] } ]
@@ -318,7 +351,7 @@ let gen_node (proc : Proc.t) (widths : Widths.t) (p : Pipeline.t)
   (* drive each out port from its internal signal *)
   let port_assigns =
     List.map
-      (fun (r, k) -> Ast.Assign (delayed_name r k, internal_name r k))
+      (fun (r, k) -> Ast.Assign (fst (delayed nm r k), snd (internal nm r k)))
       out_pairs
   in
   let entity = { Ast.entity_name = name; entity_ports = ports } in
@@ -327,7 +360,8 @@ let gen_node (proc : Proc.t) (widths : Widths.t) (p : Pipeline.t)
       of_entity = name;
       signals =
         List.rev_map
-          (fun (r, k) -> { Ast.sig_name = internal_name r k; sig_type = vtype r })
+          (fun (r, k) ->
+            { Ast.sig_name = fst (internal nm r k); sig_type = vtype r })
           !declared;
       components = List.rev !lut_components;
       body = List.rev_append !body (latches @ port_assigns) }
@@ -339,14 +373,16 @@ let gen_node (proc : Proc.t) (widths : Widths.t) (p : Pipeline.t)
 (* ROM components                                                      *)
 (* ------------------------------------------------------------------ *)
 
+let rom_selector = Ast.Call ("to_integer", [ Ast.Ref addr ])
+
 let gen_rom (t : Lut_conv.table) : Ast.design_unit =
   let name = "rom_" ^ t.Lut_conv.lut_name in
   let out_kind = t.Lut_conv.out_kind in
   let out_bits = out_kind.Roccc_cfront.Ast.bits in
   let ports =
-    [ { Ast.port_name = "addr"; port_dir = Ast.Dir_in;
+    [ { Ast.port_name = addr; port_dir = Ast.Dir_in;
         port_type = Ast.Unsigned t.Lut_conv.in_kind.Roccc_cfront.Ast.bits };
-      { Ast.port_name = "data"; port_dir = Ast.Dir_out;
+      { Ast.port_name = data; port_dir = Ast.Dir_out;
         port_type = vtype_of_kind out_kind } ]
   in
   (* A behavioural ROM: with-select over the table contents (synthesis
@@ -354,8 +390,9 @@ let gen_rom (t : Lut_conv.table) : Ast.design_unit =
      alongside, paper §4.2.4). *)
   let n = Array.length t.Lut_conv.contents in
   let value i = numeric_literal out_kind out_bits t.Lut_conv.contents.(i) in
-  let cases = List.init (max 0 (n - 1)) (fun i -> value i, string_of_int i) in
-  let default = if n > 0 then value (n - 1) else "(others => '0')" in
+  let cases = List.init (max 0 (n - 1)) (fun i -> value i, i) in
+  let default = if n > 0 then value (n - 1) else Ast.Zeros in
+  let lut = t.Lut_conv.lut_name in
   let arch =
     { Ast.arch_name = "rtl";
       of_entity = name;
@@ -363,14 +400,11 @@ let gen_rom (t : Lut_conv.table) : Ast.design_unit =
       components = [];
       body =
         [ Ast.Comment
-            (Printf.sprintf
-               "ROM %s: %d x %d-bit; contents in %s.init (text file)"
-               t.Lut_conv.lut_name n out_bits t.Lut_conv.lut_name);
-          Ast.Selected
-            { target = "data";
-              selector = "to_integer(addr)";
-              cases;
-              default } ]
+            (String.concat ""
+               [ "ROM "; lut; ": "; string_of_int n; " x ";
+                 string_of_int out_bits; "-bit; contents in "; lut;
+                 ".init (text file)" ]);
+          Ast.Selected { target = data; selector = rom_selector; cases; default } ]
     }
   in
   { Ast.unit_entity = { Ast.entity_name = name; entity_ports = ports };
@@ -385,73 +419,92 @@ let generate ?(luts = []) (p : Pipeline.t) : Ast.design =
   let dp = p.Pipeline.dp in
   let proc = dp.Graph.proc in
   let widths = p.Pipeline.widths in
-  let vtype r = vtype_of proc widths r in
+  let vtypes = Regs.create 64 in
+  let vtype r =
+    match Regs.find_opt vtypes r with
+    | Some t -> t
+    | None ->
+      let t = vtype_of proc widths r in
+      Regs.add vtypes r t;
+      t
+  in
+  let nm =
+    { delayed = Pairs.create 64;
+      internal = Pairs.create 64;
+      feedback = Hashtbl.create 4 }
+  in
   (* Which delayed versions of each register do consumers outside the
      producing node need? *)
-  let producer_node = Hashtbl.create 64 in
+  let producer_node = Regs.create 64 in
   List.iter
     (fun (n : Graph.node) ->
       List.iter
-        (fun d -> Hashtbl.replace producer_node d n.Graph.id)
+        (fun d -> Regs.replace producer_node d n.Graph.id)
         (Graph.node_defs n))
     dp.Graph.nodes;
-  let consumed_seen = Hashtbl.create 64 in
-  let external_delays : (Instr.vreg, int list) Hashtbl.t = Hashtbl.create 64 in
+  let node_uses =
+    List.map
+      (fun (n : Graph.node) ->
+        n, List.map (fun i -> i, Pipeline.use_delays p i) n.Graph.instrs)
+      dp.Graph.nodes
+  in
+  let consumed_seen = Pairs.create 64 in
+  let external_delays : int list Regs.t = Regs.create 64 in
   List.iter
-    (fun (n : Graph.node) ->
+    (fun ((n : Graph.node), uses) ->
       List.iter
-        (fun (i : Instr.instr) ->
+        (fun (_, rs) ->
           List.iter
-            (fun r ->
-              match Hashtbl.find_opt producer_node r with
+            (fun (r, k) ->
+              match Regs.find_opt producer_node r with
               | Some owner when owner <> n.Graph.id ->
-                let k = Pipeline.use_delay p i r in
-                if not (Hashtbl.mem consumed_seen (r, k)) then begin
-                  Hashtbl.add consumed_seen (r, k) ();
+                if not (Pairs.mem consumed_seen (r, k)) then begin
+                  Pairs.add consumed_seen (r, k) ();
                   (* reversed: the first consumer's delay last *)
-                  let cur = Hashtbl.find_opt external_delays r in
-                  Hashtbl.replace external_delays r
+                  let cur = Regs.find_opt external_delays r in
+                  Regs.replace external_delays r
                     (k :: Option.value cur ~default:[])
                 end
               | Some _ | None -> ())
-            i.Instr.srcs)
-        n.Graph.instrs)
-    dp.Graph.nodes;
+            rs)
+        uses)
+    node_uses;
   (* output ports consume their registers at delay 0 from the exit node *)
-  let output_regs = Hashtbl.create 16 in
+  let output_regs = Regs.create 16 in
   List.iter
-    (fun (op : Proc.port) -> Hashtbl.replace output_regs op.Proc.port_reg ())
+    (fun (op : Proc.port) -> Regs.replace output_regs op.Proc.port_reg ())
     dp.Graph.output_ports;
   let consumed_delays r =
     let l =
-      List.rev (Option.value (Hashtbl.find_opt external_delays r) ~default:[])
+      List.rev (Option.value (Regs.find_opt external_delays r) ~default:[])
     in
-    if Hashtbl.mem output_regs r && not (Hashtbl.mem consumed_seen (r, 0)) then
+    if Regs.mem output_regs r && not (Pairs.mem consumed_seen (r, 0)) then
       0 :: l
     else l
   in
   let units_ifaces =
     List.map
-      (fun n -> gen_node proc widths p luts n ~consumed_delays)
-      dp.Graph.nodes
+      (fun (n, uses) -> gen_node nm ~vtype proc luts n ~uses ~consumed_delays)
+      node_uses
   in
   let node_units = List.map fst units_ifaces in
   (* ---- top-level entity ---- *)
-  let top_port dir (pt : Proc.port) =
-    { Ast.port_name = pt.Proc.port_name;
-      port_dir = dir;
-      port_type = vtype pt.Proc.port_reg }
+  let named = List.map (fun (pt : Proc.port) -> pt, Ast.id pt.Proc.port_name) in
+  let inputs = named dp.Graph.input_ports
+  and outputs = named dp.Graph.output_ports in
+  let top_port dir ((pt : Proc.port), port_name) =
+    { Ast.port_name; port_dir = dir; port_type = vtype pt.Proc.port_reg }
   in
   let top_ports =
-    [ { Ast.port_name = "clk"; port_dir = Ast.Dir_in; port_type = Ast.Std_logic };
-      { Ast.port_name = "rst"; port_dir = Ast.Dir_in; port_type = Ast.Std_logic } ]
-    @ List.map (top_port Ast.Dir_in) dp.Graph.input_ports
-    @ List.map (top_port Ast.Dir_out) dp.Graph.output_ports
+    [ { Ast.port_name = clk; port_dir = Ast.Dir_in; port_type = Ast.Std_logic };
+      { Ast.port_name = rst; port_dir = Ast.Dir_in; port_type = Ast.Std_logic } ]
+    @ List.map (top_port Ast.Dir_in) inputs
+    @ List.map (top_port Ast.Dir_out) outputs
   in
   (* signals: every (reg, delay) that crosses node boundaries, as a
      reversed list of (reg, delay) pairs *)
-  let declared_seen = Hashtbl.create 64 and declared = ref [] in
-  let declare r k = add_new declared_seen declared (r, k) in
+  let declared_seen = Pairs.create 64 and declared = ref [] in
+  let declare r k = add_new_pair declared_seen declared (r, k) in
   List.iter
     (fun (_, ni) ->
       List.iter (fun (r, k) -> declare r k) ni.ni_in;
@@ -462,8 +515,8 @@ let generate ?(luts = []) (p : Pipeline.t) : Ast.design =
     List.concat_map
       (fun (name, kind, _) ->
         let t = vtype_of_kind kind in
-        [ { Ast.sig_name = feedback_port name; sig_type = t };
-          { Ast.sig_name = feedback_next_port name; sig_type = t } ])
+        [ { Ast.sig_name = fst (feedback_port nm name); sig_type = t };
+          { Ast.sig_name = fst (feedback_next_port nm name); sig_type = t } ])
       proc.Proc.feedbacks
   in
   (* input port registers feeding node inputs: input port name maps to the
@@ -473,9 +526,9 @@ let generate ?(luts = []) (p : Pipeline.t) : Ast.design =
     dp.Graph.input_ports;
   let input_assigns =
     List.map
-      (fun (pt : Proc.port) ->
-        Ast.Assign (reg_name pt.Proc.port_reg, pt.Proc.port_name))
-      dp.Graph.input_ports
+      (fun ((pt : Proc.port), port_name) ->
+        Ast.Assign (fst (delayed nm pt.Proc.port_reg 0), Ast.Ref port_name))
+      inputs
   in
   (* external input delay chains (inputs consumed at later stages): each
      declared v<r>_d<k> of an external input r is latched from v<r>_d<k-1> *)
@@ -483,7 +536,7 @@ let generate ?(luts = []) (p : Pipeline.t) : Ast.design =
     (fun (_, ni) ->
       List.iter
         (fun (r, k) ->
-          if not (Hashtbl.mem producer_node r) then
+          if not (Regs.mem producer_node r) then
             for j = 1 to k do
               declare r j
             done)
@@ -492,14 +545,14 @@ let generate ?(luts = []) (p : Pipeline.t) : Ast.design =
   let input_align =
     List.fold_left
       (fun acc (r, k) ->
-        if k >= 1 && not (Hashtbl.mem producer_node r) then
-          (delayed_name r k, delayed_name r (k - 1)) :: acc
+        if k >= 1 && not (Regs.mem producer_node r) then
+          (fst (delayed nm r k), snd (delayed nm r (k - 1))) :: acc
         else acc)
       [] !declared
   in
   let clocked label reset assignments reset_assignments =
     Ast.Clocked_process
-      { label; clock = "clk"; reset; assignments; reset_assignments }
+      { label; clock = clk; reset; assignments; reset_assignments }
   in
   let input_align_process =
     if input_align = [] then [] else [ clocked "input_align" None input_align [] ]
@@ -508,16 +561,22 @@ let generate ?(luts = []) (p : Pipeline.t) : Ast.design =
   let feedback_process =
     if proc.Proc.feedbacks = [] then []
     else
-      [ clocked "feedback_regs" (Some "rst")
+      [ clocked "feedback_regs" (Some rst)
           (List.map
-             (fun (name, _, _) -> feedback_port name, feedback_next_port name)
+             (fun (name, _, _) ->
+               fst (feedback_port nm name), snd (feedback_next_port nm name))
              proc.Proc.feedbacks)
           (List.map
              (fun (name, kind, init) ->
-               feedback_port name, literal kind kind.Roccc_cfront.Ast.bits init)
+               ( fst (feedback_port nm name),
+                 literal kind kind.Roccc_cfront.Ast.bits init ))
              proc.Proc.feedbacks) ]
   in
   (* node instances; formal and actual share the canonical signal names *)
+  let actual = function
+    | Ast.Reg (r, k) -> snd (delayed nm r k)
+    | n -> Ast.Ref n
+  in
   let component_seen = Hashtbl.create 16 and component_decls = ref [] in
   let instances =
     List.map
@@ -532,7 +591,7 @@ let generate ?(luts = []) (p : Pipeline.t) : Ast.design =
             component = ni.ni_name;
             port_map =
               List.map
-                (fun (pp : Ast.port) -> pp.Ast.port_name, pp.Ast.port_name)
+                (fun (pp : Ast.port) -> pp.Ast.port_name, actual pp.Ast.port_name)
                 ports })
       units_ifaces
   in
@@ -543,8 +602,9 @@ let generate ?(luts = []) (p : Pipeline.t) : Ast.design =
   let output_process =
     clocked "output_regs" None
       (List.map
-         (fun (pt : Proc.port) -> pt.Proc.port_name, reg_name pt.Proc.port_reg)
-         dp.Graph.output_ports)
+         (fun ((pt : Proc.port), port_name) ->
+           port_name, snd (delayed nm pt.Proc.port_reg 0))
+         outputs)
       []
   in
   let top =
@@ -556,7 +616,7 @@ let generate ?(luts = []) (p : Pipeline.t) : Ast.design =
           signals =
             List.rev_map
               (fun (r, k) ->
-                { Ast.sig_name = delayed_name r k; sig_type = vtype r })
+                { Ast.sig_name = fst (delayed nm r k); sig_type = vtype r })
               !declared
             @ fb_signals;
           components = List.rev !component_decls;
@@ -567,7 +627,4 @@ let generate ?(luts = []) (p : Pipeline.t) : Ast.design =
   let rom_units = List.map gen_rom luts in
   { Ast.design_name = proc.Proc.pname;
     units = rom_units @ node_units @ [ top ];
-    rom_inits =
-      List.map
-        (fun t -> t.Lut_conv.lut_name, Lut_conv.to_init_text t)
-        luts }
+    roms = luts }

@@ -9,10 +9,6 @@ type report = {
   signals_checked : int;
 }
 
-val identifiers_of : string -> string list
-(** Identifiers appearing in an expression text (VHDL keywords and numeric
-    literals filtered out). Exposed for tests. *)
-
 val check : Ast.design -> report
 (** Lint a whole design. Raises {!Roccc_util.Diag.Error} describing the first
     violation; returns a summary on success. *)

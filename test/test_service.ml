@@ -471,7 +471,7 @@ let test_batch_siblings_store_only_mid_end () =
       in
       Alcotest.(check (list (pair string string)))
         (j.Service.label ^ ": VHDL equals Driver.compile")
-        (Service.vhdl_files compiled) s.Service.r_vhdl)
+        (Driver.files compiled) s.Service.r_vhdl)
     (Service.successes report)
 
 (* ---- scheduler ---- *)

@@ -356,7 +356,7 @@ let test_front_vhdl_matches_compile () =
           let compiled = Driver.compile ~options ~luts ~entry source in
           Alcotest.(check (list (pair string string)))
             (rw.Search.rw_label ^ ": VHDL equals Driver.compile")
-            (Service.vhdl_files compiled) s.Service.r_vhdl)
+            (Driver.files compiled) s.Service.r_vhdl)
         r.Search.res_front)
     (* the tune-front kernels; fir16's and modsq's files include the
        system wrapper, whose text depends on the pipeline latency *)

@@ -116,15 +116,19 @@ let test_lint_catches_undeclared () =
         [ { V.unit_entity =
               { V.entity_name = "bad";
                 entity_ports =
-                  [ { V.port_name = "o"; port_dir = V.Dir_out;
+                  [ { V.port_name = V.Id "o"; port_dir = V.Dir_out;
                       port_type = V.Signed 8 } ] };
             unit_arch =
               { V.arch_name = "rtl";
                 of_entity = "bad";
                 signals = [];
                 components = [];
-                body = [ V.Assign ("o", "missing_signal + 1") ] } } ];
-      rom_inits = [] }
+                body =
+                  [ V.Assign
+                      ( V.Id "o",
+                        V.Binop (V.Add, V.Ref (V.Id "missing_signal"), V.Int 1) )
+                  ] } } ];
+      roms = [] }
   in
   match Lint.check bad with
   | exception Roccc_util.Diag.Error { where = "vhdl lint"; _ } -> ()
@@ -137,72 +141,94 @@ let test_lint_catches_multiple_drivers () =
         [ { V.unit_entity =
               { V.entity_name = "bad2";
                 entity_ports =
-                  [ { V.port_name = "a"; port_dir = V.Dir_in;
+                  [ { V.port_name = V.Id "a"; port_dir = V.Dir_in;
                       port_type = V.Signed 8 };
-                    { V.port_name = "o"; port_dir = V.Dir_out;
+                    { V.port_name = V.Id "o"; port_dir = V.Dir_out;
                       port_type = V.Signed 8 } ] };
             unit_arch =
               { V.arch_name = "rtl";
                 of_entity = "bad2";
                 signals = [];
                 components = [];
-                body = [ V.Assign ("o", "a"); V.Assign ("o", "a") ] } } ];
-      rom_inits = [] }
+                body =
+                  [ V.Assign (V.Id "o", V.Ref (V.Id "a"));
+                    V.Assign (V.Id "o", V.Ref (V.Id "a")) ] } } ];
+      roms = [] }
   in
   match Lint.check bad with
   | exception Roccc_util.Diag.Error { where = "vhdl lint"; _ } -> ()
   | _ -> Alcotest.fail "lint must reject multiple drivers"
 
 (* One negative case per rule, each with its exact message. [unit_of]
-   builds a unit from port (name, dir) pairs, signal names, component
-   declarations and a body; every type is 8-bit signed. *)
+   builds a unit from port (name, dir) pairs, signal names (texts, read
+   with [V.id] as the generator reads C names), component declarations
+   and a body; every type is 8-bit signed. *)
 let unit_of ?(signals = []) ?(components = []) name ports body =
-  let port (n, dir) = { V.port_name = n; port_dir = dir; port_type = V.Signed 8 } in
+  let port (n, dir) =
+    { V.port_name = V.id n; port_dir = dir; port_type = V.Signed 8 }
+  in
   { V.unit_entity = { V.entity_name = name; entity_ports = List.map port ports };
     unit_arch =
       { V.arch_name = "rtl";
         of_entity = name;
         signals =
-          List.map (fun s -> { V.sig_name = s; sig_type = V.Signed 8 }) signals;
+          List.map (fun s -> { V.sig_name = V.id s; sig_type = V.Signed 8 }) signals;
         components =
           List.map (fun (c, ps) -> c, List.map port ps) components;
         body } }
 
-let design_of_units units = { V.design_name = "t"; units; rom_inits = [] }
+let design_of_units units = { V.design_name = "t"; units; roms = [] }
 
 let lint_error units =
   match Lint.check (design_of_units units) with
   | exception Roccc_util.Diag.Error { where = "vhdl lint"; msg; _ } -> msg
   | _ -> Alcotest.fail "lint accepted a bad design"
 
+(* [t <== e] assigns [e] to the signal named [t]; [r s] reads [s] *)
+let r s = V.Ref (V.Id s)
+let ( <== ) t e = V.Assign (V.Id t, e)
+
 (* a leaf entity [leaf] with ports x : in, y : out *)
-let leaf = unit_of "leaf" [ "x", V.Dir_in; "y", V.Dir_out ] [ V.Assign ("y", "x") ]
+let leaf = unit_of "leaf" [ "x", V.Dir_in; "y", V.Dir_out ] [ "y" <== r "x" ]
 
 let leaf_component = [ "leaf", [ "x", V.Dir_in; "y", V.Dir_out ] ]
 
 let instance ?(component = "leaf") port_map =
-  V.Instance { inst_label = "u0"; component; port_map }
+  V.Instance
+    { inst_label = "u0";
+      component;
+      port_map = List.map (fun (f, a) -> V.Id f, r a) port_map }
+
+(* a process on clk that assigns [assignments] and, under rst,
+   [reset_assignments] *)
+let process assignments reset_assignments =
+  V.Clocked_process
+    { label = "p";
+      clock = V.Id "clk";
+      reset = Some (V.Id "rst");
+      assignments;
+      reset_assignments }
 
 let lint_cases =
   [ ( "duplicate declaration",
       [ unit_of ~signals:[ "s"; "a" ] "top" [ "a", V.Dir_in ] [] ],
       "top: a declared more than once" );
     ( "undeclared name",
-      [ unit_of "top" [ "o", V.Dir_out ] [ V.Assign ("o", "missing + 1") ] ],
+      [ unit_of "top" [ "o", V.Dir_out ] [ "o" <== V.Binop (V.Add, r "missing", V.Int 1) ] ],
       "top: undeclared name missing in assignment rhs" );
     ( "output port read",
       [ unit_of ~signals:[ "s" ] "top" [ "o", V.Dir_out ]
-          [ V.Assign ("o", "to_signed(1, 8)"); V.Assign ("s", "o") ] ],
+          [ "o" <== V.Lit { signed = true; width = 8; value = 1L }; "s" <== r "o" ] ],
       "top: output port o read in assignment rhs" );
     ( "multiple drivers (assignment)",
       [ unit_of "top" [ "a", V.Dir_in; "o", V.Dir_out ]
-          [ V.Assign ("o", "a"); V.Assign ("o", "a") ] ],
+          [ "o" <== r "a"; "o" <== r "a" ] ],
       "top: signal o has multiple drivers" );
     ( "multiple drivers (instance output)",
       [ leaf;
         unit_of ~components:leaf_component ~signals:[ "s" ] "top"
           [ "a", V.Dir_in ]
-          [ V.Assign ("s", "a"); instance [ "x", "a"; "y", "s" ] ] ],
+          [ "s" <== r "a"; instance [ "x", "a"; "y", "s" ] ] ],
       "top: signal s has multiple drivers" );
     ( "undeclared component",
       [ leaf;
@@ -229,15 +255,15 @@ let lint_cases =
       "duplicate entity leaf" );
     (* two violations: the first in check order is reported *)
     ( "duplicate declaration before body errors",
-      [ unit_of ~signals:[ "b"; "a"; "b"; "a" ] "top" [] [ V.Assign ("c", "d") ] ],
+      [ unit_of ~signals:[ "b"; "a"; "b"; "a" ] "top" [] [ "c" <== r "d" ] ],
       "top: b declared more than once" );
     ( "statement order decides",
       [ unit_of "top" [ "a", V.Dir_in; "o", V.Dir_out ]
-          [ V.Assign ("o", "missing"); V.Assign ("o", "a"); V.Assign ("o", "a") ] ],
+          [ "o" <== r "missing"; "o" <== r "a"; "o" <== r "a" ] ],
       "top: undeclared name missing in assignment rhs" );
     ( "target checked before rhs",
       [ unit_of "top" [ "a", V.Dir_in; "o", V.Dir_out ]
-          [ V.Assign ("o", "a"); V.Assign ("o", "missing") ] ],
+          [ "o" <== r "a"; "o" <== r "missing" ] ],
       "top: signal o has multiple drivers" );
     ( "unknown formal before unmapped formal",
       [ leaf;
@@ -245,12 +271,25 @@ let lint_cases =
           [ instance [ "z", "a" ] ] ],
       "top: instance u0 maps unknown formal z" );
     ( "duplicate entity before unit errors",
-      [ unit_of "bad" [] [ V.Assign ("c", "d") ]; leaf; leaf ],
+      [ unit_of "bad" [] [ "c" <== r "d" ]; leaf; leaf ],
       "duplicate entity leaf" );
     ( "first unit's violation wins",
-      [ unit_of "first" [] [ V.Assign ("c", "d") ];
+      [ unit_of "first" [] [ "c" <== r "d" ];
         unit_of ~signals:[ "s"; "s" ] "second" [] [] ],
-      "first: undeclared name c in assignment" ) ]
+      "first: undeclared name c in assignment" );
+    ( "multiple drivers (reset assignment)",
+      [ unit_of ~signals:[ "s" ] "top"
+          [ "clk", V.Dir_in; "rst", V.Dir_in; "a", V.Dir_in ]
+          [ "s" <== r "a"; process [] [ V.Id "s", r "a" ] ] ],
+      "top: signal s has multiple drivers" );
+    ( "a name's text decides: port v0 is register 0's signal",
+      [ (let u = unit_of "top" [ "v0", V.Dir_in ] [] in
+         { u with
+           V.unit_arch =
+             { u.V.unit_arch with
+               V.signals = [ { V.sig_name = V.Reg (0, 0); sig_type = V.Signed 8 } ] } })
+      ],
+      "top: v0 declared more than once" ) ]
 
 let test_lint_messages () =
   List.iter
@@ -258,14 +297,21 @@ let test_lint_messages () =
       Alcotest.(check string) name msg (lint_error units))
     lint_cases
 
-let test_identifiers_of () =
+(* [V.id] maps a text to the name that renders to it, and back. *)
+let test_names_of_texts () =
   List.iter
-    (fun (text, ids) ->
-      Alcotest.(check (list string)) text ids (Lint.identifiers_of text))
-    [ "x\"0F\"", [ "x"; "F" ];
-      "12abc", [ "abc" ];
-      "RESIZE(v3_d1, 8)", [ "v3_d1" ];
-      "v1_i0/=0", [ "v1_i0" ] ]
+    (fun (text, name) ->
+      Alcotest.(check bool) text true (V.id text = name);
+      Alcotest.(check string) text text (V.name_to_string name))
+    [ "v0", V.Reg (0, 0);
+      "v12_d3", V.Reg (12, 3);
+      "v7_i0", V.Internal (7, 0);
+      "v3_d0", V.Id "v3_d0";
+      "v03", V.Id "v03";
+      "v", V.Id "v";
+      "v3_", V.Id "v3_";
+      "v3_x1", V.Id "v3_x1";
+      "fb_sum", V.Id "fb_sum" ]
 
 (* ------------------------------------------------------------------ *)
 (* LUT / ROM                                                           *)
@@ -309,7 +355,11 @@ let digest_line (b : Kernels.benchmark) (d : V.design) =
   let hex s = Digest.to_hex (Digest.string s) in
   Printf.sprintf "%s vhdl=%s rom=%s\n" b.Kernels.bench_name
     (hex (V.to_string d))
-    (hex (String.concat "" (List.map (fun (n, t) -> n ^ "\n" ^ t) d.V.rom_inits)))
+    (hex
+       (String.concat ""
+          (List.map
+             (fun t -> t.Lut_conv.lut_name ^ "\n" ^ Lut_conv.to_init_text t)
+             d.V.roms)))
 
 (* Flip-flop bits of a generated design's pipeline registers: the targets
    of the node latches, the top-level input alignment and the output
@@ -490,8 +540,7 @@ let suites =
       Alcotest.test_case "rejects multiple drivers" `Quick
         test_lint_catches_multiple_drivers;
       Alcotest.test_case "one exact message per rule" `Quick test_lint_messages;
-      Alcotest.test_case "identifiers of expression texts" `Quick
-        test_identifiers_of ];
+      Alcotest.test_case "names of texts" `Quick test_names_of_texts ];
     "vhdl.rom",
     [ Alcotest.test_case "ROM component + init file" `Quick
         test_rom_generation ];

@@ -62,7 +62,11 @@ let () =
       (hex (Roccc_vhdl.Ast.to_string d))
       (hex
          (String.concat ""
-            (List.map (fun (n, t) -> n ^ "\n" ^ t) d.Roccc_vhdl.Ast.rom_inits)))
+            (List.map
+               (fun t ->
+                 t.Roccc_hir.Lut_conv.lut_name ^ "\n"
+                 ^ Roccc_hir.Lut_conv.to_init_text t)
+               d.Roccc_vhdl.Ast.roms)))
   in
   let text =
     String.concat "" (List.map line (Kernels.gallery @ [ Kernels.wavelet_cols ]))
